@@ -192,6 +192,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def p_adic_split(n: int, p: int) -> tuple[int, int]:
+    """Split a nonzero n as a * p^m with p not dividing a; returns (a, m)."""
+    m = 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    return n, m
+
+
 def multiplicative_order(a: int, modulus: int, group_order: int) -> int:
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit mod {modulus}")
@@ -335,6 +344,23 @@ class FiniteAbelianGroup:
     def characters(self) -> Iterator[tuple[int, ...]]:
         """Exponent vectors of the dual group, in lexicographic order."""
         yield from self.elements()
+
+    def char_index(self, chi: Sequence[int]) -> int:
+        """Position of chi in the enumeration order of `characters`."""
+        index = 0
+        for c, d in zip(chi, self.invariants):
+            index = index * d + c
+        return index
+
+    def char_at(self, index: int) -> tuple[int, ...]:
+        """The character at position `index` of `characters` (inverse of char_index)."""
+        if not 0 <= index < self.order:
+            raise IndexError(f"character index {index} out of range for order {self.order}")
+        out = []
+        for d in reversed(self.invariants):
+            index, c = divmod(index, d)
+            out.append(c)
+        return tuple(reversed(out))
 
     def char_phase(self, chi: Sequence[int], elt: Sequence[int]) -> Fraction:
         """Phase in [0,1) of the character value chi(elt) as e(phase)."""

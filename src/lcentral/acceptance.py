@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .abelian import p_adic_split
 from .afe import afe_lvalue, direct_series, functional_equation_residual
 from .charsums import (CoefficientFieldContext, average_char, average_support,
                        gauss_sum, kloosterman_bound_report, root_number)
@@ -107,7 +108,7 @@ def _seed_char(rcg, p):
     """Smallest-index primitive character of maximal p-power order."""
     best = None
     for chi in rcg.characters():
-        q, j = divmod_order(chi.order, p)
+        q, _ = p_adic_split(chi.order, p)
         if q != 1:
             continue
         if chi.is_primitive() and (best is None or chi.order > best.order):
@@ -115,14 +116,6 @@ def _seed_char(rcg, p):
     if best is None:
         raise ValueError("no primitive p-power character at this level")
     return best
-
-
-def divmod_order(order: int, p: int) -> tuple[int, int]:
-    j = 0
-    while order % p == 0:
-        order //= p
-        j += 1
-    return order, j
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charsums import (CoefficientFieldContext, average_char,
-                       averaged_iota_table, galois_orbit, root_number)
+from .charsums import (CoefficientFieldContext, averaged_char_table,
+                       averaged_iota_values, galois_orbit, root_number,
+                       substitutions)
 from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, SmoothingKernel, VKernel
 from .newforms import NewformData
 from .rayclass import HeckeCharacter
+from .roots import unit_circle
 
 # Below this many terms a half-sum evaluates V exactly through the tail
 # route (no interpolation error); above it the certified spline is used
@@ -198,15 +200,21 @@ def _mod_index(count: int, mod: int) -> np.ndarray:
 def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     """chi((r)) for r = 0..mod-1 as a complex vector, 0 where r shares a
     factor with p.  The value at a principal ideal (n), n coprime to p, is
-    the table entry at n mod p^m."""
+    the table entry at n mod p^m.
+
+    Route one's per-character table: chi(r) = e(j / ord) with
+    j = dlog_phase * ord * dlog(r), so each of the ord values is rendered
+    once, exactly as RootOfUnity.to_complex renders it, and indexed by j.
+    """
     got = _CHAR_TABLE_CACHE.get(chi)
     if got is None:
-        mod = chi.rcg.modulus
-        got = np.zeros(mod, dtype=np.complex128)
-        for r in range(1, mod):
-            v = chi.value_at_residue(r)
-            if v is not None:
-                got[r] = v.to_complex()
+        phase = chi.dlog_phase
+        order = phase.denominator
+        dlog = chi.prime_ctx.dlog_array(chi.level)
+        units = dlog >= 0
+        values = np.array(unit_circle(order), dtype=np.complex128)
+        got = np.zeros(len(dlog), dtype=np.complex128)
+        got[units] = values[dlog[units] * phase.numerator % order]
         got.setflags(write=False)
         _CHAR_TABLE_CACHE[chi] = got
     return got
@@ -525,6 +533,9 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     """Route one: the plain mean of central values over the Galois orbit of
     the twist.  Returns (mean, per-character results).  A trivial seed has
     a one-element orbit, so this degenerates to the untwisted value.
+
+    Per character and float: each member gets its own character table and
+    its own float Gauss sum and root number.
     """
     orbit = galois_orbit(chi, ctx)
     results = [afe_lvalue(form, tw, y=y, nf=nf, tol=tol) for tw in orbit]
@@ -543,6 +554,10 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     residue; the reflected side uses the averaged root-number-weighted
     conjugate values, which is where the cancellation lives.  Independent
     of route one except for the shared coefficient and kernel tables.
+
+    Per orbit and exact: the root numbers come from one exact Gauss sum by
+    the Galois action, and each mean is taken once per value chi(r)
+    (charsums.averaged_char_table / averaged_iota_values).
     """
     if chi.is_trivial():
         res = afe_lvalue(form, None, y=y, nf=nf, tol=tol)
@@ -557,18 +572,12 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     s = 0.5 * k
     eng = _engine(form, nf, chi, s, y, tol)
     m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-    p = chi.p
     mod = chi.conductor_norm
 
     # averaged twist per unit residue (exact cyclotomic means), and the
     # averaged reflected weights (root number times conjugate values)
-    direct_tab = np.zeros(mod, dtype=np.complex128)
-    for r in range(1, mod):
-        if r % p:
-            direct_tab[r] = average_char(chi, ctx, r).value
-    reflect_tab = np.zeros(mod, dtype=np.complex128)
-    for r, val in averaged_iota_table(chi, ctx, form.nebentypus).items():
-        reflect_tab[r] = val
+    direct_tab = averaged_char_table(chi, ctx)
+    reflect_tab = averaged_iota_values(chi, ctx, form.nebentypus)
 
     pre1 = _prefab(form, s, eng.cfg.y, m1, eng.kern1, eng.key1, reflected=False)
     pre2 = _prefab(form, k - s, eng.med / eng.cfg.y, m2, eng.kern2, eng.key2,
@@ -582,7 +591,7 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
 
     value = (s1 + c_const * s2) / eng.gamma_s
     info = {
-        "orbit_size": len(galois_orbit(chi, ctx)),
+        "orbit_size": len(substitutions(chi, ctx)),
         "main_term": complex(pre1[0] / eng.gamma_s),
         "dual_part": c_const * s2 / eng.gamma_s,
         "terms": (m1, m2),

@@ -20,22 +20,41 @@ which has modulus one identically.
 Galois averages are exact: sums of roots of unity assembled in cyclotomic
 arithmetic and then recognized against the closed form (zero, a rational, or
 the original character value).
+
+The averaging routes of afe.py take two separate paths through this module.
+Route one is per character and float: `gauss_sum` and `root_number` for each
+member of the orbit.  Route two is per orbit and exact: `orbit_root_numbers`
+gets every W(chi^t) from one exact Gauss sum through the Galois action,
+G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)), which is sigma_t applied to G(chi)
+followed by the shift identity; `averaged_char_table` and
+`averaged_iota_values` then take each orbit mean once per value chi(r) and
+scatter it through the level's dlog array.  Route two never calls route
+one's float Gauss sums, so the gap between the routes stays a check.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, pi
+from typing import Sequence
 
+import numpy as np
+
+from .abelian import p_adic_split
 from .fields import FieldElement
-from .roots import CyclotomicNumber, RootOfUnity
+from .roots import ONE, CyclotomicNumber, RootOfUnity, unit_circle
 from .rayclass import HeckeCharacter, PrimeContext, ResidueCharacter
 
 Character = HeckeCharacter | ResidueCharacter
 
 # largest cyclotomic level we are willing to reduce exactly
 EXACT_LEVEL_LIMIT = 20000
+
+# |averaged iota| values within this relative distance of the maximum count
+# as tied in kloosterman_bound_report's argmax
+ARGMAX_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,40 +73,27 @@ class CoefficientFieldContext:
             raise ValueError("n0 must be >= 0")
 
 
-def _orbit_substitutions(p: int, e: int, n0: int) -> list[int]:
-    """Exponent substitutions t acting on a character of order p^e."""
-    if e == 0:
-        return [1]
-    mod = p ** e
-    fixed = p ** min(e, n0)
-    return [t for t in range(1, mod) if t % p != 0 and t % fixed == 1 % fixed]
+def substitutions(chi: Character, ctx: CoefficientFieldContext) -> list[int]:
+    """The exponent substitutions t of the orbit members chi^t, in orbit order.
 
-
-def galois_orbit(chi: Character, ctx: CoefficientFieldContext) -> list[Character]:
-    """The conjugates chi^t of a p-power-order character, deduplicated."""
+    For chi of order p^e they are the units t mod p^e with t = 1 mod
+    p^min(e, n0); being distinct mod the order, they give distinct members.
+    """
     p = chi.p
     if p != ctx.p:
         raise ValueError("context prime differs from the character's prime")
-    a, e = _split_p(chi.order, p)
+    a, e = p_adic_split(chi.order, p)
     if a != 1:
         raise ValueError("Galois orbits are defined here for p-power-order characters")
-    seen = set()
-    orbit = []
-    for t in _orbit_substitutions(p, e, ctx.n0):
-        tw = chi.power(t)
-        key = tw.vec if isinstance(tw, HeckeCharacter) else tw.k
-        if key not in seen:
-            seen.add(key)
-            orbit.append(tw)
-    return orbit
+    if e == 0:
+        return [1]
+    fixed = p ** min(e, ctx.n0)
+    return [t for t in range(1, p ** e) if t % p != 0 and t % fixed == 1 % fixed]
 
 
-def _split_p(n: int, p: int) -> tuple[int, int]:
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return n, m
+def galois_orbit(chi: Character, ctx: CoefficientFieldContext) -> list[Character]:
+    """The conjugates chi^t of a p-power-order character."""
+    return [chi.power(t) for t in substitutions(chi, ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,56 +106,58 @@ def gauss_sum(chi: Character, shift=1, exact: bool = False):
     The trivial character gets G := 1 by convention.  `shift` may be an
     integer or a field element; only its residue class mod p^c matters.
     """
-    c = chi.conductor_exponent
+    if chi.conductor_exponent == 0:
+        return CyclotomicNumber.from_rational(1) if exact else 1.0 + 0j
+    den, exps, pref = _gauss_terms(chi, shift)
+    exps = exps.tolist()
+
+    if exact:
+        level = lcm(den, pref.order)
+        if level > EXACT_LEVEL_LIMIT:
+            raise ValueError(
+                f"exact Gauss sum would need cyclotomic level {level}; use exact=False")
+        step = level // den
+        acc: dict[int, int] = {}
+        for e in exps:
+            acc[e * step] = acc.get(e * step, 0) + 1
+        total = CyclotomicNumber(level, acc)
+        return total * CyclotomicNumber.from_root(pref, level=level)
+
+    circle = unit_circle(den)
+    total = 0j
+    for e in exps:
+        total += circle[e]
+    return total * pref.to_complex()
+
+
+def _gauss_terms(chi: Character, shift) -> tuple[int, np.ndarray, RootOfUnity]:
+    """(den, exps, pref) with G(chi, shift) = pref * sum e(exps / den), one
+    exponent per unit residue x mod the conductor, x increasing."""
     ctx: PrimeContext = chi.prime_ctx
     nf = ctx.nf
-    if c == 0:
-        return CyclotomicNumber.from_rational(1) if exact else 1.0 + 0j
-    p = ctx.p
-    mod = p ** c
-    pi_c = ctx.pi ** c
+    c = chi.conductor_exponent
+    mod = ctx.p ** c
     d_gen = nf.different_gen
     if isinstance(shift, FieldElement):
         a_elt = shift
     else:
         a_elt = nf.element_from_int(int(shift))
-    denom = (d_gen * pi_c).inverse()
+    # efin(a x / (d pi^c)) = e(x * add) for integers x: the trace is Q-linear
+    add = nf.efin_phase(a_elt * (d_gen * ctx.pi ** c).inverse())
 
     pref = chi.local_value(d_gen)
     if pref is None:
         raise ValueError("the different meets the prime; unsupported configuration")
     pref = pref.conjugate()
 
-    terms: list[tuple[RootOfUnity, RootOfUnity]] = []
-    for x in range(1, mod):
-        if x % p == 0:
-            continue
-        val = chi.local_value(x)
-        if val is None:
-            continue
-        lift = nf.element_from_int(x)
-        phase = nf.efin_phase(a_elt * lift * denom)
-        terms.append((val, RootOfUnity(phase)))
-
-    if exact:
-        level = 1
-        for val, ph in terms:
-            level = lcm(level, val.order, ph.order)
-        level = lcm(level, pref.order)
-        if level > EXACT_LEVEL_LIMIT:
-            raise ValueError(
-                f"exact Gauss sum would need cyclotomic level {level}; use exact=False")
-        acc: dict[int, Fraction] = {}
-        for val, ph in terms:
-            e = int((val.phase + ph.phase) % 1 * level)
-            acc[e] = acc.get(e, Fraction(0)) + 1
-        total = CyclotomicNumber(level, acc)
-        return total * CyclotomicNumber.from_root(pref, level=level)
-
-    total = 0j
-    for val, ph in terms:
-        total += (val * ph).to_complex()
-    return total * pref.to_complex()
+    # term x is e(local_phase * dlog(x) + x * add)
+    loc = chi.local_phase
+    den = lcm(loc.denominator, add.denominator)
+    lnum = loc.numerator * (den // loc.denominator)
+    anum = add.numerator * (den // add.denominator)
+    dlog = ctx.dlog_array(chi.level)[:mod]
+    units = np.flatnonzero(dlog >= 0)
+    return den, (lnum * dlog[units] + anum * units) % den, pref
 
 
 def root_number(chi: Character, nebentypus: str = "trivial") -> complex:
@@ -166,12 +174,7 @@ def root_number(chi: Character, nebentypus: str = "trivial") -> complex:
         return 1.0 + 0j
     q = chi.conductor_norm
     g = gauss_sum(chi.conjugate())
-    if isinstance(chi, HeckeCharacter):
-        m1 = chi.value_on_ideal_of(-1)
-        sign = m1.to_complex() if m1 is not None else 1.0
-    else:
-        sign = chi.local_value(-1).to_complex()
-    w = sign * g * g / q
+    w = _parity(chi).to_complex() * g * g / q
     if abs(abs(w) - 1) > 1e-9:
         raise ArithmeticError(f"root number drifted off the unit circle: |W| = {abs(w)}")
     return w
@@ -181,12 +184,65 @@ def gauss_sum_conjugation_defect(chi: Character) -> float:
     """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
     g = gauss_sum(chi)
     gbar = gauss_sum(chi.conjugate())
+    return abs(g.conjugate() - _parity(chi).to_complex() * gbar)
+
+
+def _parity(chi: Character) -> RootOfUnity:
+    """chi(-1) as the root number uses it: on ideal classes for ray class
+    characters, the local value for residue characters."""
     if isinstance(chi, HeckeCharacter):
         m1 = chi.value_on_ideal_of(-1)
-        sign = m1.to_complex() if m1 is not None else 1.0
-    else:
-        sign = chi.local_value(-1).to_complex()
-    return abs(g.conjugate() - sign * gbar)
+        return ONE if m1 is None else m1
+    return chi.local_value(-1)
+
+
+def orbit_root_numbers(chi: Character, ctx: CoefficientFieldContext,
+                       nebentypus: str = "trivial") -> list[RootOfUnity]:
+    """Exact W(chi^t) for the orbit members, in orbit order, from one exact
+    Gauss sum.
+
+    With psi = conj(chi), G(psi^t) = psi^t_loc(t) * sigma_t(G(psi)), so
+    W(chi^t) = chi^t(-1) psi^t_loc(t)^2 sigma_t(G(psi)^2 / q).  The one exact
+    square G(psi)^2 / q is checked to be a root of unity eps, and sigma_t
+    moves eps alone.  G(psi) is held as the integer histogram of its terms,
+    so no cyclotomic level limit applies.
+    """
+    if nebentypus != "trivial":
+        raise NotImplementedError(
+            "root numbers are implemented for trivial nebentypus; supply the "
+            "nonsplit constant with the form data instead")
+    subs = substitutions(chi, ctx)
+    if chi.conductor_exponent == 0:
+        return [ONE] * len(subs)
+    den, exps, pref = _gauss_terms(chi.conjugate(), 1)
+    eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
+                       chi.label) * pref * pref
+    # sigma_t on Q(zeta_L), L = lcm(den, order of pref) odd, fixes -1: on
+    # roots of order 2L it is the power by the odd representative of t mod L
+    level = lcm(den, pref.order)
+    out = []
+    for t, tw in zip(subs, galois_orbit(chi, ctx)):
+        rho = tw.conjugate().local_value(t)
+        sigma_eps = eps.galois(t if t % 2 else t + level)
+        out.append(_parity(tw) * rho * rho * sigma_eps)
+    return out
+
+
+def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
+    """The root of unity eps = h^2 / q for h = sum_e hist[e] e(e / n),
+    n = len(hist), checked exactly: h^2 is the cyclic self-convolution of the
+    integer histogram."""
+    n = len(hist)
+    full = np.convolve(hist, hist)
+    square = full[:n].copy()
+    square[:n - 1] += full[n:]
+    sq = CyclotomicNumber(n, {e: c for e, c in enumerate(square.tolist()) if c})
+    z = np.dot(hist, np.exp(2j * pi * np.arange(n) / n))
+    turns = cmath.phase(z * z) / (2 * pi)
+    eps = RootOfUnity(Fraction(round(turns * 2 * n), 2 * n))
+    if sq != CyclotomicNumber.from_root(eps, coeff=q):
+        raise ArithmeticError(f"G^2 / N(cond) is not a root of unity at {label}")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +291,22 @@ def average_char(chi: Character, ctx: CoefficientFieldContext, a) -> AverageResu
     if any(v is None for v in vals):
         zero = CyclotomicNumber.zero()
         return AverageResult(cyclotomic=zero, orbit_size=n, coeff=Fraction(0), root=RootOfUnity(0))
-    level = 1
-    for v in vals:
-        level = lcm(level, v.order)
-    acc: dict[int, Fraction] = {}
-    for v in vals:
-        e = int(v.phase * level)
-        acc[e] = acc.get(e, Fraction(0)) + Fraction(1, n)
-    mean = CyclotomicNumber(level, acc)
+    level = lcm(*(v.order for v in vals))
+    mean = _mean_of_roots([int(v.phase * level) for v in vals], level)
     seed = _ideal_value(chi, a)
     coeff, root = _recognize(mean, seed)
     return AverageResult(cyclotomic=mean, orbit_size=n, coeff=coeff, root=root)
+
+
+def _mean_of_roots(exps: Sequence[int], level: int) -> CyclotomicNumber:
+    """Exact mean of e(x / level) over the exponents, at the least level
+    that holds them all."""
+    g = gcd(level, *exps)
+    acc: dict[int, int] = {}
+    for x in exps:
+        acc[x // g] = acc.get(x // g, 0) + 1
+    n = len(exps)
+    return CyclotomicNumber(level // g, {e: Fraction(k, n) for e, k in acc.items()})
 
 
 def _ideal_value(chi: Character, a) -> RootOfUnity | None:
@@ -294,30 +355,61 @@ def averaged_iota_table(chi: Character, ctx: CoefficientFieldContext,
                         nebentypus: str = "trivial") -> dict[int, complex]:
     """average_iota at every unit residue class mod the conductor, keyed by
     smallest residue; shared work across the sweep."""
-    orbit = galois_orbit(chi, ctx)
-    c = chi.conductor_exponent
+    table = averaged_iota_values(chi, ctx, nebentypus)
     p = chi.p
-    mod = p ** c
-    roots = [root_number(tw, nebentypus) for tw in orbit]
-    out: dict[int, complex] = {}
-    for r in range(1, mod):
-        if r % p == 0:
-            continue
-        total = 0j
-        for w, tw in zip(roots, orbit):
-            v = _value_at_residue(tw.conjugate(), r)
-            if v is not None:
-                total += w * v.to_complex()
-        out[r] = total / len(orbit)
+    return {r: complex(table[r]) for r in range(1, chi.conductor_norm) if r % p}
+
+
+# ---------------------------------------------------------------------------
+# per-value tables (route two): chi^t(r) = e(t j / ord) when chi(r) = e(j / ord),
+# so every orbit mean depends on r only through j.  Each mean is taken once
+# per j and scattered through the dlog array.
+
+def averaged_char_table(chi: Character, ctx: CoefficientFieldContext) -> np.ndarray:
+    """average_char(chi, ctx, r).value at every residue r mod the conductor,
+    0 off the units."""
+    subs = substitutions(chi, ctx)
+    order = chi.order
+    # the substitutions form a group mod the order, so the mean at j is the
+    # mean at every j * s: one exact mean per class j * subs
+    means: list[complex | None] = [None] * order
+    for j in range(order):
+        if means[j] is None:
+            value = _mean_of_roots([t * j % order for t in subs], order).to_complex()
+            for s in subs:
+                means[j * s % order] = value
+    return _scatter(chi, means)
+
+
+def averaged_iota_values(chi: Character, ctx: CoefficientFieldContext,
+                         nebentypus: str = "trivial") -> np.ndarray:
+    """average_iota(chi, ctx, r) at every residue r mod the conductor, 0 off
+    the units: the mean over the orbit of the exact roots W(chi^t)
+    conj(chi^t)(r), W from `orbit_root_numbers`."""
+    roots = orbit_root_numbers(chi, ctx, nebentypus)
+    order = chi.order
+    level = lcm(order, *(w.order for w in roots))
+    ws = np.array([int(w.phase * level) for w in roots], dtype=np.int64)
+    ts = np.array(substitutions(chi, ctx), dtype=np.int64) * (level // order)
+    # the mean at j is the mean of e(x / level) over the exact exponents
+    # x = w_t - t j, rendered through one table of e(k / level)
+    circle = np.array(unit_circle(level), dtype=np.complex128)
+    means = [circle[(ws - ts * j) % level].mean() for j in range(order)]
+    return _scatter(chi, means)
+
+
+def _scatter(chi: Character, per_value: list[complex]) -> np.ndarray:
+    """Spread values indexed by j, chi(r) = e(j / ord), over the residues mod
+    the conductor (0 off the units).  dlog_phase has denominator ord, so
+    j = numerator * dlog(r) mod ord."""
+    mod = chi.conductor_norm
+    dlog = chi.prime_ctx.dlog_array(chi.level)[:mod]
+    phase = chi.dlog_phase
+    units = dlog >= 0
+    j = dlog[units] * phase.numerator % phase.denominator
+    out = np.zeros(mod, dtype=np.complex128)
+    out[units] = np.asarray(per_value, dtype=np.complex128)[j]
     return out
-
-
-def _value_at_residue(chi: Character, r: int) -> RootOfUnity | None:
-    if isinstance(chi, HeckeCharacter):
-        return chi.value_at_residue(r)
-    # residue characters: ideal-style evaluation is the plain dual value
-    v = chi.local_value(r)
-    return v
 
 
 def kloosterman_bound_report(chi: Character, ctx: CoefficientFieldContext,
@@ -335,7 +427,11 @@ def kloosterman_bound_report(chi: Character, ctx: CoefficientFieldContext,
         raise ValueError("conductor too small for the context depth")
     table = averaged_iota_table(chi, ctx, nebentypus)
     max_abs = max(abs(v) for v in table.values()) if table else 0.0
-    argmax = max(table, key=lambda r: abs(table[r])) if table else None
+    # smallest residue at the maximum: when several residues share the
+    # maximal modulus (at n0 >= 1 every unit residue does), the residue
+    # decides, not the rounding noise of the float table
+    argmax = next((r for r, v in table.items()
+                   if abs(v) >= max_abs * (1 - ARGMAX_TIE_RTOL)), None)
     scale = p ** (-n / 2)
     return {
         "character_label": chi.label,
@@ -343,7 +439,7 @@ def kloosterman_bound_report(chi: Character, ctx: CoefficientFieldContext,
         "level": n,
         "conductor_exponent": c,
         "conductor_norm": p ** c,
-        "orbit_size": len(galois_orbit(chi, ctx)),
+        "orbit_size": len(substitutions(chi, ctx)),
         "max_abs": max_abs,
         "argmax_residue": argmax,
         "scale": scale,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -212,6 +213,13 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rationals",
@@ -306,6 +314,10 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("--threads must be a positive integer", file=sys.stderr)
         return 2
+    # workers past the usable CPUs add threads, not speed (cone-count starts
+    # one per slab), so the count is clamped rather than refused: the same
+    # command line then runs on every host
+    args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

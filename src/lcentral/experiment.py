@@ -116,17 +116,22 @@ class _Setup:
             raise ValueError("need 1 <= n_lo <= n_hi")
         if cfg.eps <= 0:
             raise ValueError("eps must be positive")
+        if cfg.p % 2 == 0:
+            raise ValueError("p must be odd")
+        form_probe = newform_load(cfg.form, limit=16)
+        if form_probe.nebentypus != "trivial":
+            raise ValueError(
+                f"nebentypus {form_probe.nebentypus!r} is not supported: the "
+                f"twist root numbers are implemented for trivial nebentypus")
+        self.n0 = form_probe.n0
 
         if cfg.pi_coords is not None:
             self.ctx = PrimeContext(self.nf, cfg.p,
                                     self.nf.element(list(cfg.pi_coords)))
         else:
             self.ctx = prime_above(self.nf, cfg.p)
+        self.ctx.check_level(cfg.n_hi + self.n0 + 1)
 
-        if cfg.p % 2 == 0:
-            raise ValueError("p must be odd")
-        form_probe = newform_load(cfg.form, limit=16)
-        self.n0 = form_probe.n0
         self.theta = float(form_probe.theta)
         blocked = (self.nf.class_number * abs(self.nf.discriminant)
                    * form_probe.level_norm)
@@ -221,7 +226,7 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
             error_estimate=max(r.error_estimate for r in results),
             seconds=time.perf_counter() - t0,
         )
-    except Exception as exc:          # per-row failure stays in the report
+    except (ValueError, ArithmeticError) as exc:   # a row failure stays in the report
         return ExperimentRow(
             n=n, conductor=0, orbit_size=0, seed_label="", y=y,
             lav_re=math.nan, lav_im=math.nan, main_term_re=math.nan,

@@ -181,7 +181,7 @@ class VKernel:
         self.kernel = kernel
         self.s = complex(s)
         self.sign = sign
-        self._spline = None
+        self._spline = None     # (spline, V at the first node, cutoff), published whole
         self._x_cut = None
 
     # -- stable tail route --------------------------------------------------
@@ -293,17 +293,21 @@ class VKernel:
         return self._x_cut
 
     def _ensure_spline(self, points: int = 1800):
-        if self._spline is None:
+        # build into locals and publish once: a thread racing through value()
+        # sees either nothing or the finished tuple
+        got = self._spline
+        if got is None:
             cut = self.decay_cutoff()
             grid = np.geomspace(1e-8, cut, points)
             vals = self.value_tail(grid)
-            self._spline = CubicSpline(np.log(grid), vals)
-            self._v_low = float(vals[0])
+            got = (CubicSpline(np.log(grid), vals), float(vals[0]), cut)
+            self._spline = got
+        return got
 
     def value(self, x):
         """Spline-backed V(x) for bulk evaluation (real s only)."""
         self._require_real_s()
-        self._ensure_spline()
+        spline, v_low, x_cut = self._ensure_spline()
         xs = np.asarray(x, dtype=float)
         scalar = not xs.shape
         xs = np.atleast_1d(xs)
@@ -311,10 +315,10 @@ class VKernel:
             raise ValueError("V is defined for x >= 0")
         out = np.zeros_like(xs)
         low = xs < 1e-8
-        mid = (~low) & (xs <= self._x_cut)
+        mid = (~low) & (xs <= x_cut)
         # below the first node V differs from V(0) by O(x^(s - max shift))
-        out[low] = self._v_low
-        out[mid] = self._spline(np.log(xs[mid]))
+        out[low] = v_low
+        out[mid] = spline(np.log(xs[mid]))
         return float(out[0]) if scalar else out
 
 

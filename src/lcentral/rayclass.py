@@ -8,7 +8,11 @@ in (Z/p^n)^*: a primitive root, discrete logs, and a Smith normal form of
 the relation matrix coming from the unit images.
 
 Characters of the quotient are enumerated exactly; their values are rational
-phases (roots of unity), never floats.
+phases (roots of unity), never floats.  Each level keeps its discrete logs as
+one int64 array over the residues mod p^n (-1 off the units), so a character
+value is one lookup: chi(r) = e(dlog_phase * dlog(r)).  A character's label
+index is its position in the dual-group enumeration, read off its exponent
+vector arithmetically.
 """
 
 from __future__ import annotations
@@ -18,9 +22,26 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .abelian import FiniteAbelianGroup, primitive_root
+import numpy as np
+
+from .abelian import FiniteAbelianGroup, p_adic_split, primitive_root
 from .fields import FieldElement, IntegralIdeal, LocalIso, NumberFieldData, split_local_iso
 from .roots import RootOfUnity
+
+
+# Largest residue table a level may need: the dlog array and every character
+# table hold one entry per residue mod p^level.  Levels past it are refused
+# before anything is built.
+RESIDUE_TABLE_CAP = 1 << 21
+
+
+def max_residue_level(p: int) -> int:
+    """Largest level whose residue tables (p^level entries) fit under the cap."""
+    level, size = 0, p
+    while size <= RESIDUE_TABLE_CAP:
+        level += 1
+        size *= p
+    return level
 
 
 class PrimeContext:
@@ -38,9 +59,16 @@ class PrimeContext:
                 f"(pi) has norm {self.prime_ideal.norm}; need a degree-one prime above {p}")
         if nf.discriminant % p == 0:
             raise ValueError(f"{p} ramifies in {nf.label}")
+        self.max_level = max_residue_level(p)
         self._isos: dict[int, LocalIso] = {}
-        self._dlogs: dict[int, dict[int, int]] = {}
+        self._dlogs: dict[int, tuple[np.ndarray, list[int]]] = {}
         self._groots: dict[int, int] = {}
+
+    def check_level(self, level: int) -> None:
+        if level > self.max_level:
+            raise ValueError(
+                f"level {level} needs residue tables of {self.p}^{level} entries; "
+                f"the cap is {RESIDUE_TABLE_CAP} (level <= {self.max_level} at p = {self.p})")
 
     def modulus(self, level: int) -> int:
         return self.p ** level
@@ -58,24 +86,39 @@ class PrimeContext:
 
     def generator_residue(self, level: int) -> int:
         if level not in self._groots:
+            self.check_level(level)
             self._groots[level] = primitive_root(self.p, level)
         return self._groots[level]
 
-    def dlog_map(self, level: int) -> dict[int, int]:
-        """residue -> exponent of the level's primitive root, for all units."""
-        if level not in self._dlogs:
-            mod = self.modulus(level)
+    def dlog_array(self, level: int) -> np.ndarray:
+        """Exponent of the level's primitive root at every residue mod p^level,
+        -1 off the units (read-only int64)."""
+        return self._dlog_tables(level)[0]
+
+    def dlog_list(self, level: int) -> list[int]:
+        """`dlog_array` as Python ints, for scalar lookups."""
+        return self._dlog_tables(level)[1]
+
+    def _dlog_tables(self, level: int) -> tuple[np.ndarray, list[int]]:
+        got = self._dlogs.get(level)
+        if got is None:
             g = self.generator_residue(level)
-            phi = (self.p - 1) * self.p ** (level - 1)
-            table: dict[int, int] = {}
+            mod = self.modulus(level)
+            phi = self.unit_group_order(level)
+            powers = [0] * phi
             cur = 1
             for i in range(phi):
-                table[cur] = i
+                powers[i] = cur
                 cur = cur * g % mod
-            self._dlogs[level] = table
-        return self._dlogs[level]
+            arr = np.full(mod, -1, dtype=np.int64)
+            arr[powers] = np.arange(phi, dtype=np.int64)
+            arr.setflags(write=False)
+            got = (arr, arr.tolist())
+            self._dlogs[level] = got      # published once, fully built
+        return got
 
     def unit_group_order(self, level: int) -> int:
+        self.check_level(level)
         return (self.p - 1) * self.p ** (level - 1)
 
 
@@ -106,15 +149,17 @@ class RayClassGroup:
         self.label = f"{nf.label}.p{ctx.p}.m{n}"
 
         g0 = ctx.generator_residue(n)
-        dlog = ctx.dlog_map(n)
+        dlog = ctx.dlog_list(n)
         phi = ctx.unit_group_order(n)
         relations: list[list[int]] = [[phi]]
         for u in nf.unit_gens:
             relations.append([dlog[ctx.residue(u, n) % self.modulus]])
         self.group = FiniteAbelianGroup(relations, labels=[f"[{g0}]"])
         self.order = self.group.order
+        # the class of g0: the class of a unit residue r is dlog(r) times it
+        self.generator_class = self.group.from_exponents([1])
         self._g0 = g0
-        self._dlog = dlog
+        self.dlog = dlog
         self._struct: TorsionGammaData | None = None
         self._min_residue: dict[tuple[int, ...], int] | None = None
 
@@ -124,7 +169,7 @@ class RayClassGroup:
         r %= self.modulus
         if gcd(r, self.p) != 1:
             raise ValueError(f"residue {r} is not prime to {self.p}")
-        return self.group.from_exponents([self._dlog[r]])
+        return self.group.from_exponents([self.dlog[r]])
 
     def ideal_to_element(self, x) -> tuple[int, ...]:
         """Class of the principal ideal (gamma).
@@ -149,9 +194,9 @@ class RayClassGroup:
         """Smallest positive residue lift of a class (a cheap canonical name)."""
         if self._min_residue is None:
             table: dict[tuple[int, ...], int] = {}
-            for r in sorted(self._dlog):
-                cls = self.group.from_exponents([self._dlog[r]])
-                table.setdefault(cls, r)
+            for r, e in enumerate(self.dlog):
+                if e >= 0:
+                    table.setdefault(self.group.from_exponents([e]), r)
             self._min_residue = table
         return self._min_residue[elt]
 
@@ -200,26 +245,17 @@ class RayClassGroup:
             if conductor_exponent is not None and chi.conductor_exponent != conductor_exponent:
                 continue
             if p_power_only:
-                a, _ = _split_p(chi.order, self.p)
+                a, _ = p_adic_split(chi.order, self.p)
                 if a != 1:
                     continue
             out.append(chi)
         return out
 
     def character_by_index(self, i: int) -> "HeckeCharacter":
-        vecs = list(self.group.characters())
-        return HeckeCharacter(self, tuple(vecs[i]), index=i)
+        return HeckeCharacter(self, self.group.char_at(i), index=i)
 
     def __repr__(self) -> str:
         return f"RayClassGroup({self.label}, order={self.order})"
-
-
-def _split_p(n: int, p: int) -> tuple[int, int]:
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return n, m
 
 
 def rcg_build(nf: NumberFieldData, ctx: PrimeContext, n: int) -> RayClassGroup:
@@ -236,18 +272,14 @@ class HeckeCharacter:
     simultaneously.
     """
 
-    __slots__ = ("rcg", "vec", "index", "_conductor")
+    __slots__ = ("rcg", "vec", "index", "_conductor", "_phase")
 
     def __init__(self, rcg: RayClassGroup, vec: tuple[int, ...], index: int | None = None):
         self.rcg = rcg
         self.vec = vec
-        if index is None:
-            for i, v in enumerate(rcg.group.characters()):
-                if tuple(v) == vec:
-                    index = i
-                    break
-        self.index = index
+        self.index = rcg.group.char_index(vec) if index is None else index
         self._conductor: int | None = None
+        self._phase: Fraction | None = None
 
     @property
     def label(self) -> str:
@@ -262,8 +294,25 @@ class HeckeCharacter:
         return self.rcg.ctx
 
     @property
+    def level(self) -> int:
+        return self.rcg.n
+
+    @property
     def order(self) -> int:
         return self.rcg.group.char_order(self.vec)
+
+    @property
+    def dlog_phase(self) -> Fraction:
+        """Phase of the value at the level's generator residue: the value on
+        the class of a unit residue r is e(dlog_phase * dlog(r))."""
+        if self._phase is None:
+            self._phase = self.rcg.group.char_phase(self.vec, self.rcg.generator_class)
+        return self._phase
+
+    @property
+    def local_phase(self) -> Fraction:
+        """`local_value(r)` = e(local_phase * dlog(r)): the conjugate evaluation."""
+        return -self.dlog_phase % 1
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.vec)
@@ -283,9 +332,10 @@ class HeckeCharacter:
         return self.value_on_class(elt)
 
     def value_at_residue(self, r: int) -> RootOfUnity | None:
-        if gcd(r % self.rcg.p, self.rcg.p) != 1:
+        e = self.rcg.dlog[r % self.rcg.modulus]
+        if e < 0:
             return None
-        return self.value_on_class(self.rcg.class_of_residue(r))
+        return RootOfUnity(self.dlog_phase * e)
 
     def local_value(self, x) -> RootOfUnity | None:
         """Idele-style evaluation at a local unit (residue int or element)."""
@@ -311,8 +361,7 @@ class HeckeCharacter:
             return 0
         p, n = self.rcg.p, self.rcg.n
         for m in range(1, n):
-            gen = self.rcg.class_of_residue((1 + p ** m) % self.rcg.modulus)
-            if self.value_on_class(gen).is_one():
+            if self.value_at_residue(1 + p ** m).is_one():
                 return m
         return n
 
@@ -376,6 +425,14 @@ class ResidueCharacter:
         phi = self.ctx.unit_group_order(self.level)
         return phi // gcd(self.k, phi)
 
+    @property
+    def dlog_phase(self) -> Fraction:
+        """`local_value(r)` = e(dlog_phase * dlog(r)); with no unit quotient the
+        local evaluation is the plain dual value."""
+        return Fraction(self.k, self.ctx.unit_group_order(self.level))
+
+    local_phase = dlog_phase
+
     def is_trivial(self) -> bool:
         return self.k == 0
 
@@ -385,12 +442,10 @@ class ResidueCharacter:
                 x = self.ctx.residue(x, self.level)
             except ValueError:
                 return None
-        r = int(x) % self.ctx.modulus(self.level)
-        if gcd(r, self.ctx.p) != 1:
+        e = self.ctx.dlog_list(self.level)[int(x) % self.ctx.modulus(self.level)]
+        if e < 0:
             return None
-        phi = self.ctx.unit_group_order(self.level)
-        e = self.ctx.dlog_map(self.level)[r]
-        return RootOfUnity(Fraction(self.k * e, phi))
+        return RootOfUnity(self.dlog_phase * e)
 
     @property
     def conductor_exponent(self) -> int:

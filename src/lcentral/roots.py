@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, pi
 
+from .abelian import p_adic_split
+
 
 class RootOfUnity:
     """The complex number e(phase) = exp(2*pi*i*phase), phase rational mod 1."""
@@ -46,11 +48,7 @@ class RootOfUnity:
 
     def order_p_part(self, p: int) -> tuple[int, int]:
         """Split order = a * p^m with p not dividing a; returns (a, m)."""
-        m, a = 0, self.order
-        while a % p == 0:
-            a //= p
-            m += 1
-        return a, m
+        return p_adic_split(self.order, p)
 
     def is_one(self) -> bool:
         return self.phase == 0
@@ -70,6 +68,12 @@ class RootOfUnity:
 
 ONE = RootOfUnity(0)
 MINUS_ONE = RootOfUnity(Fraction(1, 2))
+
+
+@lru_cache(maxsize=4)
+def unit_circle(den: int) -> tuple[complex, ...]:
+    """e(k / den) for k = 0..den-1, each the bits RootOfUnity.to_complex gives."""
+    return tuple(cmath.exp(2j * pi * (k / den)) for k in range(den))
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -103,21 +107,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             assert not rem
     assert all(c.denominator == 1 for c in poly)
     return tuple(c.numerator for c in poly)
-
-
-def _euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
 
 
 class CyclotomicNumber:
@@ -274,20 +263,6 @@ class CyclotomicNumber:
             return "Cyc(0)"
         terms = ", ".join(f"{c}*e({e}/{self.level})" for e, c in sorted(self.coeffs.items()))
         return f"Cyc[{terms}]"
-
-
-def _prime_power_split(n: int) -> tuple[int, int] | None:
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (m, 1) if m > 1 else None
 
 
 @lru_cache(maxsize=None)

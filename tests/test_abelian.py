@@ -110,3 +110,13 @@ def test_order_of_elements():
     assert g.order_of(g.identity) == 1
     sub = g.subgroup_generated([elt])
     assert len(sub) == 4
+
+
+def test_char_index_on_a_non_cyclic_group():
+    g = FiniteAbelianGroup([[2, 0, 0], [0, 4, 0], [0, 0, 12]])
+    assert g.invariants == (2, 4, 12)
+    for i, chi in enumerate(g.characters()):
+        assert g.char_index(chi) == i
+        assert g.char_at(i) == chi
+    with pytest.raises(IndexError):
+        g.char_at(g.order)

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from lcentral.charsums import (CoefficientFieldContext, average_char,
-                               average_iota, average_support, galois_orbit,
-                               gauss_sum, gauss_sum_conjugation_defect,
-                               kloosterman_bound_report, root_number)
+from lcentral.charsums import (EXACT_LEVEL_LIMIT, CoefficientFieldContext,
+                               average_char,
+                               average_iota, average_support,
+                               averaged_char_table, averaged_iota_table,
+                               averaged_iota_values, galois_orbit, gauss_sum,
+                               gauss_sum_conjugation_defect,
+                               kloosterman_bound_report, orbit_root_numbers,
+                               root_number, substitutions)
 from lcentral.fields import nf_load
 from lcentral.rayclass import PrimeContext, RayClassGroup, residue_characters
 from lcentral.roots import CyclotomicNumber, RootOfUnity
@@ -239,7 +243,109 @@ def test_average_iota_and_kloosterman_report():
     assert rep["constant"] == pytest.approx(rep["max_abs"] / rep["scale"])
 
 
+def test_kloosterman_argmax_is_the_smallest_tied_residue():
+    # at n0 = 1 every unit residue of this report has modulus 5^(-1/2); the
+    # smallest residue is reported, whatever the rounding of the table
+    Q, ctx, _ = q_setup()
+    chi = _seed(RayClassGroup(Q, ctx, 3))
+    rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=1))
+    assert rep["max_abs"] == pytest.approx(5 ** -0.5, rel=1e-12)
+    assert rep["argmax_residue"] == 1
+    # without a tie the argmax is the plain maximum
+    rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=0))
+    assert rep["argmax_residue"] == 17
+
+
 def test_exact_gauss_sum_matches_float():
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
     assert abs(gauss_sum(chi, exact=True).to_complex() - gauss_sum(chi)) < 1e-12
+
+
+def _seed(rcg, p=5):
+    """Smallest-index primitive character of order p^(n-1) at level n."""
+    want = p ** (rcg.n - 1)
+    return next(c for c in rcg.characters() if c.order == want and c.is_primitive())
+
+
+@pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+def test_galois_action_gauss_sums_match_per_character(n, n0):
+    # G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)): the Galois action on one exact
+    # sum, transported by the shift identity, against each member's own sum
+    Q, ctx, _ = q_setup()
+    chi = _seed(RayClassGroup(Q, ctx, n))
+    cfc = CoefficientFieldContext(p=5, n0=n0)
+    g = gauss_sum(chi, exact=True)
+    pairs = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
+    if n == 4:
+        pairs = pairs[::23]                     # a sample of the 100 members
+    for t, tw in pairs:
+        moved = CyclotomicNumber.from_root(tw.local_value(t)) * g.galois(t)
+        assert moved == gauss_sum(tw, exact=True)
+
+
+@pytest.mark.parametrize("p,n,n0", [(5, 2, 0), (5, 2, 1), (5, 3, 0), (5, 3, 1),
+                                    (3, 3, 0), (7, 3, 0)])
+def test_orbit_root_numbers_match_per_character(p, n, n0):
+    # at p = 3 mod 4 and odd conductor exponent G^2 / q carries a sign, so
+    # sigma_t on it is not the plain power by an even t
+    Q = nf_load("rationals")
+    ctx = PrimeContext(Q, p, Q.element_from_int(p))
+    chi = _seed(RayClassGroup(Q, ctx, n), p)
+    cfc = CoefficientFieldContext(p=p, n0=n0)
+    q = chi.conductor_norm
+    orbit = galois_orbit(chi, cfc)
+    roots = orbit_root_numbers(chi, cfc)
+    assert len(roots) == len(orbit)
+    for k, (w, tw) in enumerate(zip(roots, orbit)):
+        assert abs(w.to_complex() - root_number(tw)) < 1e-12
+        if k % 7 == 0:
+            # exactly: q W(chi^t) = chi^t(-1) G(conj chi^t)^2, chi^t(-1) = 1 here
+            g = gauss_sum(tw.conjugate(), exact=True)
+            assert CyclotomicNumber.from_root(w, coeff=q) == g * g
+
+
+def test_orbit_root_numbers_past_the_exact_level_limit():
+    # conductor 149^2 = 22,201 lies above EXACT_LEVEL_LIMIT: the exact
+    # cyclotomic Gauss sum refuses it, route two's histogram does not
+    Q = nf_load("rationals")
+    ctx = PrimeContext(Q, 149, Q.element_from_int(149))
+    chi = _seed(RayClassGroup(Q, ctx, 2), 149)
+    assert chi.conductor_norm > EXACT_LEVEL_LIMIT
+    with pytest.raises(ValueError, match="cyclotomic level"):
+        gauss_sum(chi.conjugate(), exact=True)
+    cfc = CoefficientFieldContext(p=149, n0=0)
+    orbit = galois_orbit(chi, cfc)
+    roots = orbit_root_numbers(chi, cfc)
+    assert len(roots) == len(orbit) == 148
+    for w, tw in list(zip(roots, orbit))[::21]:
+        assert abs(w.to_complex() - root_number(tw)) < 1e-12
+    assert abs(averaged_iota_values(chi, cfc)[2] - average_iota(chi, cfc, 2)) < 1e-14
+
+
+def test_orbit_root_numbers_quadratic_field():
+    K, ctx = sqrt2_setup()
+    chi = next(c for c in residue_characters(ctx, 2) if c.order == 7)
+    cfc = CoefficientFieldContext(p=7, n0=0)
+    for w, tw in zip(orbit_root_numbers(chi, cfc), galois_orbit(chi, cfc)):
+        assert abs(w.to_complex() - root_number(tw)) < 1e-12
+
+
+@pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_per_value_tables_match_per_residue_averages(n, n0):
+    Q, ctx, _ = q_setup()
+    chi = _seed(RayClassGroup(Q, ctx, n))
+    cfc = CoefficientFieldContext(p=5, n0=n0)
+    direct = averaged_char_table(chi, cfc)
+    reflect = averaged_iota_values(chi, cfc)
+    mod = 5 ** n
+    assert direct.shape == reflect.shape == (mod,)
+    for r in range(mod):
+        if r % 5 == 0:
+            assert direct[r] == 0 and reflect[r] == 0
+            continue
+        assert abs(direct[r] - average_char(chi, cfc, r).value) < 1e-14
+        assert abs(reflect[r] - average_iota(chi, cfc, r)) < 1e-14
+    table = averaged_iota_table(chi, cfc)
+    assert list(table) == [r for r in range(1, mod) if r % 5]
+    assert all(table[r] == reflect[r] for r in table)

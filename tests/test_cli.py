@@ -7,11 +7,12 @@ pattern-match on text.  Exit codes are part of the contract: 0 success,
 
 import json
 import math
+import os
 
 import pytest
 
 from lcentral.afe import afe_lvalue
-from lcentral.cli import main, parse_char_label
+from lcentral.cli import main, parse_char_label, usable_cpus
 from lcentral.experiment import report_from_json
 from lcentral.newforms import builtin_newform
 from lcentral.rayclass import HeckeCharacter, ResidueCharacter
@@ -162,3 +163,38 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_threads_clamped_to_usable_cpus(capsys, monkeypatch):
+    # the commands are stubbed, so the huge count never starts a thread
+    import lcentral.cli as cli
+
+    seen = {}
+
+    def fake_count(alpha, ctx, n, x, witnesses, window, threads):
+        seen["cone-count"] = threads
+        raise ValueError("stubbed")
+
+    def fake_scan(cfg):
+        seen["lav-scan"] = cfg.threads
+        raise ValueError("stubbed")
+
+    monkeypatch.setattr(cli, "count_progression", fake_count)
+    monkeypatch.setattr(cli, "run_lav_experiment", fake_scan)
+    huge = "1000000"
+    assert main(["cone-count", "--p", "5", "--n", "1", "--x", "10",
+                 "--threads", huge]) == 2
+    assert main(["lav-scan", "--threads", huge]) == 2
+    assert seen == {"cone-count": usable_cpus(), "lav-scan": usable_cpus()}
+    assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
+    assert main(["lav-scan", "--threads", "0"]) == 2
+    assert "positive" in capsys.readouterr().err
+
+
+def test_levels_past_the_residue_cap_refused(capsys):
+    # 5^40 residues would never fit; every entry point refuses before building
+    assert main(["lav-scan", "--n-lo", "1", "--n-hi", "39"]) == 2
+    assert main(["gauss-sum", "--char", "rationals.p5.m40.chi1"]) == 2
+    assert main(["gauss-sum", "--char", "quadratic-sqrt2.p7.res40.chi1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cap") == 3

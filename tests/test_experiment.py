@@ -109,3 +109,36 @@ def test_failed_row_is_reported_not_raised():
 def test_doubled_cutoffs_stay_within_error_estimate():
     gap, err = doubled_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=1))
     assert gap <= err
+
+
+def test_programming_error_in_a_row_crashes(monkeypatch):
+    # only arithmetic and input failures become report rows; a TypeError is a
+    # bug and must surface
+    import lcentral.experiment as experiment
+
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(experiment, "orbit_average_lvalue", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_lav_experiment(ExperimentConfig(n_lo=1, n_hi=1))
+
+
+def test_scan_refuses_levels_past_the_residue_cap():
+    with pytest.raises(ValueError, match="residue tables"):
+        run_lav_experiment(ExperimentConfig(n_lo=1, n_hi=9))
+
+
+def test_scan_refuses_a_nontrivial_nebentypus(tmp_path):
+    # refused as input, before any row runs: the root numbers need a trivial
+    # central character
+    doc = {"label": "delta-with-character", "weight_vector": [12],
+           "atkin_lehner": 1, "nebentypus": "quadratic",
+           "prime_eigenvalues": {"2": -24, "3": 252, "5": 4830, "7": -16744,
+                                 "11": 534612, "13": -577738}}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="nebentypus"):
+        run_lav_experiment(ExperimentConfig(form=str(path), n_lo=1, n_hi=1))
+    from lcentral.cli import main
+    assert main(["lav-scan", "--form", str(path), "--n-hi", "1"]) == 2

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -161,3 +163,37 @@ def test_tail_route_input_validation():
         VKernel(GammaFactor(Q, (7,)), KERNEL, 6.0).value_tail(1.0)
     with pytest.raises(ValueError):
         VKernel(GQ, KERNEL, 6.0, sign=2)
+
+
+
+def test_spline_is_published_whole_across_threads():
+    # the first thread is paused at every line of the spline build once any
+    # of its state is visible, and a second thread calls value() on the same
+    # fresh kernel right then: it must find the spline complete
+    kern = VKernel(GQ, KERNEL, 6.0)
+    xs = np.geomspace(1e-9, 40.0, 300)
+    seen = {}
+
+    def second():
+        try:
+            seen["value"] = kern.value(xs)
+        except Exception as exc:          # recorded, then asserted below
+            seen["error"] = exc
+
+    def on_line(frame, event, arg):
+        if event == "line" and kern._spline is not None and not seen:
+            th = threading.Thread(target=second)
+            th.start()
+            th.join()
+        return on_line
+
+    def tracer(frame, event, arg):
+        return on_line if frame.f_code.co_name == "_ensure_spline" else None
+
+    sys.settrace(tracer)
+    try:
+        first = kern.value(xs)
+    finally:
+        sys.settrace(None)
+    assert "error" not in seen, seen.get("error")
+    assert np.array_equal(seen["value"], first)

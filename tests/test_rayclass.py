@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from lcentral.fields import nf_load
-from lcentral.rayclass import (PrimeContext, RayClassGroup, rcg_build,
-                               residue_characters)
+from lcentral.rayclass import (RESIDUE_TABLE_CAP, HeckeCharacter,
+                               PrimeContext, RayClassGroup, max_residue_level,
+                               rcg_build, residue_characters)
 from lcentral.roots import RootOfUnity
 
 
@@ -163,3 +164,58 @@ def test_prime_context_rejections():
     K = nf_load("quadratic-sqrt2")
     with pytest.raises(ValueError, match="norm"):
         PrimeContext(K, 5, K.element_from_int(5))  # 5 is inert, norm 25
+
+
+def test_character_index_is_enumeration_position():
+    # the label index is read off the exponent vector arithmetically; it must
+    # be the position in the dual-group enumeration that labels always used
+    Q = nf_load("rationals")
+    for p in (3, 5, 7):
+        ctx = PrimeContext(Q, p, Q.element_from_int(p))
+        for n in (1, 2, 3, 4):
+            rcg = rcg_build(Q, ctx, n)
+            vecs = list(rcg.group.characters())
+            assert len(vecs) == rcg.order
+            for i, vec in enumerate(vecs):
+                assert rcg.group.char_index(vec) == i
+                assert HeckeCharacter(rcg, tuple(vec)).index == i
+                assert rcg.character_by_index(i).vec == tuple(vec)
+            chi = rcg.character_by_index(rcg.order - 1)
+            for t in (2, 3, -1):
+                assert chi.power(t).index == vecs.index(rcg.group.pow(chi.vec, t))
+            assert chi.conjugate().index == vecs.index(rcg.group.inv(chi.vec))
+            with pytest.raises(IndexError):
+                rcg.character_by_index(rcg.order)
+
+
+def test_dlog_array_matches_the_generator_powers():
+    Q, ctx = q_ctx()
+    for level in (1, 2, 3):
+        mod = 5 ** level
+        g = ctx.generator_residue(level)
+        arr = ctx.dlog_array(level)
+        assert arr.shape == (mod,) and not arr.flags.writeable
+        assert ctx.dlog_list(level) == arr.tolist()
+        for r in range(mod):
+            if r % 5 == 0:
+                assert arr[r] == -1
+            else:
+                assert pow(g, int(arr[r]), mod) == r
+    # character values read off the array agree with the class-group route
+    rcg = rcg_build(Q, ctx, 3)
+    for chi in rcg.characters():
+        for r in (2, 3, 7, 49, 124):
+            assert chi.value_at_residue(r) == chi.value_on_class(rcg.class_of_residue(r))
+
+
+def test_residue_table_cap_refuses_before_building():
+    Q = nf_load("rationals")
+    assert max_residue_level(5) == 9            # 5^9 = 1953125 <= 2^21
+    assert max_residue_level(RESIDUE_TABLE_CAP + 1) == 0
+    ctx = PrimeContext(Q, 5, Q.element_from_int(5))
+    for build in (ctx.dlog_array, ctx.generator_residue, ctx.unit_group_order):
+        with pytest.raises(ValueError, match="cap"):
+            build(10)
+    with pytest.raises(ValueError, match="cap"):
+        rcg_build(Q, ctx, 10)
+    assert ctx._dlogs == {} and ctx._groots == {}
