@@ -29,7 +29,7 @@ from .cones import (count_progression, min_norm_coset, prime_above,
 from .experiment import ExperimentConfig, run_lav_experiment
 from .fields import nf_load
 from .kernels import GammaFactor, SmoothingKernel, VKernel
-from .newforms import builtin_newform, newform_load
+from .newforms import _primes_up_to, builtin_newform, newform_load
 from .rayclass import rcg_build, residue_characters
 from .roots import CyclotomicNumber
 from .tau import tau_table
@@ -337,15 +337,9 @@ def _c08_reflection_residual(fast: bool):
 def _c09_coefficient_bound(fast: bool):
     limit = 10 ** 4
     table = tau_table(limit)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(limit ** 0.5) + 1):
-        if sieve[q]:
-            sieve[q * q::q] = False
-    primes = np.nonzero(sieve)[0]
+    primes = _primes_up_to(limit)
     worst_p, worst_ratio = 0, 0.0
     for p in primes:
-        p = int(p)
         if table[p] ** 2 > 4 * p ** 11:          # exact integer comparison
             return False, f"|a({p})| exceeds 2 p^(11/2)"
         ratio = abs(table[p]) / (2.0 * p ** 5.5)

@@ -326,13 +326,61 @@ class LValueResult(NamedTuple):
     dual_term: complex
 
 
-def default_config(med: float, kern_main: VKernel, kern_dual: VKernel,
-                   y: float | None = None, tol: float = 1e-9) -> AFEConfig:
+class _Kernels(NamedTuple):
+    """The V kernels of the two half-sums at spectral points s and k - s."""
+    main: VKernel
+    main_key: tuple
+    dual: VKernel
+    dual_key: tuple
+
+
+def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> _Kernels:
+    return _Kernels(vkernel_for(nf, shifts, s, 1), _kernel_key(nf, shifts, s, 1),
+                    vkernel_for(nf, shifts, k - s, -1),
+                    _kernel_key(nf, shifts, k - s, -1))
+
+
+def _tails(form: NewformData, kern: _Kernels, s: float, med: float, y: float,
+           m1: int, m2: int) -> tuple[float, float]:
+    """Majorants of the dropped tails past cutoffs (m1, m2) at balance point
+    y: the main side, and the dual side weighted as it enters the value."""
+    k = form.scalar_weight
+    t1 = _half_sum_tail(form, kern.main, kern.main_key, s, y, m1)
+    t2 = _half_sum_tail(form, kern.dual, kern.dual_key, k - s, med / y, m2)
+    return t1, med ** (0.5 * (k - 2.0 * s)) * t2
+
+
+def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
+                   s: float | None = None, y: float | None = None,
+                   tol: float = 1e-9) -> AFEConfig:
+    """The cutoffs every evaluation at this twist conductor norm uses when
+    none are given.
+
+    Start from the measured decay cutoff of each V kernel (and at least the
+    side's own scale), then grow whichever side's tail majorant dominates
+    until the tail budget meets tol.  Reads the form's weight, gamma shifts,
+    level and theta only, never its coefficients, so a probe form is enough
+    to size the coefficient table ahead of the sums.
+    """
+    nf = _as_field(nf if nf is not None else form.field_label)
+    k = form.scalar_weight
+    s = 0.5 * k if s is None else float(s)
+    med = float(form.level_norm) * conductor_norm * conductor_norm
     y = math.sqrt(med) if y is None else float(y)
     if y <= 0:
         raise ValueError("the balance point y must be positive")
-    m1 = max(8, math.ceil(kern_main.decay_cutoff() * y))
-    m2 = max(8, math.ceil(kern_dual.decay_cutoff() * med / y))
+    kern = _kernels(nf, form.gamma_shifts, k, s)
+    gamma_abs = abs(gamma_factor_for(nf, form.gamma_shifts).value(s))
+    m1 = max(8, math.ceil(kern.main.decay_cutoff() * y), math.ceil(y))
+    m2 = max(8, math.ceil(kern.dual.decay_cutoff() * med / y), math.ceil(med / y))
+    for _ in range(400):
+        tail1, tail2 = _tails(form, kern, s, med, y, m1, m2)
+        if (tail1 + tail2) / gamma_abs <= tol:
+            break
+        if tail1 >= tail2:
+            m1 += m1 // 4 + 8
+        else:
+            m2 += m2 // 4 + 8
     return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2, tol=tol)
 
 
@@ -358,57 +406,26 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
     s = float(s)
     cond = 1 if chi is None else chi.conductor_norm
     med = float(form.level_norm) * cond * cond
-
-    shifts = form.gamma_shifts
-    kern1 = vkernel_for(nf, shifts, s, 1)
-    kern2 = vkernel_for(nf, shifts, k - s, -1)
-    key1 = _kernel_key(nf, shifts, s, 1)
-    key2 = _kernel_key(nf, shifts, k - s, -1)
-
-    gamma_s = gamma_factor_for(nf, shifts).value(s)
-    lam_ratio = med ** (0.5 * (k - 2.0 * s))
-    if cfg is not None:
-        if y is not None and float(y) != cfg.y:
-            raise ValueError("y was given both directly and through the config")
-        scale1 = cfg.y
-    else:
-        scale1 = math.sqrt(med) if y is None else float(y)
-    scale2 = med / scale1
-
-    def vetted(m1: int, m2: int) -> tuple[float, float, float]:
-        t1 = _half_sum_tail(form, kern1, key1, s, scale1, m1)
-        t2 = _half_sum_tail(form, kern2, key2, k - s, scale2, m2)
-        return t1, t2, (t1 + lam_ratio * t2) / abs(gamma_s)
-
+    kern = _kernels(nf, form.gamma_shifts, k, s)
+    gamma_s = gamma_factor_for(nf, form.gamma_shifts).value(s)
     if cfg is None:
-        # start from the measured decay cutoff and grow whichever side's
-        # majorant dominates until the tolerance is met (closed form, cheap)
-        base = default_config(med, kern1, kern2, y=y, tol=tol)
-        m1 = max(base.cutoff_main, math.ceil(scale1))
-        m2 = max(base.cutoff_dual, math.ceil(scale2))
-        tail1, tail2, budget = vetted(m1, m2)
-        for _ in range(400):
-            if budget <= tol:
-                break
-            if tail1 >= lam_ratio * tail2:
-                m1 += m1 // 4 + 8
-            else:
-                m2 += m2 // 4 + 8
-            tail1, tail2, budget = vetted(m1, m2)
-        cfg = AFEConfig(y=base.y, cutoff_main=m1, cutoff_dual=m2, tol=tol)
+        cfg = choose_cutoffs(form, nf, cond, s, y, tol)
+    elif y is not None and float(y) != cfg.y:
+        raise ValueError("y was given both directly and through the config")
 
     m1, m2 = cfg.cutoff_main, cfg.cutoff_dual
     if form.limit < max(m1, m2):
         raise ValueError(
             f"form carries coefficients to {form.limit} but the sums need "
             f"{max(m1, m2)}; reload the form with a larger limit")
-    _, _, budget = vetted(m1, m2)
+    tail1, tail2 = _tails(form, kern, s, med, cfg.y, m1, m2)
+    budget = (tail1 + tail2) / abs(gamma_s)
     if not budget <= cfg.tol:
         raise ValueError(
             f"cutoffs ({m1}, {m2}) cannot meet tolerance {cfg.tol:g}: "
             f"tail bound {budget:.3g}")
-    return _Engine(nf, k, s, med, cfg, kern1, key1, kern2, key2,
-                   complex(gamma_s), budget)
+    return _Engine(nf, k, s, med, cfg, kern.main, kern.main_key, kern.dual,
+                   kern.dual_key, complex(gamma_s), budget)
 
 
 # ---------------------------------------------------------------------------

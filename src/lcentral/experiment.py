@@ -19,22 +19,17 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .afe import (AFEConfig, afe_lvalue, averaged_coefficient_lvalue,
-                  exponent_window, orbit_average_lvalue)
+                  choose_cutoffs, exponent_window, orbit_average_lvalue)
 from .charsums import CoefficientFieldContext, galois_orbit
 from .cones import prime_above
 from .fields import nf_load
 from .newforms import newform_load
 from .rayclass import PrimeContext, rcg_build
-
-# Safety margin on the estimated coefficient demand: the engine grows its
-# cutoffs a little past the decay knee, and reloading a large table twice
-# costs more than padding once.
-FORM_LIMIT_PAD = 1.08
 
 TREND_NOTE = ("averaged values approach 1 only as the conductor grows without "
               "bound; at these desk-scale levels the report witnesses the "
@@ -105,11 +100,12 @@ class ExperimentReport:
 class _Setup:
     """Validated, loaded inputs shared by every row of a scan.
 
-    headroom scales the coefficient-table estimate; the doubled-cutoff
-    cross-check needs twice the usual sum length.
+    The coefficient table holds cutoff_multiple times the longest cutoff the
+    sums will pick at any level of the scan (the doubled-cutoff cross-check
+    asks for 2).
     """
 
-    def __init__(self, cfg: ExperimentConfig, headroom: float = 1.0):
+    def __init__(self, cfg: ExperimentConfig, cutoff_multiple: int = 1):
         self.cfg = cfg
         self.nf = nf_load(cfg.field)
         if cfg.n_lo < 1 or cfg.n_hi < cfg.n_lo:
@@ -154,16 +150,13 @@ class _Setup:
                 f"|Delta| = {self.delta_order}")
         self.coef_ctx = CoefficientFieldContext(p=cfg.p, n0=self.n0)
 
-        # enough coefficients for the longest sum of the scan: the two
-        # cutoffs scale like y and med/y, and med = level * N(P)^(2c)
-        demand = 0.0
-        for n in range(cfg.n_lo, cfg.n_hi + 1):
-            c = n + self.n0 + 1
-            demand = max(demand, cfg.a * n, 2.0 * c - cfg.a * n)
-        limit = math.ceil(20.0 * FORM_LIMIT_PAD * headroom
-                          * float(form_probe.level_norm) ** 0.5
-                          * float(cfg.p) ** demand) + 64
-        self.form = newform_load(cfg.form, limit=limit)
+        # the cutoffs the rows will pick at each level's seed conductor
+        # p^level; they depend on the form only through its header
+        demand = max(max(c.cutoff_main, c.cutoff_dual) for c in (
+            choose_cutoffs(form_probe, self.nf, cfg.p ** (n + self.n0 + 1),
+                           y=_balance_point(cfg, n), tol=cfg.tol)
+            for n in range(cfg.n_lo, cfg.n_hi + 1)))
+        self.form = newform_load(cfg.form, limit=cutoff_multiple * demand)
 
     def seed_character(self, level: int):
         """Smallest-index primitive character of p-power order at the level."""
@@ -190,10 +183,15 @@ def envelope_terms(p: int, n: int, theta: float, eps: float, a: float,
     return (q ** (n * e1), q ** (n * e2), q ** (n * e3))
 
 
+def _balance_point(cfg: ExperimentConfig, n: int) -> float:
+    """y = N(P)^(a n), the balance rule of the scan."""
+    return float(cfg.p) ** (cfg.a * n)
+
+
 def _run_row(setup: _Setup, n: int) -> ExperimentRow:
     cfg = setup.cfg
     level = n + setup.n0 + 1
-    y = float(cfg.p) ** (cfg.a * n)
+    y = _balance_point(cfg, n)
     t0 = time.perf_counter()
     try:
         seed = setup.seed_character(level)
@@ -270,11 +268,11 @@ def doubled_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     stay below the reported error estimate, otherwise the tail majorants
     are not doing their job.
     """
-    setup = _Setup(cfg, headroom=2.2)
     n = cfg.n_lo if n is None else n
+    setup = _Setup(replace(cfg, n_lo=n, n_hi=n), cutoff_multiple=2)
     level = n + setup.n0 + 1
     seed = setup.seed_character(level)
-    y = float(cfg.p) ** (cfg.a * n)
+    y = _balance_point(cfg, n)
 
     base = [afe_lvalue(setup.form, tw, y=y, nf=setup.nf, tol=cfg.tol)
             for tw in galois_orbit(seed, setup.coef_ctx)]

@@ -19,7 +19,7 @@ single entry is detected and reported by its ideal label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +28,12 @@ import numpy as np
 from .tau import tau_table
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewformData:
+    """A loaded form.  Frozen: the coefficient table is set once, with its
+    float copy, when the form is built (`replace` makes a new form with
+    another table)."""
+
     label: str
     field_label: str
     weight: tuple[int, ...]           # one entry per archimedean place
@@ -41,6 +45,9 @@ class NewformData:
     theta: Fraction
     coefficients: list = field(repr=False)
     type_j: tuple[int, ...] = (0,)    # real places carrying the discrete-series twist
+
+    def __post_init__(self):
+        object.__setattr__(self, "_floats", _float_copy(self.coefficients))
 
     @property
     def scalar_weight(self) -> int:
@@ -70,14 +77,23 @@ class NewformData:
         return self.coeff_of_norm(n)
 
     def coefficient_array(self, limit: int | None = None) -> np.ndarray:
-        """a[0..limit] with a[0] = 0, for vectorized sums."""
+        """a[0..limit] with a[0] = 0, for vectorized sums: a read-only view
+        of the float copy made when the table was set."""
         limit = self.limit if limit is None else limit
         if limit > self.limit:
             raise IndexError(f"only {self.limit} coefficients loaded")
-        head = self.coefficients[:limit + 1]
-        if any(isinstance(c, complex) for c in head):
-            return np.array([complex(c) for c in head], dtype=np.complex128)
-        return np.array([float(c) for c in head], dtype=np.float64)
+        return self._floats[:limit + 1]
+
+
+def _float_copy(coefficients: list) -> np.ndarray:
+    """The table as one read-only float64 array (complex128 if any entry is
+    complex); each entry is the correctly rounded float(c)."""
+    if any(isinstance(c, complex) for c in coefficients):
+        arr = np.array([complex(c) for c in coefficients], dtype=np.complex128)
+    else:
+        arr = np.array(coefficients, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
 
 
 def ramanujan_violations(form: NewformData, degree: int = 1) -> list[int]:
@@ -262,22 +278,16 @@ def newform_load(source, limit: int = 1000, degree: int = 1) -> NewformData:
     if "coefficients" in doc:
         table = [0] + [_parse_entry(c) for c in doc["coefficients"]]
         _verify_full_table(table, k, form.theta)
-        form.coefficients = table
     else:
         rows = _doc_get(doc, "prime_eigenvalues", required=True)
         prime_a = {}
         for key, value in rows.items():
             norm = int(str(key).strip("()"))
             prime_a[norm] = _parse_entry(value)
-        form.coefficients = _expand_from_primes(prime_a, limit, k, form.theta)
+        table = _expand_from_primes(prime_a, limit, k, form.theta)
+    form = replace(form, coefficients=table)
 
     bad = ramanujan_violations(form, degree)
     if bad:
         raise ValueError(f"coefficients at primes {bad[:5]} exceed the Ramanujan bound")
     return form
-
-
-def dual_coefficient_array(form: NewformData, limit: int | None = None) -> np.ndarray:
-    """Coefficients of the Fricke image, for the reflected sum of the
-    functional equation; a global sign for the forms shipped here."""
-    return form.eta * form.coefficient_array(limit)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lcentral.afe import (AFEConfig, afe_lvalue, averaged_coefficient_lvalue,
-                          character_value_table, direct_series,
+                          character_value_table, choose_cutoffs, direct_series,
                           exponent_window, functional_equation_residual,
                           lambda_completed, orbit_average_lvalue,
                           parity_and_constant)
@@ -211,6 +211,16 @@ def test_short_form_raises():
     stub = builtin_newform("delta", limit=100)
     with pytest.raises(ValueError, match="reload the form"):
         afe_lvalue(stub, None, s=6.0, y=30.0)
+
+
+@pytest.mark.parametrize("p, n, a, need", [
+    (13, 3, 1.34, 716799), (13, 3, 1.4, 1137379), (149, 1, 1.98, 585036)])
+def test_cutoffs_are_chosen_from_the_form_header(p, n, a, need):
+    # the rows a fixed padding on p^demand undersized; the helper gives the
+    # longest sum from the header of a 16-coefficient probe, no table needed
+    probe = builtin_newform("delta", limit=16)
+    cfg = choose_cutoffs(probe, Q, p ** (n + 1), y=float(p) ** (a * n))
+    assert max(cfg.cutoff_main, cfg.cutoff_dual) == need
 
 
 def test_imprimitive_twist_rejected(delta):

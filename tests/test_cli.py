@@ -191,6 +191,15 @@ def test_threads_clamped_to_usable_cpus(capsys, monkeypatch):
     assert "positive" in capsys.readouterr().err
 
 
+def test_tables_past_the_coefficient_cap_refused(capsys):
+    # 2^23 + 1 coefficients would need a 2^25-point transform; refused
+    # before anything is allocated
+    assert main(["lvalue", "--limit", str(2 ** 23 + 1)]) == 2
+    assert main(["lav-scan", "--n-lo", "5", "--n-hi", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("coefficient cap") == 2
+
+
 def test_levels_past_the_residue_cap_refused(capsys):
     # 5^40 residues would never fit; every entry point refuses before building
     assert main(["lav-scan", "--n-lo", "1", "--n-hi", "39"]) == 2

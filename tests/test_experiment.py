@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lcentral.afe import exponent_window
-from lcentral.experiment import (ExperimentConfig, ExperimentReport,
+from lcentral.afe import afe_lvalue, exponent_window
+from lcentral.experiment import (ExperimentConfig, ExperimentReport, _Setup,
                                  doubled_cutoff_gap, envelope_terms,
                                  report_from_json, report_to_json,
                                  run_lav_experiment)
@@ -109,6 +109,18 @@ def test_failed_row_is_reported_not_raised():
 def test_doubled_cutoffs_stay_within_error_estimate():
     gap, err = doubled_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=1))
     assert gap <= err
+
+
+def test_table_holds_exactly_the_longest_cutoff_of_the_scan():
+    cfg = ExperimentConfig(n_lo=1, n_hi=2)
+    setup = _Setup(cfg)
+    used = 0
+    for n in (1, 2):
+        seed = setup.seed_character(n + 1)
+        res = afe_lvalue(setup.form, seed, y=5.0 ** (2.0 * n), nf=setup.nf,
+                         tol=cfg.tol)
+        used = max(used, res.terms_main, res.terms_dual)
+    assert setup.form.limit == used
 
 
 def test_programming_error_in_a_row_crashes(monkeypatch):

@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcentral.newforms import (NewformData, builtin_newform,
-                               dual_coefficient_array, newform_load,
+from lcentral.newforms import (NewformData, builtin_newform, newform_load,
                                ramanujan_violations)
 from lcentral.tau import tau_table
 
@@ -55,7 +54,19 @@ def test_coefficient_array_layout():
     arr = DELTA.coefficient_array(10)
     assert arr.shape == (11,) and arr[0] == 0.0
     assert arr[2] == -24.0
-    assert np.array_equal(dual_coefficient_array(DELTA, 10), -arr)
+    assert not arr.flags.writeable
+    assert DELTA.coefficient_array().shape == (2001,)
+
+
+def test_float_copy_is_correctly_rounded():
+    # entries past 2^53 and past 2^63 must round exactly as float(int) does
+    form = builtin_newform("delta", 3000)
+    assert max(abs(c) for c in form.coefficients) > 2 ** 63
+    assert form.coefficient_array().tolist() == [float(c) for c in form.coefficients]
+    doc = {"label": "t", "weight_vector": [12], "atkin_lehner": -1,
+           "coefficients": tau_table(100)[1:]}
+    assert newform_load(doc).coefficient_array(50).tolist() == \
+        [float(c) for c in tau_table(50)]
 
 
 def test_prime_expansion_reproduces_eta_product():

@@ -1,8 +1,15 @@
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcentral.tau import (hecke_eigenvalue_defect, tau_table,
+from lcentral.newforms import _verify_full_table
+from lcentral.tau import (NTT_PRIMES, TAU_LIMIT_CAP, _crt_primes, _garner,
+                          hecke_eigenvalue_defect, tau_table,
                           tau_table_bigint)
 
 TABLE = tau_table(5000)
@@ -64,3 +71,81 @@ def test_table_guards():
 def test_routes_agree_on_tiny_tables():
     for limit in (1, 2, 3, 10):
         assert tau_table(limit) == tau_table_bigint(limit)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=1, max_value=20001))
+def test_ntt_route_matches_bigint_route_at_random_limits(limit):
+    assert tau_table(limit) == tau_table_bigint(limit)
+
+
+@pytest.fixture(scope="module")
+def table_100k():
+    return tau_table(100000)
+
+
+def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
+    # 100,000 is the first tested size that needs a fourth CRT prime; past
+    # the bigint oracle's cap the table is held to multiplicativity, the
+    # prime-power recursion and Deligne's bound at every prime instead
+    assert len(_crt_primes(100000)) == 4 and len(_crt_primes(20001)) == 3
+    _verify_full_table(table_100k, 12, Fraction(0))
+    assert table_100k[:5001] == TABLE
+
+
+def test_negative_values_past_the_oracle(table_100k):
+    # tau(2q) = tau(2) tau(q) = -24 tau(q) for odd primes q: with tau(q) > 0
+    # from the oracle this is negative and past 2^63 in size, so the CRT sign
+    # step is checked exactly
+    oracle = tau_table_bigint(12000)
+    primes = [q for q in range(11000, 12001)
+              if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    positive = [q for q in primes if oracle[q] > 0]
+    assert len(positive) > 10
+    for q in positive:
+        assert table_100k[2 * q] == -24 * oracle[q] < -2 ** 63
+
+
+def test_garner_round_trip_for_every_prime_count():
+    rng = random.Random(5)
+    for k in range(1, len(NTT_PRIMES) + 1):
+        primes = [p for p, _ in NTT_PRIMES[:k]]
+        modulus = math.prod(primes)
+        values = [modulus // 2, -(modulus // 2) + (modulus % 2 == 0), 0, -1, 1]
+        values += [rng.randrange(-(modulus // 2), modulus // 2) for _ in range(40)]
+        residues = [np.array([v % p for v in values], dtype=np.int64)
+                    for p in primes]
+        assert _garner(residues, primes).tolist() == values
+
+
+def _factor(n):
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_prime_set_supports_2_24_point_transforms():
+    for p, g in NTT_PRIMES:
+        assert p < 2 ** 31
+        assert (p - 1) % (1 << 24) == 0
+        # g^(p-1) = 1 and g^((p-1)/q) != 1 for each prime q | p - 1, read off
+        # p - 1 = c 2^e with c odd: g has order p - 1, so g is a primitive
+        # root and p is prime (Lucas)
+        e = ((p - 1) & -(p - 1)).bit_length() - 1
+        c = (p - 1) >> e
+        assert c % 2 == 1 and e >= 24
+        for q in set(_factor(c)) | {2}:
+            assert pow(g, (p - 1) // q, p) != 1
+        assert pow(g, p - 1, p) == 1
+
+
+def test_limits_past_the_cap_are_refused_before_any_work():
+    assert 2 * TAU_LIMIT_CAP - 1 < 1 << 24
+    with pytest.raises(ValueError, match="cap"):
+        tau_table(TAU_LIMIT_CAP + 1)
+    with pytest.raises(ValueError, match="cap"):
+        tau_table(10 ** 12)
