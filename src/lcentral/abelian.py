@@ -2,57 +2,19 @@
 
 Exact integer linear algebra at desk scale: Smith normal form with unimodular
 transforms, canonical coordinates for elements, dual (character) enumeration,
-and baby-step giant-step discrete logarithms in (Z/m)^*.  Matrices are lists
+and multiplicative orders and primitive roots in (Z/m)^*.  Matrices are lists
 of lists of Python ints; nothing here needs floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator, Sequence
 
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] += aik * bk[j]
-    return out
-
-
-def mat_det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return det.numerator
 
 
 def mat_inv_unimodular(v: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -213,29 +175,6 @@ def multiplicative_order(a: int, modulus: int, group_order: int) -> int:
     return e
 
 
-def discrete_log(base: int, target: int, modulus: int, order: int) -> int:
-    """Baby-step giant-step solve of base^x = target in (Z/modulus)^*.
-
-    `order` must be a multiple of the order of `base`.  Raises ValueError when
-    target lies outside the cyclic subgroup generated by base.
-    """
-    base %= modulus
-    target %= modulus
-    m = isqrt(order) + 1
-    table: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * base % modulus
-    giant = pow(pow(base, -1, modulus), m, modulus)
-    y = target
-    for i in range(m + 1):
-        if y in table:
-            return (i * m + table[y]) % order
-        y = y * giant % modulus
-    raise ValueError(f"{target} not in <{base}> mod {modulus}")
-
-
 def primitive_root(p: int, n: int) -> int:
     """Smallest positive generator of (Z/p^n)^* for an odd prime p."""
     if p == 2:
@@ -270,7 +209,6 @@ class FiniteAbelianGroup:
             if di == 0:
                 raise ValueError("relations do not present a finite group")
             orders_full.append(di)
-        self._v = [row[:] for row in v]
         self._vinv = mat_inv_unimodular(v)
         self._orders_full = orders_full
         self._kept = [i for i, di in enumerate(orders_full) if di > 1]
@@ -293,14 +231,6 @@ class FiniteAbelianGroup:
             acc = sum(self._vinv[i][j] * exps[j] for j in range(self.ngens))
             full.append(acc % self._orders_full[i])
         return tuple(full[i] for i in self._kept)
-
-    def to_exponents(self, elt: Sequence[int]) -> list[int]:
-        """A lift of the element back to original-generator exponents."""
-        full = [0] * self.ngens
-        for pos, i in enumerate(self._kept):
-            full[i] = elt[pos]
-        return [sum(self._v[i][j] * full[j] for j in range(self.ngens))
-                for i in range(self.ngens)]
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))

@@ -17,6 +17,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,27 +75,16 @@ class AcceptanceReport:
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures (built lazily, cached per process)
+# shared fixtures (built lazily, cached per process; nf_load keeps the fields)
 
-_CACHE: dict = {}
-
-
-def _field(name):
-    if name not in _CACHE:
-        _CACHE[name] = nf_load(name)
-    return _CACHE[name]
-
-
+@lru_cache(maxsize=None)
 def _delta(limit):
-    key = ("delta", limit)
-    if key not in _CACHE:
-        _CACHE[key] = builtin_newform("delta", limit=limit)
-    return _CACHE[key]
+    return builtin_newform("delta", limit=limit)
 
 
 def _rational_primitives(p_list, n_max):
     """Primitive ray class characters of conductor p^n over the rationals."""
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     for p in p_list:
         ctx = prime_above(Q, p)
         for n in range(1, n_max + 1):
@@ -128,7 +118,7 @@ def _c01_gauss_modulus(fast: bool):
         g = gauss_sum(chi)
         worst = max(worst, abs(abs(g) ** 2 - chi.conductor_norm))
         n_rat += 1
-    K = _field("quadratic-sqrt2")
+    K = nf_load("quadratic-sqrt2")
     ctx = prime_above(K, 7)
     sample = [chi for chi in residue_characters(ctx, 2) if chi.is_primitive()]
     sample = sample[:4 if fast else 10]
@@ -146,7 +136,7 @@ def _c02_gauss_identities(fast: bool):
     exact_checked = pair_worst = 0.0
     n_char = n_shift = 0
     chars = list(_rational_primitives((3, 5), 2))
-    K = _field("quadratic-sqrt2")
+    K = nf_load("quadratic-sqrt2")
     chars += [c for c in residue_characters(prime_above(K, 7), 2)
               if c.is_primitive()][:2]
     for chi in chars:
@@ -183,7 +173,7 @@ def _c03_average_support(fast: bool):
     the relaxed predicate overshoots on precisely that layer.  The check
     measures both mismatch sets and fails honestly on the n0 = 1 half.
     """
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     ctx = prime_above(Q, 5)
     # nontrivial 5-power-order characters need modulus 25 at least; the
     # conductor cap stays at 625
@@ -239,7 +229,7 @@ def _c04_root_numbers(fast: bool):
         w = root_number(chi, "trivial")
         worst = max(worst, abs(abs(w) - 1.0))
         count += 1
-    K = _field("quadratic-sqrt2")
+    K = nf_load("quadratic-sqrt2")
     for chi in [c for c in residue_characters(prime_above(K, 7), 2)
                 if c.is_primitive()][:4 if fast else 10]:
         w = root_number(chi, "trivial")
@@ -250,7 +240,7 @@ def _c04_root_numbers(fast: bool):
 
 
 def _c05_dual_sum_envelope(fast: bool):
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     ctx = prime_above(Q, 5)
     cfc = CoefficientFieldContext(p=5, n0=0)
     ns = (1, 2) if fast else (1, 2, 3)
@@ -269,7 +259,7 @@ def _c05_dual_sum_envelope(fast: bool):
 
 
 def _c06_kernel_asymptotics(fast: bool):
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     G = GammaFactor(Q, (0,))
     V = VKernel(G, SmoothingKernel(), 6.0)
     g = G.value(6).real
@@ -291,7 +281,7 @@ def _c06_kernel_asymptotics(fast: bool):
 def _c07_two_sided_oracle(fast: bool):
     limit = 30000 if fast else 100000
     form = _delta(limit)
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     rcg = rcg_build(Q, prime_above(Q, 5), 2)
     twists = [None] + [chi for chi in rcg.characters()
                        if chi.order == 5 and chi.is_primitive()][:2]
@@ -318,7 +308,7 @@ def _c07_two_sided_oracle(fast: bool):
 
 def _c08_reflection_residual(fast: bool):
     form = _delta(30000 if fast else 100000)
-    Q = _field("rationals")
+    Q = nf_load("rationals")
     rcg = rcg_build(Q, prime_above(Q, 5), 2)
     chi = next(c for c in rcg.characters() if c.order == 5 and c.is_primitive())
     worst = 0.0
@@ -405,14 +395,14 @@ def _c11_lattice_counts(fast: bool):
     cases = [c for c in _SHIPPED_COUNTS if fast is False or c[4] <= 500.0]
     ctxs = {}
     for field, p, alpha, n, x, window, expected in cases:
-        ctx = ctxs.setdefault((field, p), prime_above(_field(field), p))
+        ctx = ctxs.setdefault((field, p), prime_above(nf_load(field), p))
         got = count_progression(alpha, ctx, n, x, window=window).count
         boxed = count_progression(alpha, ctx, n, x, window=window,
                                   box_factor=2.0).count
         if got != expected or boxed != expected:
             return False, (f"{field} p={p} n={n} x={x:g} {window}: "
                            f"count {got}, enlarged box {boxed}, shipped {expected}")
-    Q, K = _field("rationals"), _field("quadratic-sqrt2")
+    Q, K = nf_load("rationals"), nf_load("quadratic-sqrt2")
     ctx5, ctx7 = ctxs[("rationals", 5)], ctxs[("quadratic-sqrt2", 7)]
     xs = (1.0, 50.0, 500.0) if fast else (1.0, 50.0, 500.0, 5000.0)
     bound = verify_count_bound(ctx7, (1, 2), xs)

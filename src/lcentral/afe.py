@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -121,79 +122,48 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing (cached: gamma data, V tables and coefficient prefabs are
-# reused across every character of an orbit and across levels sharing s)
+# shared plumbing.  Value-keyed, character-independent objects (gamma data,
+# V kernels, decay constants, residue index arrays) go through one memo and
+# serve every character of an orbit and every level sharing s.  What is
+# derived from a form's coefficients lives on the form, so it goes with it.
 
 _BUMP = SmoothingKernel()
-_GAMMA_CACHE: dict = {}
-_KERNEL_CACHE: dict = {}
-_DECAY_CACHE: dict = {}
-_V_CACHE: dict = {}
-_PREFAB_CACHE: dict = {}
-_ABSWEIGHT_CACHE: dict = {}
-_INDEX_CACHE: dict = {}
-_CHAR_TABLE_CACHE: dict = {}
+_memo = lru_cache(maxsize=64)
 
 
-def _as_field(nf) -> NumberFieldData:
-    return nf if isinstance(nf, NumberFieldData) else nf_load(nf)
+@_memo
+def gamma_factor_for(nf: NumberFieldData, shifts: tuple) -> GammaFactor:
+    return GammaFactor(nf, shifts)
 
 
-def gamma_factor_for(nf: NumberFieldData, shifts) -> GammaFactor:
-    key = (nf.label, tuple(shifts))
-    got = _GAMMA_CACHE.get(key)
-    if got is None:
-        got = GammaFactor(nf, tuple(shifts))
-        _GAMMA_CACHE[key] = got
-    return got
+@_memo
+def vkernel_for(nf: NumberFieldData, shifts: tuple, s: float, sign: int = 1) -> VKernel:
+    return VKernel(gamma_factor_for(nf, shifts), _BUMP, float(s), sign=sign)
 
 
-def _kernel_key(nf: NumberFieldData, shifts, s: float, sign: int):
-    return (nf.label, tuple(shifts), float(s).hex(), sign)
+@_memo
+def _decay_constants(kern: VKernel) -> dict[int, float]:
+    hi = max(3.0 * kern.decay_cutoff(), 60.0)
+    xs = np.geomspace(1.0, hi, 480)
+    vals = np.abs(kern.value_tail(xs))
+    return {j: float(np.max(vals * xs ** j)) for j in DECAY_ORDERS}
 
 
-def vkernel_for(nf: NumberFieldData, shifts, s: float, sign: int = 1) -> VKernel:
-    key = _kernel_key(nf, shifts, s, sign)
-    got = _KERNEL_CACHE.get(key)
-    if got is None:
-        got = VKernel(gamma_factor_for(nf, shifts), _BUMP, float(s), sign=sign)
-        _KERNEL_CACHE[key] = got
-    return got
-
-
-def _decay_constants(kern: VKernel, key) -> dict[int, float]:
-    got = _DECAY_CACHE.get(key)
-    if got is None:
-        hi = max(3.0 * kern.decay_cutoff(), 60.0)
-        xs = np.geomspace(1.0, hi, 480)
-        vals = np.abs(kern.value_tail(xs))
-        got = {j: float(np.max(vals * xs ** j)) for j in DECAY_ORDERS}
-        _DECAY_CACHE[key] = got
-    return got
-
-
-def _v_array(kern: VKernel, key, scale: float, count: int) -> np.ndarray:
-    """V(n / scale) for n = 1..count (entry 0 of the result is n = 1)."""
-    ck = (key, float(scale).hex(), count)
-    got = _V_CACHE.get(ck)
-    if got is None:
-        x = np.arange(1, count + 1, dtype=np.float64) / scale
-        if count <= SPLINE_MIN_TERMS:
-            got = np.asarray(kern.value_tail(x), dtype=np.float64)
-        else:
-            got = np.asarray(kern.value(x), dtype=np.float64)
-        got.setflags(write=False)
-        _V_CACHE[ck] = got
-    return got
-
-
+@_memo
 def _mod_index(count: int, mod: int) -> np.ndarray:
-    ck = (count, mod)
-    got = _INDEX_CACHE.get(ck)
+    """n mod `mod` for n = 1..count."""
+    got = np.arange(1, count + 1, dtype=np.int64) % mod
+    got.setflags(write=False)
+    return got
+
+
+def _on_form(form: NewformData, key, build):
+    """build(), kept on the form under key.  Built before it is published,
+    so a racing thread at worst builds the same value twice."""
+    got = form._derived.get(key)
     if got is None:
-        got = np.arange(1, count + 1, dtype=np.int64) % mod
-        got.setflags(write=False)
-        _INDEX_CACHE[ck] = got
+        got = build()
+        form._derived[key] = got
     return got
 
 
@@ -205,61 +175,62 @@ def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     Route one's per-character table: chi(r) = e(j / ord) with
     j = dlog_phase * ord * dlog(r), so each of the ord values is rendered
     once, exactly as RootOfUnity.to_complex renders it, and indexed by j.
+    Built per call: an orbit's tables would not fit in memory at the top
+    levels, and each costs less than the half-sum it feeds.
     """
-    got = _CHAR_TABLE_CACHE.get(chi)
-    if got is None:
-        phase = chi.dlog_phase
-        order = phase.denominator
-        dlog = chi.prime_ctx.dlog_array(chi.level)
-        units = dlog >= 0
-        values = np.array(unit_circle(order), dtype=np.complex128)
-        got = np.zeros(len(dlog), dtype=np.complex128)
-        got[units] = values[dlog[units] * phase.numerator % order]
-        got.setflags(write=False)
-        _CHAR_TABLE_CACHE[chi] = got
-    return got
+    phase = chi.dlog_phase
+    order = phase.denominator
+    dlog = chi.prime_ctx.dlog_array(chi.level)
+    units = dlog >= 0
+    values = np.array(unit_circle(order), dtype=np.complex128)
+    tab = np.zeros(len(dlog), dtype=np.complex128)
+    tab[units] = values[dlog[units] * phase.numerator % order]
+    return tab
 
 
-def _prefab(form: NewformData, s: float, scale: float, count: int,
-            kern: VKernel, key, reflected: bool) -> np.ndarray:
-    """a(n) n^(-s) V(n/scale) for n = 1..count, with the reflected sign when
-    asked; the character-independent part of a half-sum.  One array serves
-    every member of a Galois orbit, which is what makes orbit scans cheap.
+def _table(chi: HeckeCharacter | None) -> np.ndarray | None:
+    return None if chi is None else character_value_table(chi)
+
+
+def _root_number(form: NewformData, chi: HeckeCharacter | None) -> complex:
+    return 1.0 + 0j if chi is None else root_number(chi, form.nebentypus)
+
+
+def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
+            reflected: bool) -> np.ndarray:
+    """a(n) n^(-s) V(n/scale) for n = 1..count at the kernel's spectral
+    point s, with the reflected sign when asked; the character-independent
+    part of a half-sum.  One array serves every member of a Galois orbit,
+    which is what makes orbit scans cheap.
     """
-    ck = (id(form), float(s).hex(), float(scale).hex(), count, reflected, key)
-    got = _PREFAB_CACHE.get(ck)
-    if got is not None:
-        return got[0]
-    coeffs = form.coefficient_array(count)[1:]
-    if reflected:
-        coeffs = form.eta * coeffs
-    ns = np.arange(1, count + 1, dtype=np.float64)
-    arr = coeffs * ns ** (-s) * _v_array(kern, key, scale, count)
-    arr.setflags(write=False)
-    # the form rides along so id() keys cannot be recycled under us
-    _PREFAB_CACHE[ck] = (arr, form)
-    return arr
+    def build():
+        s = kern.s.real
+        coeffs = form.coefficient_array(count)[1:]
+        if reflected:
+            coeffs = form.eta * coeffs
+        ns = np.arange(1, count + 1, dtype=np.float64)
+        x = ns / scale
+        v = kern.value_tail(x) if count <= SPLINE_MIN_TERMS else kern.value(x)
+        arr = coeffs * ns ** (-s) * np.asarray(v, dtype=np.float64)
+        arr.setflags(write=False)
+        return arr
+    return _on_form(form, ("prefab", kern, float(scale), count, reflected), build)
 
 
-def _abs_weights(form: NewformData, s: float, count: int) -> np.ndarray:
-    """|a(n)| n^(-s), the base of the spline-error allowance."""
-    ck = (id(form), float(s).hex(), count)
-    got = _ABSWEIGHT_CACHE.get(ck)
-    if got is not None:
-        return got[0]
-    coeffs = np.abs(form.coefficient_array(count)[1:])
-    ns = np.arange(1, count + 1, dtype=np.float64)
-    arr = coeffs * ns ** (-s)
-    arr.setflags(write=False)
-    _ABSWEIGHT_CACHE[ck] = (arr, form)
-    return arr
+def _abs_sum(form: NewformData, s: float, count: int) -> float:
+    """sum_{n <= count} |a(n)| n^(-s), the base of the spline-error allowance."""
+    def build():
+        ns = np.arange(1, count + 1, dtype=np.float64)
+        return float(np.sum(np.abs(form.coefficient_array(count)[1:]) * ns ** (-s)))
+    return _on_form(form, ("abs_sum", float(s), count), build)
 
 
-def _half_sum(prefab: np.ndarray, chi: HeckeCharacter | None) -> complex:
-    if chi is None:
-        return complex(np.sum(prefab))
-    tab = character_value_table(chi)
-    return complex(np.dot(prefab, tab[_mod_index(len(prefab), chi.rcg.modulus)]))
+def _dot(weights: np.ndarray, table: np.ndarray | None) -> complex:
+    """sum_n weights[n - 1] table[n mod len(table)] over n = 1..len(weights);
+    no table is the untwisted sum."""
+    if table is None:
+        return complex(np.sum(weights))
+    return complex(np.dot(weights, table[_mod_index(len(weights), len(table))]))
 
 
 def _normalize_twist(chi: HeckeCharacter | None) -> HeckeCharacter | None:
@@ -281,16 +252,15 @@ def _divisor_sum_tail(m: int, alpha: float) -> float:
     return math.sqrt(3.0) * m ** (1.5 - alpha) / (alpha - 1.5)
 
 
-def _half_sum_tail(form: NewformData, kern: VKernel, key,
-                   sigma: float, scale: float, m: int) -> float:
+def _half_sum_tail(form: NewformData, kern: VKernel, sigma: float,
+                   scale: float, m: int) -> float:
     """Bound for the dropped tail of sum_n a(n) phi(n) n^(-sigma) V(n/scale),
     n > m, optimized over the measured decay orders of V."""
     if m < scale:
         return math.inf  # the decay majorants only cover arguments >= 1
     k = form.scalar_weight
-    decay = _decay_constants(kern, key)
     best = math.inf
-    for j, kj in decay.items():
+    for j, kj in _decay_constants(kern).items():
         alpha = sigma + j - (k - 1) / 2.0 - float(form.theta)
         best = min(best, 2.0 * kj * scale ** j * _divisor_sum_tail(m, alpha))
     return best
@@ -326,27 +296,18 @@ class LValueResult(NamedTuple):
     dual_term: complex
 
 
-class _Kernels(NamedTuple):
+def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VKernel]:
     """The V kernels of the two half-sums at spectral points s and k - s."""
-    main: VKernel
-    main_key: tuple
-    dual: VKernel
-    dual_key: tuple
+    return vkernel_for(nf, shifts, s, 1), vkernel_for(nf, shifts, k - s, -1)
 
 
-def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> _Kernels:
-    return _Kernels(vkernel_for(nf, shifts, s, 1), _kernel_key(nf, shifts, s, 1),
-                    vkernel_for(nf, shifts, k - s, -1),
-                    _kernel_key(nf, shifts, k - s, -1))
-
-
-def _tails(form: NewformData, kern: _Kernels, s: float, med: float, y: float,
-           m1: int, m2: int) -> tuple[float, float]:
+def _tails(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
+           med: float, y: float, m1: int, m2: int) -> tuple[float, float]:
     """Majorants of the dropped tails past cutoffs (m1, m2) at balance point
     y: the main side, and the dual side weighted as it enters the value."""
     k = form.scalar_weight
-    t1 = _half_sum_tail(form, kern.main, kern.main_key, s, y, m1)
-    t2 = _half_sum_tail(form, kern.dual, kern.dual_key, k - s, med / y, m2)
+    t1 = _half_sum_tail(form, kern[0], s, y, m1)
+    t2 = _half_sum_tail(form, kern[1], k - s, med / y, m2)
     return t1, med ** (0.5 * (k - 2.0 * s)) * t2
 
 
@@ -362,7 +323,7 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
     level and theta only, never its coefficients, so a probe form is enough
     to size the coefficient table ahead of the sums.
     """
-    nf = _as_field(nf if nf is not None else form.field_label)
+    nf = nf_load(nf if nf is not None else form.field_label)
     k = form.scalar_weight
     s = 0.5 * k if s is None else float(s)
     med = float(form.level_norm) * conductor_norm * conductor_norm
@@ -371,8 +332,8 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
         raise ValueError("the balance point y must be positive")
     kern = _kernels(nf, form.gamma_shifts, k, s)
     gamma_abs = abs(gamma_factor_for(nf, form.gamma_shifts).value(s))
-    m1 = max(8, math.ceil(kern.main.decay_cutoff() * y), math.ceil(y))
-    m2 = max(8, math.ceil(kern.dual.decay_cutoff() * med / y), math.ceil(med / y))
+    m1 = max(8, math.ceil(kern[0].decay_cutoff() * y), math.ceil(y))
+    m2 = max(8, math.ceil(kern[1].decay_cutoff() * med / y), math.ceil(med / y))
     for _ in range(400):
         tail1, tail2 = _tails(form, kern, s, med, y, m1, m2)
         if (tail1 + tail2) / gamma_abs <= tol:
@@ -385,23 +346,21 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
 
 
 class _Engine(NamedTuple):
-    """Everything one completed-value evaluation needs, tails already vetted."""
-    nf: NumberFieldData
+    """Everything one completed-value evaluation needs: tails vetted,
+    parity certified, C the archimedean constant."""
     k: int
     s: float
     med: float
     cfg: AFEConfig
-    kern1: VKernel
-    key1: tuple
-    kern2: VKernel
-    key2: tuple
+    kern: tuple[VKernel, VKernel]
     gamma_s: complex
     budget: float
+    c: complex
 
 
 def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
             y: float | None, tol: float, cfg: AFEConfig | None = None) -> _Engine:
-    nf = _as_field(nf if nf is not None else form.field_label)
+    nf = nf_load(nf if nf is not None else form.field_label)
     k = form.scalar_weight
     s = float(s)
     cond = 1 if chi is None else chi.conductor_norm
@@ -424,8 +383,24 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
         raise ValueError(
             f"cutoffs ({m1}, {m2}) cannot meet tolerance {cfg.tol:g}: "
             f"tail bound {budget:.3g}")
-    return _Engine(nf, k, s, med, cfg, kern.main, kern.main_key, kern.dual,
-                   kern.dual_key, complex(gamma_s), budget)
+    c_const, parity_ok = parity_and_constant(nf, form.type_j, form.weight)
+    if not parity_ok:
+        raise ValueError("weight/type data fails the reflection parity check")
+    return _Engine(k, s, med, cfg, kern, complex(gamma_s), budget, c_const)
+
+
+def _two_sided(form: NewformData, eng: _Engine, main_table, dual_table,
+               reflected: bool = False) -> tuple[complex, complex, float]:
+    """The main and dual half-sums against per-residue weight tables (None:
+    untwisted), and the first main-side term a(1) V(1/y).
+
+    reflected=True swaps the coefficient sign between the two sides, which
+    gives the reflected object of the reflection identity.
+    """
+    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
+    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, m1, reflected)
+    pre2 = _prefab(form, eng.kern[1], eng.med / eng.cfg.y, m2, not reflected)
+    return _dot(pre1, main_table), _dot(pre2, dual_table), pre1[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +422,18 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     chi = _normalize_twist(chi)
     eng = _engine(form, nf, chi, s, y, tol, cfg)
     m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-    scale_dual = eng.med / eng.cfg.y
     lam_ratio = eng.med ** (0.5 * (k - 2.0 * s))
 
-    pre1 = _prefab(form, s, eng.cfg.y, m1, eng.kern1, eng.key1, reflected=False)
-    pre2 = _prefab(form, k - s, scale_dual, m2, eng.kern2, eng.key2, reflected=True)
-    s1 = _half_sum(pre1, chi)
-    s2 = _half_sum(pre2, None if chi is None else chi.conjugate())
-
-    w = 1.0 + 0j if chi is None else root_number(chi, form.nebentypus)
-    c_const, parity_ok = parity_and_constant(eng.nf, form.type_j, form.weight)
-    if not parity_ok:
-        raise ValueError("weight/type data fails the reflection parity check")
-
-    dual_term = c_const * w * lam_ratio * s2 / eng.gamma_s
+    conj = None if chi is None else chi.conjugate()
+    s1, s2, lead = _two_sided(form, eng, _table(chi), _table(conj))
+    dual_term = eng.c * _root_number(form, chi) * lam_ratio * s2 / eng.gamma_s
     value = s1 / eng.gamma_s + dual_term
 
     err = eng.budget
     if m1 > SPLINE_MIN_TERMS:
-        err += SPLINE_ABS_ERR * float(np.sum(_abs_weights(form, s, m1))) / abs(eng.gamma_s)
+        err += SPLINE_ABS_ERR * _abs_sum(form, s, m1) / abs(eng.gamma_s)
     if m2 > SPLINE_MIN_TERMS:
-        err += SPLINE_ABS_ERR * lam_ratio * float(np.sum(_abs_weights(form, k - s, m2))) / abs(eng.gamma_s)
+        err += SPLINE_ABS_ERR * lam_ratio * _abs_sum(form, k - s, m2) / abs(eng.gamma_s)
 
     return LValueResult(
         value=value,
@@ -476,9 +442,24 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
         terms_main=m1,
         terms_dual=m2,
         character_label="trivial" if chi is None else chi.label,
-        main_term=complex(pre1[0] / eng.gamma_s),
+        main_term=complex(lead / eng.gamma_s),
         dual_term=dual_term,
     )
+
+
+def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
+               y: float | None, nf, reflected: bool,
+               tol: float) -> tuple[complex, _Engine]:
+    """lambda_completed for a normalized twist, with the engine it used."""
+    eng = _engine(form, nf, chi, s, y, tol)
+    k, s = eng.k, eng.s
+    # the reflected object swaps coefficient sign and conjugates the twist
+    conj = None if chi is None else chi.conjugate()
+    chi1, chi2 = (conj, chi) if reflected else (chi, conj)
+    s1, s2, _ = _two_sided(form, eng, _table(chi1), _table(chi2), reflected)
+    lam = (eng.med ** (0.5 * s) * s1
+           + eng.c * _root_number(form, chi1) * eng.med ** (0.5 * (k - s)) * s2)
+    return lam, eng
 
 
 def lambda_completed(form: NewformData, chi: HeckeCharacter | None,
@@ -490,29 +471,7 @@ def lambda_completed(form: NewformData, chi: HeckeCharacter | None,
     eta * a with the conjugate twist), which is what the reflection
     identity compares against at spectral point k - s.
     """
-    chi = _normalize_twist(chi)
-    eng = _engine(form, nf, chi, float(s), y, tol)
-    k, s = eng.k, eng.s
-    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-
-    # the reflected object swaps coefficient sign and conjugates the twist
-    if chi is None:
-        chi1 = chi2 = None
-    elif reflected:
-        chi1, chi2 = chi.conjugate(), chi
-    else:
-        chi1, chi2 = chi, chi.conjugate()
-
-    pre1 = _prefab(form, s, eng.cfg.y, m1, eng.kern1, eng.key1, reflected=reflected)
-    pre2 = _prefab(form, k - s, eng.med / eng.cfg.y, m2, eng.kern2, eng.key2,
-                   reflected=not reflected)
-    s1 = _half_sum(pre1, chi1)
-    s2 = _half_sum(pre2, chi2)
-
-    w = 1.0 + 0j if chi1 is None else root_number(chi1, form.nebentypus)
-    c_const, _ = parity_and_constant(eng.nf, form.type_j, form.weight)
-    return (eng.med ** (0.5 * s) * s1
-            + c_const * w * eng.med ** (0.5 * (k - s)) * s2)
+    return _completed(form, _normalize_twist(chi), s, y, nf, reflected, tol)[0]
 
 
 def functional_equation_residual(form: NewformData,
@@ -526,18 +485,11 @@ def functional_equation_residual(form: NewformData,
     measures the numeric consistency of the kernels at the two spectral
     points together with the root-number normalization.
     """
-    nf = _as_field(nf if nf is not None else form.field_label)
-    k = form.scalar_weight
     chi = _normalize_twist(chi)
-    cond = 1 if chi is None else chi.conductor_norm
-    med = float(form.level_norm) * cond * cond
-    y = math.sqrt(med) if y is None else float(y)
-
-    lam = lambda_completed(form, chi, s, y=y, nf=nf)
-    lam_ref = lambda_completed(form, chi, k - s, y=med / y, nf=nf, reflected=True)
-    w = 1.0 + 0j if chi is None else root_number(chi, form.nebentypus)
-    c_const, _ = parity_and_constant(nf, form.type_j, form.weight)
-    return abs(lam - c_const * w * lam_ref) / abs(lam)
+    lam, eng = _completed(form, chi, s, y, nf, False, 1e-9)
+    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, nf,
+                            True, 1e-9)
+    return abs(lam - eng.c * _root_number(form, chi) * lam_ref) / abs(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -580,39 +532,21 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
         res = afe_lvalue(form, None, y=y, nf=nf, tol=tol)
         return res.value, {"orbit_size": 1, "main_term": res.main_term,
                            "dual_part": res.dual_term,
-                           "terms": (res.terms_main, res.terms_dual),
-                           "tail_bound": res.error_estimate}
+                           "terms": (res.terms_main, res.terms_dual)}
     if not chi.is_primitive():
         raise ValueError("seed twist must be primitive at its level")
 
-    k = form.scalar_weight
-    s = 0.5 * k
-    eng = _engine(form, nf, chi, s, y, tol)
-    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-    mod = chi.conductor_norm
-
+    eng = _engine(form, nf, chi, 0.5 * form.scalar_weight, y, tol)
     # averaged twist per unit residue (exact cyclotomic means), and the
     # averaged reflected weights (root number times conjugate values)
-    direct_tab = averaged_char_table(chi, ctx)
-    reflect_tab = averaged_iota_values(chi, ctx, form.nebentypus)
-
-    pre1 = _prefab(form, s, eng.cfg.y, m1, eng.kern1, eng.key1, reflected=False)
-    pre2 = _prefab(form, k - s, eng.med / eng.cfg.y, m2, eng.kern2, eng.key2,
-                   reflected=True)
-    s1 = complex(np.dot(pre1, direct_tab[_mod_index(m1, mod)]))
-    s2 = complex(np.dot(pre2, reflect_tab[_mod_index(m2, mod)]))
-
-    c_const, parity_ok = parity_and_constant(eng.nf, form.type_j, form.weight)
-    if not parity_ok:
-        raise ValueError("weight/type data fails the reflection parity check")
-
-    value = (s1 + c_const * s2) / eng.gamma_s
+    s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),
+                              averaged_iota_values(chi, ctx, form.nebentypus))
+    value = (s1 + eng.c * s2) / eng.gamma_s
     info = {
         "orbit_size": len(substitutions(chi, ctx)),
-        "main_term": complex(pre1[0] / eng.gamma_s),
-        "dual_part": c_const * s2 / eng.gamma_s,
-        "terms": (m1, m2),
-        "tail_bound": eng.budget,
+        "main_term": complex(lead / eng.gamma_s),
+        "dual_part": eng.c * s2 / eng.gamma_s,
+        "terms": (eng.cfg.cutoff_main, eng.cfg.cutoff_dual),
     }
     return value, info
 
@@ -644,14 +578,7 @@ def direct_series(form: NewformData, chi: HeckeCharacter | None = None,
     if m > form.limit:
         raise ValueError(f"only {form.limit} coefficients loaded")
 
-    coeffs = form.coefficient_array(m)[1:]
     ns = np.arange(1, m + 1, dtype=np.float64)
-    weights = coeffs * ns ** (-s)
-    if chi is None:
-        value = complex(np.sum(weights))
-    else:
-        tab = character_value_table(chi)
-        value = complex(np.dot(weights, tab[_mod_index(m, chi.rcg.modulus)]))
-
+    value = _dot(form.coefficient_array(m)[1:] * ns ** (-s), _table(chi))
     alpha = s - (k - 1) / 2.0 - float(form.theta)
     return value, float(2.0 * _divisor_sum_tail(m, alpha))

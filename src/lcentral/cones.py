@@ -10,14 +10,6 @@ seeds the reduction; membership on the window boundary is decided by exact
 integer sign tests, so counts are reproducible and the brute-force oracle
 with enlarged boxes must agree bit for bit.
 
-The simplicial cone decomposition of the totally positive quadrant is kept
-alongside the reducer: each cone is a unimodular basis whose nonnegative
-integer combinations tile the totally positive elements modulo powers of
-the totally positive fundamental unit.  Cones are not used for counting
-(the reducer is cheaper and exact); they exist so the per-cone coordinate
-growth constants can be measured, and so coverage of random elements by
-unit translates of the cones can be checked directly.
-
 Shipped fields are Q and Q(sqrt(2)); anything of degree > 2 or with a
 complex place is rejected up front.
 """
@@ -39,9 +31,6 @@ from .rayclass import PrimeContext, RayClassGroup
 BOX_CANDIDATE_CAP = 10_000_000
 
 WITNESS_LIMIT = 24
-
-# Sampling grid (per coordinate) for the measured per-cone growth constants.
-COHERENCE_GRID = 32
 
 _WINDOWS = ("standard", "shifted")
 
@@ -249,110 +238,6 @@ def reduce_to_domain(x: FieldElement, nf=None) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# simplicial cones
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cone:
-    """A unimodular cone: nonnegative integer combinations of gens with the
-    leading coefficient >= 1 (half-open along the second ray, so adjacent
-    cones stay disjoint).  coherence is the measured growth constant: over
-    the sample grid, max coordinate <= coherence * |sigma(z)| at every
-    embedding sigma."""
-
-    gens: tuple[FieldElement, ...]
-    coherence: float
-
-
-@dataclass(frozen=True)
-class ConeDecomposition:
-    nf: NumberFieldData
-    cones: tuple[Cone, ...]
-    reducer: DomainReducer
-
-    def locate(self, x: FieldElement) -> tuple[int, tuple[int, ...]]:
-        """Cone index and nonnegative integer coordinates of x.
-
-        Works for elements of the half-open totally positive sector the
-        cones tile (canonical representatives after sign adjustment);
-        raises for anything outside it.
-        """
-        if self.nf.degree == 1:
-            a = x.coords[0]
-            if a.denominator == 1 and a >= 1:
-                return 0, (int(a),)
-            raise ValueError(f"{x!r} is not a positive integer multiple of 1")
-        for idx, cone in enumerate(self.cones):
-            g1, g2 = cone.gens
-            # solve x = a*g1 + b*g2 over Q; unimodularity makes it integral
-            det = g1.coords[0] * g2.coords[1] - g1.coords[1] * g2.coords[0]
-            a = (x.coords[0] * g2.coords[1] - x.coords[1] * g2.coords[0]) / det
-            b = (g1.coords[0] * x.coords[1] - g1.coords[1] * x.coords[0]) / det
-            if a.denominator == 1 and b.denominator == 1 and a >= 1 and b >= 0:
-                return idx, (int(a), int(b))
-        raise ValueError(f"{x!r} lies in no cone of the decomposition")
-
-    def cover_orbit(self, x: FieldElement) -> tuple[FieldElement, int, tuple[int, ...]]:
-        """The unit multiple of x covered by the cones, with its location.
-
-        Every nonzero integral element has exactly one associate in the
-        union of the cones: reduce to the fundamental window, then push a
-        norm-negative representative into the totally positive sector with
-        one extra factor of the fundamental unit.
-        """
-        y = self.reducer.reduce(x)
-        if self.nf.degree == 2 and self.reducer.sign_minus(y) < 0:
-            y = y * self.reducer.eps
-        idx, coords = self.locate(y)
-        return y, idx, coords
-
-
-def _measured_coherence(reducer: DomainReducer, gens: tuple[FieldElement, ...]) -> float:
-    if reducer.degree == 1:
-        return 1.0
-    worst = 0.0
-    embeds = [reducer.embed(g) for g in gens]
-    for a in range(1, COHERENCE_GRID + 1):
-        for b in range(1, COHERENCE_GRID + 1):
-            s1 = a * embeds[0][0] + b * embeds[1][0]
-            s2 = a * embeds[0][1] + b * embeds[1][1]
-            worst = max(worst, max(a, b) / min(abs(s1), abs(s2)))
-    return worst
-
-
-def build_cones(nf) -> ConeDecomposition:
-    """The simplicial cone decomposition of the unit-orbit representatives.
-
-    Q: the single ray spanned by 1.  Real quadratic: the sector between 1
-    and the totally positive fundamental unit, split along 1 + eps into two
-    unimodular cones.  Growth constants are measured on a finite grid, not
-    certified.
-    """
-    nf = nf_load(nf)
-    if nf.degree == 1:
-        reducer = reducer_for(nf)
-        return ConeDecomposition(nf, (Cone((nf.one,), 1.0),), reducer)
-    if nf.degree > 2:
-        raise ValueError(f"no cone decomposition for degree {nf.degree} ({nf.label})")
-    if nf.signature != (2, 0):
-        raise ValueError(f"no cone decomposition for a complex place ({nf.label})")
-    reducer = reducer_for(nf)
-    eps, eps_plus = reducer.eps, reducer.eps_plus
-    if reducer.sign_plus(eps_plus) <= 0 or reducer.sign_minus(eps_plus) <= 0:
-        raise ArithmeticError("totally positive fundamental unit is not totally positive")
-    mid = nf.one + eps
-    pairs = ((nf.one, mid), (mid, eps_plus))
-    for g1, g2 in pairs:
-        det = g1.coords[0] * g2.coords[1] - g1.coords[1] * g2.coords[0]
-        if abs(det) != 1:
-            raise ArithmeticError(
-                f"cone ({g1!r}, {g2!r}) is not unimodular (det {det}); "
-                f"this splitting only covers fields like Q(sqrt(2))")
-    cones = tuple(Cone(pair, _measured_coherence(reducer, pair)) for pair in pairs)
-    return ConeDecomposition(nf, cones, reducer)
-
-
-# ---------------------------------------------------------------------------
 # lattice enumeration
 # ---------------------------------------------------------------------------
 
@@ -535,6 +420,7 @@ def count_progression(alpha, prime: PrimeContext, n: int, x: float, *,
         raise TypeError("prime must be the PrimeContext from prime_above(), "
                         "not a bare ideal")
     ctx = prime
+    ctx.check_level(n)
     nf = ctx.nf
     alpha = _coerce_alpha(nf, alpha)
     if not alpha.is_integral():
@@ -600,6 +486,7 @@ def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     if n < 1:
         raise ValueError("need n >= 1")
     ctx = prime
+    ctx.check_level(n)
     nf = ctx.nf
     allowed = _unit_residues(ctx, n)
     mod = ctx.modulus(n)

@@ -32,7 +32,8 @@ from .tau import tau_table
 class NewformData:
     """A loaded form.  Frozen: the coefficient table is set once, with its
     float copy, when the form is built (`replace` makes a new form with
-    another table)."""
+    another table).  `_derived` holds what the sums derive from the table
+    (afe's weighted arrays), so it is dropped with the form."""
 
     label: str
     field_label: str
@@ -48,6 +49,7 @@ class NewformData:
 
     def __post_init__(self):
         object.__setattr__(self, "_floats", _float_copy(self.coefficients))
+        object.__setattr__(self, "_derived", {})
 
     @property
     def scalar_weight(self) -> int:

@@ -1,18 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcentral.abelian import (
     FiniteAbelianGroup,
-    discrete_log,
-    mat_det,
-    mat_mul,
+    mat_inv_unimodular,
     multiplicative_order,
     primitive_root,
     smith_normal_form,
 )
+from lcentral.fields import nf_load
+from lcentral.rayclass import PrimeContext
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -25,9 +26,14 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=150)
 def test_snf_decomposition(a):
     u, d, v = smith_normal_form(a)
-    assert mat_mul(mat_mul(u, a), v) == d
-    assert abs(mat_det(u)) == 1
-    assert abs(mat_det(v)) == 1
+    # object arrays multiply in Python ints, so the products are exact
+    u, a, d, v = (np.array(m, dtype=object) for m in (u, a, d, v))
+    assert (u @ a @ v == d).all()
+    # unimodular: the exact inverse exists and is integral
+    for m in (u, v):
+        assert (m @ np.array(mat_inv_unimodular(m.tolist()), dtype=object)
+                == np.eye(len(m), dtype=int)).all()
+    d = d.tolist()
     k = min(len(d), len(d[0]))
     for i in range(len(d)):
         for j in range(len(d[0])):
@@ -55,9 +61,6 @@ def test_group_canonical_coords_roundtrip():
     assert g.order == 24
     seen = set(g.elements())
     assert len(seen) == 24
-    # re-canonicalizing a lift is the identity map
-    for elt in list(g.elements())[:10]:
-        assert g.from_exponents(g.to_exponents(elt)) == elt
 
 
 def test_dual_orthogonality():
@@ -77,6 +80,10 @@ def complex_from_phase(ph: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(ph))
 
 
+Q = nf_load("rationals")
+CTX5 = PrimeContext(Q, 5, Q.element_from_int(5))
+
+
 @given(st.integers(min_value=0, max_value=499))
 @settings(max_examples=60)
 def test_discrete_log_mod_5_4(e):
@@ -85,8 +92,8 @@ def test_discrete_log_mod_5_4(e):
     phi = (p - 1) * p ** (n - 1)
     g = primitive_root(p, n)
     e %= phi
-    target = pow(g, e, modulus)
-    assert discrete_log(g, target, modulus, phi) == e
+    dlog = CTX5.dlog_array(n)
+    assert dlog[pow(g, e, modulus)] == e
 
 
 def test_primitive_roots_frozen():

@@ -1,7 +1,9 @@
 """Two-sided smoothed sums: oracle equivalence, reflection residuals, orbit
 averages, and the guard rails around cutoff configuration."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -244,3 +246,22 @@ def test_character_table_structure(rcg25):
             assert abs(tab[a * b % 25] - tab[a] * tab[b]) < 1e-12
     mags = np.abs(tab[[r for r in range(25) if r % 5]])
     assert np.max(np.abs(mags - 1)) < 1e-12
+
+
+# -- memory ------------------------------------------------------------------
+
+def test_afe_keeps_no_twist_or_form_alive():
+    # afe memoises only value-keyed objects and keeps coefficient arrays on
+    # the form, so after an orbit average at conductor 625 dropping the form
+    # and the characters frees both.  Every character of the level holds its
+    # ray class group, so a freed group means no orbit member survived.
+    form = builtin_newform("delta", limit=11921)
+    rcg = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 4)
+    seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
+                if c.order == 125 and c.is_primitive())
+    _, results = orbit_average_lvalue(form, seed, CTX5)
+    assert len(results) == 100 and results[0].terms_dual == 11921
+    refs = [weakref.ref(form), weakref.ref(rcg)]
+    del form, rcg, seed
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

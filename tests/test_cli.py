@@ -205,5 +205,10 @@ def test_levels_past_the_residue_cap_refused(capsys):
     assert main(["lav-scan", "--n-lo", "1", "--n-hi", "39"]) == 2
     assert main(["gauss-sum", "--char", "rationals.p5.m40.chi1"]) == 2
     assert main(["gauss-sum", "--char", "quadratic-sqrt2.p7.res40.chi1"]) == 2
+    # 5^10 and 7^8 residues: refused before the enumeration or the
+    # unit-residue set starts
+    assert main(["cone-count", "--p", "5", "--n", "10", "--x", "10"]) == 2
+    assert main(["cone-count", "--field", "quadratic-sqrt2", "--p", "7",
+                 "--n", "8", "--x", "10"]) == 2
     err = capsys.readouterr().err
-    assert err.count("cap") == 3
+    assert err.count("cap") == 5

@@ -1,11 +1,10 @@
-"""Unit-orbit reduction, cone coverage, and exact progression counting.
+"""Unit-orbit reduction and exact progression counting.
 
 The frozen counts in this file were measured with redundantly enlarged
 enumeration boxes (2x and 3x agree bit for bit), so they pin the exact
 lattice counts rather than floating-point behaviour.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -13,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcentral.cones import (Cone, build_cones, count_progression,
-                            min_norm_coset, prime_above, reduce_to_domain,
-                            reducer_for, torsion_norm_bound,
+from lcentral.cones import (count_progression, min_norm_coset, prime_above,
+                            reduce_to_domain, reducer_for, torsion_norm_bound,
                             verify_count_bound)
 from lcentral.fields import NumberFieldData, nf_load
 from lcentral.rayclass import PrimeContext, rcg_build
@@ -102,61 +100,6 @@ def test_each_window_holds_one_representative_per_orbit():
             assert hits == 1
 
 
-# ---------------------------------------------------------------------------
-# cone decomposition
-# ---------------------------------------------------------------------------
-
-def test_rationals_single_ray():
-    dec = build_cones(Q)
-    assert len(dec.cones) == 1
-    assert dec.cones[0].gens == (Q.one,)
-    assert dec.cones[0].coherence == 1.0
-    assert dec.locate(Q.element_from_int(5)) == (0, (5,))
-    with pytest.raises(ValueError):
-        dec.locate(Q.element_from_int(-3))
-
-
-def test_sqrt2_cone_generators_and_coherence():
-    dec = build_cones(K)
-    assert [_coords(g) for g in dec.cones[0].gens] == [(1, 0), (2, 1)]
-    assert [_coords(g) for g in dec.cones[1].gens] == [(2, 1), (3, 2)]
-    # the generators of each cone span the integer lattice
-    for cone in dec.cones:
-        g1, g2 = cone.gens
-        det = g1.coords[0] * g2.coords[1] - g1.coords[1] * g2.coords[0]
-        assert abs(det) == 1
-    # measured growth constants, bounded by the geometric suprema
-    assert dec.cones[0].coherence == pytest.approx(1.620650, abs=1e-5)
-    assert dec.cones[1].coherence == pytest.approx(5.266520, abs=1e-5)
-    assert dec.cones[0].coherence < 1 / (2 - math.sqrt(2))
-    assert dec.cones[1].coherence < 3 + 2 * math.sqrt(2)
-
-
-def test_cones_cover_every_unit_orbit():
-    dec = build_cones(K)
-    rng = random.Random(13)
-    used = [0, 0]
-    for _ in range(400):
-        x = K.element([rng.randint(-50, 50), rng.randint(-50, 50)])
-        if x == K.zero:
-            continue
-        y, idx, (a, b) = dec.cover_orbit(x)
-        used[idx] += 1
-        assert a >= 1 and b >= 0
-        g1, g2 = dec.cones[idx].gens
-        assert g1 * a + g2 * b == y
-        # y is an associate of x: it reduces to the same representative
-        assert reduce_to_domain(y) == reduce_to_domain(x)
-    assert used[0] > 0 and used[1] > 0
-
-
-def test_locate_rejects_points_outside_the_sector():
-    dec = build_cones(K)
-    for coords in ((-1, 0), (0, 1), (1, 1)):
-        with pytest.raises(ValueError):
-            dec.locate(K.element(coords))
-
-
 CUBIC_DOC = {
     "label": "cyclic-cubic-81",
     "min_poly": [-1, -3, 0, 1],
@@ -178,9 +121,9 @@ GAUSSIAN_DOC = {
 
 def test_unsupported_fields_are_rejected():
     with pytest.raises(ValueError, match="degree 3"):
-        build_cones(NumberFieldData(CUBIC_DOC))
-    with pytest.raises(ValueError, match="complex place"):
-        build_cones(NumberFieldData(GAUSSIAN_DOC))
+        reducer_for(NumberFieldData(CUBIC_DOC))
+    with pytest.raises(ValueError, match=r"signature \(0, 1\)"):
+        reducer_for(NumberFieldData(GAUSSIAN_DOC))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +242,9 @@ def test_count_progression_argument_errors():
         count_progression(K.element([3, 1]), CTX7, 1, 10)
     with pytest.raises(TypeError, match="PrimeContext"):
         count_progression(1, CTX5.prime_ideal, 1, 10)
+    for ctx, n in ((CTX5, 10), (CTX7, 8)):
+        with pytest.raises(ValueError, match="residue tables"):
+            count_progression(1, ctx, n, 10)
 
 
 def test_enumeration_box_cap():
@@ -315,6 +261,13 @@ def test_min_norm_coset_rationals():
     assert [min_norm_coset(prime_above(Q, 3), n) for n in (1, 2, 3)] == [2, 8, 26]
     value, wit = min_norm_coset(CTX5, 2, with_witness=True)
     assert value == 24 and _coords(wit) == (24,)
+
+
+def test_min_norm_coset_past_the_residue_cap_refused():
+    # 5^10 and 7^8 residues: refused before the unit-residue set is built
+    for ctx, n in ((CTX5, 10), (CTX7, 8)):
+        with pytest.raises(ValueError, match="residue tables"):
+            min_norm_coset(ctx, n)
 
 
 def test_min_norm_coset_sqrt2():
