@@ -369,7 +369,7 @@ def _c10_averaged_values(fast: bool):
     noted = "approach 1 only as the conductor grows" in report.note
     ok = trend_ok and noted and elapsed < 600 and floor > 1e-3
     return ok, (f"min |L| = {floor:.4f} > 1e-3 across every orbit; route gap "
-                f"{gap:.1e}; {trend}; {elapsed:.0f}s; limit-caveat noted")
+                f"{gap:.1e}; {trend}; limit-caveat noted")
 
 
 # shipped lattice cases: (field, p, alpha, n, x, window) -> exact count

@@ -39,7 +39,7 @@ from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, SmoothingKernel, VKernel
 from .newforms import NewformData
 from .rayclass import HeckeCharacter
-from .roots import unit_circle
+from .roots import unit_circle_array
 
 # Below this many terms a half-sum evaluates V exactly through the tail
 # route (no interpolation error); above it the certified spline is used
@@ -182,7 +182,7 @@ def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     order = phase.denominator
     dlog = chi.prime_ctx.dlog_array(chi.level)
     units = dlog >= 0
-    values = np.array(unit_circle(order), dtype=np.complex128)
+    values = unit_circle_array(order)
     tab = np.zeros(len(dlog), dtype=np.complex128)
     tab[units] = values[dlog[units] * phase.numerator % order]
     return tab

@@ -19,7 +19,9 @@ which has modulus one identically.
 
 Galois averages are exact: sums of roots of unity assembled in cyclotomic
 arithmetic and then recognized against the closed form (zero, a rational, or
-the original character value).
+the original character value).  The orbit values are powers of the seed
+value, chi^t(a) = chi(a)^t, so an average evaluates the character once, and
+the exact mean with its closed form is memoised per value (`_value_mean`).
 
 The averaging routes of afe.py take two separate paths through this module.
 Route one is per character and float: `gauss_sum` and `root_number` for each
@@ -35,16 +37,17 @@ one's float Gauss sums, so the gap between the routes stays a check.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, pi
-from typing import Sequence
+from functools import lru_cache
+from math import lcm, pi
 
 import numpy as np
 
 from .abelian import p_adic_split
 from .fields import FieldElement
-from .roots import ONE, CyclotomicNumber, RootOfUnity, unit_circle
+from .roots import ONE, CyclotomicNumber, RootOfUnity, unit_circle, unit_circle_array
 from .rayclass import HeckeCharacter, PrimeContext, ResidueCharacter
 
 Character = HeckeCharacter | ResidueCharacter
@@ -284,29 +287,38 @@ def _recognize(mean: CyclotomicNumber, seed: RootOfUnity) -> tuple[Fraction | No
 
 
 def average_char(chi: Character, ctx: CoefficientFieldContext, a) -> AverageResult:
-    """Exact mean of chi^t(a) over the Galois orbit (value on ideal classes)."""
-    orbit = galois_orbit(chi, ctx)
-    vals = [_ideal_value(tw, a) for tw in orbit]
-    n = len(orbit)
-    if any(v is None for v in vals):
-        zero = CyclotomicNumber.zero()
-        return AverageResult(cyclotomic=zero, orbit_size=n, coeff=Fraction(0), root=RootOfUnity(0))
-    level = lcm(*(v.order for v in vals))
-    mean = _mean_of_roots([int(v.phase * level) for v in vals], level)
+    """Exact mean of chi^t(a) over the Galois orbit (value on ideal classes).
+
+    The members' values are powers of the seed value: chi^t(a) = chi(a)^t.
+    So the character is evaluated once, at the seed, and the exact mean and
+    its closed form come from the per-value memo `_value_mean`.
+    """
+    subs = tuple(substitutions(chi, ctx))
     seed = _ideal_value(chi, a)
-    coeff, root = _recognize(mean, seed)
-    return AverageResult(cyclotomic=mean, orbit_size=n, coeff=coeff, root=root)
+    if seed is None:
+        zero = CyclotomicNumber.zero()
+        return AverageResult(cyclotomic=zero, orbit_size=len(subs), coeff=Fraction(0),
+                             root=RootOfUnity(0))
+    mean, coeff, root = _value_mean(seed, subs)
+    return AverageResult(cyclotomic=mean, orbit_size=len(subs), coeff=coeff, root=root)
 
 
-def _mean_of_roots(exps: Sequence[int], level: int) -> CyclotomicNumber:
-    """Exact mean of e(x / level) over the exponents, at the least level
-    that holds them all."""
-    g = gcd(level, *exps)
-    acc: dict[int, int] = {}
-    for x in exps:
-        acc[x // g] = acc.get(x // g, 0) + 1
-    n = len(exps)
-    return CyclotomicNumber(level // g, {e: Fraction(k, n) for e, k in acc.items()})
+@lru_cache(maxsize=1024)
+def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> tuple[
+        CyclotomicNumber, Fraction | None, RootOfUnity | None]:
+    """(mean, coeff, root): the exact mean of value^t over the substitutions
+    t and its closed form coeff * root (`_recognize`).
+
+    With value = e(k / ord) in lowest terms the exponents are k t mod ord at
+    level ord, already the least level: t = 1 is among the substitutions.
+    Shared between callers, so the mean must not be mutated.
+    """
+    level = value.order
+    k = value.phase.numerator
+    counts = Counter(k * t % level for t in subs)
+    n = len(subs)
+    mean = CyclotomicNumber(level, {e: Fraction(c, n) for e, c in counts.items()})
+    return (mean, *_recognize(mean, value))
 
 
 def _ideal_value(chi: Character, a) -> RootOfUnity | None:
@@ -368,14 +380,14 @@ def averaged_iota_table(chi: Character, ctx: CoefficientFieldContext,
 def averaged_char_table(chi: Character, ctx: CoefficientFieldContext) -> np.ndarray:
     """average_char(chi, ctx, r).value at every residue r mod the conductor,
     0 off the units."""
-    subs = substitutions(chi, ctx)
+    subs = tuple(substitutions(chi, ctx))
     order = chi.order
     # the substitutions form a group mod the order, so the mean at j is the
     # mean at every j * s: one exact mean per class j * subs
     means: list[complex | None] = [None] * order
     for j in range(order):
         if means[j] is None:
-            value = _mean_of_roots([t * j % order for t in subs], order).to_complex()
+            value = _value_mean(RootOfUnity.e(j, order), subs)[0].to_complex()
             for s in subs:
                 means[j * s % order] = value
     return _scatter(chi, means)
@@ -393,7 +405,7 @@ def averaged_iota_values(chi: Character, ctx: CoefficientFieldContext,
     ts = np.array(substitutions(chi, ctx), dtype=np.int64) * (level // order)
     # the mean at j is the mean of e(x / level) over the exact exponents
     # x = w_t - t j, rendered through one table of e(k / level)
-    circle = np.array(unit_circle(level), dtype=np.complex128)
+    circle = unit_circle_array(level)
     means = [circle[(ws - ts * j) % level].mean() for j in range(order)]
     return _scatter(chi, means)
 

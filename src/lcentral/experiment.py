@@ -274,11 +274,11 @@ def doubled_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     seed = setup.seed_character(level)
     y = _balance_point(cfg, n)
 
-    base = [afe_lvalue(setup.form, tw, y=y, nf=setup.nf, tol=cfg.tol)
-            for tw in galois_orbit(seed, setup.coef_ctx)]
+    orbit = galois_orbit(seed, setup.coef_ctx)
+    base = [afe_lvalue(setup.form, tw, y=y, nf=setup.nf, tol=cfg.tol) for tw in orbit]
     mean = sum(r.value for r in base) / len(base)
     doubled = []
-    for tw, r in zip(galois_orbit(seed, setup.coef_ctx), base):
+    for tw, r in zip(orbit, base):
         big = AFEConfig(y=r.y, cutoff_main=2 * r.terms_main,
                         cutoff_dual=2 * r.terms_dual, tol=cfg.tol)
         doubled.append(afe_lvalue(setup.form, tw, cfg=big, nf=setup.nf).value)

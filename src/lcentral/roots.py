@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, pi
 
+import numpy as np
+
 from .abelian import p_adic_split
 
 
@@ -74,6 +76,14 @@ MINUS_ONE = RootOfUnity(Fraction(1, 2))
 def unit_circle(den: int) -> tuple[complex, ...]:
     """e(k / den) for k = 0..den-1, each the bits RootOfUnity.to_complex gives."""
     return tuple(cmath.exp(2j * pi * (k / den)) for k in range(den))
+
+
+@lru_cache(maxsize=4)
+def unit_circle_array(den: int) -> np.ndarray:
+    """unit_circle(den) as a read-only complex128 array, the same bits."""
+    got = np.array(unit_circle(den), dtype=np.complex128)
+    got.setflags(write=False)
+    return got
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:

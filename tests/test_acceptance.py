@@ -108,6 +108,8 @@ def test_criterion_10_averaged_values(sweep):
     assert r.seconds < 600.0
     assert "decreasing" in r.detail
     assert "limit-caveat noted" in r.detail
+    # the seconds are on the line, not in the detail: equal numbers, equal text
+    assert not re.search(r"\b\d+s;", r.detail)
 
 
 def test_criterion_11_lattice_counts(sweep):

@@ -3,11 +3,14 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from lcentral.charsums import (EXACT_LEVEL_LIMIT, CoefficientFieldContext,
-                               average_char,
+from lcentral import acceptance, charsums
+from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
+                               CoefficientFieldContext, _ideal_value,
+                               _recognize, average_char,
                                average_iota, average_support,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
@@ -15,7 +18,8 @@ from lcentral.charsums import (EXACT_LEVEL_LIMIT, CoefficientFieldContext,
                                kloosterman_bound_report, orbit_root_numbers,
                                root_number, substitutions)
 from lcentral.fields import nf_load
-from lcentral.rayclass import PrimeContext, RayClassGroup, residue_characters
+from lcentral.rayclass import (HeckeCharacter, PrimeContext, RayClassGroup,
+                               residue_characters)
 from lcentral.roots import CyclotomicNumber, RootOfUnity
 
 
@@ -349,3 +353,110 @@ def test_per_value_tables_match_per_residue_averages(n, n0):
     table = averaged_iota_table(chi, cfc)
     assert list(table) == [r for r in range(1, mod) if r % 5]
     assert all(table[r] == reflect[r] for r in table)
+
+
+# ---------------------------------------------------------------------------
+# average_char from the seed value: the per-member evaluation is the oracle
+
+def _per_member_average_char(chi, ctx, a):
+    """The orbit mean the slow way: every member chi^t built and evaluated
+    at a, the mean taken at the least common level of the values."""
+    orbit = galois_orbit(chi, ctx)
+    vals = [_ideal_value(tw, a) for tw in orbit]
+    n = len(orbit)
+    if any(v is None for v in vals):
+        zero = CyclotomicNumber.zero()
+        return AverageResult(cyclotomic=zero, orbit_size=n, coeff=Fraction(0), root=RootOfUnity(0))
+    level = lcm(*(v.order for v in vals))
+    exps = [int(v.phase * level) for v in vals]
+    g = gcd(level, *exps)
+    acc = {}
+    for x in exps:
+        acc[x // g] = acc.get(x // g, 0) + 1
+    mean = CyclotomicNumber(level // g, {e: Fraction(k, n) for e, k in acc.items()})
+    coeff, root = _recognize(mean, _ideal_value(chi, a))
+    return AverageResult(cyclotomic=mean, orbit_size=n, coeff=coeff, root=root)
+
+
+def _rational_seed(p, n):
+    Q = nf_load("rationals")
+    return _seed(RayClassGroup(Q, PrimeContext(Q, p, Q.element_from_int(p)), n), p)
+
+
+def _assert_matches_reference(chi, cfc, mod):
+    for a in range(mod):
+        got = average_char(chi, cfc, a)
+        ref = _per_member_average_char(chi, cfc, a)
+        assert got.cyclotomic == ref.cyclotomic
+        assert repr(got.cyclotomic) == repr(ref.cyclotomic)
+        assert (got.orbit_size, got.coeff, got.root) == (ref.orbit_size, ref.coeff, ref.root)
+        assert got.value == ref.value
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
+@pytest.mark.parametrize("n0", [0, 1])
+def test_average_char_matches_per_member_reference(p, n, n0):
+    _assert_matches_reference(_rational_seed(p, n), CoefficientFieldContext(p=p, n0=n0), p ** n)
+
+
+def test_average_char_matches_per_member_reference_residue_characters():
+    K, ctx = sqrt2_setup()
+    chi = next(c for c in residue_characters(ctx, 2) if c.order == 7)
+    _assert_matches_reference(chi, CoefficientFieldContext(p=7, n0=0), 49)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n0", [0, 1])
+def test_orbit_values_are_seed_powers(n, n0):
+    # what average_char relies on: chi^t(a) = chi(a)^t for every member, on
+    # the seeds criterion 3 sweeps, at units and non-units alike
+    Q = nf_load("rationals")
+    chi = acceptance._seed_char(acceptance.rcg_build(Q, acceptance.prime_above(Q, 5), n), 5)
+    cfc = CoefficientFieldContext(p=5, n0=n0)
+    members = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
+    for a in range(5 ** n):
+        seed = chi.value_on_ideal_of(a)
+        for t, tw in members:
+            got = tw.value_on_ideal_of(a)
+            assert got == (None if seed is None else seed ** t)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_average_char_evaluates_the_seed_once(monkeypatch):
+    Q, ctx, _ = q_setup()
+    chi = _seed(RayClassGroup(Q, ctx, 4))
+    assert chi.order == 125
+    evaluations = _counting(monkeypatch, HeckeCharacter, "value_on_ideal_of")
+    orbits = _counting(monkeypatch, charsums, "galois_orbit")
+    res = average_char(chi, CoefficientFieldContext(p=5, n0=0), 2)
+    assert res.orbit_size == 100
+    assert len(evaluations) == 1
+    assert not orbits
+
+
+def test_criterion_3_recognizes_once_per_value(monkeypatch):
+    # the fast sweep: levels 2 and 3 at n0 = 0 and 1, every unit residue
+    Q = nf_load("rationals")
+    ctx = acceptance.prime_above(Q, 5)
+    triples = set()
+    for n0 in (0, 1):
+        for n in (2, 3):
+            chi = acceptance._seed_char(acceptance.rcg_build(Q, ctx, n), 5)
+            triples |= {(n, n0, chi.value_on_ideal_of(a)) for a in range(1, 5 ** n) if a % 5}
+    charsums._value_mean.cache_clear()
+    recognitions = _counting(monkeypatch, charsums, "_recognize")
+    orbits = _counting(monkeypatch, charsums, "galois_orbit")
+    acceptance._c03_average_support(fast=True)
+    assert 0 < len(recognitions) <= len(triples) < 240
+    assert not orbits

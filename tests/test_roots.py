@@ -2,10 +2,12 @@ import cmath
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcentral.roots import CyclotomicNumber, RootOfUnity, cyclotomic_polynomial
+from lcentral.roots import (CyclotomicNumber, RootOfUnity, cyclotomic_polynomial,
+                           unit_circle_array)
 
 phases = st.fractions(min_value=0, max_value=1, max_denominator=60)
 
@@ -145,3 +147,13 @@ def test_reduction_at_composite_character_level():
     assert (z * CyclotomicNumber(big, {big - 17: 1}) - one).is_zero()
     full = CyclotomicNumber(big, {e: 1 for e in range(big) if math.gcd(e, big) == 1})
     assert full.is_rational() == 0  # Moebius of 1029 vanishes
+
+
+def test_unit_circle_array_is_read_only_with_root_bits():
+    for den in (1, 5, 125, 250):
+        circle = unit_circle_array(den)
+        assert circle is unit_circle_array(den)
+        assert [RootOfUnity.e(k, den).to_complex() for k in range(den)] == circle.tolist()
+        with pytest.raises(ValueError):
+            circle[0] = 0
+
