@@ -1,4 +1,9 @@
-"""Gauss sums, root numbers, and Galois averages of ray class characters.
+"""Gauss sums, root numbers, and Galois averages of characters.
+
+Every character here is a `rayclass.HeckeCharacter`: an exponent on a cyclic
+ray class group, or on the full residue unit group of a "res" label.  Both
+evaluate the same way, on classes and (conjugated) locally, so nothing below
+asks which group a character comes from.
 
 The Gauss sum here is the shifted complete character sum
 
@@ -18,10 +23,11 @@ trivial finite central character: W(chi) = chi(-1) * G(conj chi)^2 / p^c,
 which has modulus one identically.
 
 Galois averages are exact: sums of roots of unity assembled in cyclotomic
-arithmetic and then recognized against the closed form (zero, a rational, or
-the original character value).  The orbit values are powers of the seed
-value, chi^t(a) = chi(a)^t, so an average evaluates the character once, and
-the exact mean with its closed form is memoised per value (`_value_mean`).
+arithmetic.  The orbit values are powers of the seed value,
+chi^t(a) = chi(a)^t, so an average evaluates the character once, and the
+exact mean is memoised per value (`_value_mean`).  `average_char` alone
+recognizes a mean against its closed form (zero, a rational, or the seed
+value), from one reduction, once per value.
 
 The averaging routes of afe.py take two separate paths through this module.
 Route one is per character and float: `gauss_sum` and `root_number` for each
@@ -40,7 +46,7 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, pi
 
 import numpy as np
@@ -48,9 +54,7 @@ import numpy as np
 from .abelian import p_adic_split
 from .fields import FieldElement
 from .roots import ONE, CyclotomicNumber, RootOfUnity, unit_circle, unit_circle_array
-from .rayclass import HeckeCharacter, PrimeContext, ResidueCharacter
-
-Character = HeckeCharacter | ResidueCharacter
+from .rayclass import HeckeCharacter, PrimeContext
 
 # largest cyclotomic level we are willing to reduce exactly
 EXACT_LEVEL_LIMIT = 20000
@@ -76,7 +80,7 @@ class CoefficientFieldContext:
             raise ValueError("n0 must be >= 0")
 
 
-def substitutions(chi: Character, ctx: CoefficientFieldContext) -> list[int]:
+def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[int]:
     """The exponent substitutions t of the orbit members chi^t, in orbit order.
 
     For chi of order p^e they are the units t mod p^e with t = 1 mod
@@ -94,7 +98,7 @@ def substitutions(chi: Character, ctx: CoefficientFieldContext) -> list[int]:
     return [t for t in range(1, p ** e) if t % p != 0 and t % fixed == 1 % fixed]
 
 
-def galois_orbit(chi: Character, ctx: CoefficientFieldContext) -> list[Character]:
+def galois_orbit(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[HeckeCharacter]:
     """The conjugates chi^t of a p-power-order character."""
     return [chi.power(t) for t in substitutions(chi, ctx)]
 
@@ -103,7 +107,7 @@ def galois_orbit(chi: Character, ctx: CoefficientFieldContext) -> list[Character
 # Gauss sums
 # ---------------------------------------------------------------------------
 
-def gauss_sum(chi: Character, shift=1, exact: bool = False):
+def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
     """Shifted Gauss sum G(chi, shift); complex, or CyclotomicNumber if exact.
 
     The trivial character gets G := 1 by convention.  `shift` may be an
@@ -133,7 +137,7 @@ def gauss_sum(chi: Character, shift=1, exact: bool = False):
     return total * pref.to_complex()
 
 
-def _gauss_terms(chi: Character, shift) -> tuple[int, np.ndarray, RootOfUnity]:
+def _gauss_terms(chi: HeckeCharacter, shift) -> tuple[int, np.ndarray, RootOfUnity]:
     """(den, exps, pref) with G(chi, shift) = pref * sum e(exps / den), one
     exponent per unit residue x mod the conductor, x increasing."""
     ctx: PrimeContext = chi.prime_ctx
@@ -163,7 +167,7 @@ def _gauss_terms(chi: Character, shift) -> tuple[int, np.ndarray, RootOfUnity]:
     return den, (lnum * dlog[units] + anum * units) % den, pref
 
 
-def root_number(chi: Character, nebentypus: str = "trivial") -> complex:
+def root_number(chi: HeckeCharacter, nebentypus: str = "trivial") -> complex:
     """The twist root number W(chi) for a form with trivial central character.
 
     Unit modulus is a hard postcondition; a violation means the inputs are
@@ -177,29 +181,20 @@ def root_number(chi: Character, nebentypus: str = "trivial") -> complex:
         return 1.0 + 0j
     q = chi.conductor_norm
     g = gauss_sum(chi.conjugate())
-    w = _parity(chi).to_complex() * g * g / q
+    w = chi.local_value(-1).to_complex() * g * g / q
     if abs(abs(w) - 1) > 1e-9:
         raise ArithmeticError(f"root number drifted off the unit circle: |W| = {abs(w)}")
     return w
 
 
-def gauss_sum_conjugation_defect(chi: Character) -> float:
+def gauss_sum_conjugation_defect(chi: HeckeCharacter) -> float:
     """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
     g = gauss_sum(chi)
     gbar = gauss_sum(chi.conjugate())
-    return abs(g.conjugate() - _parity(chi).to_complex() * gbar)
+    return abs(g.conjugate() - chi.local_value(-1).to_complex() * gbar)
 
 
-def _parity(chi: Character) -> RootOfUnity:
-    """chi(-1) as the root number uses it: on ideal classes for ray class
-    characters, the local value for residue characters."""
-    if isinstance(chi, HeckeCharacter):
-        m1 = chi.value_on_ideal_of(-1)
-        return ONE if m1 is None else m1
-    return chi.local_value(-1)
-
-
-def orbit_root_numbers(chi: Character, ctx: CoefficientFieldContext,
+def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                        nebentypus: str = "trivial") -> list[RootOfUnity]:
     """Exact W(chi^t) for the orbit members, in orbit order, from one exact
     Gauss sum.
@@ -227,7 +222,7 @@ def orbit_root_numbers(chi: Character, ctx: CoefficientFieldContext,
     for t, tw in zip(subs, galois_orbit(chi, ctx)):
         rho = tw.conjugate().local_value(t)
         sigma_eps = eps.galois(t if t % 2 else t + level)
-        out.append(_parity(tw) * rho * rho * sigma_eps)
+        out.append(tw.local_value(-1) * rho * rho * sigma_eps)
     return out
 
 
@@ -275,18 +270,21 @@ class AverageResult:
 
 
 def _recognize(mean: CyclotomicNumber, seed: RootOfUnity) -> tuple[Fraction | None, RootOfUnity | None]:
-    red = mean.reduced()
-    if not red.coeffs:
+    """The closed form coeff * root of a mean of powers of the seed, from its
+    one reduced form: zero, a rational, or the seed itself.  A mean of roots
+    of unity has modulus one only when every term is the same root, so it is
+    the seed exactly when its unreduced form is the seed alone."""
+    red = mean.reduced().coeffs
+    if not red:
         return Fraction(0), RootOfUnity(0)
-    q = red.is_rational()
-    if q is not None:
-        return q, RootOfUnity(0)
-    if mean == CyclotomicNumber.from_root(seed):
+    if red.keys() == {0}:
+        return red[0], RootOfUnity(0)
+    if mean.coeffs == {seed.phase * mean.level: 1}:
         return Fraction(1), seed
     return None, None
 
 
-def average_char(chi: Character, ctx: CoefficientFieldContext, a) -> AverageResult:
+def average_char(chi: HeckeCharacter, ctx: CoefficientFieldContext, a) -> AverageResult:
     """Exact mean of chi^t(a) over the Galois orbit (value on ideal classes).
 
     The members' values are powers of the seed value: chi^t(a) = chi(a)^t.
@@ -294,52 +292,52 @@ def average_char(chi: Character, ctx: CoefficientFieldContext, a) -> AverageResu
     its closed form come from the per-value memo `_value_mean`.
     """
     subs = tuple(substitutions(chi, ctx))
-    seed = _ideal_value(chi, a)
+    seed = chi.value_on_ideal_of(a)
     if seed is None:
         zero = CyclotomicNumber.zero()
         return AverageResult(cyclotomic=zero, orbit_size=len(subs), coeff=Fraction(0),
                              root=RootOfUnity(0))
-    mean, coeff, root = _value_mean(seed, subs)
-    return AverageResult(cyclotomic=mean, orbit_size=len(subs), coeff=coeff, root=root)
+    got = _value_mean(seed, subs)
+    coeff, root = got.closed_form
+    return AverageResult(cyclotomic=got.mean, orbit_size=len(subs), coeff=coeff, root=root)
+
+
+class _OrbitMean:
+    """The exact mean of value^t over an orbit's substitutions t.  Shared
+    between callers, so `mean` must not be mutated; the closed form is
+    recognised on first request, and only `average_char` asks."""
+
+    def __init__(self, value: RootOfUnity, mean: CyclotomicNumber):
+        self.value = value
+        self.mean = mean
+
+    @cached_property
+    def closed_form(self) -> tuple[Fraction | None, RootOfUnity | None]:
+        return _recognize(self.mean, self.value)
 
 
 @lru_cache(maxsize=1024)
-def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> tuple[
-        CyclotomicNumber, Fraction | None, RootOfUnity | None]:
-    """(mean, coeff, root): the exact mean of value^t over the substitutions
-    t and its closed form coeff * root (`_recognize`).
+def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> _OrbitMean:
+    """The exact mean of value^t over the substitutions t.
 
     With value = e(k / ord) in lowest terms the exponents are k t mod ord at
     level ord, already the least level: t = 1 is among the substitutions.
-    Shared between callers, so the mean must not be mutated.
     """
     level = value.order
     k = value.phase.numerator
     counts = Counter(k * t % level for t in subs)
     n = len(subs)
-    mean = CyclotomicNumber(level, {e: Fraction(c, n) for e, c in counts.items()})
-    return (mean, *_recognize(mean, value))
+    return _OrbitMean(value, CyclotomicNumber(level, {e: Fraction(c, n) for e, c in counts.items()}))
 
 
-def _ideal_value(chi: Character, a) -> RootOfUnity | None:
-    if isinstance(chi, HeckeCharacter):
-        if isinstance(a, tuple) and len(a) and not isinstance(a[0], int):
-            return chi.value_on_ideal_of(a)
-        if isinstance(a, tuple):
-            # a canonical class element
-            return chi.value_on_class(a)
-        return chi.value_on_ideal_of(a)
-    return chi.local_value(a)
-
-
-def average_support(chi: Character, ctx: CoefficientFieldContext, a,
+def average_support(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
                     variant: str = "corrected") -> bool:
     """Support predicate for the averaged character, by value order.
 
     variant "paper": nonzero iff the order of chi(a) divides p^n0;
     variant "corrected": nonzero iff it divides p^(n0+1).
     """
-    val = _ideal_value(chi, a)
+    val = chi.value_on_ideal_of(a)
     if val is None:
         return False
     _, j = val.order_p_part(ctx.p)
@@ -350,20 +348,20 @@ def average_support(chi: Character, ctx: CoefficientFieldContext, a,
     raise ValueError(f"unknown support variant {variant!r}")
 
 
-def average_iota(chi: Character, ctx: CoefficientFieldContext, a,
+def average_iota(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
                  nebentypus: str = "trivial") -> complex:
     """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit (complex)."""
     orbit = galois_orbit(chi, ctx)
     total = 0j
     for tw in orbit:
-        v = _ideal_value(tw.conjugate(), a)
+        v = tw.conjugate().value_on_ideal_of(a)
         if v is None:
             continue
         total += root_number(tw, nebentypus) * v.to_complex()
     return total / len(orbit)
 
 
-def averaged_iota_table(chi: Character, ctx: CoefficientFieldContext,
+def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                         nebentypus: str = "trivial") -> dict[int, complex]:
     """average_iota at every unit residue class mod the conductor, keyed by
     smallest residue; shared work across the sweep."""
@@ -377,7 +375,7 @@ def averaged_iota_table(chi: Character, ctx: CoefficientFieldContext,
 # so every orbit mean depends on r only through j.  Each mean is taken once
 # per j and scattered through the dlog array.
 
-def averaged_char_table(chi: Character, ctx: CoefficientFieldContext) -> np.ndarray:
+def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """average_char(chi, ctx, r).value at every residue r mod the conductor,
     0 off the units."""
     subs = tuple(substitutions(chi, ctx))
@@ -387,13 +385,13 @@ def averaged_char_table(chi: Character, ctx: CoefficientFieldContext) -> np.ndar
     means: list[complex | None] = [None] * order
     for j in range(order):
         if means[j] is None:
-            value = _value_mean(RootOfUnity.e(j, order), subs)[0].to_complex()
+            value = _value_mean(RootOfUnity.e(j, order), subs).mean.to_complex()
             for s in subs:
                 means[j * s % order] = value
     return _scatter(chi, means)
 
 
-def averaged_iota_values(chi: Character, ctx: CoefficientFieldContext,
+def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                          nebentypus: str = "trivial") -> np.ndarray:
     """average_iota(chi, ctx, r) at every residue r mod the conductor, 0 off
     the units: the mean over the orbit of the exact roots W(chi^t)
@@ -410,7 +408,7 @@ def averaged_iota_values(chi: Character, ctx: CoefficientFieldContext,
     return _scatter(chi, means)
 
 
-def _scatter(chi: Character, per_value: list[complex]) -> np.ndarray:
+def _scatter(chi: HeckeCharacter, per_value: list[complex]) -> np.ndarray:
     """Spread values indexed by j, chi(r) = e(j / ord), over the residues mod
     the conductor (0 off the units).  dlog_phase has denominator ord, so
     j = numerator * dlog(r) mod ord."""
@@ -424,7 +422,7 @@ def _scatter(chi: Character, per_value: list[complex]) -> np.ndarray:
     return out
 
 
-def kloosterman_bound_report(chi: Character, ctx: CoefficientFieldContext,
+def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                              nebentypus: str = "trivial") -> dict:
     """Sweep |averaged iota| over unit residues and compare to p^(-n/2).
 

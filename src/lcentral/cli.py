@@ -29,7 +29,7 @@ from .cones import count_progression, min_norm_coset, prime_above
 from .experiment import ExperimentConfig, report_to_json, run_lav_experiment
 from .fields import nf_load
 from .newforms import newform_load
-from .rayclass import ResidueCharacter, rcg_build
+from .rayclass import RayClassGroup, rcg_build
 
 _P_SEGMENT = re.compile(r"p(\d+)$")
 _M_SEGMENT = re.compile(r"(m|res)(\d+)$")
@@ -55,13 +55,12 @@ def parse_char_label(label: str):
     ctx = prime_above(nf, int(mp.group(1)))
     level, index = int(mm.group(2)), int(mc.group(1))
     if mm.group(1) == "res":
-        if index >= ctx.unit_group_order(level):
-            raise ValueError(f"character index {index} out of range in {label!r}")
-        return ResidueCharacter(ctx, level, index)
-    rcg = rcg_build(nf, ctx, level)
-    if index >= rcg.order:
+        group = RayClassGroup(nf, ctx, level, unit_quotient=False)
+    else:
+        group = rcg_build(nf, ctx, level)
+    if index >= group.order:
         raise ValueError(f"character index {index} out of range in {label!r}")
-    return rcg.character_by_index(index)
+    return group.character_by_index(index)
 
 
 def _round_floats(doc, digits: int):
@@ -107,7 +106,7 @@ def cmd_lvalue(args) -> int:
     chi = None
     if args.char:
         chi = parse_char_label(args.char)
-        if isinstance(chi, ResidueCharacter):
+        if not chi.group.unit_quotient:
             raise ValueError(
                 "twists need a ray class character (an 'm' label); residue "
                 "characters do not act on ideals")

@@ -20,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,16 +222,13 @@ class DomainReducer:
         raise ArithmeticError(f"unit reduction did not settle for {x!r}")
 
 
-_REDUCERS: dict[str, DomainReducer] = {}
-
-
 def reducer_for(nf) -> DomainReducer:
-    nf = nf_load(nf)
-    r = _REDUCERS.get(nf.label)
-    if r is None or r.nf is not nf:
-        r = DomainReducer(nf)
-        _REDUCERS[nf.label] = r
-    return r
+    return _reducer(nf_load(nf))
+
+
+@lru_cache(maxsize=8)
+def _reducer(nf: NumberFieldData) -> DomainReducer:
+    return DomainReducer(nf)
 
 
 def reduce_to_domain(x: FieldElement, nf=None) -> FieldElement:

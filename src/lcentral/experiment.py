@@ -29,7 +29,7 @@ from .charsums import CoefficientFieldContext, galois_orbit
 from .cones import prime_above
 from .fields import nf_load
 from .newforms import newform_load
-from .rayclass import PrimeContext, rcg_build
+from .rayclass import PrimeContext, rcg_build, seed_character
 
 TREND_NOTE = ("averaged values approach 1 only as the conductor grows without "
               "bound; at these desk-scale levels the report witnesses the "
@@ -159,14 +159,7 @@ class _Setup:
         self.form = newform_load(cfg.form, limit=cutoff_multiple * demand)
 
     def seed_character(self, level: int):
-        """Smallest-index primitive character of p-power order at the level."""
-        rcg = rcg_build(self.nf, self.ctx, level)
-        want = self.cfg.p ** (level - 1)
-        for i in range(rcg.order):
-            chi = rcg.character_by_index(i)
-            if chi.order == want and chi.is_primitive():
-                return chi
-        raise ArithmeticError(f"no primitive order-{want} character at level {level}")
+        return seed_character(rcg_build(self.nf, self.ctx, level))
 
 
 def envelope_terms(p: int, n: int, theta: float, eps: float, a: float,

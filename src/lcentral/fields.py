@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -781,7 +782,12 @@ _BUILTIN_FILES = {
     "Qsqrt2": "quadratic_sqrt2.json",
 }
 
-_FIELD_CACHE: dict[str, NumberFieldData] = {}
+
+@lru_cache(maxsize=None)
+def _builtin_field(filename: str) -> NumberFieldData:
+    """One field object per builtin file, whichever alias names it."""
+    text = resources.files("lcentral.fielddata").joinpath(filename).read_text()
+    return NumberFieldData(json.loads(text))
 
 
 def nf_load(source) -> NumberFieldData:
@@ -793,11 +799,7 @@ def nf_load(source) -> NumberFieldData:
     if isinstance(source, (str, Path)):
         key = str(source)
         if key in _BUILTIN_FILES:
-            if key not in _FIELD_CACHE:
-                text = resources.files("lcentral.fielddata").joinpath(
-                    _BUILTIN_FILES[key]).read_text()
-                _FIELD_CACHE[key] = NumberFieldData(json.loads(text))
-            return _FIELD_CACHE[key]
+            return _builtin_field(_BUILTIN_FILES[key])
         path = Path(source)
         if path.exists():
             return NumberFieldData(json.loads(path.read_text()))

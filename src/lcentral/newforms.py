@@ -120,21 +120,22 @@ def _bound_broken(a, factor: int, n: int, k: int, u: int, v: int) -> bool:
     return abs(a) > (1 + 1e-12) * factor * n ** ((k - 1) / 2 + u / v)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
-
-
 def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m] for m = 0..n (0 at 0 and 1); the primes are the m with spf[m] == m."""
     spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
+    for p in range(2, int(n ** 0.5) + 1):
         if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    spf[:2] = 0
     return spf
+
+
+def _primes_up_to(n: int) -> list[int]:
+    spf = _smallest_prime_factors(n)[2:]
+    return (np.flatnonzero(spf == np.arange(2, n + 1)) + 2).tolist()
 
 
 def _expand_from_primes(prime_a: dict[int, object], limit: int, k: int,
@@ -168,33 +169,25 @@ def _expand_from_primes(prime_a: dict[int, object], limit: int, k: int,
 
 
 def _verify_full_table(a: list, k: int, theta: Fraction) -> None:
-    """Check a full table against the identities its expansion would satisfy."""
-    u, v = theta.numerator, theta.denominator
+    """Check a full table against its expansion from its own prime entries.
+
+    The first index that differs names the identity it breaks: the Hecke
+    recursion at a prime power, multiplicativity anywhere else.
+    """
     limit = len(a) - 1
     if limit < 1 or a[1] != 1:
         raise ValueError("coefficient table must start with a(1) = 1")
-    spf = _smallest_prime_factors(limit)
-    d: list = [0] * (limit + 1)
-    d[1] = 1
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m > 1:
-            d[n] = d[n // m] * d[m]
-            if a[n] != a[n // m] * a[m]:
-                raise ValueError(f"table is not multiplicative at ideal ({n})")
-        elif e == 1:
-            d[n] = 2
-            if _bound_broken(a[n], 2 * d[n], n, k, u, v):
-                raise ValueError(f"coefficient at ideal ({n}) exceeds the Ramanujan bound")
-        else:
-            d[n] = e + 1
-            expect = a[p] * a[n // p] - p ** (k - 1) * a[n // (p * p)]
-            if a[n] != expect:
-                raise ValueError(f"table breaks the Hecke recursion at ideal ({n})")
+    expanded = _expand_from_primes({p: a[p] for p in _primes_up_to(limit)}, limit, k, theta)
+    n = next((n for n in range(2, limit + 1) if a[n] != expanded[n]), None)
+    if n is None:
+        return
+    m = n
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    while m % p == 0:
+        m //= p
+    if m == 1:
+        raise ValueError(f"table breaks the Hecke recursion at ideal ({n})")
+    raise ValueError(f"table is not multiplicative at ideal ({n})")
 
 
 def builtin_newform(name: str, limit: int = 1000) -> NewformData:

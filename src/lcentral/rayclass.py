@@ -7,17 +7,22 @@ polynomial (`LocalIso`), so all group structure reduces to exact arithmetic
 in (Z/p^n)^*: a primitive root, discrete logs, and a Smith normal form of
 the relation matrix coming from the unit images.
 
-Characters of the quotient are enumerated exactly; their values are rational
-phases (roots of unity), never floats.  Each level keeps its discrete logs as
-one int64 array over the residues mod p^n (-1 off the units), so a character
-value is one lookup: chi(r) = e(dlog_phase * dlog(r)).  A character's label
-index is its position in the dual-group enumeration, read off its exponent
-vector arithmetically.
+The quotient is cyclic: (Z/p^n)^* is, so every group built here is Z/h, and
+a character is one exponent k mod h on the class of the level's generator
+residue.  Its label index is k, and order, conjugation, powers, conductor
+and equality are integer arithmetic on k; its values are rational phases
+(roots of unity), never floats.  Each level keeps its discrete logs as one
+int64 array over the residues mod p^n (-1 off the units), so a character
+value is one lookup: chi(r) = e(dlog_phase * dlog(r)).  The same class
+serves the full residue unit group behind "res" labels, built with no unit
+relations.  Classes keep their Smith-normal-form coordinates, and the
+dual-group enumeration of `FiniteAbelianGroup` stays an independent check
+of the exponent arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -134,9 +139,19 @@ class TorsionGammaData:
 
 
 class RayClassGroup:
-    """Cl(F, p^n) for a class-number-one field, exactly presented."""
+    """Cl(F, p^n) for a class-number-one field, exactly presented.
 
-    def __init__(self, nf: NumberFieldData, ctx: PrimeContext, n: int):
+    With `unit_quotient=False` it is instead the full residue unit group
+    (O/p^n)^*: the same presentation without the unit relations.  Either way
+    the group is a quotient of the cyclic group (Z/p^n)^*, so it is cyclic of
+    some order h, and the class of a unit residue r is dlog(r) times the class
+    of the level's generator residue.  The residue group is oriented with that
+    class at -1, so that its character k has local value e(k dlog(r) / phi),
+    the rule "res" labels name.
+    """
+
+    def __init__(self, nf: NumberFieldData, ctx: PrimeContext, n: int,
+                 unit_quotient: bool = True):
         if n < 1:
             raise ValueError("modulus exponent must be >= 1")
         if nf.class_number != 1:
@@ -146,22 +161,33 @@ class RayClassGroup:
         self.n = n
         self.p = ctx.p
         self.modulus = ctx.modulus(n)
-        self.label = f"{nf.label}.p{ctx.p}.m{n}"
+        self.unit_quotient = unit_quotient
+        self.label = f"{nf.label}.p{ctx.p}.{'m' if unit_quotient else 'res'}{n}"
 
         g0 = ctx.generator_residue(n)
         dlog = ctx.dlog_list(n)
-        phi = ctx.unit_group_order(n)
-        relations: list[list[int]] = [[phi]]
-        for u in nf.unit_gens:
-            relations.append([dlog[ctx.residue(u, n) % self.modulus]])
-        self.group = FiniteAbelianGroup(relations, labels=[f"[{g0}]"])
+        relations: list[list[int]] = [[ctx.unit_group_order(n)]]
+        if unit_quotient:
+            relations += [[dlog[ctx.residue(u, n) % self.modulus]] for u in nf.unit_gens]
+        self.group = FiniteAbelianGroup(
+            relations, labels=[f"[{g0}]" if unit_quotient else f"[{g0}]^-1"])
         self.order = self.group.order
-        # the class of g0: the class of a unit residue r is dlog(r) times it
-        self.generator_class = self.group.from_exponents([1])
-        self._g0 = g0
+        # the class of g0 in the SNF presentation, and its exponent on the
+        # cyclic generator (0 when the group is trivial)
+        self.generator_class = self.group.from_exponents([1 if unit_quotient else -1])
+        self.generator_exponent = sum(self.generator_class)
         self.dlog = dlog
         self._struct: TorsionGammaData | None = None
         self._min_residue: dict[tuple[int, ...], int] | None = None
+
+    def _key(self) -> tuple:
+        return (self.ctx.pi, self.n, self.unit_quotient)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RayClassGroup) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- classes of ideals ----------------------------------------------------
 
@@ -169,7 +195,7 @@ class RayClassGroup:
         r %= self.modulus
         if gcd(r, self.p) != 1:
             raise ValueError(f"residue {r} is not prime to {self.p}")
-        return self.group.from_exponents([self.dlog[r]])
+        return self.group.pow(self.generator_class, self.dlog[r])
 
     def ideal_to_element(self, x) -> tuple[int, ...]:
         """Class of the principal ideal (gamma).
@@ -196,7 +222,7 @@ class RayClassGroup:
             table: dict[tuple[int, ...], int] = {}
             for r, e in enumerate(self.dlog):
                 if e >= 0:
-                    table.setdefault(self.group.from_exponents([e]), r)
+                    table.setdefault(self.group.pow(self.generator_class, e), r)
             self._min_residue = table
         return self._min_residue[elt]
 
@@ -240,8 +266,8 @@ class RayClassGroup:
     def characters(self, conductor_exponent: int | None = None,
                    p_power_only: bool = False) -> list["HeckeCharacter"]:
         out = []
-        for i, vec in enumerate(self.group.characters()):
-            chi = HeckeCharacter(self, tuple(vec), index=i)
+        for k in range(self.order):
+            chi = HeckeCharacter(self, k)
             if conductor_exponent is not None and chi.conductor_exponent != conductor_exponent:
                 continue
             if p_power_only:
@@ -252,7 +278,9 @@ class RayClassGroup:
         return out
 
     def character_by_index(self, i: int) -> "HeckeCharacter":
-        return HeckeCharacter(self, self.group.char_at(i), index=i)
+        if not 0 <= i < self.order:
+            raise IndexError(f"character index {i} out of range for order {self.order}")
+        return HeckeCharacter(self, i)
 
     def __repr__(self) -> str:
         return f"RayClassGroup({self.label}, order={self.order})"
@@ -262,8 +290,31 @@ def rcg_build(nf: NumberFieldData, ctx: PrimeContext, n: int) -> RayClassGroup:
     return RayClassGroup(nf, ctx, n)
 
 
+def residue_characters(ctx: PrimeContext, level: int,
+                       primitive_only: bool = True) -> list["HeckeCharacter"]:
+    """Characters of the full residue unit group (O/p^level)^*.
+
+    They are not ray class characters; they exist so the Gauss-sum identities
+    can be exercised over fields whose ray class groups at the prime collapse
+    (the real quadratic field here has trivial ones at every level).
+    """
+    group = RayClassGroup(ctx.nf, ctx, level, unit_quotient=False)
+    return group.characters(conductor_exponent=level if primitive_only else None)
+
+
+def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":
+    """The orbit seed at the group's level: the smallest-index primitive
+    character of order p^(level-1), which is k = h / p^(level-1)."""
+    want = rcg.p ** (rcg.n - 1)
+    chi = HeckeCharacter(rcg, rcg.order // want)
+    if rcg.order % want or not chi.is_primitive():
+        raise ArithmeticError(f"no primitive order-{want} character at level {rcg.n}")
+    return chi
+
+
 class HeckeCharacter:
-    """Finite-order character of a ray class group at modulus p^n.
+    """Character k of the cyclic group `group` of order h: its value on the
+    class (c,) is e(k c / h), and k is its label index.
 
     `value_on_class`/`value_on_ideal_of` evaluate the character as a function
     on ideal classes.  `local_value` is the complex-conjugate evaluation on
@@ -272,42 +323,38 @@ class HeckeCharacter:
     simultaneously.
     """
 
-    __slots__ = ("rcg", "vec", "index", "_conductor", "_phase")
+    __slots__ = ("group", "k", "_conductor")
 
-    def __init__(self, rcg: RayClassGroup, vec: tuple[int, ...], index: int | None = None):
-        self.rcg = rcg
-        self.vec = vec
-        self.index = rcg.group.char_index(vec) if index is None else index
+    def __init__(self, group: RayClassGroup, k: int):
+        self.group = group
+        self.k = k % group.order
         self._conductor: int | None = None
-        self._phase: Fraction | None = None
 
     @property
     def label(self) -> str:
-        return f"{self.rcg.label}.chi{self.index}"
+        return f"{self.group.label}.chi{self.k}"
 
     @property
     def p(self) -> int:
-        return self.rcg.p
+        return self.group.p
 
     @property
     def prime_ctx(self) -> PrimeContext:
-        return self.rcg.ctx
+        return self.group.ctx
 
     @property
     def level(self) -> int:
-        return self.rcg.n
+        return self.group.n
 
     @property
     def order(self) -> int:
-        return self.rcg.group.char_order(self.vec)
+        return self.group.order // gcd(self.k, self.group.order)
 
     @property
     def dlog_phase(self) -> Fraction:
         """Phase of the value at the level's generator residue: the value on
         the class of a unit residue r is e(dlog_phase * dlog(r))."""
-        if self._phase is None:
-            self._phase = self.rcg.group.char_phase(self.vec, self.rcg.generator_class)
-        return self._phase
+        return Fraction(self.k * self.group.generator_exponent, self.group.order) % 1
 
     @property
     def local_phase(self) -> Fraction:
@@ -315,24 +362,25 @@ class HeckeCharacter:
         return -self.dlog_phase % 1
 
     def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.vec)
+        return self.k == 0
 
     # -- evaluations ----------------------------------------------------------
 
     def value_on_class(self, elt: Sequence[int]) -> RootOfUnity:
-        return RootOfUnity(self.rcg.group.char_phase(self.vec, elt))
+        # a class of the cyclic group is (c,), or () when the group is trivial
+        return RootOfUnity(Fraction(self.k * sum(elt), self.group.order))
 
     def value_on_ideal_of(self, x) -> RootOfUnity | None:
         """Value at the class of the principal ideal (x); None when (x) is
         not coprime to the modulus (the character vanishes there)."""
         try:
-            elt = self.rcg.ideal_to_element(x)
+            elt = self.group.ideal_to_element(x)
         except ValueError:
             return None
         return self.value_on_class(elt)
 
     def value_at_residue(self, r: int) -> RootOfUnity | None:
-        e = self.rcg.dlog[r % self.rcg.modulus]
+        e = self.group.dlog[r % self.group.modulus]
         if e < 0:
             return None
         return RootOfUnity(self.dlog_phase * e)
@@ -341,10 +389,9 @@ class HeckeCharacter:
         """Idele-style evaluation at a local unit (residue int or element)."""
         if isinstance(x, FieldElement):
             try:
-                r = self.rcg.ctx.residue(x, self.rcg.n)
+                x = self.group.ctx.residue(x, self.group.n)
             except ValueError:
                 return None
-            x = r
         v = self.value_at_residue(int(x))
         return None if v is None else v.conjugate()
 
@@ -352,136 +399,34 @@ class HeckeCharacter:
 
     @property
     def conductor_exponent(self) -> int:
+        """Least m with the character trivial on 1 + p^m (0 when trivial)."""
         if self._conductor is None:
-            self._conductor = self._compute_conductor()
+            g = self.group
+            step = self.k * g.generator_exponent
+            self._conductor = 0 if self.k == 0 else next(
+                (m for m in range(1, g.n) if step * g.dlog[1 + g.p ** m] % g.order == 0),
+                g.n)
         return self._conductor
-
-    def _compute_conductor(self) -> int:
-        if self.is_trivial():
-            return 0
-        p, n = self.rcg.p, self.rcg.n
-        for m in range(1, n):
-            if self.value_at_residue(1 + p ** m).is_one():
-                return m
-        return n
 
     @property
     def conductor_norm(self) -> int:
-        return self.rcg.p ** self.conductor_exponent
+        return self.group.p ** self.conductor_exponent
 
     def is_primitive(self) -> bool:
-        return self.conductor_exponent == self.rcg.n
+        return self.conductor_exponent == self.group.n
 
     def conjugate(self) -> "HeckeCharacter":
-        return HeckeCharacter(self.rcg, self.rcg.group.inv(self.vec))
+        return HeckeCharacter(self.group, -self.k)
 
     def power(self, t: int) -> "HeckeCharacter":
-        return HeckeCharacter(self.rcg, self.rcg.group.pow(self.vec, t))
+        return HeckeCharacter(self.group, self.k * t)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HeckeCharacter) and self.rcg is other.rcg
-                and self.vec == other.vec)
+        return (isinstance(other, HeckeCharacter) and self.k == other.k
+                and self.group == other.group)
 
     def __hash__(self) -> int:
-        return hash((id(self.rcg), self.vec))
+        return hash((self.group, self.k))
 
     def __repr__(self) -> str:
         return f"HeckeCharacter({self.label}, order={self.order}, cond=p^{self.conductor_exponent})"
-
-
-class ResidueCharacter:
-    """Character of the full residue unit group (O/p^c)^* (no unit quotient).
-
-    These are not ray class characters; they exist so the Gauss-sum identities
-    can be exercised over fields whose ray class groups at the prime collapse
-    (the real quadratic field here has trivial ones at every level).  They
-    expose the same local surface as HeckeCharacter: `local_value`,
-    `conductor_exponent`, `conjugate`.
-    """
-
-    __slots__ = ("ctx", "level", "k", "index", "_conductor")
-
-    def __init__(self, ctx: PrimeContext, level: int, k: int):
-        self.ctx = ctx
-        self.level = level
-        self.k = k % ctx.unit_group_order(level)
-        self.index = self.k
-        self._conductor: int | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.ctx.nf.label}.p{self.ctx.p}.res{self.level}.chi{self.k}"
-
-    @property
-    def p(self) -> int:
-        return self.ctx.p
-
-    @property
-    def prime_ctx(self) -> PrimeContext:
-        return self.ctx
-
-    @property
-    def order(self) -> int:
-        phi = self.ctx.unit_group_order(self.level)
-        return phi // gcd(self.k, phi)
-
-    @property
-    def dlog_phase(self) -> Fraction:
-        """`local_value(r)` = e(dlog_phase * dlog(r)); with no unit quotient the
-        local evaluation is the plain dual value."""
-        return Fraction(self.k, self.ctx.unit_group_order(self.level))
-
-    local_phase = dlog_phase
-
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
-    def local_value(self, x) -> RootOfUnity | None:
-        if isinstance(x, FieldElement):
-            try:
-                x = self.ctx.residue(x, self.level)
-            except ValueError:
-                return None
-        e = self.ctx.dlog_list(self.level)[int(x) % self.ctx.modulus(self.level)]
-        if e < 0:
-            return None
-        return RootOfUnity(self.dlog_phase * e)
-
-    @property
-    def conductor_exponent(self) -> int:
-        if self._conductor is None:
-            if self.k == 0:
-                self._conductor = 0
-            else:
-                p, c = self.ctx.p, self.level
-                self._conductor = c
-                for m in range(1, c):
-                    if self.local_value((1 + p ** m) % self.ctx.modulus(c)).is_one():
-                        self._conductor = m
-                        break
-        return self._conductor
-
-    @property
-    def conductor_norm(self) -> int:
-        return self.ctx.p ** self.conductor_exponent
-
-    def is_primitive(self) -> bool:
-        return self.conductor_exponent == self.level
-
-    def conjugate(self) -> "ResidueCharacter":
-        return ResidueCharacter(self.ctx, self.level, -self.k)
-
-    def power(self, t: int) -> "ResidueCharacter":
-        return ResidueCharacter(self.ctx, self.level, self.k * t)
-
-    def __repr__(self) -> str:
-        return f"ResidueCharacter({self.label}, order={self.order})"
-
-
-def residue_characters(ctx: PrimeContext, level: int,
-                       primitive_only: bool = True) -> list[ResidueCharacter]:
-    phi = ctx.unit_group_order(level)
-    out = [ResidueCharacter(ctx, level, k) for k in range(phi)]
-    if primitive_only:
-        out = [c for c in out if c.is_primitive()]
-    return out

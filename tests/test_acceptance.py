@@ -136,3 +136,23 @@ def test_cli_verify_exit_code_reflects_the_red(capsys):
     assert code == 1
     assert out.count("[PASS]") == 10
     assert out.count("[FAIL]") == 1
+
+
+def test_programming_error_in_a_criterion_crashes(monkeypatch):
+    # arithmetic and input failures are findings and become FAIL lines; a
+    # TypeError is a bug and must surface
+    import lcentral.acceptance as acceptance
+
+    def broken(fast):
+        raise TypeError("unsupported operand")
+
+    def drifted(fast):
+        raise ArithmeticError("drifted off the unit circle")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "drifted", drifted),))
+    (r,) = run_acceptance(fast=True).results
+    assert not r.passed
+    assert r.detail == "crashed: ArithmeticError: drifted off the unit circle"
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "drifted", drifted), (2, "broken", broken)))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_acceptance(fast=True)

@@ -8,9 +8,10 @@ from math import gcd, lcm
 import pytest
 
 from lcentral import acceptance, charsums
+from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
-                               CoefficientFieldContext, _ideal_value,
-                               _recognize, average_char,
+                               CoefficientFieldContext, _recognize,
+                               average_char,
                                average_iota, average_support,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
@@ -19,7 +20,7 @@ from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                root_number, substitutions)
 from lcentral.fields import nf_load
 from lcentral.rayclass import (HeckeCharacter, PrimeContext, RayClassGroup,
-                               residue_characters)
+                               residue_characters, seed_character)
 from lcentral.roots import CyclotomicNumber, RootOfUnity
 
 
@@ -251,7 +252,7 @@ def test_kloosterman_argmax_is_the_smallest_tied_residue():
     # at n0 = 1 every unit residue of this report has modulus 5^(-1/2); the
     # smallest residue is reported, whatever the rounding of the table
     Q, ctx, _ = q_setup()
-    chi = _seed(RayClassGroup(Q, ctx, 3))
+    chi = seed_character(RayClassGroup(Q, ctx, 3))
     rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=1))
     assert rep["max_abs"] == pytest.approx(5 ** -0.5, rel=1e-12)
     assert rep["argmax_residue"] == 1
@@ -266,18 +267,12 @@ def test_exact_gauss_sum_matches_float():
     assert abs(gauss_sum(chi, exact=True).to_complex() - gauss_sum(chi)) < 1e-12
 
 
-def _seed(rcg, p=5):
-    """Smallest-index primitive character of order p^(n-1) at level n."""
-    want = p ** (rcg.n - 1)
-    return next(c for c in rcg.characters() if c.order == want and c.is_primitive())
-
-
 @pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
 def test_galois_action_gauss_sums_match_per_character(n, n0):
     # G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)): the Galois action on one exact
     # sum, transported by the shift identity, against each member's own sum
     Q, ctx, _ = q_setup()
-    chi = _seed(RayClassGroup(Q, ctx, n))
+    chi = seed_character(RayClassGroup(Q, ctx, n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     g = gauss_sum(chi, exact=True)
     pairs = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
@@ -295,7 +290,7 @@ def test_orbit_root_numbers_match_per_character(p, n, n0):
     # sigma_t on it is not the plain power by an even t
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, p, Q.element_from_int(p))
-    chi = _seed(RayClassGroup(Q, ctx, n), p)
+    chi = seed_character(RayClassGroup(Q, ctx, n))
     cfc = CoefficientFieldContext(p=p, n0=n0)
     q = chi.conductor_norm
     orbit = galois_orbit(chi, cfc)
@@ -314,7 +309,7 @@ def test_orbit_root_numbers_past_the_exact_level_limit():
     # cyclotomic Gauss sum refuses it, route two's histogram does not
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, 149, Q.element_from_int(149))
-    chi = _seed(RayClassGroup(Q, ctx, 2), 149)
+    chi = seed_character(RayClassGroup(Q, ctx, 2))
     assert chi.conductor_norm > EXACT_LEVEL_LIMIT
     with pytest.raises(ValueError, match="cyclotomic level"):
         gauss_sum(chi.conjugate(), exact=True)
@@ -338,7 +333,7 @@ def test_orbit_root_numbers_quadratic_field():
 @pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_per_value_tables_match_per_residue_averages(n, n0):
     Q, ctx, _ = q_setup()
-    chi = _seed(RayClassGroup(Q, ctx, n))
+    chi = seed_character(RayClassGroup(Q, ctx, n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     direct = averaged_char_table(chi, cfc)
     reflect = averaged_iota_values(chi, cfc)
@@ -362,7 +357,7 @@ def _per_member_average_char(chi, ctx, a):
     """The orbit mean the slow way: every member chi^t built and evaluated
     at a, the mean taken at the least common level of the values."""
     orbit = galois_orbit(chi, ctx)
-    vals = [_ideal_value(tw, a) for tw in orbit]
+    vals = [tw.value_on_ideal_of(a) for tw in orbit]
     n = len(orbit)
     if any(v is None for v in vals):
         zero = CyclotomicNumber.zero()
@@ -374,13 +369,13 @@ def _per_member_average_char(chi, ctx, a):
     for x in exps:
         acc[x // g] = acc.get(x // g, 0) + 1
     mean = CyclotomicNumber(level // g, {e: Fraction(k, n) for e, k in acc.items()})
-    coeff, root = _recognize(mean, _ideal_value(chi, a))
+    coeff, root = _recognize(mean, chi.value_on_ideal_of(a))
     return AverageResult(cyclotomic=mean, orbit_size=n, coeff=coeff, root=root)
 
 
 def _rational_seed(p, n):
     Q = nf_load("rationals")
-    return _seed(RayClassGroup(Q, PrimeContext(Q, p, Q.element_from_int(p)), n), p)
+    return seed_character(RayClassGroup(Q, PrimeContext(Q, p, Q.element_from_int(p)), n))
 
 
 def _assert_matches_reference(chi, cfc, mod):
@@ -411,7 +406,7 @@ def test_orbit_values_are_seed_powers(n, n0):
     # what average_char relies on: chi^t(a) = chi(a)^t for every member, on
     # the seeds criterion 3 sweeps, at units and non-units alike
     Q = nf_load("rationals")
-    chi = acceptance._seed_char(acceptance.rcg_build(Q, acceptance.prime_above(Q, 5), n), 5)
+    chi = seed_character(acceptance.rcg_build(Q, acceptance.prime_above(Q, 5), n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     members = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
     for a in range(5 ** n):
@@ -435,7 +430,7 @@ def _counting(monkeypatch, owner, name):
 
 def test_average_char_evaluates_the_seed_once(monkeypatch):
     Q, ctx, _ = q_setup()
-    chi = _seed(RayClassGroup(Q, ctx, 4))
+    chi = seed_character(RayClassGroup(Q, ctx, 4))
     assert chi.order == 125
     evaluations = _counting(monkeypatch, HeckeCharacter, "value_on_ideal_of")
     orbits = _counting(monkeypatch, charsums, "galois_orbit")
@@ -452,7 +447,7 @@ def test_criterion_3_recognizes_once_per_value(monkeypatch):
     triples = set()
     for n0 in (0, 1):
         for n in (2, 3):
-            chi = acceptance._seed_char(acceptance.rcg_build(Q, ctx, n), 5)
+            chi = seed_character(acceptance.rcg_build(Q, ctx, n))
             triples |= {(n, n0, chi.value_on_ideal_of(a)) for a in range(1, 5 ** n) if a % 5}
     charsums._value_mean.cache_clear()
     recognitions = _counting(monkeypatch, charsums, "_recognize")
@@ -460,3 +455,71 @@ def test_criterion_3_recognizes_once_per_value(monkeypatch):
     acceptance._c03_average_support(fast=True)
     assert 0 < len(recognitions) <= len(triples) < 240
     assert not orbits
+
+
+def test_one_reduction_per_mean_and_none_for_the_tables(monkeypatch):
+    # route two's table takes the exact means only; average_char reduces each
+    # distinct mean once, whatever the number of residues sharing its value
+    Q, ctx, _ = q_setup()
+    chi = seed_character(RayClassGroup(Q, ctx, 3))
+    for n0 in (0, 1):
+        cfc = CoefficientFieldContext(p=5, n0=n0)
+        charsums._value_mean.cache_clear()
+        recognitions = _counting(monkeypatch, charsums, "_recognize")
+        reductions = _counting(monkeypatch, CyclotomicNumber, "reduced")
+        averaged_char_table(chi, cfc)
+        assert not recognitions and not reductions
+        values = {chi.value_on_ideal_of(a) for a in range(1, 125) if a % 5}
+        for a in range(125):
+            average_char(chi, cfc, a)
+        assert len(recognitions) == len(reductions) == len(values)
+        monkeypatch.undo()
+
+
+def test_residue_label_averages_take_values_on_classes():
+    # a residue character's value on classes is the conjugate of its local
+    # value, as for every character.  So its Galois averages are those of the
+    # conjugate local values: at n0 = 0, where the orbit is closed under
+    # t -> -t, the exact mean is unchanged; at n0 = 1 it is conjugated.  The
+    # averaged iota at r is the one at r^-1 taken with local values.
+    K, kctx = sqrt2_setup()
+    Q = nf_load("rationals")
+    for ctx, level in ((kctx, 2), (PrimeContext(Q, 5, Q.element_from_int(5)), 3)):
+        p, mod = ctx.p, ctx.p ** level
+        for chi in residue_characters(ctx, level):
+            if p_adic_split(chi.order, p)[0] != 1:
+                continue
+            for n0 in (0, 1):
+                cfc = CoefficientFieldContext(p=p, n0=n0)
+                subs = substitutions(chi, cfc)
+                roots = orbit_root_numbers(chi, cfc)
+                for a in (2, 3, mod - 1):
+                    local = [chi.local_value(a) ** t for t in subs]
+                    want = sum(v.to_complex() for v in local) / len(subs)
+                    got = average_char(chi, cfc, a)
+                    assert abs(got.value - want.conjugate()) < 1e-14
+                    if n0 == 0:
+                        assert abs(got.value - want) < 1e-14
+                    inv = pow(a, -1, mod)
+                    with_local = sum(w.to_complex() * (chi.local_value(inv) ** t).conjugate()
+                                     .to_complex() for w, t in zip(roots, subs))
+                    assert abs(average_iota(chi, cfc, a) - with_local / len(subs)) < 1e-12
+
+
+def test_residue_label_outputs_pinned(capsys):
+    import json
+
+    from lcentral.cli import main
+    # a one-member orbit at n0 = 1: the value on the class of 3, the
+    # conjugate of the local value 0.6234898018587336 + 0.7818314824680298i
+    assert main(["galois-average", "--char", "quadratic-sqrt2.p7.res2.chi6",
+                 "--residue", "3", "--n0", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["orbit_size"] == 1 and doc["rational_coeff"] == "1"
+    assert doc["value_re"] == pytest.approx(0.6234898018587336, abs=1e-15)
+    assert doc["value_im"] == pytest.approx(-0.7818314824680298, abs=1e-15)
+    # the same maximum, now reached first at residue 17 instead of 4
+    assert main(["kloosterman-report", "--char", "rationals.p5.res3.chi4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_abs"] == pytest.approx(0.43844029965146447, abs=1e-14)
+    assert doc["argmax_residue"] == 17

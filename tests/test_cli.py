@@ -15,7 +15,7 @@ from lcentral.afe import afe_lvalue
 from lcentral.cli import main, parse_char_label, usable_cpus
 from lcentral.experiment import report_from_json
 from lcentral.newforms import builtin_newform
-from lcentral.rayclass import HeckeCharacter, ResidueCharacter
+from lcentral.rayclass import HeckeCharacter
 
 
 def run_json(capsys, argv):
@@ -73,9 +73,11 @@ def test_precision_bits_validation(capsys):
 def test_char_label_parsing():
     chi = parse_char_label("rationals.p5.m2.chi3")
     assert isinstance(chi, HeckeCharacter)
+    assert chi.group.unit_quotient
     assert chi.label == "rationals.p5.m2.chi3"
     res = parse_char_label("quadratic-sqrt2.p7.res2.chi5")
-    assert isinstance(res, ResidueCharacter)
+    assert isinstance(res, HeckeCharacter)
+    assert not res.group.unit_quotient          # the full residue unit group
     assert res.label == "quadratic-sqrt2.p7.res2.chi5"
     for bad in ("rationals.p5.m2", "rationals.q5.m2.chi3",
                 "rationals.p5.m2.chi999", "rationals.p5.res2.chi999"):
@@ -212,3 +214,18 @@ def test_levels_past_the_residue_cap_refused(capsys):
                  "--n", "8", "--x", "10"]) == 2
     err = capsys.readouterr().err
     assert err.count("cap") == 5
+
+
+def test_field_aliases_name_one_field():
+    from lcentral.cones import reducer_for
+    from lcentral.fields import nf_load
+    assert nf_load("Q") is nf_load("rationals")
+    assert nf_load("Qsqrt2") is nf_load("quadratic-sqrt2")
+    assert reducer_for("Q") is reducer_for("rationals")
+    chi = parse_char_label("Q.p5.m2.chi3")
+    assert chi == parse_char_label("rationals.p5.m2.chi3")
+    assert hash(chi) == hash(parse_char_label("rationals.p5.m2.chi3"))
+    assert chi.label == "rationals.p5.m2.chi3"
+    assert (parse_char_label("Qsqrt2.p7.res2.chi5")
+            == parse_char_label("quadratic-sqrt2.p7.res2.chi5"))
+    assert parse_char_label("Q.p5.m2.chi3") != parse_char_label("Q.p5.res2.chi3")

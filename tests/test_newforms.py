@@ -101,16 +101,34 @@ def test_full_table_verification():
     assert form.coeff_of_norm(100) == tau_table(100)[100]
 
     broken_mult = dict(good, coefficients=[1, -24, 252, -1472, 4830, -6000])
-    with pytest.raises(ValueError, match=r"ideal \(6\)"):
+    with pytest.raises(ValueError, match=r"not multiplicative at ideal \(6\)"):
         newform_load(broken_mult)
 
     broken_hecke = dict(good, coefficients=[1, -24, 252, -1400, 4830, -6048])
-    with pytest.raises(ValueError, match=r"ideal \(4\)"):
+    with pytest.raises(ValueError, match=r"Hecke recursion at ideal \(4\)"):
         newform_load(broken_hecke)
 
     not_normalized = dict(good, coefficients=[2, -24, 252])
     with pytest.raises(ValueError, match=r"a\(1\)"):
         newform_load(not_normalized)
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (8, 1, r"Hecke recursion at ideal \(8\)"),
+    (12, 1, r"not multiplicative at ideal \(12\)"),
+    (169, 1, r"Hecke recursion at ideal \(169\)"),
+    (13, 1, r"not multiplicative at ideal \(26\)"),     # a(13) within the bound
+    (13, 10 ** 40, r"coefficient at ideal \(13\) exceeds the Ramanujan bound"),
+])
+def test_full_table_names_the_first_broken_identity(index, value, message):
+    # one corrupt entry: a prime power breaks the Hecke recursion, any other
+    # composite multiplicativity, and a prime is read as an eigenvalue whose
+    # first multiple then disagrees, unless it breaks the bound itself
+    table = tau_table(200)
+    table[index] = value
+    with pytest.raises(ValueError, match=message):
+        newform_load({"label": "t", "weight_vector": [12], "atkin_lehner": -1,
+                      "coefficients": table[1:]})
 
 
 def test_header_validation():

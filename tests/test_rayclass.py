@@ -1,13 +1,16 @@
 """Ray class groups at p-power moduli and their characters."""
 
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
+from lcentral.abelian import p_adic_split
 from lcentral.fields import nf_load
 from lcentral.rayclass import (RESIDUE_TABLE_CAP, HeckeCharacter,
                                PrimeContext, RayClassGroup, max_residue_level,
-                               rcg_build, residue_characters)
+                               rcg_build, residue_characters, seed_character)
 from lcentral.roots import RootOfUnity
 
 
@@ -167,8 +170,8 @@ def test_prime_context_rejections():
 
 
 def test_character_index_is_enumeration_position():
-    # the label index is read off the exponent vector arithmetically; it must
-    # be the position in the dual-group enumeration that labels always used
+    # the label index is the exponent k; it must be the position in the
+    # dual-group enumeration that labels always used
     Q = nf_load("rationals")
     for p in (3, 5, 7):
         ctx = PrimeContext(Q, p, Q.element_from_int(p))
@@ -178,14 +181,132 @@ def test_character_index_is_enumeration_position():
             assert len(vecs) == rcg.order
             for i, vec in enumerate(vecs):
                 assert rcg.group.char_index(vec) == i
-                assert HeckeCharacter(rcg, tuple(vec)).index == i
-                assert rcg.character_by_index(i).vec == tuple(vec)
+                assert HeckeCharacter(rcg, i).k == i
+                assert rcg.characters()[i].k == rcg.character_by_index(i).k == i
             chi = rcg.character_by_index(rcg.order - 1)
+            vec = vecs[chi.k]
             for t in (2, 3, -1):
-                assert chi.power(t).index == vecs.index(rcg.group.pow(chi.vec, t))
-            assert chi.conjugate().index == vecs.index(rcg.group.inv(chi.vec))
+                assert chi.power(t).k == vecs.index(rcg.group.pow(vec, t))
+            assert chi.conjugate().k == vecs.index(rcg.group.inv(vec))
             with pytest.raises(IndexError):
                 rcg.character_by_index(rcg.order)
+
+
+def _conductor_by_residue_classes(phases, p, n):
+    """Least m such that the phase array over the residues mod p^n (-1 off the
+    units) depends on a unit r only through r mod p^m."""
+    units = np.flatnonzero(phases >= 0)
+    for m in range(n + 1):
+        # each unit against the smallest unit congruent to it mod p^m
+        rep = units[np.searchsorted(units, units % p ** m + (m == 0))]
+        if (phases[units] == phases[rep]).all():
+            return m
+    raise AssertionError("no conductor found")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exponent_arithmetic_matches_the_dual_group(p):
+    # every character k of Q at levels 1-4 against FiniteAbelianGroup's dual
+    # route: chi_k is the exponent vector at position k of the enumeration,
+    # and its value at the class of r pairs that vector with the class, read
+    # off the Smith normal form of the relations
+    Q = nf_load("rationals")
+    ctx = PrimeContext(Q, p, Q.element_from_int(p))
+    for n in (1, 2, 3, 4):
+        rcg = rcg_build(Q, ctx, n)
+        g, h, mod = rcg.group, rcg.order, p ** n
+        dlog = ctx.dlog_list(n)
+        units = [r for r in range(mod) if r % p]
+        classes = {r: g.from_exponents([dlog[r]]) for r in units}
+        gen_class = g.from_exponents([1])
+        # the group is cyclic: a class is (x,) or (), a character vector (c,) or ()
+        x = np.full(mod, -1, dtype=np.int64)
+        x[units] = [sum(classes[r]) for r in units]
+        sample = units[::max(1, len(units) // 12)]
+        for k, vec in enumerate(g.characters()):
+            chi = rcg.character_by_index(k)
+            assert chi.k == k and chi.label.endswith(f".chi{k}")
+            assert chi.order == g.char_order(vec)
+            assert chi.dlog_phase == g.char_phase(vec, gen_class)
+            assert chi.local_phase == -g.char_phase(vec, gen_class) % 1
+            # the dual pairing at every residue, as multiples of 1/h
+            num = np.where(x >= 0, sum(vec) * x % h, -1)
+            assert all(g.char_phase(vec, classes[r]) == Fraction(int(num[r]), h)
+                       for r in sample)
+            assert chi.conductor_exponent == _conductor_by_residue_classes(num, p, n)
+            assert chi.is_trivial() == (chi.conductor_exponent == 0)
+            # the exponent route at every residue: dlog_phase * dlog(r)
+            phase = chi.dlog_phase
+            mine = np.array(dlog) * (phase.numerator * h // phase.denominator) % h
+            assert (mine[units] == num[units]).all()
+            # and the public evaluations on a spread of residues
+            for r in sample:
+                want = RootOfUnity(Fraction(int(num[r]), h))
+                assert chi.value_at_residue(r) == want
+                assert chi.value_on_ideal_of(r) == want
+                assert chi.value_on_class(classes[r]) == want
+                assert chi.local_value(r) == want.conjugate()
+            assert chi.value_at_residue(p) is None
+
+
+def test_residue_characters_match_the_dlog_rule():
+    # a "res" label's character K has local value e(K dlog(r) / phi): every
+    # residue character of Q(sqrt2) at p = 7, levels 1 and 2, at every residue
+    K = nf_load("quadratic-sqrt2")
+    ctx = PrimeContext(K, 7, K.element([3, 1]))
+    for level in (1, 2):
+        mod, phi = 7 ** level, 6 * 7 ** (level - 1)
+        dlog = ctx.dlog_list(level)
+        chars = residue_characters(ctx, level, primitive_only=False)
+        assert [c.k for c in chars] == list(range(phi))
+        for chi in chars:
+            assert chi.label == f"quadratic-sqrt2.p7.res{level}.chi{chi.k}"
+            assert chi.order == phi // gcd(chi.k, phi)
+            assert chi.local_phase == Fraction(chi.k, phi)
+            num = np.array([chi.k * e % phi if e >= 0 else -1 for e in dlog])
+            assert chi.conductor_exponent == _conductor_by_residue_classes(num, 7, level)
+            for r in range(mod):
+                want = None if dlog[r] < 0 else RootOfUnity(Fraction(chi.k * dlog[r], phi))
+                assert chi.local_value(r) == want
+                # the value on classes is the conjugate, as for every character
+                assert chi.value_on_ideal_of(r) == (None if want is None else want.conjugate())
+
+
+def test_seed_character_is_the_scanned_seed():
+    # k = h / p^(level-1) against the two scans it replaces: the smallest
+    # index of order p^(level-1) that is primitive, and the smallest-index
+    # primitive character of maximal p-power order
+    Q = nf_load("rationals")
+    for p, levels in ((3, (2, 3, 4)), (5, (2, 3, 4)), (7, (2, 3, 4)), (13, (2, 3))):
+        ctx = PrimeContext(Q, p, Q.element_from_int(p))
+        for n in levels:
+            rcg = rcg_build(Q, ctx, n)
+            chars = rcg.characters()
+            want = p ** (n - 1)
+            first = next(c for c in chars if c.order == want and c.is_primitive())
+            best = None
+            for c in chars:
+                if p_adic_split(c.order, p)[0] == 1 and c.is_primitive() and (
+                        best is None or c.order > best.order):
+                    best = c
+            seed = seed_character(rcg)
+            assert seed == first == best
+            assert seed.k == rcg.order // want
+    with pytest.raises(ArithmeticError, match="no primitive order-1"):
+        seed_character(rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 1))
+
+
+def test_groups_and_characters_compare_by_value():
+    Q = nf_load("rationals")
+    a = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 2)
+    b = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.character_by_index(3) == b.character_by_index(3)
+    assert hash(a.character_by_index(3)) == hash(b.character_by_index(3))
+    assert a.character_by_index(3) != a.character_by_index(4)
+    res = RayClassGroup(Q, a.ctx, 2, unit_quotient=False)
+    assert res != a and res.character_by_index(3) != a.character_by_index(3)
+    assert a != rcg_build(Q, a.ctx, 3)
 
 
 def test_dlog_array_matches_the_generator_powers():
