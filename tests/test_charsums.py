@@ -1,6 +1,7 @@
 """Gauss sums, root numbers, and exact Galois averages."""
 
 import cmath
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -11,13 +12,13 @@ from lcentral import acceptance, charsums
 from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                CoefficientFieldContext, _recognize,
-                               average_char,
-                               average_iota, average_support,
+                               average_char, average_iota, average_support,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
                                gauss_sum_conjugation_defect,
                                kloosterman_bound_report, orbit_root_numbers,
                                root_number, substitutions)
+from lcentral.cli import main
 from lcentral.fields import nf_load
 from lcentral.rayclass import (HeckeCharacter, PrimeContext, RayClassGroup,
                                residue_characters, seed_character)
@@ -507,9 +508,6 @@ def test_residue_label_averages_take_values_on_classes():
 
 
 def test_residue_label_outputs_pinned(capsys):
-    import json
-
-    from lcentral.cli import main
     # a one-member orbit at n0 = 1: the value on the class of 3, the
     # conjugate of the local value 0.6234898018587336 + 0.7818314824680298i
     assert main(["galois-average", "--char", "quadratic-sqrt2.p7.res2.chi6",
