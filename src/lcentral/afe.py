@@ -20,6 +20,13 @@ re-checked against an explicit majorant for the dropped tail -- the
 elementary bound d(n) <= sqrt(3 n) turns Ramanujan-bounded coefficients
 into a closed-form remainder -- so a configuration that cannot meet the
 requested tolerance raises instead of silently under-resolving.
+
+Orbit averages take two independent routes.  Route one is per orbit and
+float: each prefab array folds into residue bins mod p^level, and one
+`charsums.character_sums` FFT over the level's discrete logs gives the
+half-sums and Gauss sums of every member at once.  Route two is per orbit
+and exact: the averaged twist tables of charsums, dotted with the unfolded
+prefab arrays.  `afe_lvalue` stays the per-character oracle behind both.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .charsums import (CoefficientFieldContext, averaged_char_table,
-                       averaged_iota_values, galois_orbit, root_number,
+                       averaged_iota_values, character_sums,
+                       orbit_float_root_numbers, orbit_index, root_number,
                        substitutions)
 from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, SmoothingKernel, VKernel
@@ -172,7 +180,7 @@ def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     factor with p.  The value at a principal ideal (n), n coprime to p, is
     the table entry at n mod p^m.
 
-    Route one's per-character table: chi(r) = e(j / ord) with
+    The oracle's per-character table: chi(r) = e(j / ord) with
     j = dlog_phase * ord * dlog(r), so each of the ord values is rendered
     once, exactly as RootOfUnity.to_complex renders it, and indexed by j.
     Built per call: an orbit's tables would not fit in memory at the top
@@ -197,12 +205,17 @@ def _root_number(form: NewformData, chi: HeckeCharacter | None) -> complex:
 
 
 def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
-            reflected: bool) -> np.ndarray:
+            reflected: bool, _exact: bool = False) -> np.ndarray:
     """a(n) n^(-s) V(n/scale) for n = 1..count at the kernel's spectral
     point s, with the reflected sign when asked; the character-independent
     part of a half-sum.  One array serves every member of a Galois orbit,
     which is what makes orbit scans cheap.
+
+    V goes through the spline past SPLINE_MIN_TERMS terms unless _exact
+    asks for the tail route at any length.
     """
+    spline = count > SPLINE_MIN_TERMS and not _exact
+
     def build():
         s = kern.s.real
         coeffs = form.coefficient_array(count)[1:]
@@ -210,11 +223,11 @@ def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
             coeffs = form.eta * coeffs
         ns = np.arange(1, count + 1, dtype=np.float64)
         x = ns / scale
-        v = kern.value_tail(x) if count <= SPLINE_MIN_TERMS else kern.value(x)
+        v = kern.value(x) if spline else kern.value_tail(x)
         arr = coeffs * ns ** (-s) * np.asarray(v, dtype=np.float64)
         arr.setflags(write=False)
         return arr
-    return _on_form(form, ("prefab", kern, float(scale), count, reflected), build)
+    return _on_form(form, ("prefab", kern, float(scale), count, reflected, spline), build)
 
 
 def _abs_sum(form: NewformData, s: float, count: int) -> float:
@@ -389,18 +402,40 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
     return _Engine(k, s, med, cfg, kern, complex(gamma_s), budget, c_const)
 
 
-def _two_sided(form: NewformData, eng: _Engine, main_table, dual_table,
-               reflected: bool = False) -> tuple[complex, complex, float]:
-    """The main and dual half-sums against per-residue weight tables (None:
-    untwisted), and the first main-side term a(1) V(1/y).
+def _prefabs(form: NewformData, eng: _Engine, reflected: bool = False,
+             _exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The main and dual prefab arrays of one evaluation.
 
     reflected=True swaps the coefficient sign between the two sides, which
     gives the reflected object of the reflection identity.
     """
-    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, m1, reflected)
-    pre2 = _prefab(form, eng.kern[1], eng.med / eng.cfg.y, m2, not reflected)
+    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, eng.cfg.cutoff_main,
+                   reflected, _exact)
+    pre2 = _prefab(form, eng.kern[1], eng.med / eng.cfg.y, eng.cfg.cutoff_dual,
+                   not reflected, _exact)
+    return pre1, pre2
+
+
+def _two_sided(form: NewformData, eng: _Engine, main_table, dual_table,
+               reflected: bool = False) -> tuple[complex, complex, float]:
+    """The main and dual half-sums against per-residue weight tables (None:
+    untwisted), and the first main-side term a(1) V(1/y)."""
+    pre1, pre2 = _prefabs(form, eng, reflected)
     return _dot(pre1, main_table), _dot(pre2, dual_table), pre1[0]
+
+
+def _error_estimate(form: NewformData, eng: _Engine, _exact: bool = False) -> float:
+    """The checked tail majorants plus the spline allowance on bulk sums,
+    as an absolute bound on the normalized value."""
+    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
+    k, s = eng.k, eng.s
+    err = eng.budget
+    if m1 > SPLINE_MIN_TERMS and not _exact:
+        err += SPLINE_ABS_ERR * _abs_sum(form, s, m1) / abs(eng.gamma_s)
+    if m2 > SPLINE_MIN_TERMS and not _exact:
+        err += (SPLINE_ABS_ERR * eng.med ** (0.5 * (k - 2.0 * s))
+                * _abs_sum(form, k - s, m2) / abs(eng.gamma_s))
+    return float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +464,9 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     dual_term = eng.c * _root_number(form, chi) * lam_ratio * s2 / eng.gamma_s
     value = s1 / eng.gamma_s + dual_term
 
-    err = eng.budget
-    if m1 > SPLINE_MIN_TERMS:
-        err += SPLINE_ABS_ERR * _abs_sum(form, s, m1) / abs(eng.gamma_s)
-    if m2 > SPLINE_MIN_TERMS:
-        err += SPLINE_ABS_ERR * lam_ratio * _abs_sum(form, k - s, m2) / abs(eng.gamma_s)
-
     return LValueResult(
         value=value,
-        error_estimate=float(err),
+        error_estimate=_error_estimate(form, eng),
         y=eng.cfg.y,
         terms_main=m1,
         terms_dual=m2,
@@ -497,17 +526,51 @@ def functional_equation_residual(form: NewformData,
 
 def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
                          ctx: CoefficientFieldContext,
-                         y: float | None = None, nf=None,
-                         tol: float = 1e-9) -> tuple[complex, list[LValueResult]]:
+                         y: float | None = None, nf=None, tol: float = 1e-9,
+                         cfg: AFEConfig | None = None, *,
+                         _exact: bool = False) -> tuple[complex, list[LValueResult]]:
     """Route one: the plain mean of central values over the Galois orbit of
-    the twist.  Returns (mean, per-character results).  A trivial seed has
-    a one-element orbit, so this degenerates to the untwisted value.
+    the twist.  Returns (mean, per-character results in orbit order).  A
+    trivial seed has a one-element orbit, so this degenerates to the
+    untwisted value.
 
-    Per character and float: each member gets its own character table and
-    its own float Gauss sum and root number.
+    Per orbit and float: every member shares the conductor, so one engine,
+    one error estimate and one pair of prefab arrays serve them all.  Each
+    prefab folds into residue bins mod p^level, and one `character_sums`
+    transform of the bins gives every member's half-sum: chi^t on the main
+    side, conj(chi^t) on the dual side.  The root numbers come the same way
+    from `orbit_float_root_numbers`.  _exact evaluates V on the tail route
+    at any length (the doubled-cutoff check).
     """
-    orbit = galois_orbit(chi, ctx)
-    results = [afe_lvalue(form, tw, y=y, nf=nf, tol=tol) for tw in orbit]
+    if chi.is_trivial():
+        res = afe_lvalue(form, None, y=y, nf=nf, tol=tol, cfg=cfg)
+        return res.value, [res]
+    chi = _normalize_twist(chi)
+    eng = _engine(form, nf, chi, 0.5 * form.scalar_weight, y, tol, cfg)
+    pctx, level = chi.prime_ctx, chi.level
+    mod, h = pctx.modulus(level), pctx.unit_group_order(level)
+    idx = orbit_index(chi, ctx)
+
+    def half_sums(pre: np.ndarray, at: np.ndarray) -> np.ndarray:
+        bins = np.bincount(_mod_index(len(pre), mod), weights=pre, minlength=mod)
+        return character_sums(pctx, level, bins)[at]
+
+    pre1, pre2 = _prefabs(form, eng, _exact=_exact)
+    s1 = half_sums(pre1, idx)
+    s2 = half_sums(pre2, -idx % h)
+    w = orbit_float_root_numbers(chi, ctx, form.nebentypus)
+    # at the central point Med^((k - 2s)/2) = 1
+    dual = eng.c * w * s2 / eng.gamma_s
+    values = s1 / eng.gamma_s + dual
+
+    err = _error_estimate(form, eng, _exact)
+    main_term = complex(pre1[0] / eng.gamma_s)
+    results = [
+        LValueResult(value=complex(v), error_estimate=err, y=eng.cfg.y,
+                     terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
+                     character_label=chi.power(t).label, main_term=main_term,
+                     dual_term=complex(d))
+        for t, v, d in zip(substitutions(chi, ctx), values, dual)]
     mean = sum(r.value for r in results) / len(results)
     return mean, results
 

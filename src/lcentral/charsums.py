@@ -30,14 +30,18 @@ recognizes a mean against its closed form (zero, a rational, or the seed
 value), from one reduction, once per value.
 
 The averaging routes of afe.py take two separate paths through this module.
-Route one is per character and float: `gauss_sum` and `root_number` for each
-member of the orbit.  Route two is per orbit and exact: `orbit_root_numbers`
-gets every W(chi^t) from one exact Gauss sum through the Galois action,
-G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)), which is sigma_t applied to G(chi)
-followed by the shift identity; `averaged_char_table` and
-`averaged_iota_values` then take each orbit mean once per value chi(r) and
-scatter it through the level's dlog array.  Route two never calls route
-one's float Gauss sums, so the gap between the routes stays a check.
+Route one is per orbit and float: `character_sums` sums a residue table
+against every character of a level with one FFT over the discrete logs, and
+`orbit_gauss_sums` reads every member's G(conj chi^t) from one such
+transform of the additive phases, for `orbit_float_root_numbers`.
+`gauss_sum` and `root_number` stay the per-character oracles.  Route two is
+per orbit and exact: `orbit_root_numbers` gets every W(chi^t) from one exact
+Gauss sum through the Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)),
+which is sigma_t applied to G(chi) followed by the shift identity;
+`averaged_char_table` and `averaged_iota_values` then take each orbit mean
+once per value chi(r) and scatter it through the level's dlog array.  Route
+two never calls route one's float Gauss sums, so the gap between the routes
+stays a check.
 """
 
 from __future__ import annotations
@@ -140,31 +144,42 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
 def _gauss_terms(chi: HeckeCharacter, shift) -> tuple[int, np.ndarray, RootOfUnity]:
     """(den, exps, pref) with G(chi, shift) = pref * sum e(exps / den), one
     exponent per unit residue x mod the conductor, x increasing."""
+    add, pref = _gauss_parts(chi, shift)
+    # term x is e(local_phase * dlog(x) + x * add)
+    loc = chi.local_phase
+    den = lcm(loc.denominator, add.denominator)
+    lnum = loc.numerator * (den // loc.denominator)
+    anum = add.numerator * (den // add.denominator)
+    dlog = chi.prime_ctx.dlog_array(chi.level)[:chi.conductor_norm]
+    units = np.flatnonzero(dlog >= 0)
+    return den, (lnum * dlog[units] + anum * units) % den, pref
+
+
+def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
+    """(add, pref) with G(chi, shift) = pref * sum_x chi_loc(x) e(x * add)
+    over the unit residues x mod the conductor.  add depends on the
+    conductor exponent and the shift only, not on the character."""
     ctx: PrimeContext = chi.prime_ctx
     nf = ctx.nf
-    c = chi.conductor_exponent
-    mod = ctx.p ** c
     d_gen = nf.different_gen
     if isinstance(shift, FieldElement):
         a_elt = shift
     else:
         a_elt = nf.element_from_int(int(shift))
     # efin(a x / (d pi^c)) = e(x * add) for integers x: the trace is Q-linear
-    add = nf.efin_phase(a_elt * (d_gen * ctx.pi ** c).inverse())
+    add = nf.efin_phase(a_elt * (d_gen * ctx.pi ** chi.conductor_exponent).inverse())
 
     pref = chi.local_value(d_gen)
     if pref is None:
         raise ValueError("the different meets the prime; unsupported configuration")
-    pref = pref.conjugate()
+    return add, pref.conjugate()
 
-    # term x is e(local_phase * dlog(x) + x * add)
-    loc = chi.local_phase
-    den = lcm(loc.denominator, add.denominator)
-    lnum = loc.numerator * (den // loc.denominator)
-    anum = add.numerator * (den // add.denominator)
-    dlog = ctx.dlog_array(chi.level)[:mod]
-    units = np.flatnonzero(dlog >= 0)
-    return den, (lnum * dlog[units] + anum * units) % den, pref
+
+def _require_trivial(nebentypus: str) -> None:
+    if nebentypus != "trivial":
+        raise NotImplementedError(
+            "root numbers are implemented for trivial nebentypus; supply the "
+            "nonsplit constant with the form data instead")
 
 
 def root_number(chi: HeckeCharacter, nebentypus: str = "trivial") -> complex:
@@ -173,10 +188,7 @@ def root_number(chi: HeckeCharacter, nebentypus: str = "trivial") -> complex:
     Unit modulus is a hard postcondition; a violation means the inputs are
     outside the supported configuration and raises.
     """
-    if nebentypus != "trivial":
-        raise NotImplementedError(
-            "root numbers are implemented for trivial nebentypus; supply the "
-            "nonsplit constant with the form data instead")
+    _require_trivial(nebentypus)
     if chi.conductor_exponent == 0:
         return 1.0 + 0j
     q = chi.conductor_norm
@@ -184,6 +196,72 @@ def root_number(chi: HeckeCharacter, nebentypus: str = "trivial") -> complex:
     w = chi.local_value(-1).to_complex() * g * g / q
     if abs(abs(w) - 1) > 1e-9:
         raise ArithmeticError(f"root number drifted off the unit circle: |W| = {abs(w)}")
+    return w
+
+
+def character_sums(ctx: PrimeContext, level: int, values: np.ndarray) -> np.ndarray:
+    """sum_r values[r] e(u dlog(r) / h) over the unit residues r mod p^level,
+    for every u mod h = phi(p^level), as one array indexed by u.
+
+    The character with value e(u dlog(r) / h) at r is the u-th character of
+    the level's unit group, so this is the sum of `values` against all of
+    them at once: regroup by discrete log, then one length-h FFT.
+    """
+    dlog = ctx.dlog_array(level)
+    units = dlog >= 0
+    by_log = np.zeros(ctx.unit_group_order(level), dtype=np.complex128)
+    by_log[dlog[units]] = values[units]
+    return np.fft.ifft(by_log, norm="forward")
+
+
+def orbit_index(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+    """For each orbit member chi^t, in orbit order, the u with
+    chi^t(r) = e(u dlog(r) / h): where `character_sums` holds its sum."""
+    h = chi.prime_ctx.unit_group_order(chi.level)
+    step = chi.dlog_phase * h          # an integer: the order of chi divides h
+    return int(step) * np.array(substitutions(chi, ctx), dtype=np.int64) % h
+
+
+def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
+    """root^t for each t, reduced exactly before rendering."""
+    num, den = root.phase.numerator, root.phase.denominator
+    return np.exp(2j * pi * (num * ts % den) / den)
+
+
+def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+    """G(conj chi^t) for the orbit members, in orbit order, as floats.
+
+    The local value of conj(chi^t) at x is chi^t(x), so G(conj chi^t) is
+    its prefactor, the t-th power of that of conj(chi), times the sum of
+    the additive phases e(x * add) against chi^t.  The phases are the same
+    for every member, so one `character_sums` transform serves the orbit.
+    """
+    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
+    if chi.conductor_exponent == 0:
+        return np.ones(len(subs), dtype=np.complex128)
+    add, pref = _gauss_parts(chi.conjugate(), 1)
+    pctx = chi.prime_ctx
+    xs = np.arange(chi.conductor_norm, dtype=np.int64)
+    values = np.zeros(pctx.modulus(chi.level), dtype=np.complex128)
+    values[:len(xs)] = np.exp(2j * pi * (add.numerator * xs % add.denominator) / add.denominator)
+    return character_sums(pctx, chi.level, values)[orbit_index(chi, ctx)] * _powers(pref, subs)
+
+
+def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
+                             nebentypus: str = "trivial") -> np.ndarray:
+    """W(chi^t) = chi^t(-1) G(conj chi^t)^2 / q for the orbit members, in
+    orbit order, as floats from `orbit_gauss_sums`.  Each is held to the unit
+    circle as `root_number` holds its one."""
+    _require_trivial(nebentypus)
+    g = orbit_gauss_sums(chi, ctx)
+    if chi.conductor_exponent == 0:
+        return g
+    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
+    w = _powers(chi.local_value(-1), subs) * g * g / chi.conductor_norm
+    drift = np.abs(np.abs(w) - 1)
+    if not np.all(drift <= 1e-9):
+        raise ArithmeticError(
+            f"root number drifted off the unit circle: |W| = {abs(w[np.argmax(drift)])}")
     return w
 
 
@@ -205,10 +283,7 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     moves eps alone.  G(psi) is held as the integer histogram of its terms,
     so no cyclotomic level limit applies.
     """
-    if nebentypus != "trivial":
-        raise NotImplementedError(
-            "root numbers are implemented for trivial nebentypus; supply the "
-            "nonsplit constant with the form data instead")
+    _require_trivial(nebentypus)
     subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
         return [ONE] * len(subs)

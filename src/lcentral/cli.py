@@ -19,12 +19,11 @@ import math
 import os
 import re
 import sys
-import time
 from pathlib import Path
 
 from .afe import afe_lvalue
-from .charsums import (CoefficientFieldContext, average_char, galois_orbit,
-                       gauss_sum, kloosterman_bound_report)
+from .charsums import (CoefficientFieldContext, average_char, gauss_sum,
+                       kloosterman_bound_report)
 from .cones import count_progression, min_norm_coset, prime_above
 from .experiment import ExperimentConfig, report_to_json, run_lav_experiment
 from .fields import nf_load

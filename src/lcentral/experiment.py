@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .afe import (AFEConfig, afe_lvalue, averaged_coefficient_lvalue,
-                  choose_cutoffs, exponent_window, orbit_average_lvalue)
-from .charsums import CoefficientFieldContext, galois_orbit
+from .afe import (AFEConfig, averaged_coefficient_lvalue, choose_cutoffs,
+                  exponent_window, orbit_average_lvalue)
+from .charsums import CoefficientFieldContext
 from .cones import prime_above
 from .fields import nf_load
 from .newforms import newform_load
@@ -267,15 +267,14 @@ def doubled_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     seed = setup.seed_character(level)
     y = _balance_point(cfg, n)
 
-    orbit = galois_orbit(seed, setup.coef_ctx)
-    base = [afe_lvalue(setup.form, tw, y=y, nf=setup.nf, tol=cfg.tol) for tw in orbit]
-    mean = sum(r.value for r in base) / len(base)
-    doubled = []
-    for tw, r in zip(orbit, base):
-        big = AFEConfig(y=r.y, cutoff_main=2 * r.terms_main,
-                        cutoff_dual=2 * r.terms_dual, tol=cfg.tol)
-        doubled.append(afe_lvalue(setup.form, tw, cfg=big, nf=setup.nf).value)
-    mean_big = sum(doubled) / len(doubled)
+    mean, base = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, y=y,
+                                      nf=setup.nf, tol=cfg.tol)
+    big = AFEConfig(y=base[0].y, cutoff_main=2 * base[0].terms_main,
+                    cutoff_dual=2 * base[0].terms_dual, tol=cfg.tol)
+    # the doubled sums take V on the exact tail route, so the gap measures
+    # truncation alone and not the spline error of the longer sums
+    mean_big, _ = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
+                                       cfg=big, nf=setup.nf, _exact=True)
     return abs(mean - mean_big), max(r.error_estimate for r in base)
 
 

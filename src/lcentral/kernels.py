@@ -24,7 +24,6 @@ on the narrow strips Re t in {-1/2, 2} as an independent cross-check.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np

@@ -10,12 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lcentral import afe, charsums
 from lcentral.afe import (AFEConfig, afe_lvalue, averaged_coefficient_lvalue,
                           character_value_table, choose_cutoffs, direct_series,
                           exponent_window, functional_equation_residual,
                           lambda_completed, orbit_average_lvalue,
                           parity_and_constant)
 from lcentral.charsums import CoefficientFieldContext, galois_orbit
+from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
 from lcentral.newforms import builtin_newform
 from lcentral.rayclass import PrimeContext, rcg_build
@@ -191,6 +193,54 @@ def test_trivial_orbit_degenerates_to_untwisted(delta, rcg25):
     mean_b, info = averaged_coefficient_lvalue(delta, trivial, CTX5)
     assert mean_b == untwisted
     assert info["orbit_size"] == 1
+
+
+@pytest.fixture(scope="module")
+def tower():
+    # the inputs of lav-scan --p 5 --n-lo 1 --n-hi 3 --a 2; its table also
+    # covers n = 4 at a = 1.25
+    return _Setup(ExperimentConfig(n_lo=1, n_hi=3))
+
+
+@pytest.mark.parametrize("n, a, step", [(1, 2.0, 1), (2, 2.0, 1), (3, 2.0, 1),
+                                        (4, 1.25, 25)])
+def test_orbit_members_match_per_character_values(tower, n, a, step):
+    # route one's folded half-sums and one-FFT root numbers against the
+    # per-character oracle, member by member
+    seed = tower.seed_character(n + 1)
+    y = 5.0 ** (a * n)
+    mean, results = orbit_average_lvalue(tower.form, seed, CTX5, y=y)
+    orbit = galois_orbit(seed, CTX5)
+    assert len(results) == len(orbit)
+    for got, tw in list(zip(results, orbit))[::step]:
+        want = afe_lvalue(tower.form, tw, y=y)
+        assert got.character_label == want.character_label
+        assert abs(got.value - want.value) < 1e-12
+        assert abs(got.dual_term - want.dual_term) < 1e-12
+        assert got.main_term == want.main_term
+        assert got.error_estimate == want.error_estimate
+        assert (got.terms_main, got.terms_dual) == (want.terms_main, want.terms_dual)
+    assert mean == sum(r.value for r in results) / len(results)
+
+
+def test_orbit_route_calls_no_per_character_path(tower, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(afe, "afe_lvalue")
+    counted(afe, "character_value_table")
+    counted(charsums, "gauss_sum")
+    _, results = orbit_average_lvalue(tower.form, tower.seed_character(4), CTX5,
+                                      y=5.0 ** 6)
+    assert len(results) == 100
+    assert calls == []
 
 
 def test_error_estimate_dominates_y_motion(delta, rcg25):

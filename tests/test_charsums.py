@@ -16,9 +16,10 @@ from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
                                gauss_sum_conjugation_defect,
-                               kloosterman_bound_report, orbit_root_numbers,
+                               kloosterman_bound_report, orbit_float_root_numbers,
+                               orbit_gauss_sums, orbit_root_numbers,
                                root_number, substitutions)
-from lcentral.cli import main
+from lcentral.cli import main, parse_char_label
 from lcentral.fields import nf_load
 from lcentral.rayclass import (HeckeCharacter, PrimeContext, RayClassGroup,
                                residue_characters, seed_character)
@@ -329,6 +330,29 @@ def test_orbit_root_numbers_quadratic_field():
     cfc = CoefficientFieldContext(p=7, n0=0)
     for w, tw in zip(orbit_root_numbers(chi, cfc), galois_orbit(chi, cfc)):
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
+
+
+@pytest.mark.parametrize("label", [
+    "rationals.p5.m2.chi4", "rationals.p5.m3.chi4", "rationals.p5.m4.chi4",
+    "rationals.p7.m2.chi6", "rationals.p7.m3.chi6",
+    "quadratic-sqrt2.p31.m2.chi1",      # the different is not 1: pref^t matters
+    "quadratic-sqrt2.p7.res2.chi6",     # order 7
+])
+@pytest.mark.parametrize("n0", [0, 1])
+def test_orbit_gauss_sums_match_per_character(label, n0):
+    # route one's one-FFT Gauss sums against each member's own sum
+    chi = parse_char_label(label)
+    assert chi.is_primitive()
+    cfc = CoefficientFieldContext(p=chi.p, n0=n0)
+    orbit = galois_orbit(chi, cfc)
+    got = orbit_gauss_sums(chi, cfc)
+    assert len(got) == len(orbit)
+    q = chi.conductor_norm
+    for g, tw in zip(got, orbit):
+        assert abs(g - gauss_sum(tw.conjugate())) < 1e-12 * q ** 0.5
+    roots = orbit_float_root_numbers(chi, cfc)
+    for w, tw in list(zip(roots, orbit))[::7]:
+        assert abs(w - root_number(tw)) < 1e-12
 
 
 @pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1)])
