@@ -57,7 +57,9 @@ import numpy as np
 
 from .abelian import p_adic_split
 from .fields import FieldElement
-from .roots import ONE, CyclotomicNumber, RootOfUnity, unit_circle, unit_circle_array
+from .ntt import convolve_exact
+from .roots import (ONE, CyclotomicNumber, RootOfUnity, unit_circle, unit_circle_array,
+                    vanishes)
 from .rayclass import HeckeCharacter, PrimeContext
 
 # largest cyclotomic level we are willing to reduce exactly
@@ -304,16 +306,21 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
 def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
     """The root of unity eps = h^2 / q for h = sum_e hist[e] e(e / n),
     n = len(hist), checked exactly: h^2 is the cyclic self-convolution of the
-    integer histogram."""
+    integer histogram, exact through `convolve_exact` (the entries sum to at
+    most phi(q), so every coefficient is at most phi(q)^2), and h^2 - q eps
+    must vanish in Q(zeta_L), L = lcm(n, order of eps)."""
     n = len(hist)
-    full = np.convolve(hist, hist)
+    full = convolve_exact(hist, hist, int(hist.sum()) ** 2)
     square = full[:n].copy()
     square[:n - 1] += full[n:]
-    sq = CyclotomicNumber(n, {e: c for e, c in enumerate(square.tolist()) if c})
     z = np.dot(hist, np.exp(2j * pi * np.arange(n) / n))
     turns = cmath.phase(z * z) / (2 * pi)
     eps = RootOfUnity(Fraction(round(turns * 2 * n), 2 * n))
-    if sq != CyclotomicNumber.from_root(eps, coeff=q):
+    level = lcm(n, eps.order)
+    diff = np.zeros(level, dtype=np.int64)
+    diff[::level // n] = square
+    diff[int(eps.phase * level)] -= q
+    if not vanishes(level, diff):
         raise ArithmeticError(f"G^2 / N(cond) is not a root of unity at {label}")
     return eps
 

@@ -88,12 +88,13 @@ class NewformData:
 
 
 def _float_copy(coefficients: list) -> np.ndarray:
-    """The table as one read-only float64 array (complex128 if any entry is
-    complex); each entry is the correctly rounded float(c)."""
-    if any(isinstance(c, complex) for c in coefficients):
-        arr = np.array([complex(c) for c in coefficients], dtype=np.complex128)
-    else:
+    """The table as one read-only float64 array (complex128 if an entry is
+    complex, which float64 conversion refuses with TypeError); each entry is
+    the correctly rounded float(c)."""
+    try:
         arr = np.array(coefficients, dtype=np.float64)
+    except TypeError:
+        arr = np.array([complex(c) for c in coefficients], dtype=np.complex128)
     arr.setflags(write=False)
     return arr
 

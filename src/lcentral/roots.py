@@ -275,6 +275,30 @@ class CyclotomicNumber:
         return f"Cyc[{terms}]"
 
 
+def vanishes(level: int, coeffs: np.ndarray) -> bool:
+    """Whether sum_e coeffs[e] zeta_level^e is zero, for an int64 array of
+    `level` coefficients, exactly.
+
+    The rewrite of `CyclotomicNumber.reduced` on a dense array: exponents
+    move to CRT coordinates, and along each prime-power axis the slab
+    j = phi(q) + r is subtracted from the slabs j = l p^(m-1) + r, l < p - 1,
+    and cleared.  A coefficient at most doubles per axis, so int64 is exact
+    far past any histogram of unit residues.
+    """
+    if level == 1:
+        return not coeffs[0]
+    factors = _tensor_basis_data(level)
+    e = np.arange(level)
+    tensor = np.empty(tuple(q for q, *_ in factors), dtype=np.int64)
+    tensor[tuple(e * u % q for q, _p, _phi, _step, u in factors)] = coeffs
+    for axis, (_q, p, phi_q, step, _u) in enumerate(factors):
+        along = np.moveaxis(tensor, axis, 0)         # a view: writes go through
+        for l in range(p - 1):
+            along[l * step:(l + 1) * step] -= along[phi_q:]
+        along[phi_q:] = 0
+    return not tensor.any()
+
+
 @lru_cache(maxsize=None)
 def _tensor_basis_data(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Per prime power q = p^m dividing n: (q, p, phi(q), p^{m-1}, (n/q)^-1 mod q)."""

@@ -2,12 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcentral.roots import (CyclotomicNumber, RootOfUnity, cyclotomic_polynomial,
-                           unit_circle_array)
+                           unit_circle_array, vanishes)
 
 phases = st.fractions(min_value=0, max_value=1, max_denominator=60)
 
@@ -147,6 +148,30 @@ def test_reduction_at_composite_character_level():
     assert (z * CyclotomicNumber(big, {big - 17: 1}) - one).is_zero()
     full = CyclotomicNumber(big, {e: 1 for e in range(big) if math.gcd(e, big) == 1})
     assert full.is_rational() == 0  # Moebius of 1029 vanishes
+
+
+def test_dense_zero_test_matches_the_dense_oracle():
+    # multiples of Phi_N vanish; one coefficient moved off such a multiple
+    # does not; the polynomial-division route decides every case
+    import random
+
+    rng = random.Random(12)
+    for level in (1, 2, 3, 4, 6, 12, 18, 25, 36, 45, 50, 105, 210):
+        phi_poly = CyclotomicNumber(
+            level, {i: c for i, c in enumerate(cyclotomic_polynomial(level)) if c})
+        for k in range(6):
+            z = CyclotomicNumber(
+                level, {rng.randrange(level): rng.randrange(-4, 5) for _ in range(4)})
+            prod = z * phi_poly
+            dense = np.zeros(level, dtype=np.int64)
+            for e, c in prod.coeffs.items():
+                dense[e] = int(c)
+            if k % 2:
+                dense[rng.randrange(level)] += rng.choice((-1, 1, 3))
+            want = not CyclotomicNumber(
+                level, {e: int(c) for e, c in enumerate(dense) if c}).reduced_dense().coeffs
+            assert vanishes(level, dense) == want
+            assert want or k % 2
 
 
 def test_unit_circle_array_is_read_only_with_root_bits():

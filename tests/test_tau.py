@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcentral.newforms import _verify_full_table
-from lcentral.tau import (NTT_PRIMES, TAU_LIMIT_CAP, _crt_primes, _garner,
-                          hecke_eigenvalue_defect, tau_table,
-                          tau_table_bigint)
+from lcentral.ntt import NTT_PRIMES, garner, transform_size
+from lcentral.tau import (TAU_LIMIT_CAP, _crt_primes, hecke_eigenvalue_defect,
+                          tau_table, tau_table_bigint)
 
 TABLE = tau_table(5000)
 
@@ -79,9 +80,24 @@ def test_ntt_route_matches_bigint_route_at_random_limits(limit):
     assert tau_table(limit) == tau_table_bigint(limit)
 
 
+@pytest.mark.parametrize("limit,size", [(6144, 3 << 12), (6145, 1 << 14),
+                                        (8192, 1 << 14), (8193, 3 << 13)])
+def test_routes_agree_where_the_transform_size_switches(limit, size):
+    # 2 limit - 1 just below and above 3 * 2^12 and 2^14: the squarings run
+    # on either side of a switch between 2^k and 3 * 2^k points
+    assert transform_size(2 * limit - 1) == size
+    assert tau_table(limit) == tau_table_bigint(limit)
+
+
 @pytest.fixture(scope="module")
 def table_100k():
     return tau_table(100000)
+
+
+def test_table_100k_frozen(table_100k):
+    # SHA-256 of the comma-joined table as the earlier radix-2 route built it
+    digest = hashlib.sha256(",".join(map(str, table_100k)).encode()).hexdigest()
+    assert digest == "1b40302cfe622b682eee3f69ffeb05b8aa39a0532147998c7f45d15d7c0a3c9b"
 
 
 def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
@@ -89,6 +105,7 @@ def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
     # the bigint oracle's cap the table is held to multiplicativity, the
     # prime-power recursion and Deligne's bound at every prime instead
     assert len(_crt_primes(100000)) == 4 and len(_crt_primes(20001)) == 3
+    assert len(_crt_primes(337564)) == 4
     _verify_full_table(table_100k, 12, Fraction(0))
     assert table_100k[:5001] == TABLE
 
@@ -115,7 +132,7 @@ def test_garner_round_trip_for_every_prime_count():
         values += [rng.randrange(-(modulus // 2), modulus // 2) for _ in range(40)]
         residues = [np.array([v % p for v in values], dtype=np.int64)
                     for p in primes]
-        assert _garner(residues, primes).tolist() == values
+        assert garner(residues, primes).tolist() == values
 
 
 def _factor(n):
@@ -129,9 +146,12 @@ def _factor(n):
 
 
 def test_prime_set_supports_2_24_point_transforms():
+    # largest first, so that a table's prefix of primes is as short as it can be
+    assert [p for p, _ in NTT_PRIMES] == sorted((p for p, _ in NTT_PRIMES), reverse=True)
     for p, g in NTT_PRIMES:
         assert p < 2 ** 31
         assert (p - 1) % (1 << 24) == 0
+        assert (p - 1) % (3 << 25) == 0
         # g^(p-1) = 1 and g^((p-1)/q) != 1 for each prime q | p - 1, read off
         # p - 1 = c 2^e with c odd: g has order p - 1, so g is a primitive
         # root and p is prime (Lucas)
