@@ -155,7 +155,7 @@ class Transform:
         if self.three:
             perm = np.concatenate([3 * perm + t for t in range(3)])
             w_rows = pow(w, self.cols, p)            # primitive R'-th root
-            self._w3 = pow(w, n // 3, p)
+            self._omega = pow(w, 2 * n // 3, p)     # w3^2, w3 = w^(n/3)
             self._tri = [_root_powers(pow(w_rows, t, p), radix2_rows, p).reshape(-1, 1)
                          for t in (1, 2)]
         self._matrix = np.empty((self.rows, self.cols), dtype=np.int64)
@@ -215,7 +215,7 @@ class Transform:
         size = x0.shape[0]
         t, q = scratch[:size], scratch[size:2 * size]
         np.subtract(x1, x2, out=t)
-        t *= self._w3 * self._w3 % p
+        t *= self._omega
         _reduce(t, p, q, t)                          # u in [0, p)
         np.add(x1, x2, out=q)
         np.subtract(x0, x2, out=x2)
@@ -296,8 +296,8 @@ class Transform:
 
 def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
     """Signed CRT of the residues: the values in (-M/2, M/2], M the product
-    of the primes, as int64 when M < 2^63 and as an object array of exact
-    ints otherwise.
+    of the primes, as int64 for one or two primes (M < 2^62) and as an
+    object array of exact ints for more.
 
     Garner's digits d_k in [0, p_k) satisfy x = sum d_k * (p_0 ... p_(k-1));
     each is a few int64 passes, since d_j * c < 2^62 for d_j, c below 2^31.
@@ -315,22 +315,13 @@ def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
     limbs = [(digits[k] + digits[k + 1] * primes[k], primes[k] * primes[k + 1])
              if k + 1 < len(digits) else (digits[k], primes[k])
              for k in range(0, len(digits), 2)]
-    # x > M // 2 is read off the limbs from the top, and M is the product of
-    # the limb radices, so x - M only lowers the top limb by its radix
-    half, half_limbs = prod(primes) // 2, []
-    for _, radix in limbs:
-        half, digit = divmod(half, radix)
-        half_limbs.append(digit)
-    negative = np.zeros(residues[0].shape, dtype=bool)
-    equal = np.ones(residues[0].shape, dtype=bool)
-    for (limb, _), digit in zip(limbs[::-1], half_limbs[::-1]):
-        negative |= equal & (limb > digit)
-        equal &= limb == digit
-    value = limbs[-1][0] - limbs[-1][1] * negative
+    modulus = prod(primes)
+    value = limbs[-1][0]
     if len(limbs) > 1:
         value = value.astype(object)
         for limb, radix in limbs[-2::-1]:
             value = value * radix + limb
+    value[value > modulus // 2] -= modulus
     return value
 
 
