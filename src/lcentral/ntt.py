@@ -33,8 +33,9 @@ scales by 1/n on the entries it returns.
 
 int64 bounds.  Every prime is below 2^31 and residues are kept in [0, p)
 between steps.  A product of two residues is below 2^62; a butterfly's sum
-or difference lies in (-p, 2p); the 3-point step's outputs lie in (-2p, 3p),
-and those multiplied by a twiddle stay below 2p * p < 2^63 in magnitude.
+or difference lies in (-p, 2p).  The 3-point step's outputs lie in
+(-2p, 3p); the two blocks it then multiplies by twiddles lie in (-2p, 2p),
+so those products stay below 2p * p < 2^63 in magnitude.
 Reductions go through floor division (`_reduce`), which returns [0, p) for
 negative input as well.
 
