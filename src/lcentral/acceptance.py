@@ -31,10 +31,10 @@ from .cones import (count_progression, min_norm_coset, prime_above,
 from .experiment import ExperimentConfig, run_lav_experiment
 from .fields import nf_load
 from .kernels import GammaFactor, SmoothingKernel, VKernel
-from .newforms import _primes_up_to, builtin_newform, newform_load
+from .newforms import builtin_newform, newform_load
 from .rayclass import rcg_build, residue_characters, seed_character
 from .roots import CyclotomicNumber
-from .tau import tau_table
+from .tau import primes_up_to, tau_table
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ def _c08_reflection_residual(fast: bool):
 def _c09_coefficient_bound(fast: bool):
     limit = 10 ** 4
     table = tau_table(limit)
-    primes = _primes_up_to(limit)
+    primes = primes_up_to(limit)
     worst_p, worst_ratio = 0, 0.0
     for p in primes:
         if table[p] ** 2 > 4 * p ** 11:          # exact integer comparison

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tau import tau_table
+from .tau import primes_up_to, smallest_prime_factors, tau_table
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def ramanujan_violations(form: NewformData, degree: int = 1) -> list[int]:
     k = form.scalar_weight
     u, v = form.theta.numerator, form.theta.denominator
     bad = []
-    for p in _primes_up_to(form.limit):
+    for p in primes_up_to(form.limit):
         a = form.coeff_of_norm(p)
         if _bound_broken(a, 2 * degree, p, k, u, v):
             bad.append(p)
@@ -121,29 +121,11 @@ def _bound_broken(a, factor: int, n: int, k: int, u: int, v: int) -> bool:
     return abs(a) > (1 + 1e-12) * factor * n ** ((k - 1) / 2 + u / v)
 
 
-def _smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[m] for m = 0..n (0 at 0 and 1); the primes are the m with spf[m] == m."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, int(n ** 0.5) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p::p]
-            multiples[multiples == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    spf[:2] = 0
-    return spf
-
-
-def _primes_up_to(n: int) -> list[int]:
-    spf = _smallest_prime_factors(n)[2:]
-    return (np.flatnonzero(spf == np.arange(2, n + 1)) + 2).tolist()
-
-
 def _expand_from_primes(prime_a: dict[int, object], limit: int, k: int,
                         theta: Fraction) -> list:
     """Fill a(1..limit) from prime eigenvalues; check bounds along the way."""
     u, v = theta.numerator, theta.denominator
-    spf = _smallest_prime_factors(limit)
+    spf = smallest_prime_factors(limit)
     a: list = [0] * (limit + 1)
     d: list = [0] * (limit + 1)  # divisor counts, for the derived-coefficient bound
     a[1], d[1] = 1, 1
@@ -178,7 +160,7 @@ def _verify_full_table(a: list, k: int, theta: Fraction) -> None:
     limit = len(a) - 1
     if limit < 1 or a[1] != 1:
         raise ValueError("coefficient table must start with a(1) = 1")
-    expanded = _expand_from_primes({p: a[p] for p in _primes_up_to(limit)}, limit, k, theta)
+    expanded = _expand_from_primes({p: a[p] for p in primes_up_to(limit)}, limit, k, theta)
     n = next((n for n in range(2, limit + 1) if a[n] != expanded[n]), None)
     if n is None:
         return

@@ -3,8 +3,8 @@
 `convolve_exact(a, b, bound)` returns the linear convolution of two integer
 arrays exactly: it convolves modulo the shortest prefix of `NTT_PRIMES` whose
 product exceeds 2 bound, and recombines the residues by Garner's CRT.
-`Transform.product` is the one-prime step, for callers (tau.py) that chain
-several products before recombining.
+`Transform.product` is the one-prime step, for callers (tau.py) that
+combine a product with other residues before recombining.
 
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
@@ -332,6 +332,8 @@ def convolve_exact(a, b, bound: int) -> np.ndarray:
     dtype is `garner`'s (int64 while two primes suffice)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if not (a.size and b.size):
+        raise ValueError("convolve_exact needs two nonempty operands")
     length = a.shape[0] + b.shape[0] - 1
     n = transform_size(length)
     primes = crt_primes(bound)

@@ -1,28 +1,49 @@
-"""Exact coefficient table of the weight-12 level-1 cusp form.
+"""Exact coefficient table of the weight-12 level-1 cusp form Delta.
 
-The product q*prod(1-q^n)^24 is built as the eighth power of Jacobi's sparse
-series prod(1-q^n)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2}.
+Production route (`tau_table`): Ramanujan's identity ("On certain
+arithmetical functions", 1916), which follows from
+E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
 
-Production route (`tau_table`):
+    756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n)
+                 - 174132 sum_{k=1}^{n-1} sigma_5(k) sigma_5(n - k).
 
-- The first square, prod(1-q^n)^6, is formed exactly in int64 from the pairs
-  of the about sqrt(2 limit) nonzero cube terms, one row of pairs at a time.
-- The remaining two squarings are number-theoretic transforms (`ntt.py`:
-  four-step layout, 2^k or 3 * 2^k points, int64 arithmetic below 2^63)
-  modulo the shortest prefix of `ntt.NTT_PRIMES` whose product exceeds
-  4 limit^6, the range the signed CRT needs.  The primes are listed largest
-  first and the five multiply to about 2^153.4, far past 4 (2^23)^6 = 2^140.
-- The residues are recombined by Garner's mixed-radix CRT on whole int64
-  arrays (`ntt.garner`); only the final weighted sum of the digits is formed
-  in Python ints, to give the exact signed values.
+- The primes are the shortest prefix of `ntt.NTT_PRIMES` whose product
+  exceeds 4 limit^6, the range the signed CRT needs under Deligne's bound.
+  The five multiply to about 2^153.4, far past 4 (2^23)^6 = 2^140.
+- `_DivisorIndex`, built once and independent of the prime, holds the
+  prime-power chains and, for every other n, the full power P(n) of its
+  smallest prime factor and the cofactor n / P(n), grouped by that prime,
+  largest first, so that sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads
+  entries already filled.
+- Per prime p: sigma_5 and sigma_11 mod p through that structure, one
+  squaring of the sigma_5 column through `ntt.Transform` (four-step layout,
+  2^k or 3 * 2^k points) for the convolution sum, and the identity solved
+  for tau mod p.  Each prime's columns are freed before the next.
+- int64 bounds: every prime is below 2^31 and sigma values are kept in
+  [0, p), so a product of two of them is below 2^62;
+  65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
+  sum below 2^49.
+- Garner's mixed-radix CRT on whole int64 arrays (`ntt.garner`) gives the
+  exact signed values; only the final weighted sum of the digits is formed
+  in Python ints.
+- Self-checks, each raising ArithmeticError: tau(n) for n <= 13, and at the
+  top of the table, where the values are largest and a short CRT range would
+  show first, tau(ab) = tau(a) tau(b) at the largest index that splits as a
+  coprime product and tau(q^2) = tau(q)^2 - q^11 at the largest prime q with
+  q^2 <= limit.
 
-Oracle route (`tau_table_bigint`): the same three squarings done by packing
-coefficients into Python big integers (Kronecker substitution), sharing no
-arithmetic with the NTT path.  The two must agree coefficient for
-coefficient; tests hold them to that.
+Oracle route (`tau_table_bigint`): the eta product q prod(1-q^n)^24 as the
+eighth power of Jacobi's sparse series prod(1-q^n)^3 =
+sum (-1)^k (2k+1) q^{k(k+1)/2}, squared three times by packing coefficients
+into Python big integers (Kronecker substitution).  It shares neither
+arithmetic nor identity with the production route, so the tests that hold the
+two equal coefficient for coefficient check each against an independent
+construction.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -37,6 +58,26 @@ _SMALL_TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
               11: 534612, 12: -370944, 13: -577738}
 
 
+# The package's one prime sieve; newforms.py imports this module, so the
+# sieve lives here rather than there.
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m] for m = 0..n (0 at 0 and 1); the primes are the m with spf[m] == m."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    spf[:2] = 0
+    return spf
+
+
+def primes_up_to(n: int) -> list[int]:
+    spf = smallest_prime_factors(n)[2:]
+    return (np.flatnonzero(spf == np.arange(2, n + 1)) + 2).tolist()
+
+
 def cube_series_terms(limit: int) -> list[tuple[int, int]]:
     """Sparse (exponent, coefficient) pairs of prod(1-q^n)^3 below `limit`."""
     out = []
@@ -48,34 +89,91 @@ def cube_series_terms(limit: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# NTT route
+# divisor-sum route
 # ---------------------------------------------------------------------------
 
-def _sixth_power_series(limit: int) -> np.ndarray:
-    """prod(1-q^n)^6 below q^limit, exact, from the sparse cube terms.
-
-    With K cube terms, K(K - 1)/2 < limit, every coefficient is at most
-    (sum of |2k+1| over the terms)^2 = K^4, about 4 limit^2: below 2^49 at
-    TAU_LIMIT_CAP.
-    """
-    terms = cube_series_terms(limit)
-    exps = np.array([e for e, _ in terms], dtype=np.int64)
-    coeffs = np.array([c for _, c in terms], dtype=np.int64)
-    out = np.zeros(limit, dtype=np.int64)
-    for e, c in zip(exps.tolist(), coeffs.tolist()):
-        m = int(np.searchsorted(exps, limit - e))
-        out[e + exps[:m]] += c * coeffs[:m]    # distinct targets within a row
+def _power_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
+    """x^k mod p for entries of x in [0, p), p < 2^31."""
+    out = np.ones_like(x)
+    base = x.copy()
+    while k:
+        if k & 1:
+            out = out * base % p
+        k >>= 1
+        if k:
+            base = base * base % p
     return out
 
 
-def _tau_residues(sixth: np.ndarray, p: int, g: int) -> np.ndarray:
-    """prod(1-q^n)^24 mod p below q^limit: two squarings of the sixth power."""
-    limit = sixth.shape[0]
-    transform = Transform(transform_size(2 * limit - 1), p, g)
-    arr = sixth % p
-    for _ in range(2):
-        arr = transform.product(arr, arr, limit)
-    return arr
+class _DivisorIndex:
+    """The multiplicative structure of 1..m that the divisor sums read; it
+    does not depend on the prime.
+
+    `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers q^e <= m;
+    `groups` is (n, P(n), n / P(n)) over the n that are not prime powers,
+    P(n) the full power of the smallest prime factor q of n, one group per q
+    from the largest q down: n / P(n) has only prime factors above q, so its
+    sum is filled in by an earlier group or chain.  `split` is (P(n), n / P(n))
+    at the largest such n and `root_prime` the largest prime q with q^2 <= m,
+    each None when there is none: the points of the table's top self-check.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        spf = smallest_prime_factors(m)
+        n = np.arange(m + 1)
+        primes = n[2:][spf[2:] == n[2:]]
+        small = primes[:np.searchsorted(primes, isqrt(m), side="right")]
+        power = spf.copy()          # raised to q^e on the multiples of q^e
+        for q in small.tolist():    # whose smallest prime factor is q
+            qe = q * q
+            while qe <= m:
+                at = power[qe::qe]
+                at[spf[qe::qe] == q] = qe
+                qe *= q
+        cofactor = n // np.maximum(power, 1)
+        self.chains = []
+        e, q = 1, primes
+        while q.size:
+            self.chains.append((q ** e, q ** (e - 1), q))
+            e += 1
+            q = q[q ** e <= m]
+        composite = np.flatnonzero(cofactor > 1)
+        # a composite's q is at most sqrt(m) < 2^15: int16 keys sort by radix
+        order = np.argsort(-spf[composite].astype(np.int16), kind="stable")
+        cuts = np.flatnonzero(np.diff(spf[composite[order]])) + 1
+        self.groups = [(c, power[c], cofactor[c])
+                       for c in np.split(composite[order], cuts)]
+        top = int(composite[-1]) if composite.size else 0
+        self.split = (int(power[top]), int(cofactor[top])) if top else None
+        self.root_prime = int(small[-1]) if small.size else None
+
+    def sigma(self, k: int, p: int) -> np.ndarray:
+        """sigma_k(n) = sum of d^k over the divisors d of n, mod p, at index n
+        for 0 <= n <= m (entry 0 is 0)."""
+        s = np.zeros(self.m + 1, dtype=np.int64)
+        s[1] = 1
+        for c, prev, q in self.chains:      # sigma(q^e) = 1 + q^k sigma(q^(e-1))
+            s[c] = (_power_mod(q, k, p) * s[prev] + 1) % p
+        for c, a, b in self.groups:
+            s[c] = s[a] * s[b] % p
+        return s
+
+
+def _ramanujan_residues(index: _DivisorIndex, limit: int, p: int,
+                        g: int) -> np.ndarray:
+    """tau(n) mod p for 1 <= n <= limit, from Ramanujan's identity."""
+    s5 = index.sigma(5, p)
+    out = 65 * index.sigma(11, p)[1:] + 691 * s5[1:]
+    if limit > 1:
+        # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit
+        col = s5[1:limit]
+        transform = Transform(transform_size(2 * limit - 3), p, g)
+        out[1:] -= 174132 * transform.product(col, col, limit - 1)
+    out %= p
+    out *= pow(756, -1, p)
+    out %= p
+    return out
 
 
 def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
@@ -83,6 +181,22 @@ def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
     |tau(n)| <= d(n) n^(11/2), with d(n) <= 2 sqrt(n), keeps every entry
     within 2 limit^6."""
     return crt_primes(2 * limit ** 6)
+
+
+def _check_table(out: list[int], split: tuple[int, int] | None,
+                 root_prime: int | None) -> None:
+    """The self-checks of the module docstring; ArithmeticError on failure."""
+    for n, v in _SMALL_TAU.items():
+        if n < len(out) and out[n] != v:
+            raise ArithmeticError(f"tau({n}) reproduced as {out[n]}, not {v}")
+    if split is not None:
+        a, b = split
+        if out[a * b] != out[a] * out[b]:
+            raise ArithmeticError(f"tau({a * b}) != tau({a}) tau({b})")
+    if root_prime is not None:
+        q = root_prime
+        if out[q * q] != out[q] ** 2 - q ** 11:
+            raise ArithmeticError(f"tau({q}^2) != tau({q})^2 - {q}^11")
 
 
 def tau_table(limit: int) -> list[int]:
@@ -97,12 +211,12 @@ def tau_table(limit: int) -> list[int]:
             f"limit {limit} is past the coefficient cap {TAU_LIMIT_CAP} "
             f"(the largest table a 2^24-point transform can square)")
     primes = _crt_primes(limit)
-    sixth = _sixth_power_series(limit)
-    residues = [_tau_residues(sixth, p, g) for p, g in primes]
+    index = _DivisorIndex(limit)
+    residues = [_ramanujan_residues(index, limit, p, g) for p, g in primes]
+    checks = index.split, index.root_prime
+    del index       # freed before Garner, whose object arrays set the peak
     out = [0] + garner(residues, [p for p, _ in primes]).tolist()
-    for n, v in _SMALL_TAU.items():
-        if n <= limit and out[n] != v:
-            raise ArithmeticError(f"tau({n}) reproduced as {out[n]}, not {v}")
+    _check_table(out, *checks)
     return out
 
 

@@ -87,6 +87,14 @@ def test_convolve_exact_past_int64():
     assert convolve_exact(a, b, bound).tolist() == want
 
 
+def test_convolve_exact_refuses_an_empty_operand():
+    # as np.convolve does; the transform has no length-0 product to return
+    empty = np.array([], dtype=np.int64)
+    for a, b in [(empty, np.array([1])), (np.array([1]), empty), (empty, empty)]:
+        with pytest.raises(ValueError, match="nonempty"):
+            convolve_exact(a, b, 10)
+
+
 def _np_convolve_fold(hist):
     n = len(hist)
     full = np.convolve(hist, hist)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcentral import tau as tau_module
 from lcentral.newforms import _verify_full_table
 from lcentral.ntt import NTT_PRIMES, garner, transform_size
-from lcentral.tau import (TAU_LIMIT_CAP, _crt_primes, hecke_eigenvalue_defect,
-                          tau_table, tau_table_bigint)
+from lcentral.tau import (_SMALL_TAU, TAU_LIMIT_CAP, _crt_primes, _DivisorIndex,
+                          hecke_eigenvalue_defect, tau_table, tau_table_bigint)
 
 TABLE = tau_table(5000)
 
@@ -31,7 +32,9 @@ def test_ntt_route_matches_bigint_route():
 
 
 def test_691_congruence():
-    # tau(n) = sigma_11(n) mod 691
+    # tau(n) = sigma_11(n) mod 691.  tau_table's identity gives this almost
+    # directly (691 * 252 = 174132 and 756 = 65 mod 691), so here the
+    # independent check is the equality with tau_table_bigint above
     for n in range(1, 2000):
         sigma11 = sum(d ** 11 for d in range(1, n + 1) if n % d == 0)
         assert (TABLE[n] - sigma11) % 691 == 0
@@ -70,8 +73,24 @@ def test_table_guards():
 
 
 def test_routes_agree_on_tiny_tables():
-    for limit in (1, 2, 3, 10):
-        assert tau_table(limit) == tau_table_bigint(limit)
+    # limit 1 has no convolution sum, limit 2 a one-term one
+    for limit in range(1, 14):
+        table = tau_table(limit)
+        assert table == tau_table_bigint(limit)
+        assert table[1:] == [_SMALL_TAU[n] for n in range(1, limit + 1)]
+
+
+def test_divisor_sums_match_the_naive_sums_mod_every_prime():
+    m = 3000
+    divisors = [[] for _ in range(m + 1)]
+    for d in range(1, m + 1):
+        for n in range(d, m + 1, d):
+            divisors[n].append(d)
+    index = _DivisorIndex(m)
+    for k in (5, 11):
+        exact = [0] + [sum(d ** k for d in divisors[n]) for n in range(1, m + 1)]
+        for p, _ in _crt_primes(337564):
+            assert index.sigma(k, p).tolist() == [s % p for s in exact], (k, p)
 
 
 @settings(max_examples=8, deadline=None)
@@ -83,9 +102,19 @@ def test_ntt_route_matches_bigint_route_at_random_limits(limit):
 @pytest.mark.parametrize("limit,size", [(6144, 3 << 12), (6145, 1 << 14),
                                         (8192, 1 << 14), (8193, 3 << 13)])
 def test_routes_agree_where_the_transform_size_switches(limit, size):
-    # 2 limit - 1 just below and above 3 * 2^12 and 2^14: the squarings run
-    # on either side of a switch between 2^k and 3 * 2^k points
+    # a product of limit-term operands, 2 limit - 1 points, just below and
+    # above 3 * 2^12 and 2^14
     assert transform_size(2 * limit - 1) == size
+    assert tau_table(limit) == tau_table_bigint(limit)
+
+
+@pytest.mark.parametrize("limit,size", [(6145, 3 << 12), (6146, 1 << 14),
+                                        (8193, 1 << 14), (8194, 3 << 13)])
+def test_routes_agree_where_the_squaring_size_switches(limit, size):
+    # the sigma_5 operand has limit - 1 terms, so its square takes 2 limit - 3
+    # points: these limits square on either side of a switch between 2^k and
+    # 3 * 2^k points
+    assert transform_size(2 * limit - 3) == size
     assert tau_table(limit) == tau_table_bigint(limit)
 
 
@@ -108,6 +137,15 @@ def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
     assert len(_crt_primes(337564)) == 4
     _verify_full_table(table_100k, 12, Fraction(0))
     assert table_100k[:5001] == TABLE
+
+
+def test_a_short_crt_range_is_caught_at_the_top_of_the_table(monkeypatch):
+    # one prime fewer than 4 limit^6 needs: the largest entries wrap modulo
+    # the product, and the Hecke checks at the top of the table see it
+    primes = _crt_primes(100000)
+    monkeypatch.setattr(tau_module, "_crt_primes", lambda limit: primes[:-1])
+    with pytest.raises(ArithmeticError):
+        tau_table(100000)
 
 
 def test_negative_values_past_the_oracle(table_100k):
