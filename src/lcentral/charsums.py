@@ -482,12 +482,14 @@ def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     order = chi.order
     level = lcm(order, *(w.order for w in roots))
     ws = np.array([int(w.phase * level) for w in roots], dtype=np.int64)
-    ts = np.array(substitutions(chi, ctx), dtype=np.int64) * (level // order)
-    # the mean at j is the mean of e(x / level) over the exact exponents
-    # x = w_t - t j, rendered through one table of e(k / level)
-    circle = unit_circle_array(level)
-    means = [circle[(ws - ts * j) % level].mean() for j in range(order)]
-    return _scatter(chi, means)
+    ts = np.array(substitutions(chi, ctx), dtype=np.int64) % order
+    # the mean at j is (1 / orbit) sum_t e(w_t / level) e(-t j / ord): bin
+    # e(w_t / level), rendered through one table of e(k / level), by t mod
+    # ord, and the means are one length-ord DFT of the bins
+    phases = unit_circle_array(level)[ws % level]
+    bins = (np.bincount(ts, weights=phases.real, minlength=order)
+            + 1j * np.bincount(ts, weights=phases.imag, minlength=order))
+    return _scatter(chi, np.fft.fft(bins) / len(ts))
 
 
 def _scatter(chi: HeckeCharacter, per_value: list[complex]) -> np.ndarray:

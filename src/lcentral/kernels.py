@@ -10,7 +10,7 @@ Three pieces live here:
 * VKernel -- the smoothed cutoff V(x) = (1/2 pi i) int kappa(eps t)
   GammaFactor(s + t) x^-t dt/t appearing on both sides of the approximate
   functional equation, with two independent evaluation routes and a cached
-  spline for bulk evaluation.
+  not-a-knot cubic spline (numpy only) for bulk evaluation.
 
 Route design: the straight contour quadrature (Re t = 2) computes an
 integral whose magnitude is set by GammaFactor(s + 2) x^-2 while the answer
@@ -27,8 +27,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaincc, kv, loggamma
 
 TWO_PI = 2.0 * math.pi
@@ -163,8 +161,9 @@ class VKernel:
     symmetric in log w, so kappa is even and the two kernels coincide; the
     sign is kept so the defining integral stays visible in the code.
 
-    value()        -- production route: cubic spline in log x through tail
-                      nodes, zero beyond the decay cutoff.
+    value()        -- production route: not-a-knot cubic spline in log x
+                      through tail nodes (`_Spline`, numpy only), zero
+                      beyond the decay cutoff.
     value_tail()   -- stable route at any x >= 0 (incomplete gamma / Bessel
                       tails), used to build the spline.
     value_contour()-- independent quadrature on Re t = sigma in {-1/2, 2};
@@ -299,7 +298,7 @@ class VKernel:
             cut = self.decay_cutoff()
             grid = np.geomspace(1e-8, cut, points)
             vals = self.value_tail(grid)
-            got = (CubicSpline(np.log(grid), vals), float(vals[0]), cut)
+            got = (_Spline(np.log(grid), vals), float(vals[0]), cut)
             self._spline = got
         return got
 
@@ -321,6 +320,66 @@ class VKernel:
         return float(out[0]) if scalar else out
 
 
+class _Spline:
+    """Cubic spline through (t, y), at least 4 knots in increasing order,
+    with not-a-knot ends.
+
+    The same interpolant as scipy.interpolate.CubicSpline(t, y) with its
+    default end conditions.  The knot slopes solve one tridiagonal system by
+    a Thomas sweep; after its first step every pivot row is diagonally
+    dominant, so it needs no pivoting.  Each piece is a cubic in t - t_i,
+    evaluated by Horner's rule, and points outside [t_0, t_last] fall on
+    the end pieces, extended.
+    """
+
+    def __init__(self, t, y):
+        n = len(t)
+        h = np.diff(t)
+        slope = np.diff(y) / h
+        # row i: sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i]
+        sub, diag, sup, rhs = np.empty((4, n))
+        sub[1:-1] = h[1:]
+        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+        sup[1:-1] = h[:-1]
+        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous across t_1 and
+        # t_(n-2), written in the slopes
+        d = h[0] + h[1]
+        diag[0], sup[0] = h[1], d
+        rhs[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
+        d = h[-1] + h[-2]
+        sub[-1], diag[-1] = d, h[-2]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
+        m = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+        # Hermite form of each piece: y_i + m_i s + c2 s^2 + c3 s^3
+        curv = (m[:-1] + m[1:] - 2.0 * slope) / h
+        self._t = t
+        self._coef = np.stack([curv / h, (slope - m[:-1]) / h - curv,
+                               m[:-1], y[:-1]])
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self._t, x, side="right") - 1, 0, len(self._t) - 2)
+        s = x - self._t[i]
+        c3, c2, c1, c0 = self._coef[:, i]
+        return ((c3 * s + c2) * s + c1) * s + c0
+
+
+def _thomas(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
+    """Solve the tridiagonal system of `_Spline` by one forward elimination
+    and one back substitution."""
+    n = len(diag)
+    for i in range(1, n):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    out = [0.0] * n
+    out[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = (rhs[i] - sup[i] * out[i + 1]) / diag[i]
+    return np.array(out)
+
+
 def _bessel_tail(a1: float, a2: float, v: float) -> float:
     """int_v^inf 2 w^((a1+a2)/2) K_(a1-a2)(2 sqrt(w)) dw/w.
 
@@ -328,6 +387,10 @@ def _bessel_tail(a1: float, a2: float, v: float) -> float:
     degree-2 analogue of the upper incomplete gamma function; at v = 0 it
     equals Gamma(a1) Gamma(a2).
     """
+    # imported here: no other route needs scipy.integrate, and loading it
+    # on every start costs more than the work the other routes do
+    from scipy.integrate import quad
+
     nu = a1 - a2
     power = a1 + a2 - 1.0
     lo = max(math.sqrt(v), 1e-12)

@@ -1,9 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+starting the package loads no scipy subpackage that start-up does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import lcentral
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "lcentral"
 
@@ -28,3 +34,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+# scipy.interpolate alone pulls in scipy.optimize, scipy.linalg, scipy.sparse,
+# scipy.spatial and scipy.fft; scipy.integrate is needed only by the degree-2
+# kernel tail, which imports it when it first runs
+_HEAVY_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
+                "scipy.linalg", "scipy.sparse")
+
+_START = """
+import sys
+import lcentral.acceptance, lcentral.cli, lcentral.experiment
+from lcentral.fields import nf_load
+nf_load("rationals")
+nf_load("quadratic-sqrt2")
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_start_up_loads_no_heavy_scipy_subpackage():
+    # a fresh interpreter: this one has imported all of scipy for other tests
+    src = str(Path(lcentral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _START], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    loaded = set(out.stdout.split())
+    assert "scipy.special" in loaded
+    assert [m for m in _HEAVY_SCIPY if m in loaded] == []

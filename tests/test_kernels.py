@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lcentral.fields import nf_load
-from lcentral.kernels import (GammaFactor, SmoothingKernel, VKernel,
+from lcentral.kernels import (GammaFactor, SmoothingKernel, VKernel, _Spline,
                               totally_positive_unit_index)
 
 Q = nf_load("rationals")
@@ -144,6 +144,36 @@ def test_spline_matches_tail_route():
     xs = np.array([1e-9, 1e-3, 1.0, 4.0])
     vec = V.value(xs)
     assert np.allclose(vec, [V.value(float(x)) for x in xs], rtol=0, atol=1e-18)
+
+
+@pytest.mark.parametrize("s,sign", [(6.0, 1), (6.0, -1), (5.5, 1), (8.0, 1), (4.0, -1)])
+def test_spline_matches_scipy_cubic_spline(s, sign):
+    # the production grid of each kernel the engine builds, against scipy's
+    # not-a-knot CubicSpline as the oracle, inside the knots and past both ends
+    from scipy.interpolate import CubicSpline
+
+    V = VKernel(GQ, KERNEL, s, sign)
+    grid = np.geomspace(1e-8, V.decay_cutoff(), 1800)
+    t, vals = np.log(grid), V.value_tail(grid)
+    xs = np.concatenate([t, np.linspace(t[0] - 1.0, t[-1] + 1.0, 20001)])
+    gap = np.max(np.abs(_Spline(t, vals)(xs) - CubicSpline(t, vals)(xs)))
+    assert gap <= 1e-15 * abs(vals[0]), gap
+
+
+def test_spline_is_exact_on_cubics():
+    # not-a-knot ends make the interpolant of a cubic that cubic itself
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(-3.0, 4.0, 40))
+
+    def cubic(x):
+        return ((0.7 * x - 1.3) * x + 0.4) * x - 2.0
+
+    spline = _Spline(t, cubic(t))
+    xs = np.linspace(-4.0, 5.0, 1001)
+    assert np.max(np.abs(spline(xs) - cubic(xs))) < 1e-12
+    # each knot but the last is the start of its piece, read off exactly
+    assert np.array_equal(spline(t[:-1]), cubic(t[:-1]))
+    assert spline(t[-1]) == pytest.approx(cubic(t[-1]), rel=1e-14)
 
 
 def test_degree_two_routes_agree():
