@@ -195,6 +195,11 @@ class FiniteAbelianGroup:
     Elements are tuples of canonical coordinates on the invariant-factor
     generators (trivial factors dropped).  `from_exponents` converts an
     exponent vector on the original presentation generators.
+
+    The ray class groups in `rayclass` are cyclic and never built through
+    this class; it is the independent presentation the tests check their
+    orders, classes and characters against, and it stays general for moduli
+    whose groups are not cyclic.
     """
 
     def __init__(self, relations: Sequence[Sequence[int]], labels: Sequence[str] | None = None):

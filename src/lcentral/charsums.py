@@ -267,13 +267,6 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     return w
 
 
-def gauss_sum_conjugation_defect(chi: HeckeCharacter) -> float:
-    """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
-    g = gauss_sum(chi)
-    gbar = gauss_sum(chi.conjugate())
-    return abs(g.conjugate() - chi.local_value(-1).to_complex() * gbar)
-
-
 def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                        nebentypus: str = "trivial") -> list[RootOfUnity]:
     """Exact W(chi^t) for the orbit members, in orbit order, from one exact
@@ -430,23 +423,10 @@ def average_support(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
     raise ValueError(f"unknown support variant {variant!r}")
 
 
-def average_iota(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
-                 nebentypus: str = "trivial") -> complex:
-    """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit (complex)."""
-    orbit = galois_orbit(chi, ctx)
-    total = 0j
-    for tw in orbit:
-        v = tw.conjugate().value_on_ideal_of(a)
-        if v is None:
-            continue
-        total += root_number(tw, nebentypus) * v.to_complex()
-    return total / len(orbit)
-
-
 def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                         nebentypus: str = "trivial") -> dict[int, complex]:
-    """average_iota at every unit residue class mod the conductor, keyed by
-    smallest residue; shared work across the sweep."""
+    """The orbit mean of W(chi^t) conj(chi^t)(r) at every unit residue r mod
+    the conductor, keyed by r; shared work across the sweep."""
     table = averaged_iota_values(chi, ctx, nebentypus)
     p = chi.p
     return {r: complex(table[r]) for r in range(1, chi.conductor_norm) if r % p}
@@ -475,9 +455,9 @@ def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np
 
 def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                          nebentypus: str = "trivial") -> np.ndarray:
-    """average_iota(chi, ctx, r) at every residue r mod the conductor, 0 off
-    the units: the mean over the orbit of the exact roots W(chi^t)
-    conj(chi^t)(r), W from `orbit_root_numbers`."""
+    """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
+    residue r mod the conductor, 0 off the units, with the exact roots W from
+    `orbit_root_numbers`."""
     roots = orbit_root_numbers(chi, ctx, nebentypus)
     order = chi.order
     level = lcm(order, *(w.order for w in roots))

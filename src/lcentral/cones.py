@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldElement, IntegralIdeal, NumberFieldData, nf_load
-from .rayclass import PrimeContext, RayClassGroup
+from .rayclass import PrimeContext, RayClassGroup, rcg_build
 
 # Enumeration boxes beyond this many candidate points are refused: the
 # counters are desk-scale tools, not analytic machinery.
@@ -454,46 +454,28 @@ def count_progression(alpha, prime: PrimeContext, n: int, x: float, *,
 # norm minima and bound reports
 # ---------------------------------------------------------------------------
 
-def _unit_residues(ctx: PrimeContext, n: int) -> frozenset[int]:
-    """Subgroup of (O/P^n)* generated by the global unit residues."""
-    mod = ctx.modulus(n)
-    gens = {mod - 1}                            # residue of -1
-    for ug in ctx.nf.unit_gens:
-        gens.add(ctx.residue(ug, n) % mod)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        r = frontier.pop()
-        for g in gens:
-            s = (r * g) % mod
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return frozenset(seen)
-
-
 def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     """min |N(beta)| over beta in (1 + P^n) excluding the unit orbit of 1.
 
     Units congruent to 1 mod P^n (over Q(sqrt(2)) e.g. the cube of the
     totally positive fundamental unit mod P) would make the raw minimum 1,
     so the scan drops |N| = 1 and takes the smallest surviving norm.  The
-    search runs over window representatives whose residue is a unit
-    residue, which hits exactly the unit orbits meeting the coset.
+    search runs over window representatives whose ray class mod P^n is
+    trivial (a unit residue), which hits exactly the unit orbits meeting the
+    coset.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     ctx = prime
-    ctx.check_level(n)
     nf = ctx.nf
-    allowed = _unit_residues(ctx, n)
+    rcg = rcg_build(nf, ctx, n)       # refuses levels past the residue cap
     mod = ctx.modulus(n)
 
     if nf.degree == 1:
         x = mod
         for _ in range(12):
             for b in range(2, x + 1):
-                if b % ctx.p and (b % mod) in allowed:
+                if b % ctx.p and rcg.class_of_residue(b) == 0:
                     elem = nf.element_from_int(b)
                     return (b, elem) if with_witness else b
             x *= 2
@@ -514,7 +496,7 @@ def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
             if best is not None and key >= best:
                 continue
             elem = nf.element([int(u[k]), int(v[k])])
-            if ctx.residue(elem, n) in allowed:
+            if rcg.ideal_to_element(elem) == 0:
                 best = key
         if best is not None:
             value = best[0]
@@ -587,14 +569,12 @@ def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
         n = rcg.n
     elif n != rcg.n:
         raise ValueError(f"group was built at level {rcg.n}, not {n}")
-    data = rcg.torsion_and_gamma()
-    delta = data.delta
-    identity = rcg.group.identity
-    nontrivial = [b for b in delta if b != identity]
+    delta_order = rcg.delta_order
+    nontrivial = rcg.torsion_classes()[1:]
     if not nontrivial:
-        return TorsionNormReport(rcg.nf.label, rcg.p, n, len(delta), (), None,
+        return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, (), None,
                                  True, True)
-    scale = float(rcg.ctx.p) ** (n / len(delta))
+    scale = float(rcg.ctx.p) ** (n / delta_order)
 
     rows = []
     if rcg.nf.degree == 1:
@@ -631,5 +611,5 @@ def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
 
     constant = min(row[2] for row in rows)
     passed = constant >= floor_ratio
-    return TorsionNormReport(rcg.nf.label, rcg.p, n, len(delta), tuple(rows),
+    return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, tuple(rows),
                              constant, False, passed)

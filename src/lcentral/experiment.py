@@ -138,8 +138,7 @@ class _Setup:
 
         # the window is taken at theta + eps: that is precisely the condition
         # for all three envelope terms to decay with the level
-        self.delta_order = len(rcg_build(self.nf, self.ctx, 1)
-                               .torsion_and_gamma().delta)
+        self.delta_order = rcg_build(self.nf, self.ctx, 1).delta_order
         lo, hi = exponent_window(Fraction(form_probe.theta) + Fraction(cfg.eps),
                                  self.delta_order)
         self.window = (float(lo), float(hi))

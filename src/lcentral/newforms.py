@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .abelian import factorize, p_adic_split
 from .tau import primes_up_to, smallest_prime_factors, tau_table
 
 
@@ -131,10 +132,7 @@ def _expand_from_primes(prime_a: dict[int, object], limit: int, k: int,
     a[1], d[1] = 1, 1
     for n in range(2, limit + 1):
         p = int(spf[n])
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
+        m, e = p_adic_split(n, p)
         if m > 1:
             a[n] = a[n // m] * a[m]
             d[n] = d[n // m] * d[m]
@@ -164,11 +162,7 @@ def _verify_full_table(a: list, k: int, theta: Fraction) -> None:
     n = next((n for n in range(2, limit + 1) if a[n] != expanded[n]), None)
     if n is None:
         return
-    m = n
-    p = next(q for q in range(2, n + 1) if n % q == 0)
-    while m % p == 0:
-        m //= p
-    if m == 1:
+    if len(factorize(n)) == 1:
         raise ValueError(f"table breaks the Hecke recursion at ideal ({n})")
     raise ValueError(f"table is not multiplicative at ideal ({n})")
 

@@ -81,8 +81,8 @@ def crt_primes(bound: int) -> tuple[tuple[int, int], ...]:
     raise ValueError("limit too large for the configured prime set")
 
 
-def _root_powers(root: int, n: int, p: int) -> np.ndarray:
-    """root^j mod p for j < n."""
+def root_powers(root: int, n: int, p: int) -> np.ndarray:
+    """root^j mod p for j < n (int64 products: p below 2^31)."""
     t = np.ones(n, dtype=np.int64)
     cur = root % p
     k = 1
@@ -120,7 +120,7 @@ def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
 def _stage_twiddles(root: int, length: int, p: int) -> list[tuple[int, np.ndarray]]:
     """(L, w_L^j for j < L/2 as a column) for the radix-2 stages L = length,
     length/2, ..., 2 of a transform of `length` points with root `root`."""
-    powers = _root_powers(root, length // 2, p)
+    powers = root_powers(root, length // 2, p)
     out = []
     size = length
     while size >= 2:
@@ -157,11 +157,11 @@ class Transform:
             perm = np.concatenate([3 * perm + t for t in range(3)])
             w_rows = pow(w, self.cols, p)            # primitive R'-th root
             self._omega = pow(w, 2 * n // 3, p)     # w3^2, w3 = w^(n/3)
-            self._tri = [_root_powers(pow(w_rows, t, p), radix2_rows, p).reshape(-1, 1)
+            self._tri = [root_powers(pow(w_rows, t, p), radix2_rows, p).reshape(-1, 1)
                          for t in (1, 2)]
         self._matrix = np.empty((self.rows, self.cols), dtype=np.int64)
         self._matrix[:, 0] = 1
-        cur = _root_powers(w, self.rows, p)[perm]
+        cur = root_powers(w, self.rows, p)[perm]
         j = 1
         while j < self.cols:
             m = min(2 * j, self.cols)

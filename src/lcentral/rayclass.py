@@ -4,33 +4,30 @@ For the class-number-one fields shipped here, the ray class group mod p^n is
 the unit group of O/p^n modulo the image of the global units.  The residue
 ring is identified with Z/p^n through a Hensel-lifted root of the defining
 polynomial (`LocalIso`), so all group structure reduces to exact arithmetic
-in (Z/p^n)^*: a primitive root, discrete logs, and a Smith normal form of
-the relation matrix coming from the unit images.
+in (Z/p^n)^*: a primitive root g0 and discrete logs.
 
-The quotient is cyclic: (Z/p^n)^* is, so every group built here is Z/h, and
-a character is one exponent k mod h on the class of the level's generator
-residue.  Its label index is k, and order, conjugation, powers, conductor
-and equality are integer arithmetic on k; its values are rational phases
-(roots of unity), never floats.  Each level keeps its discrete logs as one
-int64 array over the residues mod p^n (-1 off the units), so a character
-value is one lookup: chi(r) = e(dlog_phase * dlog(r)).  The same class
-serves the full residue unit group behind "res" labels, built with no unit
-relations.  Classes keep their Smith-normal-form coordinates, and the
-dual-group enumeration of `FiniteAbelianGroup` stays an independent check
-of the exponent arithmetic.
+(Z/p^n)^* is cyclic, so every group built here is Z/h with
+h = gcd(phi(p^n), dlog(u) for each unit generator u), and the class of a
+unit residue r is the integer dlog(r) mod h (-dlog(r) for the residue group,
+see `RayClassGroup`).  A character is one exponent k mod h: its label index
+is k, and order, conjugation, powers, conductor and equality are integer
+arithmetic on k; its values are rational phases (roots of unity), never
+floats.  Each level keeps its discrete logs as one int64 array over the
+residues mod p^n (-1 off the units), so a character value is one lookup:
+chi(r) = e(dlog_phase * dlog(r)).  The same class serves the full residue
+unit group behind "res" labels, built with no unit relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, p_adic_split, primitive_root
+from .abelian import p_adic_split, primitive_root
 from .fields import FieldElement, IntegralIdeal, LocalIso, NumberFieldData, split_local_iso
+from .ntt import root_powers
 from .roots import RootOfUnity
 
 
@@ -66,7 +63,7 @@ class PrimeContext:
             raise ValueError(f"{p} ramifies in {nf.label}")
         self.max_level = max_residue_level(p)
         self._isos: dict[int, LocalIso] = {}
-        self._dlogs: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._dlogs: dict[int, np.ndarray] = {}
         self._groots: dict[int, int] = {}
 
     def check_level(self, level: int) -> None:
@@ -98,56 +95,32 @@ class PrimeContext:
     def dlog_array(self, level: int) -> np.ndarray:
         """Exponent of the level's primitive root at every residue mod p^level,
         -1 off the units (read-only int64)."""
-        return self._dlog_tables(level)[0]
-
-    def dlog_list(self, level: int) -> list[int]:
-        """`dlog_array` as Python ints, for scalar lookups."""
-        return self._dlog_tables(level)[1]
-
-    def _dlog_tables(self, level: int) -> tuple[np.ndarray, list[int]]:
-        got = self._dlogs.get(level)
-        if got is None:
+        arr = self._dlogs.get(level)
+        if arr is None:
             g = self.generator_residue(level)
             mod = self.modulus(level)
             phi = self.unit_group_order(level)
-            powers = [0] * phi
-            cur = 1
-            for i in range(phi):
-                powers[i] = cur
-                cur = cur * g % mod
             arr = np.full(mod, -1, dtype=np.int64)
-            arr[powers] = np.arange(phi, dtype=np.int64)
+            arr[root_powers(g, phi, mod)] = np.arange(phi, dtype=np.int64)
             arr.setflags(write=False)
-            got = (arr, arr.tolist())
-            self._dlogs[level] = got      # published once, fully built
-        return got
+            self._dlogs[level] = arr      # published once, fully built
+        return arr
 
     def unit_group_order(self, level: int) -> int:
         self.check_level(level)
         return (self.p - 1) * self.p ** (level - 1)
 
 
-@dataclass
-class TorsionGammaData:
-    """Structural pieces of a ray class group at a p-power modulus."""
-
-    delta: list[tuple[int, ...]]           # prime-to-p torsion (plus class part)
-    w_part: list[tuple[int, ...]]          # split image of the mod-p unit group
-    gamma_generator: tuple[int, ...]       # generator of the pro-p direction
-    gamma_lift: int                        # its smallest positive residue lift
-    filtration: dict[int, int]             # j -> order of the 1 + p^j layer
-
-
 class RayClassGroup:
-    """Cl(F, p^n) for a class-number-one field, exactly presented.
+    """Cl(F, p^n) for a class-number-one field, as Z/h with integer classes.
 
     With `unit_quotient=False` it is instead the full residue unit group
-    (O/p^n)^*: the same presentation without the unit relations.  Either way
-    the group is a quotient of the cyclic group (Z/p^n)^*, so it is cyclic of
-    some order h, and the class of a unit residue r is dlog(r) times the class
-    of the level's generator residue.  The residue group is oriented with that
-    class at -1, so that its character k has local value e(k dlog(r) / phi),
-    the rule "res" labels name.
+    (O/p^n)^*, built without the unit relations.  Either way the group is a
+    quotient of the cyclic group (Z/p^n)^*, so it is cyclic of order h, and
+    the class of a unit residue r is dlog(r) times the class of the level's
+    generator residue.  The residue group is oriented with that class at -1,
+    so that its character k has local value e(k dlog(r) / phi), the rule
+    "res" labels name.
     """
 
     def __init__(self, nf: NumberFieldData, ctx: PrimeContext, n: int,
@@ -164,21 +137,16 @@ class RayClassGroup:
         self.unit_quotient = unit_quotient
         self.label = f"{nf.label}.p{ctx.p}.{'m' if unit_quotient else 'res'}{n}"
 
-        g0 = ctx.generator_residue(n)
-        dlog = ctx.dlog_list(n)
-        relations: list[list[int]] = [[ctx.unit_group_order(n)]]
+        h = ctx.unit_group_order(n)
+        self.dlog = ctx.dlog_array(n)
         if unit_quotient:
-            relations += [[dlog[ctx.residue(u, n) % self.modulus]] for u in nf.unit_gens]
-        self.group = FiniteAbelianGroup(
-            relations, labels=[f"[{g0}]" if unit_quotient else f"[{g0}]^-1"])
-        self.order = self.group.order
-        # the class of g0 in the SNF presentation, and its exponent on the
-        # cyclic generator (0 when the group is trivial)
-        self.generator_class = self.group.from_exponents([1 if unit_quotient else -1])
-        self.generator_exponent = sum(self.generator_class)
-        self.dlog = dlog
-        self._struct: TorsionGammaData | None = None
-        self._min_residue: dict[tuple[int, ...], int] | None = None
+            for u in nf.unit_gens:
+                h = gcd(h, int(self.dlog[ctx.residue(u, n) % self.modulus]))
+        self.order = h
+        # the class of the level's generator residue (0 when h = 1)
+        self.generator_exponent = (1 if unit_quotient else -1) % h
+        # |Delta|: the prime-to-p part of h
+        self.delta_order = p_adic_split(h, self.p)[0]
 
     def _key(self) -> tuple:
         return (self.ctx.pi, self.n, self.unit_quotient)
@@ -191,13 +159,13 @@ class RayClassGroup:
 
     # -- classes of ideals ----------------------------------------------------
 
-    def class_of_residue(self, r: int) -> tuple[int, ...]:
+    def class_of_residue(self, r: int) -> int:
         r %= self.modulus
         if gcd(r, self.p) != 1:
             raise ValueError(f"residue {r} is not prime to {self.p}")
-        return self.group.pow(self.generator_class, self.dlog[r])
+        return self.generator_exponent * int(self.dlog[r]) % self.order
 
-    def ideal_to_element(self, x) -> tuple[int, ...]:
+    def ideal_to_element(self, x) -> int:
         """Class of the principal ideal (gamma).
 
         Accepts a field element, a rational integer, or a pair (gamma, i)
@@ -216,50 +184,16 @@ class RayClassGroup:
             return self.class_of_residue(self.ctx.residue(x, self.n))
         raise ValueError(f"cannot map {x!r} to a ray class")
 
-    def min_residue_of_class(self, elt: tuple[int, ...]) -> int:
+    def min_residue_of_class(self, c: int) -> int:
         """Smallest positive residue lift of a class (a cheap canonical name)."""
-        if self._min_residue is None:
-            table: dict[tuple[int, ...], int] = {}
-            for r, e in enumerate(self.dlog):
-                if e >= 0:
-                    table.setdefault(self.group.pow(self.generator_class, e), r)
-            self._min_residue = table
-        return self._min_residue[elt]
+        dlog = self.dlog
+        hits = np.flatnonzero((dlog >= 0)
+                              & (dlog * self.generator_exponent % self.order == c))
+        return int(hits[0])
 
-    # -- structure ------------------------------------------------------------
-
-    def torsion_and_gamma(self) -> TorsionGammaData:
-        if self._struct is not None:
-            return self._struct
-        g = self.group
-        p = self.p
-        delta = sorted(x for x in g.elements() if gcd(g.order_of(x), p) == 1)
-        w_part = sorted({
-            self.class_of_residue(pow(r, p ** (self.n - 1), self.modulus))
-            for r in range(1, self.modulus) if r % p != 0})
-        p_part_order = 1
-        o = self.order
-        while o % p == 0:
-            p_part_order *= p
-            o //= p
-        gamma_gen = g.identity
-        gamma_lift = 1
-        if p_part_order > 1:
-            for r in range(2, self.modulus):
-                if r % p == 0:
-                    continue
-                cls = self.class_of_residue(r)
-                if g.order_of(cls) == p_part_order:
-                    gamma_gen, gamma_lift = cls, r
-                    break
-        filtration: dict[int, int] = {}
-        for j in range(1, self.n + 1):
-            gen = self.class_of_residue((1 + p ** j) % self.modulus)
-            filtration[j] = len(g.subgroup_generated([gen]))
-        self._struct = TorsionGammaData(
-            delta=delta, w_part=w_part, gamma_generator=gamma_gen,
-            gamma_lift=gamma_lift, filtration=filtration)
-        return self._struct
+    def torsion_classes(self) -> list[int]:
+        """The prime-to-p torsion Delta: the multiples of h / |Delta|, from 0."""
+        return list(range(0, self.order, self.order // self.delta_order))
 
     # -- characters -----------------------------------------------------------
 
@@ -314,7 +248,7 @@ def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":
 
 class HeckeCharacter:
     """Character k of the cyclic group `group` of order h: its value on the
-    class (c,) is e(k c / h), and k is its label index.
+    class c is e(k c / h), and k is its label index.
 
     `value_on_class`/`value_on_ideal_of` evaluate the character as a function
     on ideal classes.  `local_value` is the complex-conjugate evaluation on
@@ -366,9 +300,8 @@ class HeckeCharacter:
 
     # -- evaluations ----------------------------------------------------------
 
-    def value_on_class(self, elt: Sequence[int]) -> RootOfUnity:
-        # a class of the cyclic group is (c,), or () when the group is trivial
-        return RootOfUnity(Fraction(self.k * sum(elt), self.group.order))
+    def value_on_class(self, c: int) -> RootOfUnity:
+        return RootOfUnity(Fraction(self.k * c, self.group.order))
 
     def value_on_ideal_of(self, x) -> RootOfUnity | None:
         """Value at the class of the principal ideal (x); None when (x) is
@@ -380,7 +313,7 @@ class HeckeCharacter:
         return self.value_on_class(elt)
 
     def value_at_residue(self, r: int) -> RootOfUnity | None:
-        e = self.group.dlog[r % self.group.modulus]
+        e = int(self.group.dlog[r % self.group.modulus])
         if e < 0:
             return None
         return RootOfUnity(self.dlog_phase * e)
@@ -404,7 +337,7 @@ class HeckeCharacter:
             g = self.group
             step = self.k * g.generator_exponent
             self._conductor = 0 if self.k == 0 else next(
-                (m for m in range(1, g.n) if step * g.dlog[1 + g.p ** m] % g.order == 0),
+                (m for m in range(1, g.n) if step * int(g.dlog[1 + g.p ** m]) % g.order == 0),
                 g.n)
         return self._conductor
 

@@ -16,7 +16,7 @@ from math import gcd, lcm, pi
 
 import numpy as np
 
-from .abelian import p_adic_split
+from .abelian import factorize, p_adic_split
 
 
 class RootOfUnity:
@@ -302,21 +302,8 @@ def vanishes(level: int, coeffs: np.ndarray) -> bool:
 @lru_cache(maxsize=None)
 def _tensor_basis_data(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Per prime power q = p^m dividing n: (q, p, phi(q), p^{m-1}, (n/q)^-1 mod q)."""
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            out.append((q, p))
-        p += 1
-    if m > 1:
-        out.append((m, m))
     data = []
-    for q, p in out:
-        step = q // p
+    for p, m in factorize(n).items():
+        q, step = p ** m, p ** (m - 1)
         data.append((q, p, (p - 1) * step, step, pow(n // q, -1, q)))
     return tuple(data)

@@ -267,10 +267,3 @@ def tau_table_bigint(limit: int) -> list[int]:
         coeffs = _square_bigint(coeffs, limit)
     return [0] + coeffs
 
-
-def hecke_eigenvalue_defect(table: list[int], m: int, n: int) -> int:
-    """tau(m n) - tau(m) tau(n) for coprime m, n; zero iff multiplicative."""
-    from math import gcd
-    if gcd(m, n) != 1:
-        raise ValueError("defect is defined for coprime arguments")
-    return table[m * n] - table[m] * table[n]

@@ -12,10 +12,9 @@ from lcentral import acceptance, charsums
 from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                CoefficientFieldContext, _recognize,
-                               average_char, average_iota, average_support,
+                               average_char, average_support,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
-                               gauss_sum_conjugation_defect,
                                kloosterman_bound_report, orbit_float_root_numbers,
                                orbit_gauss_sums, orbit_root_numbers,
                                root_number, substitutions)
@@ -40,6 +39,26 @@ def sqrt2_setup():
 
 def order5_char(rcg):
     return [c for c in rcg.characters() if c.order == 5][0]
+
+
+def gauss_sum_conjugation_defect(chi):
+    """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
+    g = gauss_sum(chi)
+    gbar = gauss_sum(chi.conjugate())
+    return abs(g.conjugate() - chi.local_value(-1).to_complex() * gbar)
+
+
+def average_iota(chi, ctx, a, nebentypus="trivial"):
+    """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit, one root
+    number per member: the per-residue oracle of `averaged_iota_values`."""
+    orbit = galois_orbit(chi, ctx)
+    total = 0j
+    for tw in orbit:
+        v = tw.conjugate().value_on_ideal_of(a)
+        if v is None:
+            continue
+        total += root_number(tw, nebentypus) * v.to_complex()
+    return total / len(orbit)
 
 
 def test_quadratic_gauss_sum_is_sqrt5():

@@ -256,6 +256,41 @@ def test_enumeration_box_cap():
 # norm minima
 # ---------------------------------------------------------------------------
 
+def _unit_residues(ctx, n):
+    """Subgroup of (O/P^n)* generated by the global unit residues, by a
+    breadth-first walk from 1."""
+    mod = ctx.modulus(n)
+    gens = {mod - 1}                            # residue of -1
+    for ug in ctx.nf.unit_gens:
+        gens.add(ctx.residue(ug, n) % mod)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        r = frontier.pop()
+        for g in gens:
+            s = (r * g) % mod
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return seen
+
+
+@pytest.mark.parametrize("nf, primes, levels", [
+    (Q, (3, 5, 7), (1, 2, 3, 4)),
+    (K, (7, 31, 41), (1, 2, 3)),
+], ids=["rationals", "sqrt2"])
+def test_trivial_ray_class_is_the_unit_residue_subgroup(nf, primes, levels):
+    # min_norm_coset keeps the residues of class 0: they must be exactly the
+    # residues of global units
+    for p in primes:
+        ctx = prime_above(nf, p)
+        for n in levels:
+            rcg = rcg_build(nf, ctx, n)
+            trivial = {r for r in range(ctx.modulus(n))
+                       if r % p and rcg.class_of_residue(r) == 0}
+            assert _unit_residues(ctx, n) == trivial
+
+
 def test_min_norm_coset_rationals():
     assert [min_norm_coset(CTX5, n) for n in (1, 2, 3, 4)] == [4, 24, 124, 624]
     assert [min_norm_coset(prime_above(Q, 3), n) for n in (1, 2, 3)] == [2, 8, 26]

@@ -6,7 +6,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lcentral.abelian import p_adic_split
+from lcentral.abelian import FiniteAbelianGroup, p_adic_split
+from lcentral.cones import prime_above
 from lcentral.fields import nf_load
 from lcentral.rayclass import (RESIDUE_TABLE_CAP, HeckeCharacter,
                                PrimeContext, RayClassGroup, max_residue_level,
@@ -17,6 +18,16 @@ from lcentral.roots import RootOfUnity
 def q_ctx():
     Q = nf_load("rationals")
     return Q, PrimeContext(Q, 5, Q.element_from_int(5))
+
+
+def _snf_oracle(nf, ctx, n):
+    """The ray class group mod p^n presented by the Smith normal form of its
+    relation column [[phi], [dlog(u)] for each unit generator u], built here
+    from the level's dlogs rather than read off a `RayClassGroup`."""
+    dlog, mod = ctx.dlog_array(n), ctx.modulus(n)
+    column = [ctx.unit_group_order(n)]
+    column += [int(dlog[ctx.residue(u, n) % mod]) for u in nf.unit_gens]
+    return FiniteAbelianGroup([[d] for d in column])
 
 
 def test_group_orders_over_rationals():
@@ -31,26 +42,17 @@ def test_group_orders_p3():
     ctx = PrimeContext(Q, 3, Q.element_from_int(3))
     rcg = RayClassGroup(Q, ctx, 2)
     assert rcg.order == 3
-    st = rcg.torsion_and_gamma()
-    assert rcg.group.order_of(st.gamma_generator) == 3
+    assert rcg.delta_order == 1 and rcg.torsion_classes() == [0]
 
 
 def test_torsion_and_gamma_structure():
+    # Cl(p^n) = Delta x Gamma with |Delta| = 2 at every level over Q, p = 5
     Q, ctx = q_ctx()
-    for n, gamma_order, filtration in [
-        (1, 1, {1: 1}),
-        (2, 5, {1: 5, 2: 1}),
-        (3, 25, {1: 25, 2: 5, 3: 1}),
-    ]:
-        st = RayClassGroup(Q, ctx, n).torsion_and_gamma()
-        assert len(st.delta) == 2
-        assert len(st.w_part) == 2
-        g = RayClassGroup(Q, ctx, n).group
-        assert g.order_of(st.gamma_generator) == gamma_order
-        assert st.filtration == filtration
-    # the generator lift is the smallest qualifying residue
-    st2 = RayClassGroup(Q, ctx, 2).torsion_and_gamma()
-    assert st2.gamma_lift == 4
+    for n, h in [(1, 2), (2, 10), (3, 50)]:
+        rcg = RayClassGroup(Q, ctx, n)
+        assert rcg.order == h
+        assert rcg.delta_order == 2
+        assert rcg.torsion_classes() == [0, h // 2]
 
 
 def test_quadratic_field_groups_collapse():
@@ -114,11 +116,12 @@ def test_conductor_matches_pairwise_oracle():
 def test_class_enumeration_covers_group():
     Q, ctx = q_ctx()
     rcg = rcg_build(Q, ctx, 2)
-    classes = {rcg.class_of_residue(r) for r in range(1, 25) if r % 5}
-    assert classes == set(rcg.group.elements())
-    for elt in rcg.group.elements():
-        r = rcg.min_residue_of_class(elt)
-        assert rcg.class_of_residue(r) == elt
+    units = [r for r in range(1, 25) if r % 5]
+    classes = {rcg.class_of_residue(r) for r in units}
+    assert classes == set(range(rcg.order))
+    for c in range(rcg.order):
+        assert rcg.min_residue_of_class(c) == min(
+            r for r in units if rcg.class_of_residue(r) == c)
 
 
 def test_ideal_to_element_accepts_pairs():
@@ -177,17 +180,18 @@ def test_character_index_is_enumeration_position():
         ctx = PrimeContext(Q, p, Q.element_from_int(p))
         for n in (1, 2, 3, 4):
             rcg = rcg_build(Q, ctx, n)
-            vecs = list(rcg.group.characters())
-            assert len(vecs) == rcg.order
+            g = _snf_oracle(Q, ctx, n)
+            vecs = list(g.characters())
+            assert len(vecs) == rcg.order == g.order
             for i, vec in enumerate(vecs):
-                assert rcg.group.char_index(vec) == i
+                assert g.char_index(vec) == i
                 assert HeckeCharacter(rcg, i).k == i
                 assert rcg.characters()[i].k == rcg.character_by_index(i).k == i
             chi = rcg.character_by_index(rcg.order - 1)
             vec = vecs[chi.k]
             for t in (2, 3, -1):
-                assert chi.power(t).k == vecs.index(rcg.group.pow(vec, t))
-            assert chi.conjugate().k == vecs.index(rcg.group.inv(vec))
+                assert chi.power(t).k == vecs.index(g.pow(vec, t))
+            assert chi.conjugate().k == vecs.index(g.inv(vec))
             with pytest.raises(IndexError):
                 rcg.character_by_index(rcg.order)
 
@@ -204,24 +208,26 @@ def _conductor_by_residue_classes(phases, p, n):
     raise AssertionError("no conductor found")
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_exponent_arithmetic_matches_the_dual_group(p):
-    # every character k of Q at levels 1-4 against FiniteAbelianGroup's dual
-    # route: chi_k is the exponent vector at position k of the enumeration,
-    # and its value at the class of r pairs that vector with the class, read
-    # off the Smith normal form of the relations
-    Q = nf_load("rationals")
-    ctx = PrimeContext(Q, p, Q.element_from_int(p))
-    for n in (1, 2, 3, 4):
-        rcg = rcg_build(Q, ctx, n)
-        g, h, mod = rcg.group, rcg.order, p ** n
-        dlog = ctx.dlog_list(n)
+def _check_against_the_dual_group(nf, ctx, levels):
+    """Every character k at each level against FiniteAbelianGroup's dual
+    route: chi_k is the exponent vector at position k of the enumeration, and
+    its value at the class of r pairs that vector with the class, read off
+    the Smith normal form of the relations."""
+    p = ctx.p
+    for n in levels:
+        rcg = rcg_build(nf, ctx, n)
+        g, mod = _snf_oracle(nf, ctx, n), p ** n
+        h = g.order
+        assert rcg.order == h
+        dlog = ctx.dlog_array(n).tolist()
         units = [r for r in range(mod) if r % p]
         classes = {r: g.from_exponents([dlog[r]]) for r in units}
         gen_class = g.from_exponents([1])
         # the group is cyclic: a class is (x,) or (), a character vector (c,) or ()
         x = np.full(mod, -1, dtype=np.int64)
         x[units] = [sum(classes[r]) for r in units]
+        # the integer class is the SNF coordinate
+        assert all(rcg.class_of_residue(r) == x[r] for r in units)
         sample = units[::max(1, len(units) // 12)]
         for k, vec in enumerate(g.characters()):
             chi = rcg.character_by_index(k)
@@ -244,9 +250,31 @@ def test_exponent_arithmetic_matches_the_dual_group(p):
                 want = RootOfUnity(Fraction(int(num[r]), h))
                 assert chi.value_at_residue(r) == want
                 assert chi.value_on_ideal_of(r) == want
-                assert chi.value_on_class(classes[r]) == want
+                assert chi.value_on_class(sum(classes[r])) == want
                 assert chi.local_value(r) == want.conjugate()
             assert chi.value_at_residue(p) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exponent_arithmetic_matches_the_dual_group(p):
+    Q = nf_load("rationals")
+    _check_against_the_dual_group(Q, PrimeContext(Q, p, Q.element_from_int(p)),
+                                  (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("p, levels, order, delta", [
+    (41, (1, 2, 3), 4, 4),
+    (31, (2, 3), 31, 1),
+], ids=["p41", "p31"])
+def test_exponent_arithmetic_matches_the_dual_group_over_sqrt2(p, levels, order, delta):
+    # the unit 1 + sqrt2 cuts (O/p^n)^* down to a group that is neither
+    # trivial nor the whole: C4 at p = 41, C31 at p = 31
+    K = nf_load("quadratic-sqrt2")
+    ctx = prime_above(K, p)
+    _check_against_the_dual_group(K, ctx, levels)
+    for n in levels:
+        rcg = rcg_build(K, ctx, n)
+        assert (rcg.order, rcg.delta_order) == (order, delta)
 
 
 def test_residue_characters_match_the_dlog_rule():
@@ -256,7 +284,7 @@ def test_residue_characters_match_the_dlog_rule():
     ctx = PrimeContext(K, 7, K.element([3, 1]))
     for level in (1, 2):
         mod, phi = 7 ** level, 6 * 7 ** (level - 1)
-        dlog = ctx.dlog_list(level)
+        dlog = ctx.dlog_array(level).tolist()
         chars = residue_characters(ctx, level, primitive_only=False)
         assert [c.k for c in chars] == list(range(phi))
         for chi in chars:
@@ -316,7 +344,6 @@ def test_dlog_array_matches_the_generator_powers():
         g = ctx.generator_residue(level)
         arr = ctx.dlog_array(level)
         assert arr.shape == (mod,) and not arr.flags.writeable
-        assert ctx.dlog_list(level) == arr.tolist()
         for r in range(mod):
             if r % 5 == 0:
                 assert arr[r] == -1

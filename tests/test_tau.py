@@ -12,9 +12,16 @@ from lcentral import tau as tau_module
 from lcentral.newforms import _verify_full_table
 from lcentral.ntt import NTT_PRIMES, garner, transform_size
 from lcentral.tau import (_SMALL_TAU, TAU_LIMIT_CAP, _crt_primes, _DivisorIndex,
-                          hecke_eigenvalue_defect, tau_table, tau_table_bigint)
+                          tau_table, tau_table_bigint)
 
 TABLE = tau_table(5000)
+
+
+def hecke_eigenvalue_defect(table: list[int], m: int, n: int) -> int:
+    """tau(m n) - tau(m) tau(n) for coprime m, n; zero iff multiplicative."""
+    if math.gcd(m, n) != 1:
+        raise ValueError("defect is defined for coprime arguments")
+    return table[m * n] - table[m] * table[n]
 
 
 def test_small_values_frozen():
