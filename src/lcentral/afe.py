@@ -287,15 +287,12 @@ class AFEConfig:
     """Resolved evaluation parameters for one completed-value computation.
 
     The two cutoffs are checked against the tail majorants before any sum
-    is trusted.  The contour fields record the parameters of a cross-check
-    run when one was performed; the production route does not use them.
+    is trusted.
     """
     y: float
     cutoff_main: int
     cutoff_dual: int
     tol: float = 1e-9
-    contour_half_height: float | None = None
-    contour_step: float | None = None
 
 
 class LValueResult(NamedTuple):

@@ -10,6 +10,12 @@ seeds the reduction; membership on the window boundary is decided by exact
 integer sign tests, so counts are reproducible and the brute-force oracle
 with enlarged boxes must agree bit for bit.
 
+Each job is done once for both degrees: one exact sign test and one window
+predicate (elementwise over numpy arrays: int64 for enumerations, object
+arrays of exact coordinates for single elements), and one coset enumeration
+in which Q is the one-row case.  The least norms per ray class come from one
+scan that reads a point's class off the level's int64 dlog table.
+
 Shipped fields are Q and Q(sqrt(2)); anything of degree > 2 or with a
 complex place is rejected up front.
 """
@@ -19,7 +25,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,31 +41,21 @@ WITNESS_LIMIT = 24
 _WINDOWS = ("standard", "shifted")
 
 
-def _sign_plus(a: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of a + b*sqrt(m) for rational a, b and nonsquare m > 0."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, m * b * b
-    if lhs == rhs:
-        # would force sqrt(m) rational
-        raise ArithmeticError(f"sqrt({m}) behaves rationally; bad field data")
-    if lhs > rhs:
-        return 1 if a > 0 else -1
-    return 1 if b > 0 else -1
-
-
 def _sign_plus_arrays(p, q, m: int):
-    """Vectorised _sign_plus for integer arrays (p + q*sqrt(m))."""
+    """Exact sign of p + q*sqrt(m), elementwise, for nonsquare m > 0 (any m
+    where q = 0) and arrays of int64, or of objects holding ints and
+    Fractions."""
     s = np.sign(q)
     rational_dominates = p * p > m * q * q
     s = np.where(rational_dominates, np.sign(p), s)
     return np.where((p == 0) & (q == 0), 0, s)
+
+
+def _coord_arrays(x: FieldElement):
+    """x's coordinates (u, v) as one-entry object arrays, v = 0 over Q: the
+    array predicates stay exact for Fractions and past the int64 range."""
+    u, v = (*x.coords, 0)[:2]
+    return np.array([u], dtype=object), np.array([v], dtype=object)
 
 
 class DomainReducer:
@@ -75,7 +70,7 @@ class DomainReducer:
     in [0, 1), where eps is the fundamental unit normalised to
     sigma_plus(eps) > 1 and sigma_plus is the embedding sending sqrt(m) to
     the positive root.  Multiplication by eps shifts tau by exactly 1
-    wheither sign the unit norm takes, so the window is a fundamental
+    whichever sign the unit norm takes, so the window is a fundamental
     domain for the full unit group acting on the half-plane
     sigma_plus > 0.  Window membership never trusts the logarithms: the
     two slope inequalities factor into linear forms whose signs are
@@ -100,6 +95,9 @@ class DomainReducer:
             raise NotImplementedError(
                 "real quadratic support assumes the integral basis (1, sqrt(m))")
         self.m = int(-nf.min_poly[0])
+        # the exact sign test needs a + b*sqrt(m) = 0 only at a = b = 0
+        if math.isqrt(self.m) ** 2 == self.m:
+            raise ArithmeticError(f"sqrt({self.m}) is rational; bad field data")
         self.root = math.sqrt(self.m)
 
         # Fundamental unit: the infinite-order generator, normalised so the
@@ -122,25 +120,10 @@ class DomainReducer:
         self.eps2 = eps * eps
         self.eps3 = self.eps2 * eps
         self.log_eps = math.log(self.embed(eps)[0])
-        # totally positive fundamental unit: eps itself if its minus
-        # embedding is already positive, else its square
-        self.eps_plus = eps if self.sign_minus(eps) > 0 else self.eps2
-
-    # -- exact scalar sign tests ---------------------------------------------
 
     def sign_plus(self, x: FieldElement) -> int:
-        if self.degree == 1:
-            a = x.coords[0]
-            return (a > 0) - (a < 0)
-        return _sign_plus(x.coords[0], x.coords[1], self.m)
-
-    def sign_minus(self, x: FieldElement) -> int:
-        if self.degree == 1:
-            return self.sign_plus(x)
-        return _sign_plus(x.coords[0], -x.coords[1], self.m)
-
-    def conj(self, x: FieldElement) -> FieldElement:
-        return self.nf.element([x.coords[0], -x.coords[1]])
+        """Exact sign of x at the plus place."""
+        return int(_sign_plus_arrays(*_coord_arrays(x), self.m or 0)[0])
 
     def embed(self, x: FieldElement) -> tuple[float, float]:
         if self.degree == 1:
@@ -156,8 +139,6 @@ class DomainReducer:
         s1, s2 = self.embed(x)
         return (math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * self.log_eps)
 
-    # -- membership ------------------------------------------------------------
-
     def contains(self, x: FieldElement, window: str = "standard") -> bool:
         """Exact membership of x in the fundamental window.
 
@@ -167,33 +148,7 @@ class DomainReducer:
         """
         if window not in _WINDOWS:
             raise ValueError(f"unknown window {window!r}")
-        if x.is_zero():
-            return False
-        if self.degree == 1:
-            return x.coords[0] > 0
-        if self.sign_plus(x) <= 0:
-            return False
-        xbar = self.conj(x)
-        if window == "standard":
-            # tau >= 0  <=>  sigma_plus^2 >= sigma_minus^2  <=>  a*b >= 0
-            if x.coords[0] * x.coords[1] < 0:
-                return False
-            # tau < 1  <=>  sigma_plus < sigma_plus(eps)^2 |sigma_minus|,
-            # i.e. (eps^2 xbar - x)(eps^2 xbar + x) positive at the plus place
-            s1 = self.sign_plus(self.eps2 * xbar - x)
-            s2 = self.sign_plus(self.eps2 * xbar + x)
-            return s1 * s2 > 0
-        # shifted: tau >= 1/2  <=>  sigma_plus >= sigma_plus(eps) |sigma_minus|
-        # <=>  (x - eps xbar)(x + eps xbar) nonnegative at the plus place
-        s1 = self.sign_plus(x - self.eps * xbar)
-        s2 = self.sign_plus(x + self.eps * xbar)
-        if s1 * s2 < 0:
-            return False
-        g1 = self.sign_plus(self.eps3 * xbar - x)
-        g2 = self.sign_plus(self.eps3 * xbar + x)
-        return g1 * g2 > 0
-
-    # -- reduction ---------------------------------------------------------------
+        return bool(_window_mask(*_coord_arrays(x), self, window)[0])
 
     def reduce(self, x: FieldElement) -> FieldElement:
         """The canonical associate of x in the standard window."""
@@ -210,15 +165,10 @@ class DomainReducer:
         if k:
             y = y * (self.eps_inv ** k if k > 0 else self.eps ** (-k))
         for _ in range(8):
-            if y.coords[0] * y.coords[1] < 0:
-                y = y * self.eps          # tau < 0: climb
-                continue
-            xbar = self.conj(y)
-            s1 = self.sign_plus(self.eps2 * xbar - y)
-            s2 = self.sign_plus(self.eps2 * xbar + y)
-            if s1 * s2 > 0:
+            if self.contains(y):
                 return y
-            y = y * self.eps_inv          # tau >= 1: descend
+            # a*b < 0 is tau < 0: climb; otherwise tau >= 1: descend
+            y = y * (self.eps if y.coords[0] * y.coords[1] < 0 else self.eps_inv)
         raise ArithmeticError(f"unit reduction did not settle for {x!r}")
 
 
@@ -298,7 +248,7 @@ def _coerce_alpha(nf: NumberFieldData, alpha) -> FieldElement:
     return nf.element(alpha)
 
 
-def _index_ranges(rows, offset_embed, bound, embeds):
+def _index_ranges(offset_embed, bound, embeds):
     """Integer ranges (i, j) whose lattice points can reach the embedding box."""
     m11, m12 = embeds[0][0], embeds[1][0]
     m21, m22 = embeds[0][1], embeds[1][1]
@@ -320,10 +270,15 @@ def _index_ranges(rows, offset_embed, bound, embeds):
 
 
 def _window_mask(u, v, reducer: DomainReducer, window: str):
-    """Exact membership of u + v*sqrt(m) in the chosen window, vectorised."""
+    """Exact membership of u + v*sqrt(m) in the chosen window, elementwise
+    (u > 0 over Q, where v = 0)."""
     m = reducer.m
+    if m is None:
+        return u > 0
     s0 = _sign_plus_arrays(u, v, m) > 0
     if window == "standard":
+        # tau >= 0 <=> sigma_plus^2 >= sigma_minus^2 <=> u*v >= 0, and
+        # tau < 1 <=> (eps^2 xbar - x)(eps^2 xbar + x) > 0 at the plus place
         e0, e1 = int(reducer.eps2.coords[0]), int(reducer.eps2.coords[1])
         # eps^2 * conj(x) has coordinates (e0*u - m*e1*v, e1*u - e0*v)
         p_bar, q_bar = e0 * u - m * e1 * v, e1 * u - e0 * v
@@ -342,11 +297,17 @@ def _window_mask(u, v, reducer: DomainReducer, window: str):
     return s0 & (s_minus * s_plus >= 0) & (g_minus * g_plus > 0)
 
 
+def _point(nf: NumberFieldData, u, v) -> FieldElement:
+    """The element with coordinates (u, v); v = 0 is dropped over Q."""
+    return nf.element([int(u), int(v)][:nf.degree])
+
+
 def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
                      window: str, box_factor: float, threads: int = 1):
-    """Integer coordinate arrays (u, v) of coset points passing every exact
-    filter: window membership and |norm| <= x.  lattice_rows spans the
-    translation lattice; offset is the coset representative.
+    """Integer coordinate arrays (u, v, |N|) of coset points passing every
+    exact filter: window membership and |N| <= x.  lattice_rows spans the
+    translation lattice; offset is the coset representative.  Over Q the
+    lattice is one row, so v = 0 and |N| = |u|.
 
     threads > 1 partitions the outer index range into contiguous slabs that
     are filtered independently and merged; the filters are exact integer
@@ -354,22 +315,27 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
     """
     nf = ctx.nf
     reducer = reducer_for(nf)
-    win_pow = 2 if window == "standard" else 3
-    eps1 = reducer.embed(reducer.eps)[0]
-    bound = math.sqrt(x) * eps1 ** (win_pow / 2.0) * box_factor + 1e-9
-    r1 = (int(lattice_rows[0][0]), int(lattice_rows[0][1]))
-    r2 = (int(lattice_rows[1][0]), int(lattice_rows[1][1]))
-    embeds = [reducer.embed(nf.element(r)) for r in (r1, r2)]
-    off = (int(offset.coords[0]), int(offset.coords[1]))
-    off_embed = reducer.embed(offset)
-    lo_i, hi_i, lo_j, hi_j = _index_ranges((r1, r2), off_embed, bound, embeds)
+    m = reducer.m
+    if m is None:
+        # the multiples u = offset + i*step in (0, x*box_factor]
+        step, a = int(lattice_rows[0][0]), int(offset.coords[0])
+        r1, r2, off = (step, 0), (0, 0), (a, 0)
+        lo_i, hi_i = -a // step, (math.floor(x * box_factor) - a) // step
+        lo_j = hi_j = 0
+    else:
+        win_pow = 2 if window == "standard" else 3
+        eps1 = reducer.embed(reducer.eps)[0]
+        bound = math.sqrt(x) * eps1 ** (win_pow / 2.0) * box_factor + 1e-9
+        r1, r2 = ((int(r[0]), int(r[1])) for r in lattice_rows)
+        embeds = [reducer.embed(nf.element(r)) for r in (r1, r2)]
+        off = (int(offset.coords[0]), int(offset.coords[1]))
+        lo_i, hi_i, lo_j, hi_j = _index_ranges(reducer.embed(offset), bound, embeds)
     total = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if total > BOX_CANDIDATE_CAP:
         raise ValueError(
             f"enumeration box needs {total} candidate points; the desk-scale "
             f"cap is {BOX_CANDIDATE_CAP} (shrink x)")
     xi = math.floor(x)
-    m = reducer.m
 
     def slab(a, b):
         ii, jj = np.meshgrid(np.arange(a, b + 1, dtype=np.int64),
@@ -378,7 +344,7 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         ii, jj = ii.ravel(), jj.ravel()
         u = off[0] + ii * r1[0] + jj * r2[0]
         v = off[1] + ii * r1[1] + jj * r2[1]
-        norm = np.abs(u * u - m * v * v)
+        norm = np.abs(u) if m is None else np.abs(u * u - m * v * v)
         keep = ((u != 0) | (v != 0)) & (norm <= xi)
         keep &= _window_mask(u, v, reducer, window)
         return u[keep], v[keep], norm[keep]
@@ -427,32 +393,47 @@ def count_progression(alpha, prime: PrimeContext, n: int, x: float, *,
         raise ValueError(f"alpha must be coprime to the prime above {ctx.p}")
     ideal = IntegralIdeal.principal(nf, alpha) * ctx.prime_ideal ** n
 
-    if nf.degree == 1:
-        a0 = int(alpha.coords[0])
-        step = ideal.norm                      # |alpha| * p^n
-        b0 = a0 % step
-        if b0 == 0:                            # cannot happen with alpha coprime
-            raise ArithmeticError("degenerate progression")
-        xi = math.floor(x * box_factor)
-        cands = np.arange(b0, xi + 1, step, dtype=np.int64)
-        cands = cands[cands <= math.floor(x)]
-        wit = None
-        if witnesses:
-            wit = tuple(nf.element_from_int(int(b)) for b in cands[:WITNESS_LIMIT])
-        return ProgressionCount(alpha, ideal, n, x, int(cands.size), window, wit)
-
     u, v, norm = _enumerate_coset(ctx, ideal.hnf, alpha, x, window,
                                   box_factor, threads)
     wit = None
     if witnesses:
         order = np.lexsort((v, u, norm))[:WITNESS_LIMIT]
-        wit = tuple(nf.element([int(u[k]), int(v[k])]) for k in order)
+        wit = tuple(_point(nf, u[k], v[k]) for k in order)
     return ProgressionCount(alpha, ideal, n, x, int(u.size), window, wit)
 
 
 # ---------------------------------------------------------------------------
 # norm minima and bound reports
 # ---------------------------------------------------------------------------
+
+def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
+                 min_norm: int = 1) -> dict:
+    """Least (|N|, u, v) in each wanted ray class over the standard-window
+    points u + v*sqrt(m) of O with |N| >= min_norm and prime to p.
+
+    x doubles from the given start for at most `rounds` enumerations.  The
+    class of a point is read off the level's dlog table at its residue
+    u*b0 + v*b1, where (b0, b1) are the residues of the integral basis.
+    """
+    nf = rcg.nf
+    b0, b1 = (*rcg.ctx.iso(rcg.n).basis_images, 0)[:2]      # v = 0 over Q
+    identity_rows = np.eye(nf.degree, dtype=np.int64)
+    for _ in range(rounds):
+        u, v, norm = _enumerate_coset(rcg.ctx, identity_rows, nf.zero, x,
+                                      "standard", 1.0)
+        keep = (norm >= min_norm) & (norm % rcg.p != 0)
+        u, v, norm = u[keep], v[keep], norm[keep]
+        order = np.lexsort((v, u, norm))
+        residues = (u * b0 + v * b1) % rcg.modulus
+        cls = rcg.generator_exponent * rcg.dlog[residues] % rcg.order
+        found, first = np.unique(cls[order], return_index=True)
+        hits = dict(zip(found.tolist(), order[first].tolist()))
+        if all(c in hits for c in classes):
+            return {c: (int(norm[hits[c]]), int(u[hits[c]]), int(v[hits[c]]))
+                    for c in classes}
+        x *= 2
+    raise ArithmeticError("ray classes not all represented within the search budget")
+
 
 def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     """min |N(beta)| over beta in (1 + P^n) excluding the unit orbit of 1.
@@ -467,44 +448,9 @@ def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     if n < 1:
         raise ValueError("need n >= 1")
     ctx = prime
-    nf = ctx.nf
-    rcg = rcg_build(nf, ctx, n)       # refuses levels past the residue cap
-    mod = ctx.modulus(n)
-
-    if nf.degree == 1:
-        x = mod
-        for _ in range(12):
-            for b in range(2, x + 1):
-                if b % ctx.p and rcg.class_of_residue(b) == 0:
-                    elem = nf.element_from_int(b)
-                    return (b, elem) if with_witness else b
-            x *= 2
-        raise ArithmeticError("no coset element found; residue bookkeeping is off")
-
-    identity_rows = ((1, 0), (0, 1))
-    x = float(mod)
-    for _ in range(12):
-        u, v, norm = _enumerate_coset(ctx, identity_rows, nf.zero, x, "standard", 1.0)
-        best = None
-        for k in range(u.size):
-            nv = int(norm[k])
-            if nv < 2:
-                continue
-            if nv % ctx.p == 0:
-                continue                        # not coprime to P
-            key = (nv, int(u[k]), int(v[k]))
-            if best is not None and key >= best:
-                continue
-            elem = nf.element([int(u[k]), int(v[k])])
-            if rcg.ideal_to_element(elem) == 0:
-                best = key
-        if best is not None:
-            value = best[0]
-            if with_witness:
-                return value, nf.element([best[1], best[2]])
-            return value
-        x *= 2
-    raise ArithmeticError("no coset element found within the search budget")
+    rcg = rcg_build(ctx.nf, ctx, n)       # refuses levels past the residue cap
+    value, u, v = _least_norms(rcg, (0,), float(ctx.modulus(n)), 12, min_norm=2)[0]
+    return (value, _point(ctx.nf, u, v)) if with_witness else value
 
 
 @dataclass(frozen=True)
@@ -576,38 +522,9 @@ def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
                                  True, True)
     scale = float(rcg.ctx.p) ** (n / delta_order)
 
-    rows = []
-    if rcg.nf.degree == 1:
-        # ideals (m) with m > 0: the smallest residue lift is the smallest norm
-        for b in nontrivial:
-            r = rcg.min_residue_of_class(b)
-            rows.append((r, r, r / scale))
-    else:
-        ctx = rcg.ctx
-        nf = rcg.nf
-        identity_rows = ((1, 0), (0, 1))
-        remaining = {b: None for b in nontrivial}
-        x = max(float(scale), 4.0)
-        for _ in range(14):
-            u, v, norm = _enumerate_coset(ctx, identity_rows, nf.zero, x,
-                                          "standard", 1.0)
-            order = np.lexsort((v, u, norm))
-            for k in order:
-                nv = int(norm[k])
-                if nv % ctx.p == 0:
-                    continue
-                elem = nf.element([int(u[k]), int(v[k])])
-                cls = rcg.ideal_to_element(elem)
-                if cls in remaining and remaining[cls] is None:
-                    remaining[cls] = (rcg.min_residue_of_class(cls), nv)
-            if all(val is not None for val in remaining.values()):
-                break
-            x *= 2
-        else:
-            raise ArithmeticError("torsion classes not all represented in budget")
-        for b in nontrivial:
-            r, nv = remaining[b]
-            rows.append((r, nv, nv / scale))
+    least = _least_norms(rcg, nontrivial, max(scale, 4.0), 14)
+    rows = [(rcg.min_residue_of_class(b), least[b][0], least[b][0] / scale)
+            for b in nontrivial]
 
     constant = min(row[2] for row in rows)
     passed = constant >= floor_ratio

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .roots import RootOfUnity
+from .roots import poly_divmod, poly_trim
 
 Q = Fraction
 
@@ -42,34 +42,13 @@ def _q(v) -> Fraction:
 # dense rational polynomial helpers (ascending coefficients)
 # ---------------------------------------------------------------------------
 
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [Q(0)] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    dm = len(m) - 1
-    inv = 1 / m[-1]
-    while len(a) - 1 >= dm and _ptrim(a):
-        if not a:
-            break
-        c = a[-1] * inv
-        shift = len(a) - 1 - dm
-        for j in range(len(m)):
-            a[shift + j] -= c * m[j]
-        a = _ptrim(a)
-    return a
+    return poly_trim(out)
 
 
 def _pderiv(p: Sequence[Fraction]) -> list[Fraction]:
@@ -85,8 +64,8 @@ def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:
 
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [list(p), _pderiv(p)]
-    while _ptrim(list(chain[-1])):
-        rem = _pmod(chain[-2], chain[-1])
+    while poly_trim(list(chain[-1])):
+        _, rem = poly_divmod(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -570,7 +549,7 @@ class NumberFieldData:
             raise ValueError("defining polynomial must be nonconstant")
 
         gcd_chain = _sturm_chain(list(self.min_poly))
-        if len(_ptrim(list(gcd_chain[-1]))) > 1:
+        if len(poly_trim(list(gcd_chain[-1]))) > 1:
             raise ValueError("defining polynomial is not squarefree")
 
         self._basis_rows: list[list[Fraction]] = [
@@ -581,9 +560,9 @@ class NumberFieldData:
 
         self._coord_names = [f"b{i}" for i in range(self.degree)]
 
-        # change of basis: power coords = B^T . integral coords
-        self._power_from_integral = self._basis_rows
-        self._integral_from_power = self._invert_basis()
+        # power coords = B^T . integral coords, so B must be invertible
+        if _frac_det(self._basis_rows) == 0:
+            raise ValueError("integral basis rows are linearly dependent")
 
         mt = self._derive_mult_table()
         if "mult_table" in doc and doc["mult_table"] is not None:
@@ -664,18 +643,6 @@ class NumberFieldData:
         assert sol is not None
         return FieldElement(self, sol)
 
-    def _invert_basis(self) -> list[list[Fraction]]:
-        d = self.degree
-        m = [[self._basis_rows[i][j] for i in range(d)] for j in range(d)]
-        det = _frac_det(m)
-        if det == 0:
-            raise ValueError("integral basis rows are linearly dependent")
-        cols = []
-        for k in range(d):
-            rhs = [Q(1) if i == k else Q(0) for i in range(d)]
-            cols.append(_frac_solve(m, rhs))
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
-
     def _derive_mult_table(self) -> list[list[list[Fraction]]]:
         d = self.degree
         table: list[list[list[Fraction]]] = []
@@ -683,20 +650,14 @@ class NumberFieldData:
             row_i = []
             for j in range(d):
                 prod_power = _pmul(self._basis_rows[i], self._basis_rows[j])
-                prod_power = _pmod(prod_power, self.min_poly)
+                _, prod_power = poly_divmod(prod_power, self.min_poly)
                 prod_power = prod_power + [Q(0)] * (d - len(prod_power))
-                coords = self._from_power_raw(prod_power)
+                coords = list(self._from_power(prod_power).coords)
                 if any(c.denominator != 1 for c in coords):
                     raise ValueError("integral basis is not closed under multiplication")
                 row_i.append(coords)
             table.append(row_i)
         return table
-
-    def _from_power_raw(self, power: list[Fraction]) -> list[Fraction]:
-        m = [[self._basis_rows[i][j] for i in range(self.degree)] for j in range(self.degree)]
-        sol = _frac_solve(m, power)
-        assert sol is not None
-        return sol
 
     def _trace_gram(self) -> list[list[Fraction]]:
         d = self.degree
@@ -763,9 +724,6 @@ class NumberFieldData:
         """Phase of the finite additive character at x: e(-Tr(x)) as a
         fraction of a turn in [0, 1)."""
         return (-x.trace()) % 1
-
-    def efin(self, x: FieldElement) -> RootOfUnity:
-        return RootOfUnity(self.efin_phase(x))
 
     def __repr__(self) -> str:
         return f"NumberField({self.label}, degree={self.degree}, disc={self.discriminant})"

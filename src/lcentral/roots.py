@@ -86,13 +86,15 @@ def unit_circle_array(den: int) -> np.ndarray:
     return got
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def poly_trim(p: list[Fraction]) -> list[Fraction]:
+    """Drop the zero leading coefficients of p (ascending order), in place."""
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of rational polynomials (ascending order)."""
     num = [Fraction(x) for x in num]
     q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
     inv_lead = 1 / den[-1]
@@ -102,7 +104,7 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
             q[i] = coef
             for j, dj in enumerate(den):
                 num[i + j] -= coef * dj
-    return q, _poly_trim(num)
+    return q, poly_trim(num)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +115,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            poly, rem = poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
             assert not rem
     assert all(c.denominator == 1 for c in poly)
     return tuple(c.numerator for c in poly)
@@ -242,7 +244,7 @@ class CyclotomicNumber:
         dense = [Fraction(0)] * n
         for e, c in self.coeffs.items():
             dense[e] += c
-        _, rem = _poly_divmod(dense, [Fraction(c) for c in phi])
+        _, rem = poly_divmod(dense, [Fraction(c) for c in phi])
         return CyclotomicNumber(n, {i: c for i, c in enumerate(rem) if c})
 
     def is_zero(self) -> bool:

@@ -130,6 +130,15 @@ def test_cone_count_inert_prime_is_bad_input(capsys):
     assert "inert" in capsys.readouterr().err
 
 
+def test_cone_count_past_the_box_cap_refused(capsys):
+    # 2e11 candidate multiples of 5 over Q: refused before the array exists
+    code = main(["cone-count", "--field", "rationals", "--p", "5", "--n", "1",
+                 "--x", "1e12"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "desk-scale cap" in err[0]
+
+
 def test_lav_scan_roundtrip(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code = main(["lav-scan", "--n-lo", "1", "--n-hi", "1", "--out", str(out)])

@@ -119,11 +119,25 @@ GAUSSIAN_DOC = {
 }
 
 
+# x^2 - 4 passes the loader (squarefree, two real roots) but is no field:
+# the exact sign test would meet a + 2b = 0 at nonzero (a, b)
+SPLIT_DOC = {
+    "label": "split-x2-4",
+    "min_poly": [-4, 0, 1],
+    "integral_basis": [[1, 0], [0, 1]],
+    "discriminant": 16,
+    "unit_gens": [[-1, 0]],
+    "different_gen": [0, 2],
+}
+
+
 def test_unsupported_fields_are_rejected():
     with pytest.raises(ValueError, match="degree 3"):
         reducer_for(NumberFieldData(CUBIC_DOC))
     with pytest.raises(ValueError, match=r"signature \(0, 1\)"):
         reducer_for(NumberFieldData(GAUSSIAN_DOC))
+    with pytest.raises(ArithmeticError, match="rational"):
+        reducer_for(NumberFieldData(SPLIT_DOC))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +170,11 @@ def test_count_progression_rationals():
     assert count_progression(1, CTX5, 1, 1).count == 1
     wit = count_progression(1, CTX5, 1, 100, witnesses=True).witnesses
     assert [_coords(w)[0] for w in wit[:4]] == [1, 6, 11, 16]
+    # -3(1 + 5Z) meets the positive axis at 12, 27, 42, ... in either window
+    for window in ("standard", "shifted"):
+        r = count_progression(-3, CTX5, 1, 500, witnesses=True, window=window)
+        assert r.count == 33
+        assert [_coords(w)[0] for w in r.witnesses[:4]] == [12, 27, 42, 57]
 
 
 def test_count_progression_rationals_doubling():
@@ -250,6 +269,9 @@ def test_count_progression_argument_errors():
 def test_enumeration_box_cap():
     with pytest.raises(ValueError, match="desk-scale cap"):
         count_progression(1, CTX7, 1, 1e12)
+    # over Q too: 2e11 candidate multiples are refused, not allocated
+    with pytest.raises(ValueError, match="desk-scale cap"):
+        count_progression(1, CTX5, 1, 1e12)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +318,7 @@ def test_min_norm_coset_rationals():
     assert [min_norm_coset(prime_above(Q, 3), n) for n in (1, 2, 3)] == [2, 8, 26]
     value, wit = min_norm_coset(CTX5, 2, with_witness=True)
     assert value == 24 and _coords(wit) == (24,)
+    assert [min_norm_coset(prime_above(Q, 7), n) for n in (1, 2, 3, 4)] == [6, 48, 342, 2400]
 
 
 def test_min_norm_coset_past_the_residue_cap_refused():
@@ -313,6 +336,11 @@ def test_min_norm_coset_sqrt2():
         assert value == 2
         assert _coords(wit) == (0, 1)
     assert min_norm_coset(CTX7, 2) >= min_norm_coset(CTX7, 1)
+    # 1 + sqrt(2) is 31-adically degenerate: past level 1 the least norm
+    # leaves the orbit of sqrt(2)
+    for n in (2, 3):
+        value, wit = min_norm_coset(prime_above(K, 31), n, with_witness=True)
+        assert value == 82 and _coords(wit) == (10, 3)
 
 
 def test_min_norm_monotone_in_n():
@@ -374,6 +402,26 @@ def test_torsion_norm_bound_sqrt2():
     assert [row[1] for row in rep.rows] == [2, 4, 8]
     assert rep.constant == pytest.approx(2 / 41 ** 0.25)
     assert rep.passed
+
+
+@pytest.mark.parametrize("nf, p, n, norms, passed", [
+    (Q, 7, 1, [3, 2], True),
+    (Q, 7, 2, [18, 19], True),
+    (Q, 7, 3, [18, 19], True),
+    (Q, 11, 1, [2, 4, 3, 5], True),
+    (K, 41, 2, [2, 4, 8], False),
+], ids=["Q-p7-n1", "Q-p7-n2", "Q-p7-n3", "Q-p11-n1", "sqrt2-p41-n2"])
+def test_torsion_norm_bound_several_classes(nf, p, n, norms, passed):
+    # rows follow torsion_classes() order and name each class by its least
+    # residue; over Q that residue is itself the least norm
+    rcg = rcg_build(nf, prime_above(nf, p), n)
+    rep = torsion_norm_bound(rcg)
+    assert [row[1] for row in rep.rows] == norms
+    assert [row[0] for row in rep.rows] == [rcg.min_residue_of_class(b)
+                                            for b in rcg.torsion_classes()[1:]]
+    if nf is Q:
+        assert [row[0] for row in rep.rows] == norms
+    assert rep.passed is passed
 
 
 def test_torsion_norm_bound_level_mismatch():

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module, every
+private attribute a module assigns on self is read in that module, and
 starting the package loads no scipy subpackage that start-up does not need."""
 
 import ast
@@ -34,6 +35,27 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _write_only_attributes(tree: ast.Module) -> list[str]:
+    assigned = {}
+    read = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+              and node.value.id == "self" and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            assigned.setdefault(node.attr, node.lineno)
+    return sorted(f"self.{name} (line {line})" for name, line in assigned.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_write_only_private_attributes(path):
+    assert _write_only_attributes(ast.parse(path.read_text())) == []
 
 
 # scipy.interpolate alone pulls in scipy.optimize, scipy.linalg, scipy.sparse,
