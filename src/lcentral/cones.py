@@ -14,7 +14,11 @@ Each job is done once for both degrees: one exact sign test and one window
 predicate (elementwise over numpy arrays: int64 for enumerations, object
 arrays of exact coordinates for single elements), and one coset enumeration
 in which Q is the one-row case.  The least norms per ray class come from one
-scan that reads a point's class off the level's int64 dlog table.
+scan that reads a point's class off the level's int64 dlog table.  Q is the
+case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad); the
+degree is read only where Q differs in substance: the window is the positive
+axis (`_window_mask`), the box an interval with |N| = |u| (`_enumerate_coset`),
+and a torsion class's least norm its least residue lift (`torsion_norm_bound`).
 
 Shipped fields are Q and Q(sqrt(2)); anything of degree > 2 or with a
 complex place is rejected up front.
@@ -51,10 +55,20 @@ def _sign_plus_arrays(p, q, m: int):
     return np.where((p == 0) & (q == 0), 0, s)
 
 
+def _uv(coords):
+    """(u, v) of u + v*sqrt(m) from an element's coordinates; v = 0 over Q."""
+    return (*coords, 0)[:2]
+
+
+def _point(nf: NumberFieldData, u, v) -> FieldElement:
+    """The element with coordinates (u, v); v = 0 is dropped over Q."""
+    return nf.element([int(u), int(v)][:nf.degree])
+
+
 def _coord_arrays(x: FieldElement):
-    """x's coordinates (u, v) as one-entry object arrays, v = 0 over Q: the
-    array predicates stay exact for Fractions and past the int64 range."""
-    u, v = (*x.coords, 0)[:2]
+    """x's (u, v) as one-entry object arrays: the array predicates stay
+    exact for Fractions and past the int64 range."""
+    u, v = _uv(x.coords)
     return np.array([u], dtype=object), np.array([v], dtype=object)
 
 
@@ -82,7 +96,7 @@ class DomainReducer:
         self.nf = nf
         self.degree = nf.degree
         if nf.degree == 1:
-            self.m = None
+            self.m = 0          # u + v*sqrt(m) with v = 0
             return
         if nf.degree != 2 or nf.signature != (2, 0):
             raise ValueError(
@@ -123,7 +137,7 @@ class DomainReducer:
 
     def sign_plus(self, x: FieldElement) -> int:
         """Exact sign of x at the plus place."""
-        return int(_sign_plus_arrays(*_coord_arrays(x), self.m or 0)[0])
+        return int(_sign_plus_arrays(*_coord_arrays(x), self.m)[0])
 
     def embed(self, x: FieldElement) -> tuple[float, float]:
         if self.degree == 1:
@@ -272,9 +286,9 @@ def _index_ranges(offset_embed, bound, embeds):
 def _window_mask(u, v, reducer: DomainReducer, window: str):
     """Exact membership of u + v*sqrt(m) in the chosen window, elementwise
     (u > 0 over Q, where v = 0)."""
-    m = reducer.m
-    if m is None:
+    if reducer.degree == 1:
         return u > 0
+    m = reducer.m
     s0 = _sign_plus_arrays(u, v, m) > 0
     if window == "standard":
         # tau >= 0 <=> sigma_plus^2 >= sigma_minus^2 <=> u*v >= 0, and
@@ -297,11 +311,6 @@ def _window_mask(u, v, reducer: DomainReducer, window: str):
     return s0 & (s_minus * s_plus >= 0) & (g_minus * g_plus > 0)
 
 
-def _point(nf: NumberFieldData, u, v) -> FieldElement:
-    """The element with coordinates (u, v); v = 0 is dropped over Q."""
-    return nf.element([int(u), int(v)][:nf.degree])
-
-
 def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
                      window: str, box_factor: float, threads: int = 1):
     """Integer coordinate arrays (u, v, |N|) of coset points passing every
@@ -315,11 +324,11 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
     """
     nf = ctx.nf
     reducer = reducer_for(nf)
-    m = reducer.m
-    if m is None:
+    off = tuple(int(c) for c in _uv(offset.coords))
+    if reducer.degree == 1:
         # the multiples u = offset + i*step in (0, x*box_factor]
-        step, a = int(lattice_rows[0][0]), int(offset.coords[0])
-        r1, r2, off = (step, 0), (0, 0), (a, 0)
+        step, a = int(lattice_rows[0][0]), off[0]
+        r1, r2 = (step, 0), (0, 0)
         lo_i, hi_i = -a // step, (math.floor(x * box_factor) - a) // step
         lo_j = hi_j = 0
     else:
@@ -328,7 +337,6 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         bound = math.sqrt(x) * eps1 ** (win_pow / 2.0) * box_factor + 1e-9
         r1, r2 = ((int(r[0]), int(r[1])) for r in lattice_rows)
         embeds = [reducer.embed(nf.element(r)) for r in (r1, r2)]
-        off = (int(offset.coords[0]), int(offset.coords[1]))
         lo_i, hi_i, lo_j, hi_j = _index_ranges(reducer.embed(offset), bound, embeds)
     total = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if total > BOX_CANDIDATE_CAP:
@@ -344,7 +352,7 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         ii, jj = ii.ravel(), jj.ravel()
         u = off[0] + ii * r1[0] + jj * r2[0]
         v = off[1] + ii * r1[1] + jj * r2[1]
-        norm = np.abs(u) if m is None else np.abs(u * u - m * v * v)
+        norm = np.abs(u) if reducer.degree == 1 else np.abs(u * u - reducer.m * v * v)
         keep = ((u != 0) | (v != 0)) & (norm <= xi)
         keep &= _window_mask(u, v, reducer, window)
         return u[keep], v[keep], norm[keep]
@@ -416,7 +424,7 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
     u*b0 + v*b1, where (b0, b1) are the residues of the integral basis.
     """
     nf = rcg.nf
-    b0, b1 = (*rcg.ctx.iso(rcg.n).basis_images, 0)[:2]      # v = 0 over Q
+    b0, b1 = _uv(rcg.ctx.iso(rcg.n).basis_images)
     identity_rows = np.eye(nf.degree, dtype=np.int64)
     for _ in range(rounds):
         u, v, norm = _enumerate_coset(rcg.ctx, identity_rows, nf.zero, x,
@@ -522,9 +530,14 @@ def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
                                  True, True)
     scale = float(rcg.ctx.p) ** (n / delta_order)
 
-    least = _least_norms(rcg, nontrivial, max(scale, 4.0), 14)
-    rows = [(rcg.min_residue_of_class(b), least[b][0], least[b][0] / scale)
-            for b in nontrivial]
+    # over Q the least lift r > 0 is the least norm of its class; it can reach
+    # p^n / 2, past any doubling budget from N(P)^(n/|Delta|)
+    lifts = [rcg.min_residue_of_class(b) for b in nontrivial]
+    norms = lifts
+    if rcg.nf.degree == 2:
+        least = _least_norms(rcg, nontrivial, max(scale, 4.0), 14)
+        norms = [least[b][0] for b in nontrivial]
+    rows = [(r, nv, nv / scale) for r, nv in zip(lifts, norms)]
 
     constant = min(row[2] for row in rows)
     passed = constant >= floor_ratio

@@ -409,8 +409,11 @@ def test_torsion_norm_bound_sqrt2():
     (Q, 7, 2, [18, 19], True),
     (Q, 7, 3, [18, 19], True),
     (Q, 11, 1, [2, 4, 3, 5], True),
+    # the class h/2 holds only +-i with i^2 = -1 mod 13^5, so its least
+    # norm is far past N(P)^(n/|Delta|) = 13^(5/6)
+    (Q, 13, 5, [119056, 150432, 143044, 150433, 109193], True),
     (K, 41, 2, [2, 4, 8], False),
-], ids=["Q-p7-n1", "Q-p7-n2", "Q-p7-n3", "Q-p11-n1", "sqrt2-p41-n2"])
+], ids=["Q-p7-n1", "Q-p7-n2", "Q-p7-n3", "Q-p11-n1", "Q-p13-n5", "sqrt2-p41-n2"])
 def test_torsion_norm_bound_several_classes(nf, p, n, norms, passed):
     # rows follow torsion_classes() order and name each class by its least
     # residue; over Q that residue is itself the least norm
