@@ -15,10 +15,10 @@ predicate (elementwise over numpy arrays: int64 for enumerations, object
 arrays of exact coordinates for single elements), and one coset enumeration
 in which Q is the one-row case.  The least norms per ray class come from one
 scan that reads a point's class off the level's int64 dlog table.  Q is the
-case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad); the
-degree is read only where Q differs in substance: the window is the positive
-axis (`_window_mask`), the box an interval with |N| = |u| (`_enumerate_coset`),
-and a torsion class's least norm its least residue lift (`torsion_norm_bound`).
+case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The
+degree is read only where Q differs in substance: the reducer's embedding,
+slope and `reduce` (|x|), the window (u > 0), the enumeration box (an interval,
+|N| = |u|) and a torsion class's least norm (its least residue lift).
 
 Shipped fields are Q and Q(sqrt(2)); anything of degree > 2 or with a
 complex place is rejected up front.
