@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the acceptance checks and report per-criterion")
     p.add_argument("--fast", action="store_true",
-                   help="reduced samples; finishes in under a minute")
+                   help="reduced samples; finishes in a few seconds")
     p.set_defaults(func=cmd_verify)
 
     return top
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,9 @@ degree is read only where Q differs in substance: the reducer's embedding,
 slope and `reduce` (|x|), the window (u > 0), the enumeration box (an interval,
 |N| = |u|) and a torsion class's least norm (its least residue lift).
 
-Shipped fields are Q and Q(sqrt(2)); anything of degree > 2 or with a
-complex place is rejected up front.
+The field loader admits only Q and real quadratic fields x^2 - m on the
+basis (1, sqrt(m)) with m not a square, so m is read off the field
+(`nf.m`) and the sign test never meets a + b*sqrt(m) = 0 off the origin.
 """
 
 from __future__ import annotations
@@ -95,23 +96,9 @@ class DomainReducer:
         nf = nf_load(nf)
         self.nf = nf
         self.degree = nf.degree
+        self.m = nf.m           # 0 over Q: u + v*sqrt(m) with v = 0
         if nf.degree == 1:
-            self.m = 0          # u + v*sqrt(m) with v = 0
             return
-        if nf.degree != 2 or nf.signature != (2, 0):
-            raise ValueError(
-                f"unit-orbit reduction is wired up for Q and real quadratic fields "
-                f"only; {nf.label} has degree {nf.degree}, signature {nf.signature}")
-        if nf.min_poly[1] != 0 or nf.min_poly[2] != 1 or nf.min_poly[0] >= 0:
-            raise NotImplementedError(
-                "real quadratic support assumes a defining polynomial x^2 - m")
-        if nf.basis_elements[0] != nf.one or nf.basis_elements[1] != nf.gen:
-            raise NotImplementedError(
-                "real quadratic support assumes the integral basis (1, sqrt(m))")
-        self.m = int(-nf.min_poly[0])
-        # the exact sign test needs a + b*sqrt(m) = 0 only at a = b = 0
-        if math.isqrt(self.m) ** 2 == self.m:
-            raise ArithmeticError(f"sqrt({self.m}) is rational; bad field data")
         self.root = math.sqrt(self.m)
 
         # Fundamental unit: the infinite-order generator, normalised so the
@@ -207,34 +194,32 @@ def prime_above(nf, p: int) -> PrimeContext:
     """A degree-one prime context above p, chosen deterministically.
 
     Over Q the prime is (p).  Over a real quadratic field the generator is
-    the solution of |a^2 - m b^2| = p with the smallest radical coordinate
-    (ties broken toward positive signs), so the same ideal comes back on
-    every call.  Raises if p is inert (no degree-one prime exists).
+    the solution a + b*sqrt(m) of |a^2 - m b^2| = p, positive at the plus
+    place, with the smallest |b|, then the smallest |a| (remaining ties
+    broken toward positive signs), so the same ideal comes back on every
+    call.  Raises if p is inert (no degree-one prime exists).
     """
     nf = nf_load(nf)
     if nf.degree == 1:
         return PrimeContext(nf, p, nf.element_from_int(p))
-    if nf.degree != 2:
-        raise ValueError("prime search is wired up for degree <= 2")
     reducer = reducer_for(nf)
-    m = reducer.m
-    best = None
-    for a in range(0, p + 1):
-        for b in range(0, p + 1):
-            if a == 0 and b == 0:
-                continue
-            if abs(a * a - m * b * b) != p:
+    m = nf.m
+    # the key sorts by |b| first, so the first b with a solution decides;
+    # a and b stay in [0, p], which ends the scan for an inert p
+    for b in range(p + 1):
+        best = None
+        for t in (m * b * b + p, m * b * b - p):
+            a = math.isqrt(max(t, 0))
+            if a > p or a * a != t:
                 continue
             for u, v in ((a, b), (a, -b), (-a, b), (-a, -b)):
                 cand = nf.element([u, v])
-                if reducer.sign_plus(cand) <= 0:
-                    continue
                 key = (abs(v), abs(u), v < 0, u < 0)
-                if best is None or key < best[0]:
+                if reducer.sign_plus(cand) > 0 and (best is None or key < best[0]):
                     best = (key, cand)
-    if best is None:
-        raise ValueError(f"{p} has no degree-one prime in {nf.label} (inert)")
-    return PrimeContext(nf, p, best[1])
+        if best is not None:
+            return PrimeContext(nf, p, best[1])
+    raise ValueError(f"{p} has no degree-one prime in {nf.label} (inert)")
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,37 @@
-"""Number field arithmetic over an explicit integral basis.
+"""Exact arithmetic in Q and in real quadratic fields Q(sqrt(m)).
 
-A field is loaded from a JSON document carrying a monic defining polynomial,
-an integral basis in power-basis coordinates, discriminant, class data, unit
-generators, and a generator of the different.  All element arithmetic is done
-in exact rationals over the integral basis; ideals are integer row lattices
-in Hermite normal form.  Embeddings are produced on demand as rational
-approximations to a requested bit precision.
+These are the fields every consumer serves: the cones' fundamental window,
+the archimedean kernels' tail route and the class-number-one ray class
+groups.  A field is loaded from a JSON document carrying a monic defining
+polynomial (x - a, or x^2 - m with m > 0 not a square), its integral basis
+in power-basis coordinates ((1), or (1, sqrt(m))), discriminant, class
+data, unit generators, and a generator of the different.  The loader is the
+one place that knows which fields are supported: any other document is
+refused there.
 
-The loader cross-checks every stored invariant it can recompute (trace form
-determinant against the discriminant, unit norms, signature against the real
-root count of the defining polynomial, multiplicative closure of the integral
-basis) and rejects documents that fail any of them.
+An element is u or u + v*sqrt(m) with exact rational coordinates, and its
+arithmetic is in closed form: (a + b*sqrt(m))(c + d*sqrt(m)) =
+(ac + m*bd) + (ad + bc)*sqrt(m), the norm is u or u^2 - m*v^2, the trace
+is degree * u, the inverse is the conjugate over the norm, and the real
+embeddings are u -/+ v*sqrt(m).  Ideals are integer row lattices in
+Hermite normal form.
+
+The loader cross-checks every stored invariant it can recompute (the
+discriminant of the trace form, unit norms, the signature, a stored
+multiplication table, the norm of the different) and rejects documents
+that fail any of them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
-
-from .roots import poly_divmod, poly_trim
-
-Q = Fraction
+from typing import Sequence
 
 
 def _q(v) -> Fraction:
@@ -39,116 +45,12 @@ def _q(v) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense rational polynomial helpers (ascending coefficients)
-# ---------------------------------------------------------------------------
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Q(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_trim(out)
-
-
-def _pderiv(p: Sequence[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Q(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p), _pderiv(p)]
-    while poly_trim(list(chain[-1])):
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_changes(vals: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in vals if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sturm_count(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
-    """Number of real roots in (a, b]."""
-    va = _sign_changes(_peval(p, a) for p in chain)
-    vb = _sign_changes(_peval(p, b) for p in chain)
-    return va - vb
-
-
-def count_real_roots(poly: Sequence[Fraction]) -> int:
-    chain = _sturm_chain(list(poly))
-    bound = Q(1) + max(abs(c) for c in poly[:-1]) / abs(poly[-1]) if len(poly) > 1 else Q(1)
-    return _sturm_count(chain, -bound, bound)
-
-
-def _isolate_real_roots(poly: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    chain = _sturm_chain(poly)
-    bound = Q(1) + max(abs(c) for c in poly[:-1]) / abs(poly[-1])
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def rec(a: Fraction, b: Fraction, n: int) -> None:
-        if n == 0:
-            return
-        if n == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while _peval(poly, mid) == 0:
-            mid = (a + mid) / 2
-        rec(a, mid, _sturm_count(chain, a, mid))
-        rec(mid, b, _sturm_count(chain, mid, b))
-
-    rec(-bound, bound, _sturm_count(chain, -bound, bound))
-    return sorted(out)
-
-
-def _round_frac(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(round(x * scale), scale)
-
-
-def _refine_real_root(poly: list[Fraction], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
-    """Bisect to a safe width, then Newton with rounded rationals."""
-    deriv = _pderiv(poly)
-    flo = _peval(poly, lo)
-    for _ in range(8):
-        mid = (lo + hi) / 2
-        fm = _peval(poly, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = (lo + hi) / 2
-    target = Fraction(1, 1 << (bits + 8))
-    for _ in range(bits.bit_length() + 12):
-        fx = _peval(poly, x)
-        dfx = _peval(deriv, x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        x = _round_frac(x - step, bits + 16)
-        if abs(step) < target:
-            break
-    return x
-
-
-# ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """An element of the ambient field, coordinates over the integral basis."""
+    """An element u (over Q) or u + v*sqrt(m), coordinates over the integral
+    basis (1) or (1, sqrt(m))."""
 
     __slots__ = ("nf", "coords")
 
@@ -177,21 +79,10 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.nf, [a * other for a in self.coords])
         self._check(other)
-        mt = self.nf.mult_table
-        d = self.nf.degree
-        out = [Q(0)] * d
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                ab = a * b
-                row = mt[i][j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += ab * row[k]
-        return FieldElement(self.nf, out)
+        if self.nf.degree == 1:
+            return FieldElement(self.nf, [self.coords[0] * other.coords[0]])
+        (a, b), (c, d) = self.coords, other.coords
+        return FieldElement(self.nf, [a * c + self.nf.m * b * d, a * d + b * c])
 
     __rmul__ = __mul__
 
@@ -207,37 +98,23 @@ class FieldElement:
             e >>= 1
         return out
 
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of y -> self*y on the integral basis (column convention)."""
-        d = self.nf.degree
-        mt = self.nf.mult_table
-        m = [[Q(0)] * d for _ in range(d)]
-        for j in range(d):
-            # self * b_j
-            for i, a in enumerate(self.coords):
-                if not a:
-                    continue
-                row = mt[i][j]
-                for k in range(d):
-                    if row[k]:
-                        m[k][j] += a * row[k]
-        return m
-
     def norm(self) -> Fraction:
-        return _frac_det(self.mult_matrix())
+        if self.nf.degree == 1:
+            return self.coords[0]
+        u, v = self.coords
+        return u * u - self.nf.m * v * v
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(self.nf.degree))
+        return self.nf.degree * self.coords[0]
 
     def inverse(self) -> "FieldElement":
-        m = self.mult_matrix()
-        # solve M x = coords(1); the basis need not start with 1
-        rhs = list(self.nf.one.coords)
-        sol = _frac_solve(m, rhs)
-        if sol is None:
+        n = self.norm()
+        if n == 0:
             raise ZeroDivisionError("element is zero")
-        return FieldElement(self.nf, sol)
+        if self.nf.degree == 1:
+            return FieldElement(self.nf, [1 / n])
+        u, v = self.coords
+        return FieldElement(self.nf, [u / n, -v / n])
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -248,17 +125,6 @@ class FieldElement:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    def power_coords(self) -> list[Fraction]:
-        """Coordinates on the power basis 1, theta, ..., theta^(d-1)."""
-        bt = self.nf._basis_rows
-        d = self.nf.degree
-        out = [Q(0)] * d
-        for i, c in enumerate(self.coords):
-            if c:
-                for j in range(d):
-                    out[j] += c * bt[i][j]
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FieldElement) and self.nf is other.nf
                 and self.coords == other.coords)
@@ -267,46 +133,8 @@ class FieldElement:
         return hash((id(self.nf), self.coords))
 
     def __repr__(self) -> str:
-        names = self.nf._coord_names
-        parts = [f"{c}*{n}" if n != "1" else f"{c}" for c, n in zip(self.coords, names) if c]
+        parts = [f"{c}*b{i}" for i, c in enumerate(self.coords) if c]
         return " + ".join(parts) if parts else "0"
-
-
-def _frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _frac_solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    n = len(m)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,49 +315,32 @@ class LocalIso:
 def split_local_iso(nf: "NumberFieldData", p: int, pi: FieldElement, level: int) -> LocalIso:
     """Build the mod-p^level splitting attached to the prime (pi) above p.
 
-    The defining polynomial must have a simple root mod p that lands in (pi);
-    the root is Hensel-lifted to the requested level.
+    Over Q the generator a of x - a is its own root.  Over Q(sqrt(m)) the
+    root is the r mod p with r^2 = m and sqrt(m) - r in (pi), Hensel-lifted
+    to the requested level; the basis (1, sqrt(m)) maps to (1, r).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    poly = nf.min_poly
     prime_ideal = IntegralIdeal.principal(nf, pi)
     if prime_ideal.norm != p:
         raise ValueError(f"(pi) has norm {prime_ideal.norm}, expected the rational prime {p}")
-    chosen = None
-    for r0 in range(p):
-        if _peval(poly, Q(r0)) % p == 0:
-            theta_minus = nf.gen - nf.element_from_int(r0)
-            if prime_ideal.contains(theta_minus):
-                chosen = r0
-                break
-    if chosen is None:
+    mod = p ** level
+    if nf.degree == 1:
+        return LocalIso(nf=nf, p=p, level=level, root=int(nf.gen.coords[0]) % mod,
+                        basis_images=(1,))
+    m = nf.m
+    r = next((r0 for r0 in range(p) if (r0 * r0 - m) % p == 0
+              and prime_ideal.contains(nf.gen - nf.element_from_int(r0))), None)
+    if r is None:
         raise ValueError(f"defining polynomial has no root mod {p} inside the given prime")
-    dpoly = _pderiv(poly)
-    dval = int(_peval(dpoly, Q(chosen))) % p
-    if dval == 0:
+    if 2 * r % p == 0:
         raise ValueError(f"{p} is ramified or the root mod {p} is not simple")
     # Hensel: double the exactness level until it covers the request
-    r = chosen
     k = 1
     while k < level:
         k = min(2 * k, level)
-        mod = p ** k
-        fr = int(_peval(poly, Q(r))) % mod
-        dr = int(_peval(dpoly, Q(r)))
-        r = (r - fr * pow(dr, -1, mod)) % mod
-    mod = p ** level
-    assert int(_peval(poly, Q(r))) % mod == 0
-    images = []
-    for b in nf.basis_elements:
-        pc = b.power_coords()
-        acc = 0
-        for j, c in enumerate(pc):
-            if c:
-                assert c.denominator == 1
-                acc += c.numerator * pow(r, j, mod)
-        images.append(acc % mod)
-    return LocalIso(nf=nf, p=p, level=level, root=r, basis_images=tuple(images))
+        r = (r - (r * r - m) * pow(2 * r, -1, p ** k)) % p ** k
+    return LocalIso(nf=nf, p=p, level=level, root=r, basis_images=(1, r))
 
 
 # ---------------------------------------------------------------------------
@@ -537,62 +348,63 @@ def split_local_iso(nf: "NumberFieldData", p: int, pi: FieldElement, level: int)
 # ---------------------------------------------------------------------------
 
 class NumberFieldData:
+    """Q or a real quadratic field Q(sqrt(m)), validated from its document.
+
+    `m` is 0 over Q, so every element is u + v*sqrt(m) with v = 0 there.
+    """
+
     def __init__(self, doc: dict):
         self.label: str = doc.get("label", "unnamed-field")
-        self.min_poly: list[Fraction] = [_q(c) for c in doc["min_poly"]]
-        if self.min_poly[-1] != 1:
+        min_poly = [_q(c) for c in doc["min_poly"]]
+        if min_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        if any(c.denominator != 1 for c in self.min_poly):
+        if any(c.denominator != 1 for c in min_poly):
             raise ValueError("defining polynomial must have integer coefficients")
-        self.degree: int = len(self.min_poly) - 1
+        self.degree: int = len(min_poly) - 1
         if self.degree < 1:
             raise ValueError("defining polynomial must be nonconstant")
+        if self.degree > 2:
+            raise ValueError(
+                f"only Q and real quadratic fields x^2 - m are supported; "
+                f"{self.label} has degree {self.degree}")
+        self.m = 0
+        if self.degree == 2:
+            if min_poly[1] != 0:
+                raise ValueError(
+                    f"a quadratic field must be given by x^2 - m; {self.label} is not")
+            self.m = int(-min_poly[0])
+            if self.m < 0:
+                raise ValueError(
+                    f"only Q and real quadratic fields x^2 - m are supported; "
+                    f"{self.label} has signature (0, 1)")
+            if self.m == 0:
+                raise ValueError("defining polynomial is not squarefree")
+            # the exact sign tests need a + b*sqrt(m) = 0 only at a = b = 0
+            if math.isqrt(self.m) ** 2 == self.m:
+                raise ArithmeticError(f"sqrt({self.m}) is rational; bad field data")
 
-        gcd_chain = _sturm_chain(list(self.min_poly))
-        if len(poly_trim(list(gcd_chain[-1]))) > 1:
-            raise ValueError("defining polynomial is not squarefree")
-
-        self._basis_rows: list[list[Fraction]] = [
-            [_q(c) for c in row] for row in doc["integral_basis"]]
-        if len(self._basis_rows) != self.degree or any(
-                len(r) != self.degree for r in self._basis_rows):
-            raise ValueError("integral basis must be a square matrix of size degree")
-
-        self._coord_names = [f"b{i}" for i in range(self.degree)]
-
-        # power coords = B^T . integral coords, so B must be invertible
-        if _frac_det(self._basis_rows) == 0:
-            raise ValueError("integral basis rows are linearly dependent")
-
-        mt = self._derive_mult_table()
-        if "mult_table" in doc and doc["mult_table"] is not None:
+        identity = [[int(i == j) for j in range(self.degree)] for i in range(self.degree)]
+        if [[_q(c) for c in row] for row in doc["integral_basis"]] != identity:
+            raise ValueError("the integral basis must be (1) over Q or (1, sqrt(m))")
+        mult_table = ([[[1]]] if self.degree == 1
+                      else [[[1, 0], [0, 1]], [[0, 1], [self.m, 0]]])
+        if doc.get("mult_table") is not None:
             given = [[[_q(c) for c in cell] for cell in row] for row in doc["mult_table"]]
-            if given != mt:
-                raise ValueError("stored mult_table disagrees with the derived one")
-        self.mult_table: list[list[list[Fraction]]] = mt
+            if given != mult_table:
+                raise ValueError("stored mult_table disagrees with the closed form")
 
-        self.basis_elements = [
-            FieldElement(self, [Q(1) if j == i else Q(0) for j in range(self.degree)])
-            for i in range(self.degree)]
-        self.one = self.element_from_int(1)
-        self.zero = FieldElement(self, [Q(0)] * self.degree)
-        if self.degree > 1:
-            self.gen = self._power_element(1)
-        else:
-            # linear defining polynomial x - a: the generator is a itself
-            self.gen = self.element_from_rational(-self.min_poly[0])
+        self.basis_elements = [FieldElement(self, row) for row in identity]
+        self.one = self.basis_elements[0]
+        self.zero = FieldElement(self, [0] * self.degree)
+        # over Q the generator is the root a of x - a
+        self.gen = self.basis_elements[1] if self.degree == 2 else self.element([-min_poly[0]])
 
-        r1 = count_real_roots(self.min_poly)
-        r2 = (self.degree - r1) // 2
-        if r1 + 2 * r2 != self.degree:
-            raise ValueError("real root count is inconsistent with the degree")
-        self.signature = (r1, r2)
+        self.signature = (self.degree, 0)
         if "signature" in doc and tuple(int(x) for x in doc["signature"]) != self.signature:
-            raise ValueError("stored signature disagrees with the real root count")
+            raise ValueError(f"stored signature disagrees with {self.signature}")
 
         self.discriminant = int(_q(doc["discriminant"]))
-        gram = self._trace_gram()
-        if _frac_det(gram) != self.discriminant:
+        if self.discriminant != (1 if self.degree == 1 else 4 * self.m):
             raise ValueError("trace form determinant disagrees with the stored discriminant")
 
         self.class_number = int(_q(doc.get("class_number", 1)))
@@ -616,107 +428,23 @@ class NumberFieldData:
         if abs(self.different_gen.norm()) != abs(self.discriminant):
             raise ValueError("different generator norm disagrees with the discriminant")
 
-        self._embedding_cache: dict[int, list[complex]] = {}
-
     # -- construction helpers ------------------------------------------------
 
     def element(self, coords: Sequence) -> FieldElement:
         return FieldElement(self, [_q(c) for c in coords])
 
     def element_from_int(self, n: int) -> FieldElement:
-        # n in power coords is (n, 0, ..., 0); convert to integral coords
-        power = [Q(n)] + [Q(0)] * (self.degree - 1)
-        return self._from_power(power)
-
-    def element_from_rational(self, q: Fraction) -> FieldElement:
-        power = [Q(q)] + [Q(0)] * (self.degree - 1)
-        return self._from_power(power)
-
-    def _power_element(self, k: int) -> FieldElement:
-        power = [Q(0)] * self.degree
-        power[k] = Q(1)
-        return self._from_power(power)
-
-    def _from_power(self, power: list[Fraction]) -> FieldElement:
-        m = [[self._basis_rows[i][j] for i in range(self.degree)] for j in range(self.degree)]
-        sol = _frac_solve(m, power)
-        assert sol is not None
-        return FieldElement(self, sol)
-
-    def _derive_mult_table(self) -> list[list[list[Fraction]]]:
-        d = self.degree
-        table: list[list[list[Fraction]]] = []
-        for i in range(d):
-            row_i = []
-            for j in range(d):
-                prod_power = _pmul(self._basis_rows[i], self._basis_rows[j])
-                _, prod_power = poly_divmod(prod_power, self.min_poly)
-                prod_power = prod_power + [Q(0)] * (d - len(prod_power))
-                coords = list(self._from_power(prod_power).coords)
-                if any(c.denominator != 1 for c in coords):
-                    raise ValueError("integral basis is not closed under multiplication")
-                row_i.append(coords)
-            table.append(row_i)
-        return table
-
-    def _trace_gram(self) -> list[list[Fraction]]:
-        d = self.degree
-        basis_traces = [b.trace() for b in self.basis_elements]
-        gram = [[Q(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                gram[i][j] = sum(self.mult_table[i][j][k] * basis_traces[k] for k in range(d))
-        return gram
+        return FieldElement(self, [n] + [0] * (self.degree - 1))
 
     # -- embeddings -----------------------------------------------------------
 
-    def roots(self, bits: int = 128) -> list[complex]:
-        """All d roots of the defining polynomial, real ones first (exactly
-        refined to the requested bit precision, rendered as complex)."""
-        if bits in self._embedding_cache:
-            return self._embedding_cache[bits]
-        poly = list(self.min_poly)
-        real: list[complex] = []
-        for lo, hi in _isolate_real_roots(poly):
-            r = _refine_real_root(poly, lo, hi, bits)
-            real.append(complex(float(r), 0.0))
-        ncomplex = self.degree - len(real)
-        cplx: list[complex] = []
-        if ncomplex:
-            import numpy as np
-            allroots = np.roots([float(c) for c in reversed(poly)])
-            cand = sorted((z for z in allroots if abs(z.imag) > 1e-9), key=lambda z: (z.real, z.imag))
-            # Newton-polish in float domain; callers needing exact quadratic
-            # data should work with the defining polynomial directly
-            for z in cand:
-                for _ in range(60):
-                    f = sum(float(c) * z ** k for k, c in enumerate(poly))
-                    df = sum(float(c) * k * z ** (k - 1) for k, c in enumerate(poly) if k)
-                    if df == 0:
-                        break
-                    z = z - f / df
-                cplx.append(z)
-        out = real + cplx
-        if len(out) != self.degree:
-            raise ValueError("failed to separate the roots of the defining polynomial")
-        self._embedding_cache[bits] = out
-        return out
-
-    def embedding_matrix(self, bits: int = 128) -> list[list[complex]]:
-        """emb[s][i] = value of integral-basis element i under embedding s."""
-        rts = self.roots(bits)
-        out = []
-        for z in rts:
-            row = []
-            for b in self._basis_rows:
-                row.append(sum(float(c) * z ** k for k, c in enumerate(b)))
-            out.append(row)
-        return out
-
-    def embed_element(self, x: FieldElement, bits: int = 128) -> list[complex]:
-        emb = self.embedding_matrix(bits)
-        return [sum(complex(row[i]) * float(c) for i, c in enumerate(x.coords))
-                for row in emb]
+    def embed_element(self, x: FieldElement) -> list[complex]:
+        """The real embeddings of x: u over Q, else u - v*sqrt(m), u + v*sqrt(m)."""
+        if self.degree == 1:
+            return [complex(float(x.coords[0]))]
+        u, v = float(x.coords[0]), float(x.coords[1])
+        root = math.sqrt(self.m)
+        return [complex(u - root * v), complex(u + root * v)]
 
     # -- additive character ----------------------------------------------------
 
@@ -749,7 +477,12 @@ def _builtin_field(filename: str) -> NumberFieldData:
 
 
 def nf_load(source) -> NumberFieldData:
-    """Load and validate a field from a dict, a JSON path, or a builtin name."""
+    """Load and validate a field from a dict, a JSON path, or a builtin name.
+
+    Only Q (defining polynomial x - a, basis (1)) and real quadratic fields
+    (x^2 - m with m > 0 not a square, basis (1, sqrt(m))) load; any other
+    document raises ValueError, or ArithmeticError for a square m.
+    """
     if isinstance(source, NumberFieldData):
         return source
     if isinstance(source, dict):

@@ -114,9 +114,7 @@ class GammaFactor:
     """
 
     def __init__(self, nf, shifts):
-        r1, r2 = nf.signature
-        if r2 != 0:
-            raise NotImplementedError("gamma factor is implemented for totally real fields")
+        r1 = nf.signature[0]
         shifts = tuple(float(m) for m in shifts)
         if len(shifts) != r1:
             raise ValueError(f"need {r1} shifts (one per real place), got {len(shifts)}")
@@ -210,7 +208,7 @@ class VKernel:
             log_pref = (math.log(self.gamma.const) + sp * math.log(self.gamma.disc)
                         - a * _LOG_TWO_PI + math.lgamma(a))
             out = math.exp(log_pref) * inner
-        elif self.gamma.r1 == 2:
+        else:
             a1 = sp - self.gamma.shifts[0]
             a2 = sp - self.gamma.shifts[1]
             u0 = TWO_PI ** 2 * xs / self.gamma.disc
@@ -222,8 +220,6 @@ class VKernel:
             pref = (self.gamma.const * self.gamma.disc ** sp
                     * TWO_PI ** (-(a1 + a2)))
             out = pref * (inner @ self.kernel.node_weights)
-        else:
-            raise NotImplementedError("tail route supports degree <= 2")
         return float(out[0]) if scalar else out
 
     # -- contour route --------------------------------------------------------

@@ -116,8 +116,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not rem
-    assert all(c.denominator == 1 for c in poly)
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
+    if any(c.denominator != 1 for c in poly):
+        raise ArithmeticError(f"Phi_{n} came out with non-integer coefficients")
     return tuple(c.numerator for c in poly)
 
 

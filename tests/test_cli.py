@@ -16,6 +16,7 @@ from lcentral.cli import main, parse_char_label, usable_cpus
 from lcentral.experiment import report_from_json
 from lcentral.newforms import builtin_newform
 from lcentral.rayclass import HeckeCharacter
+from lcentral.tau import primes_up_to
 
 
 def run_json(capsys, argv):
@@ -238,3 +239,38 @@ def test_field_aliases_name_one_field():
     assert (parse_char_label("Qsqrt2.p7.res2.chi5")
             == parse_char_label("quadratic-sqrt2.p7.res2.chi5"))
     assert parse_char_label("Q.p5.m2.chi3") != parse_char_label("Q.p5.res2.chi3")
+
+
+# x^2 - x - 1 and the Gaussian integers: consistent documents of fields no
+# consumer serves, refused by the loader
+_GOLDEN_DOC = {"label": "golden", "min_poly": [-1, -1, 1],
+               "integral_basis": [[1, 0], [0, 1]], "discriminant": 5,
+               "unit_gens": [[-1, 0], [0, 1]], "different_gen": [-1, 2]}
+_GAUSSIAN_DOC = {"label": "gaussian-integers", "min_poly": [1, 0, 1],
+                 "integral_basis": [[1, 0], [0, 1]], "discriminant": -4,
+                 "unit_gens": [[0, 1]], "different_gen": [0, 2]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kloosterman-report", "--form", "{nb}", "--char", "rationals.p5.m2.chi4"],
+    ["lvalue", "--form", "{nb}", "--char", "rationals.p5.m2.chi3"],
+    ["cone-count", "--field", "{golden}", "--p", "11", "--n", "1", "--x", "100"],
+    ["gauss-sum", "--char", "{golden}.p11.m1.chi1"],
+    ["lav-scan", "--field", "{gaussian}", "--p", "5", "--pi", "2,1",
+     "--n-lo", "1", "--n-hi", "1"],
+], ids=["nebentypus-kloosterman", "nebentypus-lvalue", "golden-cone-count",
+        "golden-gauss-sum", "gaussian-lav-scan"])
+def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
+    # a zero-eigenvalue form with a nontrivial nebentypus, up to the 2000
+    # coefficients lvalue loads
+    nb = {"label": "nb", "weight_vector": [12], "atkin_lehner": 1,
+          "nebentypus": "chi5",
+          "prime_eigenvalues": {str(p): 0 for p in primes_up_to(2000)}}
+    paths = {}
+    for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC),
+                      ("gaussian", _GAUSSIAN_DOC)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

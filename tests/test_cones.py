@@ -8,6 +8,7 @@ lattice counts rather than floating-point behaviour.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from lcentral.cones import (count_progression, min_norm_coset, prime_above,
                             verify_count_bound)
 from lcentral.fields import NumberFieldData, nf_load
 from lcentral.rayclass import PrimeContext, rcg_build
+from lcentral.tau import primes_up_to
 
 Q = nf_load("rationals")
 K = nf_load("quadratic-sqrt2")
@@ -119,8 +121,8 @@ GAUSSIAN_DOC = {
 }
 
 
-# x^2 - 4 passes the loader (squarefree, two real roots) but is no field:
-# the exact sign test would meet a + 2b = 0 at nonzero (a, b)
+# x^2 - 4 is squarefree with two real roots but defines no field: the
+# exact sign test would meet a + 2b = 0 at nonzero (a, b)
 SPLIT_DOC = {
     "label": "split-x2-4",
     "min_poly": [-4, 0, 1],
@@ -131,6 +133,26 @@ SPLIT_DOC = {
 }
 
 
+# Q(sqrt(5)) given by x^2 - x - 1, and on the basis (1, (1 + sqrt(5))/2)
+GOLDEN_DOC = {
+    "label": "golden-x2-x-1",
+    "min_poly": [-1, -1, 1],
+    "integral_basis": [[1, 0], [0, 1]],
+    "discriminant": 5,
+    "unit_gens": [[-1, 0], [0, 1]],
+    "different_gen": [-1, 2],
+}
+
+GOLDEN_BASIS_DOC = {
+    "label": "sqrt5-golden-basis",
+    "min_poly": [-5, 0, 1],
+    "integral_basis": [[1, 0], ["1/2", "1/2"]],
+    "discriminant": 5,
+    "unit_gens": [[-1, 0], [0, 1]],
+    "different_gen": [-1, 2],
+}
+
+
 def test_unsupported_fields_are_rejected():
     with pytest.raises(ValueError, match="degree 3"):
         reducer_for(NumberFieldData(CUBIC_DOC))
@@ -138,6 +160,10 @@ def test_unsupported_fields_are_rejected():
         reducer_for(NumberFieldData(GAUSSIAN_DOC))
     with pytest.raises(ArithmeticError, match="rational"):
         reducer_for(NumberFieldData(SPLIT_DOC))
+    with pytest.raises(ValueError, match=r"x\^2 - m"):
+        nf_load(GOLDEN_DOC)
+    with pytest.raises(ValueError, match="integral basis"):
+        nf_load(GOLDEN_BASIS_DOC)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +178,30 @@ def test_prime_above_is_deterministic():
     # and it builds the same ideal as spelling the generator out by hand
     hand = PrimeContext(K, 7, K.element([3, 1]))
     assert prime_above(K, 7).prime_ideal.hnf == hand.prime_ideal.hnf
+
+
+def _prime_above_by_box(nf, p):
+    """The (u, v) prime_above picks, by trying every (a, b) in [0, p]^2 and
+    their sign variants; None for an inert p."""
+    red = reducer_for(nf)
+    a, b = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
+    best = None
+    for a, b in np.argwhere(np.abs(a * a - red.m * b * b) == p).tolist():
+        for u, v in ((a, b), (a, -b), (-a, b), (-a, -b)):
+            key = (abs(v), abs(u), v < 0, u < 0)
+            if red.sign_plus(nf.element([u, v])) > 0 and (best is None or key < best[0]):
+                best = (key, (u, v))
+    return None if best is None else best[1]
+
+
+def test_prime_above_matches_the_box_search():
+    for p in primes_up_to(700)[1:]:
+        want = _prime_above_by_box(K, p)
+        if want is None:
+            with pytest.raises(ValueError, match="inert"):
+                prime_above(K, p)
+        else:
+            assert _coords(prime_above(K, p).pi) == want
 
 
 def test_prime_above_rationals_and_inert_error():

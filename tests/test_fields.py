@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcentral.cones import prime_above
 from lcentral.fields import IntegralIdeal, nf_load, split_local_iso
 
 QQ = nf_load("rationals")
@@ -66,6 +67,17 @@ def test_local_iso_values():
     assert liq.residue(QQ.element([F(7, 3)])) == 19
     with pytest.raises(ValueError):
         liq.residue(QQ.element([F(1, 5)]))
+    # the Hensel-lifted roots at the deterministic prime above p, n = 1..3
+    for p, roots in _FROZEN_ROOTS.items():
+        ctx = prime_above(K, p)
+        assert tuple(ctx.iso(n).root for n in (1, 2, 3)) == roots
+        if p in _FROZEN_CUBE_HNF:
+            assert (ctx.prime_ideal ** 3).hnf == _FROZEN_CUBE_HNF[p]
+
+
+_FROZEN_ROOTS = {7: (4, 39, 235), 17: (6, 244, 4290), 23: (18, 156, 156),
+                 31: (8, 845, 2767), 41: (17, 58, 20230), 47: (40, 1732, 8359)}
+_FROZEN_CUBE_HNF = {7: [[1, 54], [0, 343]], 41: [[1, 58806], [0, 68921]]}
 
 
 @given(small, small, small, small)

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-private attribute a module assigns on self is read in that module, and
-starting the package loads no scipy subpackage that start-up does not need."""
+private attribute a module assigns on self is read in that module, no module
+uses an assert statement, and starting the package loads no scipy
+subpackage that start-up does not need."""
 
 import ast
 import os
@@ -56,6 +57,13 @@ def _write_only_attributes(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_write_only_private_attributes(path):
     assert _write_only_attributes(ast.parse(path.read_text())) == []
+
+
+# asserts vanish under python -O, and a programming error must always crash
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 # scipy.interpolate alone pulls in scipy.optimize, scipy.linalg, scipy.sparse,
