@@ -213,13 +213,13 @@ def _c04_root_numbers(fast: bool):
     p_list, n_max = ((3, 5), 2) if fast else ((3, 5, 7), 3)
     worst, count = 0.0, 0
     for chi in _rational_primitives(p_list, n_max):
-        w = root_number(chi, "trivial")
+        w = root_number(chi)
         worst = max(worst, abs(abs(w) - 1.0))
         count += 1
     K = nf_load("quadratic-sqrt2")
     for chi in [c for c in residue_characters(prime_above(K, 7), 2)
                 if c.is_primitive()][:4 if fast else 10]:
-        w = root_number(chi, "trivial")
+        w = root_number(chi)
         worst = max(worst, abs(abs(w) - 1.0))
         count += 1
     ok = worst < 1e-9

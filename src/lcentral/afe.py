@@ -63,53 +63,25 @@ DECAY_ORDERS = (3, 6, 9, 12, 16, 20)
 # ---------------------------------------------------------------------------
 # archimedean constant and admissible window
 
-def parity_and_constant(nf: NumberFieldData, type_j, weights) -> tuple[complex, bool]:
-    """Constant of the completed reflection identity, with a parity certificate.
+# i^e for e mod 4, exact
+_POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
-    For signature (r1, r2), weight vector k_sigma and J the set of real
-    places carrying the twisted discrete series,
 
-        C = (-1)^(r1 + sum over complex places (k_sigma - 1)) * e(q),
-        q = sum_{real, not in J} k_sigma/4 - sum_{real, in J} k_sigma/4
+def archimedean_constant(nf: NumberFieldData, type_j, k: int) -> complex:
+    """Constant of the completed reflection identity at parallel weight k.
 
-    (at a complex place the series parameter is k_sigma - 2 and it enters
-    through k_sigma - 2 + 1).  The certificate checks, in exact Fraction
-    arithmetic, that (-1)^(r1 (k - 2)) C^2 = 1 for the parallel weight k,
-    which is what makes the reflected value land back in the same family.
+    Every place of a loadable field is real, so with r1 places and J the
+    set carrying the twisted discrete series (`newforms.newform_load`
+    checks J indexes them),
+
+        C = (-1)^r1 * e(k (r1 - 2|J|) / 4) = (-1)^r1 * i^(k (r1 - 2|J|) mod 4),
+
+    read from the four powers of i.  The reflected value then lands back
+    in the same family: (-1)^(r1 (k - 2)) C^2 = 1 holds for every k.
     """
-    r1, r2 = nf.signature
-    weights = tuple(int(w) for w in weights)
-    if len(weights) != r1 + r2:
-        raise ValueError("need one weight entry per archimedean place")
-    jset = frozenset(type_j)
-    if not jset <= set(range(r1)):
-        raise ValueError("twisted places must index real embeddings (0-based)")
-
-    q = Fraction(0)
-    for i in range(r1):
-        q += Fraction(-weights[i], 4) if i in jset else Fraction(weights[i], 4)
-    sign_exp = r1 + sum(weights[r1 + i] - 1 for i in range(r2))
-
-    phase = q % 1
-    quarter_table = {
-        Fraction(0): 1 + 0j,
-        Fraction(1, 4): 1j,
-        Fraction(1, 2): -1 + 0j,
-        Fraction(3, 4): -1j,
-    }
-    root = quarter_table.get(phase)
-    if root is None:
-        root = complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
-    c = root if sign_exp % 2 == 0 else -root
-
-    if r1 > 0:
-        if len(set(weights[:r1])) != 1:
-            raise ValueError("parity certificate needs a parallel weight over the real places")
-        k = weights[0]
-        parity_ok = (Fraction(r1 * (k - 2), 2) + 2 * q) % 1 == 0
-    else:
-        parity_ok = (2 * q) % 1 == 0
-    return c, parity_ok
+    r1 = nf.signature[0]
+    root = _POWERS_OF_I[k * (r1 - 2 * len(set(type_j))) % 4]
+    return -root if r1 % 2 else root
 
 
 def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
@@ -200,8 +172,8 @@ def _table(chi: HeckeCharacter | None) -> np.ndarray | None:
     return None if chi is None else character_value_table(chi)
 
 
-def _root_number(form: NewformData, chi: HeckeCharacter | None) -> complex:
-    return 1.0 + 0j if chi is None else root_number(chi, form.nebentypus)
+def _root_number(chi: HeckeCharacter | None) -> complex:
+    return 1.0 + 0j if chi is None else root_number(chi)
 
 
 def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
@@ -271,7 +243,7 @@ def _half_sum_tail(form: NewformData, kern: VKernel, sigma: float,
     n > m, optimized over the measured decay orders of V."""
     if m < scale:
         return math.inf  # the decay majorants only cover arguments >= 1
-    k = form.scalar_weight
+    k = form.weight
     best = math.inf
     for j, kj in _decay_constants(kern).items():
         alpha = sigma + j - (k - 1) / 2.0 - float(form.theta)
@@ -315,7 +287,7 @@ def _tails(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
            med: float, y: float, m1: int, m2: int) -> tuple[float, float]:
     """Majorants of the dropped tails past cutoffs (m1, m2) at balance point
     y: the main side, and the dual side weighted as it enters the value."""
-    k = form.scalar_weight
+    k = form.weight
     t1 = _half_sum_tail(form, kern[0], s, y, m1)
     t2 = _half_sum_tail(form, kern[1], k - s, med / y, m2)
     return t1, med ** (0.5 * (k - 2.0 * s)) * t2
@@ -334,7 +306,7 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
     to size the coefficient table ahead of the sums.
     """
     nf = nf_load(nf if nf is not None else form.field_label)
-    k = form.scalar_weight
+    k = form.weight
     s = 0.5 * k if s is None else float(s)
     med = float(form.level_norm) * conductor_norm * conductor_norm
     y = math.sqrt(med) if y is None else float(y)
@@ -357,7 +329,7 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
 
 class _Engine(NamedTuple):
     """Everything one completed-value evaluation needs: tails vetted,
-    parity certified, C the archimedean constant."""
+    C the archimedean constant."""
     k: int
     s: float
     med: float
@@ -371,7 +343,7 @@ class _Engine(NamedTuple):
 def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
             y: float | None, tol: float, cfg: AFEConfig | None = None) -> _Engine:
     nf = nf_load(nf if nf is not None else form.field_label)
-    k = form.scalar_weight
+    k = form.weight
     s = float(s)
     cond = 1 if chi is None else chi.conductor_norm
     med = float(form.level_norm) * cond * cond
@@ -393,10 +365,8 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
         raise ValueError(
             f"cutoffs ({m1}, {m2}) cannot meet tolerance {cfg.tol:g}: "
             f"tail bound {budget:.3g}")
-    c_const, parity_ok = parity_and_constant(nf, form.type_j, form.weight)
-    if not parity_ok:
-        raise ValueError("weight/type data fails the reflection parity check")
-    return _Engine(k, s, med, cfg, kern, complex(gamma_s), budget, c_const)
+    return _Engine(k, s, med, cfg, kern, complex(gamma_s), budget,
+                   archimedean_constant(nf, form.type_j, k))
 
 
 def _prefabs(form: NewformData, eng: _Engine, reflected: bool = False,
@@ -449,7 +419,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     The error estimate is absolute and combines the checked tail majorants
     with the spline allowance on bulk sums; it is conservative by design.
     """
-    k = form.scalar_weight
+    k = form.weight
     s = 0.5 * k if s is None else float(s)
     chi = _normalize_twist(chi)
     eng = _engine(form, nf, chi, s, y, tol, cfg)
@@ -458,7 +428,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
 
     conj = None if chi is None else chi.conjugate()
     s1, s2, lead = _two_sided(form, eng, _table(chi), _table(conj))
-    dual_term = eng.c * _root_number(form, chi) * lam_ratio * s2 / eng.gamma_s
+    dual_term = eng.c * _root_number(chi) * lam_ratio * s2 / eng.gamma_s
     value = s1 / eng.gamma_s + dual_term
 
     return LValueResult(
@@ -484,7 +454,7 @@ def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
     chi1, chi2 = (conj, chi) if reflected else (chi, conj)
     s1, s2, _ = _two_sided(form, eng, _table(chi1), _table(chi2), reflected)
     lam = (eng.med ** (0.5 * s) * s1
-           + eng.c * _root_number(form, chi1) * eng.med ** (0.5 * (k - s)) * s2)
+           + eng.c * _root_number(chi1) * eng.med ** (0.5 * (k - s)) * s2)
     return lam, eng
 
 
@@ -515,7 +485,7 @@ def functional_equation_residual(form: NewformData,
     lam, eng = _completed(form, chi, s, y, nf, False, 1e-9)
     lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, nf,
                             True, 1e-9)
-    return abs(lam - eng.c * _root_number(form, chi) * lam_ref) / abs(lam)
+    return abs(lam - eng.c * _root_number(chi) * lam_ref) / abs(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +513,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
         res = afe_lvalue(form, None, y=y, nf=nf, tol=tol, cfg=cfg)
         return res.value, [res]
     chi = _normalize_twist(chi)
-    eng = _engine(form, nf, chi, 0.5 * form.scalar_weight, y, tol, cfg)
+    eng = _engine(form, nf, chi, 0.5 * form.weight, y, tol, cfg)
     pctx, level = chi.prime_ctx, chi.level
     mod, h = pctx.modulus(level), pctx.unit_group_order(level)
     idx = orbit_index(chi, ctx)
@@ -555,7 +525,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     pre1, pre2 = _prefabs(form, eng, _exact=_exact)
     s1 = half_sums(pre1, idx)
     s2 = half_sums(pre2, -idx % h)
-    w = orbit_float_root_numbers(chi, ctx, form.nebentypus)
+    w = orbit_float_root_numbers(chi, ctx)
     # at the central point Med^((k - 2s)/2) = 1
     dual = eng.c * w * s2 / eng.gamma_s
     values = s1 / eng.gamma_s + dual
@@ -596,11 +566,11 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     if not chi.is_primitive():
         raise ValueError("seed twist must be primitive at its level")
 
-    eng = _engine(form, nf, chi, 0.5 * form.scalar_weight, y, tol)
+    eng = _engine(form, nf, chi, 0.5 * form.weight, y, tol)
     # averaged twist per unit residue (exact cyclotomic means), and the
     # averaged reflected weights (root number times conjugate values)
     s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),
-                              averaged_iota_values(chi, ctx, form.nebentypus))
+                              averaged_iota_values(chi, ctx))
     value = (s1 + eng.c * s2) / eng.gamma_s
     info = {
         "orbit_size": len(substitutions(chi, ctx)),
@@ -626,7 +596,7 @@ def direct_series(form: NewformData, chi: HeckeCharacter | None = None,
     deliberately conservative -- the true truncation error oscillates far
     below it.
     """
-    k = form.scalar_weight
+    k = form.weight
     s = float(s)
     floor = (k + 2) / 2.0 + 0.25
     if s < floor:

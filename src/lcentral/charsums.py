@@ -19,8 +19,9 @@ over the rationals G(conj chi) coincides with the classical Gauss sum of the
 attached (even) Dirichlet character.
 
 Root numbers follow the prime-power-conductor evaluation for forms with
-trivial finite central character: W(chi) = chi(-1) * G(conj chi)^2 / p^c,
-which has modulus one identically.
+trivial finite central character, the only forms `newforms.newform_load`
+admits: W(chi) = chi(-1) * G(conj chi)^2 / p^c, which has modulus one
+identically.
 
 Galois averages are exact: sums of roots of unity assembled in cyclotomic
 arithmetic.  The orbit values are powers of the seed value,
@@ -177,20 +178,12 @@ def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
     return add, pref.conjugate()
 
 
-def _require_trivial(nebentypus: str) -> None:
-    if nebentypus != "trivial":
-        raise NotImplementedError(
-            "root numbers are implemented for trivial nebentypus; supply the "
-            "nonsplit constant with the form data instead")
-
-
-def root_number(chi: HeckeCharacter, nebentypus: str = "trivial") -> complex:
+def root_number(chi: HeckeCharacter) -> complex:
     """The twist root number W(chi) for a form with trivial central character.
 
     Unit modulus is a hard postcondition; a violation means the inputs are
     outside the supported configuration and raises.
     """
-    _require_trivial(nebentypus)
     if chi.conductor_exponent == 0:
         return 1.0 + 0j
     q = chi.conductor_norm
@@ -249,12 +242,10 @@ def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.nd
     return character_sums(pctx, chi.level, values)[orbit_index(chi, ctx)] * _powers(pref, subs)
 
 
-def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
-                             nebentypus: str = "trivial") -> np.ndarray:
+def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """W(chi^t) = chi^t(-1) G(conj chi^t)^2 / q for the orbit members, in
     orbit order, as floats from `orbit_gauss_sums`.  Each is held to the unit
     circle as `root_number` holds its one."""
-    _require_trivial(nebentypus)
     g = orbit_gauss_sums(chi, ctx)
     if chi.conductor_exponent == 0:
         return g
@@ -267,8 +258,7 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     return w
 
 
-def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
-                       nebentypus: str = "trivial") -> list[RootOfUnity]:
+def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[RootOfUnity]:
     """Exact W(chi^t) for the orbit members, in orbit order, from one exact
     Gauss sum.
 
@@ -278,7 +268,6 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     moves eps alone.  G(psi) is held as the integer histogram of its terms,
     so no cyclotomic level limit applies.
     """
-    _require_trivial(nebentypus)
     subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
         return [ONE] * len(subs)
@@ -423,11 +412,10 @@ def average_support(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
     raise ValueError(f"unknown support variant {variant!r}")
 
 
-def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext,
-                        nebentypus: str = "trivial") -> dict[int, complex]:
+def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> dict[int, complex]:
     """The orbit mean of W(chi^t) conj(chi^t)(r) at every unit residue r mod
     the conductor, keyed by r; shared work across the sweep."""
-    table = averaged_iota_values(chi, ctx, nebentypus)
+    table = averaged_iota_values(chi, ctx)
     p = chi.p
     return {r: complex(table[r]) for r in range(1, chi.conductor_norm) if r % p}
 
@@ -453,12 +441,11 @@ def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np
     return _scatter(chi, means)
 
 
-def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext,
-                         nebentypus: str = "trivial") -> np.ndarray:
+def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
     residue r mod the conductor, 0 off the units, with the exact roots W from
     `orbit_root_numbers`."""
-    roots = orbit_root_numbers(chi, ctx, nebentypus)
+    roots = orbit_root_numbers(chi, ctx)
     order = chi.order
     level = lcm(order, *(w.order for w in roots))
     ws = np.array([int(w.phase * level) for w in roots], dtype=np.int64)
@@ -486,8 +473,7 @@ def _scatter(chi: HeckeCharacter, per_value: list[complex]) -> np.ndarray:
     return out
 
 
-def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext,
-                             nebentypus: str = "trivial") -> dict:
+def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> dict:
     """Sweep |averaged iota| over unit residues and compare to p^(-n/2).
 
     n is the experiment level attached to the conductor exponent c by
@@ -499,7 +485,7 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     n = c - ctx.n0 - 1
     if n < 0:
         raise ValueError("conductor too small for the context depth")
-    table = averaged_iota_table(chi, ctx, nebentypus)
+    table = averaged_iota_table(chi, ctx)
     max_abs = max(abs(v) for v in table.values()) if table else 0.0
     # smallest residue at the maximum: when several residues share the
     # maximal modulus (at n0 >= 1 every unit residue does), the residue

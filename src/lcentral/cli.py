@@ -118,7 +118,7 @@ def cmd_lvalue(args) -> int:
         "y": res.y,
         "main_term_re": res.main_term.real,
         "character": res.character_label,
-        "s": args.s if args.s is not None else form.scalar_weight / 2.0,
+        "s": args.s if args.s is not None else form.weight / 2.0,
     }, args)
     return 0
 
@@ -171,8 +171,7 @@ def cmd_galois_average(args) -> int:
 def cmd_kloosterman(args) -> int:
     chi = parse_char_label(args.char)
     ctx = CoefficientFieldContext(p=chi.p, n0=args.n0)
-    nebentypus = newform_load(args.form, limit=16).nebentypus
-    _emit(kloosterman_bound_report(chi, ctx, nebentypus), args)
+    _emit(kloosterman_bound_report(chi, ctx), args)
     return 0
 
 

@@ -115,10 +115,6 @@ class _Setup:
         if cfg.p % 2 == 0:
             raise ValueError("p must be odd")
         form_probe = newform_load(cfg.form, limit=16)
-        if form_probe.nebentypus != "trivial":
-            raise ValueError(
-                f"nebentypus {form_probe.nebentypus!r} is not supported: the "
-                f"twist root numbers are implemented for trivial nebentypus")
         self.n0 = form_probe.n0
 
         if cfg.pi_coords is not None:
@@ -155,7 +151,12 @@ class _Setup:
             choose_cutoffs(form_probe, self.nf, cfg.p ** (n + self.n0 + 1),
                            y=_balance_point(cfg, n), tol=cfg.tol)
             for n in range(cfg.n_lo, cfg.n_hi + 1)))
-        self.form = newform_load(cfg.form, limit=cutoff_multiple * demand)
+        need = cutoff_multiple * demand
+        self.form = newform_load(cfg.form, limit=need)
+        if self.form.limit < need:
+            # a full-table document carries its own length
+            raise ValueError(f"form carries coefficients to {self.form.limit} "
+                             f"but the scan needs {need}")
 
     def seed_character(self, level: int):
         return seed_character(rcg_build(self.nf, self.ctx, level))

@@ -306,11 +306,6 @@ class LocalIso:
             acc += c.numerator * pow(den, -1, mod) * img
         return acc % mod
 
-    def lift(self, r: int) -> FieldElement:
-        """A global integral lift of the residue r (a rational integer works
-        because the residue field extension is trivial)."""
-        return self.nf.element_from_int(r % self.modulus)
-
 
 def split_local_iso(nf: "NumberFieldData", p: int, pi: FieldElement, level: int) -> LocalIso:
     """Build the mod-p^level splitting attached to the prime (pi) above p.

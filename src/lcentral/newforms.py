@@ -1,5 +1,11 @@
 """Newform coefficient data: the builtin weight-12 form and document loading.
 
+`newform_load` is the one place that knows which forms the engine serves:
+parallel integer weight k over a field `fields.nf_load` admits (so every
+place is real), trivial central character (the twist root numbers of
+charsums hold for no other), and integer coefficients.  Anything else is
+refused with ValueError before a coefficient is expanded.
+
 A form carries arithmetically normalized coefficients indexed by ideal norm
 (norms and ideals are in bijection for the shipped experiments), the
 dual-side sign eta with a_dual(n) = eta * a(n), the coefficient-field depth
@@ -9,7 +15,7 @@ of out-of-bound coefficients.
 
 Documents supply eigenvalues at primes only; the full table is expanded
 through multiplicativity and the prime-power recursion
-a(p^(e+1)) = a(p) a(p^e) - p^(k-1) a(p^(e-1)) (trivial nebentypus), and
+a(p^(e+1)) = a(p) a(p^e) - p^(k-1) a(p^(e-1)), and
 every derived coefficient is re-checked against |a(n)| <= 2 d(n) n^((k-1)/2
 + theta).  A document may instead carry a full coefficient table, in which
 case the same two identities become consistency checks, so corrupting any
@@ -26,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .abelian import factorize, p_adic_split
+from .fields import nf_load
 from .tau import primes_up_to, smallest_prime_factors, tau_table
 
 
@@ -38,10 +45,9 @@ class NewformData:
 
     label: str
     field_label: str
-    weight: tuple[int, ...]           # one entry per archimedean place
-    gamma_shifts: tuple[int, ...]     # matching shifts in the gamma factor
+    weight: int                       # the parallel weight k
+    gamma_shifts: tuple[int, ...]     # shifts in the gamma factor, one per place
     level_norm: int
-    nebentypus: str
     eta: int                          # dual-side sign: a_dual = eta * a
     n0: int                           # p-power root depth of the coefficient field
     theta: Fraction
@@ -53,12 +59,6 @@ class NewformData:
         object.__setattr__(self, "_derived", {})
 
     @property
-    def scalar_weight(self) -> int:
-        if len(set(self.weight)) != 1:
-            raise ValueError("no single weight for a non-parallel form")
-        return self.weight[0]
-
-    @property
     def limit(self) -> int:
         return len(self.coefficients) - 1
 
@@ -66,18 +66,6 @@ class NewformData:
         if not 1 <= n <= self.limit:
             raise IndexError(f"coefficient {n} outside the loaded range (<= {self.limit})")
         return self.coefficients[n]
-
-    def coeff(self, ideal_or_norm):
-        if isinstance(ideal_or_norm, (int, Fraction)):
-            n = ideal_or_norm
-        else:
-            n = ideal_or_norm.norm
-            n = n() if callable(n) else n
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                return 0  # non-integral argument carries no Fourier coefficient
-            n = n.numerator
-        return self.coeff_of_norm(n)
 
     def coefficient_array(self, limit: int | None = None) -> np.ndarray:
         """a[0..limit] with a[0] = 0, for vectorized sums: a read-only view
@@ -89,41 +77,35 @@ class NewformData:
 
 
 def _float_copy(coefficients: list) -> np.ndarray:
-    """The table as one read-only float64 array (complex128 if an entry is
-    complex, which float64 conversion refuses with TypeError); each entry is
-    the correctly rounded float(c)."""
-    try:
-        arr = np.array(coefficients, dtype=np.float64)
-    except TypeError:
-        arr = np.array([complex(c) for c in coefficients], dtype=np.complex128)
+    """The table as one read-only float64 array; each entry is the correctly
+    rounded float(c)."""
+    arr = np.array(coefficients, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
 
-def ramanujan_violations(form: NewformData, degree: int = 1) -> list[int]:
-    """Primes p in range whose coefficient breaks |a(p)| <= 2 d p^((k-1)/2+theta).
+def ramanujan_violations(form: NewformData) -> list[int]:
+    """Primes p in range whose coefficient breaks |a(p)| <= 2 p^((k-1)/2+theta).
 
-    The comparison is exact for integer coefficients: with theta = u/v it is
-    a(p)^(2v) <= (2d)^(2v) p^((k-1)v + 2u).
+    The comparison is exact: with theta = u/v it is
+    a(p)^(2v) <= 2^(2v) p^((k-1)v + 2u).
     """
-    k = form.scalar_weight
+    k = form.weight
     u, v = form.theta.numerator, form.theta.denominator
     bad = []
     for p in primes_up_to(form.limit):
         a = form.coeff_of_norm(p)
-        if _bound_broken(a, 2 * degree, p, k, u, v):
+        if _bound_broken(a, 2, p, k, u, v):
             bad.append(p)
     return bad
 
 
-def _bound_broken(a, factor: int, n: int, k: int, u: int, v: int) -> bool:
-    if isinstance(a, int):
-        return a ** (2 * v) > factor ** (2 * v) * n ** ((k - 1) * v + 2 * u)
-    return abs(a) > (1 + 1e-12) * factor * n ** ((k - 1) / 2 + u / v)
+def _bound_broken(a: int, factor: int, n: int, k: int, u: int, v: int) -> bool:
+    return a ** (2 * v) > factor ** (2 * v) * n ** ((k - 1) * v + 2 * u)
 
 
-def _expand_from_primes(prime_a: dict[int, object], limit: int, k: int,
-                        theta: Fraction) -> list:
+def _expand_from_primes(prime_a: dict[int, int], limit: int, k: int,
+                        theta: Fraction) -> list[int]:
     """Fill a(1..limit) from prime eigenvalues; check bounds along the way."""
     u, v = theta.numerator, theta.denominator
     spf = smallest_prime_factors(limit)
@@ -173,10 +155,9 @@ def builtin_newform(name: str, limit: int = 1000) -> NewformData:
     return NewformData(
         label="delta",
         field_label="rationals",
-        weight=(12,),
+        weight=12,
         gamma_shifts=(0,),
         level_norm=1,
-        nebentypus="trivial",
         eta=-1,
         n0=0,
         theta=Fraction(0),
@@ -193,28 +174,30 @@ def _doc_get(doc: dict, *names, default=None, required=False):
     return default
 
 
-def _parse_entry(value):
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if value != int(value):
-            raise ValueError("non-integer real eigenvalues must be given as [re, im]")
+def _parse_entry(value) -> int:
+    """An eigenvalue or table entry: an integer (integral floats included)."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    re, im = float(value[0]), float(value[1])
-    if im == 0 and re == int(re):
-        return int(re)
-    return complex(re, im)
+    if not isinstance(value, int):
+        raise ValueError(f"coefficient {value!r} is not an integer: the sums "
+                         f"read integer eigenvalues only")
+    return value
 
 
-def newform_load(source, limit: int = 1000, degree: int = 1) -> NewformData:
+def newform_load(source, limit: int = 1000) -> NewformData:
     """Load a form from a builtin name, a JSON document path, or a dict.
 
     Document header: {label, field_label, weight_vector, m_vector, type_J,
     level_norm, nebentypus, n0, theta, atkin_lehner}; eigenvalue rows are a
-    mapping {ideal_label: value or [re, im]} under "prime_eigenvalues",
-    indexed by norm for the shipped degree-one setting.  A precomputed table
-    may be supplied under "coefficients" (a(1), a(2), ... by norm); it is
-    verified entry by entry instead of expanded.
+    mapping {ideal_label: integer} under "prime_eigenvalues", indexed by norm
+    for the shipped degree-one setting.  A precomputed table may be supplied
+    under "coefficients" (a(1), a(2), ... by norm); it is verified entry by
+    entry instead of expanded.
+
+    Refused with ValueError: a nebentypus other than "trivial", a non-integer
+    eigenvalue or table entry (such as [re, im]), a weight_vector that is not
+    one equal weight per real place of the field named by field_label, and
+    type_J indices outside those places.
     """
     if isinstance(source, NewformData):
         return source
@@ -226,26 +209,38 @@ def newform_load(source, limit: int = 1000, degree: int = 1) -> NewformData:
     else:
         doc = source
 
-    weight = tuple(int(w) for w in _doc_get(doc, "weight_vector", "weight", required=True))
+    nebentypus = _doc_get(doc, "nebentypus", default="trivial")
+    if nebentypus != "trivial":
+        raise ValueError(f"nebentypus {nebentypus!r} is not supported: the twist "
+                         f"root numbers hold for trivial central character only")
+    field_label = _doc_get(doc, "field_label", "field", default="rationals")
+    places = nf_load(field_label).degree
+    weights = [int(w) for w in _doc_get(doc, "weight_vector", "weight", required=True)]
+    if len(weights) != places or len(set(weights)) != 1:
+        raise ValueError(f"weight_vector {weights} is not one parallel weight per "
+                         f"real place of {field_label} ({places})")
+    type_j = tuple(int(j) for j in _doc_get(doc, "type_J", "type_j", default=[0]))
+    if not set(type_j) <= set(range(places)):
+        raise ValueError(f"type_J {list(type_j)} must index real places "
+                         f"0..{places - 1} of {field_label}")
     form = NewformData(
         label=doc.get("label", "unnamed-form"),
-        field_label=_doc_get(doc, "field_label", "field", default="rationals"),
-        weight=weight,
+        field_label=field_label,
+        weight=weights[0],
         gamma_shifts=tuple(int(m) for m in _doc_get(doc, "m_vector", "gamma_shifts",
-                                                    default=[0] * len(weight))),
+                                                    default=[0] * places)),
         level_norm=int(_doc_get(doc, "level_norm", default=1)),
-        nebentypus=_doc_get(doc, "nebentypus", default="trivial"),
         eta=int(_doc_get(doc, "atkin_lehner", "eta", required=True)),
         n0=int(_doc_get(doc, "n0", default=0)),
         theta=Fraction(str(_doc_get(doc, "theta", default=0))),
         coefficients=[0, 1],
-        type_j=tuple(int(j) for j in _doc_get(doc, "type_J", "type_j", default=[0])),
+        type_j=type_j,
     )
     if form.eta not in (-1, 1):
         raise ValueError("atkin_lehner sign must be +1 or -1")
     if not 0 <= form.theta < Fraction(1, 2):
         raise ValueError("theta must lie in [0, 1/2)")
-    k = form.scalar_weight
+    k = form.weight
 
     if "coefficients" in doc:
         table = [0] + [_parse_entry(c) for c in doc["coefficients"]]
@@ -259,7 +254,7 @@ def newform_load(source, limit: int = 1000, degree: int = 1) -> NewformData:
         table = _expand_from_primes(prime_a, limit, k, form.theta)
     form = replace(form, coefficients=table)
 
-    bad = ramanujan_violations(form, degree)
+    bad = ramanujan_violations(form)
     if bad:
         raise ValueError(f"coefficients at primes {bad[:5]} exceed the Ramanujan bound")
     return form

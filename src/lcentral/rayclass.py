@@ -83,9 +83,6 @@ class PrimeContext:
     def residue(self, x: FieldElement, level: int) -> int:
         return self.iso(level).residue(x)
 
-    def lift(self, r: int, level: int) -> FieldElement:
-        return self.iso(level).lift(r)
-
     def generator_residue(self, level: int) -> int:
         if level not in self._groots:
             self.check_level(level)
@@ -166,18 +163,10 @@ class RayClassGroup:
         return self.generator_exponent * int(self.dlog[r]) % self.order
 
     def ideal_to_element(self, x) -> int:
-        """Class of the principal ideal (gamma).
-
-        Accepts a field element, a rational integer, or a pair (gamma, i)
-        naming a class representative index (only the principal rep 0 exists
-        at class number one).  Any generator works: generators differ by a
+        """Class of the principal ideal (x), for a field element or a
+        rational integer x.  Any generator works: generators differ by a
         unit and units die in the quotient.
         """
-        if isinstance(x, tuple) and len(x) == 2:
-            gamma, idx = x
-            if idx != 0:
-                raise ValueError("nontrivial class representative at class number one")
-            return self.ideal_to_element(gamma)
         if isinstance(x, int):
             x = self.nf.element_from_int(x)
         if isinstance(x, FieldElement):

@@ -2,24 +2,24 @@
 averages, and the guard rails around cutoff configuration."""
 
 import gc
+import itertools
 import math
 import weakref
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lcentral import afe, charsums
-from lcentral.afe import (AFEConfig, afe_lvalue, averaged_coefficient_lvalue,
-                          character_value_table, choose_cutoffs, direct_series,
-                          exponent_window, functional_equation_residual,
-                          lambda_completed, orbit_average_lvalue,
-                          parity_and_constant)
+from lcentral.afe import (AFEConfig, afe_lvalue, archimedean_constant,
+                          averaged_coefficient_lvalue, character_value_table,
+                          choose_cutoffs, direct_series, exponent_window,
+                          functional_equation_residual, lambda_completed,
+                          orbit_average_lvalue)
 from lcentral.charsums import CoefficientFieldContext, galois_orbit
 from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
-from lcentral.newforms import builtin_newform
+from lcentral.newforms import builtin_newform, newform_load
 from lcentral.rayclass import PrimeContext, rcg_build
 
 Q = nf_load("rationals")
@@ -45,38 +45,90 @@ def order5_chars(rcg):
 
 # -- archimedean constant ----------------------------------------------------
 
+def parity_and_constant(nf, type_j, weights):
+    """The general constant with its parity certificate, for signature
+    (r1, r2) and any weight vector: the oracle of `archimedean_constant`.
+
+        C = (-1)^(r1 + sum over complex places (k_sigma - 1)) * e(q),
+        q = sum_{real, not in J} k_sigma/4 - sum_{real, in J} k_sigma/4
+
+    The certificate checks, in exact Fraction arithmetic, that
+    (-1)^(r1 (k - 2)) C^2 = 1 for the parallel weight k.
+    """
+    r1, r2 = nf.signature
+    weights = tuple(int(w) for w in weights)
+    if len(weights) != r1 + r2:
+        raise ValueError("need one weight entry per archimedean place")
+    jset = frozenset(type_j)
+    if not jset <= set(range(r1)):
+        raise ValueError("twisted places must index real embeddings (0-based)")
+
+    q = Fraction(0)
+    for i in range(r1):
+        q += Fraction(-weights[i], 4) if i in jset else Fraction(weights[i], 4)
+    sign_exp = r1 + sum(weights[r1 + i] - 1 for i in range(r2))
+
+    phase = q % 1
+    quarter_table = {
+        Fraction(0): 1 + 0j,
+        Fraction(1, 4): 1j,
+        Fraction(1, 2): -1 + 0j,
+        Fraction(3, 4): -1j,
+    }
+    root = quarter_table.get(phase)
+    if root is None:
+        root = complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
+    c = root if sign_exp % 2 == 0 else -root
+
+    if r1 > 0:
+        if len(set(weights[:r1])) != 1:
+            raise ValueError("parity certificate needs a parallel weight over the real places")
+        k = weights[0]
+        parity_ok = (Fraction(r1 * (k - 2), 2) + 2 * q) % 1 == 0
+    else:
+        parity_ok = (2 * q) % 1 == 0
+    return c, parity_ok
+
+
+def test_constant_matches_the_general_oracle():
+    # every loadable header: r1 in {1, 2}, J any subset of the places, and
+    # parallel k = 1..40; the closed form must equal the general constant
+    # and the certificate must hold, so no admitted header loses a check
+    cases = 0
+    for nf in (Q, K):
+        r1 = nf.signature[0]
+        for size in range(r1 + 1):
+            for type_j in itertools.combinations(range(r1), size):
+                for k in range(1, 41):
+                    want, parity_ok = parity_and_constant(nf, type_j, (k,) * r1)
+                    assert parity_ok
+                    assert archimedean_constant(nf, type_j, k) == want
+                    cases += 1
+    assert cases == 240
+
+
 def test_constant_and_parity_rationals():
     for type_j in ((), (0,)):
-        c, ok = parity_and_constant(Q, type_j, (12,))
-        assert c == -1
-        assert ok
+        assert archimedean_constant(Q, type_j, 12) == -1
+        assert parity_and_constant(Q, type_j, (12,)) == (-1, True)
 
 
 def test_constant_parallel_weight_sqrt2():
-    c, ok = parity_and_constant(K, (0, 1), (12, 12))
-    assert c == 1
-    assert ok
+    assert archimedean_constant(K, (0, 1), 12) == 1
     # one twisted and one plain real place: the quarter-phases cancel
-    c, ok = parity_and_constant(K, (0,), (12, 12))
-    assert c == 1
-    assert ok
-
-
-def test_parity_imaginary_quadratic_shape():
-    # only the signature enters; any even weight at the one complex place
-    fake = SimpleNamespace(signature=(0, 1), label="imag-quad-stub")
-    for k in (2, 4, 12):
-        _, ok = parity_and_constant(fake, (), (k,))
-        assert ok
+    assert archimedean_constant(K, (0,), 12) == 1
 
 
 def test_constant_validation():
-    with pytest.raises(ValueError):
-        parity_and_constant(Q, (1,), (12,))       # no real place index 1
-    with pytest.raises(ValueError):
-        parity_and_constant(Q, (), (12, 10))      # too many weight entries
-    with pytest.raises(ValueError):
-        parity_and_constant(K, (), (12, 10))      # non-parallel real weights
+    # the header checks the constant relies on are made once, by the loader
+    base = {"label": "t", "atkin_lehner": -1, "prime_eigenvalues": {"2": -24}}
+    with pytest.raises(ValueError, match="type_J"):
+        newform_load(dict(base, weight_vector=[12], type_J=[1]), limit=2)
+    with pytest.raises(ValueError, match="weight_vector"):
+        newform_load(dict(base, weight_vector=[12, 10]), limit=2)
+    with pytest.raises(ValueError, match="weight_vector"):
+        newform_load(dict(base, field_label="quadratic-sqrt2",
+                          weight_vector=[12, 10]), limit=2)
 
 
 def test_exponent_window_values():

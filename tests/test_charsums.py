@@ -48,7 +48,7 @@ def gauss_sum_conjugation_defect(chi):
     return abs(g.conjugate() - chi.local_value(-1).to_complex() * gbar)
 
 
-def average_iota(chi, ctx, a, nebentypus="trivial"):
+def average_iota(chi, ctx, a):
     """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit, one root
     number per member: the per-residue oracle of `averaged_iota_values`."""
     orbit = galois_orbit(chi, ctx)
@@ -57,7 +57,7 @@ def average_iota(chi, ctx, a, nebentypus="trivial"):
         v = tw.conjugate().value_on_ideal_of(a)
         if v is None:
             continue
-        total += root_number(tw, nebentypus) * v.to_complex()
+        total += root_number(tw) * v.to_complex()
     return total / len(orbit)
 
 
@@ -160,12 +160,6 @@ def test_root_number_unit_modulus_quadratic_field():
     K, ctx = sqrt2_setup()
     for chi in residue_characters(ctx, 2)[:10]:
         assert abs(abs(root_number(chi)) - 1) < 1e-12
-
-
-def test_root_number_rejects_nontrivial_nebentypus():
-    Q, ctx, rcg = q_setup()
-    with pytest.raises(NotImplementedError):
-        root_number(order5_char(rcg), nebentypus="quadratic")
 
 
 def test_orbit_sizes():

@@ -16,7 +16,7 @@ from lcentral.cli import main, parse_char_label, usable_cpus
 from lcentral.experiment import report_from_json
 from lcentral.newforms import builtin_newform
 from lcentral.rayclass import HeckeCharacter
-from lcentral.tau import primes_up_to
+from lcentral.tau import primes_up_to, tau_table
 
 
 def run_json(capsys, argv):
@@ -252,23 +252,31 @@ _GAUSSIAN_DOC = {"label": "gaussian-integers", "min_poly": [1, 0, 1],
 
 
 @pytest.mark.parametrize("argv", [
-    ["kloosterman-report", "--form", "{nb}", "--char", "rationals.p5.m2.chi4"],
     ["lvalue", "--form", "{nb}", "--char", "rationals.p5.m2.chi3"],
     ["cone-count", "--field", "{golden}", "--p", "11", "--n", "1", "--x", "100"],
     ["gauss-sum", "--char", "{golden}.p11.m1.chi1"],
     ["lav-scan", "--field", "{gaussian}", "--p", "5", "--pi", "2,1",
      "--n-lo", "1", "--n-hi", "1"],
-], ids=["nebentypus-kloosterman", "nebentypus-lvalue", "golden-cone-count",
-        "golden-gauss-sum", "gaussian-lav-scan"])
+    ["lav-scan", "--form", "{cx}", "--n-hi", "1"],
+    ["lvalue", "--form", "{cx}"],
+    ["lav-scan", "--form", "{short}", "--n-hi", "1"],
+], ids=["nebentypus-lvalue", "golden-cone-count",
+        "golden-gauss-sum", "gaussian-lav-scan", "complex-lav-scan",
+        "complex-lvalue", "short-table-lav-scan"])
 def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     # a zero-eigenvalue form with a nontrivial nebentypus, up to the 2000
-    # coefficients lvalue loads
+    # coefficients lvalue loads; the same with one [re, im] eigenvalue; and a
+    # full table shorter than the scan's cutoffs
     nb = {"label": "nb", "weight_vector": [12], "atkin_lehner": 1,
           "nebentypus": "chi5",
           "prime_eigenvalues": {str(p): 0 for p in primes_up_to(2000)}}
+    cx = dict(nb, nebentypus="trivial",
+              prime_eigenvalues=dict(nb["prime_eigenvalues"], **{"2": [0, 1]}))
+    short = {"label": "short", "weight_vector": [12], "atkin_lehner": -1,
+             "coefficients": tau_table(300)[1:]}
     paths = {}
     for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC),
-                      ("gaussian", _GAUSSIAN_DOC)):
+                      ("gaussian", _GAUSSIAN_DOC), ("cx", cx), ("short", short)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     assert main([a.format(**paths) for a in argv]) == 2

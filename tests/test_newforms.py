@@ -32,18 +32,16 @@ def prime_doc(**overrides):
 
 def test_builtin_delta_properties():
     assert DELTA.label == "delta"
-    assert DELTA.scalar_weight == 12
+    assert DELTA.weight == 12
     assert DELTA.gamma_shifts == (0,)
     assert DELTA.eta == -1 and DELTA.n0 == 0 and DELTA.theta == 0
-    assert DELTA.level_norm == 1 and DELTA.nebentypus == "trivial"
+    assert DELTA.level_norm == 1
     assert DELTA.limit == 2000
     assert DELTA.coeff_of_norm(1) == 1
 
 
 def test_coeff_lookup():
-    assert DELTA.coeff(6) == -6048  # tau(2) tau(3) by multiplicativity
-    assert DELTA.coeff(Fraction(6)) == -6048
-    assert DELTA.coeff(Fraction(1, 2)) == 0  # non-integral argument
+    assert DELTA.coeff_of_norm(6) == -6048  # tau(2) tau(3) by multiplicativity
     with pytest.raises(IndexError):
         DELTA.coeff_of_norm(0)
     with pytest.raises(IndexError):
@@ -142,23 +140,40 @@ def test_header_validation():
         newform_load(doc, limit=10)
 
 
-def test_scalar_weight_rejects_non_parallel():
-    form = NewformData(label="x", field_label="quadratic-sqrt2", weight=(2, 4),
-                       gamma_shifts=(0, 1), level_norm=1, nebentypus="trivial",
-                       eta=1, n0=0, theta=Fraction(0), coefficients=[0, 1])
-    with pytest.raises(ValueError):
-        form.scalar_weight
+def test_loader_refuses_non_parallel_weight():
+    with pytest.raises(ValueError, match="parallel"):
+        newform_load(prime_doc(field_label="quadratic-sqrt2", weight_vector=[2, 4],
+                               m_vector=[0, 1]), limit=10)
+    # one entry per real place: Q(sqrt 2) has two
+    with pytest.raises(ValueError, match="weight_vector"):
+        newform_load(prime_doc(field_label="quadratic-sqrt2"), limit=10)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"nebentypus": "chi5"}, "nebentypus 'chi5'"),
+    ({"prime_eigenvalues": {"2": [-24, 1], "3": 252}}, r"\[-24, 1\] is not an integer"),
+    ({"prime_eigenvalues": {"2": [-24, 0], "3": 252}}, "not an integer"),
+    ({"prime_eigenvalues": {"2": -24.5, "3": 252}}, "not an integer"),
+    ({"type_J": [1]}, "type_J"),
+    ({"field_label": "quadratic-sqrt2", "weight_vector": [12, 12], "type_J": [0, 2]},
+     "type_J"),
+    ({"coefficients": [1, [-24, 1], 252]}, "not an integer"),
+], ids=["nebentypus", "complex-eigenvalue", "pair-eigenvalue", "fractional-eigenvalue",
+        "type-j-rationals", "type-j-sqrt2", "complex-table-entry"])
+def test_loader_refuses_forms_the_engine_cannot_evaluate(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        newform_load(prime_doc(**overrides), limit=10)
 
 
 def test_ramanujan_scan_clean_for_delta():
-    assert ramanujan_violations(DELTA, degree=1) == []
+    assert ramanujan_violations(DELTA) == []
 
 
 def test_theta_tightens_the_bound():
     # with theta = 0 the scan is the sharp Deligne bound; a fake form whose
     # a(2) sits just above it must be flagged
-    form = NewformData(label="x", field_label="rationals", weight=(12,),
-                       gamma_shifts=(0,), level_norm=1, nebentypus="trivial",
+    form = NewformData(label="x", field_label="rationals", weight=12,
+                       gamma_shifts=(0,), level_norm=1,
                        eta=1, n0=0, theta=Fraction(0),
                        coefficients=[0, 1, 2 * 46 ** 1 + 2896, 0])
-    assert 2 in ramanujan_violations(form, degree=1)
+    assert 2 in ramanujan_violations(form)

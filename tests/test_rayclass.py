@@ -119,20 +119,11 @@ def test_class_enumeration_covers_group():
     units = [r for r in range(1, 25) if r % 5]
     classes = {rcg.class_of_residue(r) for r in units}
     assert classes == set(range(rcg.order))
+    with pytest.raises(ValueError):
+        rcg.class_of_residue(10)
     for c in range(rcg.order):
         assert rcg.min_residue_of_class(c) == min(
             r for r in units if rcg.class_of_residue(r) == c)
-
-
-def test_ideal_to_element_accepts_pairs():
-    Q, ctx = q_ctx()
-    rcg = rcg_build(Q, ctx, 2)
-    gamma = Q.element_from_int(7)
-    assert rcg.ideal_to_element((gamma, 0)) == rcg.ideal_to_element(7)
-    with pytest.raises(ValueError):
-        rcg.ideal_to_element((gamma, 1))
-    with pytest.raises(ValueError):
-        rcg.class_of_residue(10)
 
 
 def test_residue_characters_on_quadratic_field():
