@@ -357,8 +357,7 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
     m1, m2 = cfg.cutoff_main, cfg.cutoff_dual
     if form.limit < max(m1, m2):
         raise ValueError(
-            f"form carries coefficients to {form.limit} but the sums need "
-            f"{max(m1, m2)}; reload the form with a larger limit")
+            f"form carries coefficients to {form.limit} but the sums need {max(m1, m2)}")
     tail1, tail2 = _tails(form, kern, s, med, cfg.y, m1, m2)
     budget = (tail1 + tail2) / abs(gamma_s)
     if not budget <= cfg.tol:
@@ -555,7 +554,7 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     of route one except for the shared coefficient and kernel tables.
 
     Per orbit and exact: the root numbers come from one exact Gauss sum by
-    the Galois action, and each mean is taken once per value chi(r)
+    the Galois action, and the means for every value chi(r) are one DFT
     (charsums.averaged_char_table / averaged_iota_values).
     """
     if chi.is_trivial():
@@ -567,8 +566,8 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
         raise ValueError("seed twist must be primitive at its level")
 
     eng = _engine(form, nf, chi, 0.5 * form.weight, y, tol)
-    # averaged twist per unit residue (exact cyclotomic means), and the
-    # averaged reflected weights (root number times conjugate values)
+    # averaged twist per unit residue, and the averaged reflected weights
+    # (root number times conjugate values)
     s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),
                               averaged_iota_values(chi, ctx))
     value = (s1 + eng.c * s2) / eng.gamma_s

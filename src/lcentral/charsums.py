@@ -23,12 +23,14 @@ trivial finite central character, the only forms `newforms.newform_load`
 admits: W(chi) = chi(-1) * G(conj chi)^2 / p^c, which has modulus one
 identically.
 
-Galois averages are exact: sums of roots of unity assembled in cyclotomic
-arithmetic.  The orbit values are powers of the seed value,
-chi^t(a) = chi(a)^t, so an average evaluates the character once, and the
-exact mean is memoised per value (`_value_mean`).  `average_char` alone
-recognizes a mean against its closed form (zero, a rational, or the seed
-value), from one reduction, once per value.
+Every exact object here is a `roots.CyclotomicNumber` built straight from an
+integer histogram: the exact Gauss sum from the histogram of its term
+exponents, and an exact Galois mean from the histogram of k t mod ord over
+the substitutions t, over the orbit size.  The orbit values are powers of
+the seed value, chi^t(a) = chi(a)^t, so `average_char` evaluates the
+character once, and the exact mean and its closed form (zero, a rational,
+or the seed value, recognized from one reduction) are memoised per value
+(`_value_mean`).
 
 The averaging routes of afe.py take two separate paths through this module.
 Route one is per orbit and float: `character_sums` sums a residue table
@@ -36,31 +38,29 @@ against every character of a level with one FFT over the discrete logs, and
 `orbit_gauss_sums` reads every member's G(conj chi^t) from one such
 transform of the additive phases, for `orbit_float_root_numbers`.
 `gauss_sum` and `root_number` stay the per-character oracles.  Route two is
-per orbit and exact: `orbit_root_numbers` gets every W(chi^t) from one exact
-Gauss sum through the Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)),
-which is sigma_t applied to G(chi) followed by the shift identity;
-`averaged_char_table` and `averaged_iota_values` then take each orbit mean
-once per value chi(r) and scatter it through the level's dlog array.  Route
-two never calls route one's float Gauss sums, so the gap between the routes
-stays a check.
+per orbit and exact: `orbit_root_numbers` checks one exact square
+eps = G(conj chi)^2 / q (`_unit_square`: h h - q eps is zero) and gets every
+W(chi^t) through the Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)),
+as int64 phases over one level read off the dlog array.  The tables
+`averaged_char_table` and `averaged_iota_values` are one orbit-mean DFT of
+the members binned by t mod ord (weights 1, and the W phases), scattered
+through the level's dlog array.  Route two never calls route one's float
+Gauss sums, so the gap between the routes stays a check.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm, pi
 
 import numpy as np
 
 from .abelian import p_adic_split
 from .fields import FieldElement
-from .ntt import convolve_exact
-from .roots import (ONE, CyclotomicNumber, RootOfUnity, unit_circle, unit_circle_array,
-                    vanishes)
+from .roots import CyclotomicNumber, RootOfUnity, unit_circle
 from .rayclass import HeckeCharacter, PrimeContext
 
 # largest cyclotomic level we are willing to reduce exactly
@@ -106,7 +106,9 @@ def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[int
 
 
 def galois_orbit(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[HeckeCharacter]:
-    """The conjugates chi^t of a p-power-order character."""
+    """The conjugates chi^t of a p-power-order character, one character per
+    member: the per-member view the tests check the orbit computations
+    against, which themselves work on the substitutions alone."""
     return [chi.power(t) for t in substitutions(chi, ctx)]
 
 
@@ -123,23 +125,18 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
     if chi.conductor_exponent == 0:
         return CyclotomicNumber.from_rational(1) if exact else 1.0 + 0j
     den, exps, pref = _gauss_terms(chi, shift)
-    exps = exps.tolist()
 
     if exact:
         level = lcm(den, pref.order)
         if level > EXACT_LEVEL_LIMIT:
             raise ValueError(
                 f"exact Gauss sum would need cyclotomic level {level}; use exact=False")
-        step = level // den
-        acc: dict[int, int] = {}
-        for e in exps:
-            acc[e * step] = acc.get(e * step, 0) + 1
-        total = CyclotomicNumber(level, acc)
-        return total * CyclotomicNumber.from_root(pref, level=level)
+        total = CyclotomicNumber.from_array(den, np.bincount(exps, minlength=den))
+        return total * CyclotomicNumber.from_root(pref)
 
     circle = unit_circle(den)
     total = 0j
-    for e in exps:
+    for e in exps.tolist():
         total += circle[e]
     return total * pref.to_complex()
 
@@ -258,51 +255,44 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     return w
 
 
-def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[RootOfUnity]:
-    """Exact W(chi^t) for the orbit members, in orbit order, from one exact
-    Gauss sum.
+def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tuple[int, np.ndarray]:
+    """(L, w) with W(chi^t) = e(w_t / L) exactly for the orbit members, in
+    orbit order, from one exact Gauss sum.
 
     With psi = conj(chi), G(psi^t) = psi^t_loc(t) * sigma_t(G(psi)), so
-    W(chi^t) = chi^t(-1) psi^t_loc(t)^2 sigma_t(G(psi)^2 / q).  The one exact
-    square G(psi)^2 / q is checked to be a root of unity eps, and sigma_t
-    moves eps alone.  G(psi) is held as the integer histogram of its terms,
-    so no cyclotomic level limit applies.
+    W(chi^t) = chi^t(-1) psi^t_loc(t)^2 sigma_t(eps) with eps = G(psi)^2 / q,
+    checked once to be a root of unity.  chi^t(-1) = 1, as chi has odd
+    order, and with chi(r) = e(a dlog(r) / ord) on classes
+    psi^t_loc(t)^2 = e(2 t a dlog(t) / ord); sigma_t on Q(zeta_M),
+    M = lcm(den, order of pref) odd, fixes -1, so on eps it is the power by
+    the odd representative of t mod M.  G(psi) is
+    held as the integer histogram of its terms, so no cyclotomic level
+    limit applies.
     """
-    subs = substitutions(chi, ctx)
+    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
     if chi.conductor_exponent == 0:
-        return [ONE] * len(subs)
+        return 1, np.zeros(len(subs), dtype=np.int64)
     den, exps, pref = _gauss_terms(chi.conjugate(), 1)
     eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
                        chi.label) * pref * pref
-    # sigma_t on Q(zeta_L), L = lcm(den, order of pref) odd, fixes -1: on
-    # roots of order 2L it is the power by the odd representative of t mod L
-    level = lcm(den, pref.order)
-    out = []
-    for t, tw in zip(subs, galois_orbit(chi, ctx)):
-        rho = tw.conjugate().local_value(t)
-        sigma_eps = eps.galois(t if t % 2 else t + level)
-        out.append(tw.local_value(-1) * rho * rho * sigma_eps)
-    return out
+    odd = np.where(subs % 2 == 1, subs, subs + lcm(den, pref.order))
+    order, a = chi.order, chi.dlog_phase.numerator
+    chi_part = subs * a % order * 2 * chi.group.dlog[subs] % order
+    eps_part = eps.phase.numerator * odd % eps.order
+    level = lcm(order, eps.order)
+    return level, (chi_part * (level // order) + eps_part * (level // eps.order)) % level
 
 
 def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
     """The root of unity eps = h^2 / q for h = sum_e hist[e] e(e / n),
-    n = len(hist), checked exactly: h^2 is the cyclic self-convolution of the
-    integer histogram, exact through `convolve_exact` (the entries sum to at
-    most phi(q), so every coefficient is at most phi(q)^2), and h^2 - q eps
-    must vanish in Q(zeta_L), L = lcm(n, order of eps)."""
+    n = len(hist): eps is read off the float value of h^2, and h^2 - q eps
+    must vanish exactly."""
     n = len(hist)
-    full = convolve_exact(hist, hist, int(hist.sum()) ** 2)
-    square = full[:n].copy()
-    square[:n - 1] += full[n:]
     z = np.dot(hist, np.exp(2j * pi * np.arange(n) / n))
     turns = cmath.phase(z * z) / (2 * pi)
     eps = RootOfUnity(Fraction(round(turns * 2 * n), 2 * n))
-    level = lcm(n, eps.order)
-    diff = np.zeros(level, dtype=np.int64)
-    diff[::level // n] = square
-    diff[int(eps.phase * level)] -= q
-    if not vanishes(level, diff):
+    h = CyclotomicNumber.from_array(n, hist)
+    if not (h * h - CyclotomicNumber.from_root(eps, coeff=q)).is_zero():
         raise ArithmeticError(f"G^2 / N(cond) is not a root of unity at {label}")
     return eps
 
@@ -311,7 +301,7 @@ def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
 # Galois averages
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AverageResult:
     """Exact Galois-averaged character value.
 
@@ -338,11 +328,9 @@ def _recognize(mean: CyclotomicNumber, seed: RootOfUnity) -> tuple[Fraction | No
     one reduced form: zero, a rational, or the seed itself.  A mean of roots
     of unity has modulus one only when every term is the same root, so it is
     the seed exactly when its unreduced form is the seed alone."""
-    red = mean.reduced().coeffs
-    if not red:
-        return Fraction(0), RootOfUnity(0)
-    if red.keys() == {0}:
-        return red[0], RootOfUnity(0)
+    rational = mean.is_rational()
+    if rational is not None:
+        return rational, RootOfUnity(0)
     if mean.coeffs == {seed.phase * mean.level: 1}:
         return Fraction(1), seed
     return None, None
@@ -358,40 +346,24 @@ def average_char(chi: HeckeCharacter, ctx: CoefficientFieldContext, a) -> Averag
     subs = tuple(substitutions(chi, ctx))
     seed = chi.value_on_ideal_of(a)
     if seed is None:
-        zero = CyclotomicNumber.zero()
-        return AverageResult(cyclotomic=zero, orbit_size=len(subs), coeff=Fraction(0),
-                             root=RootOfUnity(0))
-    got = _value_mean(seed, subs)
-    coeff, root = got.closed_form
-    return AverageResult(cyclotomic=got.mean, orbit_size=len(subs), coeff=coeff, root=root)
-
-
-class _OrbitMean:
-    """The exact mean of value^t over an orbit's substitutions t.  Shared
-    between callers, so `mean` must not be mutated; the closed form is
-    recognised on first request, and only `average_char` asks."""
-
-    def __init__(self, value: RootOfUnity, mean: CyclotomicNumber):
-        self.value = value
-        self.mean = mean
-
-    @cached_property
-    def closed_form(self) -> tuple[Fraction | None, RootOfUnity | None]:
-        return _recognize(self.mean, self.value)
+        return AverageResult(cyclotomic=CyclotomicNumber.zero(), orbit_size=len(subs),
+                             coeff=Fraction(0), root=RootOfUnity(0))
+    return _value_mean(seed, subs)
 
 
 @lru_cache(maxsize=1024)
-def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> _OrbitMean:
-    """The exact mean of value^t over the substitutions t.
+def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> AverageResult:
+    """The exact mean of value^t over the substitutions t, with its closed
+    form.  Shared between callers, which is why AverageResult is frozen.
 
     With value = e(k / ord) in lowest terms the exponents are k t mod ord at
     level ord, already the least level: t = 1 is among the substitutions.
     """
     level = value.order
-    k = value.phase.numerator
-    counts = Counter(k * t % level for t in subs)
-    n = len(subs)
-    return _OrbitMean(value, CyclotomicNumber(level, {e: Fraction(c, n) for e, c in counts.items()}))
+    hist = np.bincount(value.phase.numerator * np.array(subs) % level, minlength=level)
+    mean = CyclotomicNumber.from_array(level, hist, len(subs))
+    coeff, root = _recognize(mean, value)
+    return AverageResult(cyclotomic=mean, orbit_size=len(subs), coeff=coeff, root=root)
 
 
 def average_support(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
@@ -422,41 +394,37 @@ def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> di
 
 # ---------------------------------------------------------------------------
 # per-value tables (route two): chi^t(r) = e(t j / ord) when chi(r) = e(j / ord),
-# so every orbit mean depends on r only through j.  Each mean is taken once
-# per j and scattered through the dlog array.
+# so every orbit mean depends on r only through j.  The means for all j are
+# one DFT, scattered through the dlog array.
+
+def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
+               weights: np.ndarray | None = None) -> np.ndarray:
+    """(1 / orbit) sum_t weights_t e(-t j / ord) for every j mod ord (weights
+    1 when None): bin the weights by t mod ord, then one length-ord DFT."""
+    order = chi.order
+    ts = np.array(substitutions(chi, ctx), dtype=np.int64) % order
+    if weights is None:
+        bins = np.bincount(ts, minlength=order)
+    else:
+        bins = (np.bincount(ts, weights=weights.real, minlength=order)
+                + 1j * np.bincount(ts, weights=weights.imag, minlength=order))
+    return np.fft.fft(bins) / len(ts)
+
 
 def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """average_char(chi, ctx, r).value at every residue r mod the conductor,
-    0 off the units."""
-    subs = tuple(substitutions(chi, ctx))
-    order = chi.order
-    # the substitutions form a group mod the order, so the mean at j is the
-    # mean at every j * s: one exact mean per class j * subs
-    means: list[complex | None] = [None] * order
-    for j in range(order):
-        if means[j] is None:
-            value = _value_mean(RootOfUnity.e(j, order), subs).mean.to_complex()
-            for s in subs:
-                means[j * s % order] = value
-    return _scatter(chi, means)
+    0 off the units: the mean at j is the conjugate of the unweighted DFT."""
+    return _scatter(chi, np.conj(_orbit_dft(chi, ctx)))
 
 
 def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
     residue r mod the conductor, 0 off the units, with the exact roots W from
-    `orbit_root_numbers`."""
-    roots = orbit_root_numbers(chi, ctx)
-    order = chi.order
-    level = lcm(order, *(w.order for w in roots))
-    ws = np.array([int(w.phase * level) for w in roots], dtype=np.int64)
-    ts = np.array(substitutions(chi, ctx), dtype=np.int64) % order
-    # the mean at j is (1 / orbit) sum_t e(w_t / level) e(-t j / ord): bin
-    # e(w_t / level), rendered through one table of e(k / level), by t mod
-    # ord, and the means are one length-ord DFT of the bins
-    phases = unit_circle_array(level)[ws % level]
-    bins = (np.bincount(ts, weights=phases.real, minlength=order)
-            + 1j * np.bincount(ts, weights=phases.imag, minlength=order))
-    return _scatter(chi, np.fft.fft(bins) / len(ts))
+    `orbit_root_numbers`, each rendered as RootOfUnity.to_complex renders it."""
+    level, ws = orbit_root_numbers(chi, ctx)
+    distinct, member = np.unique(ws, return_inverse=True)
+    phases = np.array([cmath.exp(2j * pi * (w / level)) for w in distinct.tolist()])
+    return _scatter(chi, _orbit_dft(chi, ctx, phases[member]))
 
 
 def _scatter(chi: HeckeCharacter, per_value: list[complex]) -> np.ndarray:

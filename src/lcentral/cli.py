@@ -218,27 +218,31 @@ def usable_cpus() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="rationals",
-                        help="builtin field name or JSON path")
-    common.add_argument("--form", default="delta",
-                        help="builtin newform name or JSON path")
-    common.add_argument("--precision-bits", type=int, default=128,
+    """One subparser per command, holding only the options its command reads."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--precision-bits", type=int, default=128,
                         help="significant bits kept in reported numbers; "
                              "values are computed in hardware doubles, this "
                              "only rounds the output (default: keep all)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="truncation tolerance for the smoothed sums")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for enumerations and scans")
-    common.add_argument("--out", help="write output to this path instead of stdout")
+    output.add_argument("--out", help="write output to this path instead of stdout")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default="rationals",
+                       help="builtin field name or JSON path")
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--form", default="delta",
+                      help="builtin newform name or JSON path")
+    form.add_argument("--tol", type=float, default=1e-9,
+                      help="truncation tolerance for the smoothed sums")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads for enumerations and scans")
 
     top = argparse.ArgumentParser(
         prog="lcentral",
         description="central values of twisted L-series and their averages")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lvalue", parents=[common],
+    p = sub.add_parser("lvalue", parents=[form, output],
                        help="one smoothed two-sided evaluation")
     p.add_argument("--s", type=float, default=None,
                    help="spectral point (default: center of the strip)")
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficients to load for the form")
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("lav-scan", parents=[common],
+    p = sub.add_parser("lav-scan", parents=[field, form, threads, output],
                        help="averaged central values along a conductor tower")
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--pi", help="prime generator coordinates, e.g. '3,1'")
@@ -263,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nonvanishing threshold on |L|")
     p.set_defaults(func=cmd_lav_scan)
 
-    p = sub.add_parser("gauss-sum", parents=[common],
+    p = sub.add_parser("gauss-sum", parents=[output],
                        help="Gauss sum of one character, with modulus check")
     p.add_argument("--char", required=True)
     p.set_defaults(func=cmd_gauss_sum)
 
-    p = sub.add_parser("galois-average", parents=[common],
+    p = sub.add_parser("galois-average", parents=[output],
                        help="exact orbit-averaged character value at a residue")
     p.add_argument("--char", required=True)
     p.add_argument("--residue", type=int, required=True)
@@ -276,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth of p-power roots of unity in the Hecke field")
     p.set_defaults(func=cmd_galois_average)
 
-    p = sub.add_parser("kloosterman-report", parents=[common],
+    p = sub.add_parser("kloosterman-report", parents=[output],
                        help="sweep of averaged dual-side character sums")
     p.add_argument("--char", required=True)
     p.add_argument("--n0", type=int, default=0)
     p.set_defaults(func=cmd_kloosterman)
 
-    p = sub.add_parser("cone-count", parents=[common],
+    p = sub.add_parser("cone-count", parents=[field, threads, output],
                        help="exact unit-orbit progression count")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -294,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the smallest-norm members found")
     p.set_defaults(func=cmd_cone_count)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify",
                        help="run the acceptance checks and report per-criterion")
     p.add_argument("--fast", action="store_true",
                    help="reduced samples; finishes in a few seconds")
+    p.add_argument("--out", help="also write the report lines to this path")
     p.set_defaults(func=cmd_verify)
 
     return top
@@ -305,16 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not 8 <= args.precision_bits <= 128:
+    if not 8 <= getattr(args, "precision_bits", 128) <= 128:
         print("--precision-bits must lie in [8, 128]", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("--threads must be a positive integer", file=sys.stderr)
-        return 2
-    # workers past the usable CPUs add threads, not speed (cone-count starts
-    # one per slab), so the count is clamped rather than refused: the same
-    # command line then runs on every host
-    args.threads = min(args.threads, usable_cpus())
+    if hasattr(args, "threads"):
+        if args.threads < 1:
+            print("--threads must be a positive integer", file=sys.stderr)
+            return 2
+        # workers past the usable CPUs add threads, not speed (cone-count
+        # starts one per slab), so the count is clamped rather than refused:
+        # the same command line then runs on every host
+        args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, NotImplementedError) as exc:

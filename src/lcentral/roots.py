@@ -1,10 +1,15 @@
-"""Exact roots of unity and sparse cyclotomic integers.
+"""Exact roots of unity and cyclotomic numbers.
 
 `RootOfUnity` is a single root e(q) with q a rational phase mod 1; products,
-powers, and Galois twists stay exact.  `CyclotomicNumber` is a rational linear
-combination of roots of a fixed level N, reduced modulo the N-th cyclotomic
-polynomial for zero tests.  Complex renderings are float64 conveniences on
-top of the exact data, not the other way around.
+powers, and Galois twists stay exact.  `CyclotomicNumber` is an element of
+Q(zeta_N) in one format: an int64 coefficient vector over Z/N and one
+positive integer denominator.  Products are exact convolutions folded mod N
+(a one-term factor, such as a root of unity, rotates the exponents instead),
+and one rewrite onto the tensor basis of Q(zeta_N) over its prime-power
+parts (`_rewrite`) serves `reduced`, `is_zero`, `is_rational` and `==`.
+Every operation bounds its result first and raises ArithmeticError where
+int64 could overflow; nothing wraps.  Complex renderings are float64
+conveniences on top of the exact data, not the other way around.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, pi
+from math import gcd, lcm, pi, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
 from .abelian import factorize, p_adic_split
+from .ntt import convolve_exact
 
 
 class RootOfUnity:
@@ -68,10 +75,6 @@ class RootOfUnity:
         return f"e({self.phase})"
 
 
-ONE = RootOfUnity(0)
-MINUS_ONE = RootOfUnity(Fraction(1, 2))
-
-
 @lru_cache(maxsize=4)
 def unit_circle(den: int) -> tuple[complex, ...]:
     """e(k / den) for k = 0..den-1, each the bits RootOfUnity.to_complex gives."""
@@ -86,25 +89,20 @@ def unit_circle_array(den: int) -> np.ndarray:
     return got
 
 
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    """Drop the zero leading coefficients of p (ascending order), in place."""
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and trimmed remainder of rational polynomials (ascending order)."""
-    num = [Fraction(x) for x in num]
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, dj in enumerate(den):
-                num[i + j] -= coef * dj
-    return q, poly_trim(num)
+def _monic_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending order) by a
+    monic divisor, in exact Python ints."""
+    num = list(num)
+    d = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den) if c]
+    quot = [0] * max(0, len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - d] = c
+            for j, dj in terms:
+                num[i - d + j] -= c * dj
+    return quot, num[:d]
 
 
 @lru_cache(maxsize=None)
@@ -112,31 +110,72 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree."""
     if n == 1:
         return (-1, 1)
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            if rem:
+            poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
                 raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
-    if any(c.denominator != 1 for c in poly):
-        raise ArithmeticError(f"Phi_{n} came out with non-integer coefficients")
-    return tuple(c.numerator for c in poly)
+    return tuple(poly)
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _fits(bound: int | float, what: str) -> None:
+    """Refuse a result whose coefficients are bounded only past int64."""
+    if bound > INT64_MAX:
+        raise ArithmeticError(f"{what} could pass int64 (coefficient bound {bound:.3g})")
+
+
+def _peak(num: np.ndarray) -> int:
+    """max |num| as a Python int (np.abs wraps at -2^63)."""
+    return max(int(num.max()), -int(num.min()))
+
+
+def _norm(num: np.ndarray) -> float:
+    """An upper bound on the Euclidean norm of num: a float sum of at most
+    2^23 squares is within a relative 2^23 * 2^-53 < 1e-9 of the exact one."""
+    return sqrt(float(np.square(num, dtype=np.float64).sum())) * (1 + 1e-9)
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_N) as a sparse map exponent -> rational coefficient."""
+    """Element sum_e num[e] zeta_N^e / den of Q(zeta_N), N = level: an int64
+    vector over Z/N (read-only) and a positive integer denominator, kept in
+    lowest terms."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
-    def __init__(self, level: int, coeffs: dict[int, Fraction] | None = None):
-        self.level = level
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[e % level] = self.coeffs.get(e % level, Fraction(0)) + c
-            self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+    def __init__(self, level: int, coeffs: dict[int, Fraction | int] | None = None):
+        """From a sparse map exponent -> rational coefficient (exponents mod N)."""
+        items = [(e % level, Fraction(c)) for e, c in (coeffs or {}).items()]
+        den = lcm(*(c.denominator for _, c in items))
+        ints = [c.numerator * (den // c.denominator) for _, c in items]
+        _fits(sum(map(abs, ints)), "a coefficient")
+        num = np.zeros(level, dtype=np.int64)
+        if items:
+            np.add.at(num, [e for e, _ in items], ints)
+        self._set(level, num, den)
+
+    def _set(self, level: int, num: np.ndarray, den: int) -> None:
+        if den != 1:
+            g = gcd(den, int(np.gcd.reduce(num)))
+            if g > 1:
+                num, den = num // g, den // g
+        num.setflags(write=False)
+        self.level, self.num, self.den = level, num, den
+
+    @classmethod
+    def from_array(cls, level: int, num, den: int = 1) -> "CyclotomicNumber":
+        """sum_e num[e] zeta_level^e / den for an integer array of `level`
+        entries, such as a histogram of exponents."""
+        num = np.array(num, dtype=np.int64)
+        if num.shape != (level,) or den < 1:
+            raise ValueError(f"need {level} coefficients and a positive denominator")
+        _fits(_peak(num), "a coefficient")
+        out = cls.__new__(cls)
+        out._set(level, num, int(den))
+        return out
 
     @classmethod
     def zero(cls, level: int = 1) -> "CyclotomicNumber":
@@ -144,121 +183,96 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q: Fraction | int, level: int = 1) -> "CyclotomicNumber":
-        return cls(level, {0: Fraction(q)})
+        return cls(level, {0: q})
 
     @classmethod
     def from_root(cls, root: RootOfUnity, coeff: Fraction | int = 1,
                   level: int | None = None) -> "CyclotomicNumber":
         n = root.order if level is None else lcm(level, root.order)
-        e = int(root.phase * n)
-        return cls(n, {e: Fraction(coeff)})
+        return cls(n, {int(root.phase * n): coeff})
 
-    def _promoted(self, n: int) -> dict[int, Fraction]:
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only sparse view: exponent -> nonzero rational coefficient."""
+        return MappingProxyType({int(e): Fraction(int(self.num[e]), self.den)
+                                 for e in np.flatnonzero(self.num)})
+
+    def _lifted(self, n: int) -> np.ndarray:
+        """The numerator vector at level n, a multiple of the level."""
         if n == self.level:
-            return dict(self.coeffs)
-        k = n // self.level
-        return {e * k: c for e, c in self.coeffs.items()}
+            return self.num
+        out = np.zeros(n, dtype=np.int64)
+        out[::n // self.level] = self.num
+        return out
 
     def __add__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        n = lcm(self.level, other.level)
-        out = self._promoted(n)
-        for e, c in other._promoted(n).items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CyclotomicNumber(n, out)
+        n, den = lcm(self.level, other.level), lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        a, b = self._lifted(n), other._lifted(n)
+        _fits(_peak(a) * ka + _peak(b) * kb, "a sum")
+        return CyclotomicNumber.from_array(n, a * ka + b * kb, den)
+
+    def __neg__(self) -> "CyclotomicNumber":
+        return CyclotomicNumber.from_array(self.level, -self.num, self.den)
 
     def __sub__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        return self + other.scale(-1)
-
-    def scale(self, q: Fraction | int) -> "CyclotomicNumber":
-        q = Fraction(q)
-        return CyclotomicNumber(self.level, {e: c * q for e, c in self.coeffs.items()})
+        return self + (-other)
 
     def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
+        """The exact convolution, folded mod the level.  By Cauchy-Schwarz
+        a cyclic coefficient is at most |a| |b|.  A factor c zeta^e with at
+        most one term (a root of unity times a rational, or zero) rotates the
+        other's exponents by e and scales them by c instead."""
         n = lcm(self.level, other.level)
-        a = self._promoted(n)
-        b = other._promoted(n)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = (e1 + e2) % n
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return CyclotomicNumber(n, out)
+        a = self._lifted(n)
+        b = a if other is self else other._lifted(n)
+        den = self.den * other.den
+        for x, y in ((a, b), (b, a)):
+            if np.count_nonzero(y) <= 1:
+                e = int(np.argmax(y != 0))
+                _fits(_peak(x) * abs(int(y[e])), "a product")
+                return CyclotomicNumber.from_array(n, np.roll(x, e) * y[e], den)
+        bound = _norm(a) * _norm(b)
+        _fits(bound, "a product")
+        full = np.append(convolve_exact(a, b, int(bound)), 0).reshape(2, n)
+        return CyclotomicNumber.from_array(n, full[0] + full[1], den)
 
     def conjugate(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.level, {(-e) % self.level: c for e, c in self.coeffs.items()})
+        n = self.level
+        return CyclotomicNumber.from_array(n, self.num[-np.arange(n) % n], self.den)
 
     def galois(self, t: int) -> "CyclotomicNumber":
-        if gcd(t, self.level) != 1:
+        n = self.level
+        if gcd(t, n) != 1:
             raise ValueError("galois twist needs t coprime to the level")
-        return CyclotomicNumber(self.level, {(e * t) % self.level: c for e, c in self.coeffs.items()})
+        out = np.empty(n, dtype=np.int64)
+        out[np.arange(n) * (t % n) % n] = self.num
+        return CyclotomicNumber.from_array(n, out, self.den)
 
     def reduced(self) -> "CyclotomicNumber":
-        """Rewrite on the tensor basis of Q(zeta_N) over its prime-power parts.
-
-        Q(zeta_N) = (x) Q(zeta_q) over the prime powers q || N, with basis
-        prod zeta_q^{j_q}, 0 <= j_q < phi(q).  An exponent e splits into CRT
-        coordinates j_q = e * ((N/q)^-1 mod q) mod q, and each coordinate with
-        j_q >= phi(q) rewrites in one pass via
-        zeta_q^{phi(q)+r} = -sum_{l<p-1} zeta_q^{l p^{m-1} + r}.
-        The zero element reduces to an empty coefficient map, so this also
-        serves as the exact zero test.
-        """
-        n = self.level
-        if n == 1:
-            return CyclotomicNumber(1, dict(self.coeffs))
-        factors = _tensor_basis_data(n)
-        work: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.coeffs.items():
-            key = tuple((e * u) % q for (q, _p, _phi, _step, u) in factors)
-            work[key] = work.get(key, Fraction(0)) + c
-        for axis, (q, p, phi_q, step, _u) in enumerate(factors):
-            nxt: dict[tuple[int, ...], Fraction] = {}
-            for key, c in work.items():
-                if not c:
-                    continue
-                j = key[axis]
-                if j < phi_q:
-                    nxt[key] = nxt.get(key, Fraction(0)) + c
-                    continue
-                r = j - phi_q
-                for l in range(p - 1):
-                    k2 = key[:axis] + (l * step + r,) + key[axis + 1:]
-                    nxt[k2] = nxt.get(k2, Fraction(0)) - c
-            work = nxt
-        out: dict[int, Fraction] = {}
-        for key, c in work.items():
-            if not c:
-                continue
-            e = sum(j * (n // q) for j, (q, _p, _phi, _step, _u) in zip(key, factors)) % n
-            out[e] = c
-        return CyclotomicNumber(n, out)
+        """The same number on the tensor basis of Q(zeta_N) (see `_rewrite`);
+        zero reduces to the zero vector."""
+        return CyclotomicNumber.from_array(self.level, _rewrite(self.level, self.num), self.den)
 
     def reduced_dense(self) -> "CyclotomicNumber":
-        """Reference reduction by polynomial division against Phi_N.
+        """Reference reduction by polynomial division against Phi_N, in
+        Python ints.
 
         Quadratic in N, so only usable at small levels; kept as an independent
-        oracle for the tensor rewrite above.
+        oracle for the tensor rewrite.
         """
         n = self.level
-        if n == 1:
-            return CyclotomicNumber(1, dict(self.coeffs))
-        phi = cyclotomic_polynomial(n)
-        dense = [Fraction(0)] * n
-        for e, c in self.coeffs.items():
-            dense[e] += c
-        _, rem = poly_divmod(dense, [Fraction(c) for c in phi])
-        return CyclotomicNumber(n, {i: c for i, c in enumerate(rem) if c})
+        _, rem = _monic_divmod(self.num.tolist(), cyclotomic_polynomial(n))
+        return CyclotomicNumber(n, {e: Fraction(c, self.den) for e, c in enumerate(rem) if c})
 
     def is_zero(self) -> bool:
-        return not self.reduced().coeffs
+        return vanishes(self.level, self.num)
 
     def is_rational(self) -> Fraction | None:
         red = self.reduced()
-        if not red.coeffs:
-            return Fraction(0)
-        if set(red.coeffs) == {0}:
-            return red.coeffs[0]
-        return None
+        if red.num[1:].any():
+            return None
+        return Fraction(int(red.num[0]), red.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicNumber):
@@ -269,38 +283,47 @@ class CyclotomicNumber:
         raise TypeError("CyclotomicNumber is unhashable; compare with ==")
 
     def to_complex(self) -> complex:
-        return sum((cmath.exp(2j * pi * e / self.level) * float(c)
-                    for e, c in self.coeffs.items()), 0j)
+        nz = np.flatnonzero(self.num)
+        return complex(np.dot(np.exp(2j * pi * nz / self.level), self.num[nz] / self.den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num.any():
             return "Cyc(0)"
-        terms = ", ".join(f"{c}*e({e}/{self.level})" for e, c in sorted(self.coeffs.items()))
+        terms = ", ".join(f"{c}*e({e}/{self.level})" for e, c in self.coeffs.items())
         return f"Cyc[{terms}]"
 
 
-def vanishes(level: int, coeffs: np.ndarray) -> bool:
-    """Whether sum_e coeffs[e] zeta_level^e is zero, for an int64 array of
-    `level` coefficients, exactly.
+def _rewrite(level: int, num: np.ndarray) -> np.ndarray:
+    """sum_e num[e] zeta_level^e rewritten on the tensor basis, as a new
+    int64 vector over the same exponents.
 
-    The rewrite of `CyclotomicNumber.reduced` on a dense array: exponents
-    move to CRT coordinates, and along each prime-power axis the slab
-    j = phi(q) + r is subtracted from the slabs j = l p^(m-1) + r, l < p - 1,
-    and cleared.  A coefficient at most doubles per axis, so int64 is exact
-    far past any histogram of unit residues.
+    Q(zeta_N) = (x) Q(zeta_q) over the prime powers q = p^m || N, with basis
+    prod zeta_q^{j_q}, 0 <= j_q < phi(q).  Exponents move to CRT coordinates
+    j_q = e * ((N/q)^-1 mod q) mod q, and along each prime-power axis the
+    slab j = phi(q) + r is subtracted from the slabs j = l p^(m-1) + r,
+    l < p - 1 (zeta_q^{phi(q)+r} = -sum_l zeta_q^{l p^(m-1) + r}), and
+    cleared.  A coefficient at most doubles per axis, which bounds the result.
     """
-    if level == 1:
-        return not coeffs[0]
     factors = _tensor_basis_data(level)
+    _fits(_peak(num) << len(factors), "a reduction")
+    if not factors:
+        return num.copy()
     e = np.arange(level)
+    coords = tuple(e * u % q for q, _p, _phi, _step, u in factors)
     tensor = np.empty(tuple(q for q, *_ in factors), dtype=np.int64)
-    tensor[tuple(e * u % q for q, _p, _phi, _step, u in factors)] = coeffs
+    tensor[coords] = num
     for axis, (_q, p, phi_q, step, _u) in enumerate(factors):
         along = np.moveaxis(tensor, axis, 0)         # a view: writes go through
         for l in range(p - 1):
             along[l * step:(l + 1) * step] -= along[phi_q:]
         along[phi_q:] = 0
-    return not tensor.any()
+    return tensor[coords]
+
+
+def vanishes(level: int, coeffs: np.ndarray) -> bool:
+    """Whether sum_e coeffs[e] zeta_level^e is zero, for an int64 array of
+    `level` coefficients, exactly: its tensor-basis rewrite is all zero."""
+    return not _rewrite(level, coeffs).any()
 
 
 @lru_cache(maxsize=None)

@@ -313,7 +313,7 @@ def test_insufficient_cutoffs_raise(delta):
 
 def test_short_form_raises():
     stub = builtin_newform("delta", limit=100)
-    with pytest.raises(ValueError, match="reload the form"):
+    with pytest.raises(ValueError, match="carries coefficients to 100 but the sums need"):
         afe_lvalue(stub, None, s=6.0, y=30.0)
 
 

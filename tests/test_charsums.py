@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from lcentral import acceptance, charsums
 from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
-                               CoefficientFieldContext, _recognize,
-                               average_char, average_support,
+                               CoefficientFieldContext, _gauss_terms, _recognize,
+                               _unit_square, average_char, average_support,
                                averaged_char_table, averaged_iota_table,
                                averaged_iota_values, galois_orbit, gauss_sum,
                                kloosterman_bound_report, orbit_float_root_numbers,
@@ -59,6 +60,12 @@ def average_iota(chi, ctx, a):
             continue
         total += root_number(tw) * v.to_complex()
     return total / len(orbit)
+
+
+def member_roots(chi, ctx):
+    """orbit_root_numbers as one RootOfUnity per orbit member."""
+    level, phases = orbit_root_numbers(chi, ctx)
+    return [RootOfUnity.e(int(w), level) for w in phases]
 
 
 def test_quadratic_gauss_sum_is_sqrt5():
@@ -309,7 +316,7 @@ def test_orbit_root_numbers_match_per_character(p, n, n0):
     cfc = CoefficientFieldContext(p=p, n0=n0)
     q = chi.conductor_norm
     orbit = galois_orbit(chi, cfc)
-    roots = orbit_root_numbers(chi, cfc)
+    roots = member_roots(chi, cfc)
     assert len(roots) == len(orbit)
     for k, (w, tw) in enumerate(zip(roots, orbit)):
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
@@ -330,7 +337,7 @@ def test_orbit_root_numbers_past_the_exact_level_limit():
         gauss_sum(chi.conjugate(), exact=True)
     cfc = CoefficientFieldContext(p=149, n0=0)
     orbit = galois_orbit(chi, cfc)
-    roots = orbit_root_numbers(chi, cfc)
+    roots = member_roots(chi, cfc)
     assert len(roots) == len(orbit) == 148
     for w, tw in list(zip(roots, orbit))[::21]:
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
@@ -341,8 +348,41 @@ def test_orbit_root_numbers_quadratic_field():
     K, ctx = sqrt2_setup()
     chi = next(c for c in residue_characters(ctx, 2) if c.order == 7)
     cfc = CoefficientFieldContext(p=7, n0=0)
-    for w, tw in zip(orbit_root_numbers(chi, cfc), galois_orbit(chi, cfc)):
+    for w, tw in zip(member_roots(chi, cfc), galois_orbit(chi, cfc)):
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
+
+
+def _per_member_root_numbers(chi, ctx):
+    """W(chi^t) the slow way: every member built as a character, and
+    chi^t(-1) psi^t_loc(t)^2 sigma_t(eps) multiplied out in RootOfUnity
+    arithmetic, from the same one exact square eps = G(conj chi)^2 / q."""
+    subs = substitutions(chi, ctx)
+    if chi.conductor_exponent == 0:
+        return [RootOfUnity(0)] * len(subs)
+    den, exps, pref = _gauss_terms(chi.conjugate(), 1)
+    eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
+                       chi.label) * pref * pref
+    level = lcm(den, pref.order)
+    out = []
+    for t, tw in zip(subs, galois_orbit(chi, ctx)):
+        rho = tw.conjugate().local_value(t)
+        sigma_eps = eps.galois(t if t % 2 else t + level)
+        out.append(tw.local_value(-1) * rho * rho * sigma_eps)
+    return out
+
+
+@pytest.mark.parametrize("label", [
+    *(f"rationals.p5.m{n}.chi4" for n in range(2, 7)),
+    "rationals.p3.m3.chi2", "rationals.p3.m4.chi2",
+    "rationals.p7.m2.chi6", "rationals.p7.m3.chi6",
+    "quadratic-sqrt2.p7.res2.chi6",     # a residue character of order 7
+    "quadratic-sqrt2.p31.m2.chi1",      # the different is not 1
+])
+@pytest.mark.parametrize("n0", [0, 1])
+def test_orbit_root_phases_equal_the_per_member_loop(label, n0):
+    chi = parse_char_label(label)
+    cfc = CoefficientFieldContext(p=chi.p, n0=n0)
+    assert member_roots(chi, cfc) == _per_member_root_numbers(chi, cfc)
 
 
 @pytest.mark.parametrize("label", [
@@ -530,7 +570,7 @@ def test_residue_label_averages_take_values_on_classes():
             for n0 in (0, 1):
                 cfc = CoefficientFieldContext(p=p, n0=n0)
                 subs = substitutions(chi, cfc)
-                roots = orbit_root_numbers(chi, cfc)
+                roots = member_roots(chi, cfc)
                 for a in (2, 3, mod - 1):
                     local = [chi.local_value(a) ** t for t in subs]
                     want = sum(v.to_complex() for v in local) / len(subs)

@@ -67,8 +67,27 @@ def test_precision_bits_rounds_output(capsys):
 
 def test_precision_bits_validation(capsys):
     assert main(["lvalue", "--precision-bits", "4"]) == 2
-    assert main(["lvalue", "--threads", "0"]) == 2
+    assert main(["cone-count", "--p", "5", "--n", "1", "--x", "10", "--threads", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss-sum", "--char", "rationals.p5.m2.chi3", "--form", "x"],
+    ["galois-average", "--char", "rationals.p5.m2.chi4", "--residue", "6", "--tol", "1e-3"],
+    ["kloosterman-report", "--char", "rationals.p5.m2.chi4", "--threads", "2"],
+    ["cone-count", "--p", "5", "--n", "1", "--x", "10", "--form", "x"],
+    ["lvalue", "--field", "quadratic-sqrt2"],
+    ["lvalue", "--threads", "2"],
+    ["verify", "--fast", "--precision-bits", "16"],
+], ids=["gauss-sum-form", "galois-average-tol", "kloosterman-threads",
+        "cone-count-form", "lvalue-field", "lvalue-threads", "verify-precision"])
+def test_options_a_command_does_not_read_exit_two(capsys, argv):
+    # each subcommand parses only its own options, so one it would ignore is
+    # a usage error rather than silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_char_label_parsing():
@@ -282,3 +301,14 @@ def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
+    # a full table ignores --limit, so the message names only the shortfall
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"label": "short", "weight_vector": [12],
+                                "atkin_lehner": -1, "coefficients": tau_table(300)[1:]}))
+    assert main(["lvalue", "--form", str(path), "--limit", "5000",
+                 "--char", "rationals.p5.m2.chi3"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: form carries coefficients to 300 but the sums need 477"

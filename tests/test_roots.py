@@ -102,6 +102,12 @@ def test_is_rational():
     z = CyclotomicNumber(5, {1: Fraction(1), 2: Fraction(1), 3: Fraction(1), 4: Fraction(1)})
     assert z.is_rational() == Fraction(-1)
     assert CyclotomicNumber(5, {1: Fraction(1)}).is_rational() is None
+    # 3/2 + (zeta + zeta^2 + zeta^3 + zeta^4) / 2 = 1: the numerator
+    # [3, 1, 1, 1, 1] / 2 is in lowest terms, its rewrite [2, 0, 0, 0, 0] / 2 is not
+    one = CyclotomicNumber(5, {0: Fraction(3, 2), 1: Fraction(1, 2), 2: Fraction(1, 2),
+                               3: Fraction(1, 2), 4: Fraction(1, 2)})
+    assert one.is_rational() == 1
+    assert one.reduced().coeffs == {0: 1}
 
 
 def test_tensor_reduction_matches_dense_oracle():
@@ -182,3 +188,96 @@ def test_unit_circle_array_is_read_only_with_root_bits():
         with pytest.raises(ValueError):
             circle[0] = 0
 
+
+
+# ---------------------------------------------------------------------------
+# the int64 format against the dense oracle and the complex rendering
+
+def _rendered(level, coeffs):
+    """sum c e(e / level) from a coefficient map, independently of the format."""
+    return sum((float(c) * cmath.exp(2j * math.pi * e / level) for e, c in coeffs.items()), 0j)
+
+
+def _dict_sum(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _dict_product(x, y, level):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = (e1 + e2) % level
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+@st.composite
+def _operands(draw):
+    level = draw(st.sampled_from((1, 12, 25, 210, 1029)))
+    sparse = st.dictionaries(st.integers(0, level - 1),
+                             st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                             max_size=6)
+    t = draw(st.integers(1, 2 * level + 1).filter(lambda t: math.gcd(t, level) == 1))
+    return level, draw(sparse), draw(sparse), t
+
+
+@given(_operands())
+@settings(max_examples=40, deadline=None)
+def test_format_agrees_with_the_dense_oracle_and_the_complex_values(case):
+    level, xd, yd, t = case
+    x, y = CyclotomicNumber(level, xd), CyclotomicNumber(level, yd)
+    negated = {e: -c for e, c in yd.items()}
+    expected = [
+        (x + y, _dict_sum(xd, yd)),
+        (x - y, _dict_sum(xd, negated)),
+        (x * y, _dict_product(xd, yd, level)),
+        (x.galois(t), {e * t % level: c for e, c in xd.items()}),
+        (x.conjugate(), {-e % level: c for e, c in xd.items()}),
+        (x - x, {}),
+    ]
+    for got, want in expected:
+        assert got.level == level
+        oracle = CyclotomicNumber(level, want).reduced_dense().coeffs
+        assert got.reduced_dense().coeffs == oracle
+        # the tensor rewrite names the same number, and decides zero and
+        # rationality as the power-basis remainder does
+        assert not (got.reduced() - got).reduced_dense().coeffs
+        assert got.is_zero() == (not oracle)
+        assert got.is_rational() == (oracle.get(0, 0) if set(oracle) <= {0} else None)
+        assert got == CyclotomicNumber(level, want)
+        value = _rendered(level, want)
+        assert abs(got.to_complex() - value) < 1e-9 * (1 + abs(value))
+        assert abs(got.reduced().to_complex() - value) < 1e-9 * (1 + abs(value))
+    phi = CyclotomicNumber(level, dict(enumerate(cyclotomic_polynomial(level))))
+    assert (x * phi).is_zero()
+
+
+def test_results_past_int64_raise_instead_of_wrapping():
+    big = CyclotomicNumber(7, {0: 2 ** 40, 3: -(2 ** 40)})
+    with pytest.raises(ArithmeticError, match="product could pass int64"):
+        big * big
+    edge = CyclotomicNumber(7, {0: 2 ** 62})
+    with pytest.raises(ArithmeticError, match="sum could pass int64"):
+        edge + edge
+    with pytest.raises(ArithmeticError, match="reduction could pass int64"):
+        edge.is_zero()
+    with pytest.raises(ArithmeticError, match="coefficient could pass int64"):
+        CyclotomicNumber(5, {0: 2 ** 63})
+    lowest = np.array([np.iinfo(np.int64).min, 0, 0], dtype=np.int64)   # -x wraps
+    with pytest.raises(ArithmeticError, match="coefficient could pass int64"):
+        CyclotomicNumber.from_array(3, lowest)
+    with pytest.raises(ArithmeticError, match="reduction could pass int64"):
+        vanishes(3, lowest)
+    with pytest.raises(ArithmeticError, match="sum could pass int64"):
+        CyclotomicNumber(5, {0: Fraction(2 ** 61, 3)}) + CyclotomicNumber(5, {1: Fraction(1, 5)})
+    monomial = CyclotomicNumber(7, {2: 2 ** 30})     # a product by it is a rotation
+    with pytest.raises(ArithmeticError, match="product could pass int64"):
+        big * monomial
+    assert (CyclotomicNumber(7, {0: Fraction(1, 2), 6: -1}) * monomial).coeffs == {
+        2: 2 ** 29, 1: -(2 ** 30)}
+    # up to the bound the product is exact: 2^31 squared is 2^62
+    half = CyclotomicNumber(7, {0: 2 ** 31, 4: 1})
+    assert (half * half).coeffs == {0: 2 ** 62, 4: 2 ** 32, 1: 1}
