@@ -9,7 +9,10 @@ The completed value is assembled from two smoothed half-sums,
 where Med = (level norm) * (twist conductor norm)^2, eta*a are the
 reflected coefficients, V1/V2 are gamma-kernel transforms of the smoothing
 bump taken at spectral points s and k-s, W is the twist root number and C
-the exact archimedean constant.  The reported value is the normalized
+the exact archimedean constant.  The bump is `kernels.SmoothingKernel` at
+the production width BUMP_WIDTH = 1/4, supported on [e^-1/4, e^1/4]: the
+identity holds at any width, and the narrow one shortens every sum.  The
+reported value is the normalized
 
     L(s) = Lam(s) / (Gamma_F(s) Med^(s/2)).
 
@@ -107,7 +110,12 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 # serve every character of an orbit and every level sharing s.  What is
 # derived from a form's coefficients lives on the form, so it goes with it.
 
-_BUMP = SmoothingKernel()
+# The support of the smoothing bump is free (any bump whose Mellin transform
+# is even, entire and 1 at 0 gives the same identity), and it sets the decay
+# cutoff of V and with it the length of every sum: [e^-1/4, e^1/4] moves the
+# cutoff from 19.07 (width 1) to 12.21, and narrower widths gain little.
+BUMP_WIDTH = 0.25
+_BUMP = SmoothingKernel(width=BUMP_WIDTH)
 _memo = lru_cache(maxsize=64)
 
 
@@ -536,7 +544,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
                      terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
                      character_label=chi.power(t).label, main_term=main_term,
                      dual_term=complex(d))
-        for t, v, d in zip(substitutions(chi, ctx), values, dual)]
+        for t, v, d in zip(substitutions(chi, ctx).tolist(), values, dual)]
     mean = sum(r.value for r in results) / len(results)
     return mean, results
 

@@ -51,7 +51,7 @@ Gauss sums, so the gap between the routes stays a check.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, pi
@@ -77,18 +77,44 @@ class CoefficientFieldContext:
 
     `n0` is the depth of p-power roots of unity in the field the character
     values are adjoined to: orbits run over substitutions t = 1 mod p^min(e,n0).
+    The substitutions of each order p^e are built once and kept here, so
+    every orbit computation of a context shares them.
     """
 
     p: int
     n0: int
+    _orbits: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.n0 < 0:
             raise ValueError("n0 must be >= 0")
 
+    def substitutions(self, e: int) -> np.ndarray:
+        """The units t mod p^e with t = 1 mod p^min(e, n0), increasing, as a
+        read-only int64 array; [1] at e = 0.  Built before it is published,
+        so a racing thread at worst builds the same array twice."""
+        got = self._orbits.get(e)
+        if got is None:
+            got = _substitution_array(self.p, e, self.n0)
+            self._orbits[e] = got
+        return got
 
-def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[int]:
-    """The exponent substitutions t of the orbit members chi^t, in orbit order.
+
+def _substitution_array(p: int, e: int, n0: int) -> np.ndarray:
+    if e == 0:
+        got = np.ones(1, dtype=np.int64)
+    else:
+        fixed = p ** min(e, n0)
+        ts = np.arange(1, p ** e, dtype=np.int64)
+        got = ts[(ts % p != 0) & (ts % fixed == 1 % fixed)]
+    got.setflags(write=False)
+    return got
+
+
+def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+    """The exponent substitutions t of the orbit members chi^t, in orbit
+    order, as the context's read-only int64 array.
 
     For chi of order p^e they are the units t mod p^e with t = 1 mod
     p^min(e, n0); being distinct mod the order, they give distinct members.
@@ -99,17 +125,14 @@ def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[int
     a, e = p_adic_split(chi.order, p)
     if a != 1:
         raise ValueError("Galois orbits are defined here for p-power-order characters")
-    if e == 0:
-        return [1]
-    fixed = p ** min(e, ctx.n0)
-    return [t for t in range(1, p ** e) if t % p != 0 and t % fixed == 1 % fixed]
+    return ctx.substitutions(e)
 
 
 def galois_orbit(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[HeckeCharacter]:
     """The conjugates chi^t of a p-power-order character, one character per
     member: the per-member view the tests check the orbit computations
     against, which themselves work on the substitutions alone."""
-    return [chi.power(t) for t in substitutions(chi, ctx)]
+    return [chi.power(t) for t in substitutions(chi, ctx).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +234,7 @@ def orbit_index(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray
     chi^t(r) = e(u dlog(r) / h): where `character_sums` holds its sum."""
     h = chi.prime_ctx.unit_group_order(chi.level)
     step = chi.dlog_phase * h          # an integer: the order of chi divides h
-    return int(step) * np.array(substitutions(chi, ctx), dtype=np.int64) % h
+    return int(step) * substitutions(chi, ctx) % h
 
 
 def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
@@ -228,7 +251,7 @@ def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.nd
     the additive phases e(x * add) against chi^t.  The phases are the same
     for every member, so one `character_sums` transform serves the orbit.
     """
-    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
+    subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
         return np.ones(len(subs), dtype=np.complex128)
     add, pref = _gauss_parts(chi.conjugate(), 1)
@@ -246,7 +269,7 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     g = orbit_gauss_sums(chi, ctx)
     if chi.conductor_exponent == 0:
         return g
-    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
+    subs = substitutions(chi, ctx)
     w = _powers(chi.local_value(-1), subs) * g * g / chi.conductor_norm
     drift = np.abs(np.abs(w) - 1)
     if not np.all(drift <= 1e-9):
@@ -269,7 +292,7 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     held as the integer histogram of its terms, so no cyclotomic level
     limit applies.
     """
-    subs = np.array(substitutions(chi, ctx), dtype=np.int64)
+    subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
         return 1, np.zeros(len(subs), dtype=np.int64)
     den, exps, pref = _gauss_terms(chi.conjugate(), 1)
@@ -343,24 +366,27 @@ def average_char(chi: HeckeCharacter, ctx: CoefficientFieldContext, a) -> Averag
     So the character is evaluated once, at the seed, and the exact mean and
     its closed form come from the per-value memo `_value_mean`.
     """
-    subs = tuple(substitutions(chi, ctx))
+    subs = substitutions(chi, ctx)
     seed = chi.value_on_ideal_of(a)
     if seed is None:
         return AverageResult(cyclotomic=CyclotomicNumber.zero(), orbit_size=len(subs),
                              coeff=Fraction(0), root=RootOfUnity(0))
-    return _value_mean(seed, subs)
+    return _value_mean(seed, ctx, chi.order)
 
 
 @lru_cache(maxsize=1024)
-def _value_mean(value: RootOfUnity, subs: tuple[int, ...]) -> AverageResult:
-    """The exact mean of value^t over the substitutions t, with its closed
-    form.  Shared between callers, which is why AverageResult is frozen.
+def _value_mean(value: RootOfUnity, ctx: CoefficientFieldContext,
+                order: int) -> AverageResult:
+    """The exact mean of value^t over the substitutions t of the orbits of
+    characters of p-power order `order`, with its closed form.  Shared
+    between callers, which is why AverageResult is frozen.
 
     With value = e(k / ord) in lowest terms the exponents are k t mod ord at
     level ord, already the least level: t = 1 is among the substitutions.
     """
+    subs = ctx.substitutions(p_adic_split(order, ctx.p)[1])
     level = value.order
-    hist = np.bincount(value.phase.numerator * np.array(subs) % level, minlength=level)
+    hist = np.bincount(value.phase.numerator * subs % level, minlength=level)
     mean = CyclotomicNumber.from_array(level, hist, len(subs))
     coeff, root = _recognize(mean, value)
     return AverageResult(cyclotomic=mean, orbit_size=len(subs), coeff=coeff, root=root)
@@ -402,7 +428,7 @@ def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     """(1 / orbit) sum_t weights_t e(-t j / ord) for every j mod ord (weights
     1 when None): bin the weights by t mod ord, then one length-ord DFT."""
     order = chi.order
-    ts = np.array(substitutions(chi, ctx), dtype=np.int64) % order
+    ts = substitutions(chi, ctx) % order
     if weights is None:
         bins = np.bincount(ts, minlength=order)
     else:

@@ -2,9 +2,12 @@
 
 `newform_load` is the one place that knows which forms the engine serves:
 parallel integer weight k over a field `fields.nf_load` admits (so every
-place is real), trivial central character (the twist root numbers of
-charsums hold for no other), and integer coefficients.  Anything else is
-refused with ValueError before a coefficient is expanded.
+place is real), level norm 1, trivial central character (the twist root
+numbers of charsums hold for no other), and integer coefficients.  Anything
+else is refused with ValueError before a coefficient is expanded.  Level 1
+is a limit of the engine, not of the documents: its twist root numbers
+leave out the factor chi(N) of a level-N form, and the prime-power
+recursion below is the good-prime one, which fails at p | N.
 
 A form carries arithmetically normalized coefficients indexed by ideal norm
 (norms and ideals are in bijection for the shipped experiments), the
@@ -194,10 +197,11 @@ def newform_load(source, limit: int = 1000) -> NewformData:
     under "coefficients" (a(1), a(2), ... by norm); it is verified entry by
     entry instead of expanded.
 
-    Refused with ValueError: a nebentypus other than "trivial", a non-integer
-    eigenvalue or table entry (such as [re, im]), a weight_vector that is not
-    one equal weight per real place of the field named by field_label, and
-    type_J indices outside those places.
+    Refused with ValueError: a level_norm other than 1, a nebentypus other
+    than "trivial", a non-integer eigenvalue or table entry (such as
+    [re, im]), a weight_vector that is not one equal weight per real place
+    of the field named by field_label, and type_J indices outside those
+    places.
     """
     if isinstance(source, NewformData):
         return source
@@ -209,6 +213,11 @@ def newform_load(source, limit: int = 1000) -> NewformData:
     else:
         doc = source
 
+    level_norm = int(_doc_get(doc, "level_norm", default=1))
+    if level_norm != 1:
+        raise ValueError(f"level_norm {level_norm} is not supported: the twist "
+                         f"root numbers leave out chi(N), and the Hecke recursion "
+                         f"at primes dividing N is the good-prime one")
     nebentypus = _doc_get(doc, "nebentypus", default="trivial")
     if nebentypus != "trivial":
         raise ValueError(f"nebentypus {nebentypus!r} is not supported: the twist "
@@ -229,7 +238,7 @@ def newform_load(source, limit: int = 1000) -> NewformData:
         weight=weights[0],
         gamma_shifts=tuple(int(m) for m in _doc_get(doc, "m_vector", "gamma_shifts",
                                                     default=[0] * places)),
-        level_norm=int(_doc_get(doc, "level_norm", default=1)),
+        level_norm=level_norm,
         eta=int(_doc_get(doc, "atkin_lehner", "eta", required=True)),
         n0=int(_doc_get(doc, "n0", default=0)),
         theta=Fraction(str(_doc_get(doc, "theta", default=0))),

@@ -1,6 +1,7 @@
 """Two-sided smoothed sums: oracle equivalence, reflection residuals, orbit
 averages, and the guard rails around cutoff configuration."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcentral import afe, charsums
+from lcentral import afe, charsums, tau
 from lcentral.afe import (AFEConfig, afe_lvalue, archimedean_constant,
                           averaged_coefficient_lvalue, character_value_table,
                           choose_cutoffs, direct_series, exponent_window,
@@ -20,7 +21,7 @@ from lcentral.charsums import CoefficientFieldContext, galois_orbit
 from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
 from lcentral.newforms import builtin_newform, newform_load
-from lcentral.rayclass import PrimeContext, rcg_build
+from lcentral.rayclass import PrimeContext, rcg_build, seed_character
 
 Q = nf_load("rationals")
 K = nf_load("quadratic-sqrt2")
@@ -295,6 +296,28 @@ def test_orbit_route_calls_no_per_character_path(tower, monkeypatch):
     assert calls == []
 
 
+def test_route_two_builds_the_orbit_once(monkeypatch):
+    # route two reads the substitutions of its orbit in its character table,
+    # its root numbers, its root-weighted table and its report: at conductor
+    # 5^7 (an orbit of 12,500) they are built once for the context.  The
+    # coefficients do not matter here, so a table of a(1) alone serves.
+    seed = seed_character(rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 7))
+    probe = builtin_newform("delta", limit=16)
+    cfg = choose_cutoffs(probe, Q, seed.conductor_norm)
+    need = max(cfg.cutoff_main, cfg.cutoff_dual)
+    form = dataclasses.replace(probe, coefficients=[0, 1] + [0] * (need - 1))
+    builds = []
+    build = charsums._substitution_array
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+    monkeypatch.setattr(charsums, "_substitution_array", counted)
+    _, info = averaged_coefficient_lvalue(form, seed, CoefficientFieldContext(p=5, n0=0))
+    assert info["orbit_size"] == 12500
+    assert builds == [(5, 6, 0)]
+
+
 def test_error_estimate_dominates_y_motion(delta, rcg25):
     chi = order5_chars(rcg25)[0]
     at_y = afe_lvalue(delta, chi, s=6.0, y=25.0)
@@ -318,7 +341,7 @@ def test_short_form_raises():
 
 
 @pytest.mark.parametrize("p, n, a, need", [
-    (13, 3, 1.34, 716799), (13, 3, 1.4, 1137379), (149, 1, 1.98, 585036)])
+    (13, 3, 1.34, 366997), (13, 3, 1.4, 582334), (149, 1, 1.98, 299535)])
 def test_cutoffs_are_chosen_from_the_form_header(p, n, a, need):
     # the rows a fixed padding on p^demand undersized; the helper gives the
     # longest sum from the header of a 16-coefficient probe, no table needed
@@ -357,13 +380,22 @@ def test_afe_keeps_no_twist_or_form_alive():
     # the form, so after an orbit average at conductor 625 dropping the form
     # and the characters frees both.  Every character of the level holds its
     # ray class group, so a freed group means no orbit member survived.
-    form = builtin_newform("delta", limit=11921)
+    form = builtin_newform("delta", limit=7630)
     rcg = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 4)
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.order == 125 and c.is_primitive())
     _, results = orbit_average_lvalue(form, seed, CTX5)
-    assert len(results) == 100 and results[0].terms_dual == 11921
+    assert len(results) == 100 and results[0].terms_dual == 7630
     refs = [weakref.ref(form), weakref.ref(rcg)]
     del form, rcg, seed
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("p, n, a", [(5, 4, 2.0), (5, 7, 1.15)])
+def test_reach_fits_under_the_coefficient_cap(p, n, a):
+    # the longest sum of a scan row, from a 16-coefficient probe's header:
+    # the rows the width-1 bump put past the cap now fit under it
+    probe = builtin_newform("delta", limit=16)
+    cfg = choose_cutoffs(probe, Q, p ** (n + 1), y=float(p) ** (a * n))
+    assert max(cfg.cutoff_main, cfg.cutoff_dual) <= tau.TAU_LIMIT_CAP

@@ -311,4 +311,23 @@ def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
     assert main(["lvalue", "--form", str(path), "--limit", "5000",
                  "--char", "rationals.p5.m2.chi3"]) == 2
     err = capsys.readouterr().err.strip()
-    assert err == "error: form carries coefficients to 300 but the sums need 477"
+    assert err == "error: form carries coefficients to 300 but the sums need 306"
+
+
+@pytest.mark.parametrize("rows", ["prime_eigenvalues", "coefficients"])
+def test_level_above_one_is_refused(tmp_path, capsys, rows):
+    # the twist root numbers and the Hecke recursion are the level-1 ones, so
+    # a level-11 document is refused before its coefficients are read, whether
+    # they come as prime eigenvalues or as a full table
+    doc = {"label": "level11", "weight_vector": [12], "atkin_lehner": -1,
+           "level_norm": 11}
+    if rows == "prime_eigenvalues":
+        doc[rows] = {str(p): 0 for p in primes_up_to(2000)}
+    else:
+        doc[rows] = tau_table(2000)[1:]
+    path = tmp_path / "level11.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lvalue", "--form", str(path), "--char", "rationals.p5.m2.chi3"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: level_norm 11 is not supported")
+    assert "chi(N)" in err and "good-prime" in err

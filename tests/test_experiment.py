@@ -157,3 +157,25 @@ def test_scan_refuses_a_nontrivial_nebentypus(tmp_path):
         run_lav_experiment(ExperimentConfig(form=str(path), n_lo=1, n_hi=1))
     from lcentral.cli import main
     assert main(["lav-scan", "--form", str(path), "--n-hi", "1"]) == 2
+
+
+def test_bump_width_leaves_the_tower_within_its_error_bars(monkeypatch):
+    # the smoothed identity holds for any bump, so the averaged values at the
+    # production width and at width 1 (no V value in common, and sums of
+    # different lengths) must agree within the two rows' error estimates
+    from lcentral import afe
+    from lcentral.kernels import SmoothingKernel
+
+    cfg = ExperimentConfig(n_lo=1, n_hi=4, a=1.25)
+    narrow = run_lav_experiment(cfg)
+    monkeypatch.setattr(afe, "_BUMP", SmoothingKernel())
+    afe.vkernel_for.cache_clear()
+    try:
+        wide = run_lav_experiment(cfg)
+    finally:
+        monkeypatch.undo()
+        afe.vkernel_for.cache_clear()
+    for a, b in zip(narrow.rows, wide.rows):
+        assert a.error is None and b.error is None
+        gap = abs(complex(a.lav_re, a.lav_im) - complex(b.lav_re, b.lav_im))
+        assert gap <= a.error_estimate + b.error_estimate, (a.n, gap)

@@ -6,9 +6,10 @@ import threading
 import numpy as np
 import pytest
 
+from lcentral.afe import BUMP_WIDTH, SPLINE_ABS_ERR
 from lcentral.fields import nf_load
-from lcentral.kernels import (GammaFactor, SmoothingKernel, VKernel, _Spline,
-                              totally_positive_unit_index)
+from lcentral.kernels import (SPLINE_POINTS, GammaFactor, SmoothingKernel, VKernel,
+                              _Spline, totally_positive_unit_index)
 
 Q = nf_load("rationals")
 K = nf_load("Qsqrt2")
@@ -83,12 +84,16 @@ def test_v_frozen_value():
     assert V.value_tail(1.0) == pytest.approx(8.213446678885e-04, rel=1e-11)
 
 
-def test_tail_and_contour_routes_agree():
-    V = VKernel(GQ, KERNEL, 6.0)
+def _tail_and_contour_routes_agree(kernel):
+    V = VKernel(GQ, kernel, 6.0)
     scale = abs(GQ.value(6))
     for x in (1e-4, 1e-2, 0.3, 1.0, 3.0, 8.0):
         diff = abs(V.value_tail(x) - V.value_contour(x))
         assert diff < 1e-9 * scale, (x, diff)
+
+
+def test_tail_and_contour_routes_agree():
+    _tail_and_contour_routes_agree(KERNEL)
 
 
 def test_contour_shifts_left_for_small_x():
@@ -153,7 +158,7 @@ def test_spline_matches_scipy_cubic_spline(s, sign):
     from scipy.interpolate import CubicSpline
 
     V = VKernel(GQ, KERNEL, s, sign)
-    grid = np.geomspace(1e-8, V.decay_cutoff(), 1800)
+    grid = np.geomspace(1e-8, V.decay_cutoff(), SPLINE_POINTS)
     t, vals = np.log(grid), V.value_tail(grid)
     xs = np.concatenate([t, np.linspace(t[0] - 1.0, t[-1] + 1.0, 20001)])
     gap = np.max(np.abs(_Spline(t, vals)(xs) - CubicSpline(t, vals)(xs)))
@@ -227,3 +232,41 @@ def test_spline_is_published_whole_across_threads():
         sys.settrace(None)
     assert "error" not in seen, seen.get("error")
     assert np.array_equal(seen["value"], first)
+
+
+# -- the bump width ------------------------------------------------------------
+
+NARROW = SmoothingKernel(width=BUMP_WIDTH)
+
+
+def test_width_rescales_the_transform_and_the_support():
+    # kappa_delta(t) = kappa_1(delta t), kappa(0) = 1 at every width
+    for t in (0.0, 1.7, -3.0 + 0.5j, 12.0j):
+        assert abs(NARROW.kappa(t) - KERNEL.kappa(BUMP_WIDTH * t)) < 1e-14
+    assert abs(NARROW.kappa(0) - 1) < 1e-14
+    # phi lives on (e^-delta, e^delta) and is a probability measure in dw/w
+    edge = math.exp(BUMP_WIDTH)
+    assert NARROW.phi(1.0 / edge * 0.999) == 0.0 and NARROW.phi(edge * 1.001) == 0.0
+    u = np.linspace(-BUMP_WIDTH, BUMP_WIDTH, 200001)
+    assert abs(np.sum(NARROW.phi(np.exp(u))) * (u[1] - u[0]) - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="width"):
+        SmoothingKernel(width=0.0)
+
+
+def test_narrow_bump_shortens_the_decay_cutoff():
+    assert VKernel(GQ, KERNEL, 6.0).decay_cutoff() == pytest.approx(19.073, abs=1e-3)
+    assert VKernel(GQ, NARROW, 6.0).decay_cutoff() == pytest.approx(12.207, abs=1e-3)
+
+
+def test_tail_and_contour_routes_agree_at_the_production_width():
+    _tail_and_contour_routes_agree(NARROW)
+
+
+@pytest.mark.parametrize("s,sign", [(6.0, 1), (6.0, -1), (8.0, 1)])
+def test_production_spline_stays_within_the_allowance(s, sign):
+    # the error estimate charges SPLINE_ABS_ERR per spline-evaluated term;
+    # the production kernel's spline must keep well inside it
+    V = VKernel(GQ, NARROW, s, sign)
+    xs = np.geomspace(1e-8, V.decay_cutoff(), 20001)
+    miss = np.max(np.abs(V.value(xs) - V.value_tail(xs)))
+    assert miss <= 0.5 * SPLINE_ABS_ERR, miss
