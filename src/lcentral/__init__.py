@@ -6,13 +6,12 @@ L-values themselves, plus the lattice-point counting used to control the
 averaged sums.
 """
 
-from .fields import FieldElement, IntegralIdeal, LocalIso, NumberFieldData, nf_load, split_local_iso
+from .fields import FieldElement, LocalIso, NumberFieldData, nf_load, split_local_iso
 from .roots import CyclotomicNumber, RootOfUnity
 
 __all__ = [
     "CyclotomicNumber",
     "FieldElement",
-    "IntegralIdeal",
     "LocalIso",
     "NumberFieldData",
     "RootOfUnity",

@@ -1,4 +1,5 @@
-"""Unit-orbit reduction and lattice counting in multiplicative progressions.
+"""A fundamental window for the units, and lattice counting in
+multiplicative progressions.
 
 Counting field elements beta in a coset alpha(1 + P^n) with |N(beta)| <= x
 only makes sense once a single representative is fixed in every unit orbit,
@@ -6,9 +7,11 @@ so everything here is built around a concrete fundamental domain for the
 unit action on the Minkowski space: over Q the positive axis, over a real
 quadratic field the half-open slope window cut out by the fundamental unit
 (first embedding positive, slope parameter in [0, 1)).  Floating point only
-seeds the reduction; membership on the window boundary is decided by exact
-integer sign tests, so counts are reproducible and the brute-force oracle
-with enlarged boxes must agree bit for bit.
+sizes the enumeration box; membership on the window boundary is decided by
+exact integer sign tests, so counts are reproducible and the brute-force
+oracle with enlarged boxes must agree bit for bit.  The translation lattice
+alpha*P^n is the principal ideal (alpha*pi^n), whose Hermite normal form
+has a closed form (`_principal_rows`).
 
 Each job is done once for both degrees: one exact sign test and one window
 predicate (elementwise over numpy arrays: int64 for enumerations, object
@@ -17,8 +20,9 @@ in which Q is the one-row case.  The least norms per ray class come from one
 scan that reads a point's class off the level's int64 dlog table.  Q is the
 case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The
 degree is read only where Q differs in substance: the reducer's embedding,
-slope and `reduce` (|x|), the window (u > 0), the enumeration box (an interval,
-|N| = |u|) and a torsion class's least norm (its least residue lift).
+the window (u > 0), the progression's lattice (one row), the enumeration box
+(an interval, |N| = |u|) and a torsion class's least norm (its least residue
+lift).
 
 The field loader admits only Q and real quadratic fields x^2 - m on the
 basis (1, sqrt(m)) with m not a square, so m is read off the field
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldElement, IntegralIdeal, NumberFieldData, nf_load
+from .fields import FieldElement, NumberFieldData, nf_load
 from .rayclass import PrimeContext, RayClassGroup, rcg_build
 
 # Enumeration boxes beyond this many candidate points are refused: the
@@ -74,7 +78,7 @@ def _coord_arrays(x: FieldElement):
 
 
 class DomainReducer:
-    """Canonical unit-orbit representatives, decided exactly.
+    """The fundamental window for the unit action, decided exactly.
 
     Over Q the representative of x is |x|.  Over a real quadratic field
     F = Q(sqrt(m)) the representative is the unique associate y = u*x
@@ -117,10 +121,8 @@ class DomainReducer:
         else:
             raise ArithmeticError("could not normalise the fundamental unit")
         self.eps = eps
-        self.eps_inv = eps.inverse()
         self.eps2 = eps * eps
         self.eps3 = self.eps2 * eps
-        self.log_eps = math.log(self.embed(eps)[0])
 
     def sign_plus(self, x: FieldElement) -> int:
         """Exact sign of x at the plus place."""
@@ -133,45 +135,6 @@ class DomainReducer:
         a, b = float(x.coords[0]), float(x.coords[1])
         return (a + b * self.root, a - b * self.root)
 
-    def tau(self, x: FieldElement) -> float:
-        """Slope diagnostic (float); 0 for rationals."""
-        if self.degree == 1:
-            return 0.0
-        s1, s2 = self.embed(x)
-        return (math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * self.log_eps)
-
-    def contains(self, x: FieldElement, window: str = "standard") -> bool:
-        """Exact membership of x in the fundamental window.
-
-        "standard" is tau in [0, 1); "shifted" moves the origin to tau in
-        [1/2, 3/2) and exists so counting can be redone with a different
-        half-open convention.  Over Q both windows are the positive axis.
-        """
-        if window not in _WINDOWS:
-            raise ValueError(f"unknown window {window!r}")
-        return bool(_window_mask(*_coord_arrays(x), self, window)[0])
-
-    def reduce(self, x: FieldElement) -> FieldElement:
-        """The canonical associate of x in the standard window."""
-        if x.is_zero():
-            raise ValueError("cannot reduce zero")
-        if self.degree == 1:
-            a = x.coords[0]
-            return self.nf.element([abs(a)])
-        y = x if self.sign_plus(x) > 0 else -x
-        # float guess for the unit power, then exact correction
-        s1, s2 = self.embed(y)
-        t = (math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * self.log_eps)
-        k = math.floor(t)
-        if k:
-            y = y * (self.eps_inv ** k if k > 0 else self.eps ** (-k))
-        for _ in range(8):
-            if self.contains(y):
-                return y
-            # a*b < 0 is tau < 0: climb; otherwise tau >= 1: descend
-            y = y * (self.eps if y.coords[0] * y.coords[1] < 0 else self.eps_inv)
-        raise ArithmeticError(f"unit reduction did not settle for {x!r}")
-
 
 def reducer_for(nf) -> DomainReducer:
     return _reducer(nf_load(nf))
@@ -180,10 +143,6 @@ def reducer_for(nf) -> DomainReducer:
 @lru_cache(maxsize=8)
 def _reducer(nf: NumberFieldData) -> DomainReducer:
     return DomainReducer(nf)
-
-
-def reduce_to_domain(x: FieldElement, nf=None) -> FieldElement:
-    return reducer_for(nf if nf is not None else x.nf).reduce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +184,11 @@ def prime_above(nf, p: int) -> PrimeContext:
 @dataclass(frozen=True)
 class ProgressionCount:
     """Exact count of the coset alpha(1 + P^n) inside the fundamental
-    window with |N(beta)| <= x.  modulus is the ideal alpha * P^n whose
-    translates were enumerated."""
+    window with |N(beta)| <= x.  modulus is the generator alpha * pi^n of
+    the ideal whose translates were enumerated."""
 
     alpha: FieldElement
-    modulus: IntegralIdeal
+    modulus: FieldElement
     n: int
     x: float
     count: int
@@ -245,6 +204,27 @@ def _coerce_alpha(nf: NumberFieldData, alpha) -> FieldElement:
     if isinstance(alpha, FieldElement):
         return alpha
     return nf.element(alpha)
+
+
+def _principal_rows(gamma: FieldElement) -> list[list[int]]:
+    """Hermite normal form rows of the lattice gamma*O, gamma integral and
+    nonzero: upper triangular, positive diagonal, entries above it reduced.
+
+    Over Q it is [[|a|]].  For gamma = a + b*sqrt(m), gamma*O is spanned by
+    (a, b) and gamma*sqrt(m) = (m*b, a).  With g = gcd(a, m*b) = s*a + t*m*b
+    and d = |a^2 - m*b^2| / g, the rows are [[g, (s*b + t*a) mod d], [0, d]].
+    """
+    a, b = (int(c) for c in _uv(gamma.coords))
+    if gamma.nf.degree == 1:
+        return [[abs(a)]]
+    mb = gamma.nf.m * b
+    g = math.gcd(a, mb)
+    x, y = a // g, mb // g
+    # s*x + t*y = 1; when y = 0, x = +-1 is its own inverse
+    s = pow(x, -1, abs(y)) if y else x
+    t = (1 - s * x) // y if y else 0
+    d = abs(a * a - mb * b) // g
+    return [[g, (s * b + t * a) % d], [0, d]]
 
 
 def _index_ranges(offset_embed, bound, embeds):
@@ -269,8 +249,13 @@ def _index_ranges(offset_embed, bound, embeds):
 
 
 def _window_mask(u, v, reducer: DomainReducer, window: str):
-    """Exact membership of u + v*sqrt(m) in the chosen window, elementwise
-    (u > 0 over Q, where v = 0)."""
+    """Exact membership of u + v*sqrt(m) in the chosen window, elementwise.
+
+    "standard" is tau in [0, 1); "shifted" moves the origin to tau in
+    [1/2, 3/2) and exists so counting can be redone with a different
+    half-open convention.  Over Q both windows are the positive axis u > 0
+    (v = 0).
+    """
     if reducer.degree == 1:
         return u > 0
     m = reducer.m
@@ -384,15 +369,15 @@ def count_progression(alpha, prime: PrimeContext, n: int, x: float, *,
         raise ValueError("alpha must be integral")
     if ctx.residue(alpha, 1) % ctx.p == 0:
         raise ValueError(f"alpha must be coprime to the prime above {ctx.p}")
-    ideal = IntegralIdeal.principal(nf, alpha) * ctx.prime_ideal ** n
+    gamma = alpha * ctx.pi ** n
 
-    u, v, norm = _enumerate_coset(ctx, ideal.hnf, alpha, x, window,
+    u, v, norm = _enumerate_coset(ctx, _principal_rows(gamma), alpha, x, window,
                                   box_factor, threads)
     wit = None
     if witnesses:
         order = np.lexsort((v, u, norm))[:WITNESS_LIMIT]
         wit = tuple(_point(nf, u[k], v[k]) for k in order)
-    return ProgressionCount(alpha, ideal, n, x, int(u.size), window, wit)
+    return ProgressionCount(alpha, gamma, n, x, int(u.size), window, wit)
 
 
 # ---------------------------------------------------------------------------

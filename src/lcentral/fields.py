@@ -13,8 +13,7 @@ An element is u or u + v*sqrt(m) with exact rational coordinates, and its
 arithmetic is in closed form: (a + b*sqrt(m))(c + d*sqrt(m)) =
 (ac + m*bd) + (ad + bc)*sqrt(m), the norm is u or u^2 - m*v^2, the trace
 is degree * u, the inverse is the conjugate over the norm, and the real
-embeddings are u -/+ v*sqrt(m).  Ideals are integer row lattices in
-Hermite normal form.
+embeddings are u -/+ v*sqrt(m).
 
 The loader cross-checks every stored invariant it can recompute (the
 discriminant of the trace form, unit norms, the signature, a stored
@@ -138,140 +137,6 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# ideals
-# ---------------------------------------------------------------------------
-
-def _hnf(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
-
-    Returns `width` rows, upper triangular, positive diagonal, entries above
-    each pivot reduced into [0, pivot).  Raises if the lattice has rank < width.
-    """
-    work = [row[:] for row in rows if any(row)]
-    basis: list[list[int]] = []
-    for col in range(width):
-        pivot: list[int] | None = None
-        rest: list[list[int]] = []
-        for r in work:
-            if r[col] == 0:
-                if any(r):
-                    rest.append(r)
-                continue
-            if pivot is None:
-                pivot = r
-                continue
-            a, b = pivot, r
-            while b[col] != 0:
-                q = a[col] // b[col]
-                if q:
-                    a = [x - q * y for x, y in zip(a, b)]
-                a, b = b, a
-            pivot = a
-            if any(b):
-                rest.append(b)
-        if pivot is None:
-            raise ValueError("generators do not span a full-rank lattice")
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
-    if any(any(r) for r in work):
-        raise AssertionError("leftover rows after HNF elimination")
-    for i in range(width - 2, -1, -1):
-        for j in range(i + 1, width):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
-    return basis
-
-
-class IntegralIdeal:
-    """Nonzero integral ideal as a Z-lattice in HNF over the integral basis."""
-
-    __slots__ = ("nf", "hnf", "_norm")
-
-    def __init__(self, nf: "NumberFieldData", hnf_rows: list[list[int]]):
-        self.nf = nf
-        self.hnf = hnf_rows
-        n = 1
-        for i in range(nf.degree):
-            n *= hnf_rows[i][i]
-        self._norm = n
-
-    @classmethod
-    def from_z_generators(cls, nf: "NumberFieldData", rows: list[list[int]]) -> "IntegralIdeal":
-        return cls(nf, _hnf(rows, nf.degree))
-
-    @classmethod
-    def from_generators(cls, nf: "NumberFieldData", gens: Sequence[FieldElement]) -> "IntegralIdeal":
-        rows = []
-        for g in gens:
-            for b in nf.basis_elements:
-                prod = g * b
-                if not prod.is_integral():
-                    raise ValueError("ideal generators must be integral")
-                rows.append([int(c) for c in prod.coords])
-        return cls.from_z_generators(nf, rows)
-
-    @classmethod
-    def principal(cls, nf: "NumberFieldData", x: FieldElement) -> "IntegralIdeal":
-        return cls.from_generators(nf, [x])
-
-    @property
-    def norm(self) -> int:
-        return self._norm
-
-    def __mul__(self, other: "IntegralIdeal") -> "IntegralIdeal":
-        nf = self.nf
-        gens_a = [FieldElement(nf, row) for row in self.hnf]
-        gens_b = [FieldElement(nf, row) for row in other.hnf]
-        rows = []
-        for a in gens_a:
-            for b in gens_b:
-                prod = a * b
-                rows.append([int(c) for c in prod.coords])
-        return IntegralIdeal.from_z_generators(nf, rows)
-
-    def __pow__(self, e: int) -> "IntegralIdeal":
-        if e < 0:
-            raise ValueError("only nonnegative ideal powers")
-        out = IntegralIdeal.principal(self.nf, self.nf.one)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def contains(self, x: FieldElement) -> bool:
-        if not x.is_integral():
-            return False
-        coords = [int(c) for c in x.coords]
-        d = self.nf.degree
-        # peel off rows in column order; row i is the only remaining row with
-        # support at column i once earlier rows are subtracted
-        for i in range(d):
-            piv = self.hnf[i][i]
-            q, rem = divmod(coords[i], piv)
-            if rem:
-                return False
-            if q:
-                coords = [c - q * h for c, h in zip(coords, self.hnf[i])]
-        return all(c == 0 for c in coords)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, IntegralIdeal) and self.nf is other.nf
-                and self.hnf == other.hnf)
-
-    def __hash__(self) -> int:
-        return hash((id(self.nf), tuple(tuple(r) for r in self.hnf)))
-
-    def __repr__(self) -> str:
-        return f"Ideal(norm={self._norm}, hnf={self.hnf})"
-
-
-# ---------------------------------------------------------------------------
 # local splitting at a degree-one prime
 # ---------------------------------------------------------------------------
 
@@ -316,16 +181,16 @@ def split_local_iso(nf: "NumberFieldData", p: int, pi: FieldElement, level: int)
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    prime_ideal = IntegralIdeal.principal(nf, pi)
-    if prime_ideal.norm != p:
-        raise ValueError(f"(pi) has norm {prime_ideal.norm}, expected the rational prime {p}")
+    if not pi.is_integral() or abs(pi.norm()) != p:
+        raise ValueError(f"{pi!r} is not an integral element of norm +-{p}; "
+                         f"need a degree-one prime above {p}")
     mod = p ** level
     if nf.degree == 1:
         return LocalIso(nf=nf, p=p, level=level, root=int(nf.gen.coords[0]) % mod,
                         basis_images=(1,))
     m = nf.m
     r = next((r0 for r0 in range(p) if (r0 * r0 - m) % p == 0
-              and prime_ideal.contains(nf.gen - nf.element_from_int(r0))), None)
+              and ((nf.gen - nf.element_from_int(r0)) / pi).is_integral()), None)
     if r is None:
         raise ValueError(f"defining polynomial has no root mod {p} inside the given prime")
     if 2 * r % p == 0:
@@ -404,11 +269,11 @@ class NumberFieldData:
 
         self.class_number = int(_q(doc.get("class_number", 1)))
         reps = doc.get("class_reps", [[["1"] + ["0"] * (self.degree - 1)]])
-        self.class_reps: list[IntegralIdeal] = []
-        for rep in reps:
-            gens = [self.element([_q(c) for c in g]) for g in rep]
-            self.class_reps.append(IntegralIdeal.from_generators(self, gens))
-        if len(self.class_reps) != self.class_number:
+        for gen in (self.element(g) for rep in reps for g in rep):
+            if gen.is_zero() or not gen.is_integral():
+                raise ValueError(f"class representative generator {gen!r} is not "
+                                 f"a nonzero integral element")
+        if len(reps) != self.class_number:
             raise ValueError("number of class representatives disagrees with class_number")
 
         self.unit_gens: list[FieldElement] = [

@@ -200,9 +200,11 @@ def newform_load(source, limit: int = 1000) -> NewformData:
     Refused with ValueError: a level_norm other than 1, a nebentypus other
     than "trivial", a non-integer eigenvalue or table entry (such as
     [re, im]), a weight_vector that is not one equal weight per real place
-    of the field named by field_label, and type_J indices outside those
-    places.
+    of the field named by field_label, type_J indices outside those places,
+    and a limit below 1.
     """
+    if limit < 1:
+        raise ValueError(f"coefficient limit {limit} is below 1")
     if isinstance(source, NewformData):
         return source
     if isinstance(source, str) and not Path(source).exists():

@@ -25,8 +25,8 @@ from math import gcd
 
 import numpy as np
 
-from .abelian import p_adic_split, primitive_root
-from .fields import FieldElement, IntegralIdeal, LocalIso, NumberFieldData, split_local_iso
+from .abelian import factorize, p_adic_split, primitive_root
+from .fields import FieldElement, LocalIso, NumberFieldData, split_local_iso
 from .ntt import root_powers
 from .roots import RootOfUnity
 
@@ -50,15 +50,14 @@ class PrimeContext:
     """A fixed degree-one prime (pi) above p, with cached local splittings."""
 
     def __init__(self, nf: NumberFieldData, p: int, pi: FieldElement):
-        if p == 2:
-            raise ValueError("the machinery here needs an odd prime")
+        if p < 3 or factorize(p) != {p: 1}:
+            raise ValueError(f"p = {p} is not an odd prime")
+        if not pi.is_integral() or abs(pi.norm()) != p:
+            raise ValueError(f"{pi!r} is not an integral element of norm +-{p}; "
+                             f"need a degree-one prime above {p}")
         self.nf = nf
         self.p = p
         self.pi = pi
-        self.prime_ideal = IntegralIdeal.principal(nf, pi)
-        if self.prime_ideal.norm != p:
-            raise ValueError(
-                f"(pi) has norm {self.prime_ideal.norm}; need a degree-one prime above {p}")
         if nf.discriminant % p == 0:
             raise ValueError(f"{p} ramifies in {nf.label}")
         self.max_level = max_residue_level(p)

@@ -47,10 +47,6 @@ class RootOfUnity:
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity(-self.phase)
 
-    def galois(self, t: int) -> "RootOfUnity":
-        """Image under zeta -> zeta^t; a field automorphism when gcd(t, order) = 1."""
-        return RootOfUnity(self.phase * t)
-
     @property
     def order(self) -> int:
         return self.phase.denominator
@@ -58,9 +54,6 @@ class RootOfUnity:
     def order_p_part(self, p: int) -> tuple[int, int]:
         """Split order = a * p^m with p not dividing a; returns (a, m)."""
         return p_adic_split(self.order, p)
-
-    def is_one(self) -> bool:
-        return self.phase == 0
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * pi * float(self.phase))

@@ -366,7 +366,8 @@ def _per_member_root_numbers(chi, ctx):
     out = []
     for t, tw in zip(subs, galois_orbit(chi, ctx)):
         rho = tw.conjugate().local_value(t)
-        sigma_eps = eps.galois(t if t % 2 else t + level)
+        # sigma_t acts on a root of unity as its t-th power
+        sigma_eps = eps ** (t if t % 2 else t + level)
         out.append(tw.local_value(-1) * rho * rho * sigma_eps)
     return out
 

@@ -331,3 +331,27 @@ def test_level_above_one_is_refused(tmp_path, capsys, rows):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: level_norm 11 is not supported")
     assert "chi(N)" in err and "good-prime" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_coefficient_limit_below_one_refused(tmp_path, capsys, limit):
+    # refused before the eigenvalues are expanded into a table
+    path = tmp_path / "eigenvalues.json"
+    path.write_text(json.dumps({"label": "eigenvalues", "weight_vector": [12],
+                                "atkin_lehner": -1,
+                                "prime_eigenvalues": {str(p): 0 for p in primes_up_to(50)}}))
+    assert main(["lvalue", "--form", str(path), "--limit", limit]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: coefficient limit {limit} is below 1"]
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["lav-scan", "--p", "1"], 1),
+    (["lav-scan", "--p", "9"], 9),
+    (["cone-count", "--p", "15", "--n", "1", "--x", "50"], 15),
+    (["gauss-sum", "--char", "rationals.p9.m2.chi1"], 9),
+], ids=["lav-scan-1", "lav-scan-9", "cone-count-15", "gauss-sum-9"])
+def test_p_that_is_not_an_odd_prime_refused(capsys, argv, p):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: p = {p} is not an odd prime"]

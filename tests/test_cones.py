@@ -5,6 +5,7 @@ enumeration boxes (2x and 3x agree bit for bit), so they pin the exact
 lattice counts rather than floating-point behaviour.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcentral.cones import (count_progression, min_norm_coset, prime_above,
-                            reduce_to_domain, reducer_for, torsion_norm_bound,
-                            verify_count_bound)
+from lcentral.cones import (_coord_arrays, _principal_rows, _window_mask,
+                            count_progression, min_norm_coset, prime_above,
+                            reducer_for, torsion_norm_bound, verify_count_bound)
 from lcentral.fields import NumberFieldData, nf_load
 from lcentral.rayclass import PrimeContext, rcg_build
 from lcentral.tau import primes_up_to
@@ -35,38 +36,64 @@ def _coords(x):
 # fundamental-domain reduction
 # ---------------------------------------------------------------------------
 
+def _contains(x, window="standard"):
+    """Exact membership of the single element x in the window."""
+    return bool(_window_mask(*_coord_arrays(x), reducer_for(x.nf), window)[0])
+
+
+def _reduce(x):
+    """The canonical associate of x in the standard window: |x| over Q;
+    over Q(sqrt(m)) a float guess for the unit power, then exact steps across
+    the window's edges."""
+    red = reducer_for(x.nf)
+    if x.is_zero():
+        raise ValueError("cannot reduce zero")
+    if red.degree == 1:
+        return x.nf.element([abs(x.coords[0])])
+    y = x if red.sign_plus(x) > 0 else -x
+    s1, s2 = red.embed(y)
+    log_eps = math.log(red.embed(red.eps)[0])
+    y = y * red.eps ** -math.floor((math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * log_eps))
+    for _ in range(8):
+        if _contains(y):
+            return y
+        # a*b < 0 is tau < 0: climb; otherwise tau >= 1: descend
+        y = y * (red.eps if y.coords[0] * y.coords[1] < 0 else red.eps.inverse())
+    raise ArithmeticError(f"unit reduction did not settle for {x!r}")
+
+
 def test_reduce_spot_values():
     # unit powers collapse to 1; unit multiples of sqrt(2) collapse to sqrt(2)
     for coords, expect in [((3, 2), (1, 0)), ((99, 70), (1, 0)),
                            ((2, 1), (0, 1)), ((24, 17), (0, 1)),
                            ((-2, -1), (0, 1))]:
-        assert _coords(reduce_to_domain(K.element(coords))) == expect
+        assert _coords(_reduce(K.element(coords))) == expect
 
 
 def test_reduce_rationals_is_absolute_value():
-    assert _coords(reduce_to_domain(Q.element_from_int(-5))) == (5,)
-    assert _coords(reduce_to_domain(Q.element_from_int(17))) == (17,)
+    assert _coords(_reduce(Q.element_from_int(-5))) == (5,)
+    assert _coords(_reduce(Q.element_from_int(17))) == (17,)
 
 
 def test_reduce_zero_raises():
     with pytest.raises(ValueError):
-        reduce_to_domain(K.zero)
+        _reduce(K.zero)
 
 
 def test_reduce_unit_invariance_and_idempotence():
     red = reducer_for(K)
     rng = random.Random(41)
-    units = [red.eps, red.eps * red.eps, red.eps_inv, -red.eps, -K.one]
+    units = [red.eps, red.eps * red.eps, red.eps.inverse(), -red.eps, -K.one]
     for _ in range(500):
         x = K.element([rng.randint(-60, 60), rng.randint(-60, 60)])
         if x == K.zero:
             continue
-        y = red.reduce(x)
-        assert red.contains(y)
-        assert red.reduce(y) == y
-        assert red.reduce(-x) == y
+        y = _reduce(x)
+        assert _contains(y)
+        assert _reduce(y) == y
+        assert _reduce(-x) == y
         for u in units:
-            assert red.reduce(u * x) == y
+            assert _reduce(u * x) == y
 
 
 def test_window_membership_matrix():
@@ -74,13 +101,13 @@ def test_window_membership_matrix():
     inside = [K.one, K.element([0, 1]), K.element_from_int(3)]
     outside = [red.eps, K.element([2, 1]), K.element([3, 2])]
     for x in inside:
-        assert red.contains(x)
-        assert not red.contains(x, window="shifted")
+        assert _contains(x)
+        assert not _contains(x, window="shifted")
     for x in outside:
-        assert not red.contains(x)
+        assert not _contains(x)
     # the slope-1 elements land inside the shifted window instead
-    assert red.contains(red.eps, window="shifted")
-    assert red.contains(K.element([2, 1]), window="shifted")
+    assert _contains(red.eps, window="shifted")
+    assert _contains(K.element([2, 1]), window="shifted")
 
 
 def test_each_window_holds_one_representative_per_orbit():
@@ -94,10 +121,10 @@ def test_each_window_holds_one_representative_per_orbit():
             hits = 0
             y = x
             for _ in range(4):
-                y = y * red.eps_inv
+                y = y * red.eps.inverse()
             for _ in range(9):
-                hits += red.contains(y, window=window)
-                hits += red.contains(-y, window=window)
+                hits += _contains(y, window=window)
+                hits += _contains(-y, window=window)
                 y = y * red.eps
             assert hits == 1
 
@@ -177,7 +204,7 @@ def test_prime_above_is_deterministic():
     assert _coords(prime_above(K, 41).pi) == (7, 2)
     # and it builds the same ideal as spelling the generator out by hand
     hand = PrimeContext(K, 7, K.element([3, 1]))
-    assert prime_above(K, 7).prime_ideal.hnf == hand.prime_ideal.hnf
+    assert _principal_rows(prime_above(K, 7).pi) == _principal_rows(hand.pi)
 
 
 def _prime_above_by_box(nf, p):
@@ -310,7 +337,7 @@ def test_count_progression_argument_errors():
     with pytest.raises(ValueError, match="coprime"):
         count_progression(K.element([3, 1]), CTX7, 1, 10)
     with pytest.raises(TypeError, match="PrimeContext"):
-        count_progression(1, CTX5.prime_ideal, 1, 10)
+        count_progression(1, CTX5.pi, 1, 10)
     for ctx, n in ((CTX5, 10), (CTX7, 8)):
         with pytest.raises(ValueError, match="residue tables"):
             count_progression(1, ctx, n, 10)

@@ -1,12 +1,13 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lcentral.cones import prime_above
-from lcentral.fields import IntegralIdeal, nf_load, split_local_iso
+from lcentral.cones import _principal_rows, prime_above
+from lcentral.fields import nf_load, split_local_iso
 
 QQ = nf_load("rationals")
 K = nf_load("Qsqrt2")
@@ -21,15 +22,6 @@ def test_frozen_norms_and_traces():
     assert K.element([1, 1]).norm() == -1
     assert K.element([0, 1]).trace() == 0
     assert QQ.element([-4]).norm() == -4
-
-
-def test_ideal_norms():
-    i5 = IntegralIdeal.principal(K, K.element_from_int(5))
-    ipi = IntegralIdeal.principal(K, K.element([3, 1]))
-    assert i5.norm == 25
-    assert ipi.norm == 7
-    assert (i5 * ipi).norm == 175
-    assert (ipi ** 3).norm == 343
 
 
 @given(small, small, small, small)
@@ -49,12 +41,40 @@ def test_inverse_roundtrip(a, b):
     assert (x * x.inverse()) == K.one
 
 
-def test_ideal_membership():
-    ipi = IntegralIdeal.principal(K, K.element([3, 1]))
-    # sqrt2 - 4 = (sqrt2 - 2)(3 + sqrt2)
-    assert ipi.contains(K.element([-4, 1]))
-    assert not ipi.contains(K.one)
-    assert ipi.contains(K.element([3, 1]) * K.element([2, 5]))
+def _reduces_to_zero(rows, x):
+    """Whether x lies in the lattice of the HNF rows, peeling one pivot
+    column at a time."""
+    coords = [int(c) for c in x.coords]
+    for i, row in enumerate(rows):
+        q, rem = divmod(coords[i], row[i])
+        if rem:
+            return False
+        coords = [c - q * h for c, h in zip(coords, row)]
+    return not any(coords)
+
+
+big = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+@pytest.mark.parametrize("nf", [QQ, K], ids=["Q", "Qsqrt2"])
+@given(big, big)
+@settings(max_examples=150)
+def test_principal_rows_are_the_hnf_of_gamma_o(nf, a, b):
+    gamma = nf.element([a, b][:nf.degree])
+    assume(not gamma.is_zero())
+    rows = _principal_rows(gamma)
+    d = nf.degree
+    assert [len(r) for r in rows] == [d] * d
+    assert all(rows[i][j] == 0 for i in range(d) for j in range(i))
+    assert all(rows[i][i] > 0 for i in range(d))
+    assert all(0 <= rows[i][j] < rows[j][j] for i in range(d) for j in range(i + 1, d))
+    assert math.prod(rows[i][i] for i in range(d)) == abs(gamma.norm())
+    # gamma*O lies in the lattice, the lattice in gamma*O, and the indices
+    # agree, so the rows span exactly gamma*O
+    for basis in nf.basis_elements:
+        assert _reduces_to_zero(rows, gamma * basis)
+    for row in rows:
+        assert (nf.element(row) / gamma).is_integral()
 
 
 def test_local_iso_values():
@@ -72,7 +92,7 @@ def test_local_iso_values():
         ctx = prime_above(K, p)
         assert tuple(ctx.iso(n).root for n in (1, 2, 3)) == roots
         if p in _FROZEN_CUBE_HNF:
-            assert (ctx.prime_ideal ** 3).hnf == _FROZEN_CUBE_HNF[p]
+            assert _principal_rows(ctx.pi ** 3) == _FROZEN_CUBE_HNF[p]
 
 
 _FROZEN_ROOTS = {7: (4, 39, 235), 17: (6, 244, 4290), 23: (18, 156, 156),
@@ -167,6 +187,16 @@ def test_loader_rejects_bad_signature():
 def test_loader_rejects_bad_different():
     with pytest.raises(ValueError, match="different"):
         nf_load(_doc(different_gen=["0", "1"]))
+
+
+@pytest.mark.parametrize("reps, match", [
+    ([[["1", "0"]], [["3", "1"]]], "class_number"),
+    ([[["0", "0"]]], "nonzero integral"),
+    ([[["1/2", "0"]]], "nonzero integral"),
+], ids=["count", "zero", "non-integral"])
+def test_loader_rejects_bad_class_reps(reps, match):
+    with pytest.raises(ValueError, match=match):
+        nf_load(_doc(class_reps=reps))
 
 
 def test_loader_rejects_bad_mult_table():
