@@ -8,17 +8,20 @@ The completed value is assembled from two smoothed half-sums,
 
 where Med = (level norm) * (twist conductor norm)^2, eta*a are the
 reflected coefficients, V1/V2 are gamma-kernel transforms of the smoothing
-bump taken at spectral points s and k-s, W is the twist root number and C
-the exact archimedean constant.  The bump is `kernels.SmoothingKernel` at
-the production width BUMP_WIDTH = 1/4, supported on [e^-1/4, e^1/4]: the
-identity holds at any width, and the narrow one shortens every sum.  The
-reported value is the normalized
+weight taken at spectral points s and k-s, W is the twist root number and C
+the exact archimedean constant.  The weight is the point mass at w = 1,
+`kernels.SmoothingKernel(nodes=1)`: the identity holds for any weight whose
+Mellin transform is even, entire and 1 at 0, and with kappa = 1 each V is
+one incomplete gamma (the classical Lavrik form).  The reported value is
+the normalized
 
     L(s) = Lam(s) / (Gamma_F(s) Med^(s/2)).
 
-Numeric policy: short sums evaluate V through the incomplete-gamma tail
-route (no interpolation error at all); bulk sums go through the certified
-spline.  Cutoffs default to the measured decay cutoff of V and are always
+Numeric policy: every term reads V through the tail route, one incomplete
+gamma per term, with no interpolation.  The error estimate is the checked
+tail majorants plus EVAL_REL_ERR times the sum of |term| on each side, which
+covers the measured relative error of `gammaincc` and the rounding of the
+sums.  Cutoffs default to the measured decay cutoff of V and are always
 re-checked against an explicit majorant for the dropped tail -- the
 elementary bound d(n) <= sqrt(3 n) turns Ramanujan-bounded coefficients
 into a closed-form remainder -- so a configuration that cannot meet the
@@ -52,15 +55,15 @@ from .newforms import NewformData
 from .rayclass import HeckeCharacter
 from .roots import unit_circle_array
 
-# Below this many terms a half-sum evaluates V exactly through the tail
-# route (no interpolation error); above it the certified spline is used
-# (absolute error ~2.5e-13 measured, budgeted at 1e-12 per point).
-SPLINE_MIN_TERMS = 20000
-SPLINE_ABS_ERR = 1e-12
+# Relative error allowed each term of a half-sum, charged on the sum of
+# |term|.  It covers gammaincc, at most 6.7e-15 relative at a = 6 for
+# arguments up to 2 pi times the decay cutoff (tests/test_kernels.py holds
+# it to half this constant), and the rounding of the terms and their sum.
+EVAL_REL_ERR = 2e-14
 
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.
 # Small j wins for small scales, large j for conductor-sized balance points.
-DECAY_ORDERS = (3, 6, 9, 12, 16, 20)
+DECAY_ORDERS = (3, 6, 9, 12, 16, 20, 24, 28, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +113,11 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 # serve every character of an orbit and every level sharing s.  What is
 # derived from a form's coefficients lives on the form, so it goes with it.
 
-# The support of the smoothing bump is free (any bump whose Mellin transform
-# is even, entire and 1 at 0 gives the same identity), and it sets the decay
-# cutoff of V and with it the length of every sum: [e^-1/4, e^1/4] moves the
-# cutoff from 19.07 (width 1) to 12.21, and narrower widths gain little.
-BUMP_WIDTH = 0.25
-_BUMP = SmoothingKernel(width=BUMP_WIDTH)
+# The smoothing weight is free (any weight whose Mellin transform is even,
+# entire and 1 at 0 gives the same identity), and it sets the decay cutoff
+# of V and with it the length of every sum: the point mass at w = 1 gives
+# 9.77, where the bump of width 1/4 gave 12.21 and that of width 1 19.07.
+_KERNEL = SmoothingKernel(nodes=1)
 _memo = lru_cache(maxsize=64)
 
 
@@ -126,15 +128,30 @@ def gamma_factor_for(nf: NumberFieldData, shifts: tuple) -> GammaFactor:
 
 @_memo
 def vkernel_for(nf: NumberFieldData, shifts: tuple, s: float, sign: int = 1) -> VKernel:
-    return VKernel(gamma_factor_for(nf, shifts), _BUMP, float(s), sign=sign)
+    return VKernel(gamma_factor_for(nf, shifts), _KERNEL, float(s), sign=sign)
 
 
 @_memo
 def _decay_constants(kern: VKernel) -> dict[int, float]:
+    """K_j of |V(x)| <= K_j x^(-j) on x >= 1, for j in DECAY_ORDERS.
+
+    |V| decreases, so on each cell [x_i, x_(i+1)] of a grid over [1, hi]
+    |V(x)| x^j <= |V(x_i)| x_(i+1)^j, and K_j is the largest of these.
+    Past its one peak |V(x)| x^j decreases, so the majorant holds beyond hi
+    only when that peak lies inside the grid; a peak in the top cell, or an
+    overflow, raises."""
     hi = max(3.0 * kern.decay_cutoff(), 60.0)
     xs = np.geomspace(1.0, hi, 480)
     vals = np.abs(kern.value_tail(xs))
-    return {j: float(np.max(vals * xs ** j)) for j in DECAY_ORDERS}
+    out = {}
+    for j in DECAY_ORDERS:
+        weighted = vals[:-1] * xs[1:] ** j
+        top = int(np.argmax(weighted))
+        if top == len(weighted) - 1 or not np.isfinite(weighted[top]):
+            raise ValueError(f"|V(x)| x^{j} has no finite peak inside [1, {hi:g}]: "
+                             "its decay majorant would not hold")
+        out[j] = float(weighted[top])
+    return out
 
 
 @_memo
@@ -185,37 +202,22 @@ def _root_number(chi: HeckeCharacter | None) -> complex:
 
 
 def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
-            reflected: bool, _exact: bool = False) -> np.ndarray:
+            reflected: bool) -> np.ndarray:
     """a(n) n^(-s) V(n/scale) for n = 1..count at the kernel's spectral
     point s, with the reflected sign when asked; the character-independent
     part of a half-sum.  One array serves every member of a Galois orbit,
     which is what makes orbit scans cheap.
-
-    V goes through the spline past SPLINE_MIN_TERMS terms unless _exact
-    asks for the tail route at any length.
     """
-    spline = count > SPLINE_MIN_TERMS and not _exact
-
     def build():
         s = kern.s.real
         coeffs = form.coefficient_array(count)[1:]
         if reflected:
             coeffs = form.eta * coeffs
         ns = np.arange(1, count + 1, dtype=np.float64)
-        x = ns / scale
-        v = kern.value(x) if spline else kern.value_tail(x)
-        arr = coeffs * ns ** (-s) * np.asarray(v, dtype=np.float64)
+        arr = coeffs * ns ** (-s) * kern.value(ns / scale)
         arr.setflags(write=False)
         return arr
-    return _on_form(form, ("prefab", kern, float(scale), count, reflected, spline), build)
-
-
-def _abs_sum(form: NewformData, s: float, count: int) -> float:
-    """sum_{n <= count} |a(n)| n^(-s), the base of the spline-error allowance."""
-    def build():
-        ns = np.arange(1, count + 1, dtype=np.float64)
-        return float(np.sum(np.abs(form.coefficient_array(count)[1:]) * ns ** (-s)))
-    return _on_form(form, ("abs_sum", float(s), count), build)
+    return _on_form(form, ("prefab", kern, float(scale), count, reflected), build)
 
 
 def _dot(weights: np.ndarray, table: np.ndarray | None) -> complex:
@@ -255,7 +257,11 @@ def _half_sum_tail(form: NewformData, kern: VKernel, sigma: float,
     best = math.inf
     for j, kj in _decay_constants(kern).items():
         alpha = sigma + j - (k - 1) / 2.0 - float(form.theta)
-        best = min(best, 2.0 * kj * scale ** j * _divisor_sum_tail(m, alpha))
+        if alpha > 1.5:
+            # 2 K_j scale^j _divisor_sum_tail(m, alpha), with scale^j m^-j
+            # taken as one power of scale/m <= 1 so that nothing overflows
+            best = min(best, 2.0 * kj * (scale / m) ** j * math.sqrt(3.0)
+                       * m ** (1.5 - alpha + j) / (alpha - 1.5))
     return best
 
 
@@ -376,17 +382,16 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
                    archimedean_constant(nf, form.type_j, k))
 
 
-def _prefabs(form: NewformData, eng: _Engine, reflected: bool = False,
-             _exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _prefabs(form: NewformData, eng: _Engine,
+             reflected: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The main and dual prefab arrays of one evaluation.
 
     reflected=True swaps the coefficient sign between the two sides, which
     gives the reflected object of the reflection identity.
     """
-    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, eng.cfg.cutoff_main,
-                   reflected, _exact)
+    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, eng.cfg.cutoff_main, reflected)
     pre2 = _prefab(form, eng.kern[1], eng.med / eng.cfg.y, eng.cfg.cutoff_dual,
-                   not reflected, _exact)
+                   not reflected)
     return pre1, pre2
 
 
@@ -398,18 +403,14 @@ def _two_sided(form: NewformData, eng: _Engine, main_table, dual_table,
     return _dot(pre1, main_table), _dot(pre2, dual_table), pre1[0]
 
 
-def _error_estimate(form: NewformData, eng: _Engine, _exact: bool = False) -> float:
-    """The checked tail majorants plus the spline allowance on bulk sums,
-    as an absolute bound on the normalized value."""
-    m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
-    k, s = eng.k, eng.s
-    err = eng.budget
-    if m1 > SPLINE_MIN_TERMS and not _exact:
-        err += SPLINE_ABS_ERR * _abs_sum(form, s, m1) / abs(eng.gamma_s)
-    if m2 > SPLINE_MIN_TERMS and not _exact:
-        err += (SPLINE_ABS_ERR * eng.med ** (0.5 * (k - 2.0 * s))
-                * _abs_sum(form, k - s, m2) / abs(eng.gamma_s))
-    return float(err)
+def _error_estimate(form: NewformData, eng: _Engine) -> float:
+    """The checked tail majorants plus the evaluation allowance, EVAL_REL_ERR
+    times the sum of |term| on each side with the dual side weighted as it
+    enters the value, as an absolute bound on the normalized value."""
+    pre1, pre2 = _prefabs(form, eng)
+    mass = (np.sum(np.abs(pre1))
+            + eng.med ** (0.5 * (eng.k - 2.0 * eng.s)) * np.sum(np.abs(pre2)))
+    return float(eng.budget + EVAL_REL_ERR * mass / abs(eng.gamma_s))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     central point k/2.
 
     The error estimate is absolute and combines the checked tail majorants
-    with the spline allowance on bulk sums; it is conservative by design.
+    with the evaluation allowance; it is conservative by design.
     """
     k = form.weight
     s = 0.5 * k if s is None else float(s)
@@ -501,8 +502,7 @@ def functional_equation_residual(form: NewformData,
 def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
                          ctx: CoefficientFieldContext,
                          y: float | None = None, nf=None, tol: float = 1e-9,
-                         cfg: AFEConfig | None = None, *,
-                         _exact: bool = False) -> tuple[complex, list[LValueResult]]:
+                         cfg: AFEConfig | None = None) -> tuple[complex, list[LValueResult]]:
     """Route one: the plain mean of central values over the Galois orbit of
     the twist.  Returns (mean, per-character results in orbit order).  A
     trivial seed has a one-element orbit, so this degenerates to the
@@ -513,8 +513,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     prefab folds into residue bins mod p^level, and one `character_sums`
     transform of the bins gives every member's half-sum: chi^t on the main
     side, conj(chi^t) on the dual side.  The root numbers come the same way
-    from `orbit_float_root_numbers`.  _exact evaluates V on the tail route
-    at any length (the doubled-cutoff check).
+    from `orbit_float_root_numbers`.
     """
     if chi.is_trivial():
         res = afe_lvalue(form, None, y=y, nf=nf, tol=tol, cfg=cfg)
@@ -529,7 +528,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
         bins = np.bincount(_mod_index(len(pre), mod), weights=pre, minlength=mod)
         return character_sums(pctx, level, bins)[at]
 
-    pre1, pre2 = _prefabs(form, eng, _exact=_exact)
+    pre1, pre2 = _prefabs(form, eng)
     s1 = half_sums(pre1, idx)
     s2 = half_sums(pre2, -idx % h)
     w = orbit_float_root_numbers(chi, ctx)
@@ -537,7 +536,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     dual = eng.c * w * s2 / eng.gamma_s
     values = s1 / eng.gamma_s + dual
 
-    err = _error_estimate(form, eng, _exact)
+    err = _error_estimate(form, eng)
     main_term = complex(pre1[0] / eng.gamma_s)
     results = [
         LValueResult(value=complex(v), error_estimate=err, y=eng.cfg.y,

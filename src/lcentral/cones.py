@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldElement, NumberFieldData, nf_load
-from .rayclass import PrimeContext, RayClassGroup, rcg_build
+from .rayclass import PrimeContext, RayClassGroup, rcg_build, require_odd_prime
 
 # Enumeration boxes beyond this many candidate points are refused: the
 # counters are desk-scale tools, not analytic machinery.
@@ -156,9 +156,11 @@ def prime_above(nf, p: int) -> PrimeContext:
     the solution a + b*sqrt(m) of |a^2 - m b^2| = p, positive at the plus
     place, with the smallest |b|, then the smallest |a| (remaining ties
     broken toward positive signs), so the same ideal comes back on every
-    call.  Raises if p is inert (no degree-one prime exists).
+    call.  Raises if p is not an odd prime, or is inert (no degree-one
+    prime exists).
     """
     nf = nf_load(nf)
+    require_odd_prime(p)
     if nf.degree == 1:
         return PrimeContext(nf, p, nf.element_from_int(p))
     reducer = reducer_for(nf)

@@ -271,10 +271,8 @@ def doubled_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
                                       nf=setup.nf, tol=cfg.tol)
     big = AFEConfig(y=base[0].y, cutoff_main=2 * base[0].terms_main,
                     cutoff_dual=2 * base[0].terms_dual, tol=cfg.tol)
-    # the doubled sums take V on the exact tail route, so the gap measures
-    # truncation alone and not the spline error of the longer sums
     mean_big, _ = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                       cfg=big, nf=setup.nf, _exact=True)
+                                       cfg=big, nf=setup.nf)
     return abs(mean - mean_big), max(r.error_estimate for r in base)
 
 

@@ -3,14 +3,14 @@
 Three pieces live here:
 
 * SmoothingKernel -- a compactly supported multiplicative bump and its
-  Mellin transform kappa, normalized so kappa(0) = 1.
+  Mellin transform kappa, normalized so kappa(0) = 1; with one node it is
+  the point mass at w = 1, kappa = 1.
 * GammaFactor -- the completed archimedean factor of a totally real field:
   a rational constant times |disc|^z times one shifted (2 pi)^-z Gamma(z)
   per real place.
 * VKernel -- the smoothed cutoff V(x) = (1/2 pi i) int kappa(eps t)
   GammaFactor(s + t) x^-t dt/t appearing on both sides of the approximate
-  functional equation, with two independent evaluation routes and a cached
-  not-a-knot cubic spline (numpy only) for bulk evaluation.
+  functional equation, with two independent evaluation routes.
 
 Route design: the straight contour quadrature (Re t = 2) computes an
 integral whose magnitude is set by GammaFactor(s + 2) x^-2 while the answer
@@ -32,13 +32,6 @@ from scipy.special import gammaincc, kv, loggamma
 TWO_PI = 2.0 * math.pi
 _LOG_TWO_PI = math.log(TWO_PI)
 
-# Knots of the production spline, geometric on [1e-8, decay cutoff].  The
-# narrow bump of afe (width 1/4) gives V a sharper shoulder near x = 1: with
-# 1800 knots its spline misses the tail route by up to 3.6e-12 (s = 8), past
-# afe's 1e-12 per-point allowance; with 3000 it is at most 4.6e-13 at
-# s = 4, 5.5, 6, 6.5 and 8, and 5.6e-14 at width 1.
-SPLINE_POINTS = 3000
-
 
 class SmoothingKernel:
     """Bump w -> c exp(-1/(1 - (log(w)/delta)^2)) on [e^-delta, e^delta] and
@@ -53,6 +46,10 @@ class SmoothingKernel:
     With the default node count kappa is accurate to machine precision for
     |delta Re t| up to a few units, degrading once exp(t u) concentrates
     near the endpoints (|delta Re t| ~ 40).
+
+    nodes = 1 is the point mass at w = 1 rather than a quadrature of the
+    bump: its one node is u = 0 with weight 1, so kappa = 1 exactly and V is
+    one incomplete gamma per real place.  `phi` stays the bump's density.
     """
 
     def __init__(self, nodes: int = 256, width: float = 1.0):
@@ -169,15 +166,14 @@ class VKernel:
     """Smoothed cutoff V(x) for one side of the functional equation.
 
     sign = +1 selects kappa(t) (the sum over the form's own coefficients),
-    sign = -1 selects kappa(-t) (the dual sum).  The shipped bump is
+    sign = -1 selects kappa(-t) (the dual sum).  Every SmoothingKernel is
     symmetric in log w, so kappa is even and the two kernels coincide; the
     sign is kept so the defining integral stays visible in the code.
 
-    value()        -- production route: not-a-knot cubic spline in log x
-                      through tail nodes (`_Spline`, numpy only), zero
-                      beyond the decay cutoff.
+    value()        -- production route: the tail route, what afe's sums
+                      read.
     value_tail()   -- stable route at any x >= 0 (incomplete gamma / Bessel
-                      tails), used to build the spline.
+                      tails, one per kernel node).
     value_contour()-- independent quadrature on Re t = sigma in {-1/2, 2};
                       trustworthy only while |V| is within ~7 digits of
                       GammaFactor(s + sigma) x^-sigma, which is why it serves
@@ -191,7 +187,6 @@ class VKernel:
         self.kernel = kernel
         self.s = complex(s)
         self.sign = sign
-        self._spline = None     # (spline, V at the first node, cutoff), published whole
         self._x_cut = None
 
     # -- stable tail route --------------------------------------------------
@@ -300,94 +295,9 @@ class VKernel:
             self._x_cut = x
         return self._x_cut
 
-    def _ensure_spline(self, points: int = SPLINE_POINTS):
-        # build into locals and publish once: a thread racing through value()
-        # sees either nothing or the finished tuple
-        got = self._spline
-        if got is None:
-            cut = self.decay_cutoff()
-            grid = np.geomspace(1e-8, cut, points)
-            vals = self.value_tail(grid)
-            got = (_Spline(np.log(grid), vals), float(vals[0]), cut)
-            self._spline = got
-        return got
-
     def value(self, x):
-        """Spline-backed V(x) for bulk evaluation (real s only)."""
-        self._require_real_s()
-        spline, v_low, x_cut = self._ensure_spline()
-        xs = np.asarray(x, dtype=float)
-        scalar = not xs.shape
-        xs = np.atleast_1d(xs)
-        if np.any(xs < 0):
-            raise ValueError("V is defined for x >= 0")
-        out = np.zeros_like(xs)
-        low = xs < 1e-8
-        mid = (~low) & (xs <= x_cut)
-        # below the first node V differs from V(0) by O(x^(s - max shift))
-        out[low] = v_low
-        out[mid] = spline(np.log(xs[mid]))
-        return float(out[0]) if scalar else out
-
-
-class _Spline:
-    """Cubic spline through (t, y), at least 4 knots in increasing order,
-    with not-a-knot ends.
-
-    The same interpolant as scipy.interpolate.CubicSpline(t, y) with its
-    default end conditions.  The knot slopes solve one tridiagonal system by
-    a Thomas sweep; after its first step every pivot row is diagonally
-    dominant, so it needs no pivoting.  Each piece is a cubic in t - t_i,
-    evaluated by Horner's rule, and points outside [t_0, t_last] fall on
-    the end pieces, extended.
-    """
-
-    def __init__(self, t, y):
-        n = len(t)
-        h = np.diff(t)
-        slope = np.diff(y) / h
-        # row i: sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i]
-        sub, diag, sup, rhs = np.empty((4, n))
-        sub[1:-1] = h[1:]
-        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
-        sup[1:-1] = h[:-1]
-        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-        # not-a-knot: the third derivative is continuous across t_1 and
-        # t_(n-2), written in the slopes
-        d = h[0] + h[1]
-        diag[0], sup[0] = h[1], d
-        rhs[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
-        d = h[-1] + h[-2]
-        sub[-1], diag[-1] = d, h[-2]
-        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
-        m = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-        # Hermite form of each piece: y_i + m_i s + c2 s^2 + c3 s^3
-        curv = (m[:-1] + m[1:] - 2.0 * slope) / h
-        self._t = t
-        self._coef = np.stack([curv / h, (slope - m[:-1]) / h - curv,
-                               m[:-1], y[:-1]])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self._t, x, side="right") - 1, 0, len(self._t) - 2)
-        s = x - self._t[i]
-        c3, c2, c1, c0 = self._coef[:, i]
-        return ((c3 * s + c2) * s + c1) * s + c0
-
-
-def _thomas(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
-    """Solve the tridiagonal system of `_Spline` by one forward elimination
-    and one back substitution."""
-    n = len(diag)
-    for i in range(1, n):
-        w = sub[i] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    out = [0.0] * n
-    out[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = (rhs[i] - sup[i] * out[i + 1]) / diag[i]
-    return np.array(out)
+        """V(x) for the sums of afe: the tail route, with no interpolation."""
+        return self.value_tail(x)
 
 
 def _bessel_tail(a1: float, a2: float, v: float) -> float:

@@ -46,12 +46,17 @@ def max_residue_level(p: int) -> int:
     return level
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if p < 3 or factorize(p) != {p: 1}:
+        raise ValueError(f"p = {p} is not an odd prime")
+
+
 class PrimeContext:
     """A fixed degree-one prime (pi) above p, with cached local splittings."""
 
     def __init__(self, nf: NumberFieldData, p: int, pi: FieldElement):
-        if p < 3 or factorize(p) != {p: 1}:
-            raise ValueError(f"p = {p} is not an odd prime")
+        require_odd_prime(p)
         if not pi.is_integral() or abs(pi.norm()) != p:
             raise ValueError(f"{pi!r} is not an integral element of norm +-{p}; "
                              f"need a degree-one prime above {p}")

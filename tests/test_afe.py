@@ -325,6 +325,62 @@ def test_error_estimate_dominates_y_motion(delta, rcg25):
     assert abs(at_y.value - at_2y.value) <= at_y.error_estimate
 
 
+# -- decay majorants -----------------------------------------------------------
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("s", [4.0, 5.5, 6.0, 6.5, 8.0])
+def test_decay_majorants_bound_v_past_their_grid(s, sign):
+    # every order's peak lies inside the grid (else _decay_constants raises),
+    # and K_j x^(-j) bounds |V| on a denser grid reaching past its top
+    kern = afe.vkernel_for(Q, (0,), s, sign)
+    consts = afe._decay_constants(kern)
+    assert tuple(consts) == afe.DECAY_ORDERS
+    xs = np.geomspace(1.0, 200.0, 20001)
+    vals = np.abs(kern.value_tail(xs))
+    for j, kj in consts.items():
+        assert 0 < kj < math.inf
+        assert np.all(vals * xs ** j <= kj), j
+
+
+class _StubKernel:
+    """A stand-in V kernel: decay cutoff 1 and the given |V|."""
+
+    def __init__(self, v):
+        self._v = v
+
+    def decay_cutoff(self):
+        return 1.0
+
+    def value_tail(self, xs):
+        return self._v(xs)
+
+
+@pytest.mark.parametrize("v", [np.ones_like, lambda xs: 1e300 * np.exp(-xs)],
+                         ids=["peak-at-the-top", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_decay_majorant_without_a_finite_inner_peak_raises(v):
+    # a V that never decays peaks in the top cell, past which K_j x^(-j)
+    # would not bound it; a product that overflows is no majorant either
+    with pytest.raises(ValueError, match="no finite peak"):
+        afe._decay_constants.__wrapped__(_StubKernel(v))
+
+
+def test_tail_majorant_past_the_float_range_of_scale_to_the_j(delta):
+    # at scale 1e10, scale^32 overflows a float; the majorant is formed from
+    # (scale/m)^j and equals the same bound taken in logarithms
+    kern = afe.vkernel_for(Q, (0,), 6.0, 1)
+    scale, m = 1e10, 10 ** 12
+    with pytest.raises(OverflowError):
+        scale ** 32
+    logs = []
+    for j, kj in afe._decay_constants(kern).items():
+        alpha = 6.0 + j - 5.5
+        logs.append(math.log(2.0 * math.sqrt(3.0) * kj / (alpha - 1.5))
+                    + j * math.log(scale) + (1.5 - alpha) * math.log(m))
+    got = afe._half_sum_tail(delta, kern, 6.0, scale, m)
+    assert got == pytest.approx(math.exp(min(logs)), rel=1e-12)
+
+
 # -- configuration guard rails -----------------------------------------------
 
 def test_insufficient_cutoffs_raise(delta):
@@ -341,7 +397,7 @@ def test_short_form_raises():
 
 
 @pytest.mark.parametrize("p, n, a, need", [
-    (13, 3, 1.34, 366997), (13, 3, 1.4, 582334), (149, 1, 1.98, 299535)])
+    (13, 3, 1.34, 293598), (13, 3, 1.4, 465868), (149, 1, 1.98, 239628)])
 def test_cutoffs_are_chosen_from_the_form_header(p, n, a, need):
     # the rows a fixed padding on p^demand undersized; the helper gives the
     # longest sum from the header of a 16-coefficient probe, no table needed
@@ -380,12 +436,12 @@ def test_afe_keeps_no_twist_or_form_alive():
     # the form, so after an orbit average at conductor 625 dropping the form
     # and the characters frees both.  Every character of the level holds its
     # ray class group, so a freed group means no orbit member survived.
-    form = builtin_newform("delta", limit=7630)
+    form = builtin_newform("delta", limit=6104)
     rcg = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 4)
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.order == 125 and c.is_primitive())
     _, results = orbit_average_lvalue(form, seed, CTX5)
-    assert len(results) == 100 and results[0].terms_dual == 7630
+    assert len(results) == 100 and results[0].terms_dual == 6104
     refs = [weakref.ref(form), weakref.ref(rcg)]
     del form, rcg, seed
     gc.collect()

@@ -292,7 +292,7 @@ def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     cx = dict(nb, nebentypus="trivial",
               prime_eigenvalues=dict(nb["prime_eigenvalues"], **{"2": [0, 1]}))
     short = {"label": "short", "weight_vector": [12], "atkin_lehner": -1,
-             "coefficients": tau_table(300)[1:]}
+             "coefficients": tau_table(200)[1:]}
     paths = {}
     for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC),
                       ("gaussian", _GAUSSIAN_DOC), ("cx", cx), ("short", short)):
@@ -307,11 +307,11 @@ def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
     # a full table ignores --limit, so the message names only the shortfall
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"label": "short", "weight_vector": [12],
-                                "atkin_lehner": -1, "coefficients": tau_table(300)[1:]}))
+                                "atkin_lehner": -1, "coefficients": tau_table(200)[1:]}))
     assert main(["lvalue", "--form", str(path), "--limit", "5000",
                  "--char", "rationals.p5.m2.chi3"]) == 2
     err = capsys.readouterr().err.strip()
-    assert err == "error: form carries coefficients to 300 but the sums need 306"
+    assert err == "error: form carries coefficients to 200 but the sums need 245"
 
 
 @pytest.mark.parametrize("rows", ["prime_eigenvalues", "coefficients"])
@@ -350,7 +350,14 @@ def test_coefficient_limit_below_one_refused(tmp_path, capsys, limit):
     (["lav-scan", "--p", "9"], 9),
     (["cone-count", "--p", "15", "--n", "1", "--x", "50"], 15),
     (["gauss-sum", "--char", "rationals.p9.m2.chi1"], 9),
-], ids=["lav-scan-1", "lav-scan-9", "cone-count-15", "gauss-sum-9"])
+    (["cone-count", "--field", "quadratic-sqrt2", "--n", "1", "--x", "100",
+      "--p", "-7"], -7),
+    (["cone-count", "--field", "quadratic-sqrt2", "--n", "1", "--x", "100",
+      "--p", "0"], 0),
+    (["cone-count", "--field", "quadratic-sqrt2", "--n", "1", "--x", "100",
+      "--p", "15"], 15),
+], ids=["lav-scan-1", "lav-scan-9", "cone-count-15", "gauss-sum-9",
+        "sqrt2-cone-count-minus-7", "sqrt2-cone-count-0", "sqrt2-cone-count-15"])
 def test_p_that_is_not_an_odd_prime_refused(capsys, argv, p):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -106,11 +106,11 @@ def test_failed_row_is_reported_not_raised():
     assert row.flags == ()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_doubled_cutoffs_stay_within_error_estimate(n):
-    # at n = 2 the doubled main side is past SPLINE_MIN_TERMS; it takes V on
-    # the tail route, so the gap is truncation alone
-    gap, err = doubled_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=2), n)
+    # every sum reads V on the tail route, so the doubled sums differ from
+    # the reported ones by the dropped tails and the evaluation error alone
+    gap, err = doubled_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=3), n)
     assert gap <= err
 
 
@@ -160,22 +160,23 @@ def test_scan_refuses_a_nontrivial_nebentypus(tmp_path):
 
 
 def test_bump_width_leaves_the_tower_within_its_error_bars(monkeypatch):
-    # the smoothed identity holds for any bump, so the averaged values at the
-    # production width and at width 1 (no V value in common, and sums of
-    # different lengths) must agree within the two rows' error estimates
+    # the smoothed identity holds for any weight, so the averaged values of
+    # the production point mass and of the width-1 bump (no V value in
+    # common, and sums of different lengths) must agree within the two rows'
+    # error estimates
     from lcentral import afe
     from lcentral.kernels import SmoothingKernel
 
     cfg = ExperimentConfig(n_lo=1, n_hi=4, a=1.25)
-    narrow = run_lav_experiment(cfg)
-    monkeypatch.setattr(afe, "_BUMP", SmoothingKernel())
+    point = run_lav_experiment(cfg)
+    monkeypatch.setattr(afe, "_KERNEL", SmoothingKernel())
     afe.vkernel_for.cache_clear()
     try:
         wide = run_lav_experiment(cfg)
     finally:
         monkeypatch.undo()
         afe.vkernel_for.cache_clear()
-    for a, b in zip(narrow.rows, wide.rows):
+    for a, b in zip(point.rows, wide.rows):
         assert a.error is None and b.error is None
         gap = abs(complex(a.lav_re, a.lav_im) - complex(b.lav_re, b.lav_im))
         assert gap <= a.error_estimate + b.error_estimate, (a.n, gap)

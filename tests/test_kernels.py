@@ -1,15 +1,13 @@
 import math
-import random
-import sys
-import threading
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
-from lcentral.afe import BUMP_WIDTH, SPLINE_ABS_ERR
+from lcentral.afe import EVAL_REL_ERR
 from lcentral.fields import nf_load
-from lcentral.kernels import (SPLINE_POINTS, GammaFactor, SmoothingKernel, VKernel,
-                              _Spline, totally_positive_unit_index)
+from lcentral.kernels import (GammaFactor, SmoothingKernel, VKernel,
+                              totally_positive_unit_index)
 
 Q = nf_load("rationals")
 K = nf_load("Qsqrt2")
@@ -136,51 +134,6 @@ def test_kernel_sign_is_cosmetic_for_symmetric_bump():
     assert np.max(np.abs(v_plus - v_minus)) < 1e-15
 
 
-def test_spline_matches_tail_route():
-    V = VKernel(GQ, KERNEL, 6.0)
-    rng = random.Random(3)
-    scale = abs(GQ.value(6))
-    for _ in range(40):
-        x = 10 ** rng.uniform(-6, math.log10(15))
-        assert abs(V.value(x) - V.value_tail(x)) < 1e-9 * scale
-    # beyond the decay cutoff the spline route returns exactly zero
-    assert V.value(V.decay_cutoff() * 2) == 0.0
-    # vectorized evaluation agrees with scalars
-    xs = np.array([1e-9, 1e-3, 1.0, 4.0])
-    vec = V.value(xs)
-    assert np.allclose(vec, [V.value(float(x)) for x in xs], rtol=0, atol=1e-18)
-
-
-@pytest.mark.parametrize("s,sign", [(6.0, 1), (6.0, -1), (5.5, 1), (8.0, 1), (4.0, -1)])
-def test_spline_matches_scipy_cubic_spline(s, sign):
-    # the production grid of each kernel the engine builds, against scipy's
-    # not-a-knot CubicSpline as the oracle, inside the knots and past both ends
-    from scipy.interpolate import CubicSpline
-
-    V = VKernel(GQ, KERNEL, s, sign)
-    grid = np.geomspace(1e-8, V.decay_cutoff(), SPLINE_POINTS)
-    t, vals = np.log(grid), V.value_tail(grid)
-    xs = np.concatenate([t, np.linspace(t[0] - 1.0, t[-1] + 1.0, 20001)])
-    gap = np.max(np.abs(_Spline(t, vals)(xs) - CubicSpline(t, vals)(xs)))
-    assert gap <= 1e-15 * abs(vals[0]), gap
-
-
-def test_spline_is_exact_on_cubics():
-    # not-a-knot ends make the interpolant of a cubic that cubic itself
-    rng = np.random.default_rng(5)
-    t = np.sort(rng.uniform(-3.0, 4.0, 40))
-
-    def cubic(x):
-        return ((0.7 * x - 1.3) * x + 0.4) * x - 2.0
-
-    spline = _Spline(t, cubic(t))
-    xs = np.linspace(-4.0, 5.0, 1001)
-    assert np.max(np.abs(spline(xs) - cubic(xs))) < 1e-12
-    # each knot but the last is the start of its piece, read off exactly
-    assert np.array_equal(spline(t[:-1]), cubic(t[:-1]))
-    assert spline(t[-1]) == pytest.approx(cubic(t[-1]), rel=1e-14)
-
-
 def test_degree_two_routes_agree():
     V = VKernel(GK, KERNEL, 6.0)
     for x in (0.5, 2.0):
@@ -201,42 +154,11 @@ def test_tail_route_input_validation():
 
 
 
-def test_spline_is_published_whole_across_threads():
-    # the first thread is paused at every line of the spline build once any
-    # of its state is visible, and a second thread calls value() on the same
-    # fresh kernel right then: it must find the spline complete
-    kern = VKernel(GQ, KERNEL, 6.0)
-    xs = np.geomspace(1e-9, 40.0, 300)
-    seen = {}
+# -- the bump width and the point mass ------------------------------------------
 
-    def second():
-        try:
-            seen["value"] = kern.value(xs)
-        except Exception as exc:          # recorded, then asserted below
-            seen["error"] = exc
-
-    def on_line(frame, event, arg):
-        if event == "line" and kern._spline is not None and not seen:
-            th = threading.Thread(target=second)
-            th.start()
-            th.join()
-        return on_line
-
-    def tracer(frame, event, arg):
-        return on_line if frame.f_code.co_name == "_ensure_spline" else None
-
-    sys.settrace(tracer)
-    try:
-        first = kern.value(xs)
-    finally:
-        sys.settrace(None)
-    assert "error" not in seen, seen.get("error")
-    assert np.array_equal(seen["value"], first)
-
-
-# -- the bump width ------------------------------------------------------------
-
+BUMP_WIDTH = 0.25
 NARROW = SmoothingKernel(width=BUMP_WIDTH)
+POINT = SmoothingKernel(nodes=1)
 
 
 def test_width_rescales_the_transform_and_the_support():
@@ -256,17 +178,46 @@ def test_width_rescales_the_transform_and_the_support():
 def test_narrow_bump_shortens_the_decay_cutoff():
     assert VKernel(GQ, KERNEL, 6.0).decay_cutoff() == pytest.approx(19.073, abs=1e-3)
     assert VKernel(GQ, NARROW, 6.0).decay_cutoff() == pytest.approx(12.207, abs=1e-3)
+    assert VKernel(GQ, POINT, 6.0).decay_cutoff() == pytest.approx(9.766, abs=1e-3)
 
 
 def test_tail_and_contour_routes_agree_at_the_production_width():
+    # the width-1/4 bump, afe's weight before the point mass
     _tail_and_contour_routes_agree(NARROW)
 
 
-@pytest.mark.parametrize("s,sign", [(6.0, 1), (6.0, -1), (8.0, 1)])
-def test_production_spline_stays_within_the_allowance(s, sign):
-    # the error estimate charges SPLINE_ABS_ERR per spline-evaluated term;
-    # the production kernel's spline must keep well inside it
-    V = VKernel(GQ, NARROW, s, sign)
-    xs = np.geomspace(1e-8, V.decay_cutoff(), 20001)
-    miss = np.max(np.abs(V.value(xs) - V.value_tail(xs)))
-    assert miss <= 0.5 * SPLINE_ABS_ERR, miss
+def test_point_mass_is_one_incomplete_gamma():
+    # one Gauss node at u = 0 with weight 1: kappa = 1 and, over Q,
+    # V(x) = Gamma_F(s) Q(s, 2 pi x), the regularized upper incomplete gamma
+    assert POINT.log_nodes.tolist() == [0.0] and POINT.node_weights.tolist() == [1.0]
+    assert POINT.kappa(3.0 - 2.0j) == 1.0
+    V = VKernel(GQ, POINT, 6.0)
+    xs = np.geomspace(1e-3, 9.0, 50)
+    want = GQ.value(6.0).real * gammaincc(6.0, 2.0 * math.pi * xs)
+    assert np.max(np.abs(V.value(xs) / want - 1.0)) < 1e-14
+
+
+def test_tail_and_contour_routes_agree_for_the_point_mass():
+    _tail_and_contour_routes_agree(POINT)
+
+
+def _gammaincc_closed_form(a: int, x: float) -> float:
+    """Q(a, x) = e^-x sum_{k < a} x^k / k! for integer a."""
+    term, terms = 1.0, [1.0]
+    for k in range(1, a):
+        term *= x / k
+        terms.append(term)
+    return math.exp(-x) * math.fsum(terms)
+
+
+@pytest.mark.parametrize("a", [1, 6, 8])
+def test_gammaincc_stays_within_half_the_evaluation_allowance(a):
+    # afe charges EVAL_REL_ERR per term; the one special function of a
+    # degree-1 V must keep to half of it on a dense grid up to 2 pi times the
+    # point mass's decay cutoff, the largest argument a sum reaches
+    top = 2.0 * math.pi * VKernel(GQ, POINT, 6.0).decay_cutoff()
+    xs = np.geomspace(1e-3, top, 4001)
+    got = gammaincc(float(a), xs)
+    want = np.array([_gammaincc_closed_form(a, x) for x in xs.tolist()])
+    worst = float(np.max(np.abs(got / want - 1.0)))
+    assert worst <= 0.5 * EVAL_REL_ERR, worst
