@@ -30,7 +30,7 @@ from .cones import (count_progression, min_norm_coset, prime_above,
                     torsion_norm_bound, verify_count_bound)
 from .experiment import ExperimentConfig, run_lav_experiment
 from .fields import nf_load
-from .kernels import GammaFactor, SmoothingKernel, VKernel
+from .kernels import GammaFactor, VKernel
 from .newforms import builtin_newform, newform_load
 from .rayclass import rcg_build, residue_characters, seed_character
 from .roots import CyclotomicNumber
@@ -248,7 +248,7 @@ def _c05_dual_sum_envelope(fast: bool):
 def _c06_kernel_asymptotics(fast: bool):
     Q = nf_load("rationals")
     G = GammaFactor(Q, (0,))
-    V = VKernel(G, SmoothingKernel(), 6.0)
+    V = VKernel(G, 6.0)
     g = G.value(6).real
     env_margin = 0.0
     for x in (1e-2, 1e-4, 1e-6):

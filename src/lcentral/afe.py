@@ -7,13 +7,11 @@ The completed value is assembled from two smoothed half-sums,
                                               n^(s-k) V2(n y / Med),
 
 where Med = (level norm) * (twist conductor norm)^2, eta*a are the
-reflected coefficients, V1/V2 are gamma-kernel transforms of the smoothing
-weight taken at spectral points s and k-s, W is the twist root number and C
-the exact archimedean constant.  The weight is the point mass at w = 1,
-`kernels.SmoothingKernel(nodes=1)`: the identity holds for any weight whose
-Mellin transform is even, entire and 1 at 0, and with kappa = 1 each V is
-one incomplete gamma (the classical Lavrik form).  The reported value is
-the normalized
+reflected coefficients, V1/V2 are the `kernels.VKernel` cutoffs at spectral
+points s and k-s, W is the twist root number and C the exact archimedean
+constant.  The weight is the point mass at w = 1, so each V is one
+incomplete gamma (the classical Lavrik form); at the central point s = k/2
+both sides share one kernel.  The reported value is the normalized
 
     L(s) = Lam(s) / (Gamma_F(s) Med^(s/2)).
 
@@ -50,7 +48,7 @@ from .charsums import (CoefficientFieldContext, averaged_char_table,
                        orbit_float_root_numbers, orbit_index, root_number,
                        substitutions)
 from .fields import NumberFieldData, nf_load
-from .kernels import GammaFactor, SmoothingKernel, VKernel
+from .kernels import GammaFactor, VKernel
 from .newforms import NewformData
 from .rayclass import HeckeCharacter
 from .roots import unit_circle_array
@@ -113,11 +111,6 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 # serve every character of an orbit and every level sharing s.  What is
 # derived from a form's coefficients lives on the form, so it goes with it.
 
-# The smoothing weight is free (any weight whose Mellin transform is even,
-# entire and 1 at 0 gives the same identity), and it sets the decay cutoff
-# of V and with it the length of every sum: the point mass at w = 1 gives
-# 9.77, where the bump of width 1/4 gave 12.21 and that of width 1 19.07.
-_KERNEL = SmoothingKernel(nodes=1)
 _memo = lru_cache(maxsize=64)
 
 
@@ -127,8 +120,8 @@ def gamma_factor_for(nf: NumberFieldData, shifts: tuple) -> GammaFactor:
 
 
 @_memo
-def vkernel_for(nf: NumberFieldData, shifts: tuple, s: float, sign: int = 1) -> VKernel:
-    return VKernel(gamma_factor_for(nf, shifts), _KERNEL, float(s), sign=sign)
+def vkernel_for(nf: NumberFieldData, shifts: tuple, s: float) -> VKernel:
+    return VKernel(gamma_factor_for(nf, shifts), float(s))
 
 
 @_memo
@@ -293,8 +286,9 @@ class LValueResult(NamedTuple):
 
 
 def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VKernel]:
-    """The V kernels of the two half-sums at spectral points s and k - s."""
-    return vkernel_for(nf, shifts, s, 1), vkernel_for(nf, shifts, k - s, -1)
+    """The V kernels of the two half-sums at spectral points s and k - s:
+    one shared kernel at the central point."""
+    return vkernel_for(nf, shifts, s), vkernel_for(nf, shifts, k - s)
 
 
 def _tails(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
@@ -454,7 +448,9 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
 def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
                y: float | None, nf, reflected: bool,
                tol: float) -> tuple[complex, _Engine]:
-    """lambda_completed for a normalized twist, with the engine it used."""
+    """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist, with the
+    engine it used; reflected=True takes the reflected object (eta * a, the
+    conjugate twist) that the reflection identity compares at k - s."""
     eng = _engine(form, nf, chi, s, y, tol)
     k, s = eng.k, eng.s
     # the reflected object swaps coefficient sign and conjugates the twist
@@ -464,18 +460,6 @@ def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
     lam = (eng.med ** (0.5 * s) * s1
            + eng.c * _root_number(chi1) * eng.med ** (0.5 * (k - s)) * s2)
     return lam, eng
-
-
-def lambda_completed(form: NewformData, chi: HeckeCharacter | None,
-                     s: float, y: float | None = None, nf=None,
-                     reflected: bool = False, tol: float = 1e-9) -> complex:
-    """Completed value Med^(s/2) Gamma_F(s) L(s, form x chi).
-
-    reflected=True evaluates the reflected object instead (coefficients
-    eta * a with the conjugate twist), which is what the reflection
-    identity compares against at spectral point k - s.
-    """
-    return _completed(form, _normalize_twist(chi), s, y, nf, reflected, tol)[0]
 
 
 def functional_equation_residual(form: NewformData,

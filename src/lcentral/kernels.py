@@ -1,26 +1,26 @@
-"""Archimedean kernels for the smoothed approximate functional equation.
+"""Archimedean kernels for the approximate functional equation.
 
-Three pieces live here:
+Two pieces live here:
 
-* SmoothingKernel -- a compactly supported multiplicative bump and its
-  Mellin transform kappa, normalized so kappa(0) = 1; with one node it is
-  the point mass at w = 1, kappa = 1.
 * GammaFactor -- the completed archimedean factor of a totally real field:
   a rational constant times |disc|^z times one shifted (2 pi)^-z Gamma(z)
   per real place.
-* VKernel -- the smoothed cutoff V(x) = (1/2 pi i) int kappa(eps t)
-  GammaFactor(s + t) x^-t dt/t appearing on both sides of the approximate
-  functional equation, with two independent evaluation routes.
+* VKernel -- the cutoff V(x) = (1/2 pi i) int GammaFactor(s + t) x^-t dt/t
+  appearing on both sides of the approximate functional equation, with two
+  independent evaluation routes.
+
+The weight is the point mass at w = 1: the identity holds for any weight
+whose Mellin transform is even, entire and 1 at 0, and the point mass's
+transform is 1, so V is the classical Lavrik form (Dokchitser, "Computing
+special values of motivic L-functions", Experiment. Math. 13, 2004).
 
 Route design: the straight contour quadrature (Re t = 2) computes an
 integral whose magnitude is set by GammaFactor(s + 2) x^-2 while the answer
 decays like exp(-c x), so in double precision it loses all relative accuracy
-once x is around 15; and shifting the contour far right is no better because
-the quadrature of kappa itself degrades for large |Re t|.  The production
-route therefore rewrites the integral as a bump-weighted average of upper
-incomplete gamma tails (one per real place via the Bessel K kernel when the
-degree is 2), which is stable for every x >= 0.  The contour route is kept
-on the narrow strips Re t in {-1/2, 2} as an independent cross-check.
+once x is around 15.  The production route therefore writes V as one upper
+incomplete gamma tail (the Bessel K tail when the degree is 2), which is
+stable for every x >= 0.  The contour route is kept on the narrow strips
+Re t in {-1/2, 2} as an independent cross-check.
 """
 
 import math
@@ -31,67 +31,6 @@ from scipy.special import gammaincc, kv, loggamma
 
 TWO_PI = 2.0 * math.pi
 _LOG_TWO_PI = math.log(TWO_PI)
-
-
-class SmoothingKernel:
-    """Bump w -> c exp(-1/(1 - (log(w)/delta)^2)) on [e^-delta, e^delta] and
-    its transform.
-
-    The width delta (default 1, the bump on [1/e, e]) only rescales log w:
-    the Gauss-Legendre nodes in u = log w are those of the unit bump times
-    delta, with the same weights, so kappa_delta(t) = kappa_1(delta t).  The
-    constant c is fixed numerically so that the Mellin transform
-    kappa(t) = int phi(w) w^t dw/w satisfies kappa(0) = 1.  kappa is entire,
-    and because the bump is symmetric in log w it is an even function of t.
-    With the default node count kappa is accurate to machine precision for
-    |delta Re t| up to a few units, degrading once exp(t u) concentrates
-    near the endpoints (|delta Re t| ~ 40).
-
-    nodes = 1 is the point mass at w = 1 rather than a quadrature of the
-    bump: its one node is u = 0 with weight 1, so kappa = 1 exactly and V is
-    one incomplete gamma per real place.  `phi` stays the bump's density.
-    """
-
-    def __init__(self, nodes: int = 256, width: float = 1.0):
-        if not width > 0:
-            raise ValueError("the bump width must be positive")
-        u, wts = np.polynomial.legendre.leggauss(nodes)
-        bump = np.exp(-1.0 / (1.0 - u * u))
-        self.nodes = nodes
-        self.width = float(width)
-        self._u = self.width * u
-        self._raw_weights = wts * bump
-        self.mass = float(np.sum(self._raw_weights))
-
-    @property
-    def log_nodes(self) -> np.ndarray:
-        """Quadrature abscissas in u = log w."""
-        return self._u
-
-    @property
-    def node_weights(self) -> np.ndarray:
-        """Weights of the normalized measure phi(w) dw/w at the nodes."""
-        return self._raw_weights / self.mass
-
-    def kappa(self, t):
-        """Mellin transform at t (scalar or array, real or complex)."""
-        arr = np.asarray(t, dtype=complex)
-        vals = np.exp(np.multiply.outer(arr, self._u)) @ self._raw_weights / self.mass
-        return vals if arr.shape else complex(vals)
-
-    def phi(self, w):
-        """The normalized bump, vanishing outside (e^-delta, e^delta)."""
-        arr = np.asarray(w, dtype=float)
-        scalar = not arr.shape
-        arr = np.atleast_1d(arr)
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        lw = np.log(arr[pos]) / self.width
-        inside = np.abs(lw) < 1.0
-        vals = np.zeros_like(lw)
-        vals[inside] = np.exp(-1.0 / (1.0 - lw[inside] ** 2)) / (self.width * self.mass)
-        out[pos] = vals
-        return float(out[0]) if scalar else out
 
 
 def totally_positive_unit_index(nf) -> int:
@@ -163,30 +102,22 @@ class ContourEval(NamedTuple):
 
 
 class VKernel:
-    """Smoothed cutoff V(x) for one side of the functional equation.
-
-    sign = +1 selects kappa(t) (the sum over the form's own coefficients),
-    sign = -1 selects kappa(-t) (the dual sum).  Every SmoothingKernel is
-    symmetric in log w, so kappa is even and the two kernels coincide; the
-    sign is kept so the defining integral stays visible in the code.
+    """Cutoff V(x) for the side of the functional equation at spectral
+    point s, with the point mass as weight.
 
     value()        -- production route: the tail route, what afe's sums
                       read.
-    value_tail()   -- stable route at any x >= 0 (incomplete gamma / Bessel
-                      tails, one per kernel node).
+    value_tail()   -- stable route at any x >= 0: one incomplete gamma for
+                      one real place, one Bessel tail for two.
     value_contour()-- independent quadrature on Re t = sigma in {-1/2, 2};
                       trustworthy only while |V| is within ~7 digits of
                       GammaFactor(s + sigma) x^-sigma, which is why it serves
                       as a cross-check rather than the production path.
     """
 
-    def __init__(self, gamma: GammaFactor, kernel: SmoothingKernel, s, sign: int = 1):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def __init__(self, gamma: GammaFactor, s):
         self.gamma = gamma
-        self.kernel = kernel
         self.s = complex(s)
-        self.sign = sign
         self._x_cut = None
 
     # -- stable tail route --------------------------------------------------
@@ -200,53 +131,41 @@ class VKernel:
         return sp
 
     def value_tail(self, x):
-        """V(x) as a bump-weighted average of archimedean tail integrals."""
+        """V(x) as one upper incomplete gamma (Bessel) tail, at any shape of x."""
         sp = self._require_real_s()
         xs = np.asarray(x, dtype=float)
         scalar = not xs.shape
         xs = np.atleast_1d(xs)
         if np.any(xs < 0):
             raise ValueError("V is defined for x >= 0")
-        # node weights of phi(w) dw/w and the per-node scaling w^(-sign)
-        wfac = np.exp(-self.sign * self.kernel.log_nodes)
         if self.gamma.r1 == 1:
             a = sp - self.gamma.shifts[0]
-            u0 = TWO_PI * xs / self.gamma.disc
-            args = np.multiply.outer(u0, wfac)
-            inner = gammaincc(a, args) @ self.kernel.node_weights
             log_pref = (math.log(self.gamma.const) + sp * math.log(self.gamma.disc)
                         - a * _LOG_TWO_PI + math.lgamma(a))
-            out = math.exp(log_pref) * inner
+            out = math.exp(log_pref) * gammaincc(a, TWO_PI * xs / self.gamma.disc)
         else:
             a1 = sp - self.gamma.shifts[0]
             a2 = sp - self.gamma.shifts[1]
             u0 = TWO_PI ** 2 * xs / self.gamma.disc
-            args = np.multiply.outer(u0, wfac)
-            inner = np.empty_like(args)
-            flat = inner.reshape(-1)
-            for i, v in enumerate(args.reshape(-1)):
-                flat[i] = _bessel_tail(a1, a2, v)
+            tails = [_bessel_tail(a1, a2, v) for v in u0.reshape(-1).tolist()]
             pref = (self.gamma.const * self.gamma.disc ** sp
                     * TWO_PI ** (-(a1 + a2)))
-            out = pref * (inner @ self.kernel.node_weights)
+            out = pref * np.reshape(tails, u0.shape)
         return float(out[0]) if scalar else out
 
     # -- contour route --------------------------------------------------------
 
     def _integrand(self, taus: np.ndarray, x: float, sigma: float) -> np.ndarray:
         t = sigma + 1j * taus
-        kap = self.kernel.kappa(self.sign * t)
-        logg = self.gamma.log_value(self.s + t)
-        return kap * np.exp(logg - t * math.log(x)) / t
+        return np.exp(self.gamma.log_value(self.s + t) - t * math.log(x)) / t
 
     def _half_height(self, x: float, sigma: float, tol: float) -> float:
-        kb = abs(self.kernel.kappa(complex(abs(sigma))))
-        scale = abs(np.exp(self.gamma.log_value(self.s + sigma))) * x ** (-sigma) * kb
+        scale = abs(np.exp(self.gamma.log_value(self.s + sigma))) * x ** (-sigma)
         target = max(tol * 1e-3 * scale, 1e-290)
         half = 10.0
         while half < 400.0:
             mag = (abs(np.exp(self.gamma.log_value(self.s + sigma + 1j * half)))
-                   * x ** (-sigma) * kb / abs(sigma + 1j * half))
+                   * x ** (-sigma) / abs(sigma + 1j * half))
             if mag < target:
                 return half
             half += 5.0
@@ -275,7 +194,7 @@ class VKernel:
         value = total / TWO_PI
         if sigma < 0:
             # the contour crossed the simple pole at t = 0 with residue
-            # kappa(0) GammaFactor(s) = GammaFactor(s)
+            # GammaFactor(s)
             value = value + complex(np.exp(self.gamma.log_value(self.s)))
         return ContourEval(value=value, error_estimate=err, sigma=sigma,
                            half_height=half, step=h)

@@ -34,10 +34,6 @@ class RootOfUnity:
     def __init__(self, phase: Fraction | int = 0):
         self.phase = Fraction(phase) % 1
 
-    @classmethod
-    def e(cls, numerator: int, denominator: int) -> "RootOfUnity":
-        return cls(Fraction(numerator, denominator))
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.phase + other.phase)
 

@@ -15,8 +15,7 @@ from lcentral import afe, charsums, tau
 from lcentral.afe import (AFEConfig, afe_lvalue, archimedean_constant,
                           averaged_coefficient_lvalue, character_value_table,
                           choose_cutoffs, direct_series, exponent_window,
-                          functional_equation_residual, lambda_completed,
-                          orbit_average_lvalue)
+                          functional_equation_residual, orbit_average_lvalue)
 from lcentral.charsums import CoefficientFieldContext, galois_orbit
 from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
@@ -207,7 +206,7 @@ def test_reflection_residual_twisted(delta, rcg25):
 def test_completed_value_consistency(delta):
     # Lam(s) = Gamma_F(s) Med^(s/2) L(s) on the untwisted diagonal
     from lcentral.afe import gamma_factor_for
-    lam = lambda_completed(delta, None, 6.0)
+    lam = afe._completed(delta, None, 6.0, None, None, False, 1e-9)[0]
     res = afe_lvalue(delta, None, s=6.0)
     gam = gamma_factor_for(Q, delta.gamma_shifts)
     assert abs(lam - gam.value(6.0) * res.value) < 1e-12 * abs(lam)
@@ -327,12 +326,11 @@ def test_error_estimate_dominates_y_motion(delta, rcg25):
 
 # -- decay majorants -----------------------------------------------------------
 
-@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("s", [4.0, 5.5, 6.0, 6.5, 8.0])
-def test_decay_majorants_bound_v_past_their_grid(s, sign):
+def test_decay_majorants_bound_v_past_their_grid(s):
     # every order's peak lies inside the grid (else _decay_constants raises),
     # and K_j x^(-j) bounds |V| on a denser grid reaching past its top
-    kern = afe.vkernel_for(Q, (0,), s, sign)
+    kern = afe.vkernel_for(Q, (0,), s)
     consts = afe._decay_constants(kern)
     assert tuple(consts) == afe.DECAY_ORDERS
     xs = np.geomspace(1.0, 200.0, 20001)
@@ -340,6 +338,16 @@ def test_decay_majorants_bound_v_past_their_grid(s, sign):
     for j, kj in consts.items():
         assert 0 < kj < math.inf
         assert np.all(vals * xs ** j <= kj), j
+
+
+def test_central_point_shares_one_kernel_between_the_sides():
+    # at s = k/2 both half-sums read V at the same spectral point, so one
+    # kernel, one decay cutoff and one set of decay constants serve both
+    main, dual = afe._kernels(Q, (0,), 12, 6.0)
+    assert main is dual
+    main, dual = afe._kernels(Q, (0,), 12, 5.5)
+    assert main is not dual
+    assert (main.s, dual.s) == (5.5, 6.5)
 
 
 class _StubKernel:
@@ -368,7 +376,7 @@ def test_decay_majorant_without_a_finite_inner_peak_raises(v):
 def test_tail_majorant_past_the_float_range_of_scale_to_the_j(delta):
     # at scale 1e10, scale^32 overflows a float; the majorant is formed from
     # (scale/m)^j and equals the same bound taken in logarithms
-    kern = afe.vkernel_for(Q, (0,), 6.0, 1)
+    kern = afe.vkernel_for(Q, (0,), 6.0)
     scale, m = 1e10, 10 ** 12
     with pytest.raises(OverflowError):
         scale ** 32

@@ -65,7 +65,7 @@ def average_iota(chi, ctx, a):
 def member_roots(chi, ctx):
     """orbit_root_numbers as one RootOfUnity per orbit member."""
     level, phases = orbit_root_numbers(chi, ctx)
-    return [RootOfUnity.e(int(w), level) for w in phases]
+    return [RootOfUnity(Fraction(int(w), level)) for w in phases]
 
 
 def test_quadratic_gauss_sum_is_sqrt5():

@@ -1,6 +1,7 @@
 """Averaging scans: config validation, frozen level values, report plumbing."""
 
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -9,9 +10,10 @@ import pytest
 
 from lcentral.afe import afe_lvalue, exponent_window
 from lcentral.experiment import (ExperimentConfig, ExperimentReport, _Setup,
-                                 doubled_cutoff_gap, envelope_terms,
+                                 envelope_terms, halved_cutoff_gap,
                                  report_from_json, report_to_json,
                                  run_lav_experiment)
+from oracles import BumpVKernel
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +109,11 @@ def test_failed_row_is_reported_not_raised():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_doubled_cutoffs_stay_within_error_estimate(n):
-    # every sum reads V on the tail route, so the doubled sums differ from
-    # the reported ones by the dropped tails and the evaluation error alone
-    gap, err = doubled_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=3), n)
-    assert gap <= err
+def test_halved_cutoffs_stay_within_error_estimate(n):
+    # the halved sums drop terms the reported ones keep, so they must move
+    # every member, and by no more than their own tail majorants allow
+    gap, err = halved_cutoff_gap(ExperimentConfig(n_lo=1, n_hi=3), n)
+    assert 0 < gap <= err
 
 
 def test_table_holds_exactly_the_longest_cutoff_of_the_scan():
@@ -165,17 +167,16 @@ def test_bump_width_leaves_the_tower_within_its_error_bars(monkeypatch):
     # common, and sums of different lengths) must agree within the two rows'
     # error estimates
     from lcentral import afe
-    from lcentral.kernels import SmoothingKernel
 
     cfg = ExperimentConfig(n_lo=1, n_hi=4, a=1.25)
     point = run_lav_experiment(cfg)
-    monkeypatch.setattr(afe, "_KERNEL", SmoothingKernel())
-    afe.vkernel_for.cache_clear()
-    try:
-        wide = run_lav_experiment(cfg)
-    finally:
-        monkeypatch.undo()
-        afe.vkernel_for.cache_clear()
+
+    @functools.lru_cache
+    def bump_kernel(nf, shifts, s):
+        return BumpVKernel(afe.gamma_factor_for(nf, shifts), float(s))
+
+    monkeypatch.setattr(afe, "vkernel_for", bump_kernel)
+    wide = run_lav_experiment(cfg)
     for a, b in zip(point.rows, wide.rows):
         assert a.error is None and b.error is None
         gap = abs(complex(a.lav_re, a.lav_im) - complex(b.lav_re, b.lav_im))

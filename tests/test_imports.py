@@ -75,11 +75,11 @@ _UNREFERENCED_ALLOWED = {
     "abelian.FiniteAbelianGroup.char_at": _GROUP_ORACLE,
     "abelian.FiniteAbelianGroup.char_phase": _GROUP_ORACLE,
     "abelian.FiniteAbelianGroup.char_order": _GROUP_ORACLE,
+    "abelian.FiniteAbelianGroup.inv": _GROUP_ORACLE,
+    "abelian.FiniteAbelianGroup.pow": _GROUP_ORACLE,
     "charsums.galois_orbit": "the benchmark tracer resolves it; it moves with the "
                              "tracer (ROADMAP items 5, 9)",
-    "afe.lambda_completed": "the completed value Lambda(s), reached only by tests; "
-                            "open under ROADMAP item 9",
-    "experiment.doubled_cutoff_gap": "deliberate oracle: the same row at doubled cutoffs",
+    "experiment.halved_cutoff_gap": "deliberate oracle: the same row at halved cutoffs",
     "experiment.report_from_json": "the benchmark harness reads scan reports with it",
     "roots.CyclotomicNumber.galois": "deliberate oracle: the exact Galois action the "
                                      "tests check the orbit Gauss sums against",
@@ -90,30 +90,33 @@ _UNREFERENCED_ALLOWED = {
 
 
 def _unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """module.qualname of each top-level function and class, and of each
-    method, whose name no Name or Attribute node outside its own definition
-    carries; dunder methods are called by the language and are skipped."""
-    named = defaultdict(list)
+    """module.qualname of each top-level function and class whose name no
+    Name or Attribute node outside its own definition carries, and of each
+    method whose name no Attribute node outside it carries (a bare name of
+    the same spelling is some other binding); dunder methods are called by
+    the language and are skipped."""
+    as_attribute = defaultdict(list)
+    as_name = defaultdict(list)
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named[node.id].append((module, node.lineno))
+                as_name[node.id].append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                named[node.attr].append((module, node.lineno))
+                as_attribute[node.attr].append((module, node.lineno))
     out = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [(node.name, node)]
+            defs = [(node.name, node, as_name[node.name] + as_attribute[node.name])]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{item.name}", item) for item in node.body
-                         if isinstance(item, ast.FunctionDef)]
-            for qualname, d in defs:
+                defs += [(f"{node.name}.{item.name}", item, as_attribute[item.name])
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+            for qualname, d, named in defs:
                 if d.name.startswith("__") and d.name.endswith("__"):
                     continue
                 if all(m == module and d.lineno <= line <= d.end_lineno
-                       for m, line in named[d.name]):
+                       for m, line in named):
                     out.append(f"{module}.{qualname}")
     return sorted(out)
 

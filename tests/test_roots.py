@@ -184,7 +184,7 @@ def test_unit_circle_array_is_read_only_with_root_bits():
     for den in (1, 5, 125, 250):
         circle = unit_circle_array(den)
         assert circle is unit_circle_array(den)
-        assert [RootOfUnity.e(k, den).to_complex() for k in range(den)] == circle.tolist()
+        assert [RootOfUnity(Fraction(k, den)).to_complex() for k in range(den)] == circle.tolist()
         with pytest.raises(ValueError):
             circle[0] = 0
 
