@@ -326,11 +326,15 @@ def test_error_estimate_dominates_y_motion(delta, rcg25):
 
 # -- decay majorants -----------------------------------------------------------
 
+@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("s", [4.0, 5.5, 6.0, 6.5, 8.0])
-def test_decay_majorants_bound_v_past_their_grid(s):
-    # every order's peak lies inside the grid (else _decay_constants raises),
-    # and K_j x^(-j) bounds |V| on a denser grid reaching past its top
-    kern = afe.vkernel_for(Q, (0,), s)
+def test_decay_majorants_bound_v_past_their_grid(s, sign):
+    # the kernel of each half-sum at s (sign +1 the form's own coefficients
+    # at s, -1 the dual sum at k - s): every order's peak lies inside the grid
+    # (else _decay_constants raises), and K_j x^(-j) bounds |V| on a denser
+    # grid reaching past its top
+    kern = afe._kernels(Q, (0,), 12, s)[(1 - sign) // 2]
+    assert kern.s == (s if sign == 1 else 12 - s)
     consts = afe._decay_constants(kern)
     assert tuple(consts) == afe.DECAY_ORDERS
     xs = np.geomspace(1.0, 200.0, 20001)

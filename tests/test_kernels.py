@@ -72,7 +72,7 @@ def _tail_and_contour_routes_agree(kern):
         assert diff < 1e-9 * scale, (x, diff)
 
 
-def test_tail_and_contour_routes_agree():
+def test_tail_and_contour_routes_agree_for_the_point_mass():
     _tail_and_contour_routes_agree(V)
 
 
@@ -148,6 +148,12 @@ def test_narrow_bump_shortens_the_decay_cutoff():
     narrow = BumpVKernel(GQ, 6.0, width=0.25)
     assert narrow.decay_cutoff() == pytest.approx(12.207, abs=1e-3)
     assert V.decay_cutoff() == pytest.approx(9.766, abs=1e-3)
+
+
+def test_tail_and_contour_routes_agree():
+    # the width-1 bump: the oracle's average of point-mass values against
+    # its kappa-weighted contour
+    _tail_and_contour_routes_agree(BUMP)
 
 
 def test_tail_and_contour_routes_agree_at_the_production_width():
