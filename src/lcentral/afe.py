@@ -18,8 +18,9 @@ both sides share one kernel.  The reported value is the normalized
 Numeric policy: every term reads V through the tail route, one incomplete
 gamma per term, with no interpolation.  The error estimate is the checked
 tail majorants plus EVAL_REL_ERR times the sum of |term| on each side, which
-covers the measured relative error of `gammaincc` and the rounding of the
-sums.  Cutoffs default to the measured decay cutoff of V and are always
+covers the measured relative error of the incomplete gamma (the closed form
+when 2(s - m) is an integer, scipy's `gammaincc` otherwise) and the rounding
+of the sums.  Cutoffs default to the measured decay cutoff of V and are always
 re-checked against an explicit majorant for the dropped tail -- the
 elementary bound d(n) <= sqrt(3 n) turns Ramanujan-bounded coefficients
 into a closed-form remainder -- so a configuration that cannot meet the
@@ -54,9 +55,12 @@ from .rayclass import HeckeCharacter
 from .roots import unit_circle_array
 
 # Relative error allowed each term of a half-sum, charged on the sum of
-# |term|.  It covers gammaincc, at most 6.7e-15 relative at a = 6 for
-# arguments up to 2 pi times the decay cutoff (tests/test_kernels.py holds
-# it to half this constant), and the rounding of the terms and their sum.
+# |term|, for arguments up to 2 pi times the decay cutoff.  It covers the
+# incomplete gamma of kernels.py -- the closed form, within 8.9e-16 of the
+# exact sum at integer a <= 12 (tests/test_kernels.py holds it to half this
+# constant) and within 1.0e-14 of scipy at a = 5.5, 6.5; scipy's gammaincc
+# off the half-integer grid, up to 6.7e-15 at a = 6 -- and the rounding of
+# the terms and their sum.
 EVAL_REL_ERR = 2e-14
 
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.
@@ -287,7 +291,12 @@ class LValueResult(NamedTuple):
 
 def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VKernel]:
     """The V kernels of the two half-sums at spectral points s and k - s:
-    one shared kernel at the central point."""
+    one shared kernel at the central point.  Each V needs its point above
+    every gamma shift, so s must lie in the open strip (max m, k - max m)."""
+    top = max(shifts)
+    if not top < s < k - top:
+        raise ValueError(f"s = {s:g} lies outside the open strip "
+                         f"({top:g}, {k - top:g}) where both kernels exist")
     return vkernel_for(nf, shifts, s), vkernel_for(nf, shifts, k - s)
 
 

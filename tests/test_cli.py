@@ -55,6 +55,17 @@ def test_lvalue_rejects_residue_character(capsys):
     assert "ray class" in err
 
 
+@pytest.mark.parametrize("s", ["12", "200", "0", "-1"])
+def test_lvalue_outside_the_strip_names_the_strip(capsys, s):
+    # delta has weight 12 and gamma shift 0: both kernels exist only for s
+    # in (0, 12), and the message names that strip, not the dual side's k - s
+    code = main(["lvalue", "--char", "rationals.p5.m2.chi3", "--s", s])
+    err = capsys.readouterr().err.strip()
+    assert code == 2
+    assert err == f"error: s = {float(s):g} lies outside the open strip (0, 12) " \
+                  "where both kernels exist"
+
+
 def test_precision_bits_rounds_output(capsys):
     full_code, full = run_json(capsys, ["lvalue", "--s", "8.0"])
     few_code, few = run_json(capsys, ["lvalue", "--s", "8.0",

@@ -2,8 +2,8 @@
 private attribute a module assigns on self is read in that module, every
 function, class and method is named somewhere in the package outside its own
 definition (or is allowlisted with a reason), no module uses an assert
-statement, and starting the package loads no scipy subpackage that start-up
-does not need."""
+statement, and neither starting the package nor running the rational tower
+or the acceptance sweep loads scipy."""
 
 import ast
 import os
@@ -136,28 +136,43 @@ def test_no_assert_statements(path):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-# scipy.interpolate alone pulls in scipy.optimize, scipy.linalg, scipy.sparse,
-# scipy.spatial and scipy.fft; scipy.integrate is needed only by the degree-2
-# kernel tail, which imports it when it first runs
-_HEAVY_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
-                "scipy.linalg", "scipy.sparse")
-
-_START = """
-import sys
+# start-up, the rational tower and the acceptance sweep need no scipy module:
+# V and Gamma are closed forms there, and kernels.py imports scipy only on
+# the routes that have none (degree two, s off the half-integer grid)
+_FRESH = """
+import contextlib, io, sys
 import lcentral.acceptance, lcentral.cli, lcentral.experiment
 from lcentral.fields import nf_load
+from lcentral.kernels import GammaFactor, VKernel
+
+def loaded():
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))) or "-")
+
 nf_load("rationals")
 nf_load("quadratic-sqrt2")
-print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    lcentral.cli.main(["lav-scan", "--p", "5", "--n-lo", "1", "--n-hi", "2",
+                       "--out", sys.argv[1]])
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    lcentral.cli.main(["verify"])
+loaded()
+print(repr(VKernel(GammaFactor(nf_load("Qsqrt2"), (0, 0)), 6.0).value_tail(1.0)))
 """
 
 
-def test_start_up_loads_no_heavy_scipy_subpackage():
+def test_start_up_the_rational_tower_and_verify_load_no_scipy(tmp_path):
     # a fresh interpreter: this one has imported all of scipy for other tests
     src = str(Path(lcentral.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", _START], check=True, text=True,
-                         capture_output=True, env={**os.environ, "PYTHONPATH": path})
-    loaded = set(out.stdout.split())
-    assert "scipy.special" in loaded
-    assert [m for m in _HEAVY_SCIPY if m in loaded] == []
+    out = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path / "scan.json")],
+                         check=True, text=True, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    start, tower, verify, degree_two = out.stdout.splitlines()
+    assert (start, tower, verify) == ("-", "-", "-")
+    # the degree-2 tail still runs, loading scipy on first use
+    from lcentral.fields import nf_load
+    from lcentral.kernels import GammaFactor, VKernel
+    want = VKernel(GammaFactor(nf_load("Qsqrt2"), (0, 0)), 6.0).value_tail(1.0)
+    assert float(degree_two) == want > 0

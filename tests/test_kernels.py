@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import gammaincc, loggamma
 
 from lcentral.afe import EVAL_REL_ERR
 from lcentral.fields import nf_load
-from lcentral.kernels import GammaFactor, VKernel, totally_positive_unit_index
+from lcentral.kernels import (GammaFactor, VKernel, _log_gamma,
+                              _upper_gamma_regularized, totally_positive_unit_index)
 from oracles import BumpVKernel
 
 Q = nf_load("rationals")
@@ -171,14 +172,59 @@ def _gammaincc_closed_form(a: int, x: float) -> float:
     return math.exp(-x) * math.fsum(terms)
 
 
+def _allowance_grid() -> np.ndarray:
+    # up to 2 pi times V's decay cutoff, the largest argument a sum reaches
+    return np.geomspace(1e-3, 2.0 * math.pi * V.decay_cutoff(), 4001)
+
+
 @pytest.mark.parametrize("a", [1, 6, 8])
 def test_gammaincc_stays_within_half_the_evaluation_allowance(a):
     # afe charges EVAL_REL_ERR per term; the one special function of a
-    # degree-1 V must keep to half of it on a dense grid up to 2 pi times V's
-    # decay cutoff, the largest argument a sum reaches
-    top = 2.0 * math.pi * V.decay_cutoff()
-    xs = np.geomspace(1e-3, top, 4001)
-    got = gammaincc(float(a), xs)
+    # degree-1 V must keep to half of it against the exact finite sum
+    xs = _allowance_grid()
+    got = _upper_gamma_regularized(float(a), xs)
     want = np.array([_gammaincc_closed_form(a, x) for x in xs.tolist()])
     worst = float(np.max(np.abs(got / want - 1.0)))
     assert worst <= 0.5 * EVAL_REL_ERR, worst
+
+
+@pytest.mark.parametrize("a", [5.5, 6.5])
+def test_half_integer_incomplete_gamma_within_the_evaluation_allowance(a):
+    # the erfc closed form against scipy: the two differ by up to 1.0e-14 at
+    # 6.5, mostly scipy's own error, so the bound is the whole allowance
+    xs = _allowance_grid()
+    got = _upper_gamma_regularized(a, xs)
+    worst = float(np.max(np.abs(got / gammaincc(a, xs) - 1.0)))
+    assert worst <= EVAL_REL_ERR, worst
+
+
+def test_off_grid_incomplete_gamma_is_scipys():
+    # 2a = 12.6 is not an integer: no closed form, scipy evaluates it
+    xs = np.geomspace(1e-3, 60.0, 50)
+    assert _upper_gamma_regularized(6.3, xs).tolist() == gammaincc(6.3, xs).tolist()
+
+
+@pytest.mark.parametrize("re", [5.5, 6.0, 8.0])
+@pytest.mark.parametrize("sigma", [-0.5, 0.0, 2.0])
+def test_log_gamma_matches_scipy_on_the_contour_lines(re, sigma):
+    # the lines the contour oracle integrates along, Re z = s + sigma
+    z = (re + sigma) + 1j * np.linspace(-400.0, 400.0, 8001)
+    rel = np.abs(np.expm1(_log_gamma(z) - loggamma(z)))
+    assert float(np.max(rel)) < 1e-12
+
+
+def test_gamma_changes_sign_at_the_negative_non_integers():
+    vs = np.array([-0.5, -1.5, -2.5, -3.25, -10.5, 0.5, 2.5])
+    want = np.exp(loggamma(vs + 0j)).real
+    assert np.sign(want).tolist() == [-1, 1, -1, 1, -1, 1, 1]
+    got = np.exp(_log_gamma(vs + 0j))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-14
+    for v, w in zip(vs.tolist(), want.tolist()):
+        # G(z) = (2 pi)^-z Gamma(z) over the rationals, real and signed
+        assert GQ.value(v).real / (w * (2 * math.pi) ** -v) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_gamma_factor_past_the_range_of_math_gamma():
+    # Gamma(200) overflows a double; the factor itself does not
+    want = math.exp(float(loggamma(200.0)) - 200.0 * math.log(2 * math.pi))
+    assert GQ.value(200.0).real == pytest.approx(want, rel=1e-12)
