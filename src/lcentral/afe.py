@@ -18,9 +18,9 @@ both sides share one kernel.  The reported value is the normalized
 Numeric policy: every term reads V through the tail route, one incomplete
 gamma per term, with no interpolation.  The error estimate is the checked
 tail majorants plus EVAL_REL_ERR times the sum of |term| on each side, which
-covers the measured relative error of the incomplete gamma (the closed form
-when 2(s - m) is an integer, scipy's `gammaincc` otherwise) and the rounding
-of the sums.  Cutoffs default to the measured decay cutoff of V and are always
+covers the measured relative error of the incomplete gamma (a finite closed
+form when 2(s - m) is an integer, a power series or continued fraction for
+its fractional part otherwise) and the rounding of the sums.  Cutoffs default to the measured decay cutoff of V and are always
 re-checked against an explicit majorant for the dropped tail -- the
 elementary bound d(n) <= sqrt(3 n) turns Ramanujan-bounded coefficients
 into a closed-form remainder -- so a configuration that cannot meet the
@@ -56,11 +56,12 @@ from .roots import unit_circle_array
 
 # Relative error allowed each term of a half-sum, charged on the sum of
 # |term|, for arguments up to 2 pi times the decay cutoff.  It covers the
-# incomplete gamma of kernels.py -- the closed form, within 8.9e-16 of the
-# exact sum at integer a <= 12 (tests/test_kernels.py holds it to half this
-# constant) and within 1.0e-14 of scipy at a = 5.5, 6.5; scipy's gammaincc
-# off the half-integer grid, up to 6.7e-15 at a = 6 -- and the rounding of
-# the terms and their sum.
+# incomplete gamma of kernels.py, the one special function behind V --
+# within 8.9e-16 of the exact sum at integer a <= 12 (tests/test_kernels.py
+# holds it to half this constant), 5.6e-16 of 40-digit values at a = 5.5,
+# 6.5 and 4.9e-15 off the half-integer grid (a from 0.001 to 11.9); the
+# degree-2 tail summed from it is within 5.1e-15 of 30-digit values up to
+# its decay cutoff at s = 6 -- and the rounding of the terms and their sum.
 EVAL_REL_ERR = 2e-14
 
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.

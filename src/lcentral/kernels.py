@@ -17,20 +17,21 @@ special values of motivic L-functions", Experiment. Math. 13, 2004).
 Route design: the straight contour quadrature (Re t = 2) computes an
 integral whose magnitude is set by GammaFactor(s + 2) x^-2 while the answer
 decays like exp(-c x), so in double precision it loses all relative accuracy
-once x is around 15.  The production route therefore writes V as one upper
-incomplete gamma tail (the Bessel K tail when the degree is 2), which is
-stable for every x >= 0.  The contour route is kept on the narrow strips
-Re t in {-1/2, 2} as an independent cross-check.
+once x is around 15.  The production route therefore writes V through the
+upper incomplete gamma Q(a, x), which is stable for every x >= 0.  The
+contour route is kept on the narrow strips Re t in {-1/2, 2} as an
+independent cross-check.
 
-Special functions, by route.  One real place: V(x) = GammaFactor(s)
-Q(a, 2 pi x / |disc|) with a = s - m.  When 2a is an integer -- every
-central point s = k/2 and every half-integer s -- Q is a finite sum of
-positive terms over exp and math.erfc; for any other a it is scipy's
-gammaincc, imported inside that branch.  Two real places: the Bessel tail,
-which imports scipy's kv and quad on first use.  GammaFactor is
-math.gamma on the real line (math.lgamma where that overflows) and the
-recurrence plus Stirling's series off it.  So starting the package, the
-tower over Q and the acceptance sweep load no scipy module.
+One special function behind every V.  One real place: V(x) =
+GammaFactor(s) Q(a, 2 pi x / |disc|) with a = s - m.  When 2a is an integer
+-- every central point s = k/2 and every half-integer s -- Q is a finite sum
+of positive terms over exp and math.erfc; for any other a the same sum
+starts from Q(f, x), f in (0, 1) the fractional part of a, by a power
+series or a continued fraction.  Two
+real places: the Bessel K tail, a trapezoid sum of Q(a1 + a2, .) over the
+integral representation of K.  GammaFactor is math.gamma on the real line
+(math.lgamma where that overflows) and the recurrence plus Stirling's
+series off it.  So the package needs numpy alone.
 """
 
 import math
@@ -47,6 +48,11 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _STIRLING_FROM = 15.0
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
+
+# Step of the degree-2 trapezoid sum, and the e-folds of its integrand's
+# decay it covers: the dropped tail is below 2 e^-40 = 8.5e-18 of the sum.
+_TRAPEZOID_STEP = 0.05
+_TRAPEZOID_REACH = 40.0
 
 
 def _gamma_is_negative(v: float) -> bool:
@@ -85,27 +91,71 @@ def _log_gamma(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _upper_gamma_regularized(a: float, x: np.ndarray) -> np.ndarray:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for x >= 0 of any shape.
+# 1/Gamma(1 + f) - 1 = sum_k c_k f^k, c_0..c_25 (Abramowitz and Stegun 6.1.34);
+# at |f| <= 1 the omitted terms sum to below 3e-18.
+_RGAMMA1P_MINUS_ONE = (
+    0.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05,
+    -1.2504934821426706e-06, 1.133027231981696e-06, -2.056338416977607e-07,
+    6.116095104481416e-09, 5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+    -1.1812593016974588e-16)
+# Below x = 1 + f <= 2 the 25th series term is under 1e-19; at x >= 1 the
+# continued fraction from depth 100 on is within 3e-16 of its limit.
+_SERIES_TERMS = 25
+_FRACTION_DEPTH = 120
 
-    When 2a is an integer, write a = f + n with f in {1/2, 1}:
-    Q(a, x) = Q(f, x) + e^-x x^f sum_(j<n) x^j / Gamma(f + j + 1), every term
-    positive, with Q(1, x) = e^-x and Q(1/2, x) = erfc(sqrt x).  Off that
-    grid no closed form exists, and scipy's gammaincc does the job.
+
+def _upper_gamma_base(f: float, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Q(f, x) for 0 < f < 1, given scale = x^f e^-x / Gamma(1 + f).
+
+    Below x = 1 + f, with g = 1/Gamma(1 + f) - 1 from its Taylor series,
+    Q = -expm1(f log x) - x^f (g + f (1 + g) sum_(k>=1) (-x)^k / (k! (f + k))):
+    no difference of two numbers near 1 is formed, so a small f keeps its
+    relative accuracy (DiDonato and Morris, ACM TOMS 12, 1986).  Above it,
+    Legendre's continued fraction (DLMF 8.9.2) summed backward from a fixed
+    depth.  Each point runs the same operations whatever array it comes in.
     """
-    if 2 * a != round(2 * a):
-        # imported here: this is the only route that needs scipy.special
-        # for one real place, and loading it costs more than most runs
-        from scipy.special import gammaincc
-        return gammaincc(a, x)
+    g = np.polynomial.polynomial.polyval(f, _RGAMMA1P_MINUS_ONE)
+    out = np.empty_like(x)
+    low = x < 1.0 + f
+    xl, xh = x[low], x[~low]
+    term, series = np.ones_like(xl), np.zeros_like(xl)
+    for k in range(1, _SERIES_TERMS + 1):
+        term = term * (-xl / k)
+        series = series + term / (f + k)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives Q(f, 0) = 1
+        lead = np.expm1(f * np.log(xl))
+    out[low] = -lead - np.power(xl, f) * (g + f * (1.0 + g) * series)
+    tail = np.zeros_like(xh)
+    for k in range(_FRACTION_DEPTH, 0, -1):
+        tail = k * (k - f) / (xh + (2 * k + 1 - f) - tail)
+    out[~low] = f * scale[~low] / (xh + (1.0 - f) - tail)
+    return out
+
+
+def _upper_gamma_regularized(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) = Gamma(a, x) / Gamma(a) for a > 0 and x >= 0 of any shape.
+
+    Write a = f + n with 0 < f <= 1:
+    Q(a, x) = Q(f, x) + e^-x x^f sum_(j<n) x^j / Gamma(f + j + 1), every term
+    positive.  Q(1, x) = e^-x and Q(1/2, x) = erfc(sqrt x) cover every a
+    with 2a an integer -- every central point and every half-integer s;
+    any other f is _upper_gamma_base.
+    """
     n = math.ceil(a) - 1
     f = a - n
     ex = np.exp(-x)
     if f == 1.0:
         total, term = ex, ex * x
-    else:
+    elif f == 0.5:
         root = np.sqrt(x)
         total, term = _erfc(root), ex * root / math.gamma(1.5)
+    else:
+        term = np.power(x, f) * ex / math.gamma(1.0 + f)
+        total = _upper_gamma_base(f, x, term)
     for j in range(n):
         total = total + term
         term = term * x / (f + j + 1)
@@ -204,7 +254,8 @@ class VKernel:
     value()        -- production route: the tail route, what afe's sums
                       read.
     value_tail()   -- stable route at any x >= 0: one incomplete gamma for
-                      one real place, one Bessel tail for two.
+                      one real place, one Bessel tail (a sum of incomplete
+                      gammas) for two.
     value_contour()-- independent quadrature on Re t = sigma in {-1/2, 2};
                       trustworthy only while |V| is within ~7 digits of
                       GammaFactor(s + sigma) x^-sigma, which is why it serves
@@ -241,11 +292,9 @@ class VKernel:
         else:
             a1 = sp - self.gamma.shifts[0]
             a2 = sp - self.gamma.shifts[1]
-            u0 = TWO_PI ** 2 * xs / self.gamma.disc
-            tails = [_bessel_tail(a1, a2, v) for v in u0.reshape(-1).tolist()]
             pref = (self.gamma.const * self.gamma.disc ** sp
                     * TWO_PI ** (-(a1 + a2)))
-            out = pref * np.reshape(tails, u0.shape)
+            out = pref * _bessel_tail(a1, a2, TWO_PI ** 2 * xs / self.gamma.disc)
         return float(out[0]) if scalar else out
 
     # -- contour route --------------------------------------------------------
@@ -314,21 +363,32 @@ class VKernel:
         return self.value_tail(x)
 
 
-def _bessel_tail(a1: float, a2: float, v: float) -> float:
-    """int_v^inf 2 w^((a1+a2)/2) K_(a1-a2)(2 sqrt(w)) dw/w.
+def _bessel_tail(a1: float, a2: float, v: np.ndarray) -> np.ndarray:
+    """int_v^inf 2 y^((a1+a2)/2) K_(a1-a2)(2 sqrt(y)) dy/y at each v >= 0.
 
     This is the inverse-Mellin tail of Gamma(t + a1) Gamma(t + a2), the
     degree-2 analogue of the upper incomplete gamma function; at v = 0 it
-    equals Gamma(a1) Gamma(a2).
-    """
-    # imported here: no other route needs scipy.integrate or kv, and loading
-    # them on every start costs more than the work the other routes do
-    from scipy.integrate import quad
-    from scipy.special import kv
+    equals Gamma(a1) Gamma(a2).  With b = a1 + a2, nu = a1 - a2, w = 2 sqrt(v)
+    and K_nu(u) = int_0^inf e^(-u cosh t) cosh(nu t) dt (DLMF 10.32.9) it is
 
+        2^(2-b) Gamma(b) int_0^inf cosh(nu t) cosh(t)^-b Q(b, w cosh t) dt.
+
+    The integrand is even and analytic in |Im t| < pi/2, so the trapezoidal
+    rule converges exponentially (Trefethen and Weideman, SIAM Review 56,
+    2014).  It is summed one node at a time, so each point adds its terms in
+    the same order whatever array it comes in.
+    """
+    b = a1 + a2
     nu = a1 - a2
-    power = a1 + a2 - 1.0
-    lo = max(math.sqrt(v), 1e-12)
-    val, _ = quad(lambda r: 4.0 * r ** power * kv(nu, 2.0 * r),
-                  lo, lo + 45.0, epsabs=1e-15, epsrel=1e-11, limit=300)
-    return val
+    # the integrand is below 2^b e^(-(b - |nu|) t)
+    reach = (_TRAPEZOID_REACH + b * math.log(2.0)) / (b - abs(nu))
+    t = _TRAPEZOID_STEP * np.arange(math.ceil(reach / _TRAPEZOID_STEP) + 1)
+    # 2^(2-b) cosh(nu t) / cosh(t)^b, with log(2 cosh y) = logaddexp(y, -y)
+    weights = 2.0 * _TRAPEZOID_STEP * np.exp(np.logaddexp(nu * t, -nu * t)
+                                            - b * np.logaddexp(t, -t))
+    weights[0] /= 2.0
+    w = 2.0 * np.sqrt(v)
+    total = np.zeros_like(w)
+    for stretch, weight in zip(np.cosh(t).tolist(), weights.tolist()):
+        total = total + weight * _upper_gamma_regularized(b, w * stretch)
+    return math.gamma(b) * total

@@ -1,6 +1,10 @@
 """Independent oracles the tests check production code against."""
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import kv
 
 from lcentral.kernels import VKernel
 
@@ -33,3 +37,19 @@ class BumpVKernel(VKernel):
         t = sigma + 1j * taus
         kappa = np.exp(np.multiply.outer(t, self.log_nodes)) @ self.node_weights
         return kappa * super()._integrand(taus, x, sigma)
+
+
+def bessel_tail_quad(a1: float, a2: float, v: float) -> float:
+    """int_v^inf 2 y^((a1+a2)/2) K_(a1-a2)(2 sqrt(y)) dy/y by adaptive
+    quadrature of scipy's kv, in r = sqrt(y): the degree-2 tail that
+    kernels._bessel_tail sums as incomplete gammas.
+
+    The tolerance is relative only: an absolute floor would stop early
+    where the tail itself is below it (past v = 1100 at a1 = a2 = 6).
+    """
+    nu = a1 - a2
+    power = a1 + a2 - 1.0
+    lo = max(math.sqrt(v), 1e-12)
+    val, _ = quad(lambda r: 4.0 * r ** power * kv(nu, 2.0 * r),
+                  lo, lo + 45.0, epsabs=0.0, epsrel=1e-13, limit=300)
+    return val

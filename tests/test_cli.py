@@ -48,6 +48,15 @@ def test_lvalue_twisted_matches_library(capsys):
     assert doc["character"] == label
 
 
+def test_lvalue_off_the_half_integer_grid(capsys):
+    # 2(s - m) = 12.6 is not an integer: V is the off-grid incomplete gamma
+    code, doc = run_json(capsys, ["lvalue", "--s", "6.3", "--char", "rationals.p5.m2.chi3"])
+    assert code == 0
+    assert doc["error_est"] < 1e-13
+    assert abs(complex(doc["value_re"], doc["value_im"])
+               - complex(1.3029324870426875, -0.11704792137944303)) <= doc["error_est"]
+
+
 def test_lvalue_rejects_residue_character(capsys):
     code = main(["lvalue", "--char", "quadratic-sqrt2.p7.res2.chi5"])
     err = capsys.readouterr().err

@@ -2,8 +2,8 @@
 private attribute a module assigns on self is read in that module, every
 function, class and method is named somewhere in the package outside its own
 definition (or is allowlisted with a reason), no module uses an assert
-statement, and neither starting the package nor running the rational tower
-or the acceptance sweep loads scipy."""
+statement, and no module imports scipy: the package, the rational tower, the
+acceptance sweep, an off-grid s and the degree-2 kernel all run without it."""
 
 import ast
 import os
@@ -39,6 +39,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _scipy_imports(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert _scipy_imports(ast.parse(path.read_text())) == []
 
 
 def _write_only_attributes(tree: ast.Module) -> list[str]:
@@ -136,29 +155,30 @@ def test_no_assert_statements(path):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-# start-up, the rational tower and the acceptance sweep need no scipy module:
-# V and Gamma are closed forms there, and kernels.py imports scipy only on
-# the routes that have none (degree two, s off the half-integer grid)
+# V and Gamma are closed forms or sums of them on every route, so the package
+# runs with scipy unimportable: a None entry in sys.modules makes every
+# import of it raise
 _FRESH = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
 import lcentral.acceptance, lcentral.cli, lcentral.experiment
 from lcentral.fields import nf_load
 from lcentral.kernels import GammaFactor, VKernel
 
-def loaded():
-    print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))) or "-")
-
 nf_load("rationals")
 nf_load("quadratic-sqrt2")
-loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     lcentral.cli.main(["lav-scan", "--p", "5", "--n-lo", "1", "--n-hi", "2",
                        "--out", sys.argv[1]])
-loaded()
-with contextlib.redirect_stdout(io.StringIO()):
     lcentral.cli.main(["verify"])
-loaded()
+lvalue = io.StringIO()
+with contextlib.redirect_stdout(lvalue):
+    lcentral.cli.main(["lvalue", "--s", "6.3", "--char", "rationals.p5.m2.chi3"])
+doc = json.loads(lvalue.getvalue())
+print(repr(complex(doc["value_re"], doc["value_im"])), repr(doc["error_est"]))
 print(repr(VKernel(GammaFactor(nf_load("Qsqrt2"), (0, 0)), 6.0).value_tail(1.0)))
+print(" ".join(sorted(m for m, mod in sys.modules.items()
+                      if m.startswith("scipy") and mod is not None)) or "-")
 """
 
 
@@ -169,9 +189,11 @@ def test_start_up_the_rational_tower_and_verify_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path / "scan.json")],
                          check=True, text=True, capture_output=True,
                          env={**os.environ, "PYTHONPATH": path})
-    start, tower, verify, degree_two = out.stdout.splitlines()
-    assert (start, tower, verify) == ("-", "-", "-")
-    # the degree-2 tail still runs, loading scipy on first use
+    off_grid, degree_two, loaded = out.stdout.splitlines()
+    assert loaded == "-"
+    value, error_est = off_grid.split()
+    assert abs(complex(value) - complex(1.3029324870426875, -0.11704792137944303)) \
+        <= float(error_est) < 1e-13
     from lcentral.fields import nf_load
     from lcentral.kernels import GammaFactor, VKernel
     want = VKernel(GammaFactor(nf_load("Qsqrt2"), (0, 0)), 6.0).value_tail(1.0)

@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaincc, loggamma
 
 from lcentral.afe import EVAL_REL_ERR
 from lcentral.fields import nf_load
-from lcentral.kernels import (GammaFactor, VKernel, _log_gamma,
+from lcentral.kernels import (TWO_PI, GammaFactor, VKernel, _bessel_tail, _log_gamma,
                               _upper_gamma_regularized, totally_positive_unit_index)
-from oracles import BumpVKernel
+from oracles import BumpVKernel, bessel_tail_quad
 
 Q = nf_load("rationals")
 K = nf_load("Qsqrt2")
@@ -55,7 +56,7 @@ def test_gamma_factor_poles_and_validation():
 def test_v_at_zero_is_gamma_value():
     assert abs(V.value_tail(0.0) - GQ.value(6).real) < 1e-17
     VK2 = VKernel(GK, 6.0)
-    assert abs(VK2.value_tail(0.0) - GK.value(6).real) < 1e-12 * abs(GK.value(6))
+    assert abs(VK2.value_tail(0.0) - GK.value(6).real) < 1e-14 * abs(GK.value(6))
 
 
 def test_point_mass_is_one_incomplete_gamma():
@@ -111,6 +112,29 @@ def test_degree_two_routes_agree():
     for x in (0.5, 2.0):
         diff = abs(VK2.value_tail(x) - VK2.value_contour(x))
         assert diff < 1e-8 * abs(GK.value(6)), (x, diff)
+
+
+def test_degree_two_tail_matches_the_quad_oracle():
+    # on a grid up to the decay cutoff, v = (2 pi)^2 x / 8 reaches 1370
+    VK2 = VKernel(GK, 6.0)
+    cut = VK2.decay_cutoff()
+    assert cut == pytest.approx(277.556, abs=1e-3)
+    vs = TWO_PI ** 2 * np.geomspace(1e-3, cut, 200) / GK.disc
+    want = np.array([bessel_tail_quad(6.0, 6.0, v) for v in vs.tolist()])
+    worst = float(np.max(np.abs(_bessel_tail(6.0, 6.0, vs) / want - 1.0)))
+    assert worst <= EVAL_REL_ERR, worst
+
+
+@pytest.mark.parametrize("a1, a2", [(6.0, 5.0), (5.5, 5.5), (1.0, 1.0)])
+def test_degree_two_tail_matches_mpmath(a1, a2):
+    # the tail is the Meijer G-function G^{3,0}_{1,3}(v | 1; a1, a2, 0), the
+    # inverse Mellin transform of Gamma(t + a1) Gamma(t + a2) / t
+    vs = [1e-6, 0.5, 1.0, 10.0, 100.0]
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.meijerg([[], [1]], [[a1, a2, 0], []], v))
+                         for v in vs])
+    worst = float(np.max(np.abs(_bessel_tail(a1, a2, np.array(vs)) / want - 1.0)))
+    assert worst <= EVAL_REL_ERR, worst
 
 
 def test_tail_route_input_validation():
@@ -198,10 +222,20 @@ def test_half_integer_incomplete_gamma_within_the_evaluation_allowance(a):
     assert worst <= EVAL_REL_ERR, worst
 
 
-def test_off_grid_incomplete_gamma_is_scipys():
-    # 2a = 12.6 is not an integer: no closed form, scipy evaluates it
-    xs = np.geomspace(1e-3, 60.0, 50)
-    assert _upper_gamma_regularized(6.3, xs).tolist() == gammaincc(6.3, xs).tolist()
+@pytest.mark.parametrize("a", [0.001, 0.05, 0.3, 0.999, 1.7, 5.3, 6 + 1e-9, 6.3, 11.9])
+def test_off_grid_incomplete_gamma_within_the_evaluation_allowance(a):
+    # 2a is not an integer: the sum starts from Q(f, x), f the fractional part
+    # of a, by the power series or the continued fraction; against 40-digit
+    # values on every tenth point of the grid
+    xs = _allowance_grid()[::10]
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+                         for x in xs.tolist()])
+    got = _upper_gamma_regularized(a, xs)
+    assert float(np.max(np.abs(got / want - 1.0))) <= EVAL_REL_ERR
+    # scipy as a second oracle, granted its own measured error
+    scipy_err = float(np.max(np.abs(gammaincc(a, xs) / want - 1.0)))
+    assert float(np.max(np.abs(got / gammaincc(a, xs) - 1.0))) <= EVAL_REL_ERR + scipy_err
 
 
 @pytest.mark.parametrize("re", [5.5, 6.0, 8.0])
