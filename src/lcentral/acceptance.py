@@ -34,7 +34,7 @@ from .kernels import GammaFactor, VKernel
 from .newforms import builtin_newform, newform_load
 from .rayclass import rcg_build, residue_characters, seed_character
 from .roots import CyclotomicNumber
-from .tau import primes_up_to, tau_table
+from .tau import primes_up_to, tau_exact
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def _c08_reflection_residual(fast: bool):
 
 def _c09_coefficient_bound(fast: bool):
     limit = 10 ** 4
-    table = tau_table(limit)
+    table = tau_exact(limit)
     primes = primes_up_to(limit)
     worst_p, worst_ratio = 0, 0.0
     for p in primes:

@@ -53,6 +53,7 @@ _erfc = np.vectorize(math.erfc, otypes=[float])
 # decay it covers: the dropped tail is below 2 e^-40 = 8.5e-18 of the sum.
 _TRAPEZOID_STEP = 0.05
 _TRAPEZOID_REACH = 40.0
+_TRAPEZOID_BLOCK = 1 << 16   # Q evaluations per block of the tail sum
 
 
 def _gamma_is_negative(v: float) -> bool:
@@ -375,8 +376,9 @@ def _bessel_tail(a1: float, a2: float, v: np.ndarray) -> np.ndarray:
 
     The integrand is even and analytic in |Im t| < pi/2, so the trapezoidal
     rule converges exponentially (Trefethen and Weideman, SIAM Review 56,
-    2014).  It is summed one node at a time, so each point adds its terms in
-    the same order whatever array it comes in.
+    2014).  Q is evaluated on nodes x points blocks of at most
+    `_TRAPEZOID_BLOCK` entries, and each point adds its terms in node order,
+    so it gets the same sum whatever array it comes in.
     """
     b = a1 + a2
     nu = a1 - a2
@@ -388,7 +390,14 @@ def _bessel_tail(a1: float, a2: float, v: np.ndarray) -> np.ndarray:
                                             - b * np.logaddexp(t, -t))
     weights[0] /= 2.0
     w = 2.0 * np.sqrt(v)
-    total = np.zeros_like(w)
-    for stretch, weight in zip(np.cosh(t).tolist(), weights.tolist()):
-        total = total + weight * _upper_gamma_regularized(b, w * stretch)
-    return math.gamma(b) * total
+    flat = w.reshape(-1)
+    total = np.zeros_like(flat)
+    stretch = np.cosh(t)[:, None]
+    step = max(1, _TRAPEZOID_BLOCK // t.shape[0])
+    for start in range(0, flat.shape[0], step):
+        block = weights[:, None] * _upper_gamma_regularized(
+            b, stretch * flat[start:start + step])
+        acc = total[start:start + step]
+        for row in block:
+            acc += row
+    return math.gamma(b) * total.reshape(w.shape)

@@ -10,7 +10,8 @@ leave out the factor chi(N) of a level-N form, and the prime-power
 recursion below is the good-prime one, which fails at p | N.
 
 A form carries arithmetically normalized coefficients indexed by ideal norm
-(norms and ideals are in bijection for the shipped experiments), the
+(norms and ideals are in bijection for the shipped experiments) as one
+read-only float64 table, each entry the correctly rounded float(a(n)); the
 dual-side sign eta with a_dual(n) = eta * a(n), the coefficient-field depth
 n0 steering Galois orbits, and a rational progress-toward-Ramanujan exponent
 theta used both for admissible-window computation and for loader rejection
@@ -22,7 +23,8 @@ a(p^(e+1)) = a(p) a(p^e) - p^(k-1) a(p^(e-1)), and
 every derived coefficient is re-checked against |a(n)| <= 2 d(n) n^((k-1)/2
 + theta).  A document may instead carry a full coefficient table, in which
 case the same two identities become consistency checks, so corrupting any
-single entry is detected and reported by its ideal label.
+single entry is detected and reported by its ideal label.  Exact integers
+live only while a document is checked; the form keeps their floats.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from .tau import primes_up_to, smallest_prime_factors, tau_table
 
 @dataclass(frozen=True)
 class NewformData:
-    """A loaded form.  Frozen: the coefficient table is set once, with its
-    float copy, when the form is built (`replace` makes a new form with
-    another table).  `_derived` holds what the sums derive from the table
-    (afe's weighted arrays), so it is dropped with the form."""
+    """A loaded form.  Frozen: its coefficient table is set once, when the
+    form is built (`replace` makes a new form with another table).
+    `_derived` holds what the sums derive from the table (afe's weighted
+    arrays), so it is dropped with the form."""
 
     label: str
     field_label: str
@@ -54,53 +56,43 @@ class NewformData:
     eta: int                          # dual-side sign: a_dual = eta * a
     n0: int                           # p-power root depth of the coefficient field
     theta: Fraction
-    coefficients: list = field(repr=False)
+    # float(a(n)) at index n, correctly rounded, entry 0 = 0: read-only float64
+    table: np.ndarray = field(repr=False)
     type_j: tuple[int, ...] = (0,)    # real places carrying the discrete-series twist
 
     def __post_init__(self):
-        object.__setattr__(self, "_floats", _float_copy(self.coefficients))
         object.__setattr__(self, "_derived", {})
 
     @property
     def limit(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coeff_of_norm(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"coefficient {n} outside the loaded range (<= {self.limit})")
-        return self.coefficients[n]
+        return self.table.shape[0] - 1
 
     def coefficient_array(self, limit: int | None = None) -> np.ndarray:
-        """a[0..limit] with a[0] = 0, for vectorized sums: a read-only view
-        of the float copy made when the table was set."""
+        """a[0..limit] with a[0] = 0, for vectorized sums: a view of the table."""
         limit = self.limit if limit is None else limit
         if limit > self.limit:
             raise IndexError(f"only {self.limit} coefficients loaded")
-        return self._floats[:limit + 1]
+        return self.table[:limit + 1]
 
 
-def _float_copy(coefficients: list) -> np.ndarray:
-    """The table as one read-only float64 array; each entry is the correctly
-    rounded float(c)."""
+def _float_table(coefficients: list[int]) -> np.ndarray:
+    """Exact coefficients as the read-only float64 table a form holds; each
+    entry is the correctly rounded float(c)."""
     arr = np.array(coefficients, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
 
-def ramanujan_violations(form: NewformData) -> list[int]:
-    """Primes p in range whose coefficient breaks |a(p)| <= 2 p^((k-1)/2+theta).
+def ramanujan_violations(coefficients: list[int], k: int, theta: Fraction) -> list[int]:
+    """Primes p in range whose exact coefficient a(p) = coefficients[p] breaks
+    |a(p)| <= 2 p^((k-1)/2+theta), for weight k.
 
     The comparison is exact: with theta = u/v it is
     a(p)^(2v) <= 2^(2v) p^((k-1)v + 2u).
     """
-    k = form.weight
-    u, v = form.theta.numerator, form.theta.denominator
-    bad = []
-    for p in primes_up_to(form.limit):
-        a = form.coeff_of_norm(p)
-        if _bound_broken(a, 2, p, k, u, v):
-            bad.append(p)
-    return bad
+    u, v = theta.numerator, theta.denominator
+    return [p for p in primes_up_to(len(coefficients) - 1)
+            if _bound_broken(coefficients[p], 2, p, k, u, v)]
 
 
 def _bound_broken(a: int, factor: int, n: int, k: int, u: int, v: int) -> bool:
@@ -164,7 +156,7 @@ def builtin_newform(name: str, limit: int = 1000) -> NewformData:
         eta=-1,
         n0=0,
         theta=Fraction(0),
-        coefficients=tau_table(limit),
+        table=tau_table(limit),
     )
 
 
@@ -244,7 +236,7 @@ def newform_load(source, limit: int = 1000) -> NewformData:
         eta=int(_doc_get(doc, "atkin_lehner", "eta", required=True)),
         n0=int(_doc_get(doc, "n0", default=0)),
         theta=Fraction(str(_doc_get(doc, "theta", default=0))),
-        coefficients=[0, 1],
+        table=_float_table([0, 1]),
         type_j=type_j,
     )
     if form.eta not in (-1, 1):
@@ -263,9 +255,7 @@ def newform_load(source, limit: int = 1000) -> NewformData:
             norm = int(str(key).strip("()"))
             prime_a[norm] = _parse_entry(value)
         table = _expand_from_primes(prime_a, limit, k, form.theta)
-    form = replace(form, coefficients=table)
-
-    bad = ramanujan_violations(form)
+    bad = ramanujan_violations(table, k, form.theta)
     if bad:
         raise ValueError(f"coefficients at primes {bad[:5]} exceed the Ramanujan bound")
-    return form
+    return replace(form, table=_float_table(table))

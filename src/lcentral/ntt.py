@@ -6,6 +6,14 @@ product exceeds 2 bound, and recombines the residues by Garner's CRT.
 `Transform.product` is the one-prime step, for callers (tau.py) that
 combine a product with other residues before recombining.
 
+CRT.  `garner_digits` gives Garner's mixed-radix digits as int64 arrays;
+`mixed_radix_value` reads them out exactly (int64 for up to two primes,
+Python ints for more) and `mixed_radix_float` as float64, each entry the
+correctly rounded float of the exact value (to nearest, ties to even),
+computed over 32-bit limbs in uint64 from the leading 64 bits and a sticky
+bit, with no Python int formed.  `garner` is the exact read-out of the
+digits.
+
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
 every n up to 3 * 2^25 is supported.
@@ -295,14 +303,11 @@ class Transform:
         return self._inverse(spec, spare, length)
 
 
-def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Signed CRT of the residues: the values in (-M/2, M/2], M the product
-    of the primes, as int64 for one or two primes (M < 2^62) and as an
-    object array of exact ints for more.
-
-    Garner's digits d_k in [0, p_k) satisfy x = sum d_k * (p_0 ... p_(k-1));
-    each is a few int64 passes, since d_j * c < 2^62 for d_j, c below 2^31.
-    """
+def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndarray]:
+    """Garner's mixed-radix digits of the residues, as int64 arrays: d_k in
+    [0, p_k) with x = sum d_k * (p_0 ... p_(k-1)) the value in [0, M), M the
+    product of the primes.  Each digit is a few int64 passes, since
+    d_j * c < 2^62 for d_j, c below 2^31."""
     digits: list[np.ndarray] = []
     for r, p in zip(residues, primes):
         acc = np.zeros_like(r)
@@ -311,6 +316,12 @@ def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
             acc = (acc + d * weight) % p
             weight = weight * q % p
         digits.append((r - acc) % p * pow(weight, -1, p) % p)
+    return digits
+
+
+def mixed_radix_value(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """The signed values of the digits, in (-M/2, M/2], exactly: int64 for
+    one or two primes (M < 2^62), an object array of Python ints for more."""
     # adjacent digits pair up exactly in int64, d_k + d_(k+1) p_k < 2^62,
     # which halves the passes over Python ints
     limbs = [(digits[k] + digits[k + 1] * primes[k], primes[k] * primes[k + 1])
@@ -324,6 +335,87 @@ def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
             value = value * radix + limb
     value[value > modulus // 2] -= modulus
     return value
+
+
+_MASK = np.uint64((1 << 32) - 1)
+_CHUNK = 1 << 15          # entries per pass of the float read-out
+
+
+def _limbs(x: int, count: int) -> list[int]:
+    """x >= 0 as `count` 32-bit limbs, least significant first."""
+    return [(x >> 32 * i) & 0xFFFFFFFF for i in range(count)]
+
+
+def _subtract(a: list, b: list) -> tuple[list, np.ndarray]:
+    """a - b over 32-bit limbs (uint64 arrays or ints), and the borrow out
+    (1 where a < b)."""
+    out, borrow = [], np.uint64(0)
+    for x, y in zip(a, b):
+        t = (x + (1 << 32)) - y - borrow         # in [1, 2^33): no wrap
+        out.append(t & _MASK)
+        borrow = 1 - (t >> 32)
+    return out, borrow
+
+
+def _round_block(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """`mixed_radix_float` on one block of entries."""
+    modulus = prod(primes)
+    count = len(primes)                          # M < 2^(31 count)
+    # Horner from the top digit: x = x p_k + d_k, carried over 32-bit limbs;
+    # a limb times p_k plus a carry stays below 2^63
+    x = [digits[-1].astype(np.uint64)]
+    for d, p in zip(digits[-2::-1], primes[-2::-1]):
+        carry = d.astype(np.uint64)
+        for i, limb in enumerate(x):
+            t = limb * np.uint64(p) + carry
+            x[i] = t & _MASK
+            carry = t >> 32
+        x.append(carry)
+    # the signed lift: x >= (M + 1)/2 (M is odd) reads as x - M
+    negative = _subtract(x, _limbs(modulus // 2 + 1, count))[1] == 0
+    flipped = _subtract(_limbs(modulus, count), x)[0]
+    # two zero limbs below, so every nonzero value's top limb has two below it
+    mag = np.stack([np.zeros_like(x[0])] * 2
+                   + [np.where(negative, f, v) for f, v in zip(flipped, x)])
+    top = np.full(mag.shape[1], 2)
+    sticky = np.zeros(mag.shape[1], dtype=bool)
+    for i in range(2, mag.shape[0]):
+        top[mag[i] != 0] = i
+    for i in range(mag.shape[0]):
+        sticky |= (mag[i] != 0) & (i < top - 2)
+    hi, mid, lo = (np.take_along_axis(mag, (top - j)[None], 0)[0] for j in range(3))
+    # bits of the top limb, exact through float64 below 2^32 (0 for x = 0)
+    bits = np.frexp(hi.astype(np.float64))[1].astype(np.uint64)
+    # the 64 bits from the leading one down, with a sticky low bit for any
+    # one below them: converting that to float64 rounds once, to nearest
+    # even, exactly as the whole value would
+    window = ((hi << (np.uint64(64) - bits)) | (mid << (np.uint64(32) - bits))
+              | (lo >> bits))
+    sticky |= (lo & ((np.uint64(1) << bits) - np.uint64(1))) != 0
+    window |= sticky.astype(np.uint64)
+    value = np.ldexp(window.astype(np.float64), 32 * top + bits.astype(np.int64) - 128)
+    return np.where(negative, -value, value)
+
+
+def mixed_radix_float(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """The signed values of the digits as float64, each the correctly
+    rounded float(x) of `mixed_radix_value`'s x (round to nearest, ties to
+    even); no Python int is formed.
+
+    The value is assembled over 32-bit limbs in uint64, a block of entries
+    at a time, and rounded once from its leading 64 bits and a sticky bit.
+    """
+    out = np.empty(digits[0].shape[0])
+    for start in range(0, out.shape[0], _CHUNK):
+        out[start:start + _CHUNK] = _round_block(
+            [d[start:start + _CHUNK] for d in digits], primes)
+    return out
+
+
+def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """Signed CRT of the residues: the values in (-M/2, M/2], M the product
+    of the primes, as `mixed_radix_value` reads them out."""
+    return mixed_radix_value(garner_digits(residues, primes), primes)
 
 
 def convolve_exact(a, b, bound: int) -> np.ndarray:

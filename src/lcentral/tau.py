@@ -1,6 +1,6 @@
-"""Exact coefficient table of the weight-12 level-1 cusp form Delta.
+"""Coefficient tables of the weight-12 level-1 cusp form Delta.
 
-Production route (`tau_table`): Ramanujan's identity ("On certain
+Production route (`tau_table` and `tau_exact`): Ramanujan's identity ("On certain
 arithmetical functions", 1916), which follows from
 E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
 
@@ -23,14 +23,19 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
   sum below 2^49.
-- Garner's mixed-radix CRT on whole int64 arrays (`ntt.garner`) gives the
-  exact signed values; only the final weighted sum of the digits is formed
-  in Python ints.
-- Self-checks, each raising ArithmeticError: tau(n) for n <= 13, and at the
-  top of the table, where the values are largest and a short CRT range would
-  show first, tau(ab) = tau(a) tau(b) at the largest index that splits as a
-  coprime product and tau(q^2) = tau(q)^2 - q^11 at the largest prime q with
-  q^2 <= limit.
+- Garner's mixed-radix digits on whole int64 arrays (`ntt.garner_digits`)
+  are read out two ways.  `tau_table`, the table the sums read, is
+  `ntt.mixed_radix_float`: each entry is the correctly rounded float(tau(n))
+  (to nearest, ties to even), assembled over 32-bit limbs in uint64 and
+  rounded once, with no Python int formed.  `tau_exact` is
+  `ntt.mixed_radix_value`: exact Python ints, for the places that compare
+  integers (the acceptance sweep's bound scan, documents, tests).
+- Self-checks, each raising ArithmeticError, on exact values read from the
+  digits at the few indices they need, before either read-out: tau(n) for
+  n <= 13, and at the top of the table, where the values are largest and a
+  short CRT range would show first, tau(ab) = tau(a) tau(b) at the largest
+  index that splits as a coprime product and tau(q^2) = tau(q)^2 - q^11 at
+  the largest prime q with q^2 <= limit.
 
 Oracle route (`tau_table_bigint`): the eta product q prod(1-q^n)^24 as the
 eighth power of Jacobi's sparse series prod(1-q^n)^3 =
@@ -47,7 +52,8 @@ from math import isqrt
 
 import numpy as np
 
-from .ntt import Transform, crt_primes, garner, transform_size
+from .ntt import (Transform, crt_primes, garner_digits, mixed_radix_float,
+                  mixed_radix_value, transform_size)
 
 # Largest table: squaring 2^23 coefficients needs 2^24 - 1 output terms, so
 # 2^24-point transforms (the prime set supports up to 3 * 2^25 points).
@@ -162,14 +168,15 @@ class _DivisorIndex:
 
 def _ramanujan_residues(index: _DivisorIndex, limit: int, p: int,
                         g: int) -> np.ndarray:
-    """tau(n) mod p for 1 <= n <= limit, from Ramanujan's identity."""
+    """tau(n) mod p at index n for 0 <= n <= limit (entry 0 is 0), from
+    Ramanujan's identity."""
     s5 = index.sigma(5, p)
-    out = 65 * index.sigma(11, p)[1:] + 691 * s5[1:]
+    out = 65 * index.sigma(11, p) + 691 * s5
     if limit > 1:
         # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit
         col = s5[1:limit]
         transform = Transform(transform_size(2 * limit - 3), p, g)
-        out[1:] -= 174132 * transform.product(col, col, limit - 1)
+        out[2:] -= 174132 * transform.product(col, col, limit - 1)
     out %= p
     out *= pow(756, -1, p)
     out %= p
@@ -183,27 +190,34 @@ def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
     return crt_primes(2 * limit ** 6)
 
 
-def _check_table(out: list[int], split: tuple[int, int] | None,
-                 root_prime: int | None) -> None:
-    """The self-checks of the module docstring; ArithmeticError on failure."""
-    for n, v in _SMALL_TAU.items():
-        if n < len(out) and out[n] != v:
-            raise ArithmeticError(f"tau({n}) reproduced as {out[n]}, not {v}")
+def _check_table(digits: list[np.ndarray], primes: list[int],
+                 split: tuple[int, int] | None, root_prime: int | None) -> None:
+    """The self-checks of the module docstring, on exact values read from
+    the digits at the indices they need; ArithmeticError on failure."""
+    limit = digits[0].shape[0] - 1
+    points = {n for n in _SMALL_TAU if n <= limit}
     if split is not None:
         a, b = split
-        if out[a * b] != out[a] * out[b]:
+        points |= {a, b, a * b}
+    if root_prime is not None:
+        points |= {root_prime, root_prime ** 2}
+    at = sorted(points)
+    tau = dict(zip(at, mixed_radix_value([d[at] for d in digits], primes).tolist()))
+    for n, v in _SMALL_TAU.items():
+        if n <= limit and tau[n] != v:
+            raise ArithmeticError(f"tau({n}) reproduced as {tau[n]}, not {v}")
+    if split is not None:
+        if tau[a * b] != tau[a] * tau[b]:
             raise ArithmeticError(f"tau({a * b}) != tau({a}) tau({b})")
     if root_prime is not None:
         q = root_prime
-        if out[q * q] != out[q] ** 2 - q ** 11:
+        if tau[q * q] != tau[q] ** 2 - q ** 11:
             raise ArithmeticError(f"tau({q}^2) != tau({q})^2 - {q}^11")
 
 
-def tau_table(limit: int) -> list[int]:
-    """tau(n) for 1 <= n <= limit, exact; index n of the returned list.
-
-    limit is the number of coefficients; entry 0 is a placeholder zero.
-    """
+def _tau_digits(limit: int) -> tuple[list[np.ndarray], list[int]]:
+    """Garner's digits of tau(n) at index n for 0 <= n <= limit, and their
+    primes, once the self-checks have passed."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > TAU_LIMIT_CAP:
@@ -214,10 +228,33 @@ def tau_table(limit: int) -> list[int]:
     index = _DivisorIndex(limit)
     residues = [_ramanujan_residues(index, limit, p, g) for p, g in primes]
     checks = index.split, index.root_prime
-    del index       # freed before Garner, whose object arrays set the peak
-    out = [0] + garner(residues, [p for p, _ in primes]).tolist()
-    _check_table(out, *checks)
+    del index
+    moduli = [p for p, _ in primes]
+    digits = garner_digits(residues, moduli)
+    del residues
+    _check_table(digits, moduli, *checks)
+    return digits, moduli
+
+
+def tau_table(limit: int) -> np.ndarray:
+    """float(tau(n)) at index n for 0 <= n <= limit, each correctly rounded
+    (to nearest, ties to even), as a read-only float64 array; entry 0 is 0.
+
+    This is the table the sums read; no Python int is formed on the way.
+    """
+    out = mixed_radix_float(*_tau_digits(limit))
+    out.setflags(write=False)
     return out
+
+
+def tau_exact(limit: int) -> list[int]:
+    """tau(n) at index n for 0 <= n <= limit, exactly; entry 0 is 0.
+
+    The same digits as `tau_table`, read out as Python ints, for the places
+    that compare integers: the bound scan of the acceptance sweep, documents
+    and tests.
+    """
+    return mixed_radix_value(*_tau_digits(limit)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +294,7 @@ def _square_bigint(coeffs: list[int], out_len: int) -> list[int]:
 
 
 def tau_table_bigint(limit: int) -> list[int]:
-    """Slow exact route for cross-checking tau_table; capped by design."""
+    """Slow exact route for cross-checking tau_exact; capped by design."""
     if not 1 <= limit <= _ORACLE_CAP:
         raise ValueError(f"oracle route is limited to {_ORACLE_CAP} coefficients")
     coeffs = [0] * limit

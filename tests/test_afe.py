@@ -304,7 +304,9 @@ def test_route_two_builds_the_orbit_once(monkeypatch):
     probe = builtin_newform("delta", limit=16)
     cfg = choose_cutoffs(probe, Q, seed.conductor_norm)
     need = max(cfg.cutoff_main, cfg.cutoff_dual)
-    form = dataclasses.replace(probe, coefficients=[0, 1] + [0] * (need - 1))
+    table = np.zeros(need + 1)
+    table[1] = 1.0
+    form = dataclasses.replace(probe, table=table)
     builds = []
     build = charsums._substitution_array
 

@@ -16,7 +16,7 @@ from lcentral.cli import main, parse_char_label, usable_cpus
 from lcentral.experiment import report_from_json
 from lcentral.newforms import builtin_newform
 from lcentral.rayclass import HeckeCharacter
-from lcentral.tau import primes_up_to, tau_table
+from lcentral.tau import primes_up_to, tau_exact
 
 
 def run_json(capsys, argv):
@@ -312,7 +312,7 @@ def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     cx = dict(nb, nebentypus="trivial",
               prime_eigenvalues=dict(nb["prime_eigenvalues"], **{"2": [0, 1]}))
     short = {"label": "short", "weight_vector": [12], "atkin_lehner": -1,
-             "coefficients": tau_table(200)[1:]}
+             "coefficients": tau_exact(200)[1:]}
     paths = {}
     for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC),
                       ("gaussian", _GAUSSIAN_DOC), ("cx", cx), ("short", short)):
@@ -327,7 +327,7 @@ def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
     # a full table ignores --limit, so the message names only the shortfall
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"label": "short", "weight_vector": [12],
-                                "atkin_lehner": -1, "coefficients": tau_table(200)[1:]}))
+                                "atkin_lehner": -1, "coefficients": tau_exact(200)[1:]}))
     assert main(["lvalue", "--form", str(path), "--limit", "5000",
                  "--char", "rationals.p5.m2.chi3"]) == 2
     err = capsys.readouterr().err.strip()
@@ -344,7 +344,7 @@ def test_level_above_one_is_refused(tmp_path, capsys, rows):
     if rows == "prime_eigenvalues":
         doc[rows] = {str(p): 0 for p in primes_up_to(2000)}
     else:
-        doc[rows] = tau_table(2000)[1:]
+        doc[rows] = tau_exact(2000)[1:]
     path = tmp_path / "level11.json"
     path.write_text(json.dumps(doc))
     assert main(["lvalue", "--form", str(path), "--char", "rationals.p5.m2.chi3"]) == 2

@@ -7,8 +7,9 @@ from scipy.special import gammaincc, loggamma
 
 from lcentral.afe import EVAL_REL_ERR
 from lcentral.fields import nf_load
-from lcentral.kernels import (TWO_PI, GammaFactor, VKernel, _bessel_tail, _log_gamma,
-                              _upper_gamma_regularized, totally_positive_unit_index)
+from lcentral.kernels import (_TRAPEZOID_REACH, _TRAPEZOID_STEP, TWO_PI, GammaFactor,
+                              VKernel, _bessel_tail, _log_gamma, _upper_gamma_regularized,
+                              totally_positive_unit_index)
 from oracles import BumpVKernel, bessel_tail_quad
 
 Q = nf_load("rationals")
@@ -135,6 +136,32 @@ def test_degree_two_tail_matches_mpmath(a1, a2):
                          for v in vs])
     worst = float(np.max(np.abs(_bessel_tail(a1, a2, np.array(vs)) / want - 1.0)))
     assert worst <= EVAL_REL_ERR, worst
+
+
+def _bessel_tail_node_by_node(a1, a2, v):
+    # the trapezoid sum of _bessel_tail, one Q call per node
+    b, nu = a1 + a2, a1 - a2
+    reach = (_TRAPEZOID_REACH + b * math.log(2.0)) / (b - abs(nu))
+    t = _TRAPEZOID_STEP * np.arange(math.ceil(reach / _TRAPEZOID_STEP) + 1)
+    weights = 2.0 * _TRAPEZOID_STEP * np.exp(np.logaddexp(nu * t, -nu * t)
+                                            - b * np.logaddexp(t, -t))
+    weights[0] /= 2.0
+    w = 2.0 * np.sqrt(v)
+    total = np.zeros_like(w)
+    for stretch, weight in zip(np.cosh(t).tolist(), weights.tolist()):
+        total = total + weight * _upper_gamma_regularized(b, w * stretch)
+    return math.gamma(b) * total
+
+
+@pytest.mark.parametrize("s", [6.0, 6.3])
+def test_degree_two_tail_blocks_keep_the_node_by_node_sum(s):
+    # Q on nodes x points blocks, several blocks here, adds each point's
+    # terms in node order: bit-equal to the per-node sum, one point or many
+    vs = np.concatenate([[0.0], np.geomspace(1e-4, 2e3, 2999)])
+    want = _bessel_tail_node_by_node(s, s, vs)
+    assert _bessel_tail(s, s, vs).tolist() == want.tolist()
+    assert [float(_bessel_tail(s, s, np.array([v]))[0]) for v in vs[::97]] == \
+        want[::97].tolist()
 
 
 def test_tail_route_input_validation():

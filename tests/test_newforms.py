@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcentral.newforms import (NewformData, builtin_newform, newform_load,
+from lcentral.newforms import (_expand_from_primes, builtin_newform, newform_load,
                                ramanujan_violations)
-from lcentral.tau import tau_table
+from lcentral.tau import tau_exact, tau_table
 
 DELTA = builtin_newform("delta", 2000)
+EXACT = tau_exact(2000)
 PRIMES = [p for p in range(2, 2001)
           if all(p % q for q in range(2, int(p ** 0.5) + 1))]
 
@@ -24,7 +25,7 @@ def prime_doc(**overrides):
         "n0": 0,
         "theta": "0",
         "atkin_lehner": -1,
-        "prime_eigenvalues": {str(p): DELTA.coeff_of_norm(p) for p in PRIMES},
+        "prime_eigenvalues": {str(p): EXACT[p] for p in PRIMES},
     }
     doc.update(overrides)
     return doc
@@ -37,15 +38,13 @@ def test_builtin_delta_properties():
     assert DELTA.eta == -1 and DELTA.n0 == 0 and DELTA.theta == 0
     assert DELTA.level_norm == 1
     assert DELTA.limit == 2000
-    assert DELTA.coeff_of_norm(1) == 1
+    assert DELTA.coefficient_array()[1] == 1.0
 
 
 def test_coeff_lookup():
-    assert DELTA.coeff_of_norm(6) == -6048  # tau(2) tau(3) by multiplicativity
+    assert DELTA.coefficient_array(6)[6] == -6048.0  # tau(2) tau(3) by multiplicativity
     with pytest.raises(IndexError):
-        DELTA.coeff_of_norm(0)
-    with pytest.raises(IndexError):
-        DELTA.coeff_of_norm(2001)
+        DELTA.coefficient_array(2001)
 
 
 def test_coefficient_array_layout():
@@ -59,23 +58,25 @@ def test_coefficient_array_layout():
 def test_float_copy_is_correctly_rounded():
     # entries past 2^53 and past 2^63 must round exactly as float(int) does
     form = builtin_newform("delta", 3000)
-    assert max(abs(c) for c in form.coefficients) > 2 ** 63
-    assert form.coefficient_array().tolist() == [float(c) for c in form.coefficients]
+    exact = tau_exact(3000)
+    assert max(abs(c) for c in exact) > 2 ** 63
+    assert form.coefficient_array().tolist() == [float(c) for c in exact]
     doc = {"label": "t", "weight_vector": [12], "atkin_lehner": -1,
-           "coefficients": tau_table(100)[1:]}
+           "coefficients": tau_exact(100)[1:]}
     assert newform_load(doc).coefficient_array(50).tolist() == \
-        [float(c) for c in tau_table(50)]
+        [float(c) for c in tau_exact(50)]
 
 
 def test_prime_expansion_reproduces_eta_product():
     form = newform_load(prime_doc(), limit=2000)
-    assert form.coefficients == tau_table(2000)
+    assert _expand_from_primes({p: EXACT[p] for p in PRIMES}, 2000, 12, Fraction(0)) == EXACT
+    assert form.coefficient_array().tolist() == tau_table(2000).tolist()
     assert form.type_j == (0,)
 
 
 def test_loader_passthrough_and_builtin_names():
     assert newform_load(DELTA) is DELTA
-    assert newform_load("weight12-level1", limit=50).coeff_of_norm(2) == -24
+    assert newform_load("weight12-level1", limit=50).coefficient_array()[2] == -24.0
     with pytest.raises(ValueError):
         newform_load("no-such-form")
 
@@ -94,9 +95,9 @@ def test_prime_bound_violation_reported():
 
 def test_full_table_verification():
     good = {"label": "t", "weight_vector": [12], "atkin_lehner": -1,
-            "coefficients": tau_table(100)[1:]}
+            "coefficients": tau_exact(100)[1:]}
     form = newform_load(good)
-    assert form.coeff_of_norm(100) == tau_table(100)[100]
+    assert form.coefficient_array()[100] == tau_table(100)[100]
 
     broken_mult = dict(good, coefficients=[1, -24, 252, -1472, 4830, -6000])
     with pytest.raises(ValueError, match=r"not multiplicative at ideal \(6\)"):
@@ -122,7 +123,7 @@ def test_full_table_names_the_first_broken_identity(index, value, message):
     # one corrupt entry: a prime power breaks the Hecke recursion, any other
     # composite multiplicativity, and a prime is read as an eigenvalue whose
     # first multiple then disagrees, unless it breaks the bound itself
-    table = tau_table(200)
+    table = tau_exact(200)
     table[index] = value
     with pytest.raises(ValueError, match=message):
         newform_load({"label": "t", "weight_vector": [12], "atkin_lehner": -1,
@@ -166,14 +167,10 @@ def test_loader_refuses_forms_the_engine_cannot_evaluate(overrides, message):
 
 
 def test_ramanujan_scan_clean_for_delta():
-    assert ramanujan_violations(DELTA) == []
+    assert ramanujan_violations(EXACT, 12, Fraction(0)) == []
 
 
 def test_theta_tightens_the_bound():
-    # with theta = 0 the scan is the sharp Deligne bound; a fake form whose
+    # with theta = 0 the scan is the sharp Deligne bound; a fake table whose
     # a(2) sits just above it must be flagged
-    form = NewformData(label="x", field_label="rationals", weight=12,
-                       gamma_shifts=(0,), level_norm=1,
-                       eta=1, n0=0, theta=Fraction(0),
-                       coefficients=[0, 1, 2 * 46 ** 1 + 2896, 0])
-    assert 2 in ramanujan_violations(form)
+    assert 2 in ramanujan_violations([0, 1, 2 * 46 ** 1 + 2896, 0], 12, Fraction(0))

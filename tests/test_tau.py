@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from lcentral import tau as tau_module
 from lcentral.newforms import _verify_full_table
-from lcentral.ntt import NTT_PRIMES, garner, transform_size
+from lcentral.ntt import (NTT_PRIMES, garner, garner_digits, mixed_radix_float,
+                          transform_size)
 from lcentral.tau import (_SMALL_TAU, TAU_LIMIT_CAP, _crt_primes, _DivisorIndex,
-                          tau_table, tau_table_bigint)
+                          tau_exact, tau_table, tau_table_bigint)
 
-TABLE = tau_table(5000)
+TABLE = tau_exact(5000)
 
 
 def hecke_eigenvalue_defect(table: list[int], m: int, n: int) -> int:
@@ -76,15 +78,18 @@ def test_table_guards():
     with pytest.raises(ValueError):
         tau_table(0)
     with pytest.raises(ValueError):
+        tau_exact(0)
+    with pytest.raises(ValueError):
         tau_table_bigint(30000)  # reference route is capped by design
 
 
 def test_routes_agree_on_tiny_tables():
     # limit 1 has no convolution sum, limit 2 a one-term one
     for limit in range(1, 14):
-        table = tau_table(limit)
+        table = tau_exact(limit)
         assert table == tau_table_bigint(limit)
         assert table[1:] == [_SMALL_TAU[n] for n in range(1, limit + 1)]
+        assert tau_table(limit).tolist() == [float(c) for c in table]
 
 
 def test_divisor_sums_match_the_naive_sums_mod_every_prime():
@@ -103,7 +108,7 @@ def test_divisor_sums_match_the_naive_sums_mod_every_prime():
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=1, max_value=20001))
 def test_ntt_route_matches_bigint_route_at_random_limits(limit):
-    assert tau_table(limit) == tau_table_bigint(limit)
+    assert tau_exact(limit) == tau_table_bigint(limit)
 
 
 @pytest.mark.parametrize("limit,size", [(6144, 3 << 12), (6145, 1 << 14),
@@ -112,7 +117,7 @@ def test_routes_agree_where_the_transform_size_switches(limit, size):
     # a product of limit-term operands, 2 limit - 1 points, just below and
     # above 3 * 2^12 and 2^14
     assert transform_size(2 * limit - 1) == size
-    assert tau_table(limit) == tau_table_bigint(limit)
+    assert tau_exact(limit) == tau_table_bigint(limit)
 
 
 @pytest.mark.parametrize("limit,size", [(6145, 3 << 12), (6146, 1 << 14),
@@ -122,12 +127,12 @@ def test_routes_agree_where_the_squaring_size_switches(limit, size):
     # points: these limits square on either side of a switch between 2^k and
     # 3 * 2^k points
     assert transform_size(2 * limit - 3) == size
-    assert tau_table(limit) == tau_table_bigint(limit)
+    assert tau_exact(limit) == tau_table_bigint(limit)
 
 
 @pytest.fixture(scope="module")
 def table_100k():
-    return tau_table(100000)
+    return tau_exact(100000)
 
 
 def test_table_100k_frozen(table_100k):
@@ -153,6 +158,8 @@ def test_a_short_crt_range_is_caught_at_the_top_of_the_table(monkeypatch):
     monkeypatch.setattr(tau_module, "_crt_primes", lambda limit: primes[:-1])
     with pytest.raises(ArithmeticError):
         tau_table(100000)
+    with pytest.raises(ArithmeticError):
+        tau_exact(100000)
 
 
 def test_negative_values_past_the_oracle(table_100k):
@@ -178,6 +185,56 @@ def test_garner_round_trip_for_every_prime_count():
         residues = [np.array([v % p for v in values], dtype=np.int64)
                     for p in primes]
         assert garner(residues, primes).tolist() == values
+
+
+@pytest.mark.parametrize("k", range(1, len(NTT_PRIMES) + 1))
+def test_float_readout_rounds_as_float_of_the_int(k):
+    # random signed values, +-M/2, and +-(2^e + delta) around the rounding
+    # points of 2^e: at 2^e itself, half an ulp above it (a tie, to even:
+    # down), three halves of an ulp above it (a tie: up) and a quarter ulp
+    # below it, each with small offsets either side
+    rng = random.Random(k)
+    primes = [p for p, _ in NTT_PRIMES[:k]]
+    half = math.prod(primes) // 2
+    values = [half, -half, 0, 1, -1]
+    values += [rng.randrange(-half, half + 1) for _ in range(500)]
+    for e in range(54, 151):
+        for base in ((1 << e), (1 << e) + (1 << (e - 53)),
+                     (1 << e) + 3 * (1 << (e - 53)), (1 << e) - (1 << (e - 54))):
+            for delta in range(-2, 3):
+                if abs(base + delta) <= half:
+                    values += [base + delta, -(base + delta)]
+    residues = [np.array([v % p for v in values], dtype=np.int64) for p in primes]
+    got = mixed_radix_float(garner_digits(residues, primes), primes)
+    assert got.tolist() == [float(v) for v in values]
+
+
+@pytest.mark.parametrize("limit", [20001, 152588, 337564])
+def test_float_table_is_the_rounded_exact_table(limit):
+    table = tau_table(limit)
+    assert not table.flags.writeable and table.dtype == np.float64
+    assert table.tolist() == [float(c) for c in tau_exact(limit)]
+
+
+def test_float_table_stays_in_its_memory_budget():
+    # the float table is built from int64 digits with no Python-int list or
+    # object array on the way: at most 150 bytes per coefficient at the peak
+    # (235 with object arrays), and nothing kept but the 8-byte entries
+    limit = 100000
+    tracemalloc.start()
+    try:
+        table = tau_table(limit)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * limit
+    assert kept - table.nbytes < 4096
+
+
+def test_prime_product_covers_the_cap():
+    # the signed CRT needs a product past 4 limit^6 at the largest table
+    assert math.prod(p for p, _ in NTT_PRIMES) > 4 * TAU_LIMIT_CAP ** 6
+    assert len(_crt_primes(TAU_LIMIT_CAP)) <= 5
 
 
 def _factor(n):
@@ -214,3 +271,5 @@ def test_limits_past_the_cap_are_refused_before_any_work():
         tau_table(TAU_LIMIT_CAP + 1)
     with pytest.raises(ValueError, match="cap"):
         tau_table(10 ** 12)
+    with pytest.raises(ValueError, match="cap"):
+        tau_exact(TAU_LIMIT_CAP + 1)
