@@ -161,8 +161,7 @@ def _mod_index(count: int, mod: int) -> np.ndarray:
 
 
 def _on_form(form: NewformData, key, build):
-    """build(), kept on the form under key.  Built before it is published,
-    so a racing thread at worst builds the same value twice."""
+    """build(), kept on the form under key."""
     got = form._derived.get(key)
     if got is None:
         got = build()

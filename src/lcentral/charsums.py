@@ -60,7 +60,7 @@ import numpy as np
 
 from .abelian import p_adic_split
 from .fields import FieldElement
-from .roots import CyclotomicNumber, RootOfUnity, unit_circle
+from .roots import CyclotomicNumber, RootOfUnity, unit_circle_array
 from .rayclass import HeckeCharacter, PrimeContext
 
 # largest cyclotomic level we are willing to reduce exactly
@@ -92,8 +92,7 @@ class CoefficientFieldContext:
 
     def substitutions(self, e: int) -> np.ndarray:
         """The units t mod p^e with t = 1 mod p^min(e, n0), increasing, as a
-        read-only int64 array; [1] at e = 0.  Built before it is published,
-        so a racing thread at worst builds the same array twice."""
+        read-only int64 array; [1] at e = 0."""
         got = self._orbits.get(e)
         if got is None:
             got = _substitution_array(self.p, e, self.n0)
@@ -157,10 +156,9 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
         total = CyclotomicNumber.from_array(den, np.bincount(exps, minlength=den))
         return total * CyclotomicNumber.from_root(pref)
 
-    circle = unit_circle(den)
     total = 0j
-    for e in exps.tolist():
-        total += circle[e]
+    for term in unit_circle_array(den)[exps].tolist():
+        total += term
     return total * pref.to_complex()
 
 

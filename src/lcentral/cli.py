@@ -179,8 +179,7 @@ def cmd_cone_count(args) -> int:
     nf = nf_load(args.field)
     ctx = prime_above(nf, args.p)
     pc = count_progression(_parse_alpha(args.alpha), ctx, args.n, args.x,
-                           witnesses=args.witnesses, window=args.window,
-                           threads=args.threads)
+                           witnesses=args.witnesses, window=args.window)
     doc = {
         "field": nf.label,
         "p": args.p,
@@ -233,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="builtin newform name or JSON path")
     form.add_argument("--tol", type=float, default=1e-9,
                       help="truncation tolerance for the smoothed sums")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
-                         help="worker threads for enumerations and scans")
 
     top = argparse.ArgumentParser(
         prog="lcentral",
@@ -252,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficients to load for the form")
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("lav-scan", parents=[field, form, threads, output],
+    p = sub.add_parser("lav-scan", parents=[field, form, output],
                        help="averaged central values along a conductor tower")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the coefficient table's CRT primes")
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--pi", help="prime generator coordinates, e.g. '3,1'")
     p.add_argument("--n-lo", type=int, default=1)
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=0)
     p.set_defaults(func=cmd_kloosterman)
 
-    p = sub.add_parser("cone-count", parents=[field, threads, output],
+    p = sub.add_parser("cone-count", parents=[field, output],
                        help="exact unit-orbit progression count")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -317,9 +315,9 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("--threads must be a positive integer", file=sys.stderr)
             return 2
-        # workers past the usable CPUs add threads, not speed (cone-count
-        # starts one per slab), so the count is clamped rather than refused:
-        # the same command line then runs on every host
+        # workers past the usable CPUs add threads, not speed (the table
+        # starts at most one per CRT prime), so the count is clamped rather
+        # than refused: the same command line then runs on every host
         args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)

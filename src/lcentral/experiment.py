@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +28,8 @@ from .charsums import CoefficientFieldContext
 from .cones import prime_above
 from .fields import nf_load
 from .newforms import newform_load
-from .rayclass import PrimeContext, rcg_build, seed_character
+from .rayclass import (PrimeContext, rcg_build, require_odd_prime,
+                       seed_character)
 
 TREND_NOTE = ("averaged values approach 1 only as the conductor grows without "
               "bound; at these desk-scale levels the report witnesses the "
@@ -43,6 +43,8 @@ class ExperimentConfig:
     y follows the balance rule y = N(P)^(a*n); a must sit strictly inside
     the exponent window for the form's coefficient-growth exponent, else
     the envelope terms do not all decay and the scan refuses to start.
+    threads is the number of workers that build the coefficient table, one
+    CRT prime each; the levels run in order, and no number depends on it.
     """
 
     field: str = "rationals"
@@ -111,8 +113,7 @@ class _Setup:
             raise ValueError("need 1 <= n_lo <= n_hi")
         if cfg.eps <= 0:
             raise ValueError("eps must be positive")
-        if cfg.p % 2 == 0:
-            raise ValueError("p must be odd")
+        require_odd_prime(cfg.p)
         form_probe = newform_load(cfg.form, limit=16)
         self.n0 = form_probe.n0
 
@@ -150,7 +151,7 @@ class _Setup:
             choose_cutoffs(form_probe, self.nf, cfg.p ** (n + self.n0 + 1),
                            y=_balance_point(cfg, n), tol=cfg.tol)
             for n in range(cfg.n_lo, cfg.n_hi + 1)))
-        self.form = newform_load(cfg.form, limit=need)
+        self.form = newform_load(cfg.form, limit=need, threads=cfg.threads)
         if self.form.limit < need:
             # a full-table document carries its own length
             raise ValueError(f"form carries coefficients to {self.form.limit} "
@@ -229,12 +230,7 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
 def run_lav_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Scan the configured levels and assemble the report (rows in n order)."""
     setup = _Setup(cfg)
-    levels = list(range(cfg.n_lo, cfg.n_hi + 1))
-    if cfg.threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(levels))) as pool:
-            rows = tuple(pool.map(lambda n: _run_row(setup, n), levels))
-    else:
-        rows = tuple(_run_row(setup, n) for n in levels)
+    rows = tuple(_run_row(setup, n) for n in range(cfg.n_lo, cfg.n_hi + 1))
     report = ExperimentReport(
         config=cfg,
         field_label=setup.nf.label,

@@ -144,7 +144,7 @@ def _verify_full_table(a: list, k: int, theta: Fraction) -> None:
     raise ValueError(f"table is not multiplicative at ideal ({n})")
 
 
-def builtin_newform(name: str, limit: int = 1000) -> NewformData:
+def builtin_newform(name: str, limit: int = 1000, threads: int = 1) -> NewformData:
     if name not in ("delta", "weight12-level1"):
         raise ValueError(f"no builtin form named {name!r}")
     return NewformData(
@@ -156,7 +156,7 @@ def builtin_newform(name: str, limit: int = 1000) -> NewformData:
         eta=-1,
         n0=0,
         theta=Fraction(0),
-        table=tau_table(limit),
+        table=tau_table(limit, threads),
     )
 
 
@@ -179,7 +179,7 @@ def _parse_entry(value) -> int:
     return value
 
 
-def newform_load(source, limit: int = 1000) -> NewformData:
+def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     """Load a form from a builtin name, a JSON document path, or a dict.
 
     Document header: {label, field_label, weight_vector, m_vector, type_J,
@@ -187,7 +187,8 @@ def newform_load(source, limit: int = 1000) -> NewformData:
     mapping {ideal_label: integer} under "prime_eigenvalues", indexed by norm
     for the shipped degree-one setting.  A precomputed table may be supplied
     under "coefficients" (a(1), a(2), ... by norm); it is verified entry by
-    entry instead of expanded.
+    entry instead of expanded.  `threads` is the number of workers that
+    build a builtin form's table (`tau.tau_table`).
 
     Refused with ValueError: a level_norm other than 1, a nebentypus other
     than "trivial", a non-integer eigenvalue or table entry (such as
@@ -200,7 +201,7 @@ def newform_load(source, limit: int = 1000) -> NewformData:
     if isinstance(source, NewformData):
         return source
     if isinstance(source, str) and not Path(source).exists():
-        return builtin_newform(source, limit)
+        return builtin_newform(source, limit, threads)
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             doc = json.load(fh)

@@ -104,7 +104,7 @@ class PrimeContext:
             arr = np.full(mod, -1, dtype=np.int64)
             arr[root_powers(g, phi, mod)] = np.arange(phi, dtype=np.int64)
             arr.setflags(write=False)
-            self._dlogs[level] = arr      # published once, fully built
+            self._dlogs[level] = arr
         return arr
 
     def unit_group_order(self, level: int) -> int:

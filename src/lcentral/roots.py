@@ -65,15 +65,10 @@ class RootOfUnity:
 
 
 @lru_cache(maxsize=4)
-def unit_circle(den: int) -> tuple[complex, ...]:
-    """e(k / den) for k = 0..den-1, each the bits RootOfUnity.to_complex gives."""
-    return tuple(cmath.exp(2j * pi * (k / den)) for k in range(den))
-
-
-@lru_cache(maxsize=4)
 def unit_circle_array(den: int) -> np.ndarray:
-    """unit_circle(den) as a read-only complex128 array, the same bits."""
-    got = np.array(unit_circle(den), dtype=np.complex128)
+    """e(k / den) for k = 0..den-1 as a read-only complex128 array, each the
+    bits RootOfUnity.to_complex gives."""
+    got = np.array([cmath.exp(2j * pi * (k / den)) for k in range(den)])
     got.setflags(write=False)
     return got
 

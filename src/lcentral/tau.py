@@ -18,7 +18,9 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
 - Per prime p: sigma_5 and sigma_11 mod p through that structure, one
   squaring of the sigma_5 column through `ntt.Transform` (four-step layout,
   2^k or 3 * 2^k points) for the convolution sum, and the identity solved
-  for tau mod p.  Each prime's columns are freed before the next.
+  for tau mod p.  Each prime's columns are freed once its residues are
+  out; `threads` workers take that many primes at once, the package's one
+  thread pool (numpy releases the GIL in the butterflies).
 - int64 bounds: every prime is below 2^31 and sigma values are kept in
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
@@ -48,6 +50,7 @@ construction.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import numpy as np
@@ -215,9 +218,10 @@ def _check_table(digits: list[np.ndarray], primes: list[int],
             raise ArithmeticError(f"tau({q}^2) != tau({q})^2 - {q}^11")
 
 
-def _tau_digits(limit: int) -> tuple[list[np.ndarray], list[int]]:
+def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[int]]:
     """Garner's digits of tau(n) at index n for 0 <= n <= limit, and their
-    primes, once the self-checks have passed."""
+    primes, once the self-checks have passed.  At threads = 1 the primes run
+    in turn on the calling thread and no thread is started."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > TAU_LIMIT_CAP:
@@ -226,7 +230,13 @@ def _tau_digits(limit: int) -> tuple[list[np.ndarray], list[int]]:
             f"(the largest table a 2^24-point transform can square)")
     primes = _crt_primes(limit)
     index = _DivisorIndex(limit)
-    residues = [_ramanujan_residues(index, limit, p, g) for p, g in primes]
+    def residues_mod(prime):
+        return _ramanujan_residues(index, limit, *prime)
+    if threads == 1:
+        residues = list(map(residues_mod, primes))
+    else:
+        with ThreadPoolExecutor(min(threads, len(primes))) as pool:
+            residues = list(pool.map(residues_mod, primes))
     checks = index.split, index.root_prime
     del index
     moduli = [p for p, _ in primes]
@@ -236,13 +246,14 @@ def _tau_digits(limit: int) -> tuple[list[np.ndarray], list[int]]:
     return digits, moduli
 
 
-def tau_table(limit: int) -> np.ndarray:
+def tau_table(limit: int, threads: int = 1) -> np.ndarray:
     """float(tau(n)) at index n for 0 <= n <= limit, each correctly rounded
     (to nearest, ties to even), as a read-only float64 array; entry 0 is 0.
 
     This is the table the sums read; no Python int is formed on the way.
+    The table does not depend on `threads`, the workers over the primes.
     """
-    out = mixed_radix_float(*_tau_digits(limit))
+    out = mixed_radix_float(*_tau_digits(limit, threads))
     out.setflags(write=False)
     return out
 

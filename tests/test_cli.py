@@ -87,7 +87,7 @@ def test_precision_bits_rounds_output(capsys):
 
 def test_precision_bits_validation(capsys):
     assert main(["lvalue", "--precision-bits", "4"]) == 2
-    assert main(["cone-count", "--p", "5", "--n", "1", "--x", "10", "--threads", "0"]) == 2
+    assert main(["lvalue", "--precision-bits", "129"]) == 2
     capsys.readouterr()
 
 
@@ -96,11 +96,13 @@ def test_precision_bits_validation(capsys):
     ["galois-average", "--char", "rationals.p5.m2.chi4", "--residue", "6", "--tol", "1e-3"],
     ["kloosterman-report", "--char", "rationals.p5.m2.chi4", "--threads", "2"],
     ["cone-count", "--p", "5", "--n", "1", "--x", "10", "--form", "x"],
+    ["cone-count", "--p", "5", "--n", "1", "--x", "10", "--threads", "2"],
     ["lvalue", "--field", "quadratic-sqrt2"],
     ["lvalue", "--threads", "2"],
     ["verify", "--fast", "--precision-bits", "16"],
 ], ids=["gauss-sum-form", "galois-average-tol", "kloosterman-threads",
-        "cone-count-form", "lvalue-field", "lvalue-threads", "verify-precision"])
+        "cone-count-form", "cone-count-threads", "lvalue-field", "lvalue-threads",
+        "verify-precision"])
 def test_options_a_command_does_not_read_exit_two(capsys, argv):
     # each subcommand parses only its own options, so one it would ignore is
     # a usage error rather than silently dropped
@@ -156,7 +158,7 @@ def test_kloosterman_report_command(capsys):
 def test_cone_count_command(capsys):
     code, doc = run_json(capsys, ["cone-count", "--field", "quadratic-sqrt2",
                                   "--p", "7", "--n", "1", "--x", "500",
-                                  "--witnesses", "--threads", "2"])
+                                  "--witnesses"])
     assert code == 0
     assert doc["count"] == 48
     assert doc["min_norm"] == 2
@@ -222,21 +224,13 @@ def test_threads_clamped_to_usable_cpus(capsys, monkeypatch):
 
     seen = {}
 
-    def fake_count(alpha, ctx, n, x, witnesses, window, threads):
-        seen["cone-count"] = threads
-        raise ValueError("stubbed")
-
     def fake_scan(cfg):
         seen["lav-scan"] = cfg.threads
         raise ValueError("stubbed")
 
-    monkeypatch.setattr(cli, "count_progression", fake_count)
     monkeypatch.setattr(cli, "run_lav_experiment", fake_scan)
-    huge = "1000000"
-    assert main(["cone-count", "--p", "5", "--n", "1", "--x", "10",
-                 "--threads", huge]) == 2
-    assert main(["lav-scan", "--threads", huge]) == 2
-    assert seen == {"cone-count": usable_cpus(), "lav-scan": usable_cpus()}
+    assert main(["lav-scan", "--threads", "1000000"]) == 2
+    assert seen == {"lav-scan": usable_cpus()}
     assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
     assert main(["lav-scan", "--threads", "0"]) == 2
     assert "positive" in capsys.readouterr().err
@@ -367,6 +361,8 @@ def test_coefficient_limit_below_one_refused(tmp_path, capsys, limit):
 
 @pytest.mark.parametrize("argv, p", [
     (["lav-scan", "--p", "1"], 1),
+    (["lav-scan", "--p", "2"], 2),
+    (["lav-scan", "--p", "4"], 4),
     (["lav-scan", "--p", "9"], 9),
     (["cone-count", "--p", "15", "--n", "1", "--x", "50"], 15),
     (["gauss-sum", "--char", "rationals.p9.m2.chi1"], 9),
@@ -376,8 +372,8 @@ def test_coefficient_limit_below_one_refused(tmp_path, capsys, limit):
       "--p", "0"], 0),
     (["cone-count", "--field", "quadratic-sqrt2", "--n", "1", "--x", "100",
       "--p", "15"], 15),
-], ids=["lav-scan-1", "lav-scan-9", "cone-count-15", "gauss-sum-9",
-        "sqrt2-cone-count-minus-7", "sqrt2-cone-count-0", "sqrt2-cone-count-15"])
+], ids=["lav-scan-1", "lav-scan-2", "lav-scan-4", "lav-scan-9", "cone-count-15",
+        "gauss-sum-9", "sqrt2-cone-count-minus-7", "sqrt2-cone-count-0", "sqrt2-cone-count-15"])
 def test_p_that_is_not_an_odd_prime_refused(capsys, argv, p):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcentral.cones import (_coord_arrays, _principal_rows, _window_mask,
-                            count_progression, min_norm_coset, prime_above,
-                            reducer_for, torsion_norm_bound, verify_count_bound)
+from lcentral import cones
+from lcentral.cones import (_coord_arrays, _enumerate_coset, _principal_rows,
+                            _window_mask, count_progression, min_norm_coset,
+                            prime_above, reducer_for, torsion_norm_bound,
+                            verify_count_bound)
 from lcentral.fields import NumberFieldData, nf_load
 from lcentral.rayclass import PrimeContext, rcg_build
 from lcentral.tau import primes_up_to
@@ -286,11 +288,22 @@ def test_count_progression_box_oracle():
         assert count_progression(1, CTX7, n, x, box_factor=3.0).count == base
 
 
-def test_count_progression_threads_merge_exactly():
-    for threads in (2, 3, 7):
-        assert count_progression(1, CTX7, 1, 5000, threads=threads).count == 449
-    r = count_progression(1, CTX7, 1, 500, threads=4, witnesses=True)
-    assert r.count == 48 and _coords(r.witnesses[0]) == (1, 0)
+def test_count_progression_slabs_join_exactly(monkeypatch):
+    # slabs of one row, of a few rows, and of a whole box must give the same
+    # (u, v, |N|) arrays, in the same order, and so the same counts and witnesses
+    def run(ctx, n, x, slab):
+        monkeypatch.setattr(cones, "SLAB_CANDIDATES", slab)
+        rows = _principal_rows(ctx.pi ** n)
+        arrays = _enumerate_coset(ctx, rows, ctx.nf.one, x, "standard", 1.0)
+        return arrays, count_progression(1, ctx, n, x, witnesses=True)
+
+    for ctx, n, x in ((CTX7, 1, 500), (CTX7, 1, 5000), (CTX7, 2, 5000),
+                      (CTX5, 1, 5000), (CTX5, 2, 5000)):
+        whole, count = run(ctx, n, x, cones.BOX_CANDIDATE_CAP)
+        for slab in (1, 7, 64):
+            arrays, sliced = run(ctx, n, x, slab)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, whole))
+            assert sliced == count
 
 
 def test_count_progression_window_shift_is_boundary_sized():

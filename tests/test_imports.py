@@ -2,8 +2,9 @@
 private attribute a module assigns on self is read in that module, every
 function, class and method is named somewhere in the package outside its own
 definition (or is allowlisted with a reason), no module uses an assert
-statement, and no module imports scipy: the package, the rational tower, the
-acceptance sweep, an off-grid s and the degree-2 kernel all run without it."""
+statement, no module but tau.py imports a thread pool or threads, and no
+module imports scipy: the package, the rational tower, the acceptance sweep,
+an off-grid s and the degree-2 kernel all run without it."""
 
 import ast
 import os
@@ -41,23 +42,33 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
-def _scipy_imports(tree: ast.Module) -> list[int]:
+def _imports_of(tree: ast.Module, *modules: str) -> list[int]:
+    """Lines that import one of `modules` or a module under one of them."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name.split(".")[0] == "scipy" for name in names):
+        if any(name == m or name.startswith(m + ".") for name in names for m in modules):
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_imports(path):
-    assert _scipy_imports(ast.parse(path.read_text())) == []
+    assert _imports_of(ast.parse(path.read_text()), "scipy") == []
+
+
+# the package's one thread pool takes the coefficient table's CRT primes, so
+# no lazy cache is ever read from a worker thread
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py") if p.name != "tau.py"),
+                         ids=lambda p: p.name)
+def test_no_threads_outside_the_coefficient_table(path):
+    assert _imports_of(ast.parse(path.read_text()), "concurrent.futures", "threading") == []
 
 
 def _write_only_attributes(tree: ast.Module) -> list[str]:

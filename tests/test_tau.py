@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,27 @@ def test_float_table_is_the_rounded_exact_table(limit):
     table = tau_table(limit)
     assert not table.flags.writeable and table.dtype == np.float64
     assert table.tolist() == [float(c) for c in tau_exact(limit)]
+
+
+@pytest.mark.parametrize("limit", [20001, 337564])
+def test_table_does_not_depend_on_the_thread_count(limit):
+    assert np.array_equal(tau_table(limit, threads=2), tau_table(limit, threads=1))
+
+
+def test_a_pool_starts_only_past_one_thread(monkeypatch):
+    # one thread runs the primes in turn; more start one pool, with at most
+    # one worker per prime
+    pools = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(tau_module, "ThreadPoolExecutor", Counted)
+    assert tau_table(1000, threads=1)[691] == float(TABLE[691])
+    assert pools == []
+    assert tau_table(1000, threads=8)[691] == float(TABLE[691])
+    assert pools == [len(_crt_primes(1000))] == [2]
 
 
 def test_float_table_stays_in_its_memory_budget():
