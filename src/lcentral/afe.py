@@ -29,9 +29,10 @@ requested tolerance raises instead of silently under-resolving.
 Orbit averages take two independent routes.  Route one is per orbit and
 float: each prefab array folds into residue bins mod p^level, and one
 `charsums.character_sums` FFT over the level's discrete logs gives the
-half-sums and Gauss sums of every member at once.  Route two is per orbit
-and exact: the averaged twist tables of charsums, dotted with the unfolded
-prefab arrays.  `afe_lvalue` stays the per-character oracle behind both.
+half-sums and Gauss sums of every member at once, returned as arrays in
+orbit order.  Route two is per orbit and exact: the averaged twist tables
+of charsums, dotted with the unfolded prefab arrays.  `afe_lvalue` stays
+the per-character oracle behind both.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 # derived from a form's coefficients lives on the form, so it goes with it.
 
 _memo = lru_cache(maxsize=64)
+# the field is the form's own: a field document at a path is then read once,
+# so its kernels and prefab arrays serve every evaluation
+_field_of = _memo(nf_load)
 
 
 @_memo
@@ -279,14 +283,16 @@ class AFEConfig:
 
 
 class LValueResult(NamedTuple):
-    value: complex
+    """One evaluation; for route one, `value` and `dual_term` are complex
+    arrays in orbit order and the other fields are shared by every member."""
+    value: complex | np.ndarray
     error_estimate: float
     y: float
     terms_main: int
     terms_dual: int
     character_label: str
     main_term: complex
-    dual_term: complex
+    dual_term: complex | np.ndarray
 
 
 def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VKernel]:
@@ -310,7 +316,7 @@ def _tails(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
     return t1, med ** (0.5 * (k - 2.0 * s)) * t2
 
 
-def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
+def choose_cutoffs(form: NewformData, conductor_norm: int,
                    s: float | None = None, y: float | None = None,
                    tol: float = 1e-9) -> AFEConfig:
     """The cutoffs every evaluation at this twist conductor norm uses when
@@ -322,7 +328,7 @@ def choose_cutoffs(form: NewformData, nf, conductor_norm: int,
     level and theta only, never its coefficients, so a probe form is enough
     to size the coefficient table ahead of the sums.
     """
-    nf = nf_load(nf if nf is not None else form.field_label)
+    nf = _field_of(form.field_label)
     k = form.weight
     s = 0.5 * k if s is None else float(s)
     med = float(form.level_norm) * conductor_norm * conductor_norm
@@ -357,9 +363,9 @@ class _Engine(NamedTuple):
     c: complex
 
 
-def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
+def _engine(form: NewformData, chi: HeckeCharacter | None, s: float,
             y: float | None, tol: float, cfg: AFEConfig | None = None) -> _Engine:
-    nf = nf_load(nf if nf is not None else form.field_label)
+    nf = _field_of(form.field_label)
     k = form.weight
     s = float(s)
     cond = 1 if chi is None else chi.conductor_norm
@@ -367,7 +373,7 @@ def _engine(form: NewformData, nf, chi: HeckeCharacter | None, s: float,
     kern = _kernels(nf, form.gamma_shifts, k, s)
     gamma_s = gamma_factor_for(nf, form.gamma_shifts).value(s)
     if cfg is None:
-        cfg = choose_cutoffs(form, nf, cond, s, y, tol)
+        cfg = choose_cutoffs(form, cond, s, y, tol)
     elif y is not None and float(y) != cfg.y:
         raise ValueError("y was given both directly and through the config")
 
@@ -421,7 +427,7 @@ def _error_estimate(form: NewformData, eng: _Engine) -> float:
 
 def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
                s: float | None = None, y: float | None = None,
-               cfg: AFEConfig | None = None, nf=None,
+               cfg: AFEConfig | None = None,
                tol: float = 1e-9) -> LValueResult:
     """Normalized value L(s, form x chi) by the smoothed two-sided sum.
     chi = None (or trivial) gives the untwisted value; s defaults to the
@@ -433,7 +439,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     k = form.weight
     s = 0.5 * k if s is None else float(s)
     chi = _normalize_twist(chi)
-    eng = _engine(form, nf, chi, s, y, tol, cfg)
+    eng = _engine(form, chi, s, y, tol, cfg)
     m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
     lam_ratio = eng.med ** (0.5 * (k - 2.0 * s))
 
@@ -455,12 +461,12 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
 
 
 def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
-               y: float | None, nf, reflected: bool,
+               y: float | None, reflected: bool,
                tol: float) -> tuple[complex, _Engine]:
     """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist, with the
     engine it used; reflected=True takes the reflected object (eta * a, the
     conjugate twist) that the reflection identity compares at k - s."""
-    eng = _engine(form, nf, chi, s, y, tol)
+    eng = _engine(form, chi, s, y, tol)
     k, s = eng.k, eng.s
     # the reflected object swaps coefficient sign and conjugates the twist
     conj = None if chi is None else chi.conjugate()
@@ -473,8 +479,7 @@ def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
 
 def functional_equation_residual(form: NewformData,
                                  chi: HeckeCharacter | None = None,
-                                 s: float = 5.5, y: float | None = None,
-                                 nf=None) -> float:
+                                 s: float = 5.5, y: float | None = None) -> float:
     """Relative defect |Lam(s) - C W Lam_reflected(k-s)| / |Lam(s)|.
 
     The reflected value is taken at the mirrored balance point Med/y, so
@@ -483,9 +488,8 @@ def functional_equation_residual(form: NewformData,
     points together with the root-number normalization.
     """
     chi = _normalize_twist(chi)
-    lam, eng = _completed(form, chi, s, y, nf, False, 1e-9)
-    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, nf,
-                            True, 1e-9)
+    lam, eng = _completed(form, chi, s, y, False, 1e-9)
+    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, True, 1e-9)
     return abs(lam - eng.c * _root_number(chi) * lam_ref) / abs(lam)
 
 
@@ -494,12 +498,15 @@ def functional_equation_residual(form: NewformData,
 
 def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
                          ctx: CoefficientFieldContext,
-                         y: float | None = None, nf=None, tol: float = 1e-9,
-                         cfg: AFEConfig | None = None) -> tuple[complex, list[LValueResult]]:
+                         y: float | None = None, tol: float = 1e-9,
+                         cfg: AFEConfig | None = None) -> tuple[complex, LValueResult]:
     """Route one: the plain mean of central values over the Galois orbit of
-    the twist.  Returns (mean, per-character results in orbit order).  A
+    the twist.  Returns (mean, res): one `LValueResult` for the whole orbit,
+    whose `value` and `dual_term` are complex arrays in orbit order (the
+    order of `charsums.substitutions`), whose `character_label` is the
+    seed's, and whose other fields are the scalars every member shares.  A
     trivial seed has a one-element orbit, so this degenerates to the
-    untwisted value.
+    untwisted value, as one-element arrays.
 
     Per orbit and float: every member shares the conductor, so one engine,
     one error estimate and one pair of prefab arrays serve them all.  Each
@@ -509,41 +516,37 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     from `orbit_float_root_numbers`.
     """
     if chi.is_trivial():
-        res = afe_lvalue(form, None, y=y, nf=nf, tol=tol, cfg=cfg)
-        return res.value, [res]
-    chi = _normalize_twist(chi)
-    eng = _engine(form, nf, chi, 0.5 * form.weight, y, tol, cfg)
-    pctx, level = chi.prime_ctx, chi.level
-    mod, h = pctx.modulus(level), pctx.unit_group_order(level)
-    idx = orbit_index(chi, ctx)
+        res = afe_lvalue(form, None, y=y, tol=tol, cfg=cfg)
+        res = res._replace(value=np.array([res.value]),
+                           dual_term=np.array([res.dual_term]))
+    else:
+        chi = _normalize_twist(chi)
+        eng = _engine(form, chi, 0.5 * form.weight, y, tol, cfg)
+        pctx, level = chi.prime_ctx, chi.level
+        mod, h = pctx.modulus(level), pctx.unit_group_order(level)
+        idx = orbit_index(chi, ctx)
 
-    def half_sums(pre: np.ndarray, at: np.ndarray) -> np.ndarray:
-        bins = np.bincount(_mod_index(len(pre), mod), weights=pre, minlength=mod)
-        return character_sums(pctx, level, bins)[at]
+        def half_sums(pre: np.ndarray, at: np.ndarray) -> np.ndarray:
+            bins = np.bincount(_mod_index(len(pre), mod), weights=pre, minlength=mod)
+            return character_sums(pctx, level, bins)[at]
 
-    pre1, pre2 = _prefabs(form, eng)
-    s1 = half_sums(pre1, idx)
-    s2 = half_sums(pre2, -idx % h)
-    w = orbit_float_root_numbers(chi, ctx)
-    # at the central point Med^((k - 2s)/2) = 1
-    dual = eng.c * w * s2 / eng.gamma_s
-    values = s1 / eng.gamma_s + dual
-
-    err = _error_estimate(form, eng)
-    main_term = complex(pre1[0] / eng.gamma_s)
-    results = [
-        LValueResult(value=complex(v), error_estimate=err, y=eng.cfg.y,
-                     terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
-                     character_label=chi.power(t).label, main_term=main_term,
-                     dual_term=complex(d))
-        for t, v, d in zip(substitutions(chi, ctx).tolist(), values, dual)]
-    mean = sum(r.value for r in results) / len(results)
-    return mean, results
+        pre1, pre2 = _prefabs(form, eng)
+        # at the central point Med^((k - 2s)/2) = 1
+        dual = (eng.c * orbit_float_root_numbers(chi, ctx)
+                * half_sums(pre2, -idx % h) / eng.gamma_s)
+        res = LValueResult(
+            value=half_sums(pre1, idx) / eng.gamma_s + dual,
+            error_estimate=_error_estimate(form, eng), y=eng.cfg.y,
+            terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
+            character_label=chi.label, main_term=complex(pre1[0] / eng.gamma_s),
+            dual_term=dual)
+    # summed in orbit order, one member at a time
+    return sum(res.value.tolist()) / len(res.value), res
 
 
 def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
                                 ctx: CoefficientFieldContext,
-                                y: float | None = None, nf=None,
+                                y: float | None = None,
                                 tol: float = 1e-9) -> tuple[complex, dict]:
     """Route two: average the twist first, then run a single two-sided sum
     against the averaged values.
@@ -558,14 +561,14 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     (charsums.averaged_char_table / averaged_iota_values).
     """
     if chi.is_trivial():
-        res = afe_lvalue(form, None, y=y, nf=nf, tol=tol)
+        res = afe_lvalue(form, None, y=y, tol=tol)
         return res.value, {"orbit_size": 1, "main_term": res.main_term,
                            "dual_part": res.dual_term,
                            "terms": (res.terms_main, res.terms_dual)}
     if not chi.is_primitive():
         raise ValueError("seed twist must be primitive at its level")
 
-    eng = _engine(form, nf, chi, 0.5 * form.weight, y, tol)
+    eng = _engine(form, chi, 0.5 * form.weight, y, tol)
     # averaged twist per unit residue, and the averaged reflected weights
     # (root number times conjugate values)
     s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),

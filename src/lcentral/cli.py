@@ -75,13 +75,10 @@ def _round_floats(doc, digits: int):
 
 
 def _emit(doc, args) -> None:
-    if isinstance(doc, str):
-        text = doc
-    else:
-        if args.precision_bits < 128:
-            digits = max(1, min(17, int(args.precision_bits * math.log10(2))))
-            doc = _round_floats(doc, digits)
-        text = json.dumps(doc, indent=2)
+    if args.precision_bits < 128:
+        digits = max(1, min(17, int(args.precision_bits * math.log10(2))))
+        doc = _round_floats(doc, digits)
+    text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -131,7 +128,7 @@ def cmd_lav_scan(args) -> int:
         nonvanish_floor=args.floor, threads=args.threads, out=args.out)
     report = run_lav_experiment(cfg)
     if not args.out:
-        _emit(report_to_json(report), args)
+        print(report_to_json(report))
     clean = all(r.error is None and all(r.flags) for r in report.rows)
     return 0 if clean else 1
 
@@ -218,12 +215,13 @@ def usable_cpus() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, holding only the options its command reads."""
-    output = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path instead of stdout")
+    output = argparse.ArgumentParser(add_help=False, parents=[out])
     output.add_argument("--precision-bits", type=int, default=128,
                         help="significant bits kept in reported numbers; "
                              "values are computed in hardware doubles, this "
                              "only rounds the output (default: keep all)")
-    output.add_argument("--out", help="write output to this path instead of stdout")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default="rationals",
                        help="builtin field name or JSON path")
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficients to load for the form")
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("lav-scan", parents=[field, form, output],
+    p = sub.add_parser("lav-scan", parents=[field, form, out],
                        help="averaged central values along a conductor tower")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the coefficient table's CRT primes")

@@ -50,6 +50,9 @@ BOX_CANDIDATE_CAP = 10_000_000
 SLAB_CANDIDATES = 1 << 16
 
 WITNESS_LIMIT = 24
+# torsion_norm_bound passes when every class's least norm is this share of
+# N(P)^(n/|Delta|) or more
+TORSION_FLOOR_RATIO = 0.5
 
 _WINDOWS = ("standard", "shifted")
 
@@ -479,8 +482,7 @@ class TorsionNormReport:
     passed: bool
 
 
-def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
-                       floor_ratio: float = 0.5) -> TorsionNormReport:
+def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None) -> TorsionNormReport:
     """Minimal-norm integral representatives of the prime-to-p torsion classes.
 
     For each nontrivial class b of the prime-to-p part of the ray class
@@ -508,6 +510,6 @@ def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None, *,
     rows = [(r, nv, nv / scale) for r, nv in zip(lifts, norms)]
 
     constant = min(row[2] for row in rows)
-    passed = constant >= floor_ratio
+    passed = constant >= TORSION_FLOOR_RATIO
     return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, tuple(rows),
                              constant, False, passed)

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .afe import (AFEConfig, averaged_coefficient_lvalue, choose_cutoffs,
                   exponent_window, orbit_average_lvalue)
 from .charsums import CoefficientFieldContext
@@ -115,6 +117,9 @@ class _Setup:
             raise ValueError("eps must be positive")
         require_odd_prime(cfg.p)
         form_probe = newform_load(cfg.form, limit=16)
+        if nf_load(form_probe.field_label).label != self.nf.label:
+            raise ValueError(f"form {form_probe.label} is over "
+                             f"{form_probe.field_label}, not {cfg.field}")
         self.n0 = form_probe.n0
 
         if cfg.pi_coords is not None:
@@ -148,7 +153,7 @@ class _Setup:
         # the cutoffs the rows will pick at each level's seed conductor
         # p^level; they depend on the form only through its header
         need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
-            choose_cutoffs(form_probe, self.nf, cfg.p ** (n + self.n0 + 1),
+            choose_cutoffs(form_probe, cfg.p ** (n + self.n0 + 1),
                            y=_balance_point(cfg, n), tol=cfg.tol)
             for n in range(cfg.n_lo, cfg.n_hi + 1)))
         self.form = newform_load(cfg.form, limit=need, threads=cfg.threads)
@@ -187,19 +192,20 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
     t0 = time.perf_counter()
     try:
         seed = setup.seed_character(level)
-        mean_a, results = orbit_average_lvalue(
-            setup.form, seed, setup.coef_ctx, y=y, nf=setup.nf, tol=cfg.tol)
-        mean_b, info = averaged_coefficient_lvalue(
-            setup.form, seed, setup.coef_ctx, y=y, nf=setup.nf, tol=cfg.tol)
+        mean_a, res = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
+                                           y=y, tol=cfg.tol)
+        mean_b, info = averaged_coefficient_lvalue(setup.form, seed, setup.coef_ctx,
+                                                   y=y, tol=cfg.tol)
         gap = abs(mean_a - mean_b)
         if gap > cfg.route_tol * max(1.0, abs(mean_a)):
             raise ArithmeticError(
                 f"independent averaging routes disagree at n={n}: gap {gap:.3g}")
-        magnitudes = [abs(r.value) for r in results]
+        # np.abs can differ from the builtin abs by one ulp; np.hypot does not
+        magnitudes = np.hypot(res.value.real, res.value.imag)
         return ExperimentRow(
             n=n,
             conductor=seed.conductor_norm,
-            orbit_size=len(results),
+            orbit_size=len(magnitudes),
             seed_label=seed.label,
             y=y,
             lav_re=mean_a.real,
@@ -211,9 +217,9 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
                                     setup.delta_order),
             dual_magnitude=abs(info["dual_part"]),
             route_gap=gap,
-            min_abs_value=min(magnitudes),
-            flags=tuple(m > cfg.nonvanish_floor for m in magnitudes),
-            error_estimate=max(r.error_estimate for r in results),
+            min_abs_value=float(magnitudes.min()),
+            flags=tuple((magnitudes > cfg.nonvanish_floor).tolist()),
+            error_estimate=res.error_estimate,
             seconds=time.perf_counter() - t0,
         )
     except (ValueError, ArithmeticError) as exc:   # a row failure stays in the report
@@ -262,14 +268,11 @@ def halved_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     seed = setup.seed_character(n + setup.n0 + 1)
 
     _, full = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                   y=_balance_point(cfg, n), nf=setup.nf,
-                                   tol=cfg.tol)
-    half = AFEConfig(y=full[0].y, cutoff_main=full[0].terms_main // 2,
-                     cutoff_dual=full[0].terms_dual // 2, tol=1.0)
-    _, short = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                    cfg=half, nf=setup.nf)
-    gap = max(abs(a.value - b.value) for a, b in zip(full, short))
-    return gap, max(r.error_estimate for r in short)
+                                   y=_balance_point(cfg, n), tol=cfg.tol)
+    half = AFEConfig(y=full.y, cutoff_main=full.terms_main // 2,
+                     cutoff_dual=full.terms_dual // 2, tol=1.0)
+    _, short = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, cfg=half)
+    return float(np.abs(full.value - short.value).max()), short.error_estimate
 
 
 # ---------------------------------------------------------------------------

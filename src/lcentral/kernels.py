@@ -55,6 +55,9 @@ _TRAPEZOID_STEP = 0.05
 _TRAPEZOID_REACH = 40.0
 _TRAPEZOID_BLOCK = 1 << 16   # Q evaluations per block of the tail sum
 
+# Step halvings the contour route may take before it reports its estimate
+_CONTOUR_HALVINGS = 12
+
 
 def _gamma_is_negative(v: float) -> bool:
     """Sign of Gamma on the real line: negative exactly on (-1, 0), (-3, -2), ..."""
@@ -317,7 +320,7 @@ class VKernel:
         return half
 
     def contour_details(self, x, sigma=None, tol: float = 1e-10,
-                        h0: float = 0.25, max_halvings: int = 12) -> ContourEval:
+                        h0: float = 0.25) -> ContourEval:
         x = float(x)
         if x <= 0:
             raise ValueError("the contour route needs x > 0")
@@ -328,7 +331,7 @@ class VKernel:
         taus = np.arange(-half, half + h / 2, h)
         total = h * self._integrand(taus, x, sigma).sum()
         err = math.inf
-        for _ in range(max_halvings):
+        for _ in range(_CONTOUR_HALVINGS):
             mids = np.arange(-half + h / 2, half, h)
             refined = total / 2 + (h / 2) * self._integrand(mids, x, sigma).sum()
             err = abs(refined - total)

@@ -190,19 +190,11 @@ class RayClassGroup:
 
     # -- characters -----------------------------------------------------------
 
-    def characters(self, conductor_exponent: int | None = None,
-                   p_power_only: bool = False) -> list["HeckeCharacter"]:
-        out = []
-        for k in range(self.order):
-            chi = HeckeCharacter(self, k)
-            if conductor_exponent is not None and chi.conductor_exponent != conductor_exponent:
-                continue
-            if p_power_only:
-                a, _ = p_adic_split(chi.order, self.p)
-                if a != 1:
-                    continue
-            out.append(chi)
-        return out
+    def characters(self, conductor_exponent: int | None = None) -> list["HeckeCharacter"]:
+        chars = [HeckeCharacter(self, k) for k in range(self.order)]
+        if conductor_exponent is None:
+            return chars
+        return [chi for chi in chars if chi.conductor_exponent == conductor_exponent]
 
     def character_by_index(self, i: int) -> "HeckeCharacter":
         if not 0 <= i < self.order:
@@ -217,16 +209,15 @@ def rcg_build(nf: NumberFieldData, ctx: PrimeContext, n: int) -> RayClassGroup:
     return RayClassGroup(nf, ctx, n)
 
 
-def residue_characters(ctx: PrimeContext, level: int,
-                       primitive_only: bool = True) -> list["HeckeCharacter"]:
-    """Characters of the full residue unit group (O/p^level)^*.
+def residue_characters(ctx: PrimeContext, level: int) -> list["HeckeCharacter"]:
+    """The primitive characters of the full residue unit group (O/p^level)^*.
 
     They are not ray class characters; they exist so the Gauss-sum identities
     can be exercised over fields whose ray class groups at the prime collapse
     (the real quadratic field here has trivial ones at every level).
     """
     group = RayClassGroup(ctx.nf, ctx, level, unit_quotient=False)
-    return group.characters(conductor_exponent=level if primitive_only else None)
+    return group.characters(conductor_exponent=level)
 
 
 def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":

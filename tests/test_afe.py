@@ -7,6 +7,7 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from lcentral.charsums import CoefficientFieldContext, galois_orbit
 from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
 from lcentral.newforms import builtin_newform, newform_load
-from lcentral.rayclass import PrimeContext, rcg_build, seed_character
+from lcentral.rayclass import (HeckeCharacter, PrimeContext, rcg_build,
+                              seed_character)
 
 Q = nf_load("rationals")
 K = nf_load("quadratic-sqrt2")
@@ -203,10 +205,23 @@ def test_reflection_residual_twisted(delta, rcg25):
         assert functional_equation_residual(delta, chi, s=s) < 1e-6
 
 
+def test_a_field_read_from_a_path_is_loaded_once(delta, tmp_path):
+    # the engine reads the field off the form; a field document at a path is
+    # read once, so a second evaluation builds no kernel or prefab array
+    path = tmp_path / "rationals.json"
+    path.write_text((Path(afe.__file__).parent / "fielddata" / "rationals.json").read_text())
+    form = dataclasses.replace(delta, field_label=str(path))
+    first = afe_lvalue(form, None, s=6.0, y=30.0)
+    kept = set(form._derived)
+    again = afe_lvalue(form, None, s=6.0, y=30.0)
+    assert set(form._derived) == kept and again == first
+    assert first.value == afe_lvalue(delta, None, s=6.0, y=30.0).value
+
+
 def test_completed_value_consistency(delta):
     # Lam(s) = Gamma_F(s) Med^(s/2) L(s) on the untwisted diagonal
     from lcentral.afe import gamma_factor_for
-    lam = afe._completed(delta, None, 6.0, None, None, False, 1e-9)[0]
+    lam = afe._completed(delta, None, 6.0, None, False, 1e-9)[0]
     res = afe_lvalue(delta, None, s=6.0)
     gam = gamma_factor_for(Q, delta.gamma_shifts)
     assert abs(lam - gam.value(6.0) * res.value) < 1e-12 * abs(lam)
@@ -216,10 +231,10 @@ def test_completed_value_consistency(delta):
 
 def test_orbit_routes_agree(delta, rcg25):
     chi = order5_chars(rcg25)[0]
-    mean_a, results = orbit_average_lvalue(delta, chi, CTX5, y=25.0)
+    mean_a, res = orbit_average_lvalue(delta, chi, CTX5, y=25.0)
     mean_b, info = averaged_coefficient_lvalue(delta, chi, CTX5, y=25.0)
     assert info["orbit_size"] == 4
-    assert len(results) == 4
+    assert len(res.value) == len(res.dual_term) == 4
     assert abs(mean_a - mean_b) / abs(mean_a) < 1e-7
     # frozen level-one average (both routes land here)
     assert abs(mean_a - 1.1328540440214652) < 1e-9
@@ -238,10 +253,11 @@ def test_orbit_seed_invariance(delta, rcg25):
 def test_trivial_orbit_degenerates_to_untwisted(delta, rcg25):
     trivial = next(rcg25.character_by_index(i) for i in range(rcg25.order)
                    if rcg25.character_by_index(i).is_trivial())
-    mean, results = orbit_average_lvalue(delta, trivial, CTX5)
+    mean, res = orbit_average_lvalue(delta, trivial, CTX5)
     untwisted = afe_lvalue(delta, None).value
     assert mean == untwisted
-    assert len(results) == 1
+    assert res.value.tolist() == [untwisted]
+    assert len(res.dual_term) == 1
     mean_b, info = averaged_coefficient_lvalue(delta, trivial, CTX5)
     assert mean_b == untwisted
     assert info["orbit_size"] == 1
@@ -261,18 +277,20 @@ def test_orbit_members_match_per_character_values(tower, n, a, step):
     # per-character oracle, member by member
     seed = tower.seed_character(n + 1)
     y = 5.0 ** (a * n)
-    mean, results = orbit_average_lvalue(tower.form, seed, CTX5, y=y)
+    mean, res = orbit_average_lvalue(tower.form, seed, CTX5, y=y)
     orbit = galois_orbit(seed, CTX5)
-    assert len(results) == len(orbit)
-    for got, tw in list(zip(results, orbit))[::step]:
-        want = afe_lvalue(tower.form, tw, y=y)
-        assert got.character_label == want.character_label
-        assert abs(got.value - want.value) < 1e-12
-        assert abs(got.dual_term - want.dual_term) < 1e-12
-        assert got.main_term == want.main_term
-        assert got.error_estimate == want.error_estimate
-        assert (got.terms_main, got.terms_dual) == (want.terms_main, want.terms_dual)
-    assert mean == sum(r.value for r in results) / len(results)
+    assert len(res.value) == len(res.dual_term) == len(orbit)
+    assert res.character_label == seed.label
+    for i in range(0, len(orbit), step):
+        want = afe_lvalue(tower.form, orbit[i], y=y)
+        assert abs(res.value[i] - want.value) < 1e-12
+        assert abs(res.dual_term[i] - want.dual_term) < 1e-12
+    # the fields every member shares, compared once
+    assert res.main_term == want.main_term
+    assert res.error_estimate == want.error_estimate
+    assert (res.y, res.terms_main, res.terms_dual) == (want.y, want.terms_main,
+                                                        want.terms_dual)
+    assert mean == sum(res.value.tolist()) / len(orbit)
 
 
 def test_orbit_route_calls_no_per_character_path(tower, monkeypatch):
@@ -289,10 +307,32 @@ def test_orbit_route_calls_no_per_character_path(tower, monkeypatch):
     counted(afe, "afe_lvalue")
     counted(afe, "character_value_table")
     counted(charsums, "gauss_sum")
-    _, results = orbit_average_lvalue(tower.form, tower.seed_character(4), CTX5,
-                                      y=5.0 ** 6)
-    assert len(results) == 100
+    _, res = orbit_average_lvalue(tower.form, tower.seed_character(4), CTX5,
+                                  y=5.0 ** 6)
+    assert len(res.value) == 100
     assert calls == []
+
+
+def test_orbit_route_builds_one_record_not_one_per_member(tower, monkeypatch):
+    # route one labels its result with the seed, so the orbit of 100 at
+    # conductor 625 builds no more characters than the orbit of 20 at 125.
+    # Each call runs once first, so a warm cache does not tell them apart.
+    seeds = {n: tower.seed_character(n + 1) for n in (2, 3)}
+    for n, seed in seeds.items():
+        orbit_average_lvalue(tower.form, seed, CTX5, y=5.0 ** (2 * n))
+    built = []
+    init = HeckeCharacter.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(HeckeCharacter, "__init__", counted)
+    counts = []
+    for n, seed in seeds.items():
+        before = len(built)
+        orbit_average_lvalue(tower.form, seed, CTX5, y=5.0 ** (2 * n))
+        counts.append(len(built) - before)
+    assert counts[0] == counts[1]
 
 
 def test_route_two_builds_the_orbit_once(monkeypatch):
@@ -302,7 +342,7 @@ def test_route_two_builds_the_orbit_once(monkeypatch):
     # coefficients do not matter here, so a table of a(1) alone serves.
     seed = seed_character(rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 7))
     probe = builtin_newform("delta", limit=16)
-    cfg = choose_cutoffs(probe, Q, seed.conductor_norm)
+    cfg = choose_cutoffs(probe, seed.conductor_norm)
     need = max(cfg.cutoff_main, cfg.cutoff_dual)
     table = np.zeros(need + 1)
     table[1] = 1.0
@@ -416,7 +456,7 @@ def test_cutoffs_are_chosen_from_the_form_header(p, n, a, need):
     # the rows a fixed padding on p^demand undersized; the helper gives the
     # longest sum from the header of a 16-coefficient probe, no table needed
     probe = builtin_newform("delta", limit=16)
-    cfg = choose_cutoffs(probe, Q, p ** (n + 1), y=float(p) ** (a * n))
+    cfg = choose_cutoffs(probe, p ** (n + 1), y=float(p) ** (a * n))
     assert max(cfg.cutoff_main, cfg.cutoff_dual) == need
 
 
@@ -454,8 +494,8 @@ def test_afe_keeps_no_twist_or_form_alive():
     rcg = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 4)
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.order == 125 and c.is_primitive())
-    _, results = orbit_average_lvalue(form, seed, CTX5)
-    assert len(results) == 100 and results[0].terms_dual == 6104
+    _, res = orbit_average_lvalue(form, seed, CTX5)
+    assert len(res.value) == 100 and res.terms_dual == 6104
     refs = [weakref.ref(form), weakref.ref(rcg)]
     del form, rcg, seed
     gc.collect()
@@ -467,5 +507,5 @@ def test_reach_fits_under_the_coefficient_cap(p, n, a):
     # the longest sum of a scan row, from a 16-coefficient probe's header:
     # the rows the width-1 bump put past the cap now fit under it
     probe = builtin_newform("delta", limit=16)
-    cfg = choose_cutoffs(probe, Q, p ** (n + 1), y=float(p) ** (a * n))
+    cfg = choose_cutoffs(probe, p ** (n + 1), y=float(p) ** (a * n))
     assert max(cfg.cutoff_main, cfg.cutoff_dual) <= tau.TAU_LIMIT_CAP

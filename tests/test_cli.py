@@ -100,9 +100,10 @@ def test_precision_bits_validation(capsys):
     ["lvalue", "--field", "quadratic-sqrt2"],
     ["lvalue", "--threads", "2"],
     ["verify", "--fast", "--precision-bits", "16"],
+    ["lav-scan", "--precision-bits", "16"],
 ], ids=["gauss-sum-form", "galois-average-tol", "kloosterman-threads",
         "cone-count-form", "cone-count-threads", "lvalue-field", "lvalue-threads",
-        "verify-precision"])
+        "verify-precision", "lav-scan-precision"])
 def test_options_a_command_does_not_read_exit_two(capsys, argv):
     # each subcommand parses only its own options, so one it would ignore is
     # a usage error rather than silently dropped
@@ -110,6 +111,15 @@ def test_options_a_command_does_not_read_exit_two(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_scan_over_a_field_not_the_forms_exits_two(capsys):
+    # the sums read the field off the form, so a scan over another field is
+    # refused by name before anything is built
+    assert main(["lav-scan", "--field", "quadratic-sqrt2", "--p", "7",
+                 "--n-lo", "1", "--n-hi", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: form delta is over rationals, not quadratic-sqrt2\n")
 
 
 def test_char_label_parsing():

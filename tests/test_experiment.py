@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from lcentral.afe import afe_lvalue, exponent_window
-from lcentral.experiment import (ExperimentConfig, ExperimentReport, _Setup,
-                                 envelope_terms, halved_cutoff_gap,
+from lcentral.afe import afe_lvalue, exponent_window, orbit_average_lvalue
+from lcentral.experiment import (ExperimentConfig, ExperimentReport, _run_row,
+                                 _Setup, envelope_terms, halved_cutoff_gap,
                                  report_from_json, report_to_json,
                                  run_lav_experiment)
 from oracles import BumpVKernel
@@ -122,10 +122,24 @@ def test_table_holds_exactly_the_longest_cutoff_of_the_scan():
     used = 0
     for n in (1, 2):
         seed = setup.seed_character(n + 1)
-        res = afe_lvalue(setup.form, seed, y=5.0 ** (2.0 * n), nf=setup.nf,
-                         tol=cfg.tol)
+        res = afe_lvalue(setup.form, seed, y=5.0 ** (2.0 * n), tol=cfg.tol)
         used = max(used, res.terms_main, res.terms_dual)
     assert setup.form.limit == used
+
+
+def test_row_magnitudes_are_the_builtin_abs_of_every_member():
+    # min |L| and the flags read route one's array; they must equal the
+    # builtin abs of each member exactly (np.abs is one ulp off at times)
+    cfg = ExperimentConfig(n_lo=1, n_hi=3)
+    setup = _Setup(cfg)
+    for n in (1, 2, 3):
+        row = _run_row(setup, n)
+        _, res = orbit_average_lvalue(setup.form, setup.seed_character(n + 1),
+                                      setup.coef_ctx, y=5.0 ** (2.0 * n), tol=cfg.tol)
+        mags = [abs(v) for v in res.value.tolist()]
+        assert row.min_abs_value == min(mags)
+        assert row.flags == tuple(m > cfg.nonvanish_floor for m in mags)
+        assert row.orbit_size == len(mags)
 
 
 def test_programming_error_in_a_row_crashes(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private attribute a module assigns on self is read in that module, every
-function, class and method is named somewhere in the package outside its own
-definition (or is allowlisted with a reason), no module uses an assert
+function parameter is read by its function (or is allowlisted with a reason),
+every function, class and method is named somewhere in the package outside its
+own definition (or is allowlisted with a reason), no module uses an assert
 statement, no module but tau.py imports a thread pool or threads, and no
 module imports scipy: the package, the rational tower, the acceptance sweep,
 an off-grid s and the degree-2 kernel all run without it."""
@@ -90,6 +91,48 @@ def _write_only_attributes(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_write_only_private_attributes(path):
     assert _write_only_attributes(ast.parse(path.read_text())) == []
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualname, node) of every function and method under `node`, nested
+    ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """qualname(parameter) of each parameter, self and cls aside, that its
+    function's body never reads."""
+    out = []
+    for qualname, fn in _functions(tree):
+        a = fn.args
+        params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if arg is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{qualname}({name})" for name in params
+                if name not in ("self", "cls") and name not in read]
+    return out
+
+
+# every criterion of the acceptance sweep is called as check(fast)
+_UNREAD_ALLOWED = {
+    "acceptance._c06_kernel_asymptotics(fast)": "the criteria share one signature",
+    "acceptance._c09_coefficient_bound(fast)": "the criteria share one signature",
+}
+
+
+def test_every_parameter_is_read():
+    # a knob cannot outlive its last reader
+    found = [f"{p.stem}.{hit}" for p in sorted(_SRC.glob("*.py"))
+             for hit in _unread_parameters(ast.parse(p.read_text()))]
+    assert sorted(found) == sorted(_UNREAD_ALLOWED)
 
 
 _GROUP_ORACLE = ("the tests' independent presentation of the ray class groups; "

@@ -69,9 +69,11 @@ def test_character_counts():
     rcg2 = rcg_build(Q, ctx, 2)
     assert len(rcg2.characters()) == 10
     assert len([c for c in rcg2.characters() if c.is_primitive()]) == 8
-    assert len(rcg2.characters(conductor_exponent=2, p_power_only=True)) == 4
+    assert len([c for c in rcg2.characters(conductor_exponent=2)
+                if p_adic_split(c.order, 5)[0] == 1]) == 4
     rcg3 = rcg_build(Q, ctx, 3)
-    assert len(rcg3.characters(conductor_exponent=3, p_power_only=True)) == 20
+    assert len([c for c in rcg3.characters(conductor_exponent=3)
+                if p_adic_split(c.order, 5)[0] == 1]) == 20
 
 
 def test_character_values_frozen():
@@ -133,7 +135,7 @@ def test_residue_characters_on_quadratic_field():
     assert len(prim) == 36
     assert all(c.conductor_exponent == 2 for c in prim)
     assert sorted({c.order for c in prim}) == [7, 14, 21, 42]
-    full = residue_characters(ctx, 2, primitive_only=False)
+    full = RayClassGroup(K, ctx, 2, unit_quotient=False).characters()
     assert len(full) == 42
     # conductor oracle on the imprimitive ones: value depends on residue mod 7
     for c in full:
@@ -276,7 +278,7 @@ def test_residue_characters_match_the_dlog_rule():
     for level in (1, 2):
         mod, phi = 7 ** level, 6 * 7 ** (level - 1)
         dlog = ctx.dlog_array(level).tolist()
-        chars = residue_characters(ctx, level, primitive_only=False)
+        chars = RayClassGroup(K, ctx, level, unit_quotient=False).characters()
         assert [c.k for c in chars] == list(range(phi))
         for chi in chars:
             assert chi.label == f"quadratic-sqrt2.p7.res{level}.chi{chi.k}"
