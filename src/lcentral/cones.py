@@ -295,12 +295,14 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
     """Integer coordinate arrays (u, v, |N|) of coset points passing every
     exact filter: window membership and |N| <= x.  lattice_rows spans the
     translation lattice; offset is the coset representative.  Over Q the
-    lattice is one row, so v = 0 and |N| = |u|.
+    lattice is one row, so the points are u = offset + i step with
+    0 < u <= x box_factor in increasing order, v is a zero-stride view of
+    0 and |N| is u itself; the |N| <= x filter runs only when box_factor > 1.
 
-    The outer index range is filtered in consecutive slabs of about
-    `SLAB_CANDIDATES` points, joined in index order: the arrays are those
-    one slab over the whole box would give.  The window test, the costly
-    filter, sees only the points that pass |N| <= x.
+    Over Q(sqrt m) the outer index range is filtered in consecutive slabs of
+    about `SLAB_CANDIDATES` points, joined in index order: the arrays are
+    those one slab over the whole box would give.  The window test, the
+    costly filter, sees only the points that pass |N| <= x.
     """
     nf = ctx.nf
     reducer = reducer_for(nf)
@@ -308,8 +310,8 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
     if reducer.degree == 1:
         # the multiples u = offset + i*step in (0, x*box_factor]
         step, a = int(lattice_rows[0][0]), off[0]
-        r1, r2 = (step, 0), (0, 0)
-        lo_i, hi_i = -a // step, (math.floor(x * box_factor) - a) // step
+        top = math.floor(x * box_factor)
+        lo_i, hi_i = -a // step, (top - a) // step
         lo_j = hi_j = 0
     else:
         win_pow = 2 if window == "standard" else 3
@@ -324,6 +326,11 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
             f"enumeration box needs {total} candidate points; the desk-scale "
             f"cap is {BOX_CANDIDATE_CAP} (shrink x)")
     xi = math.floor(x)
+    if reducer.degree == 1:
+        u = np.arange(a + (lo_i + 1) * step, top + 1, step, dtype=np.int64)
+        if box_factor > 1:
+            u = u[u <= xi]
+        return u, np.broadcast_to(np.int64(0), u.shape), u
 
     def slab(a, b):
         ii, jj = np.meshgrid(np.arange(a, b + 1, dtype=np.int64),
@@ -332,7 +339,7 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         ii, jj = ii.ravel(), jj.ravel()
         u = off[0] + ii * r1[0] + jj * r2[0]
         v = off[1] + ii * r1[1] + jj * r2[1]
-        norm = np.abs(u) if reducer.degree == 1 else np.abs(u * u - reducer.m * v * v)
+        norm = np.abs(u * u - reducer.m * v * v)
         keep = ((u != 0) | (v != 0)) & (norm <= xi)
         u, v, norm = u[keep], v[keep], norm[keep]
         keep = _window_mask(u, v, reducer, window)

@@ -3,10 +3,13 @@
 `convolve_exact(a, b, bound)` returns the linear convolution of two integer
 arrays exactly: it convolves modulo the shortest prefix of `NTT_PRIMES` whose
 product exceeds 2 bound, and recombines the residues by Garner's CRT.
-`Transform.product` is the one-prime step, for callers (tau.py) that
-combine a product with other residues before recombining.
+`Transform.product` is its one-prime step.  `Transform.short_square` gives
+the low half of a square from transforms of half the length (Hanrot and
+Zimmermann's short product), for tau.py, which needs only the low terms of
+its square and combines them with other residues before recombining.
 
-CRT.  `garner_digits` gives Garner's mixed-radix digits as int64 arrays;
+CRT.  `garner_digits` gives Garner's mixed-radix digits as int32 arrays
+(widened to int64 inside each pass);
 `mixed_radix_value` reads them out exactly (int64 for up to two primes,
 Python ints for more) and `mixed_radix_float` as float64, each entry the
 correctly rounded float of the exact value (to nearest, ties to even),
@@ -50,7 +53,13 @@ negative input as well.
 Memory.  A product holds one n-entry work array, one n-entry scratch array
 (used as a pair of halves by the butterflies), the R' x C twiddle matrix and
 a few column vectors of about sqrt n entries; a second operand that is not
-the first adds one more n-entry array.
+the first adds one more n-entry array.  A short square of L terms runs at
+n = transform_size(L), about half the n of the full square, and holds three
+n-entry arrays at its peak (the two spectra and a scratch array) next to
+the twiddle matrix, and its two outputs of about L / 2 and L entries:
+about 4 n int64 entries with the matrix, where the full square's work and
+scratch arrays and matrix hold 3 entries per point at about twice the n.  The float read-out works 2^13 entries at a time, so its
+uint64 limbs stay in cache.
 """
 
 from __future__ import annotations
@@ -134,6 +143,13 @@ def _stage_twiddles(root: int, length: int, p: int) -> list[tuple[int, np.ndarra
     while size >= 2:
         out.append((size, powers[::length // size].reshape(-1, 1).copy()))
         size //= 2
+    return out
+
+
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """a as int64, zero-padded to n entries."""
+    out = np.zeros(n, dtype=np.int64)
+    out[:a.shape[0]] = a
     return out
 
 
@@ -290,32 +306,63 @@ class Transform:
         the linear product wraps.  Pass the same array twice to square it
         with one forward transform."""
         n = self.n
-        work = np.zeros(n, dtype=np.int64)
-        work[:a.shape[0]] = a
-        spec, spare = self._forward(work, np.empty(n, dtype=np.int64))
+        spec, spare = self._forward(_padded(a, n), np.empty(n, dtype=np.int64))
         if b is a:
             spec *= spec
         else:
-            other = np.zeros(n, dtype=np.int64)
-            other[:b.shape[0]] = b
-            spec *= self._forward(other, spare)[0]
+            spec *= self._forward(_padded(b, n), spare)[0]
         _reduce(spec, self.p, spare, spec)
         return self._inverse(spec, spare, length)
 
+    def short_square(self, a: np.ndarray, length: int) -> np.ndarray:
+        """First `length` coefficients of a^2 mod p, for a with entries in
+        [0, p) (entries past `length` are not read) and n >= length: the
+        short product of Hanrot and Zimmermann ("A long note on Mulders'
+        short product", 2004).  With h = ceil(length / 2) and
+        a = a_lo + x^h a_hi,
+
+            a^2 mod x^length = a_lo^2 + 2 x^h (a_lo a_hi mod x^(length - h)),
+
+        and a_lo^2 (2h - 1 terms) and a_lo a_hi (length - 1 terms) fit in n
+        points without wrapping: two forward transforms, two inverses."""
+        n, p = self.n, self.p
+        h = (length + 1) // 2
+        spec_lo, free = self._forward(_padded(a[:h], n), np.empty(n, dtype=np.int64))
+        cross = None
+        if length > h:
+            spec_hi, free = self._forward(_padded(a[h:length], n), free)
+            spec_hi *= spec_lo
+            _reduce(spec_hi, p, free, spec_hi)
+            cross = self._inverse(spec_hi, free, length - h)
+            free = spec_hi
+        spec_lo *= spec_lo
+        _reduce(spec_lo, p, free, spec_lo)
+        out = self._inverse(spec_lo, free, length)
+        if cross is not None:
+            cross <<= 1
+            out[h:] += cross                         # [0, 3p)
+            _reduce(out, p, spec_lo[:length], out)
+        return out
+
 
 def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndarray]:
-    """Garner's mixed-radix digits of the residues, as int64 arrays: d_k in
-    [0, p_k) with x = sum d_k * (p_0 ... p_(k-1)) the value in [0, M), M the
-    product of the primes.  Each digit is a few int64 passes, since
-    d_j * c < 2^62 for d_j, c below 2^31."""
+    """Garner's mixed-radix digits of the residues (int32 or int64 arrays),
+    as int32 arrays: d_k in [0, p_k) with x = sum d_k * (p_0 ... p_(k-1))
+    the value in [0, M), M the product of the primes.  Each digit is a few
+    passes widened to int64, since d_j * c < 2^62 for d_j, c below 2^31."""
     digits: list[np.ndarray] = []
     for r, p in zip(residues, primes):
-        acc = np.zeros_like(r)
+        acc = np.zeros(r.shape, dtype=np.int64)
         weight = 1
         for d, q in zip(digits, primes):
-            acc = (acc + d * weight) % p
+            acc += np.multiply(d, weight, dtype=np.int64)
+            acc %= p
             weight = weight * q % p
-        digits.append((r - acc) % p * pow(weight, -1, p) % p)
+        np.subtract(r, acc, out=acc)
+        acc %= p
+        acc *= pow(weight, -1, p)
+        acc %= p
+        digits.append(acc.astype(np.int32))
     return digits
 
 
@@ -323,9 +370,11 @@ def mixed_radix_value(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
     """The signed values of the digits, in (-M/2, M/2], exactly: int64 for
     one or two primes (M < 2^62), an object array of Python ints for more."""
     # adjacent digits pair up exactly in int64, d_k + d_(k+1) p_k < 2^62,
-    # which halves the passes over Python ints
-    limbs = [(digits[k] + digits[k + 1] * primes[k], primes[k] * primes[k + 1])
-             if k + 1 < len(digits) else (digits[k], primes[k])
+    # which halves the passes over Python ints; the int32 digits are widened
+    # before the product
+    limbs = [(digits[k] + np.multiply(digits[k + 1], primes[k], dtype=np.int64),
+              primes[k] * primes[k + 1])
+             if k + 1 < len(digits) else (digits[k].astype(np.int64), primes[k])
              for k in range(0, len(digits), 2)]
     modulus = prod(primes)
     value = limbs[-1][0]
@@ -338,7 +387,7 @@ def mixed_radix_value(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
 
 
 _MASK = np.uint64((1 << 32) - 1)
-_CHUNK = 1 << 15          # entries per pass of the float read-out
+_CHUNK = 1 << 13          # entries per pass of the float read-out (cache-sized)
 
 
 def _limbs(x: int, count: int) -> list[int]:

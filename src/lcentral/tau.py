@@ -9,23 +9,32 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
 
 - The primes are the shortest prefix of `ntt.NTT_PRIMES` whose product
   exceeds 4 limit^6, the range the signed CRT needs under Deligne's bound.
-  The five multiply to about 2^153.4, far past 4 (2^23)^6 = 2^140.
+  The five multiply to about 2^153.4, past 4 (2^25)^6 = 2^152 at the cap.
 - `_DivisorIndex`, built once and independent of the prime, holds the
   prime-power chains and, for every other n, the full power P(n) of its
   smallest prime factor and the cofactor n / P(n), grouped by that prime,
   largest first, so that sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads
-  entries already filled.
-- Per prime p: sigma_5 and sigma_11 mod p through that structure, one
-  squaring of the sigma_5 column through `ntt.Transform` (four-step layout,
-  2^k or 3 * 2^k points) for the convolution sum, and the identity solved
-  for tau mod p.  Each prime's columns are freed once its residues are
-  out; `threads` workers take that many primes at once, the package's one
-  thread pool (numpy releases the GIL in the butterflies).
+  entries already filled.  Its index arrays are int32.
+- Per prime p: sigma_5 and sigma_11 mod p through that structure, the
+  low limit - 1 terms of the square of the sigma_5 column by one short
+  square (`ntt.Transform.short_square`, at transform_size(limit - 1)
+  points, 2^k or 3 * 2^k) for the convolution sum, and the identity
+  solved for tau mod p.  The int64 sigma columns are freed before the
+  transforms (the operand enters them as int32), and each prime keeps only
+  its int32 residues; `threads` workers take that many primes at once,
+  the package's one thread pool (numpy releases the GIL in the
+  butterflies).
 - int64 bounds: every prime is below 2^31 and sigma values are kept in
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
-  sum below 2^49.
-- Garner's mixed-radix digits on whole int64 arrays (`ntt.garner_digits`)
+  sum below 2^49.  Arrays that live from one prime to the next (the
+  residues, Garner's digits, the index) are int32 and are widened to int64
+  inside each arithmetic pass.
+- Memory: the tracemalloc peak of `tau_table(152603)` is about 77 bytes
+  per coefficient, set by the fourth prime's short square (three n-entry
+  int64 arrays and the twiddle matrix, next to the index and the earlier
+  primes' residues).
+- Garner's mixed-radix digits (`ntt.garner_digits`, int32)
   are read out two ways.  `tau_table`, the table the sums read, is
   `ntt.mixed_radix_float`: each entry is the correctly rounded float(tau(n))
   (to nearest, ties to even), assembled over 32-bit limbs in uint64 and
@@ -58,9 +67,11 @@ import numpy as np
 from .ntt import (Transform, crt_primes, garner_digits, mixed_radix_float,
                   mixed_radix_value, transform_size)
 
-# Largest table: squaring 2^23 coefficients needs 2^24 - 1 output terms, so
-# 2^24-point transforms (the prime set supports up to 3 * 2^25 points).
-TAU_LIMIT_CAP = 1 << 23
+# Largest table: the short square of the 2^25 - 1 term sigma_5 column runs at
+# transform_size(2^25 - 1) = 2^25 points, which divides every p - 1 of the
+# prime set (it supports up to 3 * 2^25 points); the five primes multiply
+# past 4 (2^25)^6, the CRT range the table needs.
+TAU_LIMIT_CAP = 1 << 25
 
 _SMALL_TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
               7: -16744, 8: 84480, 9: -113643, 10: -115920,
@@ -70,8 +81,9 @@ _SMALL_TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
 # The package's one prime sieve; newforms.py imports this module, so the
 # sieve lives here rather than there.
 def smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[m] for m = 0..n (0 at 0 and 1); the primes are the m with spf[m] == m."""
-    spf = np.zeros(n + 1, dtype=np.int64)
+    """spf[m] for m = 0..n as int32 (0 at 0 and 1); the primes are the m
+    with spf[m] == m."""
+    spf = np.zeros(n + 1, dtype=np.int32)
     for p in range(2, isqrt(n) + 1):
         if spf[p] == 0:
             multiples = spf[p * p::p]
@@ -102,9 +114,9 @@ def cube_series_terms(limit: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _power_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
-    """x^k mod p for entries of x in [0, p), p < 2^31."""
-    out = np.ones_like(x)
-    base = x.copy()
+    """x^k mod p as int64, for entries of x in [0, p), p < 2^31."""
+    out = np.ones(x.shape, dtype=np.int64)
+    base = x.astype(np.int64)
     while k:
         if k & 1:
             out = out * base % p
@@ -116,7 +128,7 @@ def _power_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
 
 class _DivisorIndex:
     """The multiplicative structure of 1..m that the divisor sums read; it
-    does not depend on the prime.
+    does not depend on the prime, held in int32 index arrays.
 
     `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers q^e <= m;
     `groups` is (n, P(n), n / P(n)) over the n that are not prime powers,
@@ -130,7 +142,7 @@ class _DivisorIndex:
     def __init__(self, m: int):
         self.m = m
         spf = smallest_prime_factors(m)
-        n = np.arange(m + 1)
+        n = np.arange(m + 1, dtype=np.int32)
         primes = n[2:][spf[2:] == n[2:]]
         small = primes[:np.searchsorted(primes, isqrt(m), side="right")]
         power = spf.copy()          # raised to q^e on the multiples of q^e
@@ -142,12 +154,13 @@ class _DivisorIndex:
                 qe *= q
         cofactor = n // np.maximum(power, 1)
         self.chains = []
-        e, q = 1, primes
+        q = qe = primes
         while q.size:
-            self.chains.append((q ** e, q ** (e - 1), q))
-            e += 1
-            q = q[q ** e <= m]
-        composite = np.flatnonzero(cofactor > 1)
+            self.chains.append((qe, qe // q, q))
+            keep = q <= m // qe         # q^(e+1) <= m, with no product past m
+            q = q[keep]
+            qe = qe[keep] * q
+        composite = np.flatnonzero(cofactor > 1).astype(np.int32)
         # a composite's q is at most sqrt(m) < 2^15: int16 keys sort by radix
         order = np.argsort(-spf[composite].astype(np.int16), kind="stable")
         cuts = np.flatnonzero(np.diff(spf[composite[order]])) + 1
@@ -165,25 +178,27 @@ class _DivisorIndex:
         for c, prev, q in self.chains:      # sigma(q^e) = 1 + q^k sigma(q^(e-1))
             s[c] = (_power_mod(q, k, p) * s[prev] + 1) % p
         for c, a, b in self.groups:
-            s[c] = s[a] * s[b] % p
+            s[c] = np.take(s, a) * np.take(s, b) % p
         return s
 
 
 def _ramanujan_residues(index: _DivisorIndex, limit: int, p: int,
                         g: int) -> np.ndarray:
     """tau(n) mod p at index n for 0 <= n <= limit (entry 0 is 0), from
-    Ramanujan's identity."""
+    Ramanujan's identity, as int32."""
     s5 = index.sigma(5, p)
-    out = 65 * index.sigma(11, p) + 691 * s5
+    out = ((65 * index.sigma(11, p) + 691 * s5) % p).astype(np.int32)
     if limit > 1:
-        # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit
-        col = s5[1:limit]
-        transform = Transform(transform_size(2 * limit - 3), p, g)
-        out[2:] -= 174132 * transform.product(col, col, limit - 1)
-    out %= p
-    out *= pow(756, -1, p)
-    out %= p
-    return out
+        # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit: the low
+        # limit - 1 terms of the square of the sigma_5 column, which enters
+        # the transforms as int32 with the int64 sigma columns freed
+        col = s5[1:limit].astype(np.int32)
+        del s5
+        conv = Transform(transform_size(limit - 1), p, g).short_square(col, limit - 1)
+        conv *= -174132
+        conv += out[2:]
+        out[2:] = conv % p
+    return (out.astype(np.int64) * pow(756, -1, p) % p).astype(np.int32)
 
 
 def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
@@ -227,7 +242,7 @@ def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[in
     if limit > TAU_LIMIT_CAP:
         raise ValueError(
             f"limit {limit} is past the coefficient cap {TAU_LIMIT_CAP} "
-            f"(the largest table a 2^24-point transform can square)")
+            f"(the largest table whose short square fits a 2^25-point transform)")
     primes = _crt_primes(limit)
     index = _DivisorIndex(limit)
     def residues_mod(prime):

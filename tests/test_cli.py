@@ -247,12 +247,12 @@ def test_threads_clamped_to_usable_cpus(capsys, monkeypatch):
 
 
 def test_tables_past_the_coefficient_cap_refused(capsys):
-    # 2^23 + 1 coefficients would need a 2^25-point transform; refused
-    # before anything is allocated
-    assert main(["lvalue", "--limit", str(2 ** 23 + 1)]) == 2
+    # 2^25 + 1 coefficients would need a short square past 2^25 points;
+    # refused before anything is allocated
+    assert main(["lvalue", "--limit", str(2 ** 25 + 1)]) == 2
     assert main(["lav-scan", "--n-lo", "5", "--n-hi", "5"]) == 2
     err = capsys.readouterr().err
-    assert err.count("coefficient cap") == 2
+    assert err.count(f"coefficient cap {2 ** 25} ") == 2
 
 
 def test_levels_past_the_residue_cap_refused(capsys):

@@ -256,6 +256,21 @@ def test_count_progression_rationals():
         assert [_coords(w)[0] for w in r.witnesses[:4]] == [12, 27, 42, 57]
 
 
+@pytest.mark.parametrize("box_factor", [1.0, 2.0])
+def test_count_progression_rationals_is_the_positive_progression(box_factor):
+    # over Q the count is the positive integers u <= x with u = alpha mod
+    # alpha 5^n, witnesses the least of them, at any box_factor
+    for alpha, n, x in ((1, 1, 1), (1, 1, 100), (2, 1, 99.5), (-3, 1, 500),
+                        (7, 2, 10 ** 4), (-1, 3, 3000.9), (4, 1, 12345)):
+        r = count_progression(alpha, CTX5, n, x, witnesses=True,
+                              box_factor=box_factor)
+        want = [u for u in range(1, math.floor(x) + 1)
+                if (u - alpha) % (alpha * 5 ** n) == 0]
+        assert r.count == len(want), (alpha, n, x)
+        assert [_coords(w) for w in r.witnesses] == [(u,) for u in want[:len(r.witnesses)]]
+        assert len(r.witnesses) == min(len(want), cones.WITNESS_LIMIT)
+
+
 def test_count_progression_rationals_doubling():
     # in the large-x regime over Q the count is essentially linear in x
     for x in (1000, 2000, 4000):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcentral.charsums import _gauss_terms, _unit_square
 from lcentral.fields import nf_load
@@ -61,6 +63,36 @@ def test_product_of_two_operands_is_linear(p, g):
         want = np.convolve(a, b) % p
         got = Transform(n, p, g).product(a % p, b % p, want.shape[0])
         assert got.tolist() == want.tolist(), n
+
+
+# switches of transform_size, 2^k and 3 * 2^k: the size at s + 1 is larger
+SWITCHES = (8, 12, 64, 96, 1024, 1536, 4096, 6144)
+
+
+def _low_square(a, length, p, g):
+    # the first `length` terms of the full square, at twice the points
+    return Transform(transform_size(2 * len(a) - 1), p, g).product(a, a, length)
+
+
+@pytest.mark.parametrize("p,g", NTT_PRIMES)
+def test_short_square_is_the_low_half_of_the_square(p, g):
+    rng = np.random.default_rng(p + 3)
+    lengths = [1, 2, 3, 4] + [s + d for s in SWITCHES for d in (-1, 0, 1)]
+    for length in lengths:
+        t = Transform(transform_size(length), p, g)
+        for a in (rng.integers(0, p, length), np.full(length, p - 1)):
+            got = t.short_square(a, length)
+            assert got.tolist() == _low_square(a, length, p, g).tolist(), length
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=20000), st.sampled_from(NTT_PRIMES),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_short_square_matches_the_product_at_random_lengths(length, prime, seed):
+    p, g = prime
+    a = np.random.default_rng(seed).integers(0, p, length)
+    got = Transform(transform_size(length), p, g).short_square(a, length)
+    assert got.tolist() == _low_square(a, length, p, g).tolist()
 
 
 def test_convolve_exact_matches_numpy():

@@ -124,10 +124,22 @@ def test_routes_agree_where_the_transform_size_switches(limit, size):
 @pytest.mark.parametrize("limit,size", [(6145, 3 << 12), (6146, 1 << 14),
                                         (8193, 1 << 14), (8194, 3 << 13)])
 def test_routes_agree_where_the_squaring_size_switches(limit, size):
-    # the sigma_5 operand has limit - 1 terms, so its square takes 2 limit - 3
-    # points: these limits square on either side of a switch between 2^k and
-    # 3 * 2^k points
+    # the sigma_5 operand has limit - 1 terms, so its full square takes
+    # 2 limit - 3 points: these limits sat on either side of a switch between
+    # 2^k and 3 * 2^k points, and its short square's limit - 1 points switch
+    # at the same limits
     assert transform_size(2 * limit - 3) == size
+    assert transform_size(limit - 1) == size // 2
+    assert tau_exact(limit) == tau_table_bigint(limit)
+
+
+@pytest.mark.parametrize("limit,size", [(12289, 3 << 12), (12290, 1 << 14),
+                                        (16385, 1 << 14), (16386, 3 << 13)])
+def test_routes_agree_where_the_short_square_size_switches(limit, size):
+    # the short square of the limit - 1 term sigma_5 column runs at
+    # transform_size(limit - 1) points: these limits sit on either side of
+    # a switch between 3 * 2^k and 2^k points
+    assert transform_size(limit - 1) == size
     assert tau_exact(limit) == tau_table_bigint(limit)
 
 
@@ -239,9 +251,11 @@ def test_a_pool_starts_only_past_one_thread(monkeypatch):
 
 
 def test_float_table_stays_in_its_memory_budget():
-    # the float table is built from int64 digits with no Python-int list or
-    # object array on the way: at most 150 bytes per coefficient at the peak
-    # (235 with object arrays), and nothing kept but the 8-byte entries
+    # the float table is built from int32 digits with no Python-int list or
+    # object array on the way, and sigma_5 is squared by a short square: at
+    # most 110 bytes per coefficient at the peak (150 with the full square
+    # and int64 digits, 235 with object arrays), and nothing kept but the
+    # 8-byte entries
     limit = 100000
     tracemalloc.start()
     try:
@@ -249,7 +263,7 @@ def test_float_table_stays_in_its_memory_budget():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 150 * limit
+    assert peak <= 110 * limit
     assert kept - table.nbytes < 4096
 
 
@@ -269,27 +283,30 @@ def _factor(n):
     return out + ([n] if n > 1 else [])
 
 
-def test_prime_set_supports_2_24_point_transforms():
+def test_prime_set_supports_2_25_point_transforms():
     # largest first, so that a table's prefix of primes is as short as it can be
     assert [p for p, _ in NTT_PRIMES] == sorted((p for p, _ in NTT_PRIMES), reverse=True)
     for p, g in NTT_PRIMES:
         assert p < 2 ** 31
-        assert (p - 1) % (1 << 24) == 0
+        assert (p - 1) % (1 << 25) == 0
         assert (p - 1) % (3 << 25) == 0
         # g^(p-1) = 1 and g^((p-1)/q) != 1 for each prime q | p - 1, read off
         # p - 1 = c 2^e with c odd: g has order p - 1, so g is a primitive
         # root and p is prime (Lucas)
         e = ((p - 1) & -(p - 1)).bit_length() - 1
         c = (p - 1) >> e
-        assert c % 2 == 1 and e >= 24
+        assert c % 2 == 1 and e >= 25
         for q in set(_factor(c)) | {2}:
             assert pow(g, (p - 1) // q, p) != 1
         assert pow(g, p - 1, p) == 1
 
 
 def test_limits_past_the_cap_are_refused_before_any_work():
-    assert 2 * TAU_LIMIT_CAP - 1 < 1 << 24
-    with pytest.raises(ValueError, match="cap"):
+    # the short square at the cap runs at a size every prime supports
+    size = transform_size(TAU_LIMIT_CAP - 1)
+    assert size == 1 << 25
+    assert all((p - 1) % size == 0 for p, _ in NTT_PRIMES)
+    with pytest.raises(ValueError, match=f"coefficient cap {1 << 25} "):
         tau_table(TAU_LIMIT_CAP + 1)
     with pytest.raises(ValueError, match="cap"):
         tau_table(10 ** 12)
