@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lav-scan", parents=[field, form, out],
                        help="averaged central values along a conductor tower")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the coefficient table's CRT primes")
+                   help="worker threads for the coefficient table's transformed CRT primes")
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--pi", help="prime generator coordinates, e.g. '3,1'")
     p.add_argument("--n-lo", type=int, default=1)
@@ -314,8 +314,9 @@ def main(argv=None) -> int:
             print("--threads must be a positive integer", file=sys.stderr)
             return 2
         # workers past the usable CPUs add threads, not speed (the table
-        # starts at most one per CRT prime), so the count is clamped rather
-        # than refused: the same command line then runs on every host
+        # starts at most one per transformed CRT prime), so the count is
+        # clamped rather than refused: the same command line then runs on
+        # every host
         args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)

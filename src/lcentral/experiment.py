@@ -46,7 +46,8 @@ class ExperimentConfig:
     the exponent window for the form's coefficient-growth exponent, else
     the envelope terms do not all decay and the scan refuses to start.
     threads is the number of workers that build the coefficient table, one
-    CRT prime each; the levels run in order, and no number depends on it.
+    transformed CRT prime each; the levels run in order, and no number
+    depends on it.
     """
 
     field: str = "rationals"

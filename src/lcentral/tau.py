@@ -7,33 +7,58 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
     756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n)
                  - 174132 sum_{k=1}^{n-1} sigma_5(k) sigma_5(n - k).
 
-- The primes are the shortest prefix of `ntt.NTT_PRIMES` whose product
-  exceeds 4 limit^6, the range the signed CRT needs under Deligne's bound.
-  The five multiply to about 2^153.4, past 4 (2^25)^6 = 2^152 at the cap.
+- The read-out primes are the shortest prefix of `ntt.NTT_PRIMES` whose
+  product exceeds 4 limit^6, the range the signed CRT needs under Deligne's
+  bound.  The five multiply to about 2^153.4, past 4 (2^25)^6 = 2^152 at
+  the cap.  Only the first k_t of them (`_transformed_count`) take a
+  transform: one up to 5,750 coefficients, two up to 241,757, three up to
+  8,441,195, four up to the cap.  The residues mod the others are lifted.
 - `_DivisorIndex`, built once and independent of the prime, holds the
   prime-power chains and, for every other n, the full power P(n) of its
   smallest prime factor and the cofactor n / P(n), grouped by that prime,
   largest first, so that sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads
   entries already filled.  Its index arrays are int32.
-- Per prime p: sigma_5 and sigma_11 mod p through that structure, the
-  low limit - 1 terms of the square of the sigma_5 column by one short
-  square (`ntt.Transform.short_square`, at transform_size(limit - 1)
-  points, 2^k or 3 * 2^k) for the convolution sum, and the identity
-  solved for tau mod p.  The int64 sigma columns are freed before the
-  transforms (the operand enters them as int32), and each prime keeps only
-  its int32 residues; `threads` workers take that many primes at once,
-  the package's one thread pool (numpy releases the GIL in the
-  butterflies).
+- Per transformed prime p: sigma_5 and sigma_11 mod p through that
+  structure, the low limit - 1 terms of the square of the sigma_5 column
+  by one short square (`ntt.Transform.short_square`, at
+  transform_size(limit - 1) points, 2^k or 3 * 2^k) for the convolution
+  sum, and the identity solved for tau mod p.  The int64 sigma columns are
+  freed before the transforms (the operand enters them as int32), and each
+  prime keeps only its int32 residues; `threads` workers take that many
+  transformed primes at once, the package's one thread pool (numpy
+  releases the GIL in the butterflies), imported only when it starts.
+- The lift (`_lift`).  With M = p_1 ... p_(k_t) and r = tau(n) mod M,
+  signed, from Garner's digits of the transformed residues, each
+  tau(n) = r + K M is found exactly by walking `_DivisorIndex` in its
+  order:
+  - primes q <= 7: K = 0;
+  - primes q > 7: Swinnerton-Dyer's congruences ("On l-adic
+    representations and congruences for coefficients of modular forms",
+    LNM 350, 1973) give tau(q) mod C = 2^11 3^6 5^3 7 691 as a closed form
+    in q (`_congruence_residues`), in two factors below 2^31, 186,624,000
+    and 4,837; the CRT with r fixes K in [-C/2, C/2);
+  - prime powers: F = tau(q) tau(q^(e-1)) - q^11 tau(q^(e-2)), and
+    composites: F = tau(P(n)) tau(n / P(n)), each in float64 from the
+    floats kept for the entries already lifted; K = rint((F - r) / M).
+  Both are exact while k_t meets its two inequalities,
+  16 limit^11 < (C - 1)^2 M^2 at the primes and 3 limit^6 < 2^47 M for
+  the floats (proved in `_transformed_count`).  Then
+  tau(n) mod p = (r + K M) mod p for each other read-out prime p, in int64
+  (every product below 2^62), and those residues join the transformed
+  ones in Garner's digits, so the table is the one every prime's transform
+  would give.
 - int64 bounds: every prime is below 2^31 and sigma values are kept in
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
   sum below 2^49.  Arrays that live from one prime to the next (the
   residues, Garner's digits, the index) are int32 and are widened to int64
   inside each arithmetic pass.
-- Memory: the tracemalloc peak of `tau_table(152603)` is about 77 bytes
-  per coefficient, set by the fourth prime's short square (three n-entry
-  int64 arrays and the twiddle matrix, next to the index and the earlier
-  primes' residues).
+- Memory: the tracemalloc peak of `tau_table(152588)` is about 69 bytes
+  per coefficient, set by the second prime's short square (three n-entry
+  int64 arrays and the twiddle matrix, next to the index and the first
+  prime's residues); the lift holds one float64 t(n) and one int64 K per
+  entry next to the transformed primes' digits, and works 2^15 entries at
+  a time.
 - Garner's mixed-radix digits (`ntt.garner_digits`, int32)
   are read out two ways.  `tau_table`, the table the sums read, is
   `ntt.mixed_radix_float`: each entry is the correctly rounded float(tau(n))
@@ -41,12 +66,18 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
   rounded once, with no Python int formed.  `tau_exact` is
   `ntt.mixed_radix_value`: exact Python ints, for the places that compare
   integers (the acceptance sweep's bound scan, documents, tests).
-- Self-checks, each raising ArithmeticError, on exact values read from the
-  digits at the few indices they need, before either read-out: tau(n) for
-  n <= 13, and at the top of the table, where the values are largest and a
-  short CRT range would show first, tau(ab) = tau(a) tau(b) at the largest
-  index that splits as a coprime product and tau(q^2) = tau(q)^2 - q^11 at
-  the largest prime q with q^2 <= limit.
+- Checks, each raising ArithmeticError.  On every entry, in the lift: at
+  each prime, |tau(q)| <= 2 q^(11/2) (Deligne); at each prime power and
+  composite, the lifted value lies within 2^-48 S of F, S the sum of the
+  magnitudes of F's terms, which the float error never reaches.  Each
+  tests the transforms' residue at that index against the congruences or
+  multiplicativity, and sees an error that moves r by more than that
+  tolerance mod M.  On exact values read from the digits at the few
+  indices they need, before either read-out: tau(n) for n <= 13, and at
+  the top of the table tau(ab) = tau(a) tau(b) at the largest index that
+  splits as a coprime product and tau(q^2) = tau(q)^2 - q^11 at the
+  largest prime q with q^2 <= limit (true by construction when the
+  read-out's range is right; they see one that is too short).
 
 Oracle route (`tau_table_bigint`): the eta product q prod(1-q^n)^24 as the
 eighth power of Jacobi's sparse series prod(1-q^n)^3 =
@@ -59,13 +90,12 @@ construction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
-from .ntt import (Transform, crt_primes, garner_digits, mixed_radix_float,
-                  mixed_radix_value, transform_size)
+from .ntt import (NTT_PRIMES, Transform, crt_primes, garner_digits,
+                  mixed_radix_float, mixed_radix_value, transform_size)
 
 # Largest table: the short square of the 2^25 - 1 term sigma_5 column runs at
 # transform_size(2^25 - 1) = 2^25 points, which divides every p - 1 of the
@@ -208,6 +238,173 @@ def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
     return crt_primes(2 * limit ** 6)
 
 
+# Swinnerton-Dyer's congruences for tau at primes q > 7, modulo
+# 2^11 3^6 5^3 7 691 = C, grouped into two factors below 2^31
+_CONGRUENCE_FACTORS = ((2048, 729, 125), (7, 691))
+_C_FACTORS = tuple(prod(f) for f in _CONGRUENCE_FACTORS)     # 186624000, 4837
+_C = prod(_C_FACTORS)
+_LIFT_TOLERANCE = 2.0 ** -48        # 32 u, u = 2^-53 the unit roundoff
+_LIFT_BLOCK = 1 << 15               # entries per pass of the lift (cache-sized)
+
+
+def _transformed_count(limit: int) -> int:
+    """k_t, the number of CRT primes whose residues come from a transform;
+    the others are lifted (module docstring).  It is the least k_t for
+    which M = p_1 ... p_(k_t) satisfies
+
+        (1) 16 limit^11 < (C - 1)^2 M^2     and     (2) 3 limit^6 < 2^47 M.
+
+    Proof that these make the lift exact.  r = tau(n) mod M is signed,
+    in (-M/2, M/2].
+
+    (1) For a prime q > 7 the lift is r + K M with K in [-C/2, C/2) the
+    solution of r + K M = tau(q) mod C: these values are C M consecutive
+    integers, from above -(C + 1) M / 2 up to (C - 1) M / 2.  Deligne's
+    |tau(q)| <= 2 q^(11/2) < 2 limit^(11/2) puts tau(q) among them when
+    4 limit^(11/2) < (C - 1) M, which is (1) squared.
+
+    (2) Write u = 2^-53 and t(n) = fl(fl(r) + fl(K M)) for the float kept
+    at a lifted n, fl(r) correctly rounded.  If K = 0 then t(n) = fl(r);
+    otherwise |tau(n)| >= M/2, so |r| <= |tau(n)| and |K M| <= 2 |tau(n)|,
+    and either way |t(n) - tau(n)| <= 7 u |tau(n)|.  Products of two such
+    floats are then within 16 u of their value, and with q^11 rounded once,
+    F = tau(q) tau(q^(e-1)) - q^11 tau(q^(e-2)) in floats is within
+    18 u S of tau(q^e), S = |tau(q) tau(q^(e-1))| + |q^11 tau(q^(e-2))|;
+    for a composite n, F = tau(P) tau(n/P) and S = |tau(n)|.  Then
+    fl(fl(F - fl(r)) / fl(M)) is within 3.01 u |K| + (18 u S + u M/2) / M
+    (1 + 3.01 u) <= 21.1 u S / M + 2.1 u of K, as |K| <= S / M + 1/2.
+    Every S is at most 3 n^6: d(n) <= 2 sqrt(n) for composites, and
+    (3 e - 1) n^(11/2) <= 3 n^6 for n = q^e.  So (2), S < 2^47 M, keeps the
+    quotient within 0.34 of K, and rint finds K.
+
+    The count is at most the read-out's: its product exceeds 4 limit^6,
+    which satisfies both.  Neither bound may be loosened: a count one short
+    of them lifts a self-consistent but wrong table that no check sees.
+    """
+    modulus = 1
+    for count, (p, _) in enumerate(NTT_PRIMES, 1):
+        modulus *= p
+        if (16 * limit ** 11 < ((_C - 1) * modulus) ** 2
+                and 3 * limit ** 6 < modulus << 47):
+            return count
+    raise ValueError("limit too large for the configured prime set")
+
+
+def _congruence_residues(q: np.ndarray) -> list[np.ndarray]:
+    """tau(q) modulo each factor of C, for primes q > 7 (int64 array), from
+    Swinnerton-Dyer's congruences with sigma_k(q) = 1 + q^k:
+
+        tau(q) = c sigma_11(q)               mod 2^11, c = 1, 1217, 1537, 705
+                                             for q = 1, 3, 5, 7 mod 8,
+        tau(q) = q^-610 sigma_1231(q)        mod 3^6,
+        tau(q) = q^-30 sigma_71(q)           mod 5^3,
+        tau(q) = q sigma_9(q)                mod 7,
+        tau(q) = sigma_11(q)                 mod 691.
+
+    Each right side depends on q mod its modulus m alone and is tabulated
+    over [0, m), exponents reduced mod phi(3^6) = 486 and phi(5^3) = 100
+    (the table is read only at units); each factor's congruences are joined
+    by the CRT."""
+    def power(k, m):
+        return _power_mod(np.arange(m), k, m)
+
+    def sigma(k, m):
+        return (1 + power(k, m)) % m
+    c = np.array([1, 1217, 1537, 705])[np.arange(2048) % 8 >> 1]
+    tables = {2048: c * sigma(11, 2048) % 2048,
+              729: power(-610 % 486, 729) * sigma(1231 % 486, 729) % 729,
+              125: power(-30 % 100, 125) * sigma(71 % 100, 125) % 125,
+              7: power(1, 7) * sigma(9, 7) % 7,
+              691: sigma(11, 691)}
+    out = []
+    for factor, modulus in zip(_CONGRUENCE_FACTORS, _C_FACTORS):
+        acc = np.zeros(q.shape, dtype=np.int64)
+        for m in factor:        # a residue below 2^11 times a weight below C_f
+            rest = modulus // m
+            acc += tables[m][q % m] * (rest * pow(rest, -1, m))
+        out.append(acc % modulus)
+    return out
+
+
+def _residue_mod(digits: list[np.ndarray], moduli: list[int],
+                 multiple: np.ndarray, m: int) -> np.ndarray:
+    """(x + K M) mod m as int64, for m below 2^31, where x = sum d_k W_k is
+    the value of Garner's digits over the moduli (W_k = p_1 ... p_(k-1)),
+    M their product and K = `multiple` (int64).  Each product of a digit,
+    or of K mod m, and a weight mod m is below 2^62."""
+    acc = np.zeros(multiple.shape, dtype=np.int64)
+    weight = 1
+    for d, p in zip(digits, moduli):
+        acc += np.multiply(d, weight % m, dtype=np.int64)
+        acc %= m
+        weight *= p
+    acc += multiple % m * (weight % m)
+    acc %= m
+    return acc
+
+
+def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int],
+          derived: list[int]) -> list[np.ndarray]:
+    """tau(n) mod each derived prime as int32, at index n for 0 <= n <= m,
+    from Garner's digits of tau(n) mod M over the transformed primes: each
+    tau(n) = r + K M is found exactly (module docstring; exact while
+    `_transformed_count` holds), and checked; ArithmeticError on failure."""
+    modulus = prod(transformed)
+    mf = float(modulus)
+    # t holds the correctly rounded r until n is lifted, then t(n); r is
+    # int64 for up to two primes, and its conversion rounds correctly
+    if len(transformed) <= 2:
+        t = mixed_radix_value(digits, transformed).astype(np.float64)
+    else:
+        t = mixed_radix_float(digits, transformed)
+    # tau(n) = x + multiple M, x the unsigned value of the digits: -1 where
+    # r = x - M is negative, until K is added
+    multiple = -(t < 0).astype(np.int64)
+
+    primes = index.chains[0][2] if index.chains else np.zeros(0, dtype=np.int32)
+    # tau(q) = r for q <= 7, as |tau(q)| <= 16744 < M/2
+    large = primes[primes > 7]
+    at_large = [d[large] for d in digits]
+    c1, c2 = _C_FACTORS
+    k1, k2 = ((target - _residue_mod(at_large, transformed, multiple[large], f))
+              % f * pow(modulus, -1, f) % f
+              for f, target in zip(_C_FACTORS, _congruence_residues(large.astype(np.int64))))
+    del at_large
+    k = k1 + c1 * ((k2 - k1) % c2 * pow(c1, -1, c2) % c2)    # in [0, C), below 2^40
+    k[k >= _C // 2] -= _C
+    t[large] += k * mf
+    multiple[large] += k
+    qf = primes.astype(np.float64)
+    # the slack covers the rounding of t(q) (7 u) and of the bound
+    over = np.abs(np.take(t, primes)) > 2 * qf ** 5 * np.sqrt(qf) * (1 + 2.0 ** -40)
+    if over.any():
+        raise ArithmeticError(f"tau({primes[over][0]}) lifted past Deligne's bound")
+
+    def lift(c, f, size):
+        rf = np.take(t, c)
+        k = np.rint((f - rf) / mf)
+        value = rf + k * mf
+        off = np.abs(value - f) > size * _LIFT_TOLERANCE
+        if off.any():
+            raise ArithmeticError(
+                f"tau({c[off][0]}) from the transforms breaks the Hecke relations")
+        t[c] = value
+        multiple[c] += k.astype(np.int64)
+
+    for c, prev, q in index.chains[1:]:  # tau(q^e) = tau(q) tau(q^(e-1)) - q^11 tau(q^(e-2))
+        a = np.take(t, q) * np.take(t, prev)
+        b = np.array([float(v ** 11) for v in q.tolist()]) * np.take(t, prev // q)
+        lift(c, a - b, np.abs(a) + np.abs(b))
+    for group in index.groups:          # tau(n) = tau(P(n)) tau(n / P(n))
+        for start in range(0, group[0].shape[0], _LIFT_BLOCK):
+            c, a, b = (x[start:start + _LIFT_BLOCK] for x in group)
+            f = np.take(t, a) * np.take(t, b)
+            lift(c, f, np.abs(f))
+    del t
+    return [_residue_mod(digits, transformed, multiple, p).astype(np.int32)
+            for p in derived]
+
+
 def _check_table(digits: list[np.ndarray], primes: list[int],
                  split: tuple[int, int] | None, root_prime: int | None) -> None:
     """The self-checks of the module docstring, on exact values read from
@@ -235,8 +432,10 @@ def _check_table(digits: list[np.ndarray], primes: list[int],
 
 def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[int]]:
     """Garner's digits of tau(n) at index n for 0 <= n <= limit, and their
-    primes, once the self-checks have passed.  At threads = 1 the primes run
-    in turn on the calling thread and no thread is started."""
+    primes, once the self-checks have passed.  The first
+    `_transformed_count(limit)` primes take a transform each, `threads` of
+    them at once; with one worker they run in turn on the calling thread and
+    no thread is started.  The residues mod the others are lifted."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > TAU_LIMIT_CAP:
@@ -244,17 +443,22 @@ def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[in
             f"limit {limit} is past the coefficient cap {TAU_LIMIT_CAP} "
             f"(the largest table whose short square fits a 2^25-point transform)")
     primes = _crt_primes(limit)
+    transformed = primes[:_transformed_count(limit)]
     index = _DivisorIndex(limit)
     def residues_mod(prime):
         return _ramanujan_residues(index, limit, *prime)
-    if threads == 1:
-        residues = list(map(residues_mod, primes))
+    workers = min(threads, len(transformed))
+    if workers == 1:
+        residues = list(map(residues_mod, transformed))
     else:
-        with ThreadPoolExecutor(min(threads, len(primes))) as pool:
-            residues = list(pool.map(residues_mod, primes))
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            residues = list(pool.map(residues_mod, transformed))
+    moduli = [p for p, _ in primes]
+    k = len(transformed)
+    residues += _lift(index, garner_digits(residues, moduli[:k]), moduli[:k], moduli[k:])
     checks = index.split, index.root_prime
     del index
-    moduli = [p for p, _ in primes]
     digits = garner_digits(residues, moduli)
     del residues
     _check_table(digits, moduli, *checks)

@@ -64,8 +64,8 @@ def test_no_scipy_imports(path):
     assert _imports_of(ast.parse(path.read_text()), "scipy") == []
 
 
-# the package's one thread pool takes the coefficient table's CRT primes, so
-# no lazy cache is ever read from a worker thread
+# the package's one thread pool takes the coefficient table's transformed CRT
+# primes, so no lazy cache is ever read from a worker thread
 @pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py") if p.name != "tau.py"),
                          ids=lambda p: p.name)
 def test_no_threads_outside_the_coefficient_table(path):

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -14,8 +18,13 @@ from lcentral import tau as tau_module
 from lcentral.newforms import _verify_full_table
 from lcentral.ntt import (NTT_PRIMES, garner, garner_digits, mixed_radix_float,
                           transform_size)
-from lcentral.tau import (_SMALL_TAU, TAU_LIMIT_CAP, _crt_primes, _DivisorIndex,
-                          tau_exact, tau_table, tau_table_bigint)
+from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
+                          TAU_LIMIT_CAP, _congruence_residues, _crt_primes,
+                          _DivisorIndex, _lift, _ramanujan_residues,
+                          _transformed_count, primes_up_to, tau_exact, tau_table,
+                          tau_table_bigint)
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TABLE = tau_exact(5000)
 
@@ -235,19 +244,31 @@ def test_table_does_not_depend_on_the_thread_count(limit):
 
 
 def test_a_pool_starts_only_past_one_thread(monkeypatch):
-    # one thread runs the primes in turn; more start one pool, with at most
-    # one worker per prime
+    # one worker runs the transformed primes in turn; more start one pool,
+    # with at most one worker per transformed prime, imported only then
     pools = []
 
     class Counted(ThreadPoolExecutor):
         def __init__(self, workers):
             pools.append(workers)
             super().__init__(workers)
-    monkeypatch.setattr(tau_module, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     assert tau_table(1000, threads=1)[691] == float(TABLE[691])
     assert pools == []
+    # one transformed prime at 1000: nothing to share
+    assert _transformed_count(1000) == 1
     assert tau_table(1000, threads=8)[691] == float(TABLE[691])
-    assert pools == [len(_crt_primes(1000))] == [2]
+    assert pools == []
+    assert np.array_equal(tau_table(20001, threads=8), tau_table(20001))
+    assert pools == [_transformed_count(20001)] == [2]
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    code = ("import sys, lcentral.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_float_table_stays_in_its_memory_budget():
@@ -268,9 +289,20 @@ def test_float_table_stays_in_its_memory_budget():
 
 
 def test_prime_product_covers_the_cap():
-    # the signed CRT needs a product past 4 limit^6 at the largest table
-    assert math.prod(p for p, _ in NTT_PRIMES) > 4 * TAU_LIMIT_CAP ** 6
-    assert len(_crt_primes(TAU_LIMIT_CAP)) <= 5
+    # at the largest table the read-out's product passes 4 limit^6, and the
+    # transformed primes' product M meets both inequalities of the lift:
+    # (1) at primes, 16 limit^11 < (C - 1)^2 M^2, and (2) for the float
+    # products, 3 limit^6 < 2^47 M
+    limit = TAU_LIMIT_CAP
+    assert math.prod(p for p, _ in NTT_PRIMES) > 4 * limit ** 6
+    assert len(_crt_primes(limit)) <= 5
+    modulus = math.prod(p for p, _ in NTT_PRIMES[:_transformed_count(limit)])
+    assert 16 * limit ** 11 < ((_C - 1) * modulus) ** 2
+    assert 3 * limit ** 6 < modulus << 47
+    # one prime fewer meets neither
+    short = modulus // NTT_PRIMES[_transformed_count(limit) - 1][0]
+    assert 16 * limit ** 11 >= ((_C - 1) * short) ** 2
+    assert 3 * limit ** 6 >= short << 47
 
 
 def _factor(n):
@@ -312,3 +344,123 @@ def test_limits_past_the_cap_are_refused_before_any_work():
         tau_table(10 ** 12)
     with pytest.raises(ValueError, match="cap"):
         tau_exact(TAU_LIMIT_CAP + 1)
+
+
+# ---------------------------------------------------------------------------
+# the lift: residues of the primes past the first k_t, without a transform
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def oracle_20001():
+    return tau_table_bigint(20001)
+
+
+def test_ramanujan_congruences_at_every_prime(oracle_20001):
+    # Swinnerton-Dyer's congruences, written out with Python ints, against
+    # the independent eta-product route at every prime 7 < q <= 20001
+    primes = [q for q in primes_up_to(20001) if q > 7]
+    assert len(primes) == 2258
+    for q in primes:
+        tau_q = oracle_20001[q]
+        c = {1: 1, 3: 1217, 5: 1537, 7: 705}[q % 8]
+        assert (tau_q - c * (1 + q ** 11)) % 2 ** 11 == 0, q
+        assert (tau_q - pow(q, -610, 3 ** 6) * (1 + q ** 1231)) % 3 ** 6 == 0, q
+        assert (tau_q - pow(q, -30, 5 ** 3) * (1 + q ** 71)) % 5 ** 3 == 0, q
+        assert (tau_q - q * (1 + q ** 9)) % 7 == 0, q
+        assert (tau_q - (1 + q ** 11)) % 691 == 0, q
+    got = _congruence_residues(np.array(primes, dtype=np.int64))
+    for factor, residues in zip(_C_FACTORS, got):
+        assert residues.tolist() == [oracle_20001[q] % factor for q in primes]
+
+
+def test_lift_constants_stay_in_int64():
+    # C's factors are coprime to every NTT prime, so M is invertible mod C
+    assert _C_FACTORS == (186624000, 4837) and _C == 2 ** 11 * 3 ** 6 * 5 ** 3 * 7 * 691
+    assert tuple(math.prod(f) for f in _CONGRUENCE_FACTORS) == _C_FACTORS
+    for p, _ in NTT_PRIMES:
+        assert all(math.gcd(p, f) == 1 for f in _C_FACTORS)
+    # every int64 product of the lift, at its largest operands
+    top = 2 ** 63
+    digit = max(p for p, _ in NTT_PRIMES)           # digits and residues below it
+    for m in _C_FACTORS + tuple(p for p, _ in NTT_PRIMES):
+        assert (digit - 1) * (m - 1) + m < top      # digit times weight mod m, plus acc
+        assert (m - 1) * (m - 1) < top              # (K mod p)(M mod p), (t - r) M^-1
+    c1, c2 = _C_FACTORS
+    for factor, modulus in zip(_CONGRUENCE_FACTORS, _C_FACTORS):
+        assert sum(m - 1 for m in factor) * modulus < top   # residue times CRT weight
+    assert c1 - 1 + c1 * (c2 - 1) < 2 ** 40                 # K's CRT, before centring
+    assert _C // 2 < 2 ** 53                                # K exact in float64
+
+
+@pytest.mark.parametrize("limit,count", [(5750, 1), (5751, 2), (241757, 2),
+                                         (241758, 3), (8441195, 3), (8441196, 4),
+                                         (TAU_LIMIT_CAP, 4)])
+def test_transformed_count_on_each_side_of_each_switch(limit, count):
+    assert _transformed_count(limit) == count
+    assert count <= len(_crt_primes(limit))
+
+
+def _lifted_and_transformed(limit, count):
+    index = _DivisorIndex(limit)
+    primes = _crt_primes(limit)
+    moduli = [p for p, _ in primes]
+    residues = [_ramanujan_residues(index, limit, *prime) for prime in primes]
+    lifted = _lift(index, garner_digits(residues[:count], moduli[:count]),
+                   moduli[:count], moduli[count:])
+    return lifted, residues[count:]
+
+
+@pytest.mark.parametrize("limit", [5750, 5751, 20001, 241757, 241758])
+def test_lifted_residues_are_the_transformed_ones(limit):
+    # on either side of the first two switches, each derived prime's lifted
+    # residues equal the ones its own transform gives
+    lifted, transformed = _lifted_and_transformed(limit, _transformed_count(limit))
+    assert lifted and len(lifted) == len(transformed)
+    for a, b in zip(lifted, transformed):
+        assert np.array_equal(a, b)
+
+
+def test_one_transformed_prime_short_of_the_rule_lifts_a_wrong_table():
+    # at 337,564 two transformed primes break inequality (1): primes past
+    # about 282,721 lift to the wrong representative mod M C
+    limit = 337564
+    assert _transformed_count(limit) == 3
+    lifted, transformed = _lifted_and_transformed(limit, 2)
+    wrong = np.flatnonzero(lifted[0] != transformed[0])
+    assert wrong.size and wrong[0] > 282721
+
+
+def test_two_transforms_at_both_workloads_limits(monkeypatch):
+    calls = []
+    original = tau_module._ramanujan_residues
+
+    def counted(index, limit, p, g):
+        calls.append(p)
+        return original(index, limit, p, g)
+    monkeypatch.setattr(tau_module, "_ramanujan_residues", counted)
+    for limit, count in [(100000, 2), (152588, 2), (337564, 3)]:
+        calls.clear()
+        tau_table(limit)
+        assert calls == [p for p, _ in NTT_PRIMES[:count]], limit
+
+
+def _corrupted_at(monkeypatch, n):
+    original = tau_module._ramanujan_residues
+
+    def corrupted(index, limit, p, g):
+        out = original(index, limit, p, g)
+        if p == NTT_PRIMES[0][0]:
+            # moves r by about 2^60.9 mod M; an offset of 1 moves it by only
+            # about 2^35, under the float products' tolerance at large n
+            out[n] = (int(out[n]) + p // 2) % p
+        return out
+    monkeypatch.setattr(tau_module, "_ramanujan_residues", corrupted)
+
+
+@pytest.mark.parametrize("n", [99991, 2 * 3 * 5 * 7 * 11 * 13, 3 ** 10, 2 ** 16])
+def test_a_corrupted_transform_residue_is_caught(monkeypatch, n):
+    # a prime (Deligne's bound), a composite and two prime powers (the
+    # float products): one residue off in the first prime's transform
+    _corrupted_at(monkeypatch, n)
+    with pytest.raises(ArithmeticError, match=f"tau\\({n}\\)"):
+        tau_table(100000)
