@@ -3,19 +3,21 @@
 `convolve_exact(a, b, bound)` returns the linear convolution of two integer
 arrays exactly: it convolves modulo the shortest prefix of `NTT_PRIMES` whose
 product exceeds 2 bound, and recombines the residues by Garner's CRT.
-`Transform.product` is its one-prime step.  `Transform.short_square` gives
-the low half of a square from transforms of half the length (Hanrot and
-Zimmermann's short product), for tau.py, which needs only the low terms of
-its square and combines them with other residues before recombining.
+`Transform.product` is its one-prime step.  `short_square` gives the low
+terms of a square from transforms of a fraction of the length (Hanrot and
+Zimmermann's short product in k pieces), for tau.py, which needs only the
+low terms of its square and combines them with other residues before
+recombining.
 
 CRT.  `garner_digits` gives Garner's mixed-radix digits as int32 arrays
-(widened to int64 inside each pass);
-`mixed_radix_value` reads them out exactly (int64 for up to two primes,
-Python ints for more) and `mixed_radix_float` as float64, each entry the
-correctly rounded float of the exact value (to nearest, ties to even),
-computed over 32-bit limbs in uint64 from the leading 64 bits and a sticky
-bit, with no Python int formed.  `garner` is the exact read-out of the
-digits.
+(widened to int64 inside each pass) of the value x in [0, M), M the product
+of the primes.  `mixed_radix_value` reads them out exactly and
+`mixed_radix_float` as float64, each entry the correctly rounded float of
+the exact value (to nearest, ties to even), computed over 32-bit limbs in
+uint64 from the leading 64 bits and a sticky bit, with no Python int
+formed.  Either reads x signed, in (-M/2, M/2], or, given one more digit, a
+signed int64 K past the top one, reads x + K M: tau.py finds each entry's
+K without a transform.  `garner` is the exact signed read-out.
 
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
@@ -44,27 +46,37 @@ scales by 1/n on the entries it returns.
 
 int64 bounds.  Every prime is below 2^31 and residues are kept in [0, p)
 between steps.  A product of two residues is below 2^62; a butterfly's sum
-or difference lies in (-p, 2p).  The 3-point step's outputs lie in
-(-2p, 3p); the two blocks it then multiplies by twiddles lie in (-2p, 2p),
-so those products stay below 2p * p < 2^63 in magnitude.
-Reductions go through floor division (`_reduce`), which returns [0, p) for
-negative input as well.
+or difference lies in (-p, 2p), and the length-2 stage, whose twiddles are
+all 1, folds both back to [0, p) with no product to reduce.  The 3-point
+step's outputs lie in (-2p, 3p); the two blocks it then multiplies by
+twiddles lie in (-2p, 2p), so those products stay below 2p * p < 2^63 in
+magnitude.  Reductions go through floor division (`reduce_mod`), which
+returns [0, p) for negative input as well.
 
 Memory.  A product holds one n-entry work array, one n-entry scratch array
 (used as a pair of halves by the butterflies), the R' x C twiddle matrix and
 a few column vectors of about sqrt n entries; a second operand that is not
-the first adds one more n-entry array.  A short square of L terms runs at
-n = transform_size(L), about half the n of the full square, and holds three
-n-entry arrays at its peak (the two spectra and a scratch array) next to
-the twiddle matrix, and its two outputs of about L / 2 and L entries:
-about 4 n int64 entries with the matrix, where the full square's work and
-scratch arrays and matrix hold 3 entries per point at about twice the n.  The float read-out works 2^13 entries at a time, so its
-uint64 limbs stay in cache.
+the first adds one more n-entry array.
+
+The short square.  `_square_plan` picks the number of pieces k in 2..8 from
+the length L alone: pieces of t = ceil(L / k) terms, transforms of
+n' = transform_size(2 t - 1) points, and the k of least cost, 2 k
+transforms (k forward, k inverse) of n' + 2^11 each plus a tenth of n' per
+spectral product (about k^2 / 4 of them), ties to the smaller k.
+Tower-a2's 152,587 terms take k = 5 at 2^16 points (655,360 transform
+points, against 786,432 for the two halves at 3 * 2^16), and 99,999 terms
+k = 7 at 2^15 (458,752 against 524,288); every length up to 4,096, where
+numpy's calls cost about as much as the points, takes k = 2.  The
+square holds the k spectra as int32 (4 k n' bytes), two n'-entry int64
+work arrays, the n'-entry twiddle matrix and its L-entry int64 output: a
+traced peak of 4.3 MB at 152,587 terms, against 6.9 MB for the two halves,
+and 294 MB against 436 MB at 8,441,195 (k = 3 at 3 * 2^21 points).
+
+The float read-out works 2^13 entries at a time, so its uint64 limbs stay
+in cache.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 import numpy as np
 
@@ -111,7 +123,7 @@ def root_powers(root: int, n: int, p: int) -> np.ndarray:
     return t
 
 
-def _reduce(x: np.ndarray, p: int, scratch: np.ndarray, out: np.ndarray) -> None:
+def reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray, out: np.ndarray) -> None:
     """out = x mod p, through floor division (numpy divides by a scalar with
     a multiply and shift, and has no such path for the remainder)."""
     np.floor_divide(x, p, out=scratch)
@@ -214,9 +226,14 @@ class Transform:
             lo, hi = blk[:, :half], blk[:, half:]
             t = t_flat.reshape(-1, half, width)
             q = q_flat.reshape(-1, half, width)
-            if inverse:
+            if length == 2:                          # twiddle 1 either way
+                np.subtract(lo, hi, out=t)           # (-p, p)
+                lo += hi                             # [0, 2p)
+                _fold(lo, -p, q, lo)
+                _fold(t, p, q, hi)
+            elif inverse:
                 np.multiply(hi, tw, out=t)
-                _reduce(t, p, q, t)
+                reduce_mod(t, p, q, t)
                 np.subtract(lo, t, out=hi)           # (-p, p)
                 _fold(hi, p, q, hi)
                 lo += t                              # [0, 2p)
@@ -226,7 +243,7 @@ class Transform:
                 lo += hi                             # [0, 2p)
                 _fold(lo, -p, q, lo)
                 t *= tw                              # |t| < p^2 < 2^62
-                _reduce(t, p, q, hi)
+                reduce_mod(t, p, q, hi)
 
     def _radix3(self, x: np.ndarray, scratch: np.ndarray) -> None:
         """Block t of x (three blocks of rows) becomes sum_s w3^(s t) x_s, in
@@ -241,7 +258,7 @@ class Transform:
         t, q = scratch[:size], scratch[size:2 * size]
         np.subtract(x1, x2, out=t)
         t *= self._omega
-        _reduce(t, p, q, t)                          # u in [0, p)
+        reduce_mod(t, p, q, t)                       # u in [0, p)
         np.add(x1, x2, out=q)
         np.subtract(x0, x2, out=x2)
         x2 += t
@@ -255,7 +272,7 @@ class Transform:
         size = blocks[0].size
         for blk, tw in zip(blocks[1:], self._tri):
             blk *= tw                                # |blk| < 2p * p < 2^63
-            _reduce(blk, self.p, scratch[:size].reshape(blk.shape), blk)
+            reduce_mod(blk, self.p, scratch[:size].reshape(blk.shape), blk)
 
     def _forward(self, a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Spectrum of a (n entries in [0, p)), overwriting both arrays;
@@ -266,38 +283,38 @@ class Transform:
             self._radix3(x, spare)
             self._twiddle_blocks(x, spare)
             x0 = x[:self.rows // 3]
-            _reduce(x0, p, spare[:x0.size].reshape(x0.shape), x0)
+            reduce_mod(x0, p, spare[:x0.size].reshape(x0.shape), x0)
         self._radix2(x, spare, self._row_stages, inverse=False)
         x *= self._matrix
-        _reduce(x, p, spare.reshape(x.shape), x)
+        reduce_mod(x, p, spare.reshape(x.shape), x)
         y = spare.reshape(self.cols, self.rows)
         _transpose(x, y)
         self._radix2(y, a, self._col_stages, inverse=False)
         return spare, a
 
     def _inverse(self, spec: np.ndarray, spare: np.ndarray, length: int) -> np.ndarray:
-        """First `length` entries of the sequence whose spectrum is `spec`,
-        overwriting both arrays.  The steps of `_forward` run backwards with
-        the same root, which gives n x[-j mod n]; the read-out reverses the
-        index and scales by 1/n."""
+        """First `length` entries of the sequence whose spectrum is `spec`, as
+        a view of `spec`, overwriting both arrays.  The steps of `_forward`
+        run backwards with the same root, which gives n x[-j mod n] in
+        `spare`; the read-out reverses the index and scales by 1/n."""
         p = self.p
         y = spec.reshape(self.cols, self.rows)
         self._radix2(y, spare, self._col_stages, inverse=True)
         x = spare.reshape(self.rows, self.cols)
         _transpose(y, x)
         x *= self._matrix
-        _reduce(x, p, spec.reshape(x.shape), x)
+        reduce_mod(x, p, spec.reshape(x.shape), x)
         self._radix2(x, spec, self._row_stages, inverse=True)
         if self.three:
             self._twiddle_blocks(x, spec)
             self._radix3(x, spec)                    # (-2p, 3p), reduced below
-        out = np.empty(length, dtype=np.int64)
+        out = spec[:length]
         out[0] = spare[0]
         out[1:] = spare[:self.n - length:-1]
-        scratch = spec[:length]
-        _reduce(out, p, scratch, out)
+        scratch = spare[:length]
+        reduce_mod(out, p, scratch, out)
         out *= self._n_inv
-        _reduce(out, p, scratch, out)
+        reduce_mod(out, p, scratch, out)
         return out
 
     def product(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
@@ -311,38 +328,82 @@ class Transform:
             spec *= spec
         else:
             spec *= self._forward(_padded(b, n), spare)[0]
-        _reduce(spec, self.p, spare, spec)
-        return self._inverse(spec, spare, length)
+        reduce_mod(spec, self.p, spare, spec)
+        return self._inverse(spec, spare, length).copy()
 
-    def short_square(self, a: np.ndarray, length: int) -> np.ndarray:
-        """First `length` coefficients of a^2 mod p, for a with entries in
-        [0, p) (entries past `length` are not read) and n >= length: the
-        short product of Hanrot and Zimmermann ("A long note on Mulders'
-        short product", 2004).  With h = ceil(length / 2) and
-        a = a_lo + x^h a_hi,
 
-            a^2 mod x^length = a_lo^2 + 2 x^h (a_lo a_hi mod x^(length - h)),
+# The short square's plan, in units of one point of one transform: a
+# transform of n points costs about n + 2^11 (numpy's calls cost about as
+# much as 2^11 points), and a spectral product (multiply, reduce, add) about
+# a tenth of a transform of the same size (measured at 2^10 to 3 * 2^16).
+_TRANSFORM_OVERHEAD = 1 << 11
+_PRODUCT_COST = 0.1
+_MAX_PIECES = 8
 
-        and a_lo^2 (2h - 1 terms) and a_lo a_hi (length - 1 terms) fit in n
-        points without wrapping: two forward transforms, two inverses."""
-        n, p = self.n, self.p
-        h = (length + 1) // 2
-        spec_lo, free = self._forward(_padded(a[:h], n), np.empty(n, dtype=np.int64))
-        cross = None
-        if length > h:
-            spec_hi, free = self._forward(_padded(a[h:length], n), free)
-            spec_hi *= spec_lo
-            _reduce(spec_hi, p, free, spec_hi)
-            cross = self._inverse(spec_hi, free, length - h)
-            free = spec_hi
-        spec_lo *= spec_lo
-        _reduce(spec_lo, p, free, spec_lo)
-        out = self._inverse(spec_lo, free, length)
-        if cross is not None:
-            cross <<= 1
-            out[h:] += cross                         # [0, 3p)
-            _reduce(out, p, spec_lo[:length], out)
-        return out
+
+def _square_plan(length: int) -> tuple[int, int]:
+    """(k, n') for `short_square` of `length` terms: k in 2..8 pieces of
+    t = ceil(length / k) terms at n' = transform_size(2 t - 1) points, the k
+    of least cost 2 k (n' + 2^11) + (products) n' / 10, ties to the smaller
+    k."""
+    best = None
+    for k in range(2, _MAX_PIECES + 1):
+        t = -(-length // k)
+        pieces = -(-length // t)
+        n = transform_size(2 * t - 1)
+        products = sum(s // 2 + 1 for s in range(pieces))
+        cost = 2 * pieces * (n + _TRANSFORM_OVERHEAD) + _PRODUCT_COST * products * n
+        if best is None or cost < best[0]:
+            best = cost, k, n
+    return best[1:]
+
+
+def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
+    """The first len(a) coefficients of a^2 mod p, for a with entries in
+    [0, p): Hanrot and Zimmermann's short product ("A long note on Mulders'
+    short product", 2004) in k pieces.  With (k, n') = `_square_plan`,
+    t = ceil(len(a) / k) and a = sum_i x^(i t) A_i, each A_i of t terms,
+
+        a^2 mod x^len(a) = sum_s x^(s t) G_s,  G_s = sum_{i+j=s} A_i A_j,
+
+    over the s with s t < len(a); each G_s has 2 t - 1 terms, so it fits in
+    n' points without wrapping.  The pieces are forwarded once and kept as
+    int32 spectra, each G_s is formed in the spectrum (a cross term i < j
+    twice, a square once) and inverted, and the offset G_s are added: k
+    forward transforms, k inverses and about k^2 / 4 spectral products, in
+    two n'-entry int64 work arrays."""
+    length = a.shape[0]
+    k, n = _square_plan(length)
+    t = -(-length // k)
+    pieces = -(-length // t)
+    tr = Transform(n, p, g)
+    acc, prod = (np.empty(n, dtype=np.int64) for _ in range(2))
+    spectra = np.empty((pieces, n), dtype=np.int32)
+    for i in range(pieces):
+        piece = a[i * t:(i + 1) * t]
+        acc[:piece.shape[0]] = piece
+        acc[piece.shape[0]:] = 0
+        spectra[i] = tr._forward(acc, prod)[0]
+    out = np.zeros(length, dtype=np.int64)
+    for s in range(pieces):
+        # the terms A_i A_(s-i), i <= s - i, reduced as they are summed; a
+        # cross term (i < s - i) counts twice, below 2 (p - 1)^2 < 2^63 - p,
+        # so adding it to a sum in [0, p) does not overflow
+        for i in range(s // 2 + 1):
+            term = prod if i else acc
+            np.multiply(spectra[i], spectra[s - i], out=term, dtype=np.int64)
+            if 2 * i < s:
+                term <<= 1
+            if i:
+                acc += prod
+            reduce_mod(acc, p, prod, acc)
+        lo = s * t
+        group = tr._inverse(acc, prod, min(2 * t - 1, length - lo))
+        out[lo:lo + group.shape[0]] += group         # [0, 2p)
+        # the terms below (s + 1) t take nothing from the later groups
+        done = out[lo:lo + t]
+        _fold(done, -p, prod[:done.shape[0]], done)
+    return out
 
 
 def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndarray]:
@@ -353,36 +414,52 @@ def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndar
     digits: list[np.ndarray] = []
     for r, p in zip(residues, primes):
         acc = np.zeros(r.shape, dtype=np.int64)
+        scratch = np.empty_like(acc)
         weight = 1
         for d, q in zip(digits, primes):
-            acc += np.multiply(d, weight, dtype=np.int64)
-            acc %= p
+            acc += np.multiply(d, weight, out=scratch, dtype=np.int64)
+            reduce_mod(acc, p, scratch, acc)
             weight = weight * q % p
-        np.subtract(r, acc, out=acc)
-        acc %= p
-        acc *= pow(weight, -1, p)
-        acc %= p
+        np.subtract(r, acc, out=acc)                 # (-p, p)
+        acc *= pow(weight, -1, p)                    # below p^2 < 2^62 in size
+        reduce_mod(acc, p, scratch, acc)
         digits.append(acc.astype(np.int32))
     return digits
 
 
+def _signed_top(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """The top digit of the signed lift into (-M/2, M/2] as int64: -1 where
+    the value x of the digits passes (M - 1)/2, else 0.  With every prime
+    odd, (M - 1)/2 has the digits (p_k - 1)/2, so x is compared with it
+    digit by digit from the top."""
+    above = np.zeros(digits[0].shape, dtype=bool)
+    decided = np.zeros(digits[0].shape, dtype=bool)
+    for d, p in zip(digits[::-1], primes[::-1]):
+        above |= ~decided & (d > (p - 1) // 2)
+        decided |= d != (p - 1) // 2
+    return -above.astype(np.int64)
+
+
 def mixed_radix_value(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """The signed values of the digits, in (-M/2, M/2], exactly: int64 for
-    one or two primes (M < 2^62), an object array of Python ints for more."""
+    """The values of the digits, exactly.  With one digit per prime, x (the
+    value in [0, M)) read signed, in (-M/2, M/2]: int64 for one or two
+    primes (M < 2^62), an object array of Python ints for more.  With one
+    digit more, that last is a signed int64 top digit K, and the values are
+    x + K M, as Python ints."""
+    count = len(primes)
+    given_top = len(digits) > count
     # adjacent digits pair up exactly in int64, d_k + d_(k+1) p_k < 2^62,
     # which halves the passes over Python ints; the int32 digits are widened
     # before the product
     limbs = [(digits[k] + np.multiply(digits[k + 1], primes[k], dtype=np.int64),
               primes[k] * primes[k + 1])
-             if k + 1 < len(digits) else (digits[k].astype(np.int64), primes[k])
-             for k in range(0, len(digits), 2)]
-    modulus = prod(primes)
-    value = limbs[-1][0]
-    if len(limbs) > 1:
-        value = value.astype(object)
-        for limb, radix in limbs[-2::-1]:
-            value = value * radix + limb
-    value[value > modulus // 2] -= modulus
+             if k + 1 < count else (digits[k].astype(np.int64), primes[k])
+             for k in range(0, count, 2)]
+    top = digits[count] if given_top else _signed_top(digits, primes)
+    value = top.astype(object if given_top or count > 2 else np.int64)
+    for limb, radix in limbs[::-1]:                  # x + K M, by Horner
+        value *= radix
+        value += limb
     return value
 
 
@@ -390,42 +467,28 @@ _MASK = np.uint64((1 << 32) - 1)
 _CHUNK = 1 << 13          # entries per pass of the float read-out (cache-sized)
 
 
-def _limbs(x: int, count: int) -> list[int]:
-    """x >= 0 as `count` 32-bit limbs, least significant first."""
-    return [(x >> 32 * i) & 0xFFFFFFFF for i in range(count)]
-
-
-def _subtract(a: list, b: list) -> tuple[list, np.ndarray]:
-    """a - b over 32-bit limbs (uint64 arrays or ints), and the borrow out
-    (1 where a < b)."""
-    out, borrow = [], np.uint64(0)
-    for x, y in zip(a, b):
-        t = (x + (1 << 32)) - y - borrow         # in [1, 2^33): no wrap
-        out.append(t & _MASK)
-        borrow = 1 - (t >> 32)
-    return out, borrow
-
-
 def _round_block(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
     """`mixed_radix_float` on one block of entries."""
-    modulus = prod(primes)
-    count = len(primes)                          # M < 2^(31 count)
-    # Horner from the top digit: x = x p_k + d_k, carried over 32-bit limbs;
+    count = len(primes)
+    multiple = digits[count] if len(digits) > count else _signed_top(digits, primes)
+    # |x + K M|: K M + x for K >= 0, and (-K - 1) M + (M - x) for K < 0,
+    # where M - x has the digits p_k - 1 - d_k with one more on the lowest
+    negative = multiple < 0
+    digits = [np.where(negative, p - 1 - d, d) for d, p in zip(digits[:count], primes)]
+    digits[0] += negative
+    size = np.where(negative, -1 - multiple, multiple).astype(np.uint64)
+    # Horner from the top digit, x = x p_k + d_k, carried over 32-bit limbs;
     # a limb times p_k plus a carry stays below 2^63
-    x = [digits[-1].astype(np.uint64)]
-    for d, p in zip(digits[-2::-1], primes[-2::-1]):
+    x = [size & _MASK, size >> np.uint64(32)]
+    for d, p in zip(digits[::-1], primes[::-1]):
         carry = d.astype(np.uint64)
         for i, limb in enumerate(x):
             t = limb * np.uint64(p) + carry
             x[i] = t & _MASK
-            carry = t >> 32
+            carry = t >> np.uint64(32)
         x.append(carry)
-    # the signed lift: x >= (M + 1)/2 (M is odd) reads as x - M
-    negative = _subtract(x, _limbs(modulus // 2 + 1, count))[1] == 0
-    flipped = _subtract(_limbs(modulus, count), x)[0]
     # two zero limbs below, so every nonzero value's top limb has two below it
-    mag = np.stack([np.zeros_like(x[0])] * 2
-                   + [np.where(negative, f, v) for f, v in zip(flipped, x)])
+    mag = np.stack([np.zeros_like(x[0])] * 2 + x)
     top = np.full(mag.shape[1], 2)
     sticky = np.zeros(mag.shape[1], dtype=bool)
     for i in range(2, mag.shape[0]):
@@ -447,9 +510,9 @@ def _round_block(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
 
 
 def mixed_radix_float(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """The signed values of the digits as float64, each the correctly
-    rounded float(x) of `mixed_radix_value`'s x (round to nearest, ties to
-    even); no Python int is formed.
+    """The values of the digits as float64, each the correctly rounded
+    float of `mixed_radix_value`'s value (round to nearest, ties to even),
+    with or without a signed top digit; no Python int is formed.
 
     The value is assembled over 32-bit limbs in uint64, a block of entries
     at a time, and rounded once from its leading 64 bits and a sticky bit.

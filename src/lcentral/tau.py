@@ -7,30 +7,30 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
     756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n)
                  - 174132 sum_{k=1}^{n-1} sigma_5(k) sigma_5(n - k).
 
-- The read-out primes are the shortest prefix of `ntt.NTT_PRIMES` whose
-  product exceeds 4 limit^6, the range the signed CRT needs under Deligne's
-  bound.  The five multiply to about 2^153.4, past 4 (2^25)^6 = 2^152 at
-  the cap.  Only the first k_t of them (`_transformed_count`) take a
+- The first k_t primes of `ntt.NTT_PRIMES` (`_transformed_count`) take a
   transform: one up to 5,750 coefficients, two up to 241,757, three up to
-  8,441,195, four up to the cap.  The residues mod the others are lifted.
+  8,441,195, four up to the cap.  No other prime is needed: the lift below
+  finds every entry exactly from their residues.
 - `_DivisorIndex`, built once and independent of the prime, holds the
   prime-power chains and, for every other n, the full power P(n) of its
-  smallest prime factor and the cofactor n / P(n), grouped by that prime,
-  largest first, so that sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads
-  entries already filled.  Its index arrays are int32.
+  smallest prime factor and the cofactor n / P(n), grouped by the number
+  of distinct prime factors of n, fewest first, so that
+  sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads entries already filled,
+  in at most seven groups.  Its index arrays are int32.
 - Per transformed prime p: sigma_5 and sigma_11 mod p through that
   structure, the low limit - 1 terms of the square of the sigma_5 column
-  by one short square (`ntt.Transform.short_square`, at
-  transform_size(limit - 1) points, 2^k or 3 * 2^k) for the convolution
-  sum, and the identity solved for tau mod p.  The int64 sigma columns are
-  freed before the transforms (the operand enters them as int32), and each
-  prime keeps only its int32 residues; `threads` workers take that many
-  transformed primes at once, the package's one thread pool (numpy
-  releases the GIL in the butterflies), imported only when it starts.
+  by one short square (`ntt.short_square`, in k pieces at n' points, both
+  fixed by limit - 1 alone) for the convolution sum, and the identity
+  solved for tau mod p.  The int64 sigma columns are freed before the
+  transforms (the operand enters them as int32), and each prime keeps only
+  its int32 residues; `threads` workers take that many transformed primes
+  at once, the package's one thread pool (numpy releases the GIL in the
+  butterflies), imported only when it starts.
 - The lift (`_lift`).  With M = p_1 ... p_(k_t) and r = tau(n) mod M,
   signed, from Garner's digits of the transformed residues, each
   tau(n) = r + K M is found exactly by walking `_DivisorIndex` in its
-  order:
+  order (K is kept against the digits' unsigned value x, so that
+  tau(n) = x + K M):
   - primes q <= 7: K = 0;
   - primes q > 7: Swinnerton-Dyer's congruences ("On l-adic
     representations and congruences for coefficients of modular forms",
@@ -42,42 +42,47 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
     floats kept for the entries already lifted; K = rint((F - r) / M).
   Both are exact while k_t meets its two inequalities,
   16 limit^11 < (C - 1)^2 M^2 at the primes and 3 limit^6 < 2^47 M for
-  the floats (proved in `_transformed_count`).  Then
-  tau(n) mod p = (r + K M) mod p for each other read-out prime p, in int64
-  (every product below 2^62), and those residues join the transformed
-  ones in Garner's digits, so the table is the one every prime's transform
-  would give.
+  the floats (proved in `_transformed_count`).  K is int64, below 2^47 in
+  size by the second.
 - int64 bounds: every prime is below 2^31 and sigma values are kept in
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
-  sum below 2^49.  Arrays that live from one prime to the next (the
+  sum below 2^49.  Reductions mod a prime go through floor division
+  (`ntt.reduce_mod`).  Arrays that live from one prime to the next (the
   residues, Garner's digits, the index) are int32 and are widened to int64
   inside each arithmetic pass.
-- Memory: the tracemalloc peak of `tau_table(152588)` is about 69 bytes
-  per coefficient, set by the second prime's short square (three n-entry
-  int64 arrays and the twiddle matrix, next to the index and the first
-  prime's residues); the lift holds one float64 t(n) and one int64 K per
-  entry next to the transformed primes' digits, and works 2^15 entries at
-  a time.
-- Garner's mixed-radix digits (`ntt.garner_digits`, int32)
-  are read out two ways.  `tau_table`, the table the sums read, is
-  `ntt.mixed_radix_float`: each entry is the correctly rounded float(tau(n))
-  (to nearest, ties to even), assembled over 32-bit limbs in uint64 and
-  rounded once, with no Python int formed.  `tau_exact` is
-  `ntt.mixed_radix_value`: exact Python ints, for the places that compare
-  integers (the acceptance sweep's bound scan, documents, tests).
+- Memory: the tracemalloc peak of `tau_table(152588)` is about 52 bytes
+  per coefficient, and 51 at 100,000, set by the second prime's short
+  square (its int32 spectra, two n'-entry int64 arrays, the twiddle matrix
+  and its output, next to the index and the first prime's residues); the
+  lift, which holds one float64 t(n), one int64 K and one int16
+  sigma_11(n) mod 691 per entry next to the transformed primes' digits and
+  works 2^14 entries at a time, stays just below it.
+- The transformed primes' Garner digits (`ntt.garner_digits`, int32) and K
+  as a signed top digit past them are read out two ways.  `tau_table`, the
+  table the sums read, is `ntt.mixed_radix_float`: each entry is the
+  correctly rounded float(x + K M) (to nearest, ties to even), assembled
+  over 32-bit limbs in uint64 and rounded once, with no Python int formed.
+  `tau_exact` is `ntt.mixed_radix_value`: exact Python ints, for the
+  places that compare integers (the acceptance sweep's bound scan,
+  documents, tests).
 - Checks, each raising ArithmeticError.  On every entry, in the lift: at
   each prime, |tau(q)| <= 2 q^(11/2) (Deligne); at each prime power and
   composite, the lifted value lies within 2^-48 S of F, S the sum of the
   magnitudes of F's terms, which the float error never reaches.  Each
   tests the transforms' residue at that index against the congruences or
   multiplicativity, and sees an error that moves r by more than that
-  tolerance mod M.  On exact values read from the digits at the few
-  indices they need, before either read-out: tau(n) for n <= 13, and at
-  the top of the table tau(ab) = tau(a) tau(b) at the largest index that
-  splits as a coprime product and tau(q^2) = tau(q)^2 - q^11 at the
-  largest prime q with q^2 <= limit (true by construction when the
-  read-out's range is right; they see one that is too short).
+  tolerance mod M.  An error that moves r by less (a residue one off mod
+  p_1 moves it by about 2^35) is seen by Ramanujan's congruence
+  tau(n) = sigma_11(n) mod 691, checked on every lifted value but for one
+  such error in 691; at primes the congruences hold it by construction and
+  Deligne's bound covers them.  On exact values read from the digits and
+  K at the few indices they need, before either read-out: tau(n) for
+  n <= 13, and at the top of the table tau(ab) = tau(a) tau(b) at the
+  largest index that splits as a coprime product and
+  tau(q^2) = tau(q)^2 - q^11 at the largest prime q with q^2 <= limit
+  (true by construction when the lift is right; they see a read-out whose
+  range is too short, such as the digits' signed value without K).
 
 Oracle route (`tau_table_bigint`): the eta product q prod(1-q^n)^24 as the
 eighth power of Jacobi's sparse series prod(1-q^n)^3 =
@@ -94,13 +99,13 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .ntt import (NTT_PRIMES, Transform, crt_primes, garner_digits,
-                  mixed_radix_float, mixed_radix_value, transform_size)
+from .ntt import (NTT_PRIMES, garner_digits, mixed_radix_float, mixed_radix_value,
+                  reduce_mod, short_square)
 
-# Largest table: the short square of the 2^25 - 1 term sigma_5 column runs at
-# transform_size(2^25 - 1) = 2^25 points, which divides every p - 1 of the
-# prime set (it supports up to 3 * 2^25 points); the five primes multiply
-# past 4 (2^25)^6, the CRT range the table needs.
+# Largest table: the short square of the 2^25 - 1 term sigma_5 column runs in
+# two pieces at 2^25 points, which divides every p - 1 of the prime set (it
+# supports up to 3 * 2^25 points); four transformed primes meet both
+# inequalities of the lift there (`_transformed_count`).
 TAU_LIMIT_CAP = 1 << 25
 
 _SMALL_TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
@@ -162,11 +167,13 @@ class _DivisorIndex:
 
     `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers q^e <= m;
     `groups` is (n, P(n), n / P(n)) over the n that are not prime powers,
-    P(n) the full power of the smallest prime factor q of n, one group per q
-    from the largest q down: n / P(n) has only prime factors above q, so its
-    sum is filled in by an earlier group or chain.  `split` is (P(n), n / P(n))
-    at the largest such n and `root_prime` the largest prime q with q^2 <= m,
-    each None when there is none: the points of the table's top self-check.
+    P(n) the full power of the smallest prime factor of n, one group per
+    number w >= 2 of distinct prime factors, in increasing w: n / P(n) has
+    w - 1 of them, so its sum is filled in by a chain or an earlier group,
+    and seven groups cover every m up to the cap.  `split` is
+    (P(n), n / P(n)) at the largest such n and `root_prime` the largest prime
+    q with q^2 <= m, each None when there is none: the points of the table's
+    top self-check.
     """
 
     def __init__(self, m: int):
@@ -191,9 +198,17 @@ class _DivisorIndex:
             q = q[keep]
             qe = qe[keep] * q
         composite = np.flatnonzero(cofactor > 1).astype(np.int32)
-        # a composite's q is at most sqrt(m) < 2^15: int16 keys sort by radix
+        # w(n) = w(n / P(n)) + 1 by smallest prime factor q, largest first,
+        # as n / P(n) has only prime factors above q; a composite's q is at
+        # most sqrt(m) < 2^15, so int16 keys sort by radix
         order = np.argsort(-spf[composite].astype(np.int16), kind="stable")
         cuts = np.flatnonzero(np.diff(spf[composite[order]])) + 1
+        omega = (cofactor == 1).astype(np.int8)
+        for c in np.split(composite[order], cuts):
+            omega[c] = omega[cofactor[c]] + 1
+        del order
+        order = np.argsort(omega[composite], kind="stable")
+        cuts = np.flatnonzero(np.diff(omega[composite[order]])) + 1
         self.groups = [(c, power[c], cofactor[c])
                        for c in np.split(composite[order], cuts)]
         top = int(composite[-1]) if composite.size else 0
@@ -205,10 +220,16 @@ class _DivisorIndex:
         for 0 <= n <= m (entry 0 is 0)."""
         s = np.zeros(self.m + 1, dtype=np.int64)
         s[1] = 1
+        # each chain's q is a prefix of the first's, the primes
+        qk = _power_mod(self.chains[0][2], k, p) if self.chains else None
         for c, prev, q in self.chains:      # sigma(q^e) = 1 + q^k sigma(q^(e-1))
-            s[c] = (_power_mod(q, k, p) * s[prev] + 1) % p
+            s[c] = (qk[:q.shape[0]] * s[prev] + 1) % p
         for c, a, b in self.groups:
-            s[c] = np.take(s, a) * np.take(s, b) % p
+            f = np.take(s, a)
+            scratch = np.take(s, b)
+            f *= scratch
+            reduce_mod(f, p, scratch, f)
+            s[c] = f
         return s
 
 
@@ -217,25 +238,30 @@ def _ramanujan_residues(index: _DivisorIndex, limit: int, p: int,
     """tau(n) mod p at index n for 0 <= n <= limit (entry 0 is 0), from
     Ramanujan's identity, as int32."""
     s5 = index.sigma(5, p)
-    out = ((65 * index.sigma(11, p) + 691 * s5) % p).astype(np.int32)
-    if limit > 1:
-        # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit: the low
-        # limit - 1 terms of the square of the sigma_5 column, which enters
-        # the transforms as int32 with the int64 sigma columns freed
-        col = s5[1:limit].astype(np.int32)
-        del s5
-        conv = Transform(transform_size(limit - 1), p, g).short_square(col, limit - 1)
-        conv *= -174132
-        conv += out[2:]
-        out[2:] = conv % p
-    return (out.astype(np.int64) * pow(756, -1, p) % p).astype(np.int32)
-
-
-def _crt_primes(limit: int) -> tuple[tuple[int, int], ...]:
-    """The primes whose product exceeds 4 limit^6: Deligne's bound
-    |tau(n)| <= d(n) n^(11/2), with d(n) <= 2 sqrt(n), keeps every entry
-    within 2 limit^6."""
-    return crt_primes(2 * limit ** 6)
+    # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit: the low
+    # limit - 1 terms of the square of the sigma_5 column, which enters the
+    # transform as int32 with the int64 sigma columns freed
+    col = s5[1:limit].astype(np.int32)
+    s5 *= 691
+    sigmas = index.sigma(11, p)
+    sigmas *= 65
+    sigmas += s5                                     # below 756 p
+    reduce_mod(sigmas, p, s5, sigmas)
+    del s5
+    sigmas = sigmas.astype(np.int32)
+    square = short_square(col, p, g) if col.size else col
+    del col
+    tau = np.zeros(limit + 1, dtype=np.int64)
+    tau[2:] = square
+    del square
+    tau *= -174132
+    tau += sigmas                                    # above -2^49
+    del sigmas
+    scratch = np.empty_like(tau)
+    reduce_mod(tau, p, scratch, tau)
+    tau *= pow(756, -1, p)
+    reduce_mod(tau, p, scratch, tau)
+    return tau.astype(np.int32)
 
 
 # Swinnerton-Dyer's congruences for tau at primes q > 7, modulo
@@ -244,12 +270,12 @@ _CONGRUENCE_FACTORS = ((2048, 729, 125), (7, 691))
 _C_FACTORS = tuple(prod(f) for f in _CONGRUENCE_FACTORS)     # 186624000, 4837
 _C = prod(_C_FACTORS)
 _LIFT_TOLERANCE = 2.0 ** -48        # 32 u, u = 2^-53 the unit roundoff
-_LIFT_BLOCK = 1 << 15               # entries per pass of the lift (cache-sized)
+_LIFT_BLOCK = 1 << 14               # entries per pass of the lift (cache-sized)
 
 
 def _transformed_count(limit: int) -> int:
-    """k_t, the number of CRT primes whose residues come from a transform;
-    the others are lifted (module docstring).  It is the least k_t for
+    """k_t, the number of CRT primes whose residues come from a transform
+    (module docstring).  It is the least k_t for
     which M = p_1 ... p_(k_t) satisfies
 
         (1) 16 limit^11 < (C - 1)^2 M^2     and     (2) 3 limit^6 < 2^47 M.
@@ -277,9 +303,8 @@ def _transformed_count(limit: int) -> int:
     (3 e - 1) n^(11/2) <= 3 n^6 for n = q^e.  So (2), S < 2^47 M, keeps the
     quotient within 0.34 of K, and rint finds K.
 
-    The count is at most the read-out's: its product exceeds 4 limit^6,
-    which satisfies both.  Neither bound may be loosened: a count one short
-    of them lifts a self-consistent but wrong table that no check sees.
+    Neither bound may be loosened: a count one short of them lifts a
+    self-consistent but wrong table that no check sees.
     """
     modulus = 1
     for count, (p, _) in enumerate(NTT_PRIMES, 1):
@@ -290,38 +315,47 @@ def _transformed_count(limit: int) -> int:
     raise ValueError("limit too large for the configured prime set")
 
 
-def _congruence_residues(q: np.ndarray) -> list[np.ndarray]:
-    """tau(q) modulo each factor of C, for primes q > 7 (int64 array), from
-    Swinnerton-Dyer's congruences with sigma_k(q) = 1 + q^k:
+def _congruence_tables() -> dict[int, np.ndarray]:
+    """tau(q) modulo each modulus m of C, for primes q > 7, tabulated over
+    q mod m in [0, m): Swinnerton-Dyer's congruences with
+    sigma_k(q) = 1 + q^k,
 
         tau(q) = c sigma_11(q)               mod 2^11, c = 1, 1217, 1537, 705
                                              for q = 1, 3, 5, 7 mod 8,
         tau(q) = q^-610 sigma_1231(q)        mod 3^6,
         tau(q) = q^-30 sigma_71(q)           mod 5^3,
         tau(q) = q sigma_9(q)                mod 7,
-        tau(q) = sigma_11(q)                 mod 691.
+        tau(q) = sigma_11(q)                 mod 691,
 
-    Each right side depends on q mod its modulus m alone and is tabulated
-    over [0, m), exponents reduced mod phi(3^6) = 486 and phi(5^3) = 100
-    (the table is read only at units); each factor's congruences are joined
-    by the CRT."""
+    each right side depending on q mod m alone, exponents reduced mod
+    phi(3^6) = 486 and phi(5^3) = 100 (the tables are read only at units)."""
     def power(k, m):
         return _power_mod(np.arange(m), k, m)
 
     def sigma(k, m):
         return (1 + power(k, m)) % m
     c = np.array([1, 1217, 1537, 705])[np.arange(2048) % 8 >> 1]
-    tables = {2048: c * sigma(11, 2048) % 2048,
-              729: power(-610 % 486, 729) * sigma(1231 % 486, 729) % 729,
-              125: power(-30 % 100, 125) * sigma(71 % 100, 125) % 125,
-              7: power(1, 7) * sigma(9, 7) % 7,
-              691: sigma(11, 691)}
+    return {2048: c * sigma(11, 2048) % 2048,
+            729: power(-610 % 486, 729) * sigma(1231 % 486, 729) % 729,
+            125: power(-30 % 100, 125) * sigma(71 % 100, 125) % 125,
+            7: power(1, 7) * sigma(9, 7) % 7,
+            691: sigma(11, 691)}
+
+
+# they depend on nothing, so they are built once, at import
+_CONGRUENCE_TABLES = _congruence_tables()
+
+
+def _congruence_residues(q: np.ndarray) -> list[np.ndarray]:
+    """tau(q) modulo each factor of C, for primes q > 7 (int64 array): the
+    congruences of `_CONGRUENCE_TABLES` joined by the CRT within each
+    factor."""
     out = []
     for factor, modulus in zip(_CONGRUENCE_FACTORS, _C_FACTORS):
         acc = np.zeros(q.shape, dtype=np.int64)
         for m in factor:        # a residue below 2^11 times a weight below C_f
             rest = modulus // m
-            acc += tables[m][q % m] * (rest * pow(rest, -1, m))
+            acc += _CONGRUENCE_TABLES[m][q % m] * (rest * pow(rest, -1, m))
         out.append(acc % modulus)
     return out
 
@@ -333,22 +367,27 @@ def _residue_mod(digits: list[np.ndarray], moduli: list[int],
     M their product and K = `multiple` (int64).  Each product of a digit,
     or of K mod m, and a weight mod m is below 2^62."""
     acc = np.zeros(multiple.shape, dtype=np.int64)
+    scratch = np.empty_like(acc)
     weight = 1
     for d, p in zip(digits, moduli):
-        acc += np.multiply(d, weight % m, dtype=np.int64)
+        acc += np.multiply(d, weight % m, out=scratch, dtype=np.int64)
         acc %= m
         weight *= p
-    acc += multiple % m * (weight % m)
+    np.remainder(multiple, m, out=scratch)
+    scratch *= weight % m
+    acc += scratch
     acc %= m
     return acc
 
 
-def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int],
-          derived: list[int]) -> list[np.ndarray]:
-    """tau(n) mod each derived prime as int32, at index n for 0 <= n <= m,
-    from Garner's digits of tau(n) mod M over the transformed primes: each
-    tau(n) = r + K M is found exactly (module docstring; exact while
-    `_transformed_count` holds), and checked; ArithmeticError on failure."""
+def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]) -> np.ndarray:
+    """K at index n for 0 <= n <= m, int64, with tau(n) = x + K M for x the
+    value in [0, M) of Garner's digits over the transformed primes and M
+    their product: each tau(n) is found exactly (module docstring; exact
+    while `_transformed_count` holds), and checked; ArithmeticError on
+    failure."""
+    # for the closing check, below 691 (int16 while the lift runs)
+    sigma = index.sigma(11, 691).astype(np.int16)
     modulus = prod(transformed)
     mf = float(modulus)
     # t holds the correctly rounded r until n is lifted, then t(n); r is
@@ -359,7 +398,7 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
         t = mixed_radix_float(digits, transformed)
     # tau(n) = x + multiple M, x the unsigned value of the digits: -1 where
     # r = x - M is negative, until K is added
-    multiple = -(t < 0).astype(np.int64)
+    multiple = np.where(t < 0, -1, 0)
 
     primes = index.chains[0][2] if index.chains else np.zeros(0, dtype=np.int32)
     # tau(q) = r for q <= 7, as |tau(q)| <= 16744 < M/2
@@ -401,8 +440,17 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
             f = np.take(t, a) * np.take(t, b)
             lift(c, f, np.abs(f))
     del t
-    return [_residue_mod(digits, transformed, multiple, p).astype(np.int32)
-            for p in derived]
+    # Ramanujan's tau(n) = sigma_11(n) mod 691 on every entry: it sees the
+    # residue errors that move r by less than the tolerance above, all but
+    # one in 691 of them
+    for start in range(0, sigma.shape[0], _LIFT_BLOCK):
+        at = slice(start, start + _LIFT_BLOCK)
+        off = np.flatnonzero(sigma[at] != _residue_mod(
+            [d[at] for d in digits], transformed, multiple[at], 691))
+        if off.size:
+            raise ArithmeticError(f"tau({start + off[0]}) from the transforms "
+                                  f"breaks tau = sigma_11 mod 691")
+    return multiple
 
 
 def _check_table(digits: list[np.ndarray], primes: list[int],
@@ -431,36 +479,34 @@ def _check_table(digits: list[np.ndarray], primes: list[int],
 
 
 def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[int]]:
-    """Garner's digits of tau(n) at index n for 0 <= n <= limit, and their
-    primes, once the self-checks have passed.  The first
-    `_transformed_count(limit)` primes take a transform each, `threads` of
-    them at once; with one worker they run in turn on the calling thread and
-    no thread is started.  The residues mod the others are lifted."""
+    """Garner's digits of tau(n) at index n for 0 <= n <= limit over the
+    first `_transformed_count(limit)` primes, with the lift's K as a signed
+    top digit, and those primes, once the self-checks have passed.  Each
+    prime takes a transform, `threads` of them at once; with one worker they
+    run in turn on the calling thread and no thread is started."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > TAU_LIMIT_CAP:
         raise ValueError(
             f"limit {limit} is past the coefficient cap {TAU_LIMIT_CAP} "
             f"(the largest table whose short square fits a 2^25-point transform)")
-    primes = _crt_primes(limit)
-    transformed = primes[:_transformed_count(limit)]
+    primes = NTT_PRIMES[:_transformed_count(limit)]
     index = _DivisorIndex(limit)
     def residues_mod(prime):
         return _ramanujan_residues(index, limit, *prime)
-    workers = min(threads, len(transformed))
+    workers = min(threads, len(primes))
     if workers == 1:
-        residues = list(map(residues_mod, transformed))
+        residues = list(map(residues_mod, primes))
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            residues = list(pool.map(residues_mod, transformed))
+            residues = list(pool.map(residues_mod, primes))
     moduli = [p for p, _ in primes]
-    k = len(transformed)
-    residues += _lift(index, garner_digits(residues, moduli[:k]), moduli[:k], moduli[k:])
-    checks = index.split, index.root_prime
-    del index
     digits = garner_digits(residues, moduli)
     del residues
+    digits.append(_lift(index, digits, moduli))
+    checks = index.split, index.root_prime
+    del index
     _check_table(digits, moduli, *checks)
     return digits, moduli
 

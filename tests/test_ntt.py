@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lcentral.charsums import _gauss_terms, _unit_square
 from lcentral.fields import nf_load
-from lcentral.ntt import (NTT_PRIMES, Transform, convolve_exact, crt_primes,
-                          transform_size)
+from lcentral.ntt import (NTT_PRIMES, Transform, _square_plan, convolve_exact,
+                          crt_primes, short_square, transform_size)
 from lcentral.rayclass import PrimeContext, RayClassGroup, seed_character
 from lcentral.roots import CyclotomicNumber
 
@@ -65,8 +65,15 @@ def test_product_of_two_operands_is_linear(p, g):
         assert got.tolist() == want.tolist(), n
 
 
-# switches of transform_size, 2^k and 3 * 2^k: the size at s + 1 is larger
-SWITCHES = (8, 12, 64, 96, 1024, 1536, 4096, 6144)
+def _plan_switches(top):
+    """The lengths up to `top` at which `_square_plan`'s (k, n') changes,
+    each with the length before it."""
+    plans = [_square_plan(length) for length in range(1, top + 1)]
+    return sorted({length for i in range(1, len(plans)) if plans[i] != plans[i - 1]
+                   for length in (i, i + 1)})
+
+
+PLAN_SWITCHES = _plan_switches(20001)
 
 
 def _low_square(a, length, p, g):
@@ -74,15 +81,30 @@ def _low_square(a, length, p, g):
     return Transform(transform_size(2 * len(a) - 1), p, g).product(a, a, length)
 
 
+def test_the_plan_splits_the_workloads_tables_finer():
+    # k pieces of ceil(length / k) terms: fewer transform points than the
+    # two halves at tower-a2's table and at the acceptance sweep's 100,000
+    assert _square_plan(152587) == (5, 1 << 16)
+    assert _square_plan(99999) == (7, 1 << 15)
+    assert _square_plan(8441195) == (3, 3 << 21)
+    # the cap's square still fits the primes' 2^25-point transforms
+    assert _square_plan((1 << 25) - 1) == (2, 1 << 25)
+    for length in (1, 2, 5, 100, 20001):
+        k, n = _square_plan(length)
+        assert 2 <= k <= 8 and n == transform_size(2 * -(-length // k) - 1)
+
+
 @pytest.mark.parametrize("p,g", NTT_PRIMES)
 def test_short_square_is_the_low_half_of_the_square(p, g):
+    # on either side of every change of the plan up to 20,001 terms; the
+    # all-(p - 1) operand, the largest residues, squares to coefficients
+    # (j + 1) (p - 1)^2 = j + 1 mod p
     rng = np.random.default_rng(p + 3)
-    lengths = [1, 2, 3, 4] + [s + d for s in SWITCHES for d in (-1, 0, 1)]
-    for length in lengths:
-        t = Transform(transform_size(length), p, g)
-        for a in (rng.integers(0, p, length), np.full(length, p - 1)):
-            got = t.short_square(a, length)
-            assert got.tolist() == _low_square(a, length, p, g).tolist(), length
+    for length in [1, 2, 3, 4] + PLAN_SWITCHES:
+        a = rng.integers(0, p, length)
+        assert short_square(a, p, g).tolist() == _low_square(a, length, p, g).tolist(), length
+        got = short_square(np.full(length, p - 1), p, g)
+        assert got.tolist() == list(range(1, length + 1)), length
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,8 +113,7 @@ def test_short_square_is_the_low_half_of_the_square(p, g):
 def test_short_square_matches_the_product_at_random_lengths(length, prime, seed):
     p, g = prime
     a = np.random.default_rng(seed).integers(0, p, length)
-    got = Transform(transform_size(length), p, g).short_square(a, length)
-    assert got.tolist() == _low_square(a, length, p, g).tolist()
+    assert short_square(a, p, g).tolist() == _low_square(a, length, p, g).tolist()
 
 
 def test_convolve_exact_matches_numpy():

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from lcentral import tau as tau_module
 from lcentral.newforms import _verify_full_table
-from lcentral.ntt import (NTT_PRIMES, garner, garner_digits, mixed_radix_float,
-                          transform_size)
+from lcentral.ntt import (NTT_PRIMES, _square_plan, garner, garner_digits,
+                          mixed_radix_float, mixed_radix_value, transform_size)
 from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
-                          TAU_LIMIT_CAP, _congruence_residues, _crt_primes,
-                          _DivisorIndex, _lift, _ramanujan_residues,
+                          TAU_LIMIT_CAP, _congruence_residues, _DivisorIndex,
+                          _lift, _ramanujan_residues, _residue_mod,
                           _transformed_count, primes_up_to, tau_exact, tau_table,
                           tau_table_bigint)
 
@@ -111,7 +111,7 @@ def test_divisor_sums_match_the_naive_sums_mod_every_prime():
     index = _DivisorIndex(m)
     for k in (5, 11):
         exact = [0] + [sum(d ** k for d in divisors[n]) for n in range(1, m + 1)]
-        for p, _ in _crt_primes(337564):
+        for p, _ in NTT_PRIMES:
             assert index.sigma(k, p).tolist() == [s % p for s in exact], (k, p)
 
 
@@ -123,33 +123,35 @@ def test_ntt_route_matches_bigint_route_at_random_limits(limit):
 
 @pytest.mark.parametrize("limit,size", [(6144, 3 << 12), (6145, 1 << 14),
                                         (8192, 1 << 14), (8193, 3 << 13)])
-def test_routes_agree_where_the_transform_size_switches(limit, size):
+def test_routes_agree_where_the_transform_size_switches(limit, size, oracle_20001):
     # a product of limit-term operands, 2 limit - 1 points, just below and
     # above 3 * 2^12 and 2^14
     assert transform_size(2 * limit - 1) == size
-    assert tau_exact(limit) == tau_table_bigint(limit)
+    assert tau_exact(limit) == oracle_20001[:limit + 1]
 
 
 @pytest.mark.parametrize("limit,size", [(6145, 3 << 12), (6146, 1 << 14),
                                         (8193, 1 << 14), (8194, 3 << 13)])
-def test_routes_agree_where_the_squaring_size_switches(limit, size):
+def test_routes_agree_where_the_squaring_size_switches(limit, size, oracle_20001):
     # the sigma_5 operand has limit - 1 terms, so its full square takes
     # 2 limit - 3 points: these limits sat on either side of a switch between
-    # 2^k and 3 * 2^k points, and its short square's limit - 1 points switch
-    # at the same limits
+    # 2^k and 3 * 2^k points
     assert transform_size(2 * limit - 3) == size
-    assert transform_size(limit - 1) == size // 2
-    assert tau_exact(limit) == tau_table_bigint(limit)
+    assert tau_exact(limit) == oracle_20001[:limit + 1]
 
 
-@pytest.mark.parametrize("limit,size", [(12289, 3 << 12), (12290, 1 << 14),
-                                        (16385, 1 << 14), (16386, 3 << 13)])
-def test_routes_agree_where_the_short_square_size_switches(limit, size):
-    # the short square of the limit - 1 term sigma_5 column runs at
-    # transform_size(limit - 1) points: these limits sit on either side of
-    # a switch between 3 * 2^k and 2^k points
-    assert transform_size(limit - 1) == size
-    assert tau_exact(limit) == tau_table_bigint(limit)
+def test_routes_agree_where_the_short_square_size_switches(oracle_20001):
+    # the short square of the limit - 1 term sigma_5 column runs in k pieces
+    # at n' points, (k, n') = _square_plan(limit - 1): every limit up to
+    # 20,001 on either side of a change of the plan, among them the two
+    # halves' switches between 3 * 2^k and 2^k points
+    plans = {limit: _square_plan(limit - 1) for limit in range(2, 20002)}
+    limits = sorted({m for limit in range(3, 20002) if plans[limit] != plans[limit - 1]
+                     for m in (limit - 1, limit)})
+    assert len(limits) == 58 and limits[-2:] == [18433, 18434]
+    assert {12289, 12290, 16385, 16386} <= set(limits)
+    for limit in limits:
+        assert tau_exact(limit) == oracle_20001[:limit + 1], limit
 
 
 @pytest.fixture(scope="module")
@@ -164,23 +166,26 @@ def test_table_100k_frozen(table_100k):
 
 
 def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
-    # 100,000 is the first tested size that needs a fourth CRT prime; past
-    # the bigint oracle's cap the table is held to multiplicativity, the
-    # prime-power recursion and Deligne's bound at every prime instead
-    assert len(_crt_primes(100000)) == 4 and len(_crt_primes(20001)) == 3
-    assert len(_crt_primes(337564)) == 4
+    # at 100,000 the entries pass the product M of the two transformed
+    # primes, so the lift's K is read out; past the bigint oracle's cap the
+    # table is held to multiplicativity, the prime-power recursion and
+    # Deligne's bound at every prime instead
+    assert _transformed_count(100000) == 2
+    assert max(map(abs, table_100k)) > 2 ** 30 * math.prod(p for p, _ in NTT_PRIMES[:2])
     _verify_full_table(table_100k, 12, Fraction(0))
     assert table_100k[:5001] == TABLE
 
 
 def test_a_short_crt_range_is_caught_at_the_top_of_the_table(monkeypatch):
-    # one prime fewer than 4 limit^6 needs: the largest entries wrap modulo
-    # the product, and the Hecke checks at the top of the table see it
-    primes = _crt_primes(100000)
-    monkeypatch.setattr(tau_module, "_crt_primes", lambda limit: primes[:-1])
-    with pytest.raises(ArithmeticError):
+    # the range of the transformed primes alone, with no lift: K reads the
+    # digits' value x signed, in (-M/2, M/2], so the largest entries wrap
+    # modulo M, and the Hecke checks at the top of the table see it
+    def signed(index, digits, moduli):
+        return -(mixed_radix_value(digits, moduli) < 0).astype(np.int64)
+    monkeypatch.setattr(tau_module, "_lift", signed)
+    with pytest.raises(ArithmeticError, match="!="):
         tau_table(100000)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="!="):
         tau_exact(100000)
 
 
@@ -231,6 +236,32 @@ def test_float_readout_rounds_as_float_of_the_int(k):
     assert got.tolist() == [float(v) for v in values]
 
 
+@pytest.mark.parametrize("k", range(1, len(NTT_PRIMES)))
+def test_readouts_with_a_signed_top_digit(k):
+    # x + K M for the digits' value x in [0, M) and an int64 K past them, as
+    # the lift hands the table over: exact, and as the correctly rounded
+    # float, for K of either sign up to 2^62 and values around the rounding
+    # points of 2^e as above, up to the cap's 2^152
+    rng = random.Random(10 + k)
+    primes = [p for p, _ in NTT_PRIMES[:k]]
+    modulus = math.prod(primes)
+    top = modulus << 62
+    values = [0, 1, -1, modulus, -modulus, modulus - 1, -modulus + 1, top - 1, -top]
+    values += [rng.randrange(-top, top) for _ in range(500)]
+    values += [rng.randrange(-modulus << 47, modulus << 47) for _ in range(500)]
+    for e in range(54, 153):
+        for base in ((1 << e), (1 << e) + (1 << (e - 53)),
+                     (1 << e) + 3 * (1 << (e - 53)), (1 << e) - (1 << (e - 54))):
+            for delta in range(-2, 3):
+                if abs(base + delta) < top:
+                    values += [base + delta, -(base + delta)]
+    residues = [np.array([v % p for v in values], dtype=np.int64) for p in primes]
+    digits = garner_digits(residues, primes)
+    digits.append(np.array([v // modulus for v in values], dtype=np.int64))
+    assert mixed_radix_value(digits, primes).tolist() == values
+    assert mixed_radix_float(digits, primes).tolist() == [float(v) for v in values]
+
+
 @pytest.mark.parametrize("limit", [20001, 152588, 337564])
 def test_float_table_is_the_rounded_exact_table(limit):
     table = tau_table(limit)
@@ -273,10 +304,12 @@ def test_importing_the_package_starts_no_pool_machinery():
 
 def test_float_table_stays_in_its_memory_budget():
     # the float table is built from int32 digits with no Python-int list or
-    # object array on the way, and sigma_5 is squared by a short square: at
-    # most 110 bytes per coefficient at the peak (150 with the full square
-    # and int64 digits, 235 with object arrays), and nothing kept but the
-    # 8-byte entries
+    # object array on the way, and sigma_5 is squared by a short square in
+    # seven pieces at 2^15 points: at most 51 bytes per coefficient at the
+    # peak, measured at 50.8 in the second prime's short square (70 with the
+    # short square in two halves and the other read-out primes' residues,
+    # 150 with the full square and int64 digits, 235 with object arrays),
+    # and nothing kept but the 8-byte entries
     limit = 100000
     tracemalloc.start()
     try:
@@ -284,21 +317,21 @@ def test_float_table_stays_in_its_memory_budget():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 110 * limit
+    assert peak <= 51 * limit
     assert kept - table.nbytes < 4096
 
 
 def test_prime_product_covers_the_cap():
-    # at the largest table the read-out's product passes 4 limit^6, and the
-    # transformed primes' product M meets both inequalities of the lift:
-    # (1) at primes, 16 limit^11 < (C - 1)^2 M^2, and (2) for the float
-    # products, 3 limit^6 < 2^47 M
+    # at the largest table the transformed primes' product M meets both
+    # inequalities of the lift: (1) at primes, 16 limit^11 < (C - 1)^2 M^2,
+    # and (2) for the float products, 3 limit^6 < 2^47 M; and the read-out
+    # x + K M reaches Deligne's 2 limit^6 with K an int64 top digit
     limit = TAU_LIMIT_CAP
-    assert math.prod(p for p, _ in NTT_PRIMES) > 4 * limit ** 6
-    assert len(_crt_primes(limit)) <= 5
+    assert _transformed_count(limit) < len(NTT_PRIMES)
     modulus = math.prod(p for p, _ in NTT_PRIMES[:_transformed_count(limit)])
     assert 16 * limit ** 11 < ((_C - 1) * modulus) ** 2
     assert 3 * limit ** 6 < modulus << 47
+    assert 2 * limit ** 6 // modulus + 1 < 2 ** 47
     # one prime fewer meets neither
     short = modulus // NTT_PRIMES[_transformed_count(limit) - 1][0]
     assert 16 * limit ** 11 >= ((_C - 1) * short) ** 2
@@ -397,23 +430,24 @@ def test_lift_constants_stay_in_int64():
                                          (TAU_LIMIT_CAP, 4)])
 def test_transformed_count_on_each_side_of_each_switch(limit, count):
     assert _transformed_count(limit) == count
-    assert count <= len(_crt_primes(limit))
 
 
 def _lifted_and_transformed(limit, count):
+    # (x + K M) mod p from the lift over the first `count` primes, and the
+    # residues of each further prime's own transform
     index = _DivisorIndex(limit)
-    primes = _crt_primes(limit)
-    moduli = [p for p, _ in primes]
-    residues = [_ramanujan_residues(index, limit, *prime) for prime in primes]
-    lifted = _lift(index, garner_digits(residues[:count], moduli[:count]),
-                   moduli[:count], moduli[count:])
-    return lifted, residues[count:]
+    moduli = [p for p, _ in NTT_PRIMES[:count]]
+    digits = garner_digits([_ramanujan_residues(index, limit, *prime)
+                            for prime in NTT_PRIMES[:count]], moduli)
+    multiple = _lift(index, digits, moduli)
+    lifted = [_residue_mod(digits, moduli, multiple, p) for p, _ in NTT_PRIMES[count:]]
+    return lifted, [_ramanujan_residues(index, limit, *prime) for prime in NTT_PRIMES[count:]]
 
 
 @pytest.mark.parametrize("limit", [5750, 5751, 20001, 241757, 241758])
 def test_lifted_residues_are_the_transformed_ones(limit):
-    # on either side of the first two switches, each derived prime's lifted
-    # residues equal the ones its own transform gives
+    # on either side of the first two switches, the lifted table's residues
+    # mod each further NTT prime equal the ones its own transform gives
     lifted, transformed = _lifted_and_transformed(limit, _transformed_count(limit))
     assert lifted and len(lifted) == len(transformed)
     for a, b in zip(lifted, transformed):
@@ -444,15 +478,13 @@ def test_two_transforms_at_both_workloads_limits(monkeypatch):
         assert calls == [p for p, _ in NTT_PRIMES[:count]], limit
 
 
-def _corrupted_at(monkeypatch, n):
+def _corrupted_at(monkeypatch, n, offset):
     original = tau_module._ramanujan_residues
 
     def corrupted(index, limit, p, g):
         out = original(index, limit, p, g)
         if p == NTT_PRIMES[0][0]:
-            # moves r by about 2^60.9 mod M; an offset of 1 moves it by only
-            # about 2^35, under the float products' tolerance at large n
-            out[n] = (int(out[n]) + p // 2) % p
+            out[n] = (int(out[n]) + offset) % p
         return out
     monkeypatch.setattr(tau_module, "_ramanujan_residues", corrupted)
 
@@ -460,7 +492,19 @@ def _corrupted_at(monkeypatch, n):
 @pytest.mark.parametrize("n", [99991, 2 * 3 * 5 * 7 * 11 * 13, 3 ** 10, 2 ** 16])
 def test_a_corrupted_transform_residue_is_caught(monkeypatch, n):
     # a prime (Deligne's bound), a composite and two prime powers (the
-    # float products): one residue off in the first prime's transform
-    _corrupted_at(monkeypatch, n)
+    # float products): one residue off by p // 2 in the first prime's
+    # transform, which moves r by about 2^60.9 mod M
+    _corrupted_at(monkeypatch, n, NTT_PRIMES[0][0] // 2)
     with pytest.raises(ArithmeticError, match=f"tau\\({n}\\)"):
+        tau_table(100000)
+
+
+def test_a_residue_one_off_is_caught_by_the_691_congruence(monkeypatch):
+    # an offset of 1 moves r by only about 2^35, under the float products'
+    # tolerance once |tau(n)| passes about 2^83, as |tau(3^10)| does; tau(n)
+    # = sigma_11(n) mod 691 sees it
+    n = 3 ** 10
+    assert abs(tau_exact(n)[n]) > 2 ** 83
+    _corrupted_at(monkeypatch, n, 1)
+    with pytest.raises(ArithmeticError, match=f"tau\\({n}\\).*691"):
         tau_table(100000)
