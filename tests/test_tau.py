@@ -140,7 +140,20 @@ def test_routes_agree_where_the_squaring_size_switches(limit, size, oracle_20001
     assert tau_exact(limit) == oracle_20001[:limit + 1]
 
 
-def test_routes_agree_where_the_short_square_size_switches(oracle_20001):
+@pytest.mark.parametrize("limit,size", [(12289, 3 << 12), (12290, 1 << 14),
+                                        (16385, 1 << 14), (16386, 3 << 13)])
+def test_routes_agree_where_the_short_square_size_switches(limit, size, oracle_20001):
+    # a single-piece short square of the limit - 1 term sigma_5 column would
+    # run at transform_size(limit - 1) points, switching between 3 * 2^k and
+    # 2^k points at these limits; the split short square's plan
+    # (k, n') = _square_plan(limit - 1) changes at each of them as well
+    assert transform_size(limit - 1) == size
+    assert _square_plan(limit - 2) != _square_plan(limit - 1) or \
+        _square_plan(limit - 1) != _square_plan(limit)
+    assert tau_exact(limit) == oracle_20001[:limit + 1]
+
+
+def test_routes_agree_wherever_the_square_plan_changes(oracle_20001):
     # the short square of the limit - 1 term sigma_5 column runs in k pieces
     # at n' points, (k, n') = _square_plan(limit - 1): every limit up to
     # 20,001 on either side of a change of the plan, among them the two
