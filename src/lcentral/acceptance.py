@@ -89,7 +89,7 @@ def _rational_primitives(p_list, n_max):
     for p in p_list:
         ctx = prime_above(Q, p)
         for n in range(1, n_max + 1):
-            rcg = rcg_build(Q, ctx, n)
+            rcg = rcg_build(ctx, n)
             for chi in rcg.characters():
                 if chi.is_primitive():
                     yield chi
@@ -173,7 +173,7 @@ def _c03_average_support(fast: bool):
         corr_mism = []   # value-order exponents where corrected != actual
         paper_mism = []
         for n in levels:
-            rcg = rcg_build(Q, ctx, n)
+            rcg = rcg_build(ctx, n)
             chi = seed_character(rcg)
             mod = 5 ** n
             for a in range(1, mod):
@@ -233,7 +233,7 @@ def _c05_dual_sum_envelope(fast: bool):
     ns = (1, 2) if fast else (1, 2, 3)
     constants = []
     for n in ns:
-        rcg = rcg_build(Q, ctx, n + 1)            # conductor exponent n + n0 + 1
+        rcg = rcg_build(ctx, n + 1)  # conductor exponent n + n0 + 1
         rep = kloosterman_bound_report(seed_character(rcg), cfc)
         if rep["level"] != n:
             return False, f"report level {rep['level']} != {n}"
@@ -269,7 +269,7 @@ def _c07_two_sided_oracle(fast: bool):
     limit = 30000 if fast else 100000
     form = _delta(limit)
     Q = nf_load("rationals")
-    rcg = rcg_build(Q, prime_above(Q, 5), 2)
+    rcg = rcg_build(prime_above(Q, 5), 2)
     twists = [None] + [chi for chi in rcg.characters()
                        if chi.order == 5 and chi.is_primitive()][:2]
     worst = 0.0
@@ -296,7 +296,7 @@ def _c07_two_sided_oracle(fast: bool):
 def _c08_reflection_residual(fast: bool):
     form = _delta(30000 if fast else 100000)
     Q = nf_load("rationals")
-    rcg = rcg_build(Q, prime_above(Q, 5), 2)
+    rcg = rcg_build(prime_above(Q, 5), 2)
     chi = next(c for c in rcg.characters() if c.order == 5 and c.is_primitive())
     worst = 0.0
     for s in (5.5, 6.5):
@@ -401,7 +401,7 @@ def _c11_lattice_counts(fast: bool):
     torsion_pass = True
     t_consts = []
     for n in (1, 2) if fast else (1, 2, 3):
-        rep = torsion_norm_bound(rcg_build(Q, ctx5, n))
+        rep = torsion_norm_bound(rcg_build(ctx5, n))
         torsion_pass &= rep.passed and len(rep.rows) > 0
         t_consts.append(rep.constant)
     ok = sup < 2.0 and ratio_floor >= 0.02 and torsion_pass

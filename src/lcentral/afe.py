@@ -48,7 +48,7 @@ import numpy as np
 from .charsums import (CoefficientFieldContext, averaged_char_table,
                        averaged_iota_values, character_sums,
                        orbit_float_root_numbers, orbit_index, root_number,
-                       substitutions)
+                       scatter, substitutions)
 from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, VKernel
 from .newforms import NewformData
@@ -178,20 +178,12 @@ def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     factor with p.  The value at a principal ideal (n), n coprime to p, is
     the table entry at n mod p^m.
 
-    The oracle's per-character table: chi(r) = e(j / ord) with
-    j = dlog_phase * ord * dlog(r), so each of the ord values is rendered
-    once, exactly as RootOfUnity.to_complex renders it, and indexed by j.
+    The oracle's per-character table: each of the ord values e(j / ord) is
+    rendered once, as RootOfUnity.to_complex renders it, and spread by j(r).
     Built per call: an orbit's tables would not fit in memory at the top
     levels, and each costs less than the half-sum it feeds.
     """
-    phase = chi.dlog_phase
-    order = phase.denominator
-    dlog = chi.prime_ctx.dlog_array(chi.level)
-    units = dlog >= 0
-    values = unit_circle_array(order)
-    tab = np.zeros(len(dlog), dtype=np.complex128)
-    tab[units] = values[dlog[units] * phase.numerator % order]
-    return tab
+    return scatter(chi, unit_circle_array(chi.order))
 
 
 def _table(chi: HeckeCharacter | None) -> np.ndarray | None:

@@ -32,20 +32,24 @@ character once, and the exact mean and its closed form (zero, a rational,
 or the seed value, recognized from one reduction) are memoised per value
 (`_value_mean`).
 
+Residues reach characters only through rayclass.py's exponent tables j(r),
+chi((r)) = e(j(r) / ord), and unit indices: nothing here reads a discrete log.
 The averaging routes of afe.py take two separate paths through this module.
 Route one is per orbit and float: `character_sums` sums a residue table
-against every character of a level with one FFT over the discrete logs, and
-`orbit_gauss_sums` reads every member's G(conj chi^t) from one such
-transform of the additive phases, for `orbit_float_root_numbers`.
-`gauss_sum` and `root_number` stay the per-character oracles.  Route two is
-per orbit and exact: `orbit_root_numbers` checks one exact square
-eps = G(conj chi)^2 / q (`_unit_square`: h h - q eps is zero) and gets every
-W(chi^t) through the Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)),
-as int64 phases over one level read off the dlog array.  The tables
+against every character of a level with one FFT over the discrete logs (the
+exponents of `rayclass.dual_generator`), and `orbit_gauss_sums` reads every
+member's G(conj chi^t) from one such transform of the additive phases, for
+`orbit_float_root_numbers`.  `gauss_sum` and `root_number` stay the
+per-character oracles.  Route two is per orbit and exact:
+`orbit_root_numbers` checks one exact square eps = G(conj chi)^2 / q
+(`_unit_square`: h h - q eps is zero) and gets every W(chi^t) through the
+Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)), as int64 phases
+over one level read off the seed's exponent table.  The tables
 `averaged_char_table` and `averaged_iota_values` are one orbit-mean DFT of
-the members binned by t mod ord (weights 1, and the W phases), scattered
-through the level's dlog array.  Route two never calls route one's float
-Gauss sums, so the gap between the routes stays a check.
+the members binned by t mod ord (weights 1, and the W phases), spread over
+the residues by `scatter`, as afe's character tables are.  Route two never
+calls route one's float Gauss sums, so the gap between the routes stays a
+check.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import numpy as np
 from .abelian import p_adic_split
 from .fields import FieldElement
 from .roots import CyclotomicNumber, RootOfUnity, unit_circle_array
-from .rayclass import HeckeCharacter, PrimeContext
+from .rayclass import HeckeCharacter, PrimeContext, dual_generator
 
 # largest cyclotomic level we are willing to reduce exactly
 EXACT_LEVEL_LIMIT = 20000
@@ -166,14 +170,12 @@ def _gauss_terms(chi: HeckeCharacter, shift) -> tuple[int, np.ndarray, RootOfUni
     """(den, exps, pref) with G(chi, shift) = pref * sum e(exps / den), one
     exponent per unit residue x mod the conductor, x increasing."""
     add, pref = _gauss_parts(chi, shift)
-    # term x is e(local_phase * dlog(x) + x * add)
-    loc = chi.local_phase
-    den = lcm(loc.denominator, add.denominator)
-    lnum = loc.numerator * (den // loc.denominator)
+    # term x is conj(chi)(x) e(x * add) = e(-j(x) / ord + x * add)
+    den = lcm(chi.order, add.denominator)
+    js = chi.exponents()[:chi.conductor_norm]
+    units = np.flatnonzero(js >= 0)
     anum = add.numerator * (den // add.denominator)
-    dlog = chi.prime_ctx.dlog_array(chi.level)[:chi.conductor_norm]
-    units = np.flatnonzero(dlog >= 0)
-    return den, (lnum * dlog[units] + anum * units) % den, pref
+    return den, (anum * units - den // chi.order * js[units]) % den, pref
 
 
 def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
@@ -220,7 +222,7 @@ def character_sums(ctx: PrimeContext, level: int, values: np.ndarray) -> np.ndar
     the level's unit group, so this is the sum of `values` against all of
     them at once: regroup by discrete log, then one length-h FFT.
     """
-    dlog = ctx.dlog_array(level)
+    dlog = dual_generator(ctx, level).exponents()
     units = dlog >= 0
     by_log = np.zeros(ctx.unit_group_order(level), dtype=np.complex128)
     by_log[dlog[units]] = values[units]
@@ -231,8 +233,7 @@ def orbit_index(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray
     """For each orbit member chi^t, in orbit order, the u with
     chi^t(r) = e(u dlog(r) / h): where `character_sums` holds its sum."""
     h = chi.prime_ctx.unit_group_order(chi.level)
-    step = chi.dlog_phase * h          # an integer: the order of chi divides h
-    return int(step) * substitutions(chi, ctx) % h
+    return chi.unit_index * substitutions(chi, ctx) % h
 
 
 def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
@@ -283,8 +284,8 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     With psi = conj(chi), G(psi^t) = psi^t_loc(t) * sigma_t(G(psi)), so
     W(chi^t) = chi^t(-1) psi^t_loc(t)^2 sigma_t(eps) with eps = G(psi)^2 / q,
     checked once to be a root of unity.  chi^t(-1) = 1, as chi has odd
-    order, and with chi(r) = e(a dlog(r) / ord) on classes
-    psi^t_loc(t)^2 = e(2 t a dlog(t) / ord); sigma_t on Q(zeta_M),
+    order, and with chi(r) = e(j(r) / ord) on classes
+    psi^t_loc(t)^2 = e(2 t j(t) / ord); sigma_t on Q(zeta_M),
     M = lcm(den, order of pref) odd, fixes -1, so on eps it is the power by
     the odd representative of t mod M.  G(psi) is
     held as the integer histogram of its terms, so no cyclotomic level
@@ -297,8 +298,8 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
                        chi.label) * pref * pref
     odd = np.where(subs % 2 == 1, subs, subs + lcm(den, pref.order))
-    order, a = chi.order, chi.dlog_phase.numerator
-    chi_part = subs * a % order * 2 * chi.group.dlog[subs] % order
+    order = chi.order
+    chi_part = subs * 2 * chi.exponents()[subs] % order
     eps_part = eps.phase.numerator * odd % eps.order
     level = lcm(order, eps.order)
     return level, (chi_part * (level // order) + eps_part * (level // eps.order)) % level
@@ -419,7 +420,7 @@ def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> di
 # ---------------------------------------------------------------------------
 # per-value tables (route two): chi^t(r) = e(t j / ord) when chi(r) = e(j / ord),
 # so every orbit mean depends on r only through j.  The means for all j are
-# one DFT, scattered through the dlog array.
+# one DFT, spread over the residues by `scatter`.
 
 def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
                weights: np.ndarray | None = None) -> np.ndarray:
@@ -436,33 +437,27 @@ def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
 
 
 def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
-    """average_char(chi, ctx, r).value at every residue r mod the conductor,
-    0 off the units: the mean at j is the conjugate of the unweighted DFT."""
-    return _scatter(chi, np.conj(_orbit_dft(chi, ctx)))
+    """average_char(chi, ctx, r).value at every residue r mod p^level, 0 off
+    the units: the mean at j is the conjugate of the unweighted DFT."""
+    return scatter(chi, np.conj(_orbit_dft(chi, ctx)))
 
 
 def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
-    residue r mod the conductor, 0 off the units, with the exact roots W from
+    residue r mod p^level, 0 off the units, with the exact roots W from
     `orbit_root_numbers`, each rendered as RootOfUnity.to_complex renders it."""
     level, ws = orbit_root_numbers(chi, ctx)
     distinct, member = np.unique(ws, return_inverse=True)
     phases = np.array([cmath.exp(2j * pi * (w / level)) for w in distinct.tolist()])
-    return _scatter(chi, _orbit_dft(chi, ctx, phases[member]))
+    return scatter(chi, _orbit_dft(chi, ctx, phases[member]))
 
 
-def _scatter(chi: HeckeCharacter, per_value: list[complex]) -> np.ndarray:
-    """Spread values indexed by j, chi(r) = e(j / ord), over the residues mod
-    the conductor (0 off the units).  dlog_phase has denominator ord, so
-    j = numerator * dlog(r) mod ord."""
-    mod = chi.conductor_norm
-    dlog = chi.prime_ctx.dlog_array(chi.level)[:mod]
-    phase = chi.dlog_phase
-    units = dlog >= 0
-    j = dlog[units] * phase.numerator % phase.denominator
-    out = np.zeros(mod, dtype=np.complex128)
-    out[units] = np.asarray(per_value, dtype=np.complex128)[j]
-    return out
+def scatter(chi: HeckeCharacter, per_value) -> np.ndarray:
+    """per_value[j] at every residue r mod p^level with chi((r)) = e(j / ord),
+    0 off the units: values indexed by the exponent j, spread over the
+    residues through `HeckeCharacter.exponents`."""
+    js = chi.exponents()
+    return np.where(js >= 0, np.asarray(per_value, dtype=np.complex128)[js], 0)
 
 
 def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> dict:

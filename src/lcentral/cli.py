@@ -54,9 +54,9 @@ def parse_char_label(label: str):
     ctx = prime_above(nf, int(mp.group(1)))
     level, index = int(mm.group(2)), int(mc.group(1))
     if mm.group(1) == "res":
-        group = RayClassGroup(nf, ctx, level, unit_quotient=False)
+        group = RayClassGroup(ctx, level, unit_quotient=False)
     else:
-        group = rcg_build(nf, ctx, level)
+        group = rcg_build(ctx, level)
     if index >= group.order:
         raise ValueError(f"character index {index} out of range in {label!r}")
     return group.character_by_index(index)

@@ -17,7 +17,8 @@ Each job is done once for both degrees: one exact sign test and one window
 predicate (elementwise over numpy arrays: int64 for enumerations, object
 arrays of exact coordinates for single elements), and one coset enumeration
 in which Q is the one-row case.  The least norms per ray class come from one
-scan that reads a point's class off the level's int64 dlog table.  Q is the
+scan that asks the ray class group (`RayClassGroup.classes`) for the class
+of every point's residue at once.  Q is the
 case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The
 degree is read only where Q differs in substance: the reducer's embedding,
 the window (u > 0), the progression's lattice (one row), the enumeration box
@@ -398,8 +399,8 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
     points u + v*sqrt(m) of O with |N| >= min_norm and prime to p.
 
     x doubles from the given start for at most `rounds` enumerations.  The
-    class of a point is read off the level's dlog table at its residue
-    u*b0 + v*b1, where (b0, b1) are the residues of the integral basis.
+    class of a point is the group's class of its residue u*b0 + v*b1, where
+    (b0, b1) are the residues of the integral basis.
     """
     nf = rcg.nf
     b0, b1 = _uv(rcg.ctx.iso(rcg.n).basis_images)
@@ -410,8 +411,7 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
         keep = (norm >= min_norm) & (norm % rcg.p != 0)
         u, v, norm = u[keep], v[keep], norm[keep]
         order = np.lexsort((v, u, norm))
-        residues = (u * b0 + v * b1) % rcg.modulus
-        cls = rcg.generator_exponent * rcg.dlog[residues] % rcg.order
+        cls = rcg.classes(u * b0 + v * b1)
         found, first = np.unique(cls[order], return_index=True)
         hits = dict(zip(found.tolist(), order[first].tolist()))
         if all(c in hits for c in classes):
@@ -433,10 +433,9 @@ def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    ctx = prime
-    rcg = rcg_build(ctx.nf, ctx, n)       # refuses levels past the residue cap
-    value, u, v = _least_norms(rcg, (0,), float(ctx.modulus(n)), 12, min_norm=2)[0]
-    return (value, _point(ctx.nf, u, v)) if with_witness else value
+    rcg = rcg_build(prime, n)  # refuses levels past the residue cap
+    value, u, v = _least_norms(rcg, (0,), float(prime.modulus(n)), 12, min_norm=2)[0]
+    return (value, _point(prime.nf, u, v)) if with_witness else value
 
 
 @dataclass(frozen=True)

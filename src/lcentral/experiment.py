@@ -140,7 +140,7 @@ class _Setup:
 
         # the window is taken at theta + eps: that is precisely the condition
         # for all three envelope terms to decay with the level
-        self.delta_order = rcg_build(self.nf, self.ctx, 1).delta_order
+        self.delta_order = rcg_build(self.ctx, 1).delta_order
         lo, hi = exponent_window(Fraction(form_probe.theta) + Fraction(cfg.eps),
                                  self.delta_order)
         self.window = (float(lo), float(hi))
@@ -164,7 +164,7 @@ class _Setup:
                              f"but the scan needs {need}")
 
     def seed_character(self, level: int):
-        return seed_character(rcg_build(self.nf, self.ctx, level))
+        return seed_character(rcg_build(self.ctx, level))
 
 
 def envelope_terms(p: int, n: int, theta: float, eps: float, a: float,

@@ -12,10 +12,11 @@ unit residue r is the integer dlog(r) mod h (-dlog(r) for the residue group,
 see `RayClassGroup`).  A character is one exponent k mod h: its label index
 is k, and order, conjugation, powers, conductor and equality are integer
 arithmetic on k; its values are rational phases (roots of unity), never
-floats.  Each level keeps its discrete logs as one int64 array over the
-residues mod p^n (-1 off the units), so a character value is one lookup:
-chi(r) = e(dlog_phase * dlog(r)).  The same class serves the full residue
-unit group behind "res" labels, built with no unit relations.
+floats.  The same class serves the full residue unit group behind "res"
+labels, built with no unit relations.  Only this module reads the level's
+discrete logs (one int64 array over the residues mod p^n, -1 off the units)
+and a group's orientation: other modules read a group's `classes` and a
+character's `exponents` j(r), chi((r)) = e(j(r) / order), and `unit_index`.
 """
 
 from __future__ import annotations
@@ -124,13 +125,12 @@ class RayClassGroup:
     "res" labels name.
     """
 
-    def __init__(self, nf: NumberFieldData, ctx: PrimeContext, n: int,
-                 unit_quotient: bool = True):
+    def __init__(self, ctx: PrimeContext, n: int, unit_quotient: bool = True):
+        nf = self.nf = ctx.nf
         if n < 1:
             raise ValueError("modulus exponent must be >= 1")
         if nf.class_number != 1:
             raise ValueError("only class number one is wired up")
-        self.nf = nf
         self.ctx = ctx
         self.n = n
         self.p = ctx.p
@@ -160,11 +160,18 @@ class RayClassGroup:
 
     # -- classes of ideals ----------------------------------------------------
 
+    def classes(self, residues) -> np.ndarray:
+        """The class of each residue (taken mod p^n), -1 where the residue is
+        not a unit: int64, an array for an array and a scalar for an int."""
+        dlog = self.dlog[residues % self.modulus]
+        # dlog >> 63 is -1 off the units (dlog = -1) and 0 on them
+        return dlog * self.generator_exponent % self.order | dlog >> 63
+
     def class_of_residue(self, r: int) -> int:
-        r %= self.modulus
-        if gcd(r, self.p) != 1:
+        c = int(self.classes(r))
+        if c < 0:
             raise ValueError(f"residue {r} is not prime to {self.p}")
-        return self.generator_exponent * int(self.dlog[r]) % self.order
+        return c
 
     def ideal_to_element(self, x) -> int:
         """Class of the principal ideal (x), for a field element or a
@@ -179,10 +186,7 @@ class RayClassGroup:
 
     def min_residue_of_class(self, c: int) -> int:
         """Smallest positive residue lift of a class (a cheap canonical name)."""
-        dlog = self.dlog
-        hits = np.flatnonzero((dlog >= 0)
-                              & (dlog * self.generator_exponent % self.order == c))
-        return int(hits[0])
+        return int(np.flatnonzero(self.classes(np.arange(self.modulus)) == c)[0])
 
     def torsion_classes(self) -> list[int]:
         """The prime-to-p torsion Delta: the multiples of h / |Delta|, from 0."""
@@ -205,8 +209,8 @@ class RayClassGroup:
         return f"RayClassGroup({self.label}, order={self.order})"
 
 
-def rcg_build(nf: NumberFieldData, ctx: PrimeContext, n: int) -> RayClassGroup:
-    return RayClassGroup(nf, ctx, n)
+def rcg_build(ctx: PrimeContext, n: int) -> RayClassGroup:
+    return RayClassGroup(ctx, n)
 
 
 def residue_characters(ctx: PrimeContext, level: int) -> list["HeckeCharacter"]:
@@ -216,8 +220,14 @@ def residue_characters(ctx: PrimeContext, level: int) -> list["HeckeCharacter"]:
     can be exercised over fields whose ray class groups at the prime collapse
     (the real quadratic field here has trivial ones at every level).
     """
-    group = RayClassGroup(ctx.nf, ctx, level, unit_quotient=False)
-    return group.characters(conductor_exponent=level)
+    return RayClassGroup(ctx, level, unit_quotient=False).characters(level)
+
+
+def dual_generator(ctx: PrimeContext, level: int) -> "HeckeCharacter":
+    """The character r -> e(dlog(r) / phi(p^level)) of (O/p^level)^*, whose
+    powers are all the level's characters: unit_index 1, exponents dlog(r).
+    It is the residue group's character -1: that group's generator class is -1."""
+    return HeckeCharacter(RayClassGroup(ctx, level, unit_quotient=False), -1)
 
 
 def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":
@@ -274,10 +284,17 @@ class HeckeCharacter:
         the class of a unit residue r is e(dlog_phase * dlog(r))."""
         return Fraction(self.k * self.group.generator_exponent, self.group.order) % 1
 
+    def exponents(self) -> np.ndarray:
+        """j(r) at every residue r mod p^level, with chi((r)) = e(j(r) / order),
+        as an int64 array, -1 off the units (as in `RayClassGroup.classes`)."""
+        dlog = self.group.dlog
+        return dlog * self.dlog_phase.numerator % self.order | dlog >> 63
+
     @property
-    def local_phase(self) -> Fraction:
-        """`local_value(r)` = e(local_phase * dlog(r)): the conjugate evaluation."""
-        return -self.dlog_phase % 1
+    def unit_index(self) -> int:
+        """The u with chi((r)) = e(u dlog(r) / phi(p^level)) at the units r:
+        chi as the u-th power of `dual_generator`."""
+        return int(self.dlog_phase * self.group.ctx.unit_group_order(self.level))
 
     def is_trivial(self) -> bool:
         return self.k == 0
@@ -297,10 +314,8 @@ class HeckeCharacter:
         return self.value_on_class(elt)
 
     def value_at_residue(self, r: int) -> RootOfUnity | None:
-        e = int(self.group.dlog[r % self.group.modulus])
-        if e < 0:
-            return None
-        return RootOfUnity(self.dlog_phase * e)
+        c = int(self.group.classes(r))
+        return None if c < 0 else self.value_on_class(c)
 
     def local_value(self, x) -> RootOfUnity | None:
         """Idele-style evaluation at a local unit (residue int or element)."""
@@ -319,9 +334,9 @@ class HeckeCharacter:
         """Least m with the character trivial on 1 + p^m (0 when trivial)."""
         if self._conductor is None:
             g = self.group
-            step = self.k * g.generator_exponent
             self._conductor = 0 if self.k == 0 else next(
-                (m for m in range(1, g.n) if step * int(g.dlog[1 + g.p ** m]) % g.order == 0),
+                (m for m in range(1, g.n)
+                 if self.k * g.class_of_residue(1 + g.p ** m) % g.order == 0),
                 g.n)
         return self._conductor
 

@@ -221,10 +221,6 @@ class CyclotomicNumber:
         full = np.append(convolve_exact(a, b, int(bound)), 0).reshape(2, n)
         return CyclotomicNumber.from_array(n, full[0] + full[1], den)
 
-    def conjugate(self) -> "CyclotomicNumber":
-        n = self.level
-        return CyclotomicNumber.from_array(n, self.num[-np.arange(n) % n], self.den)
-
     def galois(self, t: int) -> "CyclotomicNumber":
         n = self.level
         if gcd(t, n) != 1:

@@ -37,7 +37,7 @@ def delta():
 
 @pytest.fixture(scope="module")
 def rcg25():
-    return rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 2)
+    return rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 2)
 
 
 def order5_chars(rcg):
@@ -340,7 +340,7 @@ def test_route_two_builds_the_orbit_once(monkeypatch):
     # its root numbers, its root-weighted table and its report: at conductor
     # 5^7 (an orbit of 12,500) they are built once for the context.  The
     # coefficients do not matter here, so a table of a(1) alone serves.
-    seed = seed_character(rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 7))
+    seed = seed_character(rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 7))
     probe = builtin_newform("delta", limit=16)
     cfg = choose_cutoffs(probe, seed.conductor_norm)
     need = max(cfg.cutoff_main, cfg.cutoff_dual)
@@ -461,7 +461,7 @@ def test_cutoffs_are_chosen_from_the_form_header(p, n, a, need):
 
 
 def test_imprimitive_twist_rejected(delta):
-    rcg3 = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 3)
+    rcg3 = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 3)
     imprim = next(rcg3.character_by_index(i) for i in range(rcg3.order)
                   if not rcg3.character_by_index(i).is_trivial()
                   and not rcg3.character_by_index(i).is_primitive())
@@ -491,7 +491,7 @@ def test_afe_keeps_no_twist_or_form_alive():
     # and the characters frees both.  Every character of the level holds its
     # ray class group, so a freed group means no orbit member survived.
     form = builtin_newform("delta", limit=6104)
-    rcg = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 4)
+    rcg = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 4)
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.order == 125 and c.is_primitive())
     _, res = orbit_average_lvalue(form, seed, CTX5)

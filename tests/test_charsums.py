@@ -29,7 +29,7 @@ from lcentral.roots import CyclotomicNumber, RootOfUnity
 def q_setup(n=2):
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, 5, Q.element_from_int(5))
-    return Q, ctx, RayClassGroup(Q, ctx, n)
+    return Q, ctx, RayClassGroup(ctx, n)
 
 
 def sqrt2_setup():
@@ -70,7 +70,7 @@ def member_roots(chi, ctx):
 
 def test_quadratic_gauss_sum_is_sqrt5():
     Q, ctx, _ = q_setup()
-    rcg1 = RayClassGroup(Q, ctx, 1)
+    rcg1 = RayClassGroup(ctx, 1)
     quad = [c for c in rcg1.characters() if c.order == 2][0]
     g = gauss_sum(quad)
     assert abs(g - 5 ** 0.5) < 1e-12
@@ -158,7 +158,7 @@ def test_root_number_trivial_and_quadratic():
     Q, ctx, rcg = q_setup()
     triv = [c for c in rcg.characters() if c.is_trivial()][0]
     assert root_number(triv) == 1.0
-    rcg1 = RayClassGroup(Q, ctx, 1)
+    rcg1 = RayClassGroup(ctx, 1)
     quad = [c for c in rcg1.characters() if c.order == 2][0]
     assert abs(root_number(quad) - 1) < 1e-12
 
@@ -175,7 +175,7 @@ def test_orbit_sizes():
     assert len(galois_orbit(chi, CoefficientFieldContext(p=5, n0=0))) == 4
     # depth-1 coefficient field fixes mod-p phases: orbit of an order-25
     # character collapses to the classes of t = 1 mod 5
-    rcg3 = RayClassGroup(Q, ctx, 3)
+    rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
     assert len(galois_orbit(chi25, CoefficientFieldContext(p=5, n0=1))) == 5
     assert len(galois_orbit(chi25, CoefficientFieldContext(p=5, n0=0))) == 20
@@ -201,7 +201,7 @@ def test_average_char_frozen_values():
 
 def test_average_char_depth_one():
     Q, ctx, _ = q_setup()
-    rcg3 = RayClassGroup(Q, ctx, 3)
+    rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
     cfc = CoefficientFieldContext(p=5, n0=1)
     # value of exact order 25 averages to zero across t = 1 mod 5
@@ -245,7 +245,7 @@ def test_average_support_depth_one_discrepancy():
     # at n0 = 1 the relaxed predicate overshoots: order-25 values really do
     # average to zero even though it claims support
     Q, ctx, _ = q_setup()
-    rcg3 = RayClassGroup(Q, ctx, 3)
+    rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
     cfc = CoefficientFieldContext(p=5, n0=1)
     a_deep = next(a for a in (2, 3, 7) if chi25.value_on_ideal_of(a).order == 25)
@@ -274,7 +274,7 @@ def test_kloosterman_argmax_is_the_smallest_tied_residue():
     # at n0 = 1 every unit residue of this report has modulus 5^(-1/2); the
     # smallest residue is reported, whatever the rounding of the table
     Q, ctx, _ = q_setup()
-    chi = seed_character(RayClassGroup(Q, ctx, 3))
+    chi = seed_character(RayClassGroup(ctx, 3))
     rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=1))
     assert rep["max_abs"] == pytest.approx(5 ** -0.5, rel=1e-12)
     assert rep["argmax_residue"] == 1
@@ -294,7 +294,7 @@ def test_galois_action_gauss_sums_match_per_character(n, n0):
     # G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)): the Galois action on one exact
     # sum, transported by the shift identity, against each member's own sum
     Q, ctx, _ = q_setup()
-    chi = seed_character(RayClassGroup(Q, ctx, n))
+    chi = seed_character(RayClassGroup(ctx, n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     g = gauss_sum(chi, exact=True)
     pairs = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
@@ -312,7 +312,7 @@ def test_orbit_root_numbers_match_per_character(p, n, n0):
     # sigma_t on it is not the plain power by an even t
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, p, Q.element_from_int(p))
-    chi = seed_character(RayClassGroup(Q, ctx, n))
+    chi = seed_character(RayClassGroup(ctx, n))
     cfc = CoefficientFieldContext(p=p, n0=n0)
     q = chi.conductor_norm
     orbit = galois_orbit(chi, cfc)
@@ -331,7 +331,7 @@ def test_orbit_root_numbers_past_the_exact_level_limit():
     # cyclotomic Gauss sum refuses it, route two's histogram does not
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, 149, Q.element_from_int(149))
-    chi = seed_character(RayClassGroup(Q, ctx, 2))
+    chi = seed_character(RayClassGroup(ctx, 2))
     assert chi.conductor_norm > EXACT_LEVEL_LIMIT
     with pytest.raises(ValueError, match="cyclotomic level"):
         gauss_sum(chi.conjugate(), exact=True)
@@ -412,7 +412,7 @@ def test_orbit_gauss_sums_match_per_character(label, n0):
 @pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_per_value_tables_match_per_residue_averages(n, n0):
     Q, ctx, _ = q_setup()
-    chi = seed_character(RayClassGroup(Q, ctx, n))
+    chi = seed_character(RayClassGroup(ctx, n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     direct = averaged_char_table(chi, cfc)
     reflect = averaged_iota_values(chi, cfc)
@@ -454,7 +454,7 @@ def _per_member_average_char(chi, ctx, a):
 
 def _rational_seed(p, n):
     Q = nf_load("rationals")
-    return seed_character(RayClassGroup(Q, PrimeContext(Q, p, Q.element_from_int(p)), n))
+    return seed_character(RayClassGroup(PrimeContext(Q, p, Q.element_from_int(p)), n))
 
 
 def _assert_matches_reference(chi, cfc, mod):
@@ -485,7 +485,7 @@ def test_orbit_values_are_seed_powers(n, n0):
     # what average_char relies on: chi^t(a) = chi(a)^t for every member, on
     # the seeds criterion 3 sweeps, at units and non-units alike
     Q = nf_load("rationals")
-    chi = seed_character(acceptance.rcg_build(Q, acceptance.prime_above(Q, 5), n))
+    chi = seed_character(acceptance.rcg_build(acceptance.prime_above(Q, 5), n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     members = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
     for a in range(5 ** n):
@@ -509,7 +509,7 @@ def _counting(monkeypatch, owner, name):
 
 def test_average_char_evaluates_the_seed_once(monkeypatch):
     Q, ctx, _ = q_setup()
-    chi = seed_character(RayClassGroup(Q, ctx, 4))
+    chi = seed_character(RayClassGroup(ctx, 4))
     assert chi.order == 125
     evaluations = _counting(monkeypatch, HeckeCharacter, "value_on_ideal_of")
     orbits = _counting(monkeypatch, charsums, "galois_orbit")
@@ -526,7 +526,7 @@ def test_criterion_3_recognizes_once_per_value(monkeypatch):
     triples = set()
     for n0 in (0, 1):
         for n in (2, 3):
-            chi = seed_character(acceptance.rcg_build(Q, ctx, n))
+            chi = seed_character(acceptance.rcg_build(ctx, n))
             triples |= {(n, n0, chi.value_on_ideal_of(a)) for a in range(1, 5 ** n) if a % 5}
     charsums._value_mean.cache_clear()
     recognitions = _counting(monkeypatch, charsums, "_recognize")
@@ -540,7 +540,7 @@ def test_one_reduction_per_mean_and_none_for_the_tables(monkeypatch):
     # route two's table takes the exact means only; average_char reduces each
     # distinct mean once, whatever the number of residues sharing its value
     Q, ctx, _ = q_setup()
-    chi = seed_character(RayClassGroup(Q, ctx, 3))
+    chi = seed_character(RayClassGroup(ctx, 3))
     for n0 in (0, 1):
         cfc = CoefficientFieldContext(p=5, n0=n0)
         charsums._value_mean.cache_clear()

@@ -412,7 +412,7 @@ def test_trivial_ray_class_is_the_unit_residue_subgroup(nf, primes, levels):
     for p in primes:
         ctx = prime_above(nf, p)
         for n in levels:
-            rcg = rcg_build(nf, ctx, n)
+            rcg = rcg_build(ctx, n)
             trivial = {r for r in range(ctx.modulus(n))
                        if r % p and rcg.class_of_residue(r) == 0}
             assert _unit_residues(ctx, n) == trivial
@@ -483,7 +483,7 @@ def test_verify_count_bound_flags_drift():
 def test_torsion_norm_bound_rationals():
     expected = {1: (2, 0.8944271909999159), 2: (7, 1.4), 3: (57, 5.09823498869952)}
     for n, (norm, ratio) in expected.items():
-        rep = torsion_norm_bound(rcg_build(Q, CTX5, n))
+        rep = torsion_norm_bound(rcg_build(CTX5, n))
         assert rep.delta_order == 2 and not rep.vacuous
         assert len(rep.rows) == 1
         assert rep.rows[0][1] == norm
@@ -494,7 +494,7 @@ def test_torsion_norm_bound_rationals():
 def test_torsion_norm_bound_vacuous():
     ctx3 = prime_above(Q, 3)
     for n in (1, 2):
-        rep = torsion_norm_bound(rcg_build(Q, ctx3, n))
+        rep = torsion_norm_bound(rcg_build(ctx3, n))
         assert rep.vacuous and rep.passed and rep.rows == ()
 
 
@@ -502,7 +502,7 @@ def test_torsion_norm_bound_sqrt2():
     # mod (7 + 2 sqrt(2)) the unit residues only cover a fifth of the
     # residue classes, leaving a genuine C4 of prime-to-41 torsion
     ctx41 = prime_above(K, 41)
-    rep = torsion_norm_bound(rcg_build(K, ctx41, 1))
+    rep = torsion_norm_bound(rcg_build(ctx41, 1))
     assert rep.delta_order == 4
     assert [row[1] for row in rep.rows] == [2, 4, 8]
     assert rep.constant == pytest.approx(2 / 41 ** 0.25)
@@ -522,7 +522,7 @@ def test_torsion_norm_bound_sqrt2():
 def test_torsion_norm_bound_several_classes(nf, p, n, norms, passed):
     # rows follow torsion_classes() order and name each class by its least
     # residue; over Q that residue is itself the least norm
-    rcg = rcg_build(nf, prime_above(nf, p), n)
+    rcg = rcg_build(prime_above(nf, p), n)
     rep = torsion_norm_bound(rcg)
     assert [row[1] for row in rep.rows] == norms
     assert [row[0] for row in rep.rows] == [rcg.min_residue_of_class(b)
@@ -533,6 +533,6 @@ def test_torsion_norm_bound_several_classes(nf, p, n, norms, passed):
 
 
 def test_torsion_norm_bound_level_mismatch():
-    rcg = rcg_build(Q, CTX5, 2)
+    rcg = rcg_build(CTX5, 2)
     with pytest.raises(ValueError, match="level"):
         torsion_norm_bound(rcg, 3)

@@ -5,7 +5,8 @@ every function, class and method is named somewhere in the package outside its
 own definition (or is allowlisted with a reason), no module uses an assert
 statement, no module but tau.py imports a thread pool or threads, and no
 module imports scipy: the package, the rational tower, the acceptance sweep,
-an off-grid s and the degree-2 kernel all run without it."""
+an off-grid s and the degree-2 kernel all run without it.  No module but
+rayclass.py reads a discrete log or a ray class group's orientation."""
 
 import ast
 import os
@@ -70,6 +71,20 @@ def test_no_scipy_imports(path):
                          ids=lambda p: p.name)
 def test_no_threads_outside_the_coefficient_table(path):
     assert _imports_of(ast.parse(path.read_text()), "concurrent.futures", "threading") == []
+
+
+# rayclass.py alone turns residues into classes and character exponents:
+# the level's discrete logs and a group's orientation are read nowhere else
+_RESIDUE_RULE = ("dlog_array", "dlog", "generator_exponent", "dlog_phase", "local_phase")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
+                                        if p.name != "rayclass.py"),
+                         ids=lambda p: p.name)
+def test_no_discrete_logs_outside_rayclass(path):
+    tree = ast.parse(path.read_text())
+    assert [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in _RESIDUE_RULE] == []
 
 
 def _write_only_attributes(tree: ast.Module) -> list[str]:

@@ -158,7 +158,7 @@ def _np_convolve_fold(hist):
 
 def _level_characters(level):
     Q = nf_load("rationals")
-    rcg = RayClassGroup(Q, PrimeContext(Q, 5, Q.element_from_int(5)), level)
+    rcg = RayClassGroup(PrimeContext(Q, 5, Q.element_from_int(5)), level)
     if level == 1:                  # no seed character: every nontrivial one
         return [c for c in rcg.characters() if not c.is_trivial()]
     return [seed_character(rcg)]

@@ -10,8 +10,9 @@ from lcentral.abelian import FiniteAbelianGroup, p_adic_split
 from lcentral.cones import prime_above
 from lcentral.fields import nf_load
 from lcentral.rayclass import (RESIDUE_TABLE_CAP, HeckeCharacter,
-                               PrimeContext, RayClassGroup, max_residue_level,
-                               rcg_build, residue_characters, seed_character)
+                               PrimeContext, RayClassGroup, dual_generator,
+                               max_residue_level, rcg_build,
+                               residue_characters, seed_character)
 from lcentral.roots import RootOfUnity
 
 
@@ -32,15 +33,15 @@ def _snf_oracle(nf, ctx, n):
 
 def test_group_orders_over_rationals():
     Q, ctx = q_ctx()
-    assert RayClassGroup(Q, ctx, 1).order == 2
-    assert RayClassGroup(Q, ctx, 2).order == 10
-    assert RayClassGroup(Q, ctx, 3).order == 50
+    assert RayClassGroup(ctx, 1).order == 2
+    assert RayClassGroup(ctx, 2).order == 10
+    assert RayClassGroup(ctx, 3).order == 50
 
 
 def test_group_orders_p3():
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, 3, Q.element_from_int(3))
-    rcg = RayClassGroup(Q, ctx, 2)
+    rcg = RayClassGroup(ctx, 2)
     assert rcg.order == 3
     assert rcg.delta_order == 1 and rcg.torsion_classes() == [0]
 
@@ -49,7 +50,7 @@ def test_torsion_and_gamma_structure():
     # Cl(p^n) = Delta x Gamma with |Delta| = 2 at every level over Q, p = 5
     Q, ctx = q_ctx()
     for n, h in [(1, 2), (2, 10), (3, 50)]:
-        rcg = RayClassGroup(Q, ctx, n)
+        rcg = RayClassGroup(ctx, n)
         assert rcg.order == h
         assert rcg.delta_order == 2
         assert rcg.torsion_classes() == [0, h // 2]
@@ -61,24 +62,24 @@ def test_quadratic_field_groups_collapse():
     K = nf_load("quadratic-sqrt2")
     ctx = PrimeContext(K, 7, K.element([3, 1]))
     for n in (1, 2, 3):
-        assert RayClassGroup(K, ctx, n).order == 1
+        assert RayClassGroup(ctx, n).order == 1
 
 
 def test_character_counts():
     Q, ctx = q_ctx()
-    rcg2 = rcg_build(Q, ctx, 2)
+    rcg2 = rcg_build(ctx, 2)
     assert len(rcg2.characters()) == 10
     assert len([c for c in rcg2.characters() if c.is_primitive()]) == 8
     assert len([c for c in rcg2.characters(conductor_exponent=2)
                 if p_adic_split(c.order, 5)[0] == 1]) == 4
-    rcg3 = rcg_build(Q, ctx, 3)
+    rcg3 = rcg_build(ctx, 3)
     assert len([c for c in rcg3.characters(conductor_exponent=3)
                 if p_adic_split(c.order, 5)[0] == 1]) == 20
 
 
 def test_character_values_frozen():
     Q, ctx = q_ctx()
-    rcg = rcg_build(Q, ctx, 2)
+    rcg = rcg_build(ctx, 2)
     chi = [c for c in rcg.characters() if c.order == 5][0]
     assert chi.value_on_ideal_of(6) == RootOfUnity(Fraction(3, 5))
     # ideals meeting the modulus carry no value
@@ -90,7 +91,7 @@ def test_character_values_frozen():
 
 def test_local_value_is_conjugate_of_class_value():
     Q, ctx = q_ctx()
-    rcg = rcg_build(Q, ctx, 2)
+    rcg = rcg_build(ctx, 2)
     for chi in rcg.characters():
         for r in (2, 3, 7, 11):
             assert chi.local_value(r) == chi.value_at_residue(r).conjugate()
@@ -99,7 +100,7 @@ def test_local_value_is_conjugate_of_class_value():
 def test_conductor_matches_pairwise_oracle():
     # conductor exponent = least m with chi constant on residue classes mod p^m
     Q, ctx = q_ctx()
-    rcg = rcg_build(Q, ctx, 2)
+    rcg = rcg_build(ctx, 2)
     units = [r for r in range(1, 25) if r % 5]
     for chi in rcg.characters():
         if chi.is_trivial():
@@ -117,7 +118,7 @@ def test_conductor_matches_pairwise_oracle():
 
 def test_class_enumeration_covers_group():
     Q, ctx = q_ctx()
-    rcg = rcg_build(Q, ctx, 2)
+    rcg = rcg_build(ctx, 2)
     units = [r for r in range(1, 25) if r % 5]
     classes = {rcg.class_of_residue(r) for r in units}
     assert classes == set(range(rcg.order))
@@ -135,7 +136,7 @@ def test_residue_characters_on_quadratic_field():
     assert len(prim) == 36
     assert all(c.conductor_exponent == 2 for c in prim)
     assert sorted({c.order for c in prim}) == [7, 14, 21, 42]
-    full = RayClassGroup(K, ctx, 2, unit_quotient=False).characters()
+    full = RayClassGroup(ctx, 2, unit_quotient=False).characters()
     assert len(full) == 42
     # conductor oracle on the imprimitive ones: value depends on residue mod 7
     for c in full:
@@ -172,7 +173,7 @@ def test_character_index_is_enumeration_position():
     for p in (3, 5, 7):
         ctx = PrimeContext(Q, p, Q.element_from_int(p))
         for n in (1, 2, 3, 4):
-            rcg = rcg_build(Q, ctx, n)
+            rcg = rcg_build(ctx, n)
             g = _snf_oracle(Q, ctx, n)
             vecs = list(g.characters())
             assert len(vecs) == rcg.order == g.order
@@ -208,7 +209,7 @@ def _check_against_the_dual_group(nf, ctx, levels):
     the Smith normal form of the relations."""
     p = ctx.p
     for n in levels:
-        rcg = rcg_build(nf, ctx, n)
+        rcg = rcg_build(ctx, n)
         g, mod = _snf_oracle(nf, ctx, n), p ** n
         h = g.order
         assert rcg.order == h
@@ -219,25 +220,30 @@ def _check_against_the_dual_group(nf, ctx, levels):
         # the group is cyclic: a class is (x,) or (), a character vector (c,) or ()
         x = np.full(mod, -1, dtype=np.int64)
         x[units] = [sum(classes[r]) for r in units]
-        # the integer class is the SNF coordinate
+        # the integer class is the SNF coordinate, at every residue
+        assert (rcg.classes(np.arange(mod)) == x).all()
         assert all(rcg.class_of_residue(r) == x[r] for r in units)
+        phi = ctx.unit_group_order(n)
+        logs = np.array(dlog)
         sample = units[::max(1, len(units) // 12)]
         for k, vec in enumerate(g.characters()):
             chi = rcg.character_by_index(k)
             assert chi.k == k and chi.label.endswith(f".chi{k}")
             assert chi.order == g.char_order(vec)
             assert chi.dlog_phase == g.char_phase(vec, gen_class)
-            assert chi.local_phase == -g.char_phase(vec, gen_class) % 1
             # the dual pairing at every residue, as multiples of 1/h
             num = np.where(x >= 0, sum(vec) * x % h, -1)
             assert all(g.char_phase(vec, classes[r]) == Fraction(int(num[r]), h)
                        for r in sample)
             assert chi.conductor_exponent == _conductor_by_residue_classes(num, p, n)
             assert chi.is_trivial() == (chi.conductor_exponent == 0)
-            # the exponent route at every residue: dlog_phase * dlog(r)
-            phase = chi.dlog_phase
-            mine = np.array(dlog) * (phase.numerator * h // phase.denominator) % h
-            assert (mine[units] == num[units]).all()
+            # the exponent table at every residue: chi((r)) = e(j(r) / ord)
+            js = chi.exponents()
+            assert (np.where(js >= 0, js * (h // chi.order), -1) == num).all()
+            # and the unit index: chi((r)) = e(u dlog(r) / phi) at the units
+            u = chi.unit_index
+            assert 0 <= u < phi
+            assert (u * logs[units] % phi * h == num[units] * phi).all()
             # and the public evaluations on a spread of residues
             for r in sample:
                 want = RootOfUnity(Fraction(int(num[r]), h))
@@ -266,7 +272,7 @@ def test_exponent_arithmetic_matches_the_dual_group_over_sqrt2(p, levels, order,
     ctx = prime_above(K, p)
     _check_against_the_dual_group(K, ctx, levels)
     for n in levels:
-        rcg = rcg_build(K, ctx, n)
+        rcg = rcg_build(ctx, n)
         assert (rcg.order, rcg.delta_order) == (order, delta)
 
 
@@ -278,13 +284,21 @@ def test_residue_characters_match_the_dlog_rule():
     for level in (1, 2):
         mod, phi = 7 ** level, 6 * 7 ** (level - 1)
         dlog = ctx.dlog_array(level).tolist()
-        chars = RayClassGroup(K, ctx, level, unit_quotient=False).characters()
+        group = RayClassGroup(ctx, level, unit_quotient=False)
+        # the residue group is oriented with the generator residue at -1
+        want = [-e % phi if e >= 0 else -1 for e in dlog]
+        assert group.classes(np.arange(mod)).tolist() == want
+        chars = group.characters()
         assert [c.k for c in chars] == list(range(phi))
         for chi in chars:
             assert chi.label == f"quadratic-sqrt2.p7.res{level}.chi{chi.k}"
             assert chi.order == phi // gcd(chi.k, phi)
-            assert chi.local_phase == Fraction(chi.k, phi)
             num = np.array([chi.k * e % phi if e >= 0 else -1 for e in dlog])
+            # the values on ideals are the conjugates: exponent -K dlog(r)
+            js = chi.exponents()
+            values = np.where(js >= 0, js * (phi // chi.order), -1)
+            assert (values == np.where(num >= 0, -num % phi, -1)).all()
+            assert chi.unit_index == -chi.k % phi
             assert chi.conductor_exponent == _conductor_by_residue_classes(num, 7, level)
             for r in range(mod):
                 want = None if dlog[r] < 0 else RootOfUnity(Fraction(chi.k * dlog[r], phi))
@@ -301,7 +315,7 @@ def test_seed_character_is_the_scanned_seed():
     for p, levels in ((3, (2, 3, 4)), (5, (2, 3, 4)), (7, (2, 3, 4)), (13, (2, 3))):
         ctx = PrimeContext(Q, p, Q.element_from_int(p))
         for n in levels:
-            rcg = rcg_build(Q, ctx, n)
+            rcg = rcg_build(ctx, n)
             chars = rcg.characters()
             want = p ** (n - 1)
             first = next(c for c in chars if c.order == want and c.is_primitive())
@@ -314,20 +328,20 @@ def test_seed_character_is_the_scanned_seed():
             assert seed == first == best
             assert seed.k == rcg.order // want
     with pytest.raises(ArithmeticError, match="no primitive order-1"):
-        seed_character(rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 1))
+        seed_character(rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 1))
 
 
 def test_groups_and_characters_compare_by_value():
     Q = nf_load("rationals")
-    a = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 2)
-    b = rcg_build(Q, PrimeContext(Q, 5, Q.element_from_int(5)), 2)
+    a = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 2)
+    b = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 2)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a.character_by_index(3) == b.character_by_index(3)
     assert hash(a.character_by_index(3)) == hash(b.character_by_index(3))
     assert a.character_by_index(3) != a.character_by_index(4)
-    res = RayClassGroup(Q, a.ctx, 2, unit_quotient=False)
+    res = RayClassGroup(a.ctx, 2, unit_quotient=False)
     assert res != a and res.character_by_index(3) != a.character_by_index(3)
-    assert a != rcg_build(Q, a.ctx, 3)
+    assert a != rcg_build(a.ctx, 3)
 
 
 def test_dlog_array_matches_the_generator_powers():
@@ -342,8 +356,13 @@ def test_dlog_array_matches_the_generator_powers():
                 assert arr[r] == -1
             else:
                 assert pow(g, int(arr[r]), mod) == r
+    # the dual generator's exponent table is the array itself
+    for level in (1, 2, 3):
+        gen = dual_generator(ctx, level)
+        assert gen.unit_index == 1 and gen.order == ctx.unit_group_order(level)
+        assert (gen.exponents() == ctx.dlog_array(level)).all()
     # character values read off the array agree with the class-group route
-    rcg = rcg_build(Q, ctx, 3)
+    rcg = rcg_build(ctx, 3)
     for chi in rcg.characters():
         for r in (2, 3, 7, 49, 124):
             assert chi.value_at_residue(r) == chi.value_on_class(rcg.class_of_residue(r))
@@ -358,5 +377,5 @@ def test_residue_table_cap_refuses_before_building():
         with pytest.raises(ValueError, match="cap"):
             build(10)
     with pytest.raises(ValueError, match="cap"):
-        rcg_build(Q, ctx, 10)
+        rcg_build(ctx, 10)
     assert ctx._dlogs == {} and ctx._groots == {}
