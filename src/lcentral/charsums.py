@@ -2,21 +2,19 @@
 
 Every character here is a `rayclass.HeckeCharacter`: an exponent on a cyclic
 ray class group, or on the full residue unit group of a "res" label.  Both
-evaluate the same way, on classes and (conjugated) locally, so nothing below
-asks which group a character comes from.
+evaluate the same way, by `value_on_ideal_of`, so nothing below asks which
+group a character comes from.  chi((x)) below is that value at the ideal (x).
 
 The Gauss sum here is the shifted complete character sum
 
-    G(chi, a) = chi(d)^(-1) * sum_x chi_loc(x) * efin(a * x~ / (d * pi^c))
+    G(chi, a) = chi((d)) * sum_x conj(chi((x))) * efin(a * x~ / (d * pi^c))
 
 over unit residues x mod p^c, where c is the conductor exponent, pi the fixed
-generator of the prime, x~ an integral lift, and d a generator of the
-different.  `chi_loc` is the local evaluation (the conjugate of the value on
-ideal classes); `efin` is e(-Tr(.)).  With those normalizations the shift
-identity G(chi)*conj(chi_loc)(a) = G(chi, a), the modulus |G|^2 = p^c, and
-the conjugation law conj(G(chi)) = chi(-1) G(conj chi) all hold exactly, and
-over the rationals G(conj chi) coincides with the classical Gauss sum of the
-attached (even) Dirichlet character.
+generator of the prime, x~ an integral lift, d a generator of the different,
+and `efin` is e(-Tr(.)).  The shift identity G(chi, a) = chi((a)) G(chi), the
+modulus |G|^2 = p^c, and the conjugation law conj(G(chi)) = chi((-1))
+G(conj chi) all hold exactly, and over the rationals G(conj chi) coincides
+with the classical Gauss sum of the attached (even) Dirichlet character.
 
 Root numbers follow the prime-power-conductor evaluation for forms with
 trivial finite central character, the only forms `newforms.newform_load`
@@ -43,7 +41,7 @@ member's G(conj chi^t) from one such transform of the additive phases, for
 per-character oracles.  Route two is per orbit and exact:
 `orbit_root_numbers` checks one exact square eps = G(conj chi)^2 / q
 (`_unit_square`: h h - q eps is zero) and gets every W(chi^t) through the
-Galois action, G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)), as int64 phases
+Galois action, G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)), as int64 phases
 over one level read off the seed's exponent table.  The tables
 `averaged_char_table` and `averaged_iota_values` are one orbit-mean DFT of
 the members binned by t mod ord (weights 1, and the W phases), spread over
@@ -179,8 +177,8 @@ def _gauss_terms(chi: HeckeCharacter, shift) -> tuple[int, np.ndarray, RootOfUni
 
 
 def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
-    """(add, pref) with G(chi, shift) = pref * sum_x chi_loc(x) e(x * add)
-    over the unit residues x mod the conductor.  add depends on the
+    """(add, pref) with G(chi, shift) = pref * sum_x conj(chi((x))) e(x * add)
+    over the unit residues x mod the conductor, pref = chi((d)).  add depends on the
     conductor exponent and the shift only, not on the character."""
     ctx: PrimeContext = chi.prime_ctx
     nf = ctx.nf
@@ -192,10 +190,10 @@ def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
     # efin(a x / (d pi^c)) = e(x * add) for integers x: the trace is Q-linear
     add = nf.efin_phase(a_elt * (d_gen * ctx.pi ** chi.conductor_exponent).inverse())
 
-    pref = chi.local_value(d_gen)
+    pref = chi.value_on_ideal_of(d_gen)
     if pref is None:
         raise ValueError("the different meets the prime; unsupported configuration")
-    return add, pref.conjugate()
+    return add, pref
 
 
 def root_number(chi: HeckeCharacter) -> complex:
@@ -208,7 +206,7 @@ def root_number(chi: HeckeCharacter) -> complex:
         return 1.0 + 0j
     q = chi.conductor_norm
     g = gauss_sum(chi.conjugate())
-    w = chi.local_value(-1).to_complex() * g * g / q
+    w = chi.value_on_ideal_of(-1).conjugate().to_complex() * g * g / q
     if abs(abs(w) - 1) > 1e-9:
         raise ArithmeticError(f"root number drifted off the unit circle: |W| = {abs(w)}")
     return w
@@ -245,8 +243,8 @@ def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
 def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """G(conj chi^t) for the orbit members, in orbit order, as floats.
 
-    The local value of conj(chi^t) at x is chi^t(x), so G(conj chi^t) is
-    its prefactor, the t-th power of that of conj(chi), times the sum of
+    The terms of G(conj chi^t) carry conj(conj chi^t((x))) = chi^t((x)),
+    so G(conj chi^t) is its prefactor, the t-th power of that of conj(chi), times the sum of
     the additive phases e(x * add) against chi^t.  The phases are the same
     for every member, so one `character_sums` transform serves the orbit.
     """
@@ -269,7 +267,7 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     if chi.conductor_exponent == 0:
         return g
     subs = substitutions(chi, ctx)
-    w = _powers(chi.local_value(-1), subs) * g * g / chi.conductor_norm
+    w = _powers(chi.value_on_ideal_of(-1).conjugate(), subs) * g * g / chi.conductor_norm
     drift = np.abs(np.abs(w) - 1)
     if not np.all(drift <= 1e-9):
         raise ArithmeticError(
@@ -281,13 +279,13 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     """(L, w) with W(chi^t) = e(w_t / L) exactly for the orbit members, in
     orbit order, from one exact Gauss sum.
 
-    With psi = conj(chi), G(psi^t) = psi^t_loc(t) * sigma_t(G(psi)), so
-    W(chi^t) = chi^t(-1) psi^t_loc(t)^2 sigma_t(eps) with eps = G(psi)^2 / q,
-    checked once to be a root of unity.  chi^t(-1) = 1, as chi has odd
-    order, and with chi(r) = e(j(r) / ord) on classes
-    psi^t_loc(t)^2 = e(2 t j(t) / ord); sigma_t on Q(zeta_M),
-    M = lcm(den, order of pref) odd, fixes -1, so on eps it is the power by
-    the odd representative of t mod M.  G(psi) is
+    With psi = conj(chi), G(psi^t) = conj(psi^t((t))) * sigma_t(G(psi))
+    = chi^t((t)) * sigma_t(G(psi)), so
+    W(chi^t) = chi^t((-1)) chi^t((t))^2 sigma_t(eps) with eps = G(psi)^2 / q,
+    checked once to be a root of unity.  chi^t((-1)) = 1, as chi has odd
+    order, and with chi((r)) = e(j(r) / ord), chi^t((t))^2 = e(2 t j(t) / ord);
+    sigma_t on Q(zeta_M), M = lcm(den, order of pref) odd, fixes -1, so on
+    eps it is the power by the odd representative of t mod M.  G(psi) is
     held as the integer histogram of its terms, so no cyclotomic level
     limit applies.
     """

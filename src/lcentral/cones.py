@@ -111,7 +111,6 @@ class DomainReducer:
         self.m = nf.m           # 0 over Q: u + v*sqrt(m) with v = 0
         if nf.degree == 1:
             return
-        self.root = math.sqrt(self.m)
 
         # Fundamental unit: the infinite-order generator, normalised so the
         # plus embedding exceeds 1 (torsion generators square to 1).
@@ -135,13 +134,6 @@ class DomainReducer:
     def sign_plus(self, x: FieldElement) -> int:
         """Exact sign of x at the plus place."""
         return int(_sign_plus_arrays(*_coord_arrays(x), self.m)[0])
-
-    def embed(self, x: FieldElement) -> tuple[float, float]:
-        if self.degree == 1:
-            v = float(x.coords[0])
-            return (v, v)
-        a, b = float(x.coords[0]), float(x.coords[1])
-        return (a + b * self.root, a - b * self.root)
 
 
 def reducer_for(nf) -> DomainReducer:
@@ -316,11 +308,11 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         lo_j = hi_j = 0
     else:
         win_pow = 2 if window == "standard" else 3
-        eps1 = reducer.embed(reducer.eps)[0]
+        eps1 = nf.embed_element(reducer.eps)[0]
         bound = math.sqrt(x) * eps1 ** (win_pow / 2.0) * box_factor + 1e-9
         r1, r2 = ((int(r[0]), int(r[1])) for r in lattice_rows)
-        embeds = [reducer.embed(nf.element(r)) for r in (r1, r2)]
-        lo_i, hi_i, lo_j, hi_j = _index_ranges(reducer.embed(offset), bound, embeds)
+        embeds = [nf.embed_element(nf.element(r)) for r in (r1, r2)]
+        lo_i, hi_i, lo_j, hi_j = _index_ranges(nf.embed_element(offset), bound, embeds)
     total = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     if total > BOX_CANDIDATE_CAP:
         raise ValueError(
@@ -488,17 +480,15 @@ class TorsionNormReport:
     passed: bool
 
 
-def torsion_norm_bound(rcg: RayClassGroup, n: int | None = None) -> TorsionNormReport:
+def torsion_norm_bound(rcg: RayClassGroup) -> TorsionNormReport:
     """Minimal-norm integral representatives of the prime-to-p torsion classes.
 
     For each nontrivial class b of the prime-to-p part of the ray class
     group, finds the smallest |N| of an integral ideal in b and compares
-    it against N(P)^(n/|Delta|).  Trivial torsion gives a vacuous pass.
+    it against N(P)^(n/|Delta|), n the group's level.  Trivial torsion gives
+    a vacuous pass.
     """
-    if n is None:
-        n = rcg.n
-    elif n != rcg.n:
-        raise ValueError(f"group was built at level {rcg.n}, not {n}")
+    n = rcg.n
     delta_order = rcg.delta_order
     nontrivial = rcg.torsion_classes()[1:]
     if not nontrivial:

@@ -65,24 +65,26 @@ class ExperimentConfig:
     out: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRow:
+    """One level of a scan; a failed level keeps the defaults and its error."""
+
     n: int
-    conductor: int
-    orbit_size: int
-    seed_label: str
+    conductor: int = 0
+    orbit_size: int = 0
+    seed_label: str = ""
     y: float
-    lav_re: float
-    lav_im: float
-    main_term_re: float
-    main_term_im: float
-    deviation: float                   # |L_av - 1|
-    envelope: tuple                    # the three decay terms at this n
-    dual_magnitude: float              # size of the reflected (dual) part
-    route_gap: float                   # |route a - route b|
-    min_abs_value: float
-    flags: tuple                       # per-character |L| > floor, orbit order
-    error_estimate: float
+    lav_re: float = math.nan
+    lav_im: float = math.nan
+    main_term_re: float = math.nan
+    main_term_im: float = math.nan
+    deviation: float = math.nan        # |L_av - 1|
+    envelope: tuple = ()               # the three decay terms at this n
+    dual_magnitude: float = math.nan   # size of the reflected (dual) part
+    route_gap: float = math.nan        # |route a - route b|
+    min_abs_value: float = math.nan
+    flags: tuple = ()                  # per-character |L| > floor, orbit order
+    error_estimate: float = math.nan
     seconds: float
     error: str | None = None
 
@@ -224,14 +226,8 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
             seconds=time.perf_counter() - t0,
         )
     except (ValueError, ArithmeticError) as exc:   # a row failure stays in the report
-        return ExperimentRow(
-            n=n, conductor=0, orbit_size=0, seed_label="", y=y,
-            lav_re=math.nan, lav_im=math.nan, main_term_re=math.nan,
-            main_term_im=math.nan, deviation=math.nan, envelope=(),
-            dual_magnitude=math.nan, route_gap=math.nan,
-            min_abs_value=math.nan, flags=(), error_estimate=math.nan,
-            seconds=time.perf_counter() - t0,
-            error=f"{type(exc).__name__}: {exc}")
+        return ExperimentRow(n=n, y=y, seconds=time.perf_counter() - t0,
+                             error=f"{type(exc).__name__}: {exc}")
 
 
 def run_lav_experiment(cfg: ExperimentConfig) -> ExperimentReport:

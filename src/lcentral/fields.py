@@ -13,7 +13,7 @@ An element is u or u + v*sqrt(m) with exact rational coordinates, and its
 arithmetic is in closed form: (a + b*sqrt(m))(c + d*sqrt(m)) =
 (ac + m*bd) + (ad + bc)*sqrt(m), the norm is u or u^2 - m*v^2, the trace
 is degree * u, the inverse is the conjugate over the norm, and the real
-embeddings are u -/+ v*sqrt(m).
+embeddings are u +/- v*sqrt(m), the plus place first.
 
 The loader cross-checks every stored invariant it can recompute (the
 discriminant of the trace form, unit norms, the signature, a stored
@@ -298,13 +298,14 @@ class NumberFieldData:
 
     # -- embeddings -----------------------------------------------------------
 
-    def embed_element(self, x: FieldElement) -> list[complex]:
-        """The real embeddings of x: u over Q, else u - v*sqrt(m), u + v*sqrt(m)."""
+    def embed_element(self, x: FieldElement) -> tuple[float, ...]:
+        """The real embeddings of x as floats: (u,) over Q, else the plus
+        place first, (u + v*sqrt(m), u - v*sqrt(m))."""
         if self.degree == 1:
-            return [complex(float(x.coords[0]))]
+            return (float(x.coords[0]),)
         u, v = float(x.coords[0]), float(x.coords[1])
         root = math.sqrt(self.m)
-        return [complex(u - root * v), complex(u + root * v)]
+        return (u + root * v, u - root * v)
 
     # -- additive character ----------------------------------------------------
 

@@ -179,7 +179,7 @@ def totally_positive_unit_index(nf) -> int:
         emb = nf.embed_element(unit)
         vec = 0
         for j in range(r1):
-            if emb[j].real < 0:
+            if emb[j] < 0:
                 vec |= 1 << j
         for b in basis:
             vec = min(vec, vec ^ b)

@@ -21,6 +21,7 @@ character's `exponents` j(r), chi((r)) = e(j(r) / order), and `unit_index`.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -121,7 +122,7 @@ class RayClassGroup:
     quotient of the cyclic group (Z/p^n)^*, so it is cyclic of order h, and
     the class of a unit residue r is dlog(r) times the class of the level's
     generator residue.  The residue group is oriented with that class at -1,
-    so that its character k has local value e(k dlog(r) / phi), the rule
+    so that its character k has value e(-k dlog(r) / phi) at r, the rule
     "res" labels name.
     """
 
@@ -167,22 +168,17 @@ class RayClassGroup:
         # dlog >> 63 is -1 off the units (dlog = -1) and 0 on them
         return dlog * self.generator_exponent % self.order | dlog >> 63
 
-    def class_of_residue(self, r: int) -> int:
+    def class_of(self, x) -> int:
+        """Class of the principal ideal (x), for a field element or any
+        integer (through `operator.index`; other types raise TypeError).
+        Any generator works: generators differ by a unit and units die in
+        the quotient.  Raises ValueError when (x) is not prime to p.
+        """
+        r = self.ctx.residue(x, self.n) if isinstance(x, FieldElement) else operator.index(x)
         c = int(self.classes(r))
         if c < 0:
-            raise ValueError(f"residue {r} is not prime to {self.p}")
+            raise ValueError(f"({x!r}) is not prime to {self.p}")
         return c
-
-    def ideal_to_element(self, x) -> int:
-        """Class of the principal ideal (x), for a field element or a
-        rational integer x.  Any generator works: generators differ by a
-        unit and units die in the quotient.
-        """
-        if isinstance(x, int):
-            x = self.nf.element_from_int(x)
-        if isinstance(x, FieldElement):
-            return self.class_of_residue(self.ctx.residue(x, self.n))
-        raise ValueError(f"cannot map {x!r} to a ray class")
 
     def min_residue_of_class(self, c: int) -> int:
         """Smallest positive residue lift of a class (a cheap canonical name)."""
@@ -194,11 +190,8 @@ class RayClassGroup:
 
     # -- characters -----------------------------------------------------------
 
-    def characters(self, conductor_exponent: int | None = None) -> list["HeckeCharacter"]:
-        chars = [HeckeCharacter(self, k) for k in range(self.order)]
-        if conductor_exponent is None:
-            return chars
-        return [chi for chi in chars if chi.conductor_exponent == conductor_exponent]
+    def characters(self) -> list["HeckeCharacter"]:
+        return [HeckeCharacter(self, k) for k in range(self.order)]
 
     def character_by_index(self, i: int) -> "HeckeCharacter":
         if not 0 <= i < self.order:
@@ -220,7 +213,8 @@ def residue_characters(ctx: PrimeContext, level: int) -> list["HeckeCharacter"]:
     can be exercised over fields whose ray class groups at the prime collapse
     (the real quadratic field here has trivial ones at every level).
     """
-    return RayClassGroup(ctx, level, unit_quotient=False).characters(level)
+    chars = RayClassGroup(ctx, level, unit_quotient=False).characters()
+    return [chi for chi in chars if chi.is_primitive()]
 
 
 def dual_generator(ctx: PrimeContext, level: int) -> "HeckeCharacter":
@@ -242,14 +236,7 @@ def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":
 
 class HeckeCharacter:
     """Character k of the cyclic group `group` of order h: its value on the
-    class c is e(k c / h), and k is its label index.
-
-    `value_on_class`/`value_on_ideal_of` evaluate the character as a function
-    on ideal classes.  `local_value` is the complex-conjugate evaluation on
-    residues, which is the normalization entering Gauss sums; keeping the two
-    apart is what makes the sum identities and the functional equation hold
-    simultaneously.
-    """
+    class c is e(k c / h), and k is its label index."""
 
     __slots__ = ("group", "k", "_conductor")
 
@@ -305,27 +292,14 @@ class HeckeCharacter:
         return RootOfUnity(Fraction(self.k * c, self.group.order))
 
     def value_on_ideal_of(self, x) -> RootOfUnity | None:
-        """Value at the class of the principal ideal (x); None when (x) is
-        not coprime to the modulus (the character vanishes there)."""
+        """Value at the class of the principal ideal (x), for a field element
+        or an integer; None when (x) is not prime to p (the character
+        vanishes there)."""
         try:
-            elt = self.group.ideal_to_element(x)
+            c = self.group.class_of(x)
         except ValueError:
             return None
-        return self.value_on_class(elt)
-
-    def value_at_residue(self, r: int) -> RootOfUnity | None:
-        c = int(self.group.classes(r))
-        return None if c < 0 else self.value_on_class(c)
-
-    def local_value(self, x) -> RootOfUnity | None:
-        """Idele-style evaluation at a local unit (residue int or element)."""
-        if isinstance(x, FieldElement):
-            try:
-                x = self.group.ctx.residue(x, self.group.n)
-            except ValueError:
-                return None
-        v = self.value_at_residue(int(x))
-        return None if v is None else v.conjugate()
+        return self.value_on_class(c)
 
     # -- structure ------------------------------------------------------------
 
@@ -336,7 +310,7 @@ class HeckeCharacter:
             g = self.group
             self._conductor = 0 if self.k == 0 else next(
                 (m for m in range(1, g.n)
-                 if self.k * g.class_of_residue(1 + g.p ** m) % g.order == 0),
+                 if self.k * g.class_of(1 + g.p ** m) % g.order == 0),
                 g.n)
         return self._conductor
 

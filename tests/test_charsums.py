@@ -46,7 +46,7 @@ def gauss_sum_conjugation_defect(chi):
     """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
     g = gauss_sum(chi)
     gbar = gauss_sum(chi.conjugate())
-    return abs(g.conjugate() - chi.local_value(-1).to_complex() * gbar)
+    return abs(g.conjugate() - chi.value_on_ideal_of(-1).to_complex() * gbar)
 
 
 def average_iota(chi, ctx, a):
@@ -94,7 +94,7 @@ def test_gauss_sum_modulus_quadratic_field():
 
 
 def test_shift_identity_exact():
-    # G(chi, a) = G(chi) * local value of conj(chi) at a, as exact cyclotomics
+    # G(chi, a) = G(chi) * chi((a)), as exact cyclotomics
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
     base = gauss_sum(chi, exact=True)
@@ -105,7 +105,7 @@ def test_shift_identity_exact():
         if a % 5 == 0:
             continue
         lhs = gauss_sum(chi, shift=a, exact=True)
-        rhs = base * CyclotomicNumber.from_root(chi.conjugate().local_value(a))
+        rhs = base * CyclotomicNumber.from_root(chi.value_on_ideal_of(a))
         assert lhs == rhs
         tried += 1
 
@@ -116,7 +116,7 @@ def test_shift_identity_exact_quadratic_field():
     base = gauss_sum(chi, exact=True)
     for coords in ([2, 1], [1, 2], [5, 0], [0, 3]):
         a = K.element(coords)
-        val = chi.conjugate().local_value(a)
+        val = chi.value_on_ideal_of(a)
         assert val is not None
         assert gauss_sum(chi, shift=a, exact=True) == base * CyclotomicNumber.from_root(val)
 
@@ -146,7 +146,7 @@ def test_root_number_matches_classical_formula():
         if chi.is_trivial():
             continue
         q = chi.conductor_norm
-        g_cl = sum(chi.value_at_residue(x).to_complex()
+        g_cl = sum(chi.value_on_ideal_of(x).to_complex()
                    * cmath.exp(2j * cmath.pi * x / q)
                    for x in range(1, q) if x % 5)
         w = root_number(chi)
@@ -291,7 +291,7 @@ def test_exact_gauss_sum_matches_float():
 
 @pytest.mark.parametrize("n,n0", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
 def test_galois_action_gauss_sums_match_per_character(n, n0):
-    # G(chi^t) = chi^t_loc(t) * sigma_t(G(chi)): the Galois action on one exact
+    # G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)): the Galois action on one exact
     # sum, transported by the shift identity, against each member's own sum
     Q, ctx, _ = q_setup()
     chi = seed_character(RayClassGroup(ctx, n))
@@ -301,7 +301,7 @@ def test_galois_action_gauss_sums_match_per_character(n, n0):
     if n == 4:
         pairs = pairs[::23]                     # a sample of the 100 members
     for t, tw in pairs:
-        moved = CyclotomicNumber.from_root(tw.local_value(t)) * g.galois(t)
+        moved = CyclotomicNumber.from_root(tw.value_on_ideal_of(t).conjugate()) * g.galois(t)
         assert moved == gauss_sum(tw, exact=True)
 
 
@@ -354,7 +354,7 @@ def test_orbit_root_numbers_quadratic_field():
 
 def _per_member_root_numbers(chi, ctx):
     """W(chi^t) the slow way: every member built as a character, and
-    chi^t(-1) psi^t_loc(t)^2 sigma_t(eps) multiplied out in RootOfUnity
+    chi^t((-1)) chi^t((t))^2 sigma_t(eps) multiplied out in RootOfUnity
     arithmetic, from the same one exact square eps = G(conj chi)^2 / q."""
     subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
@@ -365,10 +365,10 @@ def _per_member_root_numbers(chi, ctx):
     level = lcm(den, pref.order)
     out = []
     for t, tw in zip(subs, galois_orbit(chi, ctx)):
-        rho = tw.conjugate().local_value(t)
+        rho = tw.value_on_ideal_of(t)
         # sigma_t acts on a root of unity as its t-th power
         sigma_eps = eps ** (t if t % 2 else t + level)
-        out.append(tw.local_value(-1) * rho * rho * sigma_eps)
+        out.append(tw.value_on_ideal_of(-1).conjugate() * rho * rho * sigma_eps)
     return out
 
 
@@ -450,6 +450,20 @@ def _per_member_average_char(chi, ctx, a):
     mean = CyclotomicNumber(level // g, {e: Fraction(k, n) for e, k in acc.items()})
     coeff, root = _recognize(mean, chi.value_on_ideal_of(a))
     return AverageResult(cyclotomic=mean, orbit_size=n, coeff=coeff, root=root)
+
+
+def test_average_char_takes_numpy_integers():
+    # an integer residue is an integer whatever its type: the mean at 6 of the
+    # order-5 character rationals.p5.m2.chi4 over its full orbit is -1/4
+    Q, ctx, rcg = q_setup()
+    chi = rcg.character_by_index(4)
+    cfc = CoefficientFieldContext(p=5, n0=0)
+    for six in (6, np.int64(6), np.int32(6)):
+        res = average_char(chi, cfc, six)
+        assert res.coeff == Fraction(-1, 4) and abs(res.value + 0.25) < 1e-15
+        assert average_support(chi, cfc, six)
+    with pytest.raises(TypeError):
+        average_char(chi, cfc, 6.0)
 
 
 def _rational_seed(p, n):
@@ -556,11 +570,11 @@ def test_one_reduction_per_mean_and_none_for_the_tables(monkeypatch):
 
 
 def test_residue_label_averages_take_values_on_classes():
-    # a residue character's value on classes is the conjugate of its local
-    # value, as for every character.  So its Galois averages are those of the
-    # conjugate local values: at n0 = 0, where the orbit is closed under
-    # t -> -t, the exact mean is unchanged; at n0 = 1 it is conjugated.  The
-    # averaged iota at r is the one at r^-1 taken with local values.
+    # a residue character's Galois averages are taken on classes, e(-K dlog(r)
+    # / phi) for "res" label K; with the conjugate values e(K dlog(r) / phi)
+    # the mean is conjugated, and at n0 = 0, where the orbit is closed under
+    # t -> -t, unchanged.  The averaged iota at r is the one at r^-1 taken
+    # with the conjugate values.
     K, kctx = sqrt2_setup()
     Q = nf_load("rationals")
     for ctx, level in ((kctx, 2), (PrimeContext(Q, 5, Q.element_from_int(5)), 3)):
@@ -573,21 +587,21 @@ def test_residue_label_averages_take_values_on_classes():
                 subs = substitutions(chi, cfc)
                 roots = member_roots(chi, cfc)
                 for a in (2, 3, mod - 1):
-                    local = [chi.local_value(a) ** t for t in subs]
-                    want = sum(v.to_complex() for v in local) / len(subs)
+                    conj_powers = [chi.value_on_ideal_of(a).conjugate() ** t for t in subs]
+                    want = sum(v.to_complex() for v in conj_powers) / len(subs)
                     got = average_char(chi, cfc, a)
                     assert abs(got.value - want.conjugate()) < 1e-14
                     if n0 == 0:
                         assert abs(got.value - want) < 1e-14
                     inv = pow(a, -1, mod)
-                    with_local = sum(w.to_complex() * (chi.local_value(inv) ** t).conjugate()
+                    with_conj = sum(w.to_complex() * (chi.value_on_ideal_of(inv) ** t)
                                      .to_complex() for w, t in zip(roots, subs))
-                    assert abs(average_iota(chi, cfc, a) - with_local / len(subs)) < 1e-12
+                    assert abs(average_iota(chi, cfc, a) - with_conj / len(subs)) < 1e-12
 
 
 def test_residue_label_outputs_pinned(capsys):
     # a one-member orbit at n0 = 1: the value on the class of 3, the
-    # conjugate of the local value 0.6234898018587336 + 0.7818314824680298i
+    # conjugate of e(6 dlog(3) / 42) = 0.6234898018587336 + 0.7818314824680298i
     assert main(["galois-average", "--char", "quadratic-sqrt2.p7.res2.chi6",
                  "--residue", "3", "--n0", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -106,6 +106,19 @@ def test_failed_row_is_reported_not_raised():
     assert row.error is not None and "routes disagree" in row.error
     assert math.isnan(row.lav_re)
     assert row.flags == ()
+    # the row's JSON: every key in place, NaN and empty where nothing was computed
+    doc = json.loads(report_to_json(rep))["rows"][0]
+    assert list(doc) == [
+        "n", "conductor", "orbit_size", "seed_label", "y", "lav_re", "lav_im",
+        "main_term_re", "main_term_im", "deviation", "envelope", "dual_magnitude",
+        "route_gap", "min_abs_value", "flags", "error_estimate", "seconds", "error"]
+    assert (doc["n"], doc["y"]) == (1, 25.0)
+    assert json.dumps({k: v for k, v in doc.items()
+                       if k not in ("n", "y", "seconds", "error")}) == (
+        '{"conductor": 0, "orbit_size": 0, "seed_label": "", "lav_re": NaN, '
+        '"lav_im": NaN, "main_term_re": NaN, "main_term_im": NaN, "deviation": NaN, '
+        '"envelope": [], "dual_magnitude": NaN, "route_gap": NaN, '
+        '"min_abs_value": NaN, "flags": [], "error_estimate": NaN}')
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -129,10 +129,11 @@ def test_efin_is_additive(a, b, c, d):
 
 
 def test_embeddings():
-    embs = K.embed_element(K.gen)
-    vals = sorted(z.real for z in embs)
-    assert abs(vals[0] + 2 ** 0.5) < 1e-12
-    assert abs(vals[1] - 2 ** 0.5) < 1e-12
+    # the plus place first, as the cones read them
+    plus, minus = K.embed_element(K.element([1, 1]))
+    assert abs(plus - (1 + 2 ** 0.5)) < 1e-12
+    assert abs(minus - (1 - 2 ** 0.5)) < 1e-12
+    assert QQ.embed_element(QQ.element_from_int(-3)) == (-3.0,)
     assert K.signature == (2, 0)
     assert QQ.signature == (1, 0)
 

@@ -70,11 +70,11 @@ def test_character_counts():
     rcg2 = rcg_build(ctx, 2)
     assert len(rcg2.characters()) == 10
     assert len([c for c in rcg2.characters() if c.is_primitive()]) == 8
-    assert len([c for c in rcg2.characters(conductor_exponent=2)
-                if p_adic_split(c.order, 5)[0] == 1]) == 4
+    assert len([c for c in rcg2.characters() if c.conductor_exponent == 2
+                and p_adic_split(c.order, 5)[0] == 1]) == 4
     rcg3 = rcg_build(ctx, 3)
-    assert len([c for c in rcg3.characters(conductor_exponent=3)
-                if p_adic_split(c.order, 5)[0] == 1]) == 20
+    assert len([c for c in rcg3.characters() if c.conductor_exponent == 3
+                and p_adic_split(c.order, 5)[0] == 1]) == 20
 
 
 def test_character_values_frozen():
@@ -89,12 +89,45 @@ def test_character_values_frozen():
     assert chi.value_on_ideal_of(-1) == RootOfUnity(0)
 
 
-def test_local_value_is_conjugate_of_class_value():
+def test_value_on_ideal_of_takes_any_integer():
+    # numpy integers go through operator.index like ints; a float is not an
+    # ideal generator and must not read as "not prime to p"
     Q, ctx = q_ctx()
     rcg = rcg_build(ctx, 2)
-    for chi in rcg.characters():
-        for r in (2, 3, 7, 11):
-            assert chi.local_value(r) == chi.value_at_residue(r).conjugate()
+    chi = rcg.character_by_index(4)
+    want = RootOfUnity(Fraction(1, 5))
+    for six in (6, np.int64(6), np.int32(6), np.uint8(6), Q.element_from_int(6)):
+        assert rcg.class_of(six) == rcg.class_of(6)
+        assert chi.value_on_ideal_of(six) == want
+    assert chi.value_on_ideal_of(np.int64(10)) is None
+    for bad in (6.0, np.float64(6), Fraction(6), "6"):
+        with pytest.raises(TypeError):
+            chi.value_on_ideal_of(bad)
+        with pytest.raises(TypeError):
+            rcg.class_of(bad)
+    # a field element with p in a denominator is not prime to p either
+    assert chi.value_on_ideal_of(Q.element([Fraction(6, 5)])) is None
+
+
+def _check_scalar_against_exponent_table(chars):
+    for chi in chars:
+        js = chi.exponents()
+        for r, j in enumerate(js.tolist()):
+            want = None if j < 0 else RootOfUnity(Fraction(j, chi.order))
+            assert chi.value_on_ideal_of(r) == want
+
+
+def test_scalar_evaluator_matches_exponent_table():
+    # value_on_ideal_of(r) = e(exponents()[r] / order) at every residue, and
+    # None exactly where the exponent is -1
+    Q = nf_load("rationals")
+    for p in (3, 5, 7):
+        ctx = PrimeContext(Q, p, Q.element_from_int(p))
+        for n in (1, 2, 3):
+            _check_scalar_against_exponent_table(rcg_build(ctx, n).characters())
+    K = nf_load("quadratic-sqrt2")
+    res = RayClassGroup(PrimeContext(K, 7, K.element([3, 1])), 2, unit_quotient=False)
+    _check_scalar_against_exponent_table(res.characters())
 
 
 def test_conductor_matches_pairwise_oracle():
@@ -109,7 +142,7 @@ def test_conductor_matches_pairwise_oracle():
         oracle = None
         for m in (1, 2):
             pm = 5 ** m
-            if all(chi.value_at_residue(r) == chi.value_at_residue(s)
+            if all(chi.value_on_ideal_of(r) == chi.value_on_ideal_of(s)
                    for r in units for s in units if (r - s) % pm == 0):
                 oracle = m
                 break
@@ -120,13 +153,15 @@ def test_class_enumeration_covers_group():
     Q, ctx = q_ctx()
     rcg = rcg_build(ctx, 2)
     units = [r for r in range(1, 25) if r % 5]
-    classes = {rcg.class_of_residue(r) for r in units}
+    classes = {rcg.class_of(r) for r in units}
     assert classes == set(range(rcg.order))
     with pytest.raises(ValueError):
-        rcg.class_of_residue(10)
+        rcg.class_of(10)
+    with pytest.raises(ValueError):
+        rcg.class_of(Q.element_from_int(10))
     for c in range(rcg.order):
         assert rcg.min_residue_of_class(c) == min(
-            r for r in units if rcg.class_of_residue(r) == c)
+            r for r in units if rcg.class_of(r) == c)
 
 
 def test_residue_characters_on_quadratic_field():
@@ -144,7 +179,7 @@ def test_residue_characters_on_quadratic_field():
             for r in range(1, 49):
                 if r % 7 == 0:
                     continue
-                assert c.local_value(r) == c.local_value(r % 7)
+                assert c.value_on_ideal_of(r) == c.value_on_ideal_of(r % 7)
 
 
 def test_residue_character_group_law():
@@ -152,9 +187,10 @@ def test_residue_character_group_law():
     ctx = PrimeContext(K, 7, K.element([3, 1]))
     chi = residue_characters(ctx, 2)[0]
     a, b = 5, 23
-    assert chi.local_value(a * b % 49) == chi.local_value(a) * chi.local_value(b)
-    assert chi.conjugate().local_value(a) == chi.local_value(a).conjugate()
-    assert chi.power(3).local_value(a) == chi.local_value(a) ** 3
+    value = chi.value_on_ideal_of
+    assert value(a * b % 49) == value(a) * value(b)
+    assert chi.conjugate().value_on_ideal_of(a) == value(a).conjugate()
+    assert chi.power(3).value_on_ideal_of(a) == value(a) ** 3
 
 
 def test_prime_context_rejections():
@@ -222,10 +258,15 @@ def _check_against_the_dual_group(nf, ctx, levels):
         x[units] = [sum(classes[r]) for r in units]
         # the integer class is the SNF coordinate, at every residue
         assert (rcg.classes(np.arange(mod)) == x).all()
-        assert all(rcg.class_of_residue(r) == x[r] for r in units)
+        assert all(rcg.class_of(r) == x[r] for r in units)
         phi = ctx.unit_group_order(n)
         logs = np.array(dlog)
         sample = units[::max(1, len(units) // 12)]
+        # r = x + (r - x) with x the generator, or r itself over Q
+        gen = nf.gen if nf.degree == 2 else nf.element_from_int(0)
+        root = ctx.residue(gen, n)
+        elements = {r: gen + nf.element_from_int(r - root) for r in sample}
+        assert all(ctx.residue(x, n) == r for r, x in elements.items())
         for k, vec in enumerate(g.characters()):
             chi = rcg.character_by_index(k)
             assert chi.k == k and chi.label.endswith(f".chi{k}")
@@ -244,14 +285,15 @@ def _check_against_the_dual_group(nf, ctx, levels):
             u = chi.unit_index
             assert 0 <= u < phi
             assert (u * logs[units] % phi * h == num[units] * phi).all()
-            # and the public evaluations on a spread of residues
+            # and the public evaluations on a spread of residues, at an
+            # integer and at a field element with that residue
             for r in sample:
                 want = RootOfUnity(Fraction(int(num[r]), h))
-                assert chi.value_at_residue(r) == want
                 assert chi.value_on_ideal_of(r) == want
+                assert chi.value_on_ideal_of(elements[r]) == want
                 assert chi.value_on_class(sum(classes[r])) == want
-                assert chi.local_value(r) == want.conjugate()
-            assert chi.value_at_residue(p) is None
+            assert chi.value_on_ideal_of(p) is None
+            assert chi.value_on_ideal_of(ctx.pi) is None
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -277,7 +319,7 @@ def test_exponent_arithmetic_matches_the_dual_group_over_sqrt2(p, levels, order,
 
 
 def test_residue_characters_match_the_dlog_rule():
-    # a "res" label's character K has local value e(K dlog(r) / phi): every
+    # a "res" label's character K has value e(-K dlog(r) / phi): every
     # residue character of Q(sqrt2) at p = 7, levels 1 and 2, at every residue
     K = nf_load("quadratic-sqrt2")
     ctx = PrimeContext(K, 7, K.element([3, 1]))
@@ -301,10 +343,8 @@ def test_residue_characters_match_the_dlog_rule():
             assert chi.unit_index == -chi.k % phi
             assert chi.conductor_exponent == _conductor_by_residue_classes(num, 7, level)
             for r in range(mod):
-                want = None if dlog[r] < 0 else RootOfUnity(Fraction(chi.k * dlog[r], phi))
-                assert chi.local_value(r) == want
-                # the value on classes is the conjugate, as for every character
-                assert chi.value_on_ideal_of(r) == (None if want is None else want.conjugate())
+                want = None if dlog[r] < 0 else RootOfUnity(Fraction(-chi.k * dlog[r], phi))
+                assert chi.value_on_ideal_of(r) == want
 
 
 def test_seed_character_is_the_scanned_seed():
@@ -365,7 +405,7 @@ def test_dlog_array_matches_the_generator_powers():
     rcg = rcg_build(ctx, 3)
     for chi in rcg.characters():
         for r in (2, 3, 7, 49, 124):
-            assert chi.value_at_residue(r) == chi.value_on_class(rcg.class_of_residue(r))
+            assert chi.value_on_ideal_of(r) == chi.value_on_class(rcg.class_of(r))
 
 
 def test_residue_table_cap_refuses_before_building():
