@@ -53,6 +53,7 @@ check.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -144,7 +145,8 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
     """Shifted Gauss sum G(chi, shift); complex, or CyclotomicNumber if exact.
 
     The trivial character gets G := 1 by convention.  `shift` may be an
-    integer or a field element; only its residue class mod p^c matters.
+    integer of any type `operator.index` takes (a float raises TypeError) or
+    a field element; only its residue class mod p^c matters.
     """
     if chi.conductor_exponent == 0:
         return CyclotomicNumber.from_rational(1) if exact else 1.0 + 0j
@@ -155,8 +157,9 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
         if level > EXACT_LEVEL_LIMIT:
             raise ValueError(
                 f"exact Gauss sum would need cyclotomic level {level}; use exact=False")
-        total = CyclotomicNumber.from_array(den, np.bincount(exps, minlength=den))
-        return total * CyclotomicNumber.from_root(pref)
+        # pref * e(x / den) = e((x level / den + f) / level), pref = e(f / level)
+        shifted = (exps * (level // den) + pref.phase.numerator * (level // pref.order)) % level
+        return CyclotomicNumber.from_array(level, np.bincount(shifted, minlength=level))
 
     total = 0j
     for term in unit_circle_array(den)[exps].tolist():
@@ -179,21 +182,17 @@ def _gauss_terms(chi: HeckeCharacter, shift) -> tuple[int, np.ndarray, RootOfUni
 def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
     """(add, pref) with G(chi, shift) = pref * sum_x conj(chi((x))) e(x * add)
     over the unit residues x mod the conductor, pref = chi((d)).  add depends on the
-    conductor exponent and the shift only, not on the character."""
+    conductor exponent and the shift only, not on the character: it is
+    efin_phase(shift * z), z = (d pi^c)^-1, which for an integer shift a (any
+    type `operator.index` takes) is a * efin_phase(z) mod 1."""
     ctx: PrimeContext = chi.prime_ctx
-    nf = ctx.nf
-    d_gen = nf.different_gen
+    z, phase = ctx.gauss_phase(chi.conductor_exponent)
     if isinstance(shift, FieldElement):
-        a_elt = shift
+        add = ctx.nf.efin_phase(shift * z)
     else:
-        a_elt = nf.element_from_int(int(shift))
-    # efin(a x / (d pi^c)) = e(x * add) for integers x: the trace is Q-linear
-    add = nf.efin_phase(a_elt * (d_gen * ctx.pi ** chi.conductor_exponent).inverse())
-
-    pref = chi.value_on_ideal_of(d_gen)
-    if pref is None:
-        raise ValueError("the different meets the prime; unsupported configuration")
-    return add, pref
+        num, den = operator.index(shift) * phase.numerator, phase.denominator
+        add = Fraction(num % den, den)
+    return add, chi.value_on_class(chi.group.different_class)
 
 
 def root_number(chi: HeckeCharacter) -> complex:

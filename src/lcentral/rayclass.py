@@ -69,6 +69,7 @@ class PrimeContext:
             raise ValueError(f"{p} ramifies in {nf.label}")
         self.max_level = max_residue_level(p)
         self._isos: dict[int, LocalIso] = {}
+        self._gauss_phases: dict[int, tuple[FieldElement, Fraction]] = {}
         self._dlogs: dict[int, np.ndarray] = {}
         self._groots: dict[int, int] = {}
 
@@ -88,6 +89,16 @@ class PrimeContext:
 
     def residue(self, x: FieldElement, level: int) -> int:
         return self.iso(level).residue(x)
+
+    def gauss_phase(self, c: int) -> tuple[FieldElement, Fraction]:
+        """(z, phi) for the Gauss sums of conductor p^c: z = (d pi^c)^-1,
+        d the different's generator, and phi = efin_phase(z).  The trace is
+        Q-linear, so efin(a x z) = e(a x phi) for all integers a and x."""
+        got = self._gauss_phases.get(c)
+        if got is None:
+            z = (self.nf.different_gen * self.pi ** c).inverse()
+            got = self._gauss_phases[c] = (z, self.nf.efin_phase(z))
+        return got
 
     def generator_residue(self, level: int) -> int:
         if level not in self._groots:
@@ -149,6 +160,8 @@ class RayClassGroup:
         self.generator_exponent = (1 if unit_quotient else -1) % h
         # |Delta|: the prime-to-p part of h
         self.delta_order = p_adic_split(h, self.p)[0]
+        # p does not ramify and N((d)) is the discriminant, so (d) is prime to p
+        self.different_class = self.class_of(nf.different_gen)
 
     def _key(self) -> tuple:
         return (self.ctx.pi, self.n, self.unit_quotient)
@@ -164,7 +177,11 @@ class RayClassGroup:
     def classes(self, residues) -> np.ndarray:
         """The class of each residue (taken mod p^n), -1 where the residue is
         not a unit: int64, an array for an array and a scalar for an int."""
-        dlog = self.dlog[residues % self.modulus]
+        return self._classify(self.dlog[residues % self.modulus])
+
+    def _classify(self, dlog):
+        """The class at a discrete log, -1 at -1 (off the units), for an
+        int64 array or a Python int alike."""
         # dlog >> 63 is -1 off the units (dlog = -1) and 0 on them
         return dlog * self.generator_exponent % self.order | dlog >> 63
 
@@ -175,7 +192,7 @@ class RayClassGroup:
         the quotient.  Raises ValueError when (x) is not prime to p.
         """
         r = self.ctx.residue(x, self.n) if isinstance(x, FieldElement) else operator.index(x)
-        c = int(self.classes(r))
+        c = self._classify(int(self.dlog[r % self.modulus]))
         if c < 0:
             raise ValueError(f"({x!r}) is not prime to {self.p}")
         return c
@@ -269,7 +286,8 @@ class HeckeCharacter:
     def dlog_phase(self) -> Fraction:
         """Phase of the value at the level's generator residue: the value on
         the class of a unit residue r is e(dlog_phase * dlog(r))."""
-        return Fraction(self.k * self.group.generator_exponent, self.group.order) % 1
+        h = self.group.order
+        return Fraction(self.k * self.group.generator_exponent % h, h)
 
     def exponents(self) -> np.ndarray:
         """j(r) at every residue r mod p^level, with chi((r)) = e(j(r) / order),
@@ -289,7 +307,8 @@ class HeckeCharacter:
     # -- evaluations ----------------------------------------------------------
 
     def value_on_class(self, c: int) -> RootOfUnity:
-        return RootOfUnity(Fraction(self.k * c, self.group.order))
+        h = self.group.order
+        return RootOfUnity(Fraction(self.k * c % h, h))
 
     def value_on_ideal_of(self, x) -> RootOfUnity | None:
         """Value at the class of the principal ideal (x), for a field element

@@ -15,6 +15,7 @@ conveniences on top of the exact data, not the other way around.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, pi, sqrt
@@ -32,7 +33,13 @@ class RootOfUnity:
     __slots__ = ("phase",)
 
     def __init__(self, phase: Fraction | int = 0):
-        self.phase = Fraction(phase) % 1
+        """From a rational phase (a Fraction or an integer), taken mod 1: a
+        Fraction already in [0, 1) is kept, anything else costs one Fraction."""
+        num, den = phase.numerator, phase.denominator
+        if not (isinstance(phase, Fraction) and 0 <= num < den):
+            num, den = operator.index(num), operator.index(den)
+            phase = Fraction(num % den, den)
+        self.phase = phase
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.phase + other.phase)
@@ -58,7 +65,7 @@ class RootOfUnity:
         return isinstance(other, RootOfUnity) and self.phase == other.phase
 
     def __hash__(self) -> int:
-        return hash(("RootOfUnity", self.phase))
+        return hash(("RootOfUnity", self.phase.numerator, self.phase.denominator))
 
     def __repr__(self) -> str:
         return f"e({self.phase})"
@@ -113,8 +120,9 @@ def _fits(bound: int | float, what: str) -> None:
 
 
 def _peak(num: np.ndarray) -> int:
-    """max |num| as a Python int (np.abs wraps at -2^63)."""
-    return max(int(num.max()), -int(num.min()))
+    """max |num| as a Python int: np.abs wraps -2^63 to itself, which reads
+    as 2^63 unsigned."""
+    return int(np.abs(num).view(np.uint64).max())
 
 
 def _norm(num: np.ndarray) -> float:
@@ -150,6 +158,13 @@ class CyclotomicNumber:
         self.level, self.num, self.den = level, num, den
 
     @classmethod
+    def _made(cls, level: int, num: np.ndarray, den: int) -> "CyclotomicNumber":
+        """num / den for an int64 vector this module made, bounded and owns."""
+        out = cls.__new__(cls)
+        out._set(level, num, den)
+        return out
+
+    @classmethod
     def from_array(cls, level: int, num, den: int = 1) -> "CyclotomicNumber":
         """sum_e num[e] zeta_level^e / den for an integer array of `level`
         entries, such as a histogram of exponents."""
@@ -157,9 +172,7 @@ class CyclotomicNumber:
         if num.shape != (level,) or den < 1:
             raise ValueError(f"need {level} coefficients and a positive denominator")
         _fits(_peak(num), "a coefficient")
-        out = cls.__new__(cls)
-        out._set(level, num, int(den))
-        return out
+        return cls._made(level, num, int(den))
 
     @classmethod
     def zero(cls, level: int = 1) -> "CyclotomicNumber":
@@ -172,8 +185,15 @@ class CyclotomicNumber:
     @classmethod
     def from_root(cls, root: RootOfUnity, coeff: Fraction | int = 1,
                   level: int | None = None) -> "CyclotomicNumber":
-        n = root.order if level is None else lcm(level, root.order)
-        return cls(n, {int(root.phase * n): coeff})
+        """coeff * root at level lcm(level, order of root), the root's order
+        when no level is given: one coefficient written into a zero vector."""
+        order = root.order
+        n = order if level is None else lcm(level, order)
+        c, den = operator.index(coeff.numerator), operator.index(coeff.denominator)
+        _fits(abs(c), "a coefficient")
+        num = np.zeros(n, dtype=np.int64)
+        num[root.phase.numerator * (n // order)] = c
+        return cls._made(n, num, den)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -194,7 +214,7 @@ class CyclotomicNumber:
         ka, kb = den // self.den, den // other.den
         a, b = self._lifted(n), other._lifted(n)
         _fits(_peak(a) * ka + _peak(b) * kb, "a sum")
-        return CyclotomicNumber.from_array(n, a * ka + b * kb, den)
+        return CyclotomicNumber._made(n, a * ka + b * kb, den)
 
     def __neg__(self) -> "CyclotomicNumber":
         return CyclotomicNumber.from_array(self.level, -self.num, self.den)
@@ -212,14 +232,19 @@ class CyclotomicNumber:
         b = a if other is self else other._lifted(n)
         den = self.den * other.den
         for x, y in ((a, b), (b, a)):
-            if np.count_nonzero(y) <= 1:
-                e = int(np.argmax(y != 0))
-                _fits(_peak(x) * abs(int(y[e])), "a product")
-                return CyclotomicNumber.from_array(n, np.roll(x, e) * y[e], den)
+            (terms,) = y.nonzero()
+            if len(terms) <= 1:
+                e = int(terms[0]) if len(terms) else 0
+                c = int(y[e])
+                _fits(_peak(x) * abs(c), "a product")
+                out = np.empty(n, dtype=np.int64)
+                np.multiply(x[n - e:], c, out=out[:e])
+                np.multiply(x[:n - e], c, out=out[e:])
+                return CyclotomicNumber._made(n, out, den)
         bound = _norm(a) * _norm(b)
         _fits(bound, "a product")
         full = np.append(convolve_exact(a, b, int(bound)), 0).reshape(2, n)
-        return CyclotomicNumber.from_array(n, full[0] + full[1], den)
+        return CyclotomicNumber._made(n, full[0] + full[1], den)
 
     def galois(self, t: int) -> "CyclotomicNumber":
         n = self.level
@@ -227,12 +252,12 @@ class CyclotomicNumber:
             raise ValueError("galois twist needs t coprime to the level")
         out = np.empty(n, dtype=np.int64)
         out[np.arange(n) * (t % n) % n] = self.num
-        return CyclotomicNumber.from_array(n, out, self.den)
+        return CyclotomicNumber._made(n, out, self.den)
 
     def reduced(self) -> "CyclotomicNumber":
         """The same number on the tensor basis of Q(zeta_N) (see `_rewrite`);
         zero reduces to the zero vector."""
-        return CyclotomicNumber.from_array(self.level, _rewrite(self.level, self.num), self.den)
+        return CyclotomicNumber._made(self.level, _rewrite(self.level, self.num), self.den)
 
     def reduced_dense(self) -> "CyclotomicNumber":
         """Reference reduction by polynomial division against Phi_N, in
@@ -255,9 +280,14 @@ class CyclotomicNumber:
         return Fraction(int(red.num[0]), red.den)
 
     def __eq__(self, other: object) -> bool:
+        """Exact equality; at one level and denominator, whether the
+        difference of the numerators vanishes."""
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.level != other.level or self.den != other.den:
+            return (self - other).is_zero()
+        _fits(_peak(self.num) + _peak(other.num), "a sum")
+        return vanishes(self.level, self.num - other.num)
 
     def __hash__(self):
         raise TypeError("CyclotomicNumber is unhashable; compare with ==")
@@ -279,24 +309,27 @@ def _rewrite(level: int, num: np.ndarray) -> np.ndarray:
 
     Q(zeta_N) = (x) Q(zeta_q) over the prime powers q = p^m || N, with basis
     prod zeta_q^{j_q}, 0 <= j_q < phi(q).  Exponents move to CRT coordinates
-    j_q = e * ((N/q)^-1 mod q) mod q, and along each prime-power axis the
-    slab j = phi(q) + r is subtracted from the slabs j = l p^(m-1) + r,
-    l < p - 1 (zeta_q^{phi(q)+r} = -sum_l zeta_q^{l p^(m-1) + r}), and
-    cleared.  A coefficient at most doubles per axis, which bounds the result.
+    j_q = e * ((N/q)^-1 mod q) mod q (at a prime power, the exponent itself).
+    Each prime-power axis, split as j = l p^(m-1) + r with l < p, has its slab
+    l = p - 1 subtracted from the slabs l < p - 1 (zeta_q^{phi(q)+r} =
+    -sum_l zeta_q^{l p^(m-1) + r}) and cleared.  A coefficient at most doubles
+    per axis, which bounds the result.
     """
     factors = _tensor_basis_data(level)
     _fits(_peak(num) << len(factors), "a reduction")
     if not factors:
         return num.copy()
-    e = np.arange(level)
-    coords = tuple(e * u % q for q, _p, _phi, _step, u in factors)
-    tensor = np.empty(tuple(q for q, *_ in factors), dtype=np.int64)
+    coords = ((slice(None),) if len(factors) == 1 else
+              tuple(np.arange(level) * u % q for q, _p, _step, u in factors))
+    shape = tuple(q for q, *_ in factors)
+    tensor = np.empty(shape, dtype=np.int64)
     tensor[coords] = num
-    for axis, (_q, p, phi_q, step, _u) in enumerate(factors):
-        along = np.moveaxis(tensor, axis, 0)         # a view: writes go through
-        for l in range(p - 1):
-            along[l * step:(l + 1) * step] -= along[phi_q:]
-        along[phi_q:] = 0
+    for axis, (_q, p, step, _u) in enumerate(factors):
+        # splitting one axis of a C-contiguous array is a view: writes go through
+        slabs = tensor.reshape(shape[:axis] + (p, step) + shape[axis + 1:])
+        head = (slice(None),) * axis
+        slabs[head + (slice(p - 1),)] -= slabs[head + (slice(p - 1, p),)]
+        slabs[head + (p - 1,)] = 0
     return tensor[coords]
 
 
@@ -307,10 +340,10 @@ def vanishes(level: int, coeffs: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _tensor_basis_data(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Per prime power q = p^m dividing n: (q, p, phi(q), p^{m-1}, (n/q)^-1 mod q)."""
+def _tensor_basis_data(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per prime power q = p^m exactly dividing n: (q, p, p^{m-1}, (n/q)^-1 mod q)."""
     data = []
     for p, m in factorize(n).items():
-        q, step = p ** m, p ** (m - 1)
-        data.append((q, p, (p - 1) * step, step, pow(n // q, -1, q)))
+        q = p ** m
+        data.append((q, p, q // p, pow(n // q, -1, q)))
     return tuple(data)

@@ -121,6 +121,60 @@ def test_shift_identity_exact_quadratic_field():
         assert gauss_sum(chi, shift=a, exact=True) == base * CyclotomicNumber.from_root(val)
 
 
+def _same_exact(x, y):
+    """Equal as numbers and in every stored field."""
+    return (x == y and x.level == y.level and x.den == y.den
+            and np.array_equal(x.num, y.num))
+
+
+def _shift_route_cases():
+    Q = nf_load("rationals")
+    for p in (3, 5, 7):
+        ctx = PrimeContext(Q, p, Q.element_from_int(p))
+        for n in (1, 2, 3):
+            for chi in RayClassGroup(ctx, n).characters():
+                if chi.is_primitive():
+                    yield Q, chi
+    K, kctx = sqrt2_setup()
+    for n in (1, 2):
+        for chi in residue_characters(kctx, n):
+            yield K, chi
+
+
+def test_integer_and_field_element_shifts_give_the_same_gauss_sum():
+    # an integer shift a takes the phase a * efin_phase(z) mod 1 held on the
+    # prime context, a field-element shift efin_phase(a * z); both are
+    # efin(a x z) at every term, so the sums agree exactly, at shifts prime
+    # to p, negative ones and ones = 0 mod p
+    checked = 0
+    for nf, chi in _shift_route_cases():
+        p, q = chi.p, chi.conductor_norm
+        for a in (1, 2, -1, -q - 2, p, -p, 2 * p * q, 0, 10 ** 12 + 1):
+            elt = nf.element_from_int(a)
+            assert _same_exact(gauss_sum(chi, shift=a, exact=True),
+                               gauss_sum(chi, shift=elt, exact=True)), (chi.label, a)
+            assert gauss_sum(chi, shift=a) == gauss_sum(chi, shift=elt)
+            checked += 1
+    # 203 primitive rational characters, 5 + 36 primitive residue characters
+    assert checked == 9 * (203 + 5 + 36)
+
+
+def test_gauss_sum_shift_is_an_integer_or_a_field_element():
+    # an integer of any type is that integer; anything else raises instead
+    # of being truncated (2.7 once gave G(chi, 2))
+    Q, ctx, rcg = q_setup()
+    chi = rcg.character_by_index(2)
+    want = gauss_sum(chi, shift=2, exact=True)
+    for two in (np.int64(2), np.int32(2), Q.element_from_int(2)):
+        assert _same_exact(gauss_sum(chi, shift=two, exact=True), want)
+        assert gauss_sum(chi, shift=two) == gauss_sum(chi, shift=2)
+    for bad in (2.7, 2.0, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            gauss_sum(chi, shift=bad)
+        with pytest.raises(TypeError):
+            gauss_sum(chi, shift=bad, exact=True)
+
+
 def test_conjugation_law():
     # conj(G(chi)) = chi(-1) G(conj chi)
     Q, ctx, rcg = q_setup()

@@ -1,5 +1,6 @@
 import cmath
 import math
+from math import lcm
 from fractions import Fraction
 
 import numpy as np
@@ -274,3 +275,112 @@ def test_results_past_int64_raise_instead_of_wrapping():
     # up to the bound the product is exact: 2^31 squared is 2^62
     half = CyclotomicNumber(7, {0: 2 ** 31, 4: 1})
     assert (half * half).coeffs == {0: 2 ** 62, 4: 2 ** 32, 1: 1}
+
+
+# ---------------------------------------------------------------------------
+# the integer-cost paths: phases, single roots, one-term products, equality
+
+@pytest.mark.parametrize("x", [Fraction(-7, 4), Fraction(5, 4), Fraction(3, 4), Fraction(0),
+                               Fraction(-1, 3), Fraction(7, 1), 0, 3, -1, -12,
+                               np.int64(-5), np.int32(4)])
+def test_root_phase_is_the_fraction_mod_one(x):
+    phase = RootOfUnity(x).phase
+    assert phase == Fraction(int(x) if isinstance(x, np.integer) else x) % 1
+    assert type(phase) is Fraction and 0 <= phase < 1
+    assert type(phase.numerator) is int and type(phase.denominator) is int
+    assert RootOfUnity(x) == RootOfUnity(phase)
+    assert hash(RootOfUnity(x)) == hash(RootOfUnity(phase))
+
+
+def test_root_keeps_a_reduced_phase_and_refuses_floats():
+    q = Fraction(3, 4)
+    assert RootOfUnity(q).phase is q
+    with pytest.raises(AttributeError):     # a float has no exact phase
+        RootOfUnity(0.25)
+
+
+def _same_number(x, y):
+    return (x.level == y.level and x.den == y.den and np.array_equal(x.num, y.num))
+
+
+def test_from_root_equals_the_dict_constructor():
+    for phase in (Fraction(0), Fraction(1, 5), Fraction(4, 25), Fraction(5, 12), Fraction(-2, 7)):
+        root = RootOfUnity(phase)
+        for coeff in (1, -1, 3, 0, Fraction(2, 3), Fraction(-5, 4), Fraction(6, 3), np.int64(-2)):
+            for level in (None, 1, 12, 50, 210):
+                n = root.order if level is None else lcm(level, root.order)
+                want = CyclotomicNumber(n, {int(root.phase * n): Fraction(int(coeff))
+                                            if isinstance(coeff, np.integer) else coeff})
+                got = CyclotomicNumber.from_root(root, coeff=coeff, level=level)
+                assert _same_number(got, want), (phase, coeff, level)
+
+
+def test_from_root_refuses_past_int64():
+    for c in (2 ** 63, -(2 ** 63), Fraction(2 ** 64, 3)):
+        with pytest.raises(ArithmeticError, match="coefficient could pass int64"):
+            CyclotomicNumber.from_root(RootOfUnity(Fraction(1, 5)), coeff=c)
+
+
+def test_one_term_products_match_the_dense_oracle():
+    import random
+
+    rng = random.Random(31)
+    for level in (1, 2, 12, 25, 49, 210, 1029):
+        for _ in range(12):
+            xd = {rng.randrange(level): Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                  for _ in range(rng.randrange(0, 7))}
+            e = rng.randrange(level)
+            c = rng.choice((1, -1, 0, 2, -3, Fraction(1, 2), Fraction(-7, 3)))
+            x, mono = CyclotomicNumber(level, xd), CyclotomicNumber(level, {e: c})
+            want = CyclotomicNumber(level, _dict_product(xd, {e: c}, level)).reduced_dense()
+            for got in (x * mono, mono * x):
+                assert got.reduced_dense().coeffs == want.coeffs
+                assert _same_number(got, CyclotomicNumber(level, _dict_product(xd, {e: c}, level)))
+        # a root of unity at a smaller level is lifted before it rotates
+        root = RootOfUnity(Fraction(rng.randrange(level), level))
+        x = CyclotomicNumber(level, {1: 3, 0: Fraction(-1, 2)})
+        lifted = CyclotomicNumber.from_root(root, level=level)
+        assert _same_number(x * CyclotomicNumber.from_root(root), x * lifted)
+
+
+def test_same_level_equality_agrees_with_the_difference():
+    import random
+
+    rng = random.Random(32)
+    for level in (1, 5, 12, 25, 45, 210, 1029):
+        phi = CyclotomicNumber(level, dict(enumerate(cyclotomic_polynomial(level))))
+        for k in range(16):
+            xd = {rng.randrange(level): rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6))}
+            x = CyclotomicNumber(level, xd)
+            if k % 4 == 0:      # the same number on another representative
+                y = x + phi * CyclotomicNumber(level, {rng.randrange(level): rng.randrange(1, 4)})
+            elif k % 4 == 1:    # one coefficient moved off it
+                y = x + CyclotomicNumber(level, {rng.randrange(level): rng.choice((-1, 2))})
+            elif k % 4 == 2:    # another denominator: the general route
+                y = CyclotomicNumber(level, {e: Fraction(c, 2) for e, c in xd.items()})
+            else:
+                y = CyclotomicNumber(level, {rng.randrange(level): rng.randrange(-4, 5)
+                                             for _ in range(3)})
+            assert (x == y) == (x - y).is_zero() == (y == x)
+            assert (x == y) == (not (x - y).reduced_dense().coeffs)
+            if k % 4 == 0:
+                assert x == y
+    # known zero sums against zero at their level
+    for p in (3, 5, 7):
+        full = CyclotomicNumber(p, {e: 1 for e in range(p)})
+        assert full == CyclotomicNumber.zero(p)
+    primitive25 = CyclotomicNumber(25, {e: 1 for e in range(25) if e % 5})
+    assert primitive25 == CyclotomicNumber.zero(25)
+    assert CyclotomicNumber(25, {e: 1 for e in range(1, 25)}) == CyclotomicNumber.from_rational(-1, 25)
+
+
+def test_same_level_equality_refuses_past_int64():
+    a = CyclotomicNumber(7, {0: 2 ** 62, 3: 1})
+    b = CyclotomicNumber(7, {0: -(2 ** 62), 3: 1})
+    with pytest.raises(ArithmeticError, match="sum could pass int64"):
+        a == b
+    # the difference fits, its reduction might not
+    c = CyclotomicNumber(7, {0: 2 ** 61 + 2 ** 60, 3: 1})
+    d = CyclotomicNumber(7, {0: -(2 ** 60), 3: 1})
+    with pytest.raises(ArithmeticError, match="reduction could pass int64"):
+        c == d
