@@ -158,8 +158,14 @@ def _decay_constants(kern: VKernel) -> dict[int, float]:
 
 @_memo
 def _mod_index(count: int, mod: int) -> np.ndarray:
-    """n mod `mod` for n = 1..count."""
-    got = np.arange(1, count + 1, dtype=np.int64) % mod
+    """n mod `mod` for n = 1..count: the period 1, 2, ..., mod - 1, 0 laid
+    down once per whole period and cut short at the end (the int64 `%` is
+    numpy's slow division path)."""
+    period = np.roll(np.arange(mod, dtype=np.int64), -1)
+    got = np.empty(count, dtype=np.int64)
+    whole = count - count % mod
+    got[:whole].reshape(-1, mod)[...] = period
+    got[whole:] = period[:count - whole]
     got.setflags(write=False)
     return got
 
@@ -200,16 +206,21 @@ def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
     point s, with the reflected sign when asked; the character-independent
     part of a half-sum.  One array serves every member of a Galois orbit,
     which is what makes orbit scans cheap.
+
+    Built in the buffer of n: V(n/scale) first, then n^(-s) in place,
+    times a(n), times V, so each term is the product (a(n) n^(-s)) V; the
+    sign eta = +-1 is exact wherever it is applied.
     """
     def build():
-        s = kern.s.real
-        coeffs = form.coefficient_array(count)[1:]
-        if reflected:
-            coeffs = form.eta * coeffs
         ns = np.arange(1, count + 1, dtype=np.float64)
-        arr = coeffs * ns ** (-s) * kern.value(ns / scale)
-        arr.setflags(write=False)
-        return arr
+        v = kern.value(ns / scale)
+        ns **= -kern.s.real
+        ns *= form.coefficient_array(count)[1:]
+        ns *= v
+        if reflected:
+            ns *= form.eta
+        ns.setflags(write=False)
+        return ns
     return _on_form(form, ("prefab", kern, float(scale), count, reflected), build)
 
 
@@ -602,7 +613,9 @@ def direct_series(form: NewformData, chi: HeckeCharacter | None = None,
     if m > form.limit:
         raise ValueError(f"only {form.limit} coefficients loaded")
 
-    ns = np.arange(1, m + 1, dtype=np.float64)
-    value = _dot(form.coefficient_array(m)[1:] * ns ** (-s), _table(chi))
+    terms = np.arange(1, m + 1, dtype=np.float64)
+    terms **= -s
+    terms *= form.coefficient_array(m)[1:]
+    value = _dot(terms, _table(chi))
     alpha = s - (k - 1) / 2.0 - float(form.theta)
     return value, float(2.0 * _divisor_sum_tail(m, alpha))

@@ -147,22 +147,29 @@ def _upper_gamma_regularized(a: float, x: np.ndarray) -> np.ndarray:
     Q(a, x) = Q(f, x) + e^-x x^f sum_(j<n) x^j / Gamma(f + j + 1), every term
     positive.  Q(1, x) = e^-x and Q(1/2, x) = erfc(sqrt x) cover every a
     with 2a an integer -- every central point and every half-integer s;
-    any other f is _upper_gamma_base.
+    any other f is _upper_gamma_base.  The sum runs in the buffers of e^-x
+    and of its first term; x is only read.
     """
     n = math.ceil(a) - 1
     f = a - n
-    ex = np.exp(-x)
+    ex = np.negative(x)
+    np.exp(ex, out=ex)
     if f == 1.0:
         total, term = ex, ex * x
     elif f == 0.5:
         root = np.sqrt(x)
-        total, term = _erfc(root), ex * root / math.gamma(1.5)
+        total, term = _erfc(root), ex
+        term *= root
+        term /= math.gamma(1.5)
     else:
-        term = np.power(x, f) * ex / math.gamma(1.0 + f)
+        term = np.power(x, f)
+        term *= ex
+        term /= math.gamma(1.0 + f)
         total = _upper_gamma_base(f, x, term)
     for j in range(n):
-        total = total + term
-        term = term * x / (f + j + 1)
+        total += term
+        term *= x
+        term /= f + j + 1
     return total
 
 
@@ -289,16 +296,22 @@ class VKernel:
         xs = np.atleast_1d(xs)
         if np.any(xs < 0):
             raise ValueError("V is defined for x >= 0")
+        # the argument and V are each one buffer owned here; xs is only read
         if self.gamma.r1 == 1:
             a = sp - self.gamma.shifts[0]
-            out = (self.gamma.value(sp).real
-                   * _upper_gamma_regularized(a, TWO_PI * xs / self.gamma.disc))
+            arg = TWO_PI * xs
+            arg /= self.gamma.disc
+            out = _upper_gamma_regularized(a, arg)
+            out *= self.gamma.value(sp).real
         else:
             a1 = sp - self.gamma.shifts[0]
             a2 = sp - self.gamma.shifts[1]
             pref = (self.gamma.const * self.gamma.disc ** sp
                     * TWO_PI ** (-(a1 + a2)))
-            out = pref * _bessel_tail(a1, a2, TWO_PI ** 2 * xs / self.gamma.disc)
+            arg = TWO_PI ** 2 * xs
+            arg /= self.gamma.disc
+            out = _bessel_tail(a1, a2, arg)
+            out *= pref
         return float(out[0]) if scalar else out
 
     # -- contour route --------------------------------------------------------
@@ -398,9 +411,10 @@ def _bessel_tail(a1: float, a2: float, v: np.ndarray) -> np.ndarray:
     stretch = np.cosh(t)[:, None]
     step = max(1, _TRAPEZOID_BLOCK // t.shape[0])
     for start in range(0, flat.shape[0], step):
-        block = weights[:, None] * _upper_gamma_regularized(
-            b, stretch * flat[start:start + step])
+        block = _upper_gamma_regularized(b, stretch * flat[start:start + step])
+        block *= weights[:, None]
         acc = total[start:start + step]
         for row in block:
             acc += row
-    return math.gamma(b) * total.reshape(w.shape)
+    total *= math.gamma(b)
+    return total.reshape(w.shape)

@@ -371,12 +371,12 @@ def _residue_mod(digits: list[np.ndarray], moduli: list[int],
     weight = 1
     for d, p in zip(digits, moduli):
         acc += np.multiply(d, weight % m, out=scratch, dtype=np.int64)
-        acc %= m
+        reduce_mod(acc, m, scratch, acc)
         weight *= p
-    np.remainder(multiple, m, out=scratch)
+    reduce_mod(multiple, m, scratch, scratch)
     scratch *= weight % m
     acc += scratch
-    acc %= m
+    reduce_mod(acc, m, scratch, acc)
     return acc
 
 

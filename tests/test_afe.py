@@ -509,3 +509,31 @@ def test_reach_fits_under_the_coefficient_cap(p, n, a):
     probe = builtin_newform("delta", limit=16)
     cfg = choose_cutoffs(probe, p ** (n + 1), y=float(p) ** (a * n))
     assert max(cfg.cutoff_main, cfg.cutoff_dual) <= tau.TAU_LIMIT_CAP
+
+
+# -- prefab arrays and residue indices built in place ---------------------------
+
+@pytest.mark.parametrize("s", [5.5, 6.0, 6.5])
+@pytest.mark.parametrize("eta", [-1, 1])
+def test_prefab_in_place_keeps_the_expression(delta, s, eta):
+    # the array is built in the buffer of n; each side must equal the
+    # expression a(n) n^(-s) V(n/scale), with eta a(n) on the reflected side
+    form = dataclasses.replace(delta, eta=eta)
+    kern = afe.vkernel_for(Q, (0,), s)
+    count, scale = 30000, 37.5
+    ns = np.arange(1, count + 1, dtype=np.float64)
+    coeffs = form.coefficient_array(count)[1:]
+    for reflected, sign in ((False, 1), (True, eta)):
+        got = afe._prefab(form, kern, scale, count, reflected)
+        want = (sign * coeffs) * ns ** (-s) * kern.value(ns / scale)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("count, mod", [(7, 25), (24, 25), (25, 25), (26, 25),
+                                        (1, 1), (10, 1), (1000, 125), (152588, 625)])
+def test_mod_index_is_n_mod_the_modulus(count, mod):
+    got = afe._mod_index(count, mod)
+    assert got.dtype == np.int64 and got.shape == (count,)
+    assert np.array_equal(got, np.arange(1, count + 1) % mod)
+    assert not got.flags.writeable

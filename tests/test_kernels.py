@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc, loggamma
 
+from lcentral import kernels
 from lcentral.afe import EVAL_REL_ERR
 from lcentral.fields import nf_load
 from lcentral.kernels import (_TRAPEZOID_REACH, _TRAPEZOID_STEP, TWO_PI, GammaFactor,
@@ -289,3 +290,87 @@ def test_gamma_factor_past_the_range_of_math_gamma():
     # Gamma(200) overflows a double; the factor itself does not
     want = math.exp(float(loggamma(200.0)) - 200.0 * math.log(2 * math.pi))
     assert GQ.value(200.0).real == pytest.approx(want, rel=1e-12)
+
+
+# -- in-place evaluation -------------------------------------------------------
+# The kernels write each value into a buffer they own.  The oracles below are
+# the expressions they replaced, one new array per operation: the results
+# must be the same bits, and the argument must come back untouched.
+
+def _old_upper_gamma(a, x):
+    n = math.ceil(a) - 1
+    f = a - n
+    ex = np.exp(-x)
+    if f == 1.0:
+        total, term = ex, ex * x
+    elif f == 0.5:
+        root = np.sqrt(x)
+        total, term = kernels._erfc(root), ex * root / math.gamma(1.5)
+    else:
+        term = np.power(x, f) * ex / math.gamma(1.0 + f)
+        total = kernels._upper_gamma_base(f, x, term)
+    for j in range(n):
+        total = total + term
+        term = term * x / (f + j + 1)
+    return total
+
+
+def _old_bessel_tail(a1, a2, v):
+    b, nu = a1 + a2, a1 - a2
+    reach = (_TRAPEZOID_REACH + b * math.log(2.0)) / (b - abs(nu))
+    t = _TRAPEZOID_STEP * np.arange(math.ceil(reach / _TRAPEZOID_STEP) + 1)
+    weights = 2.0 * _TRAPEZOID_STEP * np.exp(np.logaddexp(nu * t, -nu * t)
+                                            - b * np.logaddexp(t, -t))
+    weights[0] /= 2.0
+    w = 2.0 * np.sqrt(v)
+    flat = w.reshape(-1)
+    total = np.zeros_like(flat)
+    stretch = np.cosh(t)[:, None]
+    step = max(1, kernels._TRAPEZOID_BLOCK // t.shape[0])
+    for start in range(0, flat.shape[0], step):
+        block = weights[:, None] * _old_upper_gamma(b, stretch * flat[start:start + step])
+        acc = total[start:start + step]
+        for row in block:
+            acc += row
+    return math.gamma(b) * total.reshape(w.shape)
+
+
+def _old_value_tail(kern, xs):
+    sp, g = kern.s.real, kern.gamma
+    if g.r1 == 1:
+        return g.value(sp).real * _old_upper_gamma(sp - g.shifts[0], TWO_PI * xs / g.disc)
+    a1, a2 = sp - g.shifts[0], sp - g.shifts[1]
+    pref = g.const * g.disc ** sp * TWO_PI ** (-(a1 + a2))
+    return pref * _old_bessel_tail(a1, a2, TWO_PI ** 2 * xs / g.disc)
+
+
+# the grid of the allowance tests, with 0 and a point past the cutoff
+_IN_PLACE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 2e3, 4001)])
+
+
+@pytest.mark.parametrize("a", [1.0, 6.0, 0.5, 5.5, 0.3, 6.3])
+def test_incomplete_gamma_in_place_keeps_the_old_bits_and_its_input(a):
+    # f = 1, 1/2 and 0.3, with and without terms of the finite sum
+    xs = _IN_PLACE_GRID.copy()
+    got = _upper_gamma_regularized(a, xs)
+    assert np.array_equal(xs, _IN_PLACE_GRID)
+    assert np.array_equal(got, _old_upper_gamma(a, _IN_PLACE_GRID))
+
+
+@pytest.mark.parametrize("a1, a2", [(6.0, 6.0), (5.5, 5.5), (6.3, 6.3), (6.0, 5.0)])
+def test_degree_two_tail_in_place_keeps_the_old_bits_and_its_input(a1, a2):
+    vs = _IN_PLACE_GRID[::4].copy()
+    got = _bessel_tail(a1, a2, vs)
+    assert np.array_equal(vs, _IN_PLACE_GRID[::4])
+    assert np.array_equal(got, _old_bessel_tail(a1, a2, _IN_PLACE_GRID[::4]))
+
+
+@pytest.mark.parametrize("gamma, grid", [(GQ, _IN_PLACE_GRID), (GK, _IN_PLACE_GRID[::8])])
+@pytest.mark.parametrize("s", [5.5, 6.0, 6.3, 6.5])
+def test_value_tail_in_place_keeps_the_old_bits_and_its_input(gamma, grid, s):
+    kern = VKernel(gamma, s)
+    xs = grid.copy()
+    got = kern.value_tail(xs)
+    assert np.array_equal(xs, grid)
+    assert np.array_equal(got, _old_value_tail(kern, grid))
+    assert kern.value_tail(float(grid[7])) == float(_old_value_tail(kern, grid[7:8])[0])

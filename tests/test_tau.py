@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcentral import afe
 from lcentral import tau as tau_module
-from lcentral.newforms import _verify_full_table
+from lcentral.fields import nf_load
+from lcentral.newforms import _verify_full_table, builtin_newform
 from lcentral.ntt import (NTT_PRIMES, _square_plan, garner, garner_digits,
                           mixed_radix_float, mixed_radix_value, transform_size)
 from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
@@ -335,6 +337,27 @@ def test_float_table_stays_in_its_memory_budget():
         tracemalloc.stop()
     assert peak <= 51 * limit
     assert kept - table.nbytes < 4096
+
+
+def test_prefab_stays_in_its_memory_budget():
+    # a prefab array is built in the buffer of n: at the peak n, n/scale,
+    # the argument of Q and the two buffers of Q's finite sum are alive, 40
+    # bytes per term plus the few objects around them (64 when every step
+    # of the expression made a new array), and nothing is kept but the
+    # 8-byte result.  One array is built first, so the kernel, its gamma
+    # value and numpy's cache of small buffers are warm
+    limit = 152588
+    form = builtin_newform("delta", limit=limit)
+    kern = afe.vkernel_for(nf_load("rationals"), (0,), 6.0)
+    afe._prefab(form, kern, 100.0, limit, False)
+    tracemalloc.start()
+    try:
+        arr = afe._prefab(form, kern, 200.0, limit, True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * limit + 4096
+    assert kept - arr.nbytes < 4096
 
 
 def test_prime_product_covers_the_cap():
