@@ -6,17 +6,15 @@ L-values themselves, plus the lattice-point counting used to control the
 averaged sums.
 """
 
-from .fields import FieldElement, LocalIso, NumberFieldData, nf_load, split_local_iso
+from .fields import FieldElement, NumberFieldData, nf_load
 from .roots import CyclotomicNumber, RootOfUnity
 
 __all__ = [
     "CyclotomicNumber",
     "FieldElement",
-    "LocalIso",
     "NumberFieldData",
     "RootOfUnity",
     "nf_load",
-    "split_local_iso",
 ]
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .charsums import (CoefficientFieldContext, averaged_char_table,
-                       averaged_iota_values, character_sums,
+                       averaged_iota_table, character_sums,
                        orbit_float_root_numbers, orbit_index, root_number,
                        scatter, substitutions)
 from .fields import NumberFieldData, nf_load
@@ -561,7 +561,7 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
 
     Per orbit and exact: the root numbers come from one exact Gauss sum by
     the Galois action, and the means for every value chi(r) are one DFT
-    (charsums.averaged_char_table / averaged_iota_values).
+    (charsums.averaged_char_table / averaged_iota_table).
     """
     if chi.is_trivial():
         res = afe_lvalue(form, None, y=y, tol=tol)
@@ -575,7 +575,7 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     # averaged twist per unit residue, and the averaged reflected weights
     # (root number times conjugate values)
     s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),
-                              averaged_iota_values(chi, ctx))
+                              averaged_iota_table(chi, ctx))
     value = (s1 + eng.c * s2) / eng.gamma_s
     info = {
         "orbit_size": len(substitutions(chi, ctx)),

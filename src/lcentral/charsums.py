@@ -43,7 +43,7 @@ per-character oracles.  Route two is per orbit and exact:
 (`_unit_square`: h h - q eps is zero) and gets every W(chi^t) through the
 Galois action, G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)), as int64 phases
 over one level read off the seed's exponent table.  The tables
-`averaged_char_table` and `averaged_iota_values` are one orbit-mean DFT of
+`averaged_char_table` and `averaged_iota_table` are one orbit-mean DFT of
 the members binned by t mod ord (weights 1, and the W phases), spread over
 the residues by `scatter`, as afe's character tables are.  Route two never
 calls route one's float Gauss sums, so the gap between the routes stays a
@@ -388,32 +388,6 @@ def _value_mean(value: RootOfUnity, ctx: CoefficientFieldContext,
     return AverageResult(cyclotomic=mean, orbit_size=len(subs), coeff=coeff, root=root)
 
 
-def average_support(chi: HeckeCharacter, ctx: CoefficientFieldContext, a,
-                    variant: str = "corrected") -> bool:
-    """Support predicate for the averaged character, by value order.
-
-    variant "paper": nonzero iff the order of chi(a) divides p^n0;
-    variant "corrected": nonzero iff it divides p^(n0+1).
-    """
-    val = chi.value_on_ideal_of(a)
-    if val is None:
-        return False
-    _, j = val.order_p_part(ctx.p)
-    if variant == "paper":
-        return j <= ctx.n0
-    if variant == "corrected":
-        return j <= ctx.n0 + 1
-    raise ValueError(f"unknown support variant {variant!r}")
-
-
-def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> dict[int, complex]:
-    """The orbit mean of W(chi^t) conj(chi^t)(r) at every unit residue r mod
-    the conductor, keyed by r; shared work across the sweep."""
-    table = averaged_iota_values(chi, ctx)
-    p = chi.p
-    return {r: complex(table[r]) for r in range(1, chi.conductor_norm) if r % p}
-
-
 # ---------------------------------------------------------------------------
 # per-value tables (route two): chi^t(r) = e(t j / ord) when chi(r) = e(j / ord),
 # so every orbit mean depends on r only through j.  The means for all j are
@@ -439,7 +413,7 @@ def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np
     return scatter(chi, np.conj(_orbit_dft(chi, ctx)))
 
 
-def averaged_iota_values(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
     """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
     residue r mod p^level, 0 off the units, with the exact roots W from
     `orbit_root_numbers`, each rendered as RootOfUnity.to_complex renders it."""
@@ -469,13 +443,15 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     n = c - ctx.n0 - 1
     if n < 0:
         raise ValueError("conductor too small for the context depth")
-    table = averaged_iota_table(chi, ctx)
-    max_abs = max(abs(v) for v in table.values()) if table else 0.0
+    # the table is 0 off the units, and |z| is hypot(re, im) bit for bit
+    table = averaged_iota_table(chi, ctx)[:chi.conductor_norm]
+    moduli = np.hypot(table.real, table.imag)
+    max_abs = float(moduli.max())
     # smallest residue at the maximum: when several residues share the
     # maximal modulus (at n0 >= 1 every unit residue does), the residue
     # decides, not the rounding noise of the float table
-    argmax = next((r for r, v in table.items()
-                   if abs(v) >= max_abs * (1 - ARGMAX_TIE_RTOL)), None)
+    units = np.arange(table.size) % p != 0
+    argmax = int(np.argmax(units & (moduli >= max_abs * (1 - ARGMAX_TIE_RTOL))))
     scale = p ** (-n / 2)
     return {
         "character_label": chi.label,

@@ -17,8 +17,9 @@ Each job is done once for both degrees: one exact sign test and one window
 predicate (elementwise over numpy arrays: int64 for enumerations, object
 arrays of exact coordinates for single elements), and one coset enumeration
 in which Q is the one-row case.  The least norms per ray class come from one
-scan that asks the ray class group (`RayClassGroup.classes`) for the class
-of every point's residue at once.  Q is the
+scan that asks the prime (`PrimeContext.residues`) for every point's residue
+and the ray class group (`RayClassGroup.classes`) for their classes at once.
+Q is the
 case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The
 degree is read only where Q differs in substance: the reducer's embedding,
 the window (u > 0), the progression's lattice (one row), the enumeration box
@@ -391,11 +392,10 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
     points u + v*sqrt(m) of O with |N| >= min_norm and prime to p.
 
     x doubles from the given start for at most `rounds` enumerations.  The
-    class of a point is the group's class of its residue u*b0 + v*b1, where
-    (b0, b1) are the residues of the integral basis.
+    class of a point is the group's class of its residue mod (pi)^n, which
+    the prime's context reduces for all points at once.
     """
     nf = rcg.nf
-    b0, b1 = _uv(rcg.ctx.iso(rcg.n).basis_images)
     identity_rows = np.eye(nf.degree, dtype=np.int64)
     for _ in range(rounds):
         u, v, norm = _enumerate_coset(rcg.ctx, identity_rows, nf.zero, x,
@@ -403,7 +403,7 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
         keep = (norm >= min_norm) & (norm % rcg.p != 0)
         u, v, norm = u[keep], v[keep], norm[keep]
         order = np.lexsort((v, u, norm))
-        cls = rcg.classes(u * b0 + v * b1)
+        cls = rcg.classes(rcg.ctx.residues(u, v, rcg.n))
         found, first = np.unique(cls[order], return_index=True)
         hits = dict(zip(found.tolist(), order[first].tolist()))
         if all(c in hits for c in classes):

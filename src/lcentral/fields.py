@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -134,73 +133,6 @@ class FieldElement:
     def __repr__(self) -> str:
         parts = [f"{c}*b{i}" for i, c in enumerate(self.coords) if c]
         return " + ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# local splitting at a degree-one prime
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalIso:
-    """Reduction O_F -> Z/p^m at a degree-one prime above p.
-
-    `root` is the image of the power-basis generator; residues of elements are
-    computed by evaluating their power-basis coordinates at the root, with
-    denominators inverted mod p^m (they must be prime to p).
-    """
-
-    nf: "NumberFieldData"
-    p: int
-    level: int
-    root: int
-    basis_images: tuple[int, ...]
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.level
-
-    def residue(self, x: FieldElement) -> int:
-        mod = self.modulus
-        acc = 0
-        for c, img in zip(x.coords, self.basis_images):
-            if c == 0:
-                continue
-            den = c.denominator
-            if den % self.p == 0:
-                raise ValueError("element is not integral at the prime")
-            acc += c.numerator * pow(den, -1, mod) * img
-        return acc % mod
-
-
-def split_local_iso(nf: "NumberFieldData", p: int, pi: FieldElement, level: int) -> LocalIso:
-    """Build the mod-p^level splitting attached to the prime (pi) above p.
-
-    Over Q the generator a of x - a is its own root.  Over Q(sqrt(m)) the
-    root is the r mod p with r^2 = m and sqrt(m) - r in (pi), Hensel-lifted
-    to the requested level; the basis (1, sqrt(m)) maps to (1, r).
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if not pi.is_integral() or abs(pi.norm()) != p:
-        raise ValueError(f"{pi!r} is not an integral element of norm +-{p}; "
-                         f"need a degree-one prime above {p}")
-    mod = p ** level
-    if nf.degree == 1:
-        return LocalIso(nf=nf, p=p, level=level, root=int(nf.gen.coords[0]) % mod,
-                        basis_images=(1,))
-    m = nf.m
-    r = next((r0 for r0 in range(p) if (r0 * r0 - m) % p == 0
-              and ((nf.gen - nf.element_from_int(r0)) / pi).is_integral()), None)
-    if r is None:
-        raise ValueError(f"defining polynomial has no root mod {p} inside the given prime")
-    if 2 * r % p == 0:
-        raise ValueError(f"{p} is ramified or the root mod {p} is not simple")
-    # Hensel: double the exactness level until it covers the request
-    k = 1
-    while k < level:
-        k = min(2 * k, level)
-        r = (r - (r * r - m) * pow(2 * r, -1, p ** k)) % p ** k
-    return LocalIso(nf=nf, p=p, level=level, root=r, basis_images=(1, r))
 
 
 # ---------------------------------------------------------------------------

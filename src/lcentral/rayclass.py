@@ -2,9 +2,11 @@
 
 For the class-number-one fields shipped here, the ray class group mod p^n is
 the unit group of O/p^n modulo the image of the global units.  The residue
-ring is identified with Z/p^n through a Hensel-lifted root of the defining
-polynomial (`LocalIso`), so all group structure reduces to exact arithmetic
-in (Z/p^n)^*: a primitive root g0 and discrete logs.
+ring is identified with Z/p^n by sending sqrt(m) to its one Hensel-lifted
+image mod p^max_level, held by the `PrimeContext` (0 over Q); its `residue`
+and `residues` are the only reduction of field elements mod p^n in the
+package.  So all group structure reduces to exact arithmetic in (Z/p^n)^*:
+a primitive root g0 and discrete logs.
 
 (Z/p^n)^* is cyclic, so every group built here is Z/h with
 h = gcd(phi(p^n), dlog(u) for each unit generator u), and the class of a
@@ -28,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .abelian import factorize, p_adic_split, primitive_root
-from .fields import FieldElement, LocalIso, NumberFieldData, split_local_iso
+from .fields import FieldElement, NumberFieldData
 from .ntt import root_powers
 from .roots import RootOfUnity
 
@@ -54,8 +56,28 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not an odd prime")
 
 
+def _hensel_sqrt(nf: NumberFieldData, pi: FieldElement, p: int, level: int) -> int:
+    """The image of sqrt(m) in O / (pi)^level = Z/p^level: the root r of
+    x^2 - m with sqrt(m) - r in (pi), Hensel-lifted from mod p (0 over Q,
+    where elements carry no sqrt(m) coordinate).  pi = a + b sqrt(m) has
+    norm +-p, so p does not divide b and sqrt(m) = -a / b mod (pi)."""
+    if nf.degree == 1:
+        return 0
+    a, b = (int(c) for c in pi.coords)
+    r = -a * pow(b, -1, p) % p if b % p else None
+    if r is None or not ((nf.gen - nf.element_from_int(r)) / pi).is_integral():
+        raise ArithmeticError(f"no root of x^2 - {nf.m} mod {p} lies in ({pi!r})")
+    # Newton's step doubles the exactness level until it covers the request
+    k = 1
+    while k < level:
+        k = min(2 * k, level)
+        r = (r - (r * r - nf.m) * pow(2 * r, -1, p ** k)) % p ** k
+    return r % p ** level
+
+
 class PrimeContext:
-    """A fixed degree-one prime (pi) above p, with cached local splittings."""
+    """A fixed degree-one prime (pi) above p: the image of sqrt(m) mod
+    p^max_level, and per-level discrete logs and Gauss-sum phases."""
 
     def __init__(self, nf: NumberFieldData, p: int, pi: FieldElement):
         require_odd_prime(p)
@@ -68,10 +90,10 @@ class PrimeContext:
         if nf.discriminant % p == 0:
             raise ValueError(f"{p} ramifies in {nf.label}")
         self.max_level = max_residue_level(p)
-        self._isos: dict[int, LocalIso] = {}
+        # the root mod p^level is this one reduced mod p^level
+        self._sqrt_image = _hensel_sqrt(nf, pi, p, self.max_level)
         self._gauss_phases: dict[int, tuple[FieldElement, Fraction]] = {}
         self._dlogs: dict[int, np.ndarray] = {}
-        self._groots: dict[int, int] = {}
 
     def check_level(self, level: int) -> None:
         if level > self.max_level:
@@ -82,13 +104,24 @@ class PrimeContext:
     def modulus(self, level: int) -> int:
         return self.p ** level
 
-    def iso(self, level: int) -> LocalIso:
-        if level not in self._isos:
-            self._isos[level] = split_local_iso(self.nf, self.p, self.pi, level)
-        return self._isos[level]
-
     def residue(self, x: FieldElement, level: int) -> int:
-        return self.iso(level).residue(x)
+        """x mod (pi)^level in Z/p^level, denominators inverted; ValueError
+        when one is divisible by p (x is not integral at the prime)."""
+        self.check_level(level)
+        mod = self.modulus(level)
+        acc = 0
+        for c, image in zip(x.coords, (1, self._sqrt_image)):
+            if c.denominator % self.p == 0:
+                raise ValueError("element is not integral at the prime")
+            acc += c.numerator * pow(c.denominator, -1, mod) * image
+        return acc % mod
+
+    def residues(self, u: np.ndarray, v: np.ndarray, level: int) -> np.ndarray:
+        """u + v*sqrt(m) mod (pi)^level for int64 coordinate arrays (v = 0
+        over Q), as int64 residues in [0, p^level)."""
+        self.check_level(level)
+        mod = self.modulus(level)
+        return (u % mod + v % mod * (self._sqrt_image % mod)) % mod
 
     def gauss_phase(self, c: int) -> tuple[FieldElement, Fraction]:
         """(z, phi) for the Gauss sums of conductor p^c: z = (d pi^c)^-1,
@@ -100,22 +133,16 @@ class PrimeContext:
             got = self._gauss_phases[c] = (z, self.nf.efin_phase(z))
         return got
 
-    def generator_residue(self, level: int) -> int:
-        if level not in self._groots:
-            self.check_level(level)
-            self._groots[level] = primitive_root(self.p, level)
-        return self._groots[level]
-
     def dlog_array(self, level: int) -> np.ndarray:
         """Exponent of the level's primitive root at every residue mod p^level,
         -1 off the units (read-only int64)."""
         arr = self._dlogs.get(level)
         if arr is None:
-            g = self.generator_residue(level)
-            mod = self.modulus(level)
             phi = self.unit_group_order(level)
+            mod = self.modulus(level)
             arr = np.full(mod, -1, dtype=np.int64)
-            arr[root_powers(g, phi, mod)] = np.arange(phi, dtype=np.int64)
+            arr[root_powers(primitive_root(self.p, level), phi, mod)] = np.arange(
+                phi, dtype=np.int64)
             arr.setflags(write=False)
             self._dlogs[level] = arr
         return arr

@@ -13,9 +13,8 @@ from lcentral import acceptance, charsums
 from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                CoefficientFieldContext, _gauss_terms, _recognize,
-                               _unit_square, average_char, average_support,
-                               averaged_char_table, averaged_iota_table,
-                               averaged_iota_values, galois_orbit, gauss_sum,
+                               _unit_square, average_char, averaged_char_table,
+                               averaged_iota_table, galois_orbit, gauss_sum,
                                kloosterman_bound_report, orbit_float_root_numbers,
                                orbit_gauss_sums, orbit_root_numbers,
                                root_number, substitutions)
@@ -51,7 +50,7 @@ def gauss_sum_conjugation_defect(chi):
 
 def average_iota(chi, ctx, a):
     """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit, one root
-    number per member: the per-residue oracle of `averaged_iota_values`."""
+    number per member: the per-residue oracle of `averaged_iota_table`."""
     orbit = galois_orbit(chi, ctx)
     total = 0j
     for tw in orbit:
@@ -282,28 +281,25 @@ def test_average_recognition_always_lands():
             assert res.coeff is not None
 
 
-def test_average_support_variants():
+def test_average_char_support_follows_the_value_order():
+    # chi(a) of order 5^j: the mean is nonzero at j <= n0 and can vanish at
+    # j = n0 + 1, which is where criterion 3's two support rules differ
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
     cfc = CoefficientFieldContext(p=5, n0=0)
     # at n0 = 0 the true average at a 5th root is -1/4, nonzero: the stricter
-    # predicate misses it, the relaxed one keeps it
-    assert not average_support(chi, cfc, 6, variant="paper")
-    assert average_support(chi, cfc, 6, variant="corrected")
-    assert average_support(chi, cfc, 24, variant="paper")
-    with pytest.raises(ValueError):
-        average_support(chi, cfc, 6, variant="bogus")
-
-
-def test_average_support_depth_one_discrepancy():
-    # at n0 = 1 the relaxed predicate overshoots: order-25 values really do
-    # average to zero even though it claims support
-    Q, ctx, _ = q_setup()
+    # rule (j <= n0) misses it, the relaxed one (j <= n0 + 1) keeps it
+    assert chi.value_on_ideal_of(6).order_p_part(5)[1] == 1
+    assert average_char(chi, cfc, 6).coeff == Fraction(-1, 4)
+    assert chi.value_on_ideal_of(24).order_p_part(5)[1] == 0
+    assert not average_char(chi, cfc, 24).is_zero()
+    # at n0 = 1 the relaxed rule overshoots: order-25 values really do
+    # average to zero
     rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
     cfc = CoefficientFieldContext(p=5, n0=1)
     a_deep = next(a for a in (2, 3, 7) if chi25.value_on_ideal_of(a).order == 25)
-    assert average_support(chi25, cfc, a_deep, variant="corrected")
+    assert chi25.value_on_ideal_of(a_deep).order_p_part(5)[1] == cfc.n0 + 1
     assert average_char(chi25, cfc, a_deep).is_zero()
 
 
@@ -395,7 +391,7 @@ def test_orbit_root_numbers_past_the_exact_level_limit():
     assert len(roots) == len(orbit) == 148
     for w, tw in list(zip(roots, orbit))[::21]:
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
-    assert abs(averaged_iota_values(chi, cfc)[2] - average_iota(chi, cfc, 2)) < 1e-14
+    assert abs(averaged_iota_table(chi, cfc)[2] - average_iota(chi, cfc, 2)) < 1e-14
 
 
 def test_orbit_root_numbers_quadratic_field():
@@ -469,7 +465,7 @@ def test_per_value_tables_match_per_residue_averages(n, n0):
     chi = seed_character(RayClassGroup(ctx, n))
     cfc = CoefficientFieldContext(p=5, n0=n0)
     direct = averaged_char_table(chi, cfc)
-    reflect = averaged_iota_values(chi, cfc)
+    reflect = averaged_iota_table(chi, cfc)
     mod = 5 ** n
     assert direct.shape == reflect.shape == (mod,)
     for r in range(mod):
@@ -478,9 +474,6 @@ def test_per_value_tables_match_per_residue_averages(n, n0):
             continue
         assert abs(direct[r] - average_char(chi, cfc, r).value) < 1e-14
         assert abs(reflect[r] - average_iota(chi, cfc, r)) < 1e-14
-    table = averaged_iota_table(chi, cfc)
-    assert list(table) == [r for r in range(1, mod) if r % 5]
-    assert all(table[r] == reflect[r] for r in table)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +508,6 @@ def test_average_char_takes_numpy_integers():
     for six in (6, np.int64(6), np.int32(6)):
         res = average_char(chi, cfc, six)
         assert res.coeff == Fraction(-1, 4) and abs(res.value + 0.25) < 1e-15
-        assert average_support(chi, cfc, six)
     with pytest.raises(TypeError):
         average_char(chi, cfc, 6.0)
 

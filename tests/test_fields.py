@@ -2,12 +2,14 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcentral.cones import _principal_rows, prime_above
-from lcentral.fields import nf_load, split_local_iso
+from lcentral.fields import nf_load
+from lcentral.rayclass import PrimeContext
 
 QQ = nf_load("rationals")
 K = nf_load("Qsqrt2")
@@ -78,19 +80,17 @@ def test_principal_rows_are_the_hnf_of_gamma_o(nf, a, b):
 
 
 def test_local_iso_values():
-    li = split_local_iso(K, 7, K.element([3, 1]), 2)
-    assert li.root == 39
-    assert li.residue(K.gen) == 39
-    li1 = split_local_iso(K, 7, K.element([3, 1]), 1)
-    assert li1.root == 4
-    liq = split_local_iso(QQ, 5, QQ.element_from_int(5), 2)
-    assert liq.residue(QQ.element([F(7, 3)])) == 19
+    ctx = PrimeContext(K, 7, K.element([3, 1]))
+    assert ctx.residue(K.gen, 2) == 39
+    assert ctx.residue(K.gen, 1) == 4
+    qctx = PrimeContext(QQ, 5, QQ.element_from_int(5))
+    assert qctx.residue(QQ.element([F(7, 3)]), 2) == 19
     with pytest.raises(ValueError):
-        liq.residue(QQ.element([F(1, 5)]))
+        qctx.residue(QQ.element([F(1, 5)]), 2)
     # the Hensel-lifted roots at the deterministic prime above p, n = 1..3
     for p, roots in _FROZEN_ROOTS.items():
         ctx = prime_above(K, p)
-        assert tuple(ctx.iso(n).root for n in (1, 2, 3)) == roots
+        assert tuple(ctx.residue(K.gen, n) for n in (1, 2, 3)) == roots
         if p in _FROZEN_CUBE_HNF:
             assert _principal_rows(ctx.pi ** 3) == _FROZEN_CUBE_HNF[p]
 
@@ -98,17 +98,36 @@ def test_local_iso_values():
 _FROZEN_ROOTS = {7: (4, 39, 235), 17: (6, 244, 4290), 23: (18, 156, 156),
                  31: (8, 845, 2767), 41: (17, 58, 20230), 47: (40, 1732, 8359)}
 _FROZEN_CUBE_HNF = {7: [[1, 54], [0, 343]], 41: [[1, 58806], [0, 68921]]}
+_K7 = PrimeContext(K, 7, K.element([3, 1]))
 
 
 @given(small, small, small, small)
 @settings(max_examples=60)
 def test_local_iso_is_ring_hom(a, b, c, d):
-    li = split_local_iso(K, 7, K.element([3, 1]), 3)
     x = K.element([a, b])
     y = K.element([c, d])
-    m = li.modulus
-    assert li.residue(x * y) == li.residue(x) * li.residue(y) % m
-    assert li.residue(x + y) == (li.residue(x) + li.residue(y)) % m
+    m = _K7.modulus(3)
+    assert _K7.residue(x * y, 3) == _K7.residue(x, 3) * _K7.residue(y, 3) % m
+    assert _K7.residue(x + y, 3) == (_K7.residue(x, 3) + _K7.residue(y, 3)) % m
+
+
+@pytest.mark.parametrize("nf,p", [(QQ, 5), (QQ, 7), (K, 7), (K, 41)],
+                         ids=["Q-5", "Q-7", "Qsqrt2-7", "Qsqrt2-41"])
+def test_residues_of_arrays_match_the_residue_of_each_element(nf, p):
+    ctx = prime_above(nf, p)
+    rng = np.random.default_rng(p * nf.degree)
+    for level in (1, 2, 3, ctx.max_level):
+        u = rng.integers(-10 ** 6, 10 ** 6, size=40)
+        v = rng.integers(-10 ** 6, 10 ** 6, size=40) if nf.degree == 2 else np.zeros(40, np.int64)
+        got = ctx.residues(u, v, level)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ctx.residue(nf.element([a, b][:nf.degree]), level)
+                                for a, b in zip(u.tolist(), v.tolist())]
+    # the root is held to max_level only
+    with pytest.raises(ValueError, match="cap"):
+        ctx.residues(u, v, ctx.max_level + 1)
+    with pytest.raises(ValueError, match="cap"):
+        ctx.residue(nf.one, ctx.max_level + 1)
 
 
 def test_efin_phases():

@@ -6,7 +6,9 @@ own definition (or is allowlisted with a reason), no module uses an assert
 statement, no module but tau.py imports a thread pool or threads, and no
 module imports scipy: the package, the rational tower, the acceptance sweep,
 an off-grid s and the degree-2 kernel all run without it.  No module but
-rayclass.py reads a discrete log or a ray class group's orientation."""
+rayclass.py reads a discrete log, a ray class group's orientation or the
+prime's image of sqrt(m), or Hensel-lifts it: field elements are reduced mod
+p^n only through `PrimeContext.residue` and `residues`."""
 
 import ast
 import os
@@ -73,9 +75,12 @@ def test_no_threads_outside_the_coefficient_table(path):
     assert _imports_of(ast.parse(path.read_text()), "concurrent.futures", "threading") == []
 
 
-# rayclass.py alone turns residues into classes and character exponents:
-# the level's discrete logs and a group's orientation are read nowhere else
-_RESIDUE_RULE = ("dlog_array", "dlog", "generator_exponent", "dlog_phase", "local_phase")
+# rayclass.py alone turns field elements into residues, and residues into
+# classes and character exponents: the image of sqrt(m) mod p^n and its
+# Hensel lift, the level's discrete logs and a group's orientation are read
+# nowhere else
+_RESIDUE_RULE = ("_sqrt_image", "_hensel_sqrt", "dlog_array", "dlog",
+                 "generator_exponent", "dlog_phase", "local_phase")
 
 
 @pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
@@ -83,8 +88,11 @@ _RESIDUE_RULE = ("dlog_array", "dlog", "generator_exponent", "dlog_phase", "loca
                          ids=lambda p: p.name)
 def test_no_discrete_logs_outside_rayclass(path):
     tree = ast.parse(path.read_text())
-    assert [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in _RESIDUE_RULE] == []
+    found = [(node.attr, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)]
+    found += [(alias.name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [f"{name} (line {line})" for name, line in found if name in _RESIDUE_RULE] == []
 
 
 def _write_only_attributes(tree: ast.Module) -> list[str]:
