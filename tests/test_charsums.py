@@ -281,20 +281,25 @@ def test_average_recognition_always_lands():
             assert res.coeff is not None
 
 
-def test_average_char_support_follows_the_value_order():
-    # chi(a) of order 5^j: the mean is nonzero at j <= n0 and can vanish at
-    # j = n0 + 1, which is where criterion 3's two support rules differ
+def test_average_support_variants():
+    # chi(a) of order 5^j: the paper's support rule is j <= n0, the relaxed
+    # one j <= n0 + 1; at n0 = 0 the true average at a 5th root is -1/4,
+    # nonzero, so the stricter rule misses it and the relaxed one keeps it
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
     cfc = CoefficientFieldContext(p=5, n0=0)
-    # at n0 = 0 the true average at a 5th root is -1/4, nonzero: the stricter
-    # rule (j <= n0) misses it, the relaxed one (j <= n0 + 1) keeps it
-    assert chi.value_on_ideal_of(6).order_p_part(5)[1] == 1
+    _, j = chi.value_on_ideal_of(6).order_p_part(5)
+    assert j == 1 and not j <= cfc.n0 and j <= cfc.n0 + 1
     assert average_char(chi, cfc, 6).coeff == Fraction(-1, 4)
-    assert chi.value_on_ideal_of(24).order_p_part(5)[1] == 0
+    _, j = chi.value_on_ideal_of(24).order_p_part(5)
+    assert j == 0 and j <= cfc.n0
     assert not average_char(chi, cfc, 24).is_zero()
+
+
+def test_average_support_depth_one_discrepancy():
     # at n0 = 1 the relaxed rule overshoots: order-25 values really do
-    # average to zero
+    # average to zero even though j = n0 + 1 claims support
+    Q, ctx, _ = q_setup()
     rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
     cfc = CoefficientFieldContext(p=5, n0=1)
