@@ -11,13 +11,15 @@ recombining.
 
 CRT.  `garner_digits` gives Garner's mixed-radix digits as int32 arrays
 (widened to int64 inside each pass) of the value x in [0, M), M the product
-of the primes.  `mixed_radix_value` reads them out exactly and
-`mixed_radix_float` as float64, each entry the correctly rounded float of
-the exact value (to nearest, ties to even), computed over 32-bit limbs in
-uint64 from the leading 64 bits and a sticky bit, with no Python int
-formed.  Either reads x signed, in (-M/2, M/2], or, given one more digit, a
-signed int64 K past the top one, reads x + K M: tau.py finds each entry's
-K without a transform.  `garner` is the exact signed read-out.
+of the primes; a signed int64 K past the top digit stands for x + K M
+(tau.py finds each entry's K without a transform).  Three read-outs take
+them: `mixed_radix_value` exactly, x signed, in (-M/2, M/2], or x + K M;
+`mixed_radix_float` as float64, correctly rounded (to nearest, ties to
+even): numpy converts the int64 value for one or two primes and no K, else
+it is rounded once from its leading 64 bits and a sticky bit, over 32-bit
+limbs in uint64 with no Python int formed; `mixed_radix_residue` mod m below
+2^31, x or x + K M, which `garner_digits` takes for the earlier digits mod
+each new prime.  `garner` is the exact signed read-out of the residues.
 
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
@@ -77,6 +79,8 @@ in cache.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -407,22 +411,17 @@ def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
 
 
 def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndarray]:
-    """Garner's mixed-radix digits of the residues (int32 or int64 arrays),
-    as int32 arrays: d_k in [0, p_k) with x = sum d_k * (p_0 ... p_(k-1))
-    the value in [0, M), M the product of the primes.  Each digit is a few
-    passes widened to int64, since d_j * c < 2^62 for d_j, c below 2^31."""
+    """Garner's mixed-radix digits of the residues (int32 or int64 arrays
+    in [0, p)) as int32 arrays: d_k in [0, p_k) with x = sum d_k * W_k the
+    value in [0, M), M the product of the primes, W_k = p_0 ... p_(k-1);
+    d_k is r_k less the earlier digits' value, over W_k, mod p_k."""
     digits: list[np.ndarray] = []
-    for r, p in zip(residues, primes):
-        acc = np.zeros(r.shape, dtype=np.int64)
-        scratch = np.empty_like(acc)
-        weight = 1
-        for d, q in zip(digits, primes):
-            acc += np.multiply(d, weight, out=scratch, dtype=np.int64)
-            reduce_mod(acc, p, scratch, acc)
-            weight = weight * q % p
+    for k, (r, p) in enumerate(zip(residues, primes)):
+        acc = (mixed_radix_residue(digits, primes[:k], p) if digits
+               else np.zeros(r.shape, dtype=np.int64))
         np.subtract(r, acc, out=acc)                 # (-p, p)
-        acc *= pow(weight, -1, p)                    # below p^2 < 2^62 in size
-        reduce_mod(acc, p, scratch, acc)
+        acc *= pow(prod(primes[:k]), -1, p)          # below p^2 < 2^62 in size
+        reduce_mod(acc, p, np.empty_like(acc), acc)
         digits.append(acc.astype(np.int32))
     return digits
 
@@ -461,6 +460,22 @@ def mixed_radix_value(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
         value *= radix
         value += limb
     return value
+
+
+def mixed_radix_residue(digits: list[np.ndarray], primes: list[int], m: int) -> np.ndarray:
+    """The values of the digits mod m, as int64 in [0, m), for m below 2^31:
+    with one digit per prime, x mod m for x the value in [0, M); with one
+    digit more, a signed int64 top digit K, (x + K M) mod m.  Each product
+    of a digit, or of K mod m, and a weight mod m is below 2^62."""
+    acc = np.zeros(digits[0].shape, dtype=np.int64)
+    scratch = np.empty_like(acc)
+    for k, d in enumerate(digits):
+        if k == len(primes):                         # K, reduced before its product
+            reduce_mod(d, m, scratch, scratch)
+            d = scratch
+        acc += np.multiply(d, prod(primes[:k]) % m, out=scratch, dtype=np.int64)
+        reduce_mod(acc, m, scratch, acc)
+    return acc
 
 
 _MASK = np.uint64((1 << 32) - 1)
@@ -514,9 +529,13 @@ def mixed_radix_float(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
     float of `mixed_radix_value`'s value (round to nearest, ties to even),
     with or without a signed top digit; no Python int is formed.
 
-    The value is assembled over 32-bit limbs in uint64, a block of entries
-    at a time, and rounded once from its leading 64 bits and a sticky bit.
+    For one or two primes and no top digit that value is int64 (M < 2^62),
+    which numpy converts correctly rounded; otherwise it is assembled over
+    32-bit limbs in uint64, a block of entries at a time, and rounded once
+    from its leading 64 bits and a sticky bit.
     """
+    if len(digits) == len(primes) <= 2:
+        return mixed_radix_value(digits, primes).astype(np.float64)
     out = np.empty(digits[0].shape[0])
     for start in range(0, out.shape[0], _CHUNK):
         out[start:start + _CHUNK] = _round_block(

@@ -13,10 +13,10 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
   finds every entry exactly from their residues.
 - `_DivisorIndex`, built once and independent of the prime, holds the
   prime-power chains and, for every other n, the full power P(n) of its
-  smallest prime factor and the cofactor n / P(n), grouped by the number
-  of distinct prime factors of n, fewest first, so that
-  sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads entries already filled,
-  in at most seven groups.  Its index arrays are int32.
+  smallest prime factor and the cofactor n / P(n), grouped by the dyadic
+  range [2^j, 2^(j+1)) that holds n, lowest first: n / P(n) <= n / 2, so
+  sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads entries already filled.
+  Its index arrays are int32.
 - Per transformed prime p: sigma_5 and sigma_11 mod p through that
   structure, the low limit - 1 terms of the square of the sigma_5 column
   by one short square (`ntt.short_square`, in k pieces at n' points, both
@@ -99,8 +99,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .ntt import (NTT_PRIMES, garner_digits, mixed_radix_float, mixed_radix_value,
-                  reduce_mod, short_square)
+from .ntt import (NTT_PRIMES, garner_digits, mixed_radix_float, mixed_radix_residue,
+                  mixed_radix_value, reduce_mod, short_square)
 
 # Largest table: the short square of the 2^25 - 1 term sigma_5 column runs in
 # two pieces at 2^25 points, which divides every p - 1 of the prime set (it
@@ -168,9 +168,9 @@ class _DivisorIndex:
     `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers q^e <= m;
     `groups` is (n, P(n), n / P(n)) over the n that are not prime powers,
     P(n) the full power of the smallest prime factor of n, one group per
-    number w >= 2 of distinct prime factors, in increasing w: n / P(n) has
-    w - 1 of them, so its sum is filled in by a chain or an earlier group,
-    and seven groups cover every m up to the cap.  `split` is
+    dyadic range [2^j, 2^(j+1)) that holds such an n, in increasing j:
+    n / P(n) <= n / 2 lies below the range of n, so its sum is filled in by
+    a chain or an earlier group.  `split` is
     (P(n), n / P(n)) at the largest such n and `root_prime` the largest prime
     q with q^2 <= m, each None when there is none: the points of the table's
     top self-check.
@@ -198,19 +198,9 @@ class _DivisorIndex:
             q = q[keep]
             qe = qe[keep] * q
         composite = np.flatnonzero(cofactor > 1).astype(np.int32)
-        # w(n) = w(n / P(n)) + 1 by smallest prime factor q, largest first,
-        # as n / P(n) has only prime factors above q; a composite's q is at
-        # most sqrt(m) < 2^15, so int16 keys sort by radix
-        order = np.argsort(-spf[composite].astype(np.int16), kind="stable")
-        cuts = np.flatnonzero(np.diff(spf[composite[order]])) + 1
-        omega = (cofactor == 1).astype(np.int8)
-        for c in np.split(composite[order], cuts):
-            omega[c] = omega[cofactor[c]] + 1
-        del order
-        order = np.argsort(omega[composite], kind="stable")
-        cuts = np.flatnonzero(np.diff(omega[composite[order]])) + 1
+        edges = np.searchsorted(composite, 1 << np.arange(3, m.bit_length()))
         self.groups = [(c, power[c], cofactor[c])
-                       for c in np.split(composite[order], cuts)]
+                       for c in np.split(composite, edges) if c.size]
         top = int(composite[-1]) if composite.size else 0
         self.split = (int(power[top]), int(cofactor[top])) if top else None
         self.root_prime = int(small[-1]) if small.size else None
@@ -360,26 +350,6 @@ def _congruence_residues(q: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _residue_mod(digits: list[np.ndarray], moduli: list[int],
-                 multiple: np.ndarray, m: int) -> np.ndarray:
-    """(x + K M) mod m as int64, for m below 2^31, where x = sum d_k W_k is
-    the value of Garner's digits over the moduli (W_k = p_1 ... p_(k-1)),
-    M their product and K = `multiple` (int64).  Each product of a digit,
-    or of K mod m, and a weight mod m is below 2^62."""
-    acc = np.zeros(multiple.shape, dtype=np.int64)
-    scratch = np.empty_like(acc)
-    weight = 1
-    for d, p in zip(digits, moduli):
-        acc += np.multiply(d, weight % m, out=scratch, dtype=np.int64)
-        reduce_mod(acc, m, scratch, acc)
-        weight *= p
-    reduce_mod(multiple, m, scratch, scratch)
-    scratch *= weight % m
-    acc += scratch
-    reduce_mod(acc, m, scratch, acc)
-    return acc
-
-
 def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]) -> np.ndarray:
     """K at index n for 0 <= n <= m, int64, with tau(n) = x + K M for x the
     value in [0, M) of Garner's digits over the transformed primes and M
@@ -390,12 +360,8 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
     sigma = index.sigma(11, 691).astype(np.int16)
     modulus = prod(transformed)
     mf = float(modulus)
-    # t holds the correctly rounded r until n is lifted, then t(n); r is
-    # int64 for up to two primes, and its conversion rounds correctly
-    if len(transformed) <= 2:
-        t = mixed_radix_value(digits, transformed).astype(np.float64)
-    else:
-        t = mixed_radix_float(digits, transformed)
+    # t holds the correctly rounded r until n is lifted, then t(n)
+    t = mixed_radix_float(digits, transformed)
     # tau(n) = x + multiple M, x the unsigned value of the digits: -1 where
     # r = x - M is negative, until K is added
     multiple = np.where(t < 0, -1, 0)
@@ -403,9 +369,9 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
     primes = index.chains[0][2] if index.chains else np.zeros(0, dtype=np.int32)
     # tau(q) = r for q <= 7, as |tau(q)| <= 16744 < M/2
     large = primes[primes > 7]
-    at_large = [d[large] for d in digits]
+    at_large = [d[large] for d in digits] + [multiple[large]]
     c1, c2 = _C_FACTORS
-    k1, k2 = ((target - _residue_mod(at_large, transformed, multiple[large], f))
+    k1, k2 = ((target - mixed_radix_residue(at_large, transformed, f))
               % f * pow(modulus, -1, f) % f
               for f, target in zip(_C_FACTORS, _congruence_residues(large.astype(np.int64))))
     del at_large
@@ -445,8 +411,8 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
     # one in 691 of them
     for start in range(0, sigma.shape[0], _LIFT_BLOCK):
         at = slice(start, start + _LIFT_BLOCK)
-        off = np.flatnonzero(sigma[at] != _residue_mod(
-            [d[at] for d in digits], transformed, multiple[at], 691))
+        off = np.flatnonzero(sigma[at] != mixed_radix_residue(
+            [d[at] for d in digits] + [multiple[at]], transformed, 691))
         if off.size:
             raise ArithmeticError(f"tau({start + off[0]}) from the transforms "
                                   f"breaks tau = sigma_11 mod 691")

@@ -19,12 +19,12 @@ from lcentral import tau as tau_module
 from lcentral.fields import nf_load
 from lcentral.newforms import _verify_full_table, builtin_newform
 from lcentral.ntt import (NTT_PRIMES, _square_plan, garner, garner_digits,
-                          mixed_radix_float, mixed_radix_value, transform_size)
+                          mixed_radix_float, mixed_radix_residue, mixed_radix_value,
+                          transform_size)
 from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
                           TAU_LIMIT_CAP, _congruence_residues, _DivisorIndex,
-                          _lift, _ramanujan_residues, _residue_mod,
-                          _transformed_count, primes_up_to, tau_exact, tau_table,
-                          tau_table_bigint)
+                          _lift, _ramanujan_residues, _transformed_count,
+                          primes_up_to, tau_exact, tau_table, tau_table_bigint)
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -115,6 +115,25 @@ def test_divisor_sums_match_the_naive_sums_mod_every_prime():
         exact = [0] + [sum(d ** k for d in divisors[n]) for n in range(1, m + 1)]
         for p, _ in NTT_PRIMES:
             assert index.sigma(k, p).tolist() == [s % p for s in exact], (k, p)
+
+
+def test_divisor_index_groups_by_dyadic_range():
+    # n / P(n) <= n / 2, so the group of the range [2^j, 2^(j+1)) reads only
+    # the chains and the groups below it
+    for m in (1, 6, 63, 64, 65, 3000, 152588):
+        index = _DivisorIndex(m)
+        is_power = np.zeros(m + 1, dtype=bool)
+        for c, _, _ in index.chains:
+            is_power[c] = True
+        others = np.flatnonzero(~is_power)[2:]      # past 0 and 1
+        groups = index.groups
+        assert [n for c, _, _ in groups for n in c.tolist()] == others.tolist(), m
+        bits = [int(c[0]).bit_length() - 1 for c, _, _ in groups]
+        assert bits == list(range(2, 2 + len(groups))), m
+        for (c, a, b), j in zip(groups, bits):
+            assert (c >> j == 1).all() and (a * b == c).all() and (np.gcd(a, b) == 1).all()
+            assert is_power[a].all(), m
+            assert ((b > 1) & (is_power[b] | (b < 1 << j))).all(), m
 
 
 @settings(max_examples=8, deadline=None)
@@ -217,6 +236,10 @@ def test_negative_values_past_the_oracle(table_100k):
         assert table_100k[2 * q] == -24 * oracle[q] < -2 ** 63
 
 
+# 691 and C's two factors, which the lift reads, and the last NTT prime
+_RESIDUE_MODULI = (691, 4837, 186624000, 1107296257)
+
+
 def test_garner_round_trip_for_every_prime_count():
     rng = random.Random(5)
     for k in range(1, len(NTT_PRIMES) + 1):
@@ -227,6 +250,11 @@ def test_garner_round_trip_for_every_prime_count():
         residues = [np.array([v % p for v in values], dtype=np.int64)
                     for p in primes]
         assert garner(residues, primes).tolist() == values
+        # with no top digit the residue read-out reads the unsigned value
+        digits = garner_digits(residues, primes)
+        for m in _RESIDUE_MODULI:
+            assert mixed_radix_residue(digits, primes, m).tolist() == [
+                v % modulus % m for v in values]
 
 
 @pytest.mark.parametrize("k", range(1, len(NTT_PRIMES) + 1))
@@ -275,6 +303,8 @@ def test_readouts_with_a_signed_top_digit(k):
     digits.append(np.array([v // modulus for v in values], dtype=np.int64))
     assert mixed_radix_value(digits, primes).tolist() == values
     assert mixed_radix_float(digits, primes).tolist() == [float(v) for v in values]
+    for m in _RESIDUE_MODULI:
+        assert mixed_radix_residue(digits, primes, m).tolist() == [v % m for v in values]
 
 
 @pytest.mark.parametrize("limit", [20001, 152588, 337564])
@@ -479,7 +509,8 @@ def _lifted_and_transformed(limit, count):
     digits = garner_digits([_ramanujan_residues(index, limit, *prime)
                             for prime in NTT_PRIMES[:count]], moduli)
     multiple = _lift(index, digits, moduli)
-    lifted = [_residue_mod(digits, moduli, multiple, p) for p, _ in NTT_PRIMES[count:]]
+    lifted = [mixed_radix_residue(digits + [multiple], moduli, p)
+              for p, _ in NTT_PRIMES[count:]]
     return lifted, [_ramanujan_residues(index, limit, *prime) for prime in NTT_PRIMES[count:]]
 
 
