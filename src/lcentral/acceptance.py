@@ -340,7 +340,7 @@ def _c10_averaged_values(fast: bool):
     t0 = time.perf_counter()
     report = run_lav_experiment(cfg)
     elapsed = time.perf_counter() - t0
-    bad = [r.n for r in report.rows if r.error is not None or not all(r.flags)]
+    bad = [r.n for r in report.rows if not r.clean]
     if bad:
         return False, f"rows {bad} carry errors or sub-floor values"
     floor = min(r.min_abs_value for r in report.rows)

@@ -129,8 +129,7 @@ def cmd_lav_scan(args) -> int:
     report = run_lav_experiment(cfg)
     if not args.out:
         print(report_to_json(report))
-    clean = all(r.error is None and all(r.flags) for r in report.rows)
-    return 0 if clean else 1
+    return 0 if all(r.clean for r in report.rows) else 1
 
 
 def cmd_gauss_sum(args) -> int:

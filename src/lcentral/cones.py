@@ -16,15 +16,16 @@ has a closed form (`_principal_rows`).
 Each job is done once for both degrees: one exact sign test and one window
 predicate (elementwise over numpy arrays: int64 for enumerations, object
 arrays of exact coordinates for single elements), and one coset enumeration
-in which Q is the one-row case.  The least norms per ray class come from one
-scan that asks the prime (`PrimeContext.residues`) for every point's residue
-and the ray class group (`RayClassGroup.classes`) for their classes at once.
-Q is the
-case m = 0, v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The
-degree is read only where Q differs in substance: the reducer's embedding,
-the window (u > 0), the progression's lattice (one row), the enumeration box
-(an interval, |N| = |u|) and a torsion class's least norm (its least residue
-lift).
+in which Q is the one-row case.  Every window edge is one rule, `_below`:
+tau < j/2 exactly when (eps^j xbar - x)(eps^j xbar + x) > 0 at the plus
+place, and a window [lo/2, hi/2) is not below lo and below hi.  The least
+norms per ray class come from one scan that asks the prime
+(`PrimeContext.residues`) for every point's residue and the ray class group
+(`RayClassGroup.classes`) for their classes at once.  Q is the case m = 0,
+v = 0 of u + v*sqrt(m) (`_uv` pads, `_point` drops the pad).  The degree is
+read only where Q differs in substance: the window (u > 0), the
+progression's lattice (one row), the enumeration box (an interval,
+|N| = |u|) and a torsion class's least norm (its least residue lift).
 
 The field loader admits only Q and real quadratic fields x^2 - m on the
 basis (1, sqrt(m)) with m not a square, so m is read off the field
@@ -56,7 +57,8 @@ WITNESS_LIMIT = 24
 # N(P)^(n/|Delta|) or more
 TORSION_FLOOR_RATIO = 0.5
 
-_WINDOWS = ("standard", "shifted")
+# each window's slope edges [lo/2, hi/2); eps^(hi/2) also sizes its box
+_WINDOWS = {"standard": (0, 2), "shifted": (1, 3)}
 
 
 def _sign_plus_arrays(p, q, m: int):
@@ -86,64 +88,35 @@ def _coord_arrays(x: FieldElement):
     return np.array([u], dtype=object), np.array([v], dtype=object)
 
 
-class DomainReducer:
-    """The fundamental window for the unit action, decided exactly.
+@lru_cache(maxsize=8)
+def fundamental_unit(nf: NumberFieldData) -> FieldElement:
+    """The fundamental unit eps of a real quadratic field F = Q(sqrt(m)),
+    normalised to sigma_plus(eps) > 1, where sigma_plus is the embedding
+    sending sqrt(m) to the positive root.
 
-    Over Q the representative of x is |x|.  Over a real quadratic field
-    F = Q(sqrt(m)) the representative is the unique associate y = u*x
+    The window's representative of x is the unique associate y = u*x
     (u a unit) with sigma_plus(y) > 0 and slope
 
         tau(y) = (log sigma_plus(y) - log |sigma_minus(y)|) / (2 log sigma_plus(eps))
 
-    in [0, 1), where eps is the fundamental unit normalised to
-    sigma_plus(eps) > 1 and sigma_plus is the embedding sending sqrt(m) to
-    the positive root.  Multiplication by eps shifts tau by exactly 1
-    whichever sign the unit norm takes, so the window is a fundamental
-    domain for the full unit group acting on the half-plane
-    sigma_plus > 0.  Window membership never trusts the logarithms: the
-    two slope inequalities factor into linear forms whose signs are
-    integer comparisons.
+    in [0, 1).  Multiplication by eps shifts tau by exactly 1 whichever sign
+    the unit norm takes, so the window is a fundamental domain for the full
+    unit group acting on the half-plane sigma_plus > 0.  Over Q the
+    representative of x is |x|, and asking for eps raises ValueError.
     """
-
-    def __init__(self, nf):
-        nf = nf_load(nf)
-        self.nf = nf
-        self.degree = nf.degree
-        self.m = nf.m           # 0 over Q: u + v*sqrt(m) with v = 0
-        if nf.degree == 1:
-            return
-
-        # Fundamental unit: the infinite-order generator, normalised so the
-        # plus embedding exceeds 1 (torsion generators square to 1).
-        eps = None
-        for u in nf.unit_gens:
-            if u * u != nf.one:
-                eps = u
-                break
-        if eps is None:
-            raise ValueError(f"no infinite-order unit generator found for {nf.label}")
-        for cand in (eps, -eps, eps.inverse(), (-eps).inverse()):
-            if self.sign_plus(cand) > 0 and self.sign_plus(cand - nf.one) > 0:
-                eps = cand
-                break
-        else:
-            raise ArithmeticError("could not normalise the fundamental unit")
-        self.eps = eps
-        self.eps2 = eps * eps
-        self.eps3 = self.eps2 * eps
-
-    def sign_plus(self, x: FieldElement) -> int:
-        """Exact sign of x at the plus place."""
-        return int(_sign_plus_arrays(*_coord_arrays(x), self.m)[0])
+    # the infinite-order generator (torsion generators square to 1)
+    eps = next((u for u in nf.unit_gens if u * u != nf.one), None)
+    if eps is None:
+        raise ValueError(f"no infinite-order unit generator found for {nf.label}")
+    for cand in (eps, -eps, eps.inverse(), (-eps).inverse()):
+        if sign_plus(cand) > 0 and sign_plus(cand - nf.one) > 0:
+            return cand
+    raise ArithmeticError("could not normalise the fundamental unit")
 
 
-def reducer_for(nf) -> DomainReducer:
-    return _reducer(nf_load(nf))
-
-
-@lru_cache(maxsize=8)
-def _reducer(nf: NumberFieldData) -> DomainReducer:
-    return DomainReducer(nf)
+def sign_plus(x: FieldElement) -> int:
+    """Exact sign of x at the plus place."""
+    return int(_sign_plus_arrays(*_coord_arrays(x), x.nf.m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +137,6 @@ def prime_above(nf, p: int) -> PrimeContext:
     require_odd_prime(p)
     if nf.degree == 1:
         return PrimeContext(nf, p, nf.element_from_int(p))
-    reducer = reducer_for(nf)
     m = nf.m
     # the key sorts by |b| first, so the first b with a solution decides;
     # a and b stay in [0, p], which ends the scan for an inert p
@@ -177,7 +149,7 @@ def prime_above(nf, p: int) -> PrimeContext:
             for u, v in ((a, b), (a, -b), (-a, b), (-a, -b)):
                 cand = nf.element([u, v])
                 key = (abs(v), abs(u), v < 0, u < 0)
-                if reducer.sign_plus(cand) > 0 and (best is None or key < best[0]):
+                if sign_plus(cand) > 0 and (best is None or key < best[0]):
                     best = (key, cand)
         if best is not None:
             return PrimeContext(nf, p, best[1])
@@ -235,23 +207,29 @@ def _index_ranges(offset_embed, bound, embeds):
     m11, m12 = embeds[0][0], embeds[1][0]
     m21, m22 = embeds[0][1], embeds[1][1]
     det = m11 * m22 - m12 * m21
-    inv = ((m22 / det, -m12 / det), (-m21 / det, m11 / det))
-    lo_i = hi_i = lo_j = hi_j = None
-    for c1 in (0.0, bound):
-        for c2 in (-bound, bound):
-            t1, t2 = c1 - offset_embed[0], c2 - offset_embed[1]
-            i = inv[0][0] * t1 + inv[0][1] * t2
-            j = inv[1][0] * t1 + inv[1][1] * t2
-            lo_i = i if lo_i is None else min(lo_i, i)
-            hi_i = i if hi_i is None else max(hi_i, i)
-            lo_j = j if lo_j is None else min(lo_j, j)
-            hi_j = j if hi_j is None else max(hi_j, j)
+    # the box corners (c1, c2), c1 in {0, bound} and c2 in {-bound, bound}
+    t1 = np.array([0.0, 0.0, bound, bound]) - offset_embed[0]
+    t2 = np.array([-bound, bound, -bound, bound]) - offset_embed[1]
+    i = (m22 / det) * t1 + (-m12 / det) * t2
+    j = (-m21 / det) * t1 + (m11 / det) * t2
     pad = 2
-    return (math.floor(lo_i) - pad, math.ceil(hi_i) + pad,
-            math.floor(lo_j) - pad, math.ceil(hi_j) + pad)
+    return (math.floor(i.min()) - pad, math.ceil(i.max()) + pad,
+            math.floor(j.min()) - pad, math.ceil(j.max()) + pad)
 
 
-def _window_mask(u, v, reducer: DomainReducer, window: str):
+def _below(u, v, nf: NumberFieldData, j: int):
+    """Exact tau(x) < j/2, elementwise, for x = u + v*sqrt(m) (tau as in
+    `fundamental_unit`): sigma_plus(x)^2 < sigma_plus(eps^j xbar)^2 factors
+    into (eps^j xbar - x)(eps^j xbar + x) > 0 at the plus place, two exact
+    sign tests and never a logarithm.  At j = 0 it is u*v < 0."""
+    e0, e1 = (int(c) for c in (fundamental_unit(nf) ** j).coords)
+    # eps^j * conj(x) has coordinates (e0*u - m*e1*v, e1*u - e0*v)
+    p_bar, q_bar = e0 * u - nf.m * e1 * v, e1 * u - e0 * v
+    return (_sign_plus_arrays(p_bar - u, q_bar - v, nf.m)
+            * _sign_plus_arrays(p_bar + u, q_bar + v, nf.m) > 0)
+
+
+def _window_mask(u, v, nf: NumberFieldData, window: str):
     """Exact membership of u + v*sqrt(m) in the chosen window, elementwise.
 
     "standard" is tau in [0, 1); "shifted" moves the origin to tau in
@@ -259,29 +237,11 @@ def _window_mask(u, v, reducer: DomainReducer, window: str):
     half-open convention.  Over Q both windows are the positive axis u > 0
     (v = 0).
     """
-    if reducer.degree == 1:
+    if nf.degree == 1:
         return u > 0
-    m = reducer.m
-    s0 = _sign_plus_arrays(u, v, m) > 0
-    if window == "standard":
-        # tau >= 0 <=> sigma_plus^2 >= sigma_minus^2 <=> u*v >= 0, and
-        # tau < 1 <=> (eps^2 xbar - x)(eps^2 xbar + x) > 0 at the plus place
-        e0, e1 = int(reducer.eps2.coords[0]), int(reducer.eps2.coords[1])
-        # eps^2 * conj(x) has coordinates (e0*u - m*e1*v, e1*u - e0*v)
-        p_bar, q_bar = e0 * u - m * e1 * v, e1 * u - e0 * v
-        s_minus = _sign_plus_arrays(p_bar - u, q_bar - v, m)
-        s_plus = _sign_plus_arrays(p_bar + u, q_bar + v, m)
-        return s0 & (u * v >= 0) & (s_minus * s_plus > 0)
-    # lower edge tau >= 1/2 factors through eps itself, the upper through eps^3
-    e0, e1 = int(reducer.eps.coords[0]), int(reducer.eps.coords[1])
-    p_bar, q_bar = e0 * u - m * e1 * v, e1 * u - e0 * v
-    s_minus = _sign_plus_arrays(u - p_bar, v - q_bar, m)
-    s_plus = _sign_plus_arrays(u + p_bar, v + q_bar, m)
-    f0, f1 = int(reducer.eps3.coords[0]), int(reducer.eps3.coords[1])
-    g_bar_p, g_bar_q = f0 * u - m * f1 * v, f1 * u - f0 * v
-    g_minus = _sign_plus_arrays(g_bar_p - u, g_bar_q - v, m)
-    g_plus = _sign_plus_arrays(g_bar_p + u, g_bar_q + v, m)
-    return s0 & (s_minus * s_plus >= 0) & (g_minus * g_plus > 0)
+    lo, hi = _WINDOWS[window]
+    return ((_sign_plus_arrays(u, v, nf.m) > 0) & ~_below(u, v, nf, lo)
+            & _below(u, v, nf, hi))
 
 
 def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
@@ -299,18 +259,16 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
     costly filter, sees only the points that pass |N| <= x.
     """
     nf = ctx.nf
-    reducer = reducer_for(nf)
     off = tuple(int(c) for c in _uv(offset.coords))
-    if reducer.degree == 1:
+    if nf.degree == 1:
         # the multiples u = offset + i*step in (0, x*box_factor]
         step, a = int(lattice_rows[0][0]), off[0]
         top = math.floor(x * box_factor)
         lo_i, hi_i = -a // step, (top - a) // step
         lo_j = hi_j = 0
     else:
-        win_pow = 2 if window == "standard" else 3
-        eps1 = nf.embed_element(reducer.eps)[0]
-        bound = math.sqrt(x) * eps1 ** (win_pow / 2.0) * box_factor + 1e-9
+        eps1 = nf.embed_element(fundamental_unit(nf))[0]
+        bound = math.sqrt(x) * eps1 ** (_WINDOWS[window][1] / 2.0) * box_factor + 1e-9
         r1, r2 = ((int(r[0]), int(r[1])) for r in lattice_rows)
         embeds = [nf.embed_element(nf.element(r)) for r in (r1, r2)]
         lo_i, hi_i, lo_j, hi_j = _index_ranges(nf.embed_element(offset), bound, embeds)
@@ -320,7 +278,7 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
             f"enumeration box needs {total} candidate points; the desk-scale "
             f"cap is {BOX_CANDIDATE_CAP} (shrink x)")
     xi = math.floor(x)
-    if reducer.degree == 1:
+    if nf.degree == 1:
         u = np.arange(a + (lo_i + 1) * step, top + 1, step, dtype=np.int64)
         if box_factor > 1:
             u = u[u <= xi]
@@ -333,10 +291,10 @@ def _enumerate_coset(ctx: PrimeContext, lattice_rows, offset, x: float,
         ii, jj = ii.ravel(), jj.ravel()
         u = off[0] + ii * r1[0] + jj * r2[0]
         v = off[1] + ii * r1[1] + jj * r2[1]
-        norm = np.abs(u * u - reducer.m * v * v)
+        norm = np.abs(u * u - nf.m * v * v)
         keep = ((u != 0) | (v != 0)) & (norm <= xi)
         u, v, norm = u[keep], v[keep], norm[keep]
-        keep = _window_mask(u, v, reducer, window)
+        keep = _window_mask(u, v, nf, window)
         return u[keep], v[keep], norm[keep]
 
     rows = max(1, SLAB_CANDIDATES // (hi_j - lo_j + 1))
@@ -437,7 +395,6 @@ class CountBoundReport:
     rows: tuple            # (n, x, count, bound, ratio)
     row_sups: tuple        # sup of ratio per n
     sup_ratio: float
-    stable: bool
 
 
 def verify_count_bound(prime: PrimeContext, n_list, x_list, alpha=None) -> CountBoundReport:
@@ -460,12 +417,11 @@ def verify_count_bound(prime: PrimeContext, n_list, x_list, alpha=None) -> Count
             sup_n = max(sup_n, ratio)
         row_sups.append(sup_n)
     sup_ratio = max(row_sups)
-    stable = sup_ratio <= 2.0 * min(row_sups)
-    if not stable:
+    if sup_ratio > 2.0 * min(row_sups):
         raise ArithmeticError(
             f"count-bound constant drifts across n: per-n sups {row_sups}")
     return CountBoundReport(ctx.nf.label, ctx.p, tuple(rows), tuple(row_sups),
-                            sup_ratio, stable)
+                            sup_ratio)
 
 
 @dataclass(frozen=True)
@@ -475,8 +431,7 @@ class TorsionNormReport:
     n: int
     delta_order: int
     rows: tuple            # (min_residue, norm, ratio) per nontrivial class
-    constant: float | None
-    vacuous: bool
+    constant: float | None     # None when rows == (): a vacuous pass
     passed: bool
 
 
@@ -492,8 +447,7 @@ def torsion_norm_bound(rcg: RayClassGroup) -> TorsionNormReport:
     delta_order = rcg.delta_order
     nontrivial = rcg.torsion_classes()[1:]
     if not nontrivial:
-        return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, (), None,
-                                 True, True)
+        return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, (), None, True)
     scale = float(rcg.ctx.p) ** (n / delta_order)
 
     # over Q the least lift r > 0 is the least norm of its class; it can reach
@@ -508,4 +462,4 @@ def torsion_norm_bound(rcg: RayClassGroup) -> TorsionNormReport:
     constant = min(row[2] for row in rows)
     passed = constant >= TORSION_FLOOR_RATIO
     return TorsionNormReport(rcg.nf.label, rcg.p, n, delta_order, tuple(rows),
-                             constant, False, passed)
+                             constant, passed)

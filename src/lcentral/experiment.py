@@ -88,6 +88,11 @@ class ExperimentRow:
     seconds: float
     error: str | None = None
 
+    @property
+    def clean(self) -> bool:
+        """The row's verdict: no error, and every member's |L| above the floor."""
+        return self.error is None and all(self.flags)
+
 
 @dataclass(frozen=True)
 class ExperimentReport:

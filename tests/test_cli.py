@@ -270,11 +270,11 @@ def test_levels_past_the_residue_cap_refused(capsys):
 
 
 def test_field_aliases_name_one_field():
-    from lcentral.cones import reducer_for
+    from lcentral.cones import fundamental_unit
     from lcentral.fields import nf_load
     assert nf_load("Q") is nf_load("rationals")
     assert nf_load("Qsqrt2") is nf_load("quadratic-sqrt2")
-    assert reducer_for("Q") is reducer_for("rationals")
+    assert fundamental_unit(nf_load("Qsqrt2")) is fundamental_unit(nf_load("quadratic-sqrt2"))
     chi = parse_char_label("Q.p5.m2.chi3")
     assert chi == parse_char_label("rationals.p5.m2.chi3")
     assert hash(chi) == hash(parse_char_label("rationals.p5.m2.chi3"))

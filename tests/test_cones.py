@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcentral import cones
-from lcentral.cones import (_coord_arrays, _enumerate_coset, _principal_rows,
-                            _window_mask, count_progression, min_norm_coset,
-                            prime_above, reducer_for, torsion_norm_bound,
-                            verify_count_bound)
+from lcentral.cones import (_below, _coord_arrays, _enumerate_coset,
+                            _principal_rows, _window_mask, count_progression,
+                            fundamental_unit, min_norm_coset, prime_above,
+                            sign_plus, torsion_norm_bound, verify_count_bound)
 from lcentral.fields import NumberFieldData, nf_load
 from lcentral.rayclass import PrimeContext, rcg_build
 from lcentral.tau import primes_up_to
@@ -40,27 +40,27 @@ def _coords(x):
 
 def _contains(x, window="standard"):
     """Exact membership of the single element x in the window."""
-    return bool(_window_mask(*_coord_arrays(x), reducer_for(x.nf), window)[0])
+    return bool(_window_mask(*_coord_arrays(x), x.nf, window)[0])
 
 
 def _reduce(x):
     """The canonical associate of x in the standard window: |x| over Q;
     over Q(sqrt(m)) a float guess for the unit power, then exact steps across
     the window's edges."""
-    red = reducer_for(x.nf)
     if x.is_zero():
         raise ValueError("cannot reduce zero")
-    if red.degree == 1:
+    if x.nf.degree == 1:
         return x.nf.element([abs(x.coords[0])])
-    y = x if red.sign_plus(x) > 0 else -x
+    eps = fundamental_unit(x.nf)
+    y = x if sign_plus(x) > 0 else -x
     s1, s2 = y.nf.embed_element(y)
-    log_eps = math.log(y.nf.embed_element(red.eps)[0])
-    y = y * red.eps ** -math.floor((math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * log_eps))
+    log_eps = math.log(y.nf.embed_element(eps)[0])
+    y = y * eps ** -math.floor((math.log(abs(s1)) - math.log(abs(s2))) / (2.0 * log_eps))
     for _ in range(8):
         if _contains(y):
             return y
         # a*b < 0 is tau < 0: climb; otherwise tau >= 1: descend
-        y = y * (red.eps if y.coords[0] * y.coords[1] < 0 else red.eps.inverse())
+        y = y * (eps if y.coords[0] * y.coords[1] < 0 else eps.inverse())
     raise ArithmeticError(f"unit reduction did not settle for {x!r}")
 
 
@@ -83,9 +83,9 @@ def test_reduce_zero_raises():
 
 
 def test_reduce_unit_invariance_and_idempotence():
-    red = reducer_for(K)
+    eps = fundamental_unit(K)
     rng = random.Random(41)
-    units = [red.eps, red.eps * red.eps, red.eps.inverse(), -red.eps, -K.one]
+    units = [eps, eps * eps, eps.inverse(), -eps, -K.one]
     for _ in range(500):
         x = K.element([rng.randint(-60, 60), rng.randint(-60, 60)])
         if x == K.zero:
@@ -99,21 +99,21 @@ def test_reduce_unit_invariance_and_idempotence():
 
 
 def test_window_membership_matrix():
-    red = reducer_for(K)
+    eps = fundamental_unit(K)
     inside = [K.one, K.element([0, 1]), K.element_from_int(3)]
-    outside = [red.eps, K.element([2, 1]), K.element([3, 2])]
+    outside = [eps, K.element([2, 1]), K.element([3, 2])]
     for x in inside:
         assert _contains(x)
         assert not _contains(x, window="shifted")
     for x in outside:
         assert not _contains(x)
     # the slope-1 elements land inside the shifted window instead
-    assert _contains(red.eps, window="shifted")
+    assert _contains(eps, window="shifted")
     assert _contains(K.element([2, 1]), window="shifted")
 
 
 def test_each_window_holds_one_representative_per_orbit():
-    red = reducer_for(K)
+    eps = fundamental_unit(K)
     rng = random.Random(7)
     for _ in range(300):
         x = K.element([rng.randint(-40, 40), rng.randint(-40, 40)])
@@ -123,12 +123,40 @@ def test_each_window_holds_one_representative_per_orbit():
             hits = 0
             y = x
             for _ in range(4):
-                y = y * red.eps.inverse()
+                y = y * eps.inverse()
             for _ in range(9):
                 hits += _contains(y, window=window)
                 hits += _contains(-y, window=window)
-                y = y * red.eps
+                y = y * eps
             assert hits == 1
+
+
+def test_window_edge_rule_matches_the_slope():
+    # _below(j) is tau < j/2, alike on int64 enumeration arrays and on the
+    # object arrays of single elements
+    rng = np.random.default_rng(11)
+    u, v = rng.integers(-10**4, 10**4, size=(2, 4000))
+    keep = (u != 0) | (v != 0)
+    u, v = u[keep], v[keep]
+    flip = np.where(u + v * math.sqrt(2) > 0, 1, -1)   # sigma_plus > 0
+    u, v = u * flip, v * flip
+    log_eps = math.log(K.embed_element(fundamental_unit(K))[0])
+    tau = (np.log(np.abs(u + v * math.sqrt(2)))
+           - np.log(np.abs(u - v * math.sqrt(2)))) / (2.0 * log_eps)
+    for j in range(5):
+        far = np.abs(tau - j / 2) > 1e-9
+        want = tau[far] < j / 2
+        assert np.array_equal(_below(u[far], v[far], K, j), want)
+        assert np.array_equal(_below(u[far].astype(object), v[far].astype(object),
+                                     K, j), want)
+    # on the edges themselves: eps^k and eps^k*sqrt(2) have tau = k exactly
+    eps = fundamental_unit(K)
+    for k in range(-2, 3):
+        for x in (eps ** k, eps ** k * K.element([0, 1])):
+            ints = tuple(np.array([c], dtype=np.int64) for c in _coords(x))
+            for j in range(5):
+                assert bool(_below(*ints, K, j)[0]) == (2 * k < j)
+                assert bool(_below(*_coord_arrays(x), K, j)[0]) == (2 * k < j)
 
 
 CUBIC_DOC = {
@@ -184,11 +212,11 @@ GOLDEN_BASIS_DOC = {
 
 def test_unsupported_fields_are_rejected():
     with pytest.raises(ValueError, match="degree 3"):
-        reducer_for(NumberFieldData(CUBIC_DOC))
+        NumberFieldData(CUBIC_DOC)
     with pytest.raises(ValueError, match=r"signature \(0, 1\)"):
-        reducer_for(NumberFieldData(GAUSSIAN_DOC))
+        NumberFieldData(GAUSSIAN_DOC)
     with pytest.raises(ArithmeticError, match="rational"):
-        reducer_for(NumberFieldData(SPLIT_DOC))
+        NumberFieldData(SPLIT_DOC)
     with pytest.raises(ValueError, match=r"x\^2 - m"):
         nf_load(GOLDEN_DOC)
     with pytest.raises(ValueError, match="integral basis"):
@@ -212,13 +240,12 @@ def test_prime_above_is_deterministic():
 def _prime_above_by_box(nf, p):
     """The (u, v) prime_above picks, by trying every (a, b) in [0, p]^2 and
     their sign variants; None for an inert p."""
-    red = reducer_for(nf)
     a, b = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
     best = None
-    for a, b in np.argwhere(np.abs(a * a - red.m * b * b) == p).tolist():
+    for a, b in np.argwhere(np.abs(a * a - nf.m * b * b) == p).tolist():
         for u, v in ((a, b), (a, -b), (-a, b), (-a, -b)):
             key = (abs(v), abs(u), v < 0, u < 0)
-            if red.sign_plus(nf.element([u, v])) > 0 and (best is None or key < best[0]):
+            if sign_plus(nf.element([u, v])) > 0 and (best is None or key < best[0]):
                 best = (key, (u, v))
     return None if best is None else best[1]
 
@@ -463,7 +490,7 @@ def test_min_norm_monotone_in_n():
 def test_verify_count_bound_rationals():
     rep = verify_count_bound(CTX5, [1, 2, 3], [1, 10, 100, 1000, 5000])
     assert rep.row_sups == (1.0, 1.0, 1.0)
-    assert rep.stable and rep.sup_ratio == 1.0
+    assert rep.sup_ratio == 1.0
     assert len(rep.rows) == 15
 
 
@@ -471,7 +498,6 @@ def test_verify_count_bound_sqrt2():
     rep = verify_count_bound(CTX7, [1, 2], [1, 50, 500, 5000])
     assert rep.row_sups[0] == pytest.approx(1.0)
     assert rep.row_sups[1] == pytest.approx(1.96)
-    assert rep.stable
 
 
 def test_verify_count_bound_flags_drift():
@@ -484,7 +510,7 @@ def test_torsion_norm_bound_rationals():
     expected = {1: (2, 0.8944271909999159), 2: (7, 1.4), 3: (57, 5.09823498869952)}
     for n, (norm, ratio) in expected.items():
         rep = torsion_norm_bound(rcg_build(CTX5, n))
-        assert rep.delta_order == 2 and not rep.vacuous
+        assert rep.delta_order == 2 and rep.rows != ()
         assert len(rep.rows) == 1
         assert rep.rows[0][1] == norm
         assert rep.rows[0][2] == pytest.approx(ratio)
@@ -495,7 +521,7 @@ def test_torsion_norm_bound_vacuous():
     ctx3 = prime_above(Q, 3)
     for n in (1, 2):
         rep = torsion_norm_bound(rcg_build(ctx3, n))
-        assert rep.vacuous and rep.passed and rep.rows == ()
+        assert rep.passed and rep.rows == ()
 
 
 def test_torsion_norm_bound_sqrt2():

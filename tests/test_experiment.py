@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from lcentral.afe import afe_lvalue, exponent_window, orbit_average_lvalue
-from lcentral.experiment import (ExperimentConfig, ExperimentReport, _run_row,
-                                 _Setup, envelope_terms, halved_cutoff_gap,
+from lcentral.experiment import (ExperimentConfig, ExperimentReport, ExperimentRow,
+                                 _run_row, _Setup, envelope_terms, halved_cutoff_gap,
                                  report_from_json, report_to_json,
                                  run_lav_experiment)
 from oracles import BumpVKernel
@@ -119,6 +119,14 @@ def test_failed_row_is_reported_not_raised():
         '"lav_im": NaN, "main_term_re": NaN, "main_term_im": NaN, "deviation": NaN, '
         '"envelope": [], "dual_magnitude": NaN, "route_gap": NaN, '
         '"min_abs_value": NaN, "flags": [], "error_estimate": NaN}')
+
+
+def test_row_verdict_needs_no_error_and_every_member_above_the_floor():
+    # the one rule behind lav-scan's exit status and criterion 10
+    row = ExperimentRow(n=1, y=25.0, seconds=0.0, flags=(True, True))
+    assert row.clean
+    assert not dataclasses.replace(row, flags=(True, False)).clean
+    assert not dataclasses.replace(row, error="routes disagree").clean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
