@@ -33,6 +33,11 @@ half-sums and Gauss sums of every member at once, returned as arrays in
 orbit order.  Route two is per orbit and exact: the averaged twist tables
 of charsums, dotted with the unfolded prefab arrays.  `afe_lvalue` stays
 the per-character oracle behind both.
+
+Memory: a half-sum pass runs in blocks of `_BLOCK` terms.  Only the prefabs,
+kept at 8 bytes per term, and the error estimate's transient |term| array
+span the count; V's buffers, a block's residues and its gathered table
+values live for one block, and route one's fold needs no index.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ EVAL_REL_ERR = 2e-14
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.
 # Small j wins for small scales, large j for conductor-sized balance points.
 DECAY_ORDERS = (3, 6, 9, 12, 16, 20, 24, 28, 32)
+
+# Terms per half-sum block: 128 KB of float64, so that each pass runs in cache
+_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +121,9 @@ def exponent_window(theta, delta_size: int) -> tuple[Fraction, Fraction]:
 
 # ---------------------------------------------------------------------------
 # shared plumbing.  Value-keyed, character-independent objects (gamma data,
-# V kernels, decay constants, residue index arrays) go through one memo and
-# serve every character of an orbit and every level sharing s.  What is
-# derived from a form's coefficients lives on the form, so it goes with it.
+# V kernels, decay constants) go through one memo and serve every character
+# of an orbit and every level sharing s.  What is derived from a form's
+# coefficients lives on the form, so it goes with it.
 
 _memo = lru_cache(maxsize=64)
 # the field is the form's own: a field document at a path is then read once,
@@ -156,29 +164,6 @@ def _decay_constants(kern: VKernel) -> dict[int, float]:
     return out
 
 
-@_memo
-def _mod_index(count: int, mod: int) -> np.ndarray:
-    """n mod `mod` for n = 1..count: the period 1, 2, ..., mod - 1, 0 laid
-    down once per whole period and cut short at the end (the int64 `%` is
-    numpy's slow division path)."""
-    period = np.roll(np.arange(mod, dtype=np.int64), -1)
-    got = np.empty(count, dtype=np.int64)
-    whole = count - count % mod
-    got[:whole].reshape(-1, mod)[...] = period
-    got[whole:] = period[:count - whole]
-    got.setflags(write=False)
-    return got
-
-
-def _on_form(form: NewformData, key, build):
-    """build(), kept on the form under key."""
-    got = form._derived.get(key)
-    if got is None:
-        got = build()
-        form._derived[key] = got
-    return got
-
-
 def character_value_table(chi: HeckeCharacter) -> np.ndarray:
     """chi((r)) for r = 0..mod-1 as a complex vector, 0 where r shares a
     factor with p.  The value at a principal ideal (n), n coprime to p, is
@@ -200,36 +185,62 @@ def _root_number(chi: HeckeCharacter | None) -> complex:
     return 1.0 + 0j if chi is None else root_number(chi)
 
 
+def _mod_index(lo: int, hi: int, mod: int) -> np.ndarray:
+    """n mod `mod` for n = lo + 1..hi (numpy's `%` is slower)."""
+    ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    return ns - ns // mod * mod
+
+
 def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
             reflected: bool) -> np.ndarray:
     """a(n) n^(-s) V(n/scale) for n = 1..count at the kernel's spectral
     point s, with the reflected sign when asked; the character-independent
-    part of a half-sum.  One array serves every member of a Galois orbit,
-    which is what makes orbit scans cheap.
+    part of a half-sum, kept on the form.  One array serves every member of
+    a Galois orbit, which is what makes orbit scans cheap.
 
-    Built in the buffer of n: V(n/scale) first, then n^(-s) in place,
-    times a(n), times V, so each term is the product (a(n) n^(-s)) V; the
-    sign eta = +-1 is exact wherever it is applied.
+    Built a block at a time in the buffer of its n: V(n/scale), n^(-s) in
+    place, times a(n), times V, so each term is (a(n) n^(-s)) V and eta = +-1
+    is exact wherever applied; each step is elementwise, so blocks change no bit.
     """
-    def build():
-        ns = np.arange(1, count + 1, dtype=np.float64)
-        v = kern.value(ns / scale)
-        ns **= -kern.s.real
-        ns *= form.coefficient_array(count)[1:]
-        ns *= v
-        if reflected:
-            ns *= form.eta
-        ns.setflags(write=False)
-        return ns
-    return _on_form(form, ("prefab", kern, float(scale), count, reflected), build)
+    key = ("prefab", kern, float(scale), count, reflected)
+    got = form._derived.get(key)
+    if got is None:
+        got = np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            v = kern.value(ns / scale)
+            ns **= -kern.s.real
+            ns *= form.coefficient_array(hi)[lo + 1:]
+            ns *= v
+            if reflected:
+                ns *= form.eta
+            got[lo:hi] = ns
+        got.setflags(write=False)
+        form._derived[key] = got
+    return got
 
 
 def _dot(weights: np.ndarray, table: np.ndarray | None) -> complex:
-    """sum_n weights[n - 1] table[n mod len(table)] over n = 1..len(weights);
-    no table is the untwisted sum."""
+    """sum_n weights[n - 1] table[n mod len(table)] over n = 1..len(weights),
+    gathered and dotted one block at a time; no table is the untwisted sum."""
     if table is None:
         return complex(np.sum(weights))
-    return complex(np.dot(weights, table[_mod_index(len(weights), len(table))]))
+    total = 0j
+    for lo in range(0, len(weights), _BLOCK):
+        hi = min(lo + _BLOCK, len(weights))
+        total += complex(np.dot(weights[lo:hi], table[_mod_index(lo, hi, len(table))]))
+    return total
+
+
+def _fold(weights: np.ndarray, mod: int) -> np.ndarray:
+    """The bins sum_(n = r mod `mod`) weights[n - 1], r = 0..mod-1, by
+    np.bincount's additions in its order: the whole periods as rows (column
+    c holds n = c + 1) summed over axis 0, then the short tail."""
+    whole = len(weights) - len(weights) % mod
+    bins = np.roll(weights[:whole].reshape(-1, mod).sum(axis=0), 1)
+    bins[1:len(weights) - whole + 1] += weights[whole:]
+    return bins
 
 
 def _normalize_twist(chi: HeckeCharacter | None) -> HeckeCharacter | None:
@@ -528,17 +539,12 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
         pctx, level = chi.prime_ctx, chi.level
         mod, h = pctx.modulus(level), pctx.unit_group_order(level)
         idx = orbit_index(chi, ctx)
-
-        def half_sums(pre: np.ndarray, at: np.ndarray) -> np.ndarray:
-            bins = np.bincount(_mod_index(len(pre), mod), weights=pre, minlength=mod)
-            return character_sums(pctx, level, bins)[at]
-
         pre1, pre2 = _prefabs(form, eng)
         # at the central point Med^((k - 2s)/2) = 1
         dual = (eng.c * orbit_float_root_numbers(chi, ctx)
-                * half_sums(pre2, -idx % h) / eng.gamma_s)
+                * character_sums(pctx, level, _fold(pre2, mod))[-idx % h] / eng.gamma_s)
         res = LValueResult(
-            value=half_sums(pre1, idx) / eng.gamma_s + dual,
+            value=character_sums(pctx, level, _fold(pre1, mod))[idx] / eng.gamma_s + dual,
             error_estimate=_error_estimate(form, eng), y=eng.cfg.y,
             terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
             character_label=chi.label, main_term=complex(pre1[0] / eng.gamma_s),

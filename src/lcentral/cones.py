@@ -114,6 +114,12 @@ def fundamental_unit(nf: NumberFieldData) -> FieldElement:
     raise ArithmeticError("could not normalise the fundamental unit")
 
 
+@lru_cache(maxsize=32)
+def _unit_power_coords(nf: NumberFieldData, j: int) -> tuple[int, ...]:
+    """eps^j's integer coordinates, held per field and window edge j = 0..3."""
+    return tuple(int(c) for c in (fundamental_unit(nf) ** j).coords)
+
+
 def sign_plus(x: FieldElement) -> int:
     """Exact sign of x at the plus place."""
     return int(_sign_plus_arrays(*_coord_arrays(x), x.nf.m)[0])
@@ -222,7 +228,7 @@ def _below(u, v, nf: NumberFieldData, j: int):
     `fundamental_unit`): sigma_plus(x)^2 < sigma_plus(eps^j xbar)^2 factors
     into (eps^j xbar - x)(eps^j xbar + x) > 0 at the plus place, two exact
     sign tests and never a logarithm.  At j = 0 it is u*v < 0."""
-    e0, e1 = (int(c) for c in (fundamental_unit(nf) ** j).coords)
+    e0, e1 = _unit_power_coords(nf, j)
     # eps^j * conj(x) has coordinates (e0*u - m*e1*v, e1*u - e0*v)
     p_bar, q_bar = e0 * u - nf.m * e1 * v, e1 * u - e0 * v
     return (_sign_plus_arrays(p_bar - u, q_bar - v, nf.m)

@@ -47,7 +47,11 @@ _LOG_TWO_PI = math.log(TWO_PI)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _STIRLING_FROM = 15.0
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc at every point of x, bit for bit, in x's shape."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
 
 # Step of the degree-2 trapezoid sum, and the e-folds of its integrand's
 # decay it covers: the dropped tail is below 2 e^-40 = 8.5e-18 of the sum.

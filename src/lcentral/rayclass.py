@@ -282,12 +282,13 @@ class HeckeCharacter:
     """Character k of the cyclic group `group` of order h: its value on the
     class c is e(k c / h), and k is its label index."""
 
-    __slots__ = ("group", "k", "_conductor")
+    __slots__ = ("group", "k", "_conductor", "_exponents")
 
     def __init__(self, group: RayClassGroup, k: int):
         self.group = group
         self.k = k % group.order
         self._conductor: int | None = None
+        self._exponents: np.ndarray | None = None
 
     @property
     def label(self) -> str:
@@ -318,9 +319,13 @@ class HeckeCharacter:
 
     def exponents(self) -> np.ndarray:
         """j(r) at every residue r mod p^level, with chi((r)) = e(j(r) / order),
-        as an int64 array, -1 off the units (as in `RayClassGroup.classes`)."""
-        dlog = self.group.dlog
-        return dlog * self.dlog_phase.numerator % self.order | dlog >> 63
+        as a read-only int64 array kept from first use, -1 off the units (as
+        in `RayClassGroup.classes`)."""
+        if self._exponents is None:
+            dlog = self.group.dlog
+            self._exponents = dlog * self.dlog_phase.numerator % self.order | dlog >> 63
+            self._exponents.setflags(write=False)
+        return self._exponents
 
     @property
     def unit_index(self) -> int:

@@ -1,6 +1,7 @@
 """Independent oracles the tests check production code against."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -53,3 +54,18 @@ def bessel_tail_quad(a1: float, a2: float, v: float) -> float:
     val, _ = quad(lambda r: 4.0 * r ** power * kv(nu, 2.0 * r),
                   lo, lo + 45.0, epsabs=0.0, epsrel=1e-13, limit=300)
     return val
+
+
+def traced(warm, build):
+    """(build(), kept bytes, peak bytes), with tracemalloc on around build()
+    alone.  warm() runs first, so the kernels, the caches and numpy's cache
+    of small freed buffers are warm, and the figures do not depend on the
+    tests that ran before."""
+    warm()
+    tracemalloc.start()
+    try:
+        got = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, kept, peak

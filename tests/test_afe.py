@@ -23,6 +23,7 @@ from lcentral.fields import nf_load
 from lcentral.newforms import builtin_newform, newform_load
 from lcentral.rayclass import (HeckeCharacter, PrimeContext, rcg_build,
                               seed_character)
+from oracles import traced
 
 Q = nf_load("rationals")
 K = nf_load("quadratic-sqrt2")
@@ -533,7 +534,46 @@ def test_prefab_in_place_keeps_the_expression(delta, s, eta):
 @pytest.mark.parametrize("count, mod", [(7, 25), (24, 25), (25, 25), (26, 25),
                                         (1, 1), (10, 1), (1000, 125), (152588, 625)])
 def test_mod_index_is_n_mod_the_modulus(count, mod):
-    got = afe._mod_index(count, mod)
-    assert got.dtype == np.int64 and got.shape == (count,)
-    assert np.array_equal(got, np.arange(1, count + 1) % mod)
-    assert not got.flags.writeable
+    # block by block, as _dot reads it: past the first, the blocks of 152588
+    # terms start at multiples of 2^14, none a multiple of 625, so each
+    # starts inside a period
+    got = [afe._mod_index(lo, min(lo + afe._BLOCK, count), mod)
+           for lo in range(0, count, afe._BLOCK)]
+    assert all(g.dtype == np.int64 for g in got)
+    assert np.array_equal(np.concatenate(got), np.arange(1, count + 1) % mod)
+    # and a short block on each side of a period's end
+    for lo in (mod - 1, mod, 2 * mod - 2):
+        assert np.array_equal(afe._mod_index(lo, lo + 3, mod), np.arange(lo + 1, lo + 4) % mod)
+
+
+@pytest.mark.parametrize("count, mod", [(7, 25), (25, 25), (26, 25), (4000, 25),
+                                        (152588, 625), (152588, 3125), (152588, 7)])
+def test_fold_is_the_bincount_bit_for_bit(count, mod):
+    # route one's residue bins: the axis-0 sum of whole periods plus the
+    # tail makes np.bincount's additions in its order, so every bit agrees
+    pre = np.random.default_rng(count + mod).standard_normal(count)
+    want = np.bincount(np.arange(1, count + 1) % mod, weights=pre, minlength=mod)
+    got = afe._fold(pre, mod)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_half_sums_stay_within_a_few_blocks(tower):
+    # one n = 3 row's half-sums on both routes, its prefabs built first:
+    # route one folds and transforms 625 bins, route two gathers and dots
+    # one block at a time, so the peak is a few blocks' arrays (measured at
+    # 4.1 blocks of float64: a block's index, its gathered values and the
+    # complex weights of their product), not a multiple of the count
+    seed = tower.seed_character(4)
+    eng = afe._engine(tower.form, seed, 6.0, 5.0 ** 6, tower.cfg.tol)
+    pres = afe._prefabs(tower.form, eng)
+    assert len(pres[0]) > 9 * afe._BLOCK   # the main side's 152588 terms
+    tables = (charsums.averaged_char_table(seed, CTX5),
+              charsums.averaged_iota_table(seed, CTX5))
+    pctx, level = seed.prime_ctx, seed.level
+    mod = pctx.modulus(level)
+
+    def half_sums():
+        return ([charsums.character_sums(pctx, level, afe._fold(pre, mod)) for pre in pres],
+                [afe._dot(pre, table) for pre, table in zip(pres, tables)])
+    _, _, peak = traced(half_sums, half_sums)
+    assert peak <= 5 * 8 * afe._BLOCK

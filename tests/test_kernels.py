@@ -374,3 +374,18 @@ def test_value_tail_in_place_keeps_the_old_bits_and_its_input(gamma, grid, s):
     assert np.array_equal(xs, grid)
     assert np.array_equal(got, _old_value_tail(kern, grid))
     assert kern.value_tail(float(grid[7])) == float(_old_value_tail(kern, grid[7:8])[0])
+
+
+def test_erfc_is_math_erfc_bit_for_bit():
+    # 0, tiny x, the working range, and x past 27, where erfc underflows
+    # through the subnormals to 0; 1-d, 2-d as the degree-2 tail passes it,
+    # and a transposed 2-d view
+    xs = np.concatenate([[0.0, 5e-324, 1e-300, 1e-17], np.linspace(0.0, 30.0, 1201),
+                         [26.5, 27.2, 27.5, 40.0, 1e10]])
+    want = np.array([math.erfc(x) for x in xs.tolist()])
+    assert want[0] == 1.0 and 0.0 < want[-4] < 1e-320 and not want[-3:].any()
+    grid = xs.reshape(10, -1)
+    for x, w in ((xs, want), (grid, want.reshape(10, -1)), (grid.T, want.reshape(10, -1).T)):
+        got = kernels._erfc(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), w.view(np.int64))

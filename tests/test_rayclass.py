@@ -130,6 +130,20 @@ def test_scalar_evaluator_matches_exponent_table():
     _check_scalar_against_exponent_table(res.characters())
 
 
+def test_exponent_table_is_built_once_and_read_only():
+    # the Gauss sums read the table once per call, so a character keeps it
+    _, ctx = q_ctx()
+    chi = rcg_build(ctx, 3).character_by_index(7)
+    first = chi.exponents()
+    assert chi.exponents() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
+    dlog = ctx.dlog_array(3)
+    want = np.where(dlog >= 0, dlog * chi.dlog_phase.numerator % chi.order, -1)
+    assert np.array_equal(first, want)
+
+
 def test_conductor_matches_pairwise_oracle():
     # conductor exponent = least m with chi constant on residue classes mod p^m
     Q, ctx = q_ctx()

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
                           TAU_LIMIT_CAP, _congruence_residues, _DivisorIndex,
                           _lift, _ramanujan_residues, _transformed_count,
                           primes_up_to, tau_exact, tau_table, tau_table_bigint)
+from oracles import traced
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -358,35 +358,23 @@ def test_float_table_stays_in_its_memory_budget():
     # numpy's cache of small freed buffers is warm and the kept count does
     # not depend on the tests that ran before
     limit = 100000
-    tau_table(limit)
-    tracemalloc.start()
-    try:
-        table = tau_table(limit)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    table, kept, peak = traced(lambda: tau_table(limit), lambda: tau_table(limit))
     assert peak <= 51 * limit
     assert kept - table.nbytes < 4096
 
 
 def test_prefab_stays_in_its_memory_budget():
-    # a prefab array is built in the buffer of n: at the peak n, n/scale,
-    # the argument of Q and the two buffers of Q's finite sum are alive, 40
-    # bytes per term plus the few objects around them (64 when every step
-    # of the expression made a new array), and nothing is kept but the
-    # 8-byte result.  One array is built first, so the kernel, its gamma
-    # value and numpy's cache of small buffers are warm
+    # a prefab array is built one block at a time into the 8-byte result,
+    # which is all that is kept.  Within a block n, n/scale, the argument of
+    # Q and the buffers of Q's finite sum are alive: measured at 6.0 blocks
+    # of float64 past the result.  One array is built first, so the kernel,
+    # its gamma value and numpy's cache of small buffers are warm
     limit = 152588
     form = builtin_newform("delta", limit=limit)
     kern = afe.vkernel_for(nf_load("rationals"), (0,), 6.0)
-    afe._prefab(form, kern, 100.0, limit, False)
-    tracemalloc.start()
-    try:
-        arr = afe._prefab(form, kern, 200.0, limit, True)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * limit + 4096
+    arr, kept, peak = traced(lambda: afe._prefab(form, kern, 100.0, limit, False),
+                             lambda: afe._prefab(form, kern, 200.0, limit, True))
+    assert peak <= 8 * limit + 7 * 8 * afe._BLOCK
     assert kept - arr.nbytes < 4096
 
 
