@@ -40,9 +40,10 @@ member's G(conj chi^t) from one such transform of the additive phases, for
 `orbit_float_root_numbers`.  `gauss_sum` and `root_number` stay the
 per-character oracles.  Route two is per orbit and exact:
 `orbit_root_numbers` checks one exact square eps = G(conj chi)^2 / q
-(`_unit_square`: h h - q eps is zero) and gets every W(chi^t) through the
-Galois action, G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)), as int64 phases
-over one level read off the seed's exponent table.  The tables
+(`_unit_square`: h h - q eps is zero, h reduced first, where it has at most
+p - 1 terms) and gets every W(chi^t) through the Galois action,
+G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)), as int64 phases over one
+level read off the seed's exponent table.  The tables
 `averaged_char_table` and `averaged_iota_table` are one orbit-mean DFT of
 the members binned by t mod ord (weights 1, and the W phases), spread over
 the residues by `scatter`, as afe's character tables are.  Route two never
@@ -217,12 +218,13 @@ def character_sums(ctx: PrimeContext, level: int, values: np.ndarray) -> np.ndar
 
     The character with value e(u dlog(r) / h) at r is the u-th character of
     the level's unit group, so this is the sum of `values` against all of
-    them at once: regroup by discrete log, then one length-h FFT.
+    them at once: regroup by discrete log, then one length-h FFT.  The units
+    are columns 1..p-1 of the residues laid out in rows of p, read as views.
     """
-    dlog = dual_generator(ctx, level).exponents()
-    units = dlog >= 0
+    p = ctx.p
     by_log = np.zeros(ctx.unit_group_order(level), dtype=np.complex128)
-    by_log[dlog[units]] = values[units]
+    by_log[dual_generator(ctx, level).exponents().reshape(-1, p)[:, 1:]] = \
+        values.reshape(-1, p)[:, 1:]
     return np.fft.ifft(by_log, norm="forward")
 
 
@@ -305,12 +307,18 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
 def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
     """The root of unity eps = h^2 / q for h = sum_e hist[e] e(e / n),
     n = len(hist): eps is read off the float value of h^2, and h^2 - q eps
-    must vanish exactly."""
+    must vanish exactly.
+
+    h is reduced onto the tensor basis before it is squared.  A Gauss sum of
+    conductor p^c, c >= 2, is p^(c/2) times a root of unity, or p^((c-1)/2)
+    times a root of unity and a quadratic Gauss sum mod p (stationary phase),
+    so reduced it has at most p - 1 nonzero terms, and the square is a few
+    rotations (`CyclotomicNumber.__mul__`)."""
     n = len(hist)
     z = np.dot(hist, np.exp(2j * pi * np.arange(n) / n))
     turns = cmath.phase(z * z) / (2 * pi)
     eps = RootOfUnity(Fraction(round(turns * 2 * n), 2 * n))
-    h = CyclotomicNumber.from_array(n, hist)
+    h = CyclotomicNumber.from_array(n, hist).reduced()
     if not (h * h - CyclotomicNumber.from_root(eps, coeff=q)).is_zero():
         raise ArithmeticError(f"G^2 / N(cond) is not a root of unity at {label}")
     return eps

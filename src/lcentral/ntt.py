@@ -1,13 +1,9 @@
-"""Exact integer convolution by number-theoretic transforms.
+"""The coefficient table's number-theoretic transform and its CRT.
 
-`convolve_exact(a, b, bound)` returns the linear convolution of two integer
-arrays exactly: it convolves modulo the shortest prefix of `NTT_PRIMES` whose
-product exceeds 2 bound, and recombines the residues by Garner's CRT.
-`Transform.product` is its one-prime step.  `short_square` gives the low
-terms of a square from transforms of a fraction of the length (Hanrot and
-Zimmermann's short product in k pieces), for tau.py, which needs only the
-low terms of its square and combines them with other residues before
-recombining.
+tau.py squares a series modulo each prime of `NTT_PRIMES` and recombines the
+residues by Garner's CRT.  `short_square` gives the low terms of a square
+from transforms of a fraction of the length (Hanrot and Zimmermann's short
+product in k pieces); `Transform` is its one-prime, n-point transform.
 
 CRT.  `garner_digits` gives Garner's mixed-radix digits as int32 arrays
 (widened to int64 inside each pass) of the value x in [0, M), M the product
@@ -19,7 +15,7 @@ even): numpy converts the int64 value for one or two primes and no K, else
 it is rounded once from its leading 64 bits and a sticky bit, over 32-bit
 limbs in uint64 with no Python int formed; `mixed_radix_residue` mod m below
 2^31, x or x + K M, which `garner_digits` takes for the earlier digits mod
-each new prime.  `garner` is the exact signed read-out of the residues.
+each new prime.
 
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
@@ -54,11 +50,6 @@ step's outputs lie in (-2p, 3p); the two blocks it then multiplies by
 twiddles lie in (-2p, 2p), so those products stay below 2p * p < 2^63 in
 magnitude.  Reductions go through floor division (`reduce_mod`), which
 returns [0, p) for negative input as well.
-
-Memory.  A product holds one n-entry work array, one n-entry scratch array
-(used as a pair of halves by the butterflies), the R' x C twiddle matrix and
-a few column vectors of about sqrt n entries; a second operand that is not
-the first adds one more n-entry array.
 
 The short square.  `_square_plan` picks the number of pieces k in 2..8 from
 the length L alone: pieces of t = ceil(L / k) terms, transforms of
@@ -101,17 +92,6 @@ def transform_size(length: int) -> int:
     """Smallest n in {2^k, 3 * 2^k} with n >= length (length >= 1)."""
     return min(1 << (length - 1).bit_length(),
                3 << ((length + 2) // 3 - 1).bit_length())
-
-
-def crt_primes(bound: int) -> tuple[tuple[int, int], ...]:
-    """Shortest prefix of NTT_PRIMES whose product exceeds 2 bound, so that
-    the signed CRT recovers every integer of magnitude at most `bound`."""
-    modulus = 1
-    for i, (p, _) in enumerate(NTT_PRIMES):
-        modulus *= p
-        if modulus > 2 * bound:
-            return NTT_PRIMES[:i + 1]
-    raise ValueError("limit too large for the configured prime set")
 
 
 def root_powers(root: int, n: int, p: int) -> np.ndarray:
@@ -159,13 +139,6 @@ def _stage_twiddles(root: int, length: int, p: int) -> list[tuple[int, np.ndarra
     while size >= 2:
         out.append((size, powers[::length // size].reshape(-1, 1).copy()))
         size //= 2
-    return out
-
-
-def _padded(a: np.ndarray, n: int) -> np.ndarray:
-    """a as int64, zero-padded to n entries."""
-    out = np.zeros(n, dtype=np.int64)
-    out[:a.shape[0]] = a
     return out
 
 
@@ -320,20 +293,6 @@ class Transform:
         out *= self._n_inv
         reduce_mod(out, p, scratch, out)
         return out
-
-    def product(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-        """First `length` coefficients of a * b mod p, for a and b with
-        entries in [0, p) and len(a) + len(b) - 1 <= n, so that no term of
-        the linear product wraps.  Pass the same array twice to square it
-        with one forward transform."""
-        n = self.n
-        spec, spare = self._forward(_padded(a, n), np.empty(n, dtype=np.int64))
-        if b is a:
-            spec *= spec
-        else:
-            spec *= self._forward(_padded(b, n), spare)[0]
-        reduce_mod(spec, self.p, spare, spec)
-        return self._inverse(spec, spare, length).copy()
 
 
 # The short square's plan, in units of one point of one transform: a
@@ -542,27 +501,3 @@ def mixed_radix_float(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
             [d[start:start + _CHUNK] for d in digits], primes)
     return out
 
-
-def garner(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Signed CRT of the residues: the values in (-M/2, M/2], M the product
-    of the primes, as `mixed_radix_value` reads them out."""
-    return mixed_radix_value(garner_digits(residues, primes), primes)
-
-
-def convolve_exact(a, b, bound: int) -> np.ndarray:
-    """The linear convolution of the integer arrays a and b, exactly, for a
-    product whose every coefficient has magnitude at most `bound`; the
-    dtype is `garner`'s (int64 while two primes suffice)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if not (a.size and b.size):
-        raise ValueError("convolve_exact needs two nonempty operands")
-    length = a.shape[0] + b.shape[0] - 1
-    n = transform_size(length)
-    primes = crt_primes(bound)
-    residues = []
-    for p, g in primes:
-        ra = a % p
-        rb = ra if b is a else b % p
-        residues.append(Transform(n, p, g).product(ra, rb, length))
-    return garner(residues, [p for p, _ in primes])

@@ -320,11 +320,15 @@ class HeckeCharacter:
     def exponents(self) -> np.ndarray:
         """j(r) at every residue r mod p^level, with chi((r)) = e(j(r) / order),
         as a read-only int64 array kept from first use, -1 off the units (as
-        in `RayClassGroup.classes`)."""
+        in `RayClassGroup.classes`).  For the dual generator, j = dlog, so
+        the level's held discrete logs are returned, not a copy."""
         if self._exponents is None:
             dlog = self.group.dlog
-            self._exponents = dlog * self.dlog_phase.numerator % self.order | dlog >> 63
-            self._exponents.setflags(write=False)
+            if self.dlog_phase == Fraction(1, self.group.ctx.unit_group_order(self.level)):
+                self._exponents = dlog
+            else:
+                self._exponents = dlog * self.dlog_phase.numerator % self.order | dlog >> 63
+                self._exponents.setflags(write=False)
         return self._exponents
 
     @property

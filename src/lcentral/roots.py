@@ -3,13 +3,15 @@
 `RootOfUnity` is a single root e(q) with q a rational phase mod 1; products,
 powers, and Galois twists stay exact.  `CyclotomicNumber` is an element of
 Q(zeta_N) in one format: an int64 coefficient vector over Z/N and one
-positive integer denominator.  Products are exact convolutions folded mod N
-(a one-term factor, such as a root of unity, rotates the exponents instead),
-and one rewrite onto the tensor basis of Q(zeta_N) over its prime-power
-parts (`_rewrite`) serves `reduced`, `is_zero`, `is_rational` and `==`.
-Every operation bounds its result first and raises ArithmeticError where
-int64 could overflow; nothing wraps.  Complex renderings are float64
-conveniences on top of the exact data, not the other way around.
+positive integer denominator.  A product is a sum of rotations of one
+operand's nonzero terms, one per nonzero term of the other, so it costs the
+product of their counts (a Gauss sum reduced onto the tensor basis has at
+most p - 1).  One rewrite onto the tensor basis of Q(zeta_N) over its
+prime-power parts (`_rewrite`) serves `reduced`, `is_zero`, `is_rational`
+and `==`.  Every operation bounds its result first and raises
+ArithmeticError where int64 could overflow; nothing wraps.  Complex
+renderings are float64 conveniences on top of the exact data, not the other
+way around.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import cmath
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, pi, sqrt
+from math import gcd, lcm, pi
 from types import MappingProxyType
 
 import numpy as np
 
 from .abelian import factorize, p_adic_split
-from .ntt import convolve_exact
 
 
 class RootOfUnity:
@@ -120,15 +121,9 @@ def _fits(bound: int | float, what: str) -> None:
 
 
 def _peak(num: np.ndarray) -> int:
-    """max |num| as a Python int: np.abs wraps -2^63 to itself, which reads
-    as 2^63 unsigned."""
-    return int(np.abs(num).view(np.uint64).max())
-
-
-def _norm(num: np.ndarray) -> float:
-    """An upper bound on the Euclidean norm of num: a float sum of at most
-    2^23 squares is within a relative 2^23 * 2^-53 < 1e-9 of the exact one."""
-    return sqrt(float(np.square(num, dtype=np.float64).sum())) * (1 + 1e-9)
+    """max |num| as a Python int, 0 when num is empty: np.abs wraps -2^63 to
+    itself, which reads as 2^63 unsigned."""
+    return int(np.abs(num).view(np.uint64).max(initial=0))
 
 
 class CyclotomicNumber:
@@ -223,28 +218,23 @@ class CyclotomicNumber:
         return self + (-other)
 
     def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        """The exact convolution, folded mod the level.  By Cauchy-Schwarz
-        a cyclic coefficient is at most |a| |b|.  A factor c zeta^e with at
-        most one term (a root of unity times a rational, or zero) rotates the
-        other's exponents by e and scales them by c instead."""
+        """The product as a sum of rotations: each nonzero term c zeta^e of
+        the operand with fewer terms adds c times the other's nonzero terms,
+        rotated by e.  Every partial sum is bounded by (sum of the |c|) times
+        the other's largest |coefficient|, checked before anything is
+        formed.  The cost is the product of the two counts of nonzero terms."""
         n = lcm(self.level, other.level)
         a = self._lifted(n)
         b = a if other is self else other._lifted(n)
-        den = self.den * other.den
-        for x, y in ((a, b), (b, a)):
-            (terms,) = y.nonzero()
-            if len(terms) <= 1:
-                e = int(terms[0]) if len(terms) else 0
-                c = int(y[e])
-                _fits(_peak(x) * abs(c), "a product")
-                out = np.empty(n, dtype=np.int64)
-                np.multiply(x[n - e:], c, out=out[:e])
-                np.multiply(x[:n - e], c, out=out[e:])
-                return CyclotomicNumber._made(n, out, den)
-        bound = _norm(a) * _norm(b)
-        _fits(bound, "a product")
-        full = np.append(convolve_exact(a, b, int(bound)), 0).reshape(2, n)
-        return CyclotomicNumber._made(n, full[0] + full[1], den)
+        (sparse,), (dense,) = a.nonzero(), b.nonzero()
+        if len(dense) < len(sparse):
+            a, b, sparse, dense = b, a, dense, sparse
+        scale, coeffs = a[sparse].tolist(), b[dense]
+        _fits(sum(map(abs, scale)) * _peak(coeffs), "a product")
+        out = np.zeros(n, dtype=np.int64)
+        for e, c in zip(sparse.tolist(), scale):
+            out[(dense + e) % n] += c * coeffs
+        return CyclotomicNumber._made(n, out, self.den * other.den)
 
     def galois(self, t: int) -> "CyclotomicNumber":
         n = self.level

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import kv
 
 from lcentral.kernels import VKernel
+from lcentral.ntt import reduce_mod
 
 
 class BumpVKernel(VKernel):
@@ -69,3 +70,50 @@ def traced(warm, build):
     finally:
         tracemalloc.stop()
     return got, kept, peak
+
+
+def transform_product(tr, a, b, length):
+    """First `length` coefficients of a * b mod tr.p by one transform of
+    tr.n points, for a and b with entries in [0, p) and
+    len(a) + len(b) - 1 <= n, so that no term of the linear product wraps:
+    the reference the short square and the transform are checked against.
+    Pass the same array twice to square it with one forward transform."""
+    n = tr.n
+    spec, spare = tr._forward(_padded(a, n), np.empty(n, dtype=np.int64))
+    if b is a:
+        spec *= spec
+    else:
+        spec *= tr._forward(_padded(b, n), spare)[0]
+    reduce_mod(spec, tr.p, spare, spec)
+    return tr._inverse(spec, spare, length).copy()
+
+
+def _padded(a, n):
+    out = np.zeros(n, dtype=np.int64)
+    out[:a.shape[0]] = a
+    return out
+
+
+def ramanujan_main_table(p, q):
+    """The orbit mean of chi^t(r) at every residue r mod q = p^level, in
+    closed form: Ramanujan's sum c_(p^n)(j(r)) / phi(p^n), which is 1 on the
+    (p - 1)-th roots of unity mod q, -1/(p - 1) on the rest of
+    mu_(p-1) (1 + p^n Z) (r^(p (p - 1)) = 1 but r^(p - 1) != 1), and 0
+    elsewhere."""
+    r = [pow(x, p - 1, q) for x in range(q)]
+    return np.array([1.0 if a == 1 else -1 / (p - 1) if pow(a, p, q) == 1 else 0.0
+                     for a in r])
+
+
+def kloosterman_dual_table(p, q):
+    """The orbit mean of W(chi^t) conj(chi^t)(r) at every residue r mod q,
+    in closed form: (p / ((p - 1) q)) sum over zeta^(p-1) = 1 of
+    K(1, r zeta; q), with each Kloosterman sum
+    K(1, m; q) = sum_(x unit) e((x + m x^-1) / q) summed directly."""
+    units = np.array([x for x in range(q) if x % p])
+    inverses = np.array([pow(int(x), -1, q) for x in units])
+    m = np.arange(q)
+    kloosterman = np.exp(2j * np.pi * ((units + np.outer(m, inverses)) % q) / q).sum(axis=1)
+    roots = [z for z in units.tolist() if pow(z, p - 1, q) == 1]
+    total = sum(kloosterman[m * z % q] for z in roots)
+    return p / ((p - 1) * q) * total

@@ -14,8 +14,8 @@ from lcentral.abelian import p_adic_split
 from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
                                CoefficientFieldContext, _gauss_terms, _recognize,
                                _unit_square, average_char, averaged_char_table,
-                               averaged_iota_table, galois_orbit, gauss_sum,
-                               kloosterman_bound_report, orbit_float_root_numbers,
+                               averaged_iota_table, character_sums, galois_orbit,
+                               gauss_sum, kloosterman_bound_report, orbit_float_root_numbers,
                                orbit_gauss_sums, orbit_root_numbers,
                                root_number, substitutions)
 from lcentral.cli import main, parse_char_label
@@ -23,6 +23,7 @@ from lcentral.fields import nf_load
 from lcentral.rayclass import (HeckeCharacter, PrimeContext, RayClassGroup,
                                residue_characters, seed_character)
 from lcentral.roots import CyclotomicNumber, RootOfUnity
+from oracles import kloosterman_dual_table, ramanujan_main_table, traced
 
 
 def q_setup(n=2):
@@ -664,3 +665,36 @@ def test_residue_label_outputs_pinned(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_abs"] == pytest.approx(0.43844029965146447, abs=1e-14)
     assert doc["argmax_residue"] == 17
+
+
+@pytest.mark.parametrize("p,level", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                                     (5, 4), (7, 2), (7, 3), (11, 2)])
+def test_averaged_tables_match_their_closed_forms(p, level):
+    # at n0 = 0 the orbit is every character of order p^n, n = level - 1:
+    # the main side is a Ramanujan sum, the dual side a sum of Kloosterman
+    # sums, and the lemma max |avg iota| <= p^((1 - n) / 2) follows by Salie
+    chi = _rational_seed(p, level)
+    cfc = CoefficientFieldContext(p=p, n0=0)
+    q = p ** level
+    main_side = averaged_char_table(chi, cfc)
+    dual_side = averaged_iota_table(chi, cfc)
+    assert np.abs(main_side - ramanujan_main_table(p, q)).max() <= 1e-14
+    assert np.abs(dual_side - kloosterman_dual_table(p, q)).max() <= 1e-14
+    assert np.abs(dual_side).max() <= p ** ((2 - level) / 2)
+
+
+def test_character_sums_read_the_held_discrete_logs():
+    # the dual generator's exponent table is the level's held discrete-log
+    # array, so a second call forms, beside the transform's input and output
+    # (complex arrays of phi entries), less than one p^level int64 table;
+    # the sums are the scatter by discrete log and one FFT, bit for bit
+    _, ctx, _ = q_setup()
+    level, mod = 6, 5 ** 6
+    values = np.random.default_rng(6).standard_normal(mod) + 1j
+    got, _, peak = traced(lambda: character_sums(ctx, level, values),
+                          lambda: character_sums(ctx, level, values))
+    assert peak - 2 * got.nbytes < 8 * mod
+    dlog = ctx.dlog_array(level)
+    by_log = np.zeros(ctx.unit_group_order(level), dtype=np.complex128)
+    by_log[dlog[dlog >= 0]] = values[dlog >= 0]
+    assert got.tolist() == np.fft.ifft(by_log, norm="forward").tolist()

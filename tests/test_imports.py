@@ -75,6 +75,12 @@ def test_no_threads_outside_the_coefficient_table(path):
     assert _imports_of(ast.parse(path.read_text()), "concurrent.futures", "threading") == []
 
 
+# roots.py multiplies by rotations of nonzero terms: the exact numbers need
+# no transform, and the transform serves the coefficient table alone
+def test_roots_imports_nothing_from_ntt():
+    assert _imports_of(ast.parse((_SRC / "roots.py").read_text()), "ntt", "lcentral.ntt") == []
+
+
 # rayclass.py alone turns field elements into residues, and residues into
 # classes and character exponents: the image of sqrt(m) mod p^n and its
 # Hensel lift, the level's discrete logs and a group's orientation are read

@@ -1,4 +1,5 @@
-"""The exact-convolution module: transforms, products and the CRT."""
+"""The coefficient table's transform: sizes, round trips and the short square;
+and the exact unit square against an np.convolve fold."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from lcentral.charsums import _gauss_terms, _unit_square
 from lcentral.fields import nf_load
-from lcentral.ntt import (NTT_PRIMES, Transform, _square_plan, convolve_exact,
-                          crt_primes, short_square, transform_size)
+from lcentral.ntt import NTT_PRIMES, Transform, _square_plan, short_square, transform_size
 from lcentral.rayclass import PrimeContext, RayClassGroup, seed_character
 from lcentral.roots import CyclotomicNumber
+from oracles import transform_product
 
 # 1, 2, 3, 4, 6, 8, 12, ..., 3 * 2^10, 2^11
 SIZES = sorted([1 << k for k in range(12)] + [3 << k for k in range(11)])
@@ -51,7 +52,7 @@ def test_cyclic_self_convolution_matches_exact_fold(p, g):
         cyclic = full[:n].copy()
         cyclic[:n - 1] += full[n:]
         x = s % p
-        assert Transform(n, p, g).product(x, x, n).tolist() == (cyclic % p).tolist(), n
+        assert transform_product(Transform(n, p, g), x, x, n).tolist() == (cyclic % p).tolist(), n
 
 
 @pytest.mark.parametrize("p,g", NTT_PRIMES)
@@ -61,7 +62,7 @@ def test_product_of_two_operands_is_linear(p, g):
         a = rng.integers(-(1 << 20), 1 << 20, rng.integers(1, n + 1))
         b = rng.integers(-(1 << 20), 1 << 20, n + 1 - a.shape[0])
         want = np.convolve(a, b) % p
-        got = Transform(n, p, g).product(a % p, b % p, want.shape[0])
+        got = transform_product(Transform(n, p, g), a % p, b % p, want.shape[0])
         assert got.tolist() == want.tolist(), n
 
 
@@ -78,7 +79,7 @@ PLAN_SWITCHES = _plan_switches(20001)
 
 def _low_square(a, length, p, g):
     # the first `length` terms of the full square, at twice the points
-    return Transform(transform_size(2 * len(a) - 1), p, g).product(a, a, length)
+    return transform_product(Transform(transform_size(2 * len(a) - 1), p, g), a, a, length)
 
 
 def test_the_plan_splits_the_workloads_tables_finer():
@@ -116,38 +117,6 @@ def test_short_square_matches_the_product_at_random_lengths(length, prime, seed)
     assert short_square(a, p, g).tolist() == _low_square(a, length, p, g).tolist()
 
 
-def test_convolve_exact_matches_numpy():
-    rng = np.random.default_rng(7)
-    for la, lb in [(1, 1), (1, 9), (2, 3), (17, 5), (100, 100), (1000, 777), (3000, 1)]:
-        a = rng.integers(-(1 << 25), 1 << 25, la)
-        b = rng.integers(-(1 << 25), 1 << 25, lb)
-        bound = min(la, lb) * (1 << 50)
-        got = convolve_exact(a, b, bound)
-        assert got.dtype == np.int64
-        assert got.tolist() == np.convolve(a, b).tolist()
-    square = convolve_exact(a, a, a.shape[0] * (1 << 50))
-    assert square.tolist() == np.convolve(a, a).tolist()
-
-
-def test_convolve_exact_past_int64():
-    # a bound past 2^62 takes three primes and returns exact Python ints
-    rng = np.random.default_rng(8)
-    a = rng.integers(-(1 << 62), 1 << 62, 40)
-    b = rng.integers(-(1 << 62), 1 << 62, 30)
-    bound = 30 * (1 << 124)
-    assert len(crt_primes(bound)) == 5
-    want = np.convolve(a.astype(object), b.astype(object)).tolist()
-    assert convolve_exact(a, b, bound).tolist() == want
-
-
-def test_convolve_exact_refuses_an_empty_operand():
-    # as np.convolve does; the transform has no length-0 product to return
-    empty = np.array([], dtype=np.int64)
-    for a, b in [(empty, np.array([1])), (np.array([1]), empty), (empty, empty)]:
-        with pytest.raises(ValueError, match="nonempty"):
-            convolve_exact(a, b, 10)
-
-
 def _np_convolve_fold(hist):
     n = len(hist)
     full = np.convolve(hist, hist)
@@ -174,8 +143,6 @@ def test_unit_square_matches_the_np_convolve_fold(level):
         eps = _unit_square(hist, q, chi.label)
         square = _np_convolve_fold(hist)
         n = len(hist)
-        full = convolve_exact(hist, hist, int(hist.sum()) ** 2)
-        assert (full[:n] + np.append(full[n:], 0)).tolist() == square.tolist()
         sq = CyclotomicNumber(n, {e: c for e, c in enumerate(square.tolist()) if c})
         assert sq == CyclotomicNumber.from_root(eps, coeff=q)
         with pytest.raises(ArithmeticError, match="not a root of unity"):

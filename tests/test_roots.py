@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import tracemalloc
 from math import lcm
 from fractions import Fraction
 
@@ -8,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcentral.charsums import _gauss_terms
+from lcentral.fields import nf_load
+from lcentral.rayclass import PrimeContext, RayClassGroup, seed_character
 from lcentral.roots import (CyclotomicNumber, RootOfUnity, cyclotomic_polynomial,
                            unit_circle_array, vanishes)
 
@@ -384,3 +389,84 @@ def test_same_level_equality_refuses_past_int64():
     d = CyclotomicNumber(7, {0: -(2 ** 60), 3: 1})
     with pytest.raises(ArithmeticError, match="reduction could pass int64"):
         c == d
+
+
+# ---------------------------------------------------------------------------
+# the product as a sum of rotations
+
+def _random_terms(rng, level, count):
+    return {rng.randrange(level): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+            for _ in range(count)}
+
+
+def _lifted_terms(terms, level, n):
+    return {e * (n // level): c for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("la,lb", [(12, 12), (25, 25), (49, 7), (12, 18), (45, 6),
+                                   (1, 35), (210, 210)])
+def test_rotation_products_match_the_dense_oracle(la, lb):
+    # sparse x dense, dense x sparse, dense x dense and a number times
+    # itself, at composite levels and unequal operand levels: the cyclic
+    # product by the dictionary loop, bit for bit, and the same number as
+    # the power-basis remainder
+    rng = random.Random(la * 1000 + lb)
+    n = lcm(la, lb)
+    for ta, tb in [(2, lb), (la, 3), (la, lb), (4, 4)]:
+        xd, yd = _random_terms(rng, la, ta), _random_terms(rng, lb, tb)
+        x, y = CyclotomicNumber(la, xd), CyclotomicNumber(lb, yd)
+        xn, yn = _lifted_terms(xd, la, n), _lifted_terms(yd, lb, n)
+        for got, want in [(x * y, _dict_product(xn, yn, n)), (y * x, _dict_product(yn, xn, n)),
+                          (x * x, _dict_product(xd, xd, la))]:
+            exact = CyclotomicNumber(got.level, want)
+            assert _same_number(got, exact)
+            assert got.reduced_dense().coeffs == exact.reduced_dense().coeffs
+
+
+def test_zero_and_one_term_operands_in_either_order():
+    x = CyclotomicNumber(12, {1: 3, 5: Fraction(-1, 2), 7: 2})
+    for zero in (CyclotomicNumber.zero(12), CyclotomicNumber.zero(4), CyclotomicNumber.zero()):
+        for got in (x * zero, zero * x):
+            assert got.level == 12 and not got.num.any() and got.den == 1
+    assert (CyclotomicNumber.zero(6) * CyclotomicNumber.zero(4)).level == 12
+    for mono in (CyclotomicNumber(12, {4: -3}), CyclotomicNumber(3, {2: Fraction(5, 7)}),
+                 CyclotomicNumber.from_rational(Fraction(-2, 3))):
+        want = CyclotomicNumber(12, _dict_product(x.coeffs, _lifted_terms(
+            mono.coeffs, mono.level, 12), 12))
+        for got in (x * mono, mono * x):
+            assert _same_number(got, want)
+    assert _same_number(mono * mono, CyclotomicNumber.from_rational(Fraction(4, 9)))
+
+
+def test_the_product_bound_is_checked_before_the_product_is_formed():
+    # (sum |c| of the sparser operand) x (largest |c| of the other) past
+    # int64 raises, with no level-sized vector formed: the operands share
+    # the level, so nothing is lifted either
+    n = 1 << 20
+    sparse = CyclotomicNumber(n, {0: 2 ** 31, 9: -1})
+    other = CyclotomicNumber(n, {3: 2 ** 32, 7: 5, 11: -(2 ** 31)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError, match="product could pass int64"):
+            sparse * other
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n // 16
+    # (2^31 + 1) 2^31 is below 2^63: this one is formed, exactly
+    half = CyclotomicNumber(n, {3: 2 ** 31, 7: 5, 11: -(2 ** 31)})
+    got = sparse * half
+    assert got.coeffs == _dict_product(sparse.coeffs, half.coeffs, n)
+
+
+@pytest.mark.parametrize("p,level", [(3, n) for n in range(2, 10)] + [(5, n) for n in range(2, 8)]
+                         + [(7, n) for n in range(2, 6)])
+def test_reduced_seed_gauss_sums_have_at_most_p_minus_1_terms(p, level):
+    # the square in charsums._unit_square is fast because of this: by
+    # stationary phase G is p^(c/2) times a root of unity, or p^((c-1)/2)
+    # times a root of unity and a quadratic Gauss sum mod p
+    Q = nf_load("rationals")
+    chi = seed_character(RayClassGroup(PrimeContext(Q, p, Q.element_from_int(p)), level))
+    den, exps, _ = _gauss_terms(chi.conjugate(), 1)
+    reduced = CyclotomicNumber.from_array(den, np.bincount(exps, minlength=den)).reduced()
+    assert 1 <= np.count_nonzero(reduced.num) <= p - 1

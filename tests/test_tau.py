@@ -17,7 +17,7 @@ from lcentral import afe
 from lcentral import tau as tau_module
 from lcentral.fields import nf_load
 from lcentral.newforms import _verify_full_table, builtin_newform
-from lcentral.ntt import (NTT_PRIMES, _square_plan, garner, garner_digits,
+from lcentral.ntt import (NTT_PRIMES, _square_plan, garner_digits,
                           mixed_radix_float, mixed_radix_residue, mixed_radix_value,
                           transform_size)
 from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
@@ -249,9 +249,9 @@ def test_garner_round_trip_for_every_prime_count():
         values += [rng.randrange(-(modulus // 2), modulus // 2) for _ in range(40)]
         residues = [np.array([v % p for v in values], dtype=np.int64)
                     for p in primes]
-        assert garner(residues, primes).tolist() == values
-        # with no top digit the residue read-out reads the unsigned value
         digits = garner_digits(residues, primes)
+        assert mixed_radix_value(digits, primes).tolist() == values
+        # with no top digit the residue read-out reads the unsigned value
         for m in _RESIDUE_MODULI:
             assert mixed_radix_residue(digits, primes, m).tolist() == [
                 v % modulus % m for v in values]
