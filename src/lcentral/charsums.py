@@ -40,8 +40,9 @@ member's G(conj chi^t) from one such transform of the additive phases, for
 `orbit_float_root_numbers`.  `gauss_sum` and `root_number` stay the
 per-character oracles.  Route two is per orbit and exact:
 `orbit_root_numbers` checks one exact square eps = G(conj chi)^2 / q
-(`_unit_square`: h h - q eps is zero, h reduced first, where it has at most
-p - 1 terms) and gets every W(chi^t) through the Galois action,
+(`_unit_square`: h is reduced first, where it has at most p - 1 terms, eps
+is read off its float value and h h - q eps must be zero) and gets every
+W(chi^t) through the Galois action,
 G(chi^t) = conj(chi^t((t))) * sigma_t(G(chi)), as int64 phases over one
 level read off the seed's exponent table.  The tables
 `averaged_char_table` and `averaged_iota_table` are one orbit-mean DFT of
@@ -309,16 +310,16 @@ def _unit_square(hist: np.ndarray, q: int, label: str) -> RootOfUnity:
     n = len(hist): eps is read off the float value of h^2, and h^2 - q eps
     must vanish exactly.
 
-    h is reduced onto the tensor basis before it is squared.  A Gauss sum of
-    conductor p^c, c >= 2, is p^(c/2) times a root of unity, or p^((c-1)/2)
-    times a root of unity and a quadratic Gauss sum mod p (stationary phase),
-    so reduced it has at most p - 1 nonzero terms, and the square is a few
-    rotations (`CyclotomicNumber.__mul__`)."""
+    h is reduced onto the tensor basis first.  A Gauss sum of conductor
+    p^c, c >= 2, is p^(c/2) times a root of unity, or p^((c-1)/2) times a
+    root of unity and a quadratic Gauss sum mod p (stationary phase), so
+    reduced it has at most p - 1 nonzero terms: its float value sums only
+    those, and the square is a few rotations (`CyclotomicNumber.__mul__`)."""
     n = len(hist)
-    z = np.dot(hist, np.exp(2j * pi * np.arange(n) / n))
+    h = CyclotomicNumber.from_array(n, hist).reduced()
+    z = h.to_complex()
     turns = cmath.phase(z * z) / (2 * pi)
     eps = RootOfUnity(Fraction(round(turns * 2 * n), 2 * n))
-    h = CyclotomicNumber.from_array(n, hist).reduced()
     if not (h * h - CyclotomicNumber.from_root(eps, coeff=q)).is_zero():
         raise ArithmeticError(f"G^2 / N(cond) is not a root of unity at {label}")
     return eps

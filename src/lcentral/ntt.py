@@ -5,17 +5,17 @@ residues by Garner's CRT.  `short_square` gives the low terms of a square
 from transforms of a fraction of the length (Hanrot and Zimmermann's short
 product in k pieces); `Transform` is its one-prime, n-point transform.
 
-CRT.  `garner_digits` gives Garner's mixed-radix digits as int32 arrays
-(widened to int64 inside each pass) of the value x in [0, M), M the product
-of the primes; a signed int64 K past the top digit stands for x + K M
-(tau.py finds each entry's K without a transform).  Three read-outs take
-them: `mixed_radix_value` exactly, x signed, in (-M/2, M/2], or x + K M;
-`mixed_radix_float` as float64, correctly rounded (to nearest, ties to
-even): numpy converts the int64 value for one or two primes and no K, else
-it is rounded once from its leading 64 bits and a sticky bit, over 32-bit
-limbs in uint64 with no Python int formed; `mixed_radix_residue` mod m below
-2^31, x or x + K M, which `garner_digits` takes for the earlier digits mod
-each new prime.
+CRT.  `garner_digits` writes Garner's mixed-radix digits over the residues
+(int32 in tau.py, widened to int64 inside each block) for the value x in
+[0, M), M the product of the primes; a signed int64 K past the top digit
+stands for x + K M (tau.py finds each entry's K without a transform).
+Three read-outs take them: `mixed_radix_value` exactly, x signed, in
+(-M/2, M/2], or x + K M; `mixed_radix_float` as float64, correctly rounded
+(to nearest, ties to even): numpy converts the int64 value for one or two
+primes and no K, else it is rounded once from its leading 64 bits and a
+sticky bit, over 32-bit limbs in uint64 with no Python int formed;
+`mixed_radix_residue` mod m below 2^31, x or x + K M, which `garner_digits`
+takes for the earlier digits mod each new prime.
 
 Sizes.  A transform has n = 2^k or 3 * 2^k points, the smallest such n that
 holds the product (`transform_size`); every prime has 3 * 2^25 | p - 1, so
@@ -60,13 +60,15 @@ Tower-a2's 152,587 terms take k = 5 at 2^16 points (655,360 transform
 points, against 786,432 for the two halves at 3 * 2^16), and 99,999 terms
 k = 7 at 2^15 (458,752 against 524,288); every length up to 4,096, where
 numpy's calls cost about as much as the points, takes k = 2.  The
-square holds the k spectra as int32 (4 k n' bytes), two n'-entry int64
-work arrays, the n'-entry twiddle matrix and its L-entry int64 output: a
-traced peak of 4.3 MB at 152,587 terms, against 6.9 MB for the two halves,
-and 294 MB against 436 MB at 8,441,195 (k = 3 at 3 * 2^21 points).
+square writes its output over its operand and holds the k spectra as
+int32 (4 k n' bytes), two n'-entry int64 work arrays and the n'-entry
+int32 twiddle matrix: a traced peak of 2.8 MB past the operand at 152,587
+terms (4.3 MB with an L-entry int64 output and an int64 matrix, 6.9 MB for
+the two halves), and 202 MB at 8,441,195 (294 and 436 MB; k = 3 at
+3 * 2^21 points).
 
-The float read-out works 2^13 entries at a time, so its uint64 limbs stay
-in cache.
+Garner and the read-outs work 2^13 entries at a time, so their int64 and
+uint64 temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
 )
 
 _TRANSPOSE_BLOCK = 64     # rows per slab of the blocked transpose
+_CHUNK = 1 << 13          # entries per pass of Garner and the read-outs (cache-sized)
 
 
 def transform_size(length: int) -> int:
@@ -172,15 +175,16 @@ class Transform:
             self._omega = pow(w, 2 * n // 3, p)     # w3^2, w3 = w^(n/3)
             self._tri = [root_powers(pow(w_rows, t, p), radix2_rows, p).reshape(-1, 1)
                          for t in (1, 2)]
-        self._matrix = np.empty((self.rows, self.cols), dtype=np.int64)
+        # held as int32 (entries in [0, p)) and widened by the multiply
+        self._matrix = np.empty((self.rows, self.cols), dtype=np.int32)
         self._matrix[:, 0] = 1
         cur = root_powers(w, self.rows, p)[perm]
         j = 1
         while j < self.cols:
             m = min(2 * j, self.cols)
-            block = self._matrix[:, j:m]
-            np.multiply(self._matrix[:, :m - j], cur[:, None], out=block)
+            block = np.multiply(self._matrix[:, :m - j], cur[:, None], dtype=np.int64)
             block %= p
+            self._matrix[:, j:m] = block
             cur = cur * cur % p
             j *= 2
         self._n_inv = pow(n, p - 2, p)
@@ -321,11 +325,12 @@ def _square_plan(length: int) -> tuple[int, int]:
     return best[1:]
 
 
-def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
-    """The first len(a) coefficients of a^2 mod p, for a with entries in
-    [0, p): Hanrot and Zimmermann's short product ("A long note on Mulders'
-    short product", 2004) in k pieces.  With (k, n') = `_square_plan`,
-    t = ceil(len(a) / k) and a = sum_i x^(i t) A_i, each A_i of t terms,
+def short_square(a: np.ndarray, p: int, g: int) -> None:
+    """Overwrite a, with entries in [0, p), by the first len(a) coefficients
+    of a^2 mod p: Hanrot and Zimmermann's short product ("A long note on
+    Mulders' short product", 2004) in k pieces.  With (k, n') =
+    `_square_plan`, t = ceil(len(a) / k) and a = sum_i x^(i t) A_i, each A_i
+    of t terms,
 
         a^2 mod x^len(a) = sum_s x^(s t) G_s,  G_s = sum_{i+j=s} A_i A_j,
 
@@ -334,7 +339,9 @@ def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
     int32 spectra, each G_s is formed in the spectrum (a cross term i < j
     twice, a square once) and inverted, and the offset G_s are added: k
     forward transforms, k inverses and about k^2 / 4 spectral products, in
-    two n'-entry int64 work arrays."""
+    two n'-entry int64 work arrays.  Every piece is forwarded before a is
+    written, and G_s's t - 1 high terms wait in a, at the place of the
+    terms they belong to, until G_(s+1) is added to them."""
     length = a.shape[0]
     k, n = _square_plan(length)
     t = -(-length // k)
@@ -347,7 +354,6 @@ def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
         acc[:piece.shape[0]] = piece
         acc[piece.shape[0]:] = 0
         spectra[i] = tr._forward(acc, prod)[0]
-    out = np.zeros(length, dtype=np.int64)
     for s in range(pieces):
         # the terms A_i A_(s-i), i <= s - i, reduced as they are summed; a
         # cross term (i < s - i) counts twice, below 2 (p - 1)^2 < 2^63 - p,
@@ -362,27 +368,29 @@ def short_square(a: np.ndarray, p: int, g: int) -> np.ndarray:
             reduce_mod(acc, p, prod, acc)
         lo = s * t
         group = tr._inverse(acc, prod, min(2 * t - 1, length - lo))
-        out[lo:lo + group.shape[0]] += group         # [0, 2p)
-        # the terms below (s + 1) t take nothing from the later groups
-        done = out[lo:lo + t]
-        _fold(done, -p, prod[:done.shape[0]], done)
-    return out
+        if s:                                        # G_(s-1)'s high terms
+            held = group[:t - 1]
+            held += a[lo:lo + held.shape[0]]         # [0, 2p)
+            _fold(held, -p, prod[:held.shape[0]], held)
+        a[lo:lo + group.shape[0]] = group
 
 
 def garner_digits(residues: list[np.ndarray], primes: list[int]) -> list[np.ndarray]:
-    """Garner's mixed-radix digits of the residues (int32 or int64 arrays
-    in [0, p)) as int32 arrays: d_k in [0, p_k) with x = sum d_k * W_k the
-    value in [0, M), M the product of the primes, W_k = p_0 ... p_(k-1);
-    d_k is r_k less the earlier digits' value, over W_k, mod p_k."""
-    digits: list[np.ndarray] = []
-    for k, (r, p) in enumerate(zip(residues, primes)):
-        acc = (mixed_radix_residue(digits, primes[:k], p) if digits
-               else np.zeros(r.shape, dtype=np.int64))
-        np.subtract(r, acc, out=acc)                 # (-p, p)
-        acc *= pow(prod(primes[:k]), -1, p)          # below p^2 < 2^62 in size
-        reduce_mod(acc, p, np.empty_like(acc), acc)
-        digits.append(acc.astype(np.int32))
-    return digits
+    """Garner's mixed-radix digits of the residues (integer arrays in
+    [0, p), int32 in tau.py), written over them a block of entries at a
+    time, and returned: d_k in [0, p_k) with x = sum d_k * W_k the value in
+    [0, M), M the product of the primes, W_k = p_0 ... p_(k-1); d_k is r_k
+    less the earlier digits' value, over W_k, mod p_k, widened to int64
+    within the block."""
+    for start in range(0, residues[0].shape[0], _CHUNK):
+        digits = [r[start:start + _CHUNK] for r in residues]
+        for k, p in enumerate(primes[1:], 1):
+            acc = mixed_radix_residue(digits[:k], primes[:k], p)
+            np.subtract(digits[k], acc, out=acc)     # (-p, p)
+            acc *= pow(prod(primes[:k]), -1, p)      # below p^2 < 2^62 in size
+            reduce_mod(acc, p, np.empty_like(acc), acc)
+            digits[k][:] = acc
+    return residues
 
 
 def _signed_top(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
@@ -438,7 +446,6 @@ def mixed_radix_residue(digits: list[np.ndarray], primes: list[int], m: int) -> 
 
 
 _MASK = np.uint64((1 << 32) - 1)
-_CHUNK = 1 << 13          # entries per pass of the float read-out (cache-sized)
 
 
 def _round_block(digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
@@ -488,16 +495,15 @@ def mixed_radix_float(digits: list[np.ndarray], primes: list[int]) -> np.ndarray
     float of `mixed_radix_value`'s value (round to nearest, ties to even),
     with or without a signed top digit; no Python int is formed.
 
-    For one or two primes and no top digit that value is int64 (M < 2^62),
-    which numpy converts correctly rounded; otherwise it is assembled over
-    32-bit limbs in uint64, a block of entries at a time, and rounded once
-    from its leading 64 bits and a sticky bit.
+    The digits are read a block of entries at a time.  For one or two
+    primes and no top digit a block's value is int64 (M < 2^62), which numpy
+    converts correctly rounded; otherwise it is assembled over 32-bit limbs
+    in uint64 and rounded once from its leading 64 bits and a sticky bit.
     """
-    if len(digits) == len(primes) <= 2:
-        return mixed_radix_value(digits, primes).astype(np.float64)
+    exact = len(digits) == len(primes) <= 2
     out = np.empty(digits[0].shape[0])
     for start in range(0, out.shape[0], _CHUNK):
-        out[start:start + _CHUNK] = _round_block(
-            [d[start:start + _CHUNK] for d in digits], primes)
+        block = [d[start:start + _CHUNK] for d in digits]
+        out[start:start + _CHUNK] = (mixed_radix_value(block, primes) if exact
+                                     else _round_block(block, primes))
     return out
-

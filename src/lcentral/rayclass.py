@@ -77,7 +77,8 @@ def _hensel_sqrt(nf: NumberFieldData, pi: FieldElement, p: int, level: int) -> i
 
 class PrimeContext:
     """A fixed degree-one prime (pi) above p: the image of sqrt(m) mod
-    p^max_level, and per-level discrete logs and Gauss-sum phases."""
+    p^max_level, and per-level discrete logs, dual generators
+    (`dual_generator`) and Gauss-sum phases."""
 
     def __init__(self, nf: NumberFieldData, p: int, pi: FieldElement):
         require_odd_prime(p)
@@ -94,6 +95,7 @@ class PrimeContext:
         self._sqrt_image = _hensel_sqrt(nf, pi, p, self.max_level)
         self._gauss_phases: dict[int, tuple[FieldElement, Fraction]] = {}
         self._dlogs: dict[int, np.ndarray] = {}
+        self._duals: dict[int, HeckeCharacter] = {}
 
     def check_level(self, level: int) -> None:
         if level > self.max_level:
@@ -264,8 +266,13 @@ def residue_characters(ctx: PrimeContext, level: int) -> list["HeckeCharacter"]:
 def dual_generator(ctx: PrimeContext, level: int) -> "HeckeCharacter":
     """The character r -> e(dlog(r) / phi(p^level)) of (O/p^level)^*, whose
     powers are all the level's characters: unit_index 1, exponents dlog(r).
-    It is the residue group's character -1: that group's generator class is -1."""
-    return HeckeCharacter(RayClassGroup(ctx, level, unit_quotient=False), -1)
+    It is the residue group's character -1: that group's generator class is
+    -1.  `ctx` holds it per level, beside the level's discrete logs."""
+    chi = ctx._duals.get(level)
+    if chi is None:
+        chi = ctx._duals[level] = HeckeCharacter(
+            RayClassGroup(ctx, level, unit_quotient=False), -1)
+    return chi
 
 
 def seed_character(rcg: RayClassGroup) -> "HeckeCharacter":

@@ -12,25 +12,24 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
   8,441,195, four up to the cap.  No other prime is needed: the lift below
   finds every entry exactly from their residues.
 - `_DivisorIndex`, built once and independent of the prime, holds the
-  prime-power chains and, for every other n, the full power P(n) of its
-  smallest prime factor and the cofactor n / P(n), grouped by the dyadic
-  range [2^j, 2^(j+1)) that holds n, lowest first: n / P(n) <= n / 2, so
+  prime-power chains and P(n), the full power of the smallest prime factor
+  of n, as one int32 array.  Its walk (`groups`) derives the other n and
+  their cofactors n / P(n) a block at a time, each block within the dyadic
+  range [2^j, 2^(j+1)) that holds it, lowest first: n / P(n) <= n / 2, so
   sigma(n) = sigma(P(n)) sigma(n / P(n)) only reads entries already filled.
-  Its index arrays are int32.
-- Per transformed prime p: sigma_5 and sigma_11 mod p through that
-  structure, the low limit - 1 terms of the square of the sigma_5 column
-  by one short square (`ntt.short_square`, in k pieces at n' points, both
-  fixed by limit - 1 alone) for the convolution sum, and the identity
-  solved for tau mod p.  The int64 sigma columns are freed before the
-  transforms (the operand enters them as int32), and each prime keeps only
-  its int32 residues; `threads` workers take that many transformed primes
-  at once, the package's one thread pool (numpy releases the GIL in the
-  butterflies), imported only when it starts.
+- Per transformed prime p: sigma_5 mod p through that structure, as an
+  int32 column; the low limit - 1 terms of its square by one short square
+  written over it (`ntt.short_square`, in k pieces at n' points, both fixed
+  by limit - 1 alone) for the convolution sum; then sigma_5 and sigma_11
+  again, from one walk, and the identity solved for tau mod p a block at a
+  time into the same column, which the prime keeps as its int32 residues.
+  `threads` workers take that many transformed primes at once, the
+  package's one thread pool (numpy releases the GIL in the butterflies),
+  imported only when it starts.
 - The lift (`_lift`).  With M = p_1 ... p_(k_t) and r = tau(n) mod M,
   signed, from Garner's digits of the transformed residues, each
   tau(n) = r + K M is found exactly by walking `_DivisorIndex` in its
-  order (K is kept against the digits' unsigned value x, so that
-  tau(n) = x + K M):
+  order, and kept as the float t(n):
   - primes q <= 7: K = 0;
   - primes q > 7: Swinnerton-Dyer's congruences ("On l-adic
     representations and congruences for coefficients of modular forms",
@@ -42,27 +41,34 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
     floats kept for the entries already lifted; K = rint((F - r) / M).
   Both are exact while k_t meets its two inequalities,
   16 limit^11 < (C - 1)^2 M^2 at the primes and 3 limit^6 < 2^47 M for
-  the floats (proved in `_transformed_count`).  K is int64, below 2^47 in
-  size by the second.
+  the floats (proved in `_transformed_count`).  No K is kept: against the
+  digits' unsigned value x, so that tau(n) = x + K M, `_multiple` reads it
+  back from t(n) and the top digit, a block at a time, as int64, below
+  2^47 in size by the second inequality (exact by the same proof).
 - int64 bounds: every prime is below 2^31 and sigma values are kept in
   [0, p), so a product of two of them is below 2^62;
   65 sigma_11 + 691 sigma_5 is below 756 * 2^31 and 174132 times a reduced
   sum below 2^49.  Reductions mod a prime go through floor division
-  (`ntt.reduce_mod`).  Arrays that live from one prime to the next (the
-  residues, Garner's digits, the index) are int32 and are widened to int64
-  inside each arithmetic pass.
-- Memory: the tracemalloc peak of `tau_table(152588)` is about 52 bytes
-  per coefficient, and 51 at 100,000, set by the second prime's short
-  square (its int32 spectra, two n'-entry int64 arrays, the twiddle matrix
-  and its output, next to the index and the first prime's residues); the
-  lift, which holds one float64 t(n), one int64 K and one int16
-  sigma_11(n) mod 691 per entry next to the transformed primes' digits and
-  works 2^14 entries at a time, stays just below it.
-- The transformed primes' Garner digits (`ntt.garner_digits`, int32) and K
-  as a signed top digit past them are read out two ways.  `tau_table`, the
-  table the sums read, is `ntt.mixed_radix_float`: each entry is the
-  correctly rounded float(x + K M) (to nearest, ties to even), assembled
-  over 32-bit limbs in uint64 and rounded once, with no Python int formed.
+  (`ntt.reduce_mod`).  Arrays that live from one step to the next (the
+  index's P(n), the sigma columns, the residues and the digits written over
+  them) are int32; int64 exists only inside a block of 2^12 entries (2^13
+  in ntt.py) or in a transform of n' points.
+- Memory, in bytes per coefficient at 152,588 (tracemalloc): the index
+  holds 4.8 (P(n) 4, the chains the rest), each prime's column 4.  The
+  second prime's short square sets the peak at 31.3 (30.6 at 100,000):
+  its int32 spectra, two n'-entry int64 work arrays and the int32 twiddle
+  matrix, about 18, next to the index, its column and the first prime's
+  residues.  The lift holds t(n) (8) and sigma_11(n) mod 691 (int16, 2)
+  next to the digits and the index, and peaks at 28; the read-out holds t
+  and the digits (16) and one block's limbs.  t is the table's one lasting
+  array, taken before the lift's temporaries, so that none of them is held
+  resident below it.
+- The transformed primes' Garner digits (`ntt.garner_digits`, written over
+  the residues) and K as a signed top digit past them are read out two
+  ways.  `tau_table`, the table the sums read, is `ntt.mixed_radix_float`
+  written over t a block at a time: each entry is the correctly rounded
+  float(x + K M) (to nearest, ties to even), assembled over 32-bit limbs
+  in uint64 and rounded once, with no Python int formed.
   `tau_exact` is `ntt.mixed_radix_value`: exact Python ints, for the
   places that compare integers (the acceptance sweep's bound scan,
   documents, tests).
@@ -107,6 +113,10 @@ from .ntt import (NTT_PRIMES, garner_digits, mixed_radix_float, mixed_radix_resi
 # supports up to 3 * 2^25 points); four transformed primes meet both
 # inequalities of the lift there (`_transformed_count`).
 TAU_LIMIT_CAP = 1 << 25
+
+# entries per pass of the divisor walks, the identity and the lift
+# (cache-sized)
+_BLOCK = 1 << 12
 
 _SMALL_TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
               7: -16744, 8: 84480, 9: -113643, 10: -115920,
@@ -163,33 +173,34 @@ def _power_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
 
 class _DivisorIndex:
     """The multiplicative structure of 1..m that the divisor sums read; it
-    does not depend on the prime, held in int32 index arrays.
+    does not depend on the prime.
 
-    `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers q^e <= m;
-    `groups` is (n, P(n), n / P(n)) over the n that are not prime powers,
-    P(n) the full power of the smallest prime factor of n, one group per
-    dyadic range [2^j, 2^(j+1)) that holds such an n, in increasing j:
-    n / P(n) <= n / 2 lies below the range of n, so its sum is filled in by
-    a chain or an earlier group.  `split` is
-    (P(n), n / P(n)) at the largest such n and `root_prime` the largest prime
-    q with q^2 <= m, each None when there is none: the points of the table's
-    top self-check.
+    `power[n]` is P(n), the full power of the smallest prime factor of n,
+    as one int32 array (0 at 0 and 1); n is a prime power exactly where
+    P(n) = n.  `chains[e - 1]` is (q^e, q^(e-1), q) over the prime powers
+    q^e <= m, in int32.  Nothing else is held: `groups()` derives the n
+    that are not prime powers and their n / P(n) from P alone, a block at a
+    time, on every walk.  `split` is (P(n), n / P(n)) at the largest n that
+    is not a prime power and `root_prime` the largest prime q with
+    q^2 <= m, each None when there is none: the points of the table's top
+    self-check.
     """
 
     def __init__(self, m: int):
         self.m = m
-        spf = smallest_prime_factors(m)
-        n = np.arange(m + 1, dtype=np.int32)
-        primes = n[2:][spf[2:] == n[2:]]
+        # raised in place, below, to q^e on the multiples of q^e whose
+        # smallest prime factor is q
+        power = smallest_prime_factors(m)
+        primes = (np.flatnonzero(power[2:] == np.arange(2, m + 1, dtype=np.int32))
+                  + 2).astype(np.int32)
         small = primes[:np.searchsorted(primes, isqrt(m), side="right")]
-        power = spf.copy()          # raised to q^e on the multiples of q^e
-        for q in small.tolist():    # whose smallest prime factor is q
+        for q in small.tolist():
             qe = q * q
-            while qe <= m:
+            while qe <= m:      # those multiples hold q^(e-1) from the pass before
                 at = power[qe::qe]
-                at[spf[qe::qe] == q] = qe
+                at[at == qe // q] = qe
                 qe *= q
-        cofactor = n // np.maximum(power, 1)
+        self.power = power
         self.chains = []
         q = qe = primes
         while q.size:
@@ -197,61 +208,78 @@ class _DivisorIndex:
             keep = q <= m // qe         # q^(e+1) <= m, with no product past m
             q = q[keep]
             qe = qe[keep] * q
-        composite = np.flatnonzero(cofactor > 1).astype(np.int32)
-        edges = np.searchsorted(composite, 1 << np.arange(3, m.bit_length()))
-        self.groups = [(c, power[c], cofactor[c])
-                       for c in np.split(composite, edges) if c.size]
-        top = int(composite[-1]) if composite.size else 0
-        self.split = (int(power[top]), int(cofactor[top])) if top else None
+        # prime powers are sparse: a few steps down from m find the top
+        top = next((n for n in range(m, 5, -1) if power[n] != n), None)
+        self.split = (int(power[top]), top // int(power[top])) if top else None
         self.root_prime = int(small[-1]) if small.size else None
 
-    def sigma(self, k: int, p: int) -> np.ndarray:
+    def groups(self):
+        """(n, P(n), n / P(n)) over the n <= m that are not prime powers, in
+        increasing n, a block of at most `_BLOCK` at a time (int64 n and
+        n / P(n), int32 P(n)), each block within one dyadic range
+        [2^j, 2^(j+1)): n / P(n) <= n / 2 lies below the range of n, so a
+        walk in this order reads only entries it has already filled."""
+        for j in range(2, self.m.bit_length()):
+            end = min(2 << j, self.m + 1)
+            for lo in range(1 << j, end, _BLOCK):
+                hi = min(lo + _BLOCK, end)
+                power = self.power[lo:hi]
+                at = np.flatnonzero(power != np.arange(lo, hi, dtype=np.int32))
+                if at.size:
+                    n = at + lo
+                    a = power[at]
+                    # a divides n: the float quotient is exact, and quicker
+                    yield n, a, (n / a).astype(np.int64)
+
+    def sigma(self, p: int, *ks: int) -> list[np.ndarray]:
         """sigma_k(n) = sum of d^k over the divisors d of n, mod p, at index n
-        for 0 <= n <= m (entry 0 is 0)."""
-        s = np.zeros(self.m + 1, dtype=np.int64)
-        s[1] = 1
-        # each chain's q is a prefix of the first's, the primes
-        qk = _power_mod(self.chains[0][2], k, p) if self.chains else None
-        for c, prev, q in self.chains:      # sigma(q^e) = 1 + q^k sigma(q^(e-1))
-            s[c] = (qk[:q.shape[0]] * s[prev] + 1) % p
-        for c, a, b in self.groups:
-            f = np.take(s, a)
-            scratch = np.take(s, b)
-            f *= scratch
-            reduce_mod(f, p, scratch, f)
-            s[c] = f
-        return s
+        for 0 <= n <= m (entry 0 is 0), one int32 column per k, all filled
+        in one walk."""
+        cols = [np.zeros(self.m + 1, dtype=np.int32) for _ in ks]
+        for s, k in zip(cols, ks):
+            s[1] = 1
+            # each chain's q is a prefix of the first's, the primes
+            qk = _power_mod(self.chains[0][2], k, p) if self.chains else None
+            for c, prev, q in self.chains:  # sigma(q^e) = 1 + q^k sigma(q^(e-1))
+                s[c] = (qk[:q.shape[0]] * s[prev] + 1) % p
+        for c, a, b in self.groups():
+            scratch = np.empty(c.shape[0], dtype=np.int64)
+            for s in cols:
+                f = np.multiply(np.take(s, a), np.take(s, b), dtype=np.int64)
+                reduce_mod(f, p, scratch, f)
+                s[c] = f
+        return cols
 
 
 def _ramanujan_residues(index: _DivisorIndex, limit: int, p: int,
                         g: int) -> np.ndarray:
     """tau(n) mod p at index n for 0 <= n <= limit (entry 0 is 0), from
-    Ramanujan's identity, as int32."""
-    s5 = index.sigma(5, p)
+    Ramanujan's identity, as int32.  The sigma_5 column, which the square
+    overwrites, is the only count-length array of the prime while it is
+    squared; sigma_5 and sigma_11 are formed again after the square."""
+    tau, = index.sigma(p, 5)
     # sum_{k=1}^{n-1} sigma_5(k) sigma_5(n-k) for n = 2..limit: the low
-    # limit - 1 terms of the square of the sigma_5 column, which enters the
-    # transform as int32 with the int64 sigma columns freed
-    col = s5[1:limit].astype(np.int32)
-    s5 *= 691
-    sigmas = index.sigma(11, p)
-    sigmas *= 65
-    sigmas += s5                                     # below 756 p
-    reduce_mod(sigmas, p, s5, sigmas)
-    del s5
-    sigmas = sigmas.astype(np.int32)
-    square = short_square(col, p, g) if col.size else col
-    del col
-    tau = np.zeros(limit + 1, dtype=np.int64)
-    tau[2:] = square
-    del square
-    tau *= -174132
-    tau += sigmas                                    # above -2^49
-    del sigmas
-    scratch = np.empty_like(tau)
-    reduce_mod(tau, p, scratch, tau)
-    tau *= pow(756, -1, p)
-    reduce_mod(tau, p, scratch, tau)
-    return tau.astype(np.int32)
+    # limit - 1 terms of the square of the sigma_5 column, written over it
+    # at index n - 1 and moved up to index n
+    if limit > 1:
+        short_square(tau[1:limit], p, g)
+    tau[2:] = tau[1:limit]
+    tau[1] = 0
+    s5, s11 = index.sigma(p, 5, 11)
+    scratch = np.empty(_BLOCK, dtype=np.int64)
+    inverse = pow(756, -1, p)
+    for start in range(0, limit + 1, _BLOCK):
+        at = slice(start, start + _BLOCK)
+        # 756 tau = 65 sigma_11 + 691 sigma_5 - 174132 (the sum), above -2^49
+        f = np.multiply(tau[at], -174132, dtype=np.int64)
+        f += np.multiply(s11[at], 65, dtype=np.int64)
+        f += np.multiply(s5[at], 691, dtype=np.int64)
+        part = scratch[:f.shape[0]]
+        reduce_mod(f, p, part, f)
+        f *= inverse
+        reduce_mod(f, p, part, f)
+        tau[at] = f
+    return tau
 
 
 # Swinnerton-Dyer's congruences for tau at primes q > 7, modulo
@@ -260,7 +288,6 @@ _CONGRUENCE_FACTORS = ((2048, 729, 125), (7, 691))
 _C_FACTORS = tuple(prod(f) for f in _CONGRUENCE_FACTORS)     # 186624000, 4837
 _C = prod(_C_FACTORS)
 _LIFT_TOLERANCE = 2.0 ** -48        # 32 u, u = 2^-53 the unit roundoff
-_LIFT_BLOCK = 1 << 14               # entries per pass of the lift (cache-sized)
 
 
 def _transformed_count(limit: int) -> int:
@@ -292,6 +319,19 @@ def _transformed_count(limit: int) -> int:
     Every S is at most 3 n^6: d(n) <= 2 sqrt(n) for composites, and
     (3 e - 1) n^(11/2) <= 3 n^6 for n = q^e.  So (2), S < 2^47 M, keeps the
     quotient within 0.34 of K, and rint finds K.
+
+    K read back (`_multiple`).  No K is kept: with tau(n) = x + K M for x
+    the digits' value in [0, M), K is rint(fl(fl(t(n) - fl(d W)) / fl(M))),
+    d the top digit and W the product of the primes below it.  Every t(n),
+    lifted or not, is within 7 u |tau(n)| of tau(n), and
+    |tau(n)| <= 2 n^6 <= 3 limit^6 < 2^47 M by (2), so
+    |t(n) - tau(n)| < 7 u 2^47 M < 0.11 M; |x - fl(d W)| < W + 2.01 u M
+    with W <= M / 2^30, every prime being above 2^30; and the subtraction
+    and the division add at most 3.01 u (2^47 + 2) < 0.05 to the quotient.
+    So it is within 0.17 of K, and rint finds K.  A wrong residue does not
+    change this: t(n) is then within 3 u |t(n)| of x + K M for the K the
+    lift chose, and that K is the one read back, so the checks see the
+    values they would see with K kept.
 
     Neither bound may be loosened: a count one short of them lifts a
     self-consistent but wrong table that no check sees.
@@ -350,40 +390,48 @@ def _congruence_residues(q: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _multiple(t: np.ndarray, digits: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """K with tau(n) = x + K M, as int64, for x the value of the digits
+    (entries alike indexed) and M the product of the primes, read back from
+    the lifted floats t: rint((t - d W) / M), d the top digit and W the
+    product of the primes below it (exact while `_transformed_count`
+    holds)."""
+    weight = float(prod(primes[:-1]))
+    return np.rint((t - digits[-1] * weight) / float(prod(primes))).astype(np.int64)
+
+
 def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]) -> np.ndarray:
-    """K at index n for 0 <= n <= m, int64, with tau(n) = x + K M for x the
-    value in [0, M) of Garner's digits over the transformed primes and M
-    their product: each tau(n) is found exactly (module docstring; exact
-    while `_transformed_count` holds), and checked; ArithmeticError on
-    failure."""
+    """t(n) at index n for 0 <= n <= m, float64: tau(n) found exactly from
+    the Garner digits over the transformed primes (module docstring; exact
+    while `_transformed_count` holds) and kept as a float, from which
+    `_multiple` reads K; checked, ArithmeticError on failure."""
+    # t holds the correctly rounded r until n is lifted, then t(n); taken
+    # first, so that the lift's temporaries lie above it in the heap
+    t = mixed_radix_float(digits, transformed)
     # for the closing check, below 691 (int16 while the lift runs)
-    sigma = index.sigma(11, 691).astype(np.int16)
+    sigma = index.sigma(691, 11)[0].astype(np.int16)
     modulus = prod(transformed)
     mf = float(modulus)
-    # t holds the correctly rounded r until n is lifted, then t(n)
-    t = mixed_radix_float(digits, transformed)
-    # tau(n) = x + multiple M, x the unsigned value of the digits: -1 where
-    # r = x - M is negative, until K is added
-    multiple = np.where(t < 0, -1, 0)
 
     primes = index.chains[0][2] if index.chains else np.zeros(0, dtype=np.int32)
-    # tau(q) = r for q <= 7, as |tau(q)| <= 16744 < M/2
-    large = primes[primes > 7]
-    at_large = [d[large] for d in digits] + [multiple[large]]
     c1, c2 = _C_FACTORS
-    k1, k2 = ((target - mixed_radix_residue(at_large, transformed, f))
-              % f * pow(modulus, -1, f) % f
-              for f, target in zip(_C_FACTORS, _congruence_residues(large.astype(np.int64))))
-    del at_large
-    k = k1 + c1 * ((k2 - k1) % c2 * pow(c1, -1, c2) % c2)    # in [0, C), below 2^40
-    k[k >= _C // 2] -= _C
-    t[large] += k * mf
-    multiple[large] += k
-    qf = primes.astype(np.float64)
-    # the slack covers the rounding of t(q) (7 u) and of the bound
-    over = np.abs(np.take(t, primes)) > 2 * qf ** 5 * np.sqrt(qf) * (1 + 2.0 ** -40)
-    if over.any():
-        raise ArithmeticError(f"tau({primes[over][0]}) lifted past Deligne's bound")
+    for start in range(0, primes.shape[0], _BLOCK):
+        q = primes[start:start + _BLOCK]
+        # tau(q) = r for q <= 7, as |tau(q)| <= 16744 < M/2
+        large = q[q > 7]
+        # r = x + K M with K = -1 where r = x - M is negative
+        at = [d[large] for d in digits] + [-(t[large] < 0).astype(np.int64)]
+        k1, k2 = ((target - mixed_radix_residue(at, transformed, f))
+                  % f * pow(modulus, -1, f) % f
+                  for f, target in zip(_C_FACTORS, _congruence_residues(large.astype(np.int64))))
+        k = k1 + c1 * ((k2 - k1) % c2 * pow(c1, -1, c2) % c2)    # in [0, C), below 2^40
+        k[k >= _C // 2] -= _C
+        t[large] += k * mf
+        qf = q.astype(np.float64)
+        # the slack covers the rounding of t(q) (7 u) and of the bound
+        over = np.abs(np.take(t, q)) > 2 * qf ** 5 * np.sqrt(qf) * (1 + 2.0 ** -40)
+        if over.any():
+            raise ArithmeticError(f"tau({q[over][0]}) lifted past Deligne's bound")
 
     def lift(c, f, size):
         rf = np.take(t, c)
@@ -394,36 +442,33 @@ def _lift(index: _DivisorIndex, digits: list[np.ndarray], transformed: list[int]
             raise ArithmeticError(
                 f"tau({c[off][0]}) from the transforms breaks the Hecke relations")
         t[c] = value
-        multiple[c] += k.astype(np.int64)
 
     for c, prev, q in index.chains[1:]:  # tau(q^e) = tau(q) tau(q^(e-1)) - q^11 tau(q^(e-2))
         a = np.take(t, q) * np.take(t, prev)
         b = np.array([float(v ** 11) for v in q.tolist()]) * np.take(t, prev // q)
         lift(c, a - b, np.abs(a) + np.abs(b))
-    for group in index.groups:          # tau(n) = tau(P(n)) tau(n / P(n))
-        for start in range(0, group[0].shape[0], _LIFT_BLOCK):
-            c, a, b = (x[start:start + _LIFT_BLOCK] for x in group)
-            f = np.take(t, a) * np.take(t, b)
-            lift(c, f, np.abs(f))
-    del t
+    for c, a, b in index.groups():      # tau(n) = tau(P(n)) tau(n / P(n))
+        f = np.take(t, a) * np.take(t, b)
+        lift(c, f, np.abs(f))
     # Ramanujan's tau(n) = sigma_11(n) mod 691 on every entry: it sees the
     # residue errors that move r by less than the tolerance above, all but
     # one in 691 of them
-    for start in range(0, sigma.shape[0], _LIFT_BLOCK):
-        at = slice(start, start + _LIFT_BLOCK)
-        off = np.flatnonzero(sigma[at] != mixed_radix_residue(
-            [d[at] for d in digits] + [multiple[at]], transformed, 691))
+    for start in range(0, sigma.shape[0], _BLOCK):
+        at = slice(start, start + _BLOCK)
+        block = [d[at] for d in digits]
+        block.append(_multiple(t[at], block, transformed))
+        off = np.flatnonzero(sigma[at] != mixed_radix_residue(block, transformed, 691))
         if off.size:
             raise ArithmeticError(f"tau({start + off[0]}) from the transforms "
                                   f"breaks tau = sigma_11 mod 691")
-    return multiple
+    return t
 
 
-def _check_table(digits: list[np.ndarray], primes: list[int],
+def _check_table(t: np.ndarray, digits: list[np.ndarray], primes: list[int],
                  split: tuple[int, int] | None, root_prime: int | None) -> None:
     """The self-checks of the module docstring, on exact values read from
-    the digits at the indices they need; ArithmeticError on failure."""
-    limit = digits[0].shape[0] - 1
+    the digits and K at the indices they need; ArithmeticError on failure."""
+    limit = t.shape[0] - 1
     points = {n for n in _SMALL_TAU if n <= limit}
     if split is not None:
         a, b = split
@@ -431,7 +476,9 @@ def _check_table(digits: list[np.ndarray], primes: list[int],
     if root_prime is not None:
         points |= {root_prime, root_prime ** 2}
     at = sorted(points)
-    tau = dict(zip(at, mixed_radix_value([d[at] for d in digits], primes).tolist()))
+    block = [d[at] for d in digits]
+    block.append(_multiple(t[at], block, primes))
+    tau = dict(zip(at, mixed_radix_value(block, primes).tolist()))
     for n, v in _SMALL_TAU.items():
         if n <= limit and tau[n] != v:
             raise ArithmeticError(f"tau({n}) reproduced as {tau[n]}, not {v}")
@@ -444,12 +491,13 @@ def _check_table(digits: list[np.ndarray], primes: list[int],
             raise ArithmeticError(f"tau({q}^2) != tau({q})^2 - {q}^11")
 
 
-def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[int]]:
-    """Garner's digits of tau(n) at index n for 0 <= n <= limit over the
-    first `_transformed_count(limit)` primes, with the lift's K as a signed
-    top digit, and those primes, once the self-checks have passed.  Each
-    prime takes a transform, `threads` of them at once; with one worker they
-    run in turn on the calling thread and no thread is started."""
+def _tau_digits(limit: int, threads: int = 1) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """(t, digits, primes) once the self-checks have passed: the lifted
+    floats t(n), Garner's digits of tau(n) at index n for 0 <= n <= limit
+    over the first `_transformed_count(limit)` primes (the lift's K is read
+    back from both by `_multiple`), and those primes.  Each prime takes a
+    transform, `threads` of them at once; with one worker they run in turn
+    on the calling thread and no thread is started."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > TAU_LIMIT_CAP:
@@ -470,11 +518,11 @@ def _tau_digits(limit: int, threads: int = 1) -> tuple[list[np.ndarray], list[in
     moduli = [p for p, _ in primes]
     digits = garner_digits(residues, moduli)
     del residues
-    digits.append(_lift(index, digits, moduli))
+    t = _lift(index, digits, moduli)
     checks = index.split, index.root_prime
     del index
-    _check_table(digits, moduli, *checks)
-    return digits, moduli
+    _check_table(t, digits, moduli, *checks)
+    return t, digits, moduli
 
 
 def tau_table(limit: int, threads: int = 1) -> np.ndarray:
@@ -482,9 +530,15 @@ def tau_table(limit: int, threads: int = 1) -> np.ndarray:
     (to nearest, ties to even), as a read-only float64 array; entry 0 is 0.
 
     This is the table the sums read; no Python int is formed on the way.
-    The table does not depend on `threads`, the workers over the primes.
+    It is read out over the lifted floats, a block at a time.  The table
+    does not depend on `threads`, the workers over the primes.
     """
-    out = mixed_radix_float(*_tau_digits(limit, threads))
+    out, digits, moduli = _tau_digits(limit, threads)
+    for start in range(0, out.shape[0], _BLOCK):
+        at = slice(start, start + _BLOCK)
+        block = [d[at] for d in digits]
+        block.append(_multiple(out[at], block, moduli))
+        out[at] = mixed_radix_float(block, moduli)
     out.setflags(write=False)
     return out
 
@@ -492,11 +546,12 @@ def tau_table(limit: int, threads: int = 1) -> np.ndarray:
 def tau_exact(limit: int) -> list[int]:
     """tau(n) at index n for 0 <= n <= limit, exactly; entry 0 is 0.
 
-    The same digits as `tau_table`, read out as Python ints, for the places
-    that compare integers: the bound scan of the acceptance sweep, documents
-    and tests.
+    The same digits and K as `tau_table`, read out as Python ints, for the
+    places that compare integers: the bound scan of the acceptance sweep,
+    documents and tests.
     """
-    return mixed_radix_value(*_tau_digits(limit)).tolist()
+    t, digits, moduli = _tau_digits(limit)
+    return mixed_radix_value(digits + [_multiple(t, digits, moduli)], moduli).tolist()
 
 
 # ---------------------------------------------------------------------------

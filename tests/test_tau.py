@@ -22,7 +22,7 @@ from lcentral.ntt import (NTT_PRIMES, _square_plan, garner_digits,
                           transform_size)
 from lcentral.tau import (_C, _C_FACTORS, _CONGRUENCE_FACTORS, _SMALL_TAU,
                           TAU_LIMIT_CAP, _congruence_residues, _DivisorIndex,
-                          _lift, _ramanujan_residues, _transformed_count,
+                          _lift, _multiple, _ramanujan_residues, _transformed_count,
                           primes_up_to, tau_exact, tau_table, tau_table_bigint)
 from oracles import traced
 
@@ -111,28 +111,35 @@ def test_divisor_sums_match_the_naive_sums_mod_every_prime():
         for n in range(d, m + 1, d):
             divisors[n].append(d)
     index = _DivisorIndex(m)
-    for k in (5, 11):
-        exact = [0] + [sum(d ** k for d in divisors[n]) for n in range(1, m + 1)]
-        for p, _ in NTT_PRIMES:
-            assert index.sigma(k, p).tolist() == [s % p for s in exact], (k, p)
+    exact = {k: [0] + [sum(d ** k for d in divisors[n]) for n in range(1, m + 1)]
+             for k in (5, 11)}
+    for p, _ in NTT_PRIMES:
+        # one column alone, and both from one walk, as the identity takes them
+        assert index.sigma(p, 5)[0].tolist() == [s % p for s in exact[5]], p
+        for k, got in zip((5, 11), index.sigma(p, 5, 11)):
+            assert got.dtype == np.int32, (k, p)
+            assert got.tolist() == [s % p for s in exact[k]], (k, p)
 
 
 def test_divisor_index_groups_by_dyadic_range():
-    # n / P(n) <= n / 2, so the group of the range [2^j, 2^(j+1)) reads only
-    # the chains and the groups below it
+    # n / P(n) <= n / 2, so a block within the range [2^j, 2^(j+1)) reads
+    # only the chains and the blocks below it; the index holds P(n) alone
     for m in (1, 6, 63, 64, 65, 3000, 152588):
         index = _DivisorIndex(m)
+        assert index.power.dtype == np.int32 and index.power.shape == (m + 1,)
         is_power = np.zeros(m + 1, dtype=bool)
         for c, _, _ in index.chains:
             is_power[c] = True
         others = np.flatnonzero(~is_power)[2:]      # past 0 and 1
-        groups = index.groups
+        assert (index.power[is_power] == np.flatnonzero(is_power)).all(), m
+        groups = list(index.groups())
         assert [n for c, _, _ in groups for n in c.tolist()] == others.tolist(), m
         bits = [int(c[0]).bit_length() - 1 for c, _, _ in groups]
-        assert bits == list(range(2, 2 + len(groups))), m
+        assert bits == sorted(bits) and set(bits) == set(range(2, 2 + len(set(bits)))), m
         for (c, a, b), j in zip(groups, bits):
+            assert c.shape[0] <= tau_module._BLOCK, m
             assert (c >> j == 1).all() and (a * b == c).all() and (np.gcd(a, b) == 1).all()
-            assert is_power[a].all(), m
+            assert (index.power[c] == a).all() and is_power[a].all(), m
             assert ((b > 1) & (is_power[b] | (b < 1 << j))).all(), m
 
 
@@ -211,11 +218,12 @@ def test_table_past_the_oracle_satisfies_the_hecke_identities(table_100k):
 
 
 def test_a_short_crt_range_is_caught_at_the_top_of_the_table(monkeypatch):
-    # the range of the transformed primes alone, with no lift: K reads the
-    # digits' value x signed, in (-M/2, M/2], so the largest entries wrap
-    # modulo M, and the Hecke checks at the top of the table see it
+    # the range of the transformed primes alone, with no lift: t holds the
+    # digits' value x read signed, in (-M/2, M/2], and K is read back from
+    # it, so the largest entries wrap modulo M, and the Hecke checks at the
+    # top of the table see it
     def signed(index, digits, moduli):
-        return -(mixed_radix_value(digits, moduli) < 0).astype(np.int64)
+        return mixed_radix_float(digits, moduli)
     monkeypatch.setattr(tau_module, "_lift", signed)
     with pytest.raises(ArithmeticError, match="!="):
         tau_table(100000)
@@ -307,6 +315,16 @@ def test_readouts_with_a_signed_top_digit(k):
         assert mixed_radix_residue(digits, primes, m).tolist() == [v % m for v in values]
 
 
+@pytest.mark.parametrize("limit,digest", [
+    (152588, "4112b49976ccdfdd89e5bb989cb6e3b4646b6d35280c1849877575aa29eb7c09"),
+    (337564, "2476ea0727a82a81d44d9bd5fb9eb43e95aad513d1a26911a59add582da5e804")])
+def test_float_table_frozen(limit, digest):
+    # SHA-256 of the float64 bytes at tower-a2's size (two transformed
+    # primes) and at three transformed primes, as the table was built when
+    # its temporaries were count-length int64 arrays
+    assert hashlib.sha256(tau_table(limit).tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("limit", [20001, 152588, 337564])
 def test_float_table_is_the_rounded_exact_table(limit):
     table = tau_table(limit)
@@ -348,18 +366,35 @@ def test_importing_the_package_starts_no_pool_machinery():
 
 
 def test_float_table_stays_in_its_memory_budget():
-    # the float table is built from int32 digits with no Python-int list or
-    # object array on the way, and sigma_5 is squared by a short square in
-    # seven pieces at 2^15 points: at most 51 bytes per coefficient at the
-    # peak, measured at 50.8 in the second prime's short square (70 with the
-    # short square in two halves and the other read-out primes' residues,
-    # 150 with the full square and int64 digits, 235 with object arrays),
-    # and nothing kept but the 8-byte entries.  One table is built first, so
-    # numpy's cache of small freed buffers is warm and the kept count does
-    # not depend on the tests that ran before
+    # the table is held at rest in int32 (the index's P(n), the residues
+    # and Garner's digits over them) and in the float t(n) it is read out
+    # over; int64 lives only in a block or in a transform of n' points.
+    # Per phase, in bytes per coefficient: the index build 9; each short
+    # square about 18 over the index (4.8), the column it writes over (4)
+    # and the earlier primes' residues (4): its int32 spectra, two n'-entry
+    # int64 work arrays and the int32 twiddle matrix; Garner 15; the lift
+    # 28-29, t beside the digits, the index and sigma_11 mod 691; the
+    # read-out 22-25.  The second prime's square sets the peak, measured at
+    # 30.6 at 100,000 and 31.3 at 152,588 (51 and 52 with count-length
+    # int64 temporaries, 150 with the full square and int64 digits, 235
+    # with object arrays), and nothing is kept but the 8-byte entries.
+    # One table is built first, so numpy's cache of small freed buffers is
+    # warm and the kept count does not depend on the tests that ran before
+    for limit in (100000, 152588):
+        table, kept, peak = traced(lambda: tau_table(limit), lambda: tau_table(limit))
+        assert peak <= 32 * limit, limit
+        assert kept - table.nbytes < 4096, limit
+
+
+def test_two_workers_stay_in_their_memory_budget():
+    # two workers square the two transformed primes at once, each over its
+    # own column: the shared index and two squares' worth of the budget
+    # above, measured at 48.6 bytes per coefficient (81.4 when each square
+    # held count-length int64 columns and output)
     limit = 100000
-    table, kept, peak = traced(lambda: tau_table(limit), lambda: tau_table(limit))
-    assert peak <= 51 * limit
+    table, kept, peak = traced(lambda: tau_table(limit, threads=2),
+                               lambda: tau_table(limit, threads=2))
+    assert peak <= 60 * limit
     assert kept - table.nbytes < 4096
 
 
@@ -496,7 +531,7 @@ def _lifted_and_transformed(limit, count):
     moduli = [p for p, _ in NTT_PRIMES[:count]]
     digits = garner_digits([_ramanujan_residues(index, limit, *prime)
                             for prime in NTT_PRIMES[:count]], moduli)
-    multiple = _lift(index, digits, moduli)
+    multiple = _multiple(_lift(index, digits, moduli), digits, moduli)
     lifted = [mixed_radix_residue(digits + [multiple], moduli, p)
               for p, _ in NTT_PRIMES[count:]]
     return lifted, [_ramanujan_residues(index, limit, *prime) for prime in NTT_PRIMES[count:]]
