@@ -4,9 +4,7 @@ Each criterion is one function returning (passed, detail); the runner times
 them and renders one pass/fail line per criterion with the measured
 constants inline.  A criterion that fails with an arithmetic or input error
 (ValueError, ArithmeticError) gets a FAIL line; any other exception is a
-programming error and crashes the sweep.  `fast=True` trims sample
-sizes so the whole sweep fits under a minute; the full sweep is the one
-that counts.
+programming error and crashes the sweep.
 
 A failed line is a finding, not necessarily a bug: criterion 3 documents a
 support predicate that is provably wrong at depth n0 = 1, and the check
@@ -54,7 +52,6 @@ class CriterionResult:
 @dataclass(frozen=True)
 class AcceptanceReport:
     results: tuple[CriterionResult, ...]
-    fast: bool
 
     @property
     def all_passed(self) -> bool:
@@ -62,9 +59,8 @@ class AcceptanceReport:
 
     @property
     def lines(self) -> list[str]:
-        mode = "fast" if self.fast else "full"
         total = sum(r.seconds for r in self.results)
-        out = [f"acceptance sweep ({mode})"]
+        out = ["acceptance sweep"]
         out.extend(r.line for r in self.results)
         failed = [r.number for r in self.results if not r.passed]
         if failed:
@@ -98,16 +94,15 @@ def _rational_primitives(p_list, n_max):
 # ---------------------------------------------------------------------------
 # criteria
 
-def _c01_gauss_modulus(fast: bool):
-    p_list, n_max = ((3, 5), 2) if fast else ((3, 5, 7), 3)
+def _c01_gauss_modulus():
     worst, n_rat = 0.0, 0
-    for chi in _rational_primitives(p_list, n_max):
+    for chi in _rational_primitives((3, 5, 7), 3):
         g = gauss_sum(chi)
         worst = max(worst, abs(abs(g) ** 2 - chi.conductor_norm))
         n_rat += 1
     K = nf_load("quadratic-sqrt2")
     ctx = prime_above(K, 7)
-    sample = residue_characters(ctx, 2)[:4 if fast else 10]
+    sample = residue_characters(ctx, 2)[:10]
     for chi in sample:
         g = gauss_sum(chi)
         worst = max(worst, abs(abs(g) ** 2 - chi.conductor_norm))
@@ -116,9 +111,9 @@ def _c01_gauss_modulus(fast: bool):
                 f"max | |G|^2 - N(cond) | = {worst:.2e}")
 
 
-def _c02_gauss_identities(fast: bool):
+def _c02_gauss_identities():
     rng = random.Random(20260819)
-    shifts_per_char = 10 if fast else 50
+    shifts_per_char = 50
     exact_checked = pair_worst = 0.0
     n_char = n_shift = 0
     chars = list(_rational_primitives((3, 5), 2))
@@ -148,7 +143,7 @@ def _c02_gauss_identities(fast: bool):
                 f"max |G(conj)G - chi(-1)N(cond)| = {pair_worst:.2e}")
 
 
-def _c03_average_support(fast: bool):
+def _c03_average_support():
     """average_char vs. the two candidate support predicates, exhaustively.
 
     The relaxed predicate (nonzero iff the value order divides p^(n0+1)) is
@@ -162,7 +157,7 @@ def _c03_average_support(fast: bool):
     ctx = prime_above(Q, 5)
     # nontrivial 5-power-order characters need modulus 25 at least; the
     # conductor cap stays at 625
-    levels = (2, 3) if fast else (2, 3, 4)
+    levels = (2, 3, 4)
     parts = []
     all_ok = True
     for n0 in (0, 1):
@@ -208,15 +203,14 @@ def _c03_average_support(fast: bool):
     return all_ok, "; ".join(parts)
 
 
-def _c04_root_numbers(fast: bool):
-    p_list, n_max = ((3, 5), 2) if fast else ((3, 5, 7), 3)
+def _c04_root_numbers():
     worst, count = 0.0, 0
-    for chi in _rational_primitives(p_list, n_max):
+    for chi in _rational_primitives((3, 5, 7), 3):
         w = root_number(chi)
         worst = max(worst, abs(abs(w) - 1.0))
         count += 1
     K = nf_load("quadratic-sqrt2")
-    for chi in residue_characters(prime_above(K, 7), 2)[:4 if fast else 10]:
+    for chi in residue_characters(prime_above(K, 7), 2)[:10]:
         w = root_number(chi)
         worst = max(worst, abs(abs(w) - 1.0))
         count += 1
@@ -224,11 +218,11 @@ def _c04_root_numbers(fast: bool):
     return ok, f"{count} root numbers, max | |W| - 1 | = {worst:.2e}"
 
 
-def _c05_dual_sum_envelope(fast: bool):
+def _c05_dual_sum_envelope():
     Q = nf_load("rationals")
     ctx = prime_above(Q, 5)
     cfc = CoefficientFieldContext(p=5, n0=0)
-    ns = (1, 2) if fast else (1, 2, 3)
+    ns = (1, 2, 3)
     constants = []
     for n in ns:
         rcg = rcg_build(ctx, n + 1)  # conductor exponent n + n0 + 1
@@ -243,7 +237,7 @@ def _c05_dual_sum_envelope(fast: bool):
                 f"over n = {list(ns)}; spread x{spread:.2f} (< 4 required)")
 
 
-def _c06_kernel_asymptotics(fast: bool):
+def _c06_kernel_asymptotics():
     Q = nf_load("rationals")
     G = GammaFactor(Q, (0,))
     V = VKernel(G, 6.0)
@@ -263,9 +257,8 @@ def _c06_kernel_asymptotics(fast: bool):
                 f"step-halving gap {halving:.1e}")
 
 
-def _c07_two_sided_oracle(fast: bool):
-    limit = 30000 if fast else 100000
-    form = _delta(limit)
+def _c07_two_sided_oracle():
+    form = _delta(100000)
     Q = nf_load("rationals")
     rcg = rcg_build(prime_above(Q, 5), 2)
     twists = [None] + [chi for chi in rcg.characters()
@@ -273,7 +266,7 @@ def _c07_two_sided_oracle(fast: bool):
     worst = 0.0
     for chi in twists:
         res = afe_lvalue(form, chi, s=8.0)
-        direct, tail = direct_series(form, chi, s=8.0, terms=limit)
+        direct, tail = direct_series(form, chi, s=8.0)
         rel = abs(res.value - direct) / abs(direct)
         worst = max(worst, rel)
         if rel >= 1e-8:
@@ -291,8 +284,8 @@ def _c07_two_sided_oracle(fast: bool):
                 f"balance-point motion {y_worst:.2e}")
 
 
-def _c08_reflection_residual(fast: bool):
-    form = _delta(30000 if fast else 100000)
+def _c08_reflection_residual():
+    form = _delta(100000)
     Q = nf_load("rationals")
     rcg = rcg_build(prime_above(Q, 5), 2)
     chi = next(c for c in rcg.characters() if c.order == 5 and c.is_primitive())
@@ -309,7 +302,7 @@ def _c08_reflection_residual(fast: bool):
                 f"s in (5.5, 6.5), y in (balanced, 2.0), twisted and not")
 
 
-def _c09_coefficient_bound(fast: bool):
+def _c09_coefficient_bound():
     limit = 10 ** 4
     table = tau_exact(limit)
     primes = primes_up_to(limit)
@@ -335,8 +328,8 @@ def _c09_coefficient_bound(fast: bool):
                   f"{worst_ratio:.6f} at p = {worst_p}; corrupt entry -> {caught!r}")
 
 
-def _c10_averaged_values(fast: bool):
-    cfg = ExperimentConfig(n_lo=1, n_hi=2 if fast else 3)
+def _c10_averaged_values():
+    cfg = ExperimentConfig(n_lo=1, n_hi=3)
     t0 = time.perf_counter()
     report = run_lav_experiment(cfg)
     elapsed = time.perf_counter() - t0
@@ -346,15 +339,11 @@ def _c10_averaged_values(fast: bool):
     floor = min(r.min_abs_value for r in report.rows)
     gap = max(r.route_gap for r in report.rows)
     devs = {r.n: r.deviation for r in report.rows}
-    trend = "trend check needs the full sweep"
-    trend_ok = True
-    if not fast:
-        trend_ok = devs[3] < devs[1]
-        trend = f"|avg - 1|: n=1 {devs[1]:.4f} -> n=3 {devs[3]:.4f} (decreasing)"
     noted = "approach 1 only as the conductor grows" in report.note
-    ok = trend_ok and noted and elapsed < 600 and floor > 1e-3
+    ok = devs[3] < devs[1] and noted and elapsed < 600 and floor > 1e-3
     return ok, (f"min |L| = {floor:.4f} > 1e-3 across every orbit; route gap "
-                f"{gap:.1e}; {trend}; limit-caveat noted")
+                f"{gap:.1e}; |avg - 1|: n=1 {devs[1]:.4f} -> n=3 {devs[3]:.4f} "
+                f"(decreasing); limit-caveat noted")
 
 
 # shipped lattice cases: (field, p, alpha, n, x, window) -> exact count
@@ -376,10 +365,9 @@ _SHIPPED_COUNTS = (
 )
 
 
-def _c11_lattice_counts(fast: bool):
-    cases = [c for c in _SHIPPED_COUNTS if fast is False or c[4] <= 500.0]
+def _c11_lattice_counts():
     ctxs = {}
-    for field, p, alpha, n, x, window, expected in cases:
+    for field, p, alpha, n, x, window, expected in _SHIPPED_COUNTS:
         ctx = ctxs.setdefault((field, p), prime_above(nf_load(field), p))
         got = count_progression(alpha, ctx, n, x, window=window).count
         boxed = count_progression(alpha, ctx, n, x, window=window,
@@ -387,23 +375,20 @@ def _c11_lattice_counts(fast: bool):
         if got != expected or boxed != expected:
             return False, (f"{field} p={p} n={n} x={x:g} {window}: "
                            f"count {got}, enlarged box {boxed}, shipped {expected}")
-    Q, K = nf_load("rationals"), nf_load("quadratic-sqrt2")
     ctx5, ctx7 = ctxs[("rationals", 5)], ctxs[("quadratic-sqrt2", 7)]
-    xs = (1.0, 50.0, 500.0) if fast else (1.0, 50.0, 500.0, 5000.0)
-    bound = verify_count_bound(ctx7, (1, 2), xs)
-    sup = bound.sup_ratio
+    sup = verify_count_bound(ctx7, (1, 2), (1.0, 50.0, 500.0, 5000.0)).sup_ratio
     # minimal norms in the coset against the modulus norm
     q_ratios = [min_norm_coset(ctx5, n) / 5 ** n for n in range(1, 5)]
     k_ratios = [min_norm_coset(ctx7, n) / 7 ** n for n in (1, 2)]
     ratio_floor = min(q_ratios + k_ratios)
     torsion_pass = True
     t_consts = []
-    for n in (1, 2) if fast else (1, 2, 3):
+    for n in (1, 2, 3):
         rep = torsion_norm_bound(rcg_build(ctx5, n))
         torsion_pass &= rep.passed and len(rep.rows) > 0
         t_consts.append(rep.constant)
     ok = sup < 2.0 and ratio_floor >= 0.02 and torsion_pass
-    return ok, (f"{len(cases)} shipped counts match the enlarged-box oracle "
+    return ok, (f"{len(_SHIPPED_COUNTS)} shipped counts match the enlarged-box oracle "
                 f"exactly; count/max(x/N(P)^n, 1) sup {sup:.3f}; min-norm ratio "
                 f"floor {ratio_floor:.4f} (>= 0.02; the quadratic-field cosets "
                 f"keep norm 2, so the ratio decays with n); torsion constants "
@@ -426,7 +411,10 @@ CRITERIA = (
 
 
 def run_acceptance(fast: bool = False, only=None) -> AcceptanceReport:
-    """Run the numbered criteria; `only` restricts to an iterable of numbers."""
+    """Run the numbered criteria; `only` restricts to an iterable of numbers.
+    The reduced sweep is gone: `fast` is kept for callers passing False."""
+    if fast:
+        raise ValueError("the reduced (fast) acceptance sweep is gone")
     wanted = None if only is None else set(only)
     results = []
     for number, name, fn in CRITERIA:
@@ -434,9 +422,9 @@ def run_acceptance(fast: bool = False, only=None) -> AcceptanceReport:
             continue
         t0 = time.perf_counter()
         try:
-            passed, detail = fn(fast)
+            passed, detail = fn()
         except (ValueError, ArithmeticError) as exc:   # anything else is a bug
             passed, detail = False, f"crashed: {type(exc).__name__}: {exc}"
         results.append(CriterionResult(number, name, passed, detail,
                                        time.perf_counter() - t0))
-    return AcceptanceReport(tuple(results), fast)
+    return AcceptanceReport(tuple(results))

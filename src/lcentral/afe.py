@@ -56,7 +56,7 @@ from .charsums import (CoefficientFieldContext, averaged_char_table,
                        scatter, substitutions)
 from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, VKernel
-from .newforms import NewformData
+from .newforms import NewformData, newform_load
 from .rayclass import HeckeCharacter
 from .roots import unit_circle_array
 
@@ -340,15 +340,17 @@ def choose_cutoffs(form: NewformData, conductor_norm: int,
     side's own scale), then grow whichever side's tail majorant dominates
     until the tail budget meets tol.  Reads the form's weight, gamma shifts,
     level and theta only, never its coefficients, so a probe form is enough
-    to size the coefficient table ahead of the sums.
+    to size the coefficient table ahead of the sums (`load_for_sums`).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and above 0, got {tol!r}")
     nf = _field_of(form.field_label)
     k = form.weight
     s = 0.5 * k if s is None else float(s)
     med = float(form.level_norm) * conductor_norm * conductor_norm
     y = math.sqrt(med) if y is None else float(y)
-    if y <= 0:
-        raise ValueError("the balance point y must be positive")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"the balance point y must be finite and above 0, got {y!r}")
     kern = _kernels(nf, form.gamma_shifts, k, s)
     gamma_abs = abs(gamma_factor_for(nf, form.gamma_shifts).value(s))
     m1 = max(8, math.ceil(kern[0].decay_cutoff() * y), math.ceil(y))
@@ -362,6 +364,20 @@ def choose_cutoffs(form: NewformData, conductor_norm: int,
         else:
             m2 += m2 // 4 + 8
     return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2, tol=tol)
+
+
+def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
+                  tol: float = 1e-9, threads: int = 1) -> NewformData:
+    """`source` loaded to the longest cutoff `choose_cutoffs` picks from
+    `probe` (the same form at a few coefficients) over `sums`, the (conductor
+    norm, y) pairs summed at s; a shorter full-table document is refused."""
+    need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
+        choose_cutoffs(probe, cond, s=s, y=y, tol=tol) for cond, y in sums))
+    form = newform_load(source, limit=need, threads=threads)
+    if form.limit < need:
+        raise ValueError(f"form carries coefficients to {form.limit} "
+                         f"but the sums need {need}")
+    return form
 
 
 class _Engine(NamedTuple):
@@ -518,9 +534,9 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     the twist.  Returns (mean, res): one `LValueResult` for the whole orbit,
     whose `value` and `dual_term` are complex arrays in orbit order (the
     order of `charsums.substitutions`), whose `character_label` is the
-    seed's, and whose other fields are the scalars every member shares.  A
-    trivial seed has a one-element orbit, so this degenerates to the
-    untwisted value, as one-element arrays.
+    seed's, and whose other fields are the scalars every member shares.
+    The seed must be primitive, so never trivial: `afe_lvalue` is the
+    untwisted value.
 
     Per orbit and float: every member shares the conductor, so one engine,
     one error estimate and one pair of prefab arrays serve them all.  Each
@@ -529,26 +545,22 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     side, conj(chi^t) on the dual side.  The root numbers come the same way
     from `orbit_float_root_numbers`.
     """
-    if chi.is_trivial():
-        res = afe_lvalue(form, None, y=y, tol=tol, cfg=cfg)
-        res = res._replace(value=np.array([res.value]),
-                           dual_term=np.array([res.dual_term]))
-    else:
-        chi = _normalize_twist(chi)
-        eng = _engine(form, chi, 0.5 * form.weight, y, tol, cfg)
-        pctx, level = chi.prime_ctx, chi.level
-        mod, h = pctx.modulus(level), pctx.unit_group_order(level)
-        idx = orbit_index(chi, ctx)
-        pre1, pre2 = _prefabs(form, eng)
-        # at the central point Med^((k - 2s)/2) = 1
-        dual = (eng.c * orbit_float_root_numbers(chi, ctx)
-                * character_sums(pctx, level, _fold(pre2, mod))[-idx % h] / eng.gamma_s)
-        res = LValueResult(
-            value=character_sums(pctx, level, _fold(pre1, mod))[idx] / eng.gamma_s + dual,
-            error_estimate=_error_estimate(form, eng), y=eng.cfg.y,
-            terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
-            character_label=chi.label, main_term=complex(pre1[0] / eng.gamma_s),
-            dual_term=dual)
+    if not chi.is_primitive():
+        raise ValueError("seed twist must be primitive at its level")
+    eng = _engine(form, chi, 0.5 * form.weight, y, tol, cfg)
+    pctx, level = chi.prime_ctx, chi.level
+    mod, h = pctx.modulus(level), pctx.unit_group_order(level)
+    idx = orbit_index(chi, ctx)
+    pre1, pre2 = _prefabs(form, eng)
+    # at the central point Med^((k - 2s)/2) = 1
+    dual = (eng.c * orbit_float_root_numbers(chi, ctx)
+            * character_sums(pctx, level, _fold(pre2, mod))[-idx % h] / eng.gamma_s)
+    res = LValueResult(
+        value=character_sums(pctx, level, _fold(pre1, mod))[idx] / eng.gamma_s + dual,
+        error_estimate=_error_estimate(form, eng), y=eng.cfg.y,
+        terms_main=eng.cfg.cutoff_main, terms_dual=eng.cfg.cutoff_dual,
+        character_label=chi.label, main_term=complex(pre1[0] / eng.gamma_s),
+        dual_term=dual)
     # summed in orbit order, one member at a time
     return sum(res.value.tolist()) / len(res.value), res
 
@@ -569,14 +581,8 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     the Galois action, and the means for every value chi(r) are one DFT
     (charsums.averaged_char_table / averaged_iota_table).
     """
-    if chi.is_trivial():
-        res = afe_lvalue(form, None, y=y, tol=tol)
-        return res.value, {"orbit_size": 1, "main_term": res.main_term,
-                           "dual_part": res.dual_term,
-                           "terms": (res.terms_main, res.terms_dual)}
-    if not chi.is_primitive():
+    if not chi.is_primitive():     # so never trivial: see afe_lvalue
         raise ValueError("seed twist must be primitive at its level")
-
     eng = _engine(form, chi, 0.5 * form.weight, y, tol)
     # averaged twist per unit residue, and the averaged reflected weights
     # (root number times conjugate values)

@@ -203,8 +203,6 @@ def root_number(chi: HeckeCharacter) -> complex:
     Unit modulus is a hard postcondition; a violation means the inputs are
     outside the supported configuration and raises.
     """
-    if chi.conductor_exponent == 0:
-        return 1.0 + 0j
     q = chi.conductor_norm
     g = gauss_sum(chi.conjugate())
     w = chi.value_on_ideal_of(-1).conjugate().to_complex() * g * g / q

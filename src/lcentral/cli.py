@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .afe import afe_lvalue
+from .afe import afe_lvalue, load_for_sums
 from .charsums import (CoefficientFieldContext, average_char, gauss_sum,
                        kloosterman_bound_report)
 from .cones import count_progression, min_norm_coset, prime_above
@@ -98,7 +98,7 @@ def _parse_alpha(text: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_lvalue(args) -> int:
-    form = newform_load(args.form, limit=args.limit)
+    probe = newform_load(args.form, limit=16)
     chi = None
     if args.char:
         chi = parse_char_label(args.char)
@@ -106,6 +106,8 @@ def cmd_lvalue(args) -> int:
             raise ValueError(
                 "twists need a ray class character (an 'm' label); residue "
                 "characters do not act on ideals")
+    cond = 1 if chi is None else chi.conductor_norm
+    form = load_for_sums(args.form, probe, [(cond, args.y)], s=args.s, tol=args.tol)
     res = afe_lvalue(form, chi, s=args.s, y=args.y, tol=args.tol)
     _emit({
         "value_re": res.value.real,
@@ -193,7 +195,7 @@ def cmd_cone_count(args) -> int:
 
 def cmd_verify(args) -> int:
     from .acceptance import run_acceptance
-    report = run_acceptance(fast=args.fast)
+    report = run_acceptance()
     for line in report.lines:
         print(line)
     if args.out:
@@ -241,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spectral point (default: center of the strip)")
     p.add_argument("--char", help="twist character label")
     p.add_argument("--y", type=float, default=None, help="balance point")
-    p.add_argument("--limit", type=int, default=2000,
-                   help="coefficients to load for the form")
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("lav-scan", parents=[field, form, out],
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the acceptance checks and report per-criterion")
-    p.add_argument("--fast", action="store_true",
-                   help="reduced samples; finishes in a few seconds")
     p.add_argument("--out", help="also write the report lines to this path")
     p.set_defaults(func=cmd_verify)
 

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .afe import (AFEConfig, averaged_coefficient_lvalue, choose_cutoffs,
-                  exponent_window, orbit_average_lvalue)
+from .afe import (AFEConfig, averaged_coefficient_lvalue, exponent_window,
+                  load_for_sums, orbit_average_lvalue)
 from .charsums import CoefficientFieldContext
 from .cones import prime_above
 from .fields import nf_load
@@ -121,8 +121,14 @@ class _Setup:
         self.nf = nf_load(cfg.field)
         if cfg.n_lo < 1 or cfg.n_hi < cfg.n_lo:
             raise ValueError("need 1 <= n_lo <= n_hi")
-        if cfg.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(cfg.eps) and cfg.eps > 0):
+            raise ValueError(f"eps must be finite and above 0, got {cfg.eps!r}")
+        if not math.isfinite(cfg.a):
+            raise ValueError(f"a must be finite, got {cfg.a!r}")
+        for name, value in (("route_tol", cfg.route_tol),
+                            ("nonvanish_floor (--floor)", cfg.nonvanish_floor)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and at least 0, got {value!r}")
         require_odd_prime(cfg.p)
         form_probe = newform_load(cfg.form, limit=16)
         if nf_load(form_probe.field_label).label != self.nf.label:
@@ -158,17 +164,10 @@ class _Setup:
                 f"|Delta| = {self.delta_order}")
         self.coef_ctx = CoefficientFieldContext(p=cfg.p, n0=self.n0)
 
-        # the cutoffs the rows will pick at each level's seed conductor
-        # p^level; they depend on the form only through its header
-        need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
-            choose_cutoffs(form_probe, cfg.p ** (n + self.n0 + 1),
-                           y=_balance_point(cfg, n), tol=cfg.tol)
-            for n in range(cfg.n_lo, cfg.n_hi + 1)))
-        self.form = newform_load(cfg.form, limit=need, threads=cfg.threads)
-        if self.form.limit < need:
-            # a full-table document carries its own length
-            raise ValueError(f"form carries coefficients to {self.form.limit} "
-                             f"but the scan needs {need}")
+        # the rows sum at each level's seed conductor p^level
+        self.form = load_for_sums(cfg.form, form_probe, [
+            (cfg.p ** (n + self.n0 + 1), _balance_point(cfg, n))
+            for n in range(cfg.n_lo, cfg.n_hi + 1)], tol=cfg.tol, threads=cfg.threads)
 
     def seed_character(self, level: int):
         return seed_character(rcg_build(self.ctx, level))

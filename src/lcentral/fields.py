@@ -3,11 +3,11 @@
 These are the fields every consumer serves: the cones' fundamental window,
 the archimedean kernels' tail route and the class-number-one ray class
 groups.  A field is loaded from a JSON document carrying a monic defining
-polynomial (x - a, or x^2 - m with m > 0 not a square), its integral basis
-in power-basis coordinates ((1), or (1, sqrt(m))), discriminant, class
-data, unit generators, and a generator of the different.  The loader is the
-one place that knows which fields are supported: any other document is
-refused there.
+polynomial (x - a, or x^2 - m with m > 1 squarefree and m = 2, 3 mod 4),
+its integral basis in power-basis coordinates ((1), or (1, sqrt(m)), which
+is one only for such m), discriminant, class data, unit generators, and a
+generator of the different.  The loader is the one place that knows which
+fields are supported: any other document is refused there.
 
 An element is u or u + v*sqrt(m) with exact rational coordinates, and its
 arithmetic is in closed form: (a + b*sqrt(m))(c + d*sqrt(m)) =
@@ -178,6 +178,11 @@ class NumberFieldData:
         identity = [[int(i == j) for j in range(self.degree)] for i in range(self.degree)]
         if [[_q(c) for c in row] for row in doc["integral_basis"]] != identity:
             raise ValueError("the integral basis must be (1) over Q or (1, sqrt(m))")
+        square = next((q for q in range(2, math.isqrt(self.m) + 1) if self.m % (q * q) == 0), 0)
+        if self.degree == 2 and (square or self.m % 4 == 1):
+            why = f"{square}^2 divides {self.m}" if square else f"{self.m} is 1 mod 4"
+            raise ValueError(f"(1, sqrt({self.m})) is not an integral basis, as {why}: "
+                             f"it spans the order Z[sqrt({self.m})], not the ring of integers")
         mult_table = ([[[1]]] if self.degree == 1
                       else [[[1, 0], [0, 1]], [[0, 1], [self.m, 0]]])
         if doc.get("mult_table") is not None:
@@ -272,9 +277,9 @@ def _builtin_field(filename: str) -> NumberFieldData:
 def nf_load(source) -> NumberFieldData:
     """Load and validate a field from a dict, a JSON path, or a builtin name.
 
-    Only Q (defining polynomial x - a, basis (1)) and real quadratic fields
-    (x^2 - m with m > 0 not a square, basis (1, sqrt(m))) load; any other
-    document raises ValueError, or ArithmeticError for a square m.
+    Only Q (x - a, basis (1)) and real quadratic fields (x^2 - m, m > 1
+    squarefree and 2, 3 mod 4, basis (1, sqrt(m))) load; any other document
+    raises ValueError, or ArithmeticError for a square m.
     """
     if isinstance(source, NumberFieldData):
         return source

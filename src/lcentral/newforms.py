@@ -38,7 +38,7 @@ import numpy as np
 
 from .abelian import factorize, p_adic_split
 from .fields import nf_load
-from .tau import primes_up_to, smallest_prime_factors, tau_table
+from .tau import TAU_LIMIT_CAP, primes_up_to, smallest_prime_factors, tau_table
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,13 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     than "trivial", a non-integer eigenvalue or table entry (such as
     [re, im]), a weight_vector that is not one equal weight per real place
     of the field named by field_label, type_J indices outside those places,
-    and a limit below 1.
+    and a limit below 1 or past the builtin table's cap (documents too).
     """
     if limit < 1:
         raise ValueError(f"coefficient limit {limit} is below 1")
+    if limit > TAU_LIMIT_CAP:
+        raise ValueError(f"coefficient limit {limit} is past the coefficient cap "
+                         f"{TAU_LIMIT_CAP} of a form's table")
     if isinstance(source, NewformData):
         return source
     if isinstance(source, str) and not Path(source).exists():

@@ -21,7 +21,7 @@ EXPECTED_RED = {3}
 
 @pytest.fixture(scope="module")
 def sweep():
-    report = run_acceptance(fast=False)
+    report = run_acceptance()
     print()
     for line in report.lines:
         print(line)
@@ -124,18 +124,24 @@ def test_sweep_summary_flags_only_the_expected_red(sweep):
     assert not sweep.all_passed
 
 
-def test_fast_sweep_under_a_minute_same_verdicts(sweep):
-    fast = run_acceptance(fast=True)
-    assert sum(r.seconds for r in fast.results) < 60.0
-    assert {r.number for r in fast.results if not r.passed} == EXPECTED_RED
-
-
 def test_cli_verify_exit_code_reflects_the_red(capsys):
-    code = main(["verify", "--fast"])
+    code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 1
+    assert out.splitlines()[0] == "acceptance sweep"
     assert out.count("[PASS]") == 10
     assert out.count("[FAIL]") == 1
+
+
+def test_the_reduced_sweep_is_gone(capsys):
+    # one sweep, the full one: the option is a usage error and the keyword
+    # refuses a true value
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fast"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fast" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="reduced"):
+        run_acceptance(fast=True)
 
 
 def test_programming_error_in_a_criterion_crashes(monkeypatch):
@@ -143,16 +149,16 @@ def test_programming_error_in_a_criterion_crashes(monkeypatch):
     # TypeError is a bug and must surface
     import lcentral.acceptance as acceptance
 
-    def broken(fast):
+    def broken():
         raise TypeError("unsupported operand")
 
-    def drifted(fast):
+    def drifted():
         raise ArithmeticError("drifted off the unit circle")
 
     monkeypatch.setattr(acceptance, "CRITERIA", ((1, "drifted", drifted),))
-    (r,) = run_acceptance(fast=True).results
+    (r,) = run_acceptance().results
     assert not r.passed
     assert r.detail == "crashed: ArithmeticError: drifted off the unit circle"
     monkeypatch.setattr(acceptance, "CRITERIA", ((1, "drifted", drifted), (2, "broken", broken)))
     with pytest.raises(TypeError, match="unsupported operand"):
-        run_acceptance(fast=True)
+        run_acceptance()

@@ -251,17 +251,17 @@ def test_orbit_seed_invariance(delta, rcg25):
         assert abs(again - base) < 1e-13  # same set, summation order aside
 
 
-def test_trivial_orbit_degenerates_to_untwisted(delta, rcg25):
-    trivial = next(rcg25.character_by_index(i) for i in range(rcg25.order)
-                   if rcg25.character_by_index(i).is_trivial())
-    mean, res = orbit_average_lvalue(delta, trivial, CTX5)
-    untwisted = afe_lvalue(delta, None).value
-    assert mean == untwisted
-    assert res.value.tolist() == [untwisted]
-    assert len(res.dual_term) == 1
-    mean_b, info = averaged_coefficient_lvalue(delta, trivial, CTX5)
-    assert mean_b == untwisted
-    assert info["orbit_size"] == 1
+@pytest.mark.parametrize("route", [orbit_average_lvalue, averaged_coefficient_lvalue],
+                         ids=["route-one", "route-two"])
+@pytest.mark.parametrize("kind", ["trivial", "imprimitive"])
+def test_orbit_routes_refuse_a_seed_that_is_not_primitive(delta, route, kind):
+    # the trivial character is never primitive at a level >= 1; its value is
+    # afe_lvalue's untwisted one, not an orbit average
+    rcg = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 3)
+    seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
+                if c.is_trivial() == (kind == "trivial") and not c.is_primitive())
+    with pytest.raises(ValueError, match="seed twist must be primitive at its level"):
+        route(delta, seed, CTX5)
 
 
 @pytest.fixture(scope="module")

@@ -586,19 +586,19 @@ def test_average_char_evaluates_the_seed_once(monkeypatch):
 
 
 def test_criterion_3_recognizes_once_per_value(monkeypatch):
-    # the fast sweep: levels 2 and 3 at n0 = 0 and 1, every unit residue
+    # the criterion's levels 2, 3 and 4 at n0 = 0 and 1, every unit residue
     Q = nf_load("rationals")
     ctx = acceptance.prime_above(Q, 5)
     triples = set()
     for n0 in (0, 1):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             chi = seed_character(acceptance.rcg_build(ctx, n))
             triples |= {(n, n0, chi.value_on_ideal_of(a)) for a in range(1, 5 ** n) if a % 5}
     charsums._value_mean.cache_clear()
     recognitions = _counting(monkeypatch, charsums, "_recognize")
     orbits = _counting(monkeypatch, charsums, "galois_orbit")
-    acceptance._c03_average_support(fast=True)
-    assert 0 < len(recognitions) <= len(triples) < 240
+    acceptance._c03_average_support()
+    assert 0 < len(recognitions) <= len(triples) < 1240
     assert not orbits
 
 

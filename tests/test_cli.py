@@ -8,6 +8,8 @@ pattern-match on text.  Exit codes are part of the contract: 0 success,
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -99,11 +101,12 @@ def test_precision_bits_validation(capsys):
     ["cone-count", "--p", "5", "--n", "1", "--x", "10", "--threads", "2"],
     ["lvalue", "--field", "quadratic-sqrt2"],
     ["lvalue", "--threads", "2"],
-    ["verify", "--fast", "--precision-bits", "16"],
+    ["verify", "--precision-bits", "16"],
     ["lav-scan", "--precision-bits", "16"],
+    ["lvalue", "--limit", "6104"],
 ], ids=["gauss-sum-form", "galois-average-tol", "kloosterman-threads",
         "cone-count-form", "cone-count-threads", "lvalue-field", "lvalue-threads",
-        "verify-precision", "lav-scan-precision"])
+        "verify-precision", "lav-scan-precision", "lvalue-limit"])
 def test_options_a_command_does_not_read_exit_two(capsys, argv):
     # each subcommand parses only its own options, so one it would ignore is
     # a usage error rather than silently dropped
@@ -247,9 +250,9 @@ def test_threads_clamped_to_usable_cpus(capsys, monkeypatch):
 
 
 def test_tables_past_the_coefficient_cap_refused(capsys):
-    # 2^25 + 1 coefficients would need a short square past 2^25 points;
-    # refused before anything is allocated
-    assert main(["lvalue", "--limit", str(2 ** 25 + 1)]) == 2
+    # a balance point of 1e-6 at conductor 25 needs 7.6e9 coefficients, and
+    # the n = 5 row more than 2^25: refused before anything is allocated
+    assert main(["lvalue", "--char", "rationals.p5.m2.chi3", "--y", "1e-6"]) == 2
     assert main(["lav-scan", "--n-lo", "5", "--n-hi", "5"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"coefficient cap {2 ** 25} ") == 2
@@ -307,9 +310,8 @@ _GAUSSIAN_DOC = {"label": "gaussian-integers", "min_poly": [1, 0, 1],
         "golden-gauss-sum", "gaussian-lav-scan", "complex-lav-scan",
         "complex-lvalue", "short-table-lav-scan"])
 def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
-    # a zero-eigenvalue form with a nontrivial nebentypus, up to the 2000
-    # coefficients lvalue loads; the same with one [re, im] eigenvalue; and a
-    # full table shorter than the scan's cutoffs
+    # a zero-eigenvalue form with a nontrivial nebentypus; the same with one
+    # [re, im] eigenvalue; and a full table shorter than the scan's cutoffs
     nb = {"label": "nb", "weight_vector": [12], "atkin_lehner": 1,
           "nebentypus": "chi5",
           "prime_eigenvalues": {str(p): 0 for p in primes_up_to(2000)}}
@@ -328,12 +330,11 @@ def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
 
 
 def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
-    # a full table ignores --limit, so the message names only the shortfall
+    # a full table carries its own length, so the message names the shortfall
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"label": "short", "weight_vector": [12],
                                 "atkin_lehner": -1, "coefficients": tau_exact(200)[1:]}))
-    assert main(["lvalue", "--form", str(path), "--limit", "5000",
-                 "--char", "rationals.p5.m2.chi3"]) == 2
+    assert main(["lvalue", "--form", str(path), "--char", "rationals.p5.m2.chi3"]) == 2
     err = capsys.readouterr().err.strip()
     assert err == "error: form carries coefficients to 200 but the sums need 245"
 
@@ -357,18 +358,6 @@ def test_level_above_one_is_refused(tmp_path, capsys, rows):
     assert "chi(N)" in err and "good-prime" in err
 
 
-@pytest.mark.parametrize("limit", ["0", "-5"])
-def test_coefficient_limit_below_one_refused(tmp_path, capsys, limit):
-    # refused before the eigenvalues are expanded into a table
-    path = tmp_path / "eigenvalues.json"
-    path.write_text(json.dumps({"label": "eigenvalues", "weight_vector": [12],
-                                "atkin_lehner": -1,
-                                "prime_eigenvalues": {str(p): 0 for p in primes_up_to(50)}}))
-    assert main(["lvalue", "--form", str(path), "--limit", limit]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: coefficient limit {limit} is below 1"]
-
-
 @pytest.mark.parametrize("argv, p", [
     (["lav-scan", "--p", "1"], 1),
     (["lav-scan", "--p", "2"], 2),
@@ -388,3 +377,101 @@ def test_p_that_is_not_an_odd_prime_refused(capsys, argv, p):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: p = {p} is not an odd prime"]
+
+
+# lvalue sizes its table from its own cutoffs; these outputs were taken with
+# an explicit 6,104-coefficient table (a fixed 2,000 falls short at conductor
+# 625), and the derived table must print the same bytes
+_SIZED_LVALUES = {
+    "m4-central": (["--char", "rationals.p5.m4.chi1"], """{
+  "value_re": 0.11043081517830684,
+  "value_im": -0.05927205328756868,
+  "error_est": 9.728152810802196e-13,
+  "terms_used": [
+    6104,
+    6104
+  ],
+  "y": 625.0,
+  "main_term_re": 0.9999999999999984,
+  "character": "rationals.p5.m4.chi1",
+  "s": 6.0
+}
+"""),
+    "m2-off-grid": (["--char", "rationals.p5.m2.chi3", "--s", "6.3"], """{
+  "value_re": 1.3029324870426877,
+  "value_im": -0.11704792137944302,
+  "error_est": 9.144228561758229e-14,
+  "terms_used": [
+    245,
+    245
+  ],
+  "y": 25.0,
+  "main_term_re": 0.9999998945077038,
+  "character": "rationals.p5.m2.chi3",
+  "s": 6.3
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZED_LVALUES))
+def test_lvalue_sizes_its_table_from_its_cutoffs(capsys, case):
+    argv, expected = _SIZED_LVALUES[case]
+    assert main(["lvalue", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+_BAD_SETTINGS = [
+    (["lav-scan", "--tol", "0"], "tol must be finite and above 0, got 0.0"),
+    (["lav-scan", "--tol", "nan"], "tol must be finite and above 0, got nan"),
+    (["lav-scan", "--tol", "inf"], "tol must be finite and above 0, got inf"),
+    (["lvalue", "--tol", "0"], "tol must be finite and above 0, got 0.0"),
+    (["lvalue", "--tol", "nan"], "tol must be finite and above 0, got nan"),
+    (["lvalue", "--y", "nan"], "the balance point y must be finite and above 0, got nan"),
+    (["lvalue", "--y", "0"], "the balance point y must be finite and above 0, got 0.0"),
+    (["lav-scan", "--eps", "0"], "eps must be finite and above 0, got 0.0"),
+    (["lav-scan", "--eps", "nan"], "eps must be finite and above 0, got nan"),
+    (["lav-scan", "--a", "nan"], "a must be finite, got nan"),
+    (["lav-scan", "--a", "inf"], "a must be finite, got inf"),
+    (["lav-scan", "--route-tol", "-1"], "route_tol must be finite and at least 0, got -1.0"),
+    (["lav-scan", "--route-tol", "nan"], "route_tol must be finite and at least 0, got nan"),
+    (["lav-scan", "--floor", "-1"],
+     "nonvanish_floor (--floor) must be finite and at least 0, got -1.0"),
+    (["lav-scan", "--floor", "nan"],
+     "nonvanish_floor (--floor) must be finite and at least 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_SETTINGS,
+                         ids=[" ".join(argv) for argv, _ in _BAD_SETTINGS])
+def test_bad_settings_refused_up_front(capsys, monkeypatch, argv, message):
+    # refused as input, naming the option, before a coefficient table exists
+    import lcentral.newforms as newforms
+    built = []
+    original = newforms.tau_table
+
+    def counted(limit, threads=1):
+        built.append(limit)
+        return original(limit, threads)
+    monkeypatch.setattr(newforms, "tau_table", counted)
+    assert main([*argv, "--n-hi", "1"] if argv[0] == "lav-scan" else argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert all(limit <= 16 for limit in built)
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("lcentral ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_usage_block_runs(tmp_path, capsys, argv):
+    # every documented command line parses and runs, so a removed option
+    # cannot linger in the docs; verify exits 1 on its designed red
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1:]]
+    assert main(argv) == (1 if argv[0] == "verify" else 0)
+    capsys.readouterr()

@@ -194,6 +194,20 @@ def test_loader_rejects_non_squarefree():
                      unit_gens=[["-1", "0"]], different_gen=["1", "0"]))
 
 
+@pytest.mark.parametrize("m, reason", [
+    (5, "5 is 1 mod 4"), (8, r"2\^2 divides 8"), (12, r"2\^2 divides 12")])
+def test_loader_refuses_a_basis_of_a_smaller_order(m, reason):
+    # (1, sqrt(m)) with discriminant 4m is a consistent document of the order
+    # Z[sqrt(m)], which is not the ring of integers for these m
+    doc = _doc(min_poly=[str(-m), "0", "1"], discriminant=str(4 * m),
+               unit_gens=[["-1", "0"]], different_gen=["0", "2"])
+    with pytest.raises(ValueError, match=reason):
+        nf_load(doc)
+    assert nf_load(_doc(min_poly=["-3", "0", "1"], discriminant="12",
+                        unit_gens=[["-1", "0"], ["2", "1"]],
+                        different_gen=["0", "2"])).m == 3
+
+
 def test_loader_rejects_bad_unit():
     with pytest.raises(ValueError, match="norm"):
         nf_load(_doc(unit_gens=[["2", "0"]]))

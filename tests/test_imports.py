@@ -150,11 +150,8 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
-# every criterion of the acceptance sweep is called as check(fast)
-_UNREAD_ALLOWED = {
-    "acceptance._c06_kernel_asymptotics(fast)": "the criteria share one signature",
-    "acceptance._c09_coefficient_bound(fast)": "the criteria share one signature",
-}
+# parameters a function may leave unread, each with its reason: none today
+_UNREAD_ALLOWED = {}
 
 
 def test_every_parameter_is_read():

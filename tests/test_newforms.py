@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from lcentral.newforms import (_expand_from_primes, builtin_newform, newform_load,
                                ramanujan_violations)
-from lcentral.tau import tau_exact, tau_table
+from lcentral.tau import TAU_LIMIT_CAP, tau_exact, tau_table
 
 DELTA = builtin_newform("delta", 2000)
 EXACT = tau_exact(2000)
@@ -85,6 +86,23 @@ def test_missing_prime_reported():
     doc = prime_doc(prime_eigenvalues={"2": -24})
     with pytest.raises(ValueError, match=r"prime ideal \(3\)"):
         newform_load(doc, limit=10)
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_coefficient_limit_below_one_refused(tmp_path, limit):
+    # refused before the eigenvalues are expanded into a table
+    path = tmp_path / "eigenvalues.json"
+    path.write_text(json.dumps(prime_doc()))
+    with pytest.raises(ValueError) as exc:
+        newform_load(str(path), limit=limit)
+    assert str(exc.value) == f"coefficient limit {limit} is below 1"
+
+
+def test_document_limit_past_the_cap_refused():
+    # an eigenvalue document expands in Python ints, so it is held to the
+    # builtin table's cap too; refused before the expansion starts
+    with pytest.raises(ValueError, match=f"past the coefficient cap {TAU_LIMIT_CAP} "):
+        newform_load(prime_doc(), limit=TAU_LIMIT_CAP + 1)
 
 
 def test_prime_bound_violation_reported():
