@@ -75,8 +75,8 @@ class AcceptanceReport:
 # shared fixtures (built lazily, cached per process; nf_load keeps the fields)
 
 @lru_cache(maxsize=None)
-def _delta(limit):
-    return builtin_newform("delta", limit=limit)
+def _delta():
+    return builtin_newform("delta", limit=100000)
 
 
 def _rational_primitives(p_list, n_max):
@@ -258,7 +258,7 @@ def _c06_kernel_asymptotics():
 
 
 def _c07_two_sided_oracle():
-    form = _delta(100000)
+    form = _delta()
     Q = nf_load("rationals")
     rcg = rcg_build(prime_above(Q, 5), 2)
     twists = [None] + [chi for chi in rcg.characters()
@@ -285,7 +285,7 @@ def _c07_two_sided_oracle():
 
 
 def _c08_reflection_residual():
-    form = _delta(100000)
+    form = _delta()
     Q = nf_load("rationals")
     rcg = rcg_build(prime_above(Q, 5), 2)
     chi = next(c for c in rcg.characters() if c.order == 5 and c.is_primitive())

@@ -58,7 +58,7 @@ from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, VKernel
 from .newforms import NewformData, newform_load
 from .rayclass import HeckeCharacter
-from .roots import unit_circle_array
+from .roots import DOT_BLOCK, unit_circle_array
 
 # Relative error allowed each term of a half-sum, charged on the sum of
 # |term|, for arguments up to 2 pi times the decay cutoff.  It covers the
@@ -227,8 +227,8 @@ def _dot(weights: np.ndarray, table: np.ndarray | None) -> complex:
     if table is None:
         return complex(np.sum(weights))
     total = 0j
-    for lo in range(0, len(weights), _BLOCK):
-        hi = min(lo + _BLOCK, len(weights))
+    for lo in range(0, len(weights), DOT_BLOCK):
+        hi = min(lo + DOT_BLOCK, len(weights))
         total += complex(np.dot(weights[lo:hi], table[_mod_index(lo, hi, len(table))]))
     return total
 
@@ -370,10 +370,11 @@ def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
                   tol: float = 1e-9, threads: int = 1) -> NewformData:
     """`source` loaded to the longest cutoff `choose_cutoffs` picks from
     `probe` (the same form at a few coefficients) over `sums`, the (conductor
-    norm, y) pairs summed at s; a shorter full-table document is refused."""
+    norm, y) pairs summed at s; a shorter full-table document is refused, and
+    a probe that covers the sums (a full table loads whole) is the form."""
     need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
         choose_cutoffs(probe, cond, s=s, y=y, tol=tol) for cond, y in sums))
-    form = newform_load(source, limit=need, threads=threads)
+    form = probe if probe.limit >= need else newform_load(source, need, threads)
     if form.limit < need:
         raise ValueError(f"form carries coefficients to {form.limit} "
                          f"but the sums need {need}")
@@ -457,7 +458,6 @@ def _error_estimate(form: NewformData, eng: _Engine) -> float:
 
 def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
                s: float | None = None, y: float | None = None,
-               cfg: AFEConfig | None = None,
                tol: float = 1e-9) -> LValueResult:
     """Normalized value L(s, form x chi) by the smoothed two-sided sum.
     chi = None (or trivial) gives the untwisted value; s defaults to the
@@ -469,7 +469,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     k = form.weight
     s = 0.5 * k if s is None else float(s)
     chi = _normalize_twist(chi)
-    eng = _engine(form, chi, s, y, tol, cfg)
+    eng = _engine(form, chi, s, y, tol)
     m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
     lam_ratio = eng.med ** (0.5 * (k - 2.0 * s))
 
@@ -491,12 +491,11 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
 
 
 def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
-               y: float | None, reflected: bool,
-               tol: float) -> tuple[complex, _Engine]:
-    """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist, with the
-    engine it used; reflected=True takes the reflected object (eta * a, the
-    conjugate twist) that the reflection identity compares at k - s."""
-    eng = _engine(form, chi, s, y, tol)
+               y: float | None, reflected: bool) -> tuple[complex, _Engine]:
+    """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist at tol
+    1e-9, with the engine it used; reflected=True takes the reflected object
+    (eta * a, the conjugate twist) the reflection identity compares at k - s."""
+    eng = _engine(form, chi, s, y, 1e-9)
     k, s = eng.k, eng.s
     # the reflected object swaps coefficient sign and conjugates the twist
     conj = None if chi is None else chi.conjugate()
@@ -518,8 +517,8 @@ def functional_equation_residual(form: NewformData,
     points together with the root-number normalization.
     """
     chi = _normalize_twist(chi)
-    lam, eng = _completed(form, chi, s, y, False, 1e-9)
-    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, True, 1e-9)
+    lam, eng = _completed(form, chi, s, y, False)
+    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, True)
     return abs(lam - eng.c * _root_number(chi) * lam_ref) / abs(lam)
 
 
@@ -602,8 +601,8 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
 # direct-series oracle
 
 def direct_series(form: NewformData, chi: HeckeCharacter | None = None,
-                  s: float = 8.0, terms: int | None = None) -> tuple[complex, float]:
-    """Plain Dirichlet sum sum_{n <= terms} a(n) chi(n) n^(-s), usable only
+                  s: float = 8.0) -> tuple[complex, float]:
+    """Plain Dirichlet sum sum_{n <= form.limit} a(n) chi(n) n^(-s), usable only
     in the absolute-convergence range; the oracle the two-sided sum is
     checked against.
 
@@ -621,10 +620,7 @@ def direct_series(form: NewformData, chi: HeckeCharacter | None = None,
             f"direct summation needs s >= {floor:g} for this weight; "
             f"got s = {s:g} (use the two-sided sum instead)")
     chi = _normalize_twist(chi)
-    m = form.limit if terms is None else int(terms)
-    if m > form.limit:
-        raise ValueError(f"only {form.limit} coefficients loaded")
-
+    m = form.limit
     terms = np.arange(1, m + 1, dtype=np.float64)
     terms **= -s
     terms *= form.coefficient_array(m)[1:]

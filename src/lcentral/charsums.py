@@ -151,7 +151,7 @@ def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
     a field element; only its residue class mod p^c matters.
     """
     if chi.conductor_exponent == 0:
-        return CyclotomicNumber.from_rational(1) if exact else 1.0 + 0j
+        return CyclotomicNumber(1, {0: 1}) if exact else 1.0 + 0j
     den, exps, pref = _gauss_terms(chi, shift)
 
     if exact:
@@ -372,7 +372,7 @@ def average_char(chi: HeckeCharacter, ctx: CoefficientFieldContext, a) -> Averag
     subs = substitutions(chi, ctx)
     seed = chi.value_on_ideal_of(a)
     if seed is None:
-        return AverageResult(cyclotomic=CyclotomicNumber.zero(), orbit_size=len(subs),
+        return AverageResult(cyclotomic=CyclotomicNumber(1), orbit_size=len(subs),
                              coeff=Fraction(0), root=RootOfUnity(0))
     return _value_mean(seed, ctx, chi.order)
 

@@ -377,7 +377,7 @@ def _least_norms(rcg: RayClassGroup, classes, x: float, rounds: int,
     raise ArithmeticError("ray classes not all represented within the search budget")
 
 
-def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
+def min_norm_coset(prime: PrimeContext, n: int) -> int:
     """min |N(beta)| over beta in (1 + P^n) excluding the unit orbit of 1.
 
     Units congruent to 1 mod P^n (over Q(sqrt(2)) e.g. the cube of the
@@ -390,8 +390,7 @@ def min_norm_coset(prime: PrimeContext, n: int, *, with_witness: bool = False):
     if n < 1:
         raise ValueError("need n >= 1")
     rcg = rcg_build(prime, n)  # refuses levels past the residue cap
-    value, u, v = _least_norms(rcg, (0,), float(prime.modulus(n)), 12, min_norm=2)[0]
-    return (value, _point(prime.nf, u, v)) if with_witness else value
+    return _least_norms(rcg, (0,), float(prime.modulus(n)), 12, min_norm=2)[0][0]
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,8 @@ class CountBoundReport:
     sup_ratio: float
 
 
-def verify_count_bound(prime: PrimeContext, n_list, x_list, alpha=None) -> CountBoundReport:
-    """Measure U_{alpha,n}(x) / max(x / N(P)^n, 1) over a grid.
+def verify_count_bound(prime: PrimeContext, n_list, x_list) -> CountBoundReport:
+    """Measure U_{1,n}(x) / max(x / N(P)^n, 1) over a grid.
 
     The counting estimate says the ratio is bounded by a constant of the
     field alone; here the per-n sups must agree within a factor of 2
@@ -416,7 +415,7 @@ def verify_count_bound(prime: PrimeContext, n_list, x_list, alpha=None) -> Count
     for n in n_list:
         sup_n = 0.0
         for x in x_list:
-            pc = count_progression(alpha, ctx, n, x)
+            pc = count_progression(None, ctx, n, x)
             bound = max(x / float(ctx.p) ** n, 1.0)
             ratio = pc.count / bound
             rows.append((n, x, pc.count, bound, ratio))

@@ -59,8 +59,9 @@ _TRAPEZOID_STEP = 0.05
 _TRAPEZOID_REACH = 40.0
 _TRAPEZOID_BLOCK = 1 << 16   # Q evaluations per block of the tail sum
 
-# Step halvings the contour route may take before it reports its estimate
+# Most step halvings of the contour route, and the two-pass agreement ending them
 _CONTOUR_HALVINGS = 12
+_CONTOUR_TOL = 1e-10
 
 
 def _gamma_is_negative(v: float) -> bool:
@@ -324,9 +325,9 @@ class VKernel:
         t = sigma + 1j * taus
         return np.exp(self.gamma.log_value(self.s + t) - t * math.log(x)) / t
 
-    def _half_height(self, x: float, sigma: float, tol: float) -> float:
+    def _half_height(self, x: float, sigma: float) -> float:
         scale = abs(np.exp(self.gamma.log_value(self.s + sigma))) * x ** (-sigma)
-        target = max(tol * 1e-3 * scale, 1e-290)
+        target = max(_CONTOUR_TOL * 1e-3 * scale, 1e-290)
         half = 10.0
         while half < 400.0:
             mag = (abs(np.exp(self.gamma.log_value(self.s + sigma + 1j * half)))
@@ -336,14 +337,12 @@ class VKernel:
             half += 5.0
         return half
 
-    def contour_details(self, x, sigma=None, tol: float = 1e-10,
-                        h0: float = 0.25) -> ContourEval:
+    def contour_details(self, x, h0: float = 0.25) -> ContourEval:
         x = float(x)
         if x <= 0:
             raise ValueError("the contour route needs x > 0")
-        if sigma is None:
-            sigma = -0.5 if x < 0.05 else 2.0
-        half = self._half_height(x, sigma, tol)
+        sigma = -0.5 if x < 0.05 else 2.0
+        half = self._half_height(x, sigma)
         h = float(h0)
         taus = np.arange(-half, half + h / 2, h)
         total = h * self._integrand(taus, x, sigma).sum()
@@ -354,7 +353,7 @@ class VKernel:
             err = abs(refined - total)
             total = refined
             h /= 2
-            if err < tol * max(1.0, abs(total)):
+            if err < _CONTOUR_TOL * max(1.0, abs(total)):
                 break
         value = total / TWO_PI
         if sigma < 0:
@@ -364,8 +363,8 @@ class VKernel:
         return ContourEval(value=value, error_estimate=err, sigma=sigma,
                            half_height=half, step=h)
 
-    def value_contour(self, x, sigma=None, tol: float = 1e-10, h0: float = 0.25) -> complex:
-        return self.contour_details(x, sigma=sigma, tol=tol, h0=h0).value
+    def value_contour(self, x, h0: float = 0.25) -> complex:
+        return self.contour_details(x, h0=h0).value
 
     # -- production route ------------------------------------------------------
 

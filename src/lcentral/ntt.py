@@ -78,13 +78,12 @@ from math import prod
 import numpy as np
 
 # p = c * 2^e + 1 with primitive root g, largest first; every p has
-# 3 * 2^25 | p - 1.  The five multiply to about 2^153.4.
+# 3 * 2^25 | p - 1.  All four (about 2^123.3) serve the table at its cap.
 NTT_PRIMES: tuple[tuple[int, int], ...] = (
     (2113929217, 5),    # 63 * 2^25 + 1
     (2013265921, 31),   # 15 * 2^27 + 1
     (1811939329, 13),   # 27 * 2^26 + 1
     (1711276033, 29),   # 51 * 2^25 + 1
-    (1107296257, 10),   # 33 * 2^25 + 1
 )
 
 _TRANSPOSE_BLOCK = 64     # rows per slab of the blocked transpose

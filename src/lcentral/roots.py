@@ -113,6 +113,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Terms per np.dot: OpenBLAS threads a dot past 10,000 elements, so that its
+# bits follow OPENBLAS_NUM_THREADS and it pays ~1,000x its work in wake-ups
+DOT_BLOCK = 1 << 13
+
 
 def _fits(bound: int | float, what: str) -> None:
     """Refuse a result whose coefficients are bounded only past int64."""
@@ -170,24 +174,14 @@ class CyclotomicNumber:
         return cls._made(level, num, int(den))
 
     @classmethod
-    def zero(cls, level: int = 1) -> "CyclotomicNumber":
-        return cls(level)
-
-    @classmethod
-    def from_rational(cls, q: Fraction | int, level: int = 1) -> "CyclotomicNumber":
-        return cls(level, {0: q})
-
-    @classmethod
-    def from_root(cls, root: RootOfUnity, coeff: Fraction | int = 1,
-                  level: int | None = None) -> "CyclotomicNumber":
-        """coeff * root at level lcm(level, order of root), the root's order
-        when no level is given: one coefficient written into a zero vector."""
-        order = root.order
-        n = order if level is None else lcm(level, order)
+    def from_root(cls, root: RootOfUnity, coeff: Fraction | int = 1) -> "CyclotomicNumber":
+        """coeff * root at the root's order: one coefficient written into a
+        zero vector."""
+        n = root.order
         c, den = operator.index(coeff.numerator), operator.index(coeff.denominator)
         _fits(abs(c), "a coefficient")
         num = np.zeros(n, dtype=np.int64)
-        num[root.phase.numerator * (n // order)] = c
+        num[root.phase.numerator] = c
         return cls._made(n, num, den)
 
     @property
@@ -284,7 +278,9 @@ class CyclotomicNumber:
 
     def to_complex(self) -> complex:
         nz = np.flatnonzero(self.num)
-        return complex(np.dot(np.exp(2j * pi * nz / self.level), self.num[nz] / self.den))
+        dots = [complex(np.dot(np.exp(2j * pi * block / self.level), self.num[block] / self.den))
+                for block in np.split(nz, range(DOT_BLOCK, len(nz), DOT_BLOCK))]
+        return sum(dots[1:], dots[0])
 
     def __repr__(self) -> str:
         if not self.num.any():

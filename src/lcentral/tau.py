@@ -9,8 +9,8 @@ E_6^2 = E_12 - (762048/691) Delta in the two-dimensional space M_12:
 
 - The first k_t primes of `ntt.NTT_PRIMES` (`_transformed_count`) take a
   transform: one up to 5,750 coefficients, two up to 241,757, three up to
-  8,441,195, four up to the cap.  No other prime is needed: the lift below
-  finds every entry exactly from their residues.
+  8,441,195, all four up to the cap.  No other prime is needed: the lift
+  below finds every entry exactly from their residues.
 - `_DivisorIndex`, built once and independent of the prime, holds the
   prime-power chains and P(n), the full power of the smallest prime factor
   of n, as one int32 array.  Its walk (`groups`) derives the other n and

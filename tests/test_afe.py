@@ -149,7 +149,7 @@ def test_exponent_window_values():
 
 def test_untwisted_matches_direct_series(delta):
     res = afe_lvalue(delta, None, s=8.0)
-    direct, _ = direct_series(delta, None, s=8.0, terms=100000)
+    direct, _ = direct_series(delta, None, s=8.0)
     assert abs(res.value - direct) / abs(direct) < 1e-8
     # frozen regression pin for the two-sided assembly itself
     assert abs(res.value - 0.9307070302981278) < 1e-10
@@ -159,7 +159,7 @@ def test_untwisted_matches_direct_series(delta):
 def test_twisted_matches_direct_series(delta, rcg25):
     for chi in order5_chars(rcg25)[:2]:
         res = afe_lvalue(delta, chi, s=8.0)
-        direct, _ = direct_series(delta, chi, s=8.0, terms=100000)
+        direct, _ = direct_series(delta, chi, s=8.0)
         assert abs(res.value - direct) / abs(direct) < 1e-8
         assert res.character_label == chi.label
 
@@ -176,10 +176,11 @@ def test_y_invariance_at_center(delta, rcg25):
 def test_direct_series_precondition(delta):
     with pytest.raises(ValueError, match="direct summation needs"):
         direct_series(delta, None, s=6.0)
-    value, tail = direct_series(delta, None, s=8.0, terms=50000)
+    # the series runs to the form's last coefficient
+    value, tail = direct_series(builtin_newform("delta", limit=50000), None, s=8.0)
     assert tail > 0
     # the majorant is monotone in the truncation point
-    _, tail_less = direct_series(delta, None, s=8.0, terms=10000)
+    _, tail_less = direct_series(builtin_newform("delta", limit=10000), None, s=8.0)
     assert tail < tail_less
 
 
@@ -222,7 +223,7 @@ def test_a_field_read_from_a_path_is_loaded_once(delta, tmp_path):
 def test_completed_value_consistency(delta):
     # Lam(s) = Gamma_F(s) Med^(s/2) L(s) on the untwisted diagonal
     from lcentral.afe import gamma_factor_for
-    lam = afe._completed(delta, None, 6.0, None, False, 1e-9)[0]
+    lam = afe._completed(delta, None, 6.0, None, False)[0]
     res = afe_lvalue(delta, None, s=6.0)
     gam = gamma_factor_for(Q, delta.gamma_shifts)
     assert abs(lam - gam.value(6.0) * res.value) < 1e-12 * abs(lam)
@@ -438,11 +439,12 @@ def test_tail_majorant_past_the_float_range_of_scale_to_the_j(delta):
 
 # -- configuration guard rails -----------------------------------------------
 
-def test_insufficient_cutoffs_raise(delta):
+def test_insufficient_cutoffs_raise(delta, rcg25):
+    # given cutoffs are vetted against the tail bound before any sum
     bad = AFEConfig(y=25.0, cutoff_main=40, cutoff_dual=40, tol=1e-9)
-    chi = None
+    chi = order5_chars(rcg25)[0]
     with pytest.raises(ValueError, match="cannot meet tolerance"):
-        afe_lvalue(delta, chi, s=6.0, cfg=bad)
+        orbit_average_lvalue(delta, chi, CTX5, cfg=bad)
 
 
 def test_short_form_raises():

@@ -492,7 +492,7 @@ def _per_member_average_char(chi, ctx, a):
     vals = [tw.value_on_ideal_of(a) for tw in orbit]
     n = len(orbit)
     if any(v is None for v in vals):
-        zero = CyclotomicNumber.zero()
+        zero = CyclotomicNumber(1)
         return AverageResult(cyclotomic=zero, orbit_size=n, coeff=Fraction(0), root=RootOfUnity(0))
     level = lcm(*(v.order for v in vals))
     exps = [int(v.phase * level) for v in vals]

@@ -339,6 +339,25 @@ def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
     assert err == "error: form carries coefficients to 200 but the sums need 245"
 
 
+def test_a_full_table_document_is_verified_once(tmp_path, capsys, monkeypatch):
+    # the probe of a full table is the whole table, so it serves as the form
+    import lcentral.newforms as newforms
+    path = tmp_path / "full6104.json"
+    path.write_text(json.dumps({"label": "full6104", "weight_vector": [12],
+                                "atkin_lehner": 1, "coefficients": tau_exact(6104)[1:]}))
+    verified = []
+    original = newforms._verify_full_table
+
+    def counted(table, k, theta):
+        verified.append(len(table) - 1)
+        return original(table, k, theta)
+    monkeypatch.setattr(newforms, "_verify_full_table", counted)
+    code, doc = run_json(capsys, ["lvalue", "--form", str(path),
+                                  "--char", "rationals.p5.m4.chi1"])
+    assert code == 0 and doc["terms_used"] == [6104, 6104]
+    assert verified == [6104]
+
+
 @pytest.mark.parametrize("rows", ["prime_eigenvalues", "coefficients"])
 def test_level_above_one_is_refused(tmp_path, capsys, rows):
     # the twist root numbers and the Hecke recursion are the level-1 ones, so

@@ -4,10 +4,15 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lcentral
 from lcentral.afe import afe_lvalue, exponent_window, orbit_average_lvalue
 from lcentral.experiment import (ExperimentConfig, ExperimentReport, ExperimentRow,
                                  _run_row, _Setup, envelope_terms, halved_cutoff_gap,
@@ -81,6 +86,26 @@ def test_scan_threads_match_serial(scan12):
     for serial, threaded in zip(scan12.rows, rep.rows):
         assert dataclasses.replace(serial, seconds=0.0) == \
             dataclasses.replace(threaded, seconds=0.0)
+
+
+def _scan_json(blas_threads: str) -> dict:
+    src = str(Path(lcentral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "lcentral.cli", "lav-scan", "--p", "5",
+         "--n-lo", "1", "--n-hi", "3", "--a", "2"],
+        check=True, text=True, capture_output=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads})
+    doc = json.loads(out.stdout)
+    for row in doc["rows"]:
+        del row["seconds"]
+    return doc
+
+
+def test_no_row_depends_on_the_blas_thread_count():
+    # a dot past OpenBLAS's threading threshold sums in an order its thread
+    # count sets; every np.dot of the package stays below it
+    assert json.dumps(_scan_json("1")) == json.dumps(_scan_json("2"))
 
 
 def test_explicit_prime_generator_matches_default(scan12):

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 private attribute a module assigns on self is read in that module, every
-function parameter is read by its function (or is allowlisted with a reason),
-every function, class and method is named somewhere in the package outside its
-own definition (or is allowlisted with a reason), no module uses an assert
+function parameter is read by its function and every defaulted one is set by
+some call in the package (or is allowlisted with a reason), every function,
+class and method is named somewhere in the package outside its own
+definition (or is allowlisted with a reason), no module uses an assert
 statement, no module but tau.py imports a thread pool or threads, and no
 module imports scipy: the package, the rational tower, the acceptance sweep,
 an off-grid s and the degree-2 kernel all run without it.  No module but
@@ -159,6 +160,61 @@ def test_every_parameter_is_read():
     found = [f"{p.stem}.{hit}" for p in sorted(_SRC.glob("*.py"))
              for hit in _unread_parameters(ast.parse(p.read_text()))]
     assert sorted(found) == sorted(_UNREAD_ALLOWED)
+
+
+def _defaulted_without_caller(trees: dict[str, ast.Module]) -> list[str]:
+    """module.qualname(parameters) of each function whose defaulted
+    parameters include some that no call in the package passes, by keyword
+    or by position (a **mapping or *sequence passes all it could reach).
+    Calls are matched by the called name, so a method is reached by any
+    call of an attribute of its name, and `Class(...)` reaches
+    `Class.__init__`."""
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    out = []
+    for module, tree in trees.items():
+        for qualname, fn in _functions(tree):
+            a = fn.args
+            positional = [arg.arg for arg in (*a.posonlyargs, *a.args)]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            name = qualname.split(".")[-2] if fn.name == "__init__" else fn.name
+
+            def passed(call, param):
+                if any(k.arg in (param, None) for k in call.keywords):
+                    return True
+                return param in positional and (
+                    positional.index(param) < len(call.args)
+                    or any(isinstance(arg, ast.Starred) for arg in call.args))
+            unset = [param for param in defaulted
+                     if not any(passed(call, param) for call in calls[name])]
+            if unset:
+                out.append(f"{module}.{qualname}({', '.join(unset)})")
+    return sorted(out)
+
+
+# defaulted parameters no production call sets, each with its reason
+_NO_CALLER_ALLOWED = {
+    "cli.main(argv)": "the console entry point: the interpreter calls it with none",
+    "acceptance.run_acceptance(fast, only)": "the benchmark harness passes both "
+                                             "(perfbench/child.py); they leave with "
+                                             "its change (ROADMAP item 5)",
+    "experiment.halved_cutoff_gap(n)": "deliberate oracle: the same row at halved cutoffs",
+    "abelian.FiniteAbelianGroup.__init__(labels)": "the tests' group oracle, kept for "
+                                                   "the benchmark tracer",
+}
+
+
+def test_every_defaulted_parameter_has_a_production_caller():
+    # a default no production call overrides is a knob only tests turn
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
+    assert _defaulted_without_caller(trees) == sorted(_NO_CALLER_ALLOWED)
 
 
 _GROUP_ORACLE = ("the tests' independent presentation of the ray class groups; "

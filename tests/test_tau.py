@@ -244,7 +244,8 @@ def test_negative_values_past_the_oracle(table_100k):
         assert table_100k[2 * q] == -24 * oracle[q] < -2 ** 63
 
 
-# 691 and C's two factors, which the lift reads, and the last NTT prime
+# 691 and C's two factors, which the lift reads, and 33 * 2^25 + 1, a prime
+# below 2^31 outside the set
 _RESIDUE_MODULI = (691, 4837, 186624000, 1107296257)
 
 
@@ -287,7 +288,7 @@ def test_float_readout_rounds_as_float_of_the_int(k):
     assert got.tolist() == [float(v) for v in values]
 
 
-@pytest.mark.parametrize("k", range(1, len(NTT_PRIMES)))
+@pytest.mark.parametrize("k", range(1, len(NTT_PRIMES) + 1))
 def test_readouts_with_a_signed_top_digit(k):
     # x + K M for the digits' value x in [0, M) and an int64 K past them, as
     # the lift hands the table over: exact, and as the correctly rounded
@@ -419,7 +420,7 @@ def test_prime_product_covers_the_cap():
     # and (2) for the float products, 3 limit^6 < 2^47 M; and the read-out
     # x + K M reaches Deligne's 2 limit^6 with K an int64 top digit
     limit = TAU_LIMIT_CAP
-    assert _transformed_count(limit) < len(NTT_PRIMES)
+    assert _transformed_count(limit) == len(NTT_PRIMES)     # and no prime sits unused
     modulus = math.prod(p for p, _ in NTT_PRIMES[:_transformed_count(limit)])
     assert 16 * limit ** 11 < ((_C - 1) * modulus) ** 2
     assert 3 * limit ** 6 < modulus << 47
