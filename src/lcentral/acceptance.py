@@ -231,10 +231,12 @@ def _c05_dual_sum_envelope():
             return False, f"report level {rep['level']} != {n}"
         constants.append(rep["constant"])
     spread = max(constants) / min(constants)
-    ok = spread < 4.0
+    # Salie's lemma: |avg dual sum| <= sqrt(p) p^(-n/2), so C <= sqrt(p) (README)
+    ok = spread < 4.0 and max(constants) <= math.sqrt(5)
     cs = ", ".join(f"{c:.4f}" for c in constants)
     return ok, (f"max |avg dual sum| <= C * 5^(-n/2) with C = [{cs}] "
-                f"over n = {list(ns)}; spread x{spread:.2f} (< 4 required)")
+                f"over n = {list(ns)}; spread x{spread:.2f} (< 4 required); "
+                f"every C <= sqrt(5) = {math.sqrt(5):.4f} (Salie's lemma)")
 
 
 def _c06_kernel_asymptotics():
@@ -314,7 +316,7 @@ def _c09_coefficient_bound():
         if ratio > worst_ratio:
             worst_p, worst_ratio = p, ratio
     # the loader must reject a corrupted table and say where
-    doc = {"label": "corrupted", "weight": [12], "atkin_lehner": -1,
+    doc = {"label": "corrupted", "weight_vector": [12], "atkin_lehner": -1,
            "coefficients": table[1:61]}
     doc["coefficients"][12] = 10 ** 40           # a(13), stored 0-based
     try:

@@ -370,11 +370,12 @@ def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
                   tol: float = 1e-9, threads: int = 1) -> NewformData:
     """`source` loaded to the longest cutoff `choose_cutoffs` picks from
     `probe` (the same form at a few coefficients) over `sums`, the (conductor
-    norm, y) pairs summed at s; a shorter full-table document is refused, and
-    a probe that covers the sums (a full table loads whole) is the form."""
+    norm, y) pairs summed at s.  A probe that covers the sums, or holds a full
+    table (which loads whole, so a second load could not lengthen it), is the form."""
     need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
         choose_cutoffs(probe, cond, s=s, y=y, tol=tol) for cond, y in sums))
-    form = probe if probe.limit >= need else newform_load(source, need, threads)
+    form = probe if probe.limit >= need or probe.full_table else newform_load(
+        source, need, threads)
     if form.limit < need:
         raise ValueError(f"form carries coefficients to {form.limit} "
                          f"but the sums need {need}")

@@ -59,12 +59,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, pi
+from math import lcm, pi, sqrt
 
 import numpy as np
 
 from .abelian import p_adic_split
-from .fields import FieldElement
 from .roots import CyclotomicNumber, RootOfUnity, unit_circle_array
 from .rayclass import HeckeCharacter, PrimeContext, dual_generator
 
@@ -146,9 +145,10 @@ def galois_orbit(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[Heck
 def gauss_sum(chi: HeckeCharacter, shift=1, exact: bool = False):
     """Shifted Gauss sum G(chi, shift); complex, or CyclotomicNumber if exact.
 
-    The trivial character gets G := 1 by convention.  `shift` may be an
-    integer of any type `operator.index` takes (a float raises TypeError) or
-    a field element; only its residue class mod p^c matters.
+    The trivial character gets G := 1 by convention.  `shift` is an integer
+    of any type `operator.index` takes (a float or a field element raises
+    TypeError; `PrimeContext.residue` gives a field element's class); only
+    its residue class mod p^c matters.
     """
     if chi.conductor_exponent == 0:
         return CyclotomicNumber(1, {0: 1}) if exact else 1.0 + 0j
@@ -185,16 +185,11 @@ def _gauss_parts(chi: HeckeCharacter, shift) -> tuple[Fraction, RootOfUnity]:
     """(add, pref) with G(chi, shift) = pref * sum_x conj(chi((x))) e(x * add)
     over the unit residues x mod the conductor, pref = chi((d)).  add depends on the
     conductor exponent and the shift only, not on the character: it is
-    efin_phase(shift * z), z = (d pi^c)^-1, which for an integer shift a (any
-    type `operator.index` takes) is a * efin_phase(z) mod 1."""
-    ctx: PrimeContext = chi.prime_ctx
-    z, phase = ctx.gauss_phase(chi.conductor_exponent)
-    if isinstance(shift, FieldElement):
-        add = ctx.nf.efin_phase(shift * z)
-    else:
-        num, den = operator.index(shift) * phase.numerator, phase.denominator
-        add = Fraction(num % den, den)
-    return add, chi.value_on_class(chi.group.different_class)
+    efin_phase(a z), z = (d pi^c)^-1, which for the integer shift a is
+    a * efin_phase(z) mod 1."""
+    phase = chi.prime_ctx.gauss_phase(chi.conductor_exponent)
+    num, den = operator.index(shift) * phase.numerator, phase.denominator
+    return Fraction(num % den, den), chi.value_on_class(chi.group.different_class)
 
 
 def root_number(chi: HeckeCharacter) -> complex:
@@ -248,9 +243,9 @@ def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.nd
     the additive phases e(x * add) against chi^t.  The phases are the same
     for every member, so one `character_sums` transform serves the orbit.
     """
-    subs = substitutions(chi, ctx)
     if chi.conductor_exponent == 0:
-        return np.ones(len(subs), dtype=np.complex128)
+        raise ValueError(f"{chi.label} is trivial: its orbit has no Gauss sums")
+    subs = substitutions(chi, ctx)
     add, pref = _gauss_parts(chi.conjugate(), 1)
     pctx = chi.prime_ctx
     xs = np.arange(chi.conductor_norm, dtype=np.int64)
@@ -264,8 +259,6 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     orbit order, as floats from `orbit_gauss_sums`.  Each is held to the unit
     circle as `root_number` holds its one."""
     g = orbit_gauss_sums(chi, ctx)
-    if chi.conductor_exponent == 0:
-        return g
     subs = substitutions(chi, ctx)
     w = _powers(chi.value_on_ideal_of(-1).conjugate(), subs) * g * g / chi.conductor_norm
     drift = np.abs(np.abs(w) - 1)
@@ -290,8 +283,6 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     limit applies.
     """
     subs = substitutions(chi, ctx)
-    if chi.conductor_exponent == 0:
-        return 1, np.zeros(len(subs), dtype=np.int64)
     den, exps, pref = _gauss_terms(chi.conjugate(), 1)
     eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
                        chi.label) * pref * pref
@@ -442,8 +433,10 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     """Sweep |averaged iota| over unit residues and compare to p^(-n/2).
 
     n is the experiment level attached to the conductor exponent c by
-    c = n + n0 + 1; the report carries the sweep maximum and the implied
-    constant against that scale.
+    c = n + n0 + 1; the report carries the sweep maximum, the implied
+    constant against that scale, and the constant over sqrt(p): at n0 = 0
+    Salie's evaluation of the Kloosterman sums bounds |averaged iota| by
+    sqrt(p) p^(-n/2), so that ratio is at most 1 (README).
     """
     c = chi.conductor_exponent
     p = chi.p
@@ -471,4 +464,5 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
         "argmax_residue": argmax,
         "scale": scale,
         "constant": max_abs / scale if scale else float("inf"),
+        "constant_over_sqrt_p": max_abs / scale / sqrt(p),
     }

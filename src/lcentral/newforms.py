@@ -17,9 +17,9 @@ n0 steering Galois orbits, and a rational progress-toward-Ramanujan exponent
 theta used both for admissible-window computation and for loader rejection
 of out-of-bound coefficients.
 
-Documents supply eigenvalues at primes only; the full table is expanded
-through multiplicativity and the prime-power recursion
-a(p^(e+1)) = a(p) a(p^e) - p^(k-1) a(p^(e-1)), and
+Documents supply eigenvalues at primes only, under one spelling per key;
+the full table is expanded along tau's divisor index through the recursion
+a(p^(e+1)) = a(p) a(p^e) - p^(k-1) a(p^(e-1)) and multiplicativity, and
 every derived coefficient is re-checked against |a(n)| <= 2 d(n) n^((k-1)/2
 + theta).  A document may instead carry a full coefficient table, in which
 case the same two identities become consistency checks, so corrupting any
@@ -30,15 +30,15 @@ live only while a document is checked; the form keeps their floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .abelian import factorize, p_adic_split
+from .abelian import factorize
 from .fields import nf_load
-from .tau import TAU_LIMIT_CAP, primes_up_to, smallest_prime_factors, tau_table
+from .tau import TAU_LIMIT_CAP, _DivisorIndex, primes_up_to, tau_table
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class NewformData:
     # float(a(n)) at index n, correctly rounded, entry 0 = 0: read-only float64
     table: np.ndarray = field(repr=False)
     type_j: tuple[int, ...] = (0,)    # real places carrying the discrete-series twist
+    full_table: bool = False          # a document's whole table: no reload lengthens it
 
     def __post_init__(self):
         object.__setattr__(self, "_derived", {})
@@ -75,14 +76,6 @@ class NewformData:
         return self.table[:limit + 1]
 
 
-def _float_table(coefficients: list[int]) -> np.ndarray:
-    """Exact coefficients as the read-only float64 table a form holds; each
-    entry is the correctly rounded float(c)."""
-    arr = np.array(coefficients, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
 def ramanujan_violations(coefficients: list[int], k: int, theta: Fraction) -> list[int]:
     """Primes p in range whose exact coefficient a(p) = coefficients[p] breaks
     |a(p)| <= 2 p^((k-1)/2+theta), for weight k.
@@ -92,42 +85,46 @@ def ramanujan_violations(coefficients: list[int], k: int, theta: Fraction) -> li
     """
     u, v = theta.numerator, theta.denominator
     return [p for p in primes_up_to(len(coefficients) - 1)
-            if _bound_broken(coefficients[p], 2, p, k, u, v)]
-
-
-def _bound_broken(a: int, factor: int, n: int, k: int, u: int, v: int) -> bool:
-    return a ** (2 * v) > factor ** (2 * v) * n ** ((k - 1) * v + 2 * u)
+            if coefficients[p] ** (2 * v) > 4 ** v * p ** ((k - 1) * v + 2 * u)]
 
 
 def _expand_from_primes(prime_a: dict[int, int], limit: int, k: int,
                         theta: Fraction) -> list[int]:
-    """Fill a(1..limit) from prime eigenvalues; check bounds along the way."""
+    """a(0..limit) from prime eigenvalues in exact ints, along
+    `tau._DivisorIndex`: the Hecke recursion up each prime's chain of powers,
+    then a(n) = a(P(n)) a(n / P(n)) over the other n, a block at a time.
+    The first n that is a prime without an eigenvalue or breaks
+    |a(n)| <= 2 d(n) n^((k-1)/2+theta) is named; below it no a(n) reads a
+    missing eigenvalue, taken as 0."""
     u, v = theta.numerator, theta.denominator
-    spf = smallest_prime_factors(limit)
-    a: list = [0] * (limit + 1)
-    d: list = [0] * (limit + 1)  # divisor counts, for the derived-coefficient bound
-    a[1], d[1] = 1, 1
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m, e = p_adic_split(n, p)
-        if m > 1:
-            a[n] = a[n // m] * a[m]
-            d[n] = d[n // m] * d[m]
-        elif e == 1:
-            if p not in prime_a:
-                raise ValueError(f"missing eigenvalue at prime ideal ({p})")
-            a[n] = prime_a[p]
-            d[n] = 2
+    index = _DivisorIndex(limit)
+    a = np.zeros(limit + 1, dtype=object)
+    d = np.zeros(limit + 1, dtype=np.int64)  # divisor counts, for the bound
+    lacking = np.zeros(limit + 1, dtype=bool)
+    a[1] = d[1] = 1
+    for e, (qe, prev, q) in enumerate(index.chains, 1):
+        if e == 1:
+            lacking[qe] = [p not in prime_a for p in qe.tolist()]
+            a[qe] = [prime_a.get(p, 0) for p in qe.tolist()]
         else:
-            a[n] = a[p] * a[n // p] - p ** (k - 1) * a[n // (p * p)]
-            d[n] = e + 1
-        if _bound_broken(a[n], 2 * d[n], n, k, u, v):
-            raise ValueError(f"coefficient at ideal ({n}) exceeds the Ramanujan bound")
-    return a
+            a[qe] = a[q] * a[prev] - q.astype(object) ** (k - 1) * a[prev // q]
+        d[qe] = e + 1
+    for n, pn, rest in index.groups():
+        a[n] = a[pn] * a[rest]
+        d[n] = d[pn] * d[rest]
+    bound = (2 * d).astype(object) ** (2 * v) * np.arange(limit + 1, dtype=object) ** (
+        (k - 1) * v + 2 * u)
+    faults = np.flatnonzero(lacking | (a ** (2 * v) > bound))
+    if faults.size:
+        n = int(faults[0])
+        raise ValueError(f"missing eigenvalue at prime ideal ({n})" if lacking[n] else
+                         f"coefficient at ideal ({n}) exceeds the Ramanujan bound")
+    return a.tolist()
 
 
 def _verify_full_table(a: list, k: int, theta: Fraction) -> None:
-    """Check a full table against its expansion from its own prime entries.
+    """Check a full table against its expansion from its own prime entries,
+    which holds it to the coefficient bound too.
 
     The first index that differs names the identity it breaks: the Hecke
     recursion at a prime power, multiplicativity anywhere else.
@@ -160,12 +157,16 @@ def builtin_newform(name: str, limit: int = 1000, threads: int = 1) -> NewformDa
     )
 
 
-def _doc_get(doc: dict, *names, default=None, required=False):
-    for name in names:
-        if name in doc:
-            return doc[name]
+# every key a form document may carry, each in its one spelling (README, `--form`)
+_DOCUMENT_KEYS = ("label", "field_label", "weight_vector", "m_vector", "type_J", "level_norm",
+                  "nebentypus", "n0", "theta", "atkin_lehner", "prime_eigenvalues", "coefficients")
+
+
+def _doc_get(doc: dict, name: str, default=None, required=False):
+    if name in doc:
+        return doc[name]
     if required:
-        raise ValueError(f"document is missing {names[0]!r}")
+        raise ValueError(f"document is missing {name!r}")
     return default
 
 
@@ -190,11 +191,13 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     entry instead of expanded.  `threads` is the number of workers that
     build a builtin form's table (`tau.tau_table`).
 
-    Refused with ValueError: a level_norm other than 1, a nebentypus other
-    than "trivial", a non-integer eigenvalue or table entry (such as
-    [re, im]), a weight_vector that is not one equal weight per real place
-    of the field named by field_label, type_J indices outside those places,
-    and a limit below 1 or past the builtin table's cap (documents too).
+    Refused with ValueError: a document that is not an object or carries a
+    key outside `_DOCUMENT_KEYS` (named, so a misspelt key never falls back
+    to a default), a level_norm other than 1, a nebentypus other than
+    "trivial", a non-integer eigenvalue or table entry (such as [re, im]),
+    a weight_vector that is not one equal weight per real place of the
+    field named by field_label, type_J indices outside those places, and a
+    limit below 1 or past the builtin table's cap (documents too).
     """
     if limit < 1:
         raise ValueError(f"coefficient limit {limit} is below 1")
@@ -210,6 +213,11 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
             doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ValueError(f"a form document is a JSON object, not {type(doc).__name__}")
+    unknown = [key for key in doc if key not in _DOCUMENT_KEYS]
+    if unknown:
+        raise ValueError(f"document key {unknown[0]!r} is not one the loader reads")
 
     level_norm = int(_doc_get(doc, "level_norm", default=1))
     if level_norm != 1:
@@ -220,46 +228,43 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     if nebentypus != "trivial":
         raise ValueError(f"nebentypus {nebentypus!r} is not supported: the twist "
                          f"root numbers hold for trivial central character only")
-    field_label = _doc_get(doc, "field_label", "field", default="rationals")
+    field_label = _doc_get(doc, "field_label", default="rationals")
     places = nf_load(field_label).degree
-    weights = [int(w) for w in _doc_get(doc, "weight_vector", "weight", required=True)]
+    weights = [int(w) for w in _doc_get(doc, "weight_vector", required=True)]
     if len(weights) != places or len(set(weights)) != 1:
         raise ValueError(f"weight_vector {weights} is not one parallel weight per "
                          f"real place of {field_label} ({places})")
-    type_j = tuple(int(j) for j in _doc_get(doc, "type_J", "type_j", default=[0]))
+    type_j = tuple(int(j) for j in _doc_get(doc, "type_J", default=[0]))
     if not set(type_j) <= set(range(places)):
         raise ValueError(f"type_J {list(type_j)} must index real places "
                          f"0..{places - 1} of {field_label}")
-    form = NewformData(
-        label=doc.get("label", "unnamed-form"),
-        field_label=field_label,
-        weight=weights[0],
-        gamma_shifts=tuple(int(m) for m in _doc_get(doc, "m_vector", "gamma_shifts",
-                                                    default=[0] * places)),
-        level_norm=level_norm,
-        eta=int(_doc_get(doc, "atkin_lehner", "eta", required=True)),
-        n0=int(_doc_get(doc, "n0", default=0)),
-        theta=Fraction(str(_doc_get(doc, "theta", default=0))),
-        table=_float_table([0, 1]),
-        type_j=type_j,
-    )
-    if form.eta not in (-1, 1):
+    gamma_shifts = tuple(int(m) for m in _doc_get(doc, "m_vector", default=[0] * places))
+    eta = int(_doc_get(doc, "atkin_lehner", required=True))
+    n0 = int(_doc_get(doc, "n0", default=0))
+    theta = Fraction(str(_doc_get(doc, "theta", default=0)))
+    if eta not in (-1, 1):
         raise ValueError("atkin_lehner sign must be +1 or -1")
-    if not 0 <= form.theta < Fraction(1, 2):
+    if not 0 <= theta < Fraction(1, 2):
         raise ValueError("theta must lie in [0, 1/2)")
-    k = form.weight
+    k = weights[0]
 
-    if "coefficients" in doc:
-        table = [0] + [_parse_entry(c) for c in doc["coefficients"]]
-        _verify_full_table(table, k, form.theta)
+    coefficients = _doc_get(doc, "coefficients")
+    if coefficients is not None:
+        table = [0] + [_parse_entry(c) for c in coefficients]
+        _verify_full_table(table, k, theta)
     else:
         rows = _doc_get(doc, "prime_eigenvalues", required=True)
         prime_a = {}
         for key, value in rows.items():
             norm = int(str(key).strip("()"))
             prime_a[norm] = _parse_entry(value)
-        table = _expand_from_primes(prime_a, limit, k, form.theta)
-    bad = ramanujan_violations(table, k, form.theta)
+        table = _expand_from_primes(prime_a, limit, k, theta)
+    bad = ramanujan_violations(table, k, theta)
     if bad:
         raise ValueError(f"coefficients at primes {bad[:5]} exceed the Ramanujan bound")
-    return replace(form, table=_float_table(table))
+    table = np.array(table, dtype=np.float64)   # each entry the rounded float(a(n))
+    table.setflags(write=False)
+    return NewformData(label=_doc_get(doc, "label", default="unnamed-form"),
+                       field_label=field_label, weight=k, gamma_shifts=gamma_shifts,
+                       level_norm=level_norm, eta=eta, n0=n0, theta=theta, table=table,
+                       type_j=type_j, full_table=coefficients is not None)

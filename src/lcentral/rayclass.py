@@ -93,7 +93,7 @@ class PrimeContext:
         self.max_level = max_residue_level(p)
         # the root mod p^level is this one reduced mod p^level
         self._sqrt_image = _hensel_sqrt(nf, pi, p, self.max_level)
-        self._gauss_phases: dict[int, tuple[FieldElement, Fraction]] = {}
+        self._gauss_phases: dict[int, Fraction] = {}
         self._dlogs: dict[int, np.ndarray] = {}
         self._duals: dict[int, HeckeCharacter] = {}
 
@@ -125,14 +125,14 @@ class PrimeContext:
         mod = self.modulus(level)
         return (u % mod + v % mod * (self._sqrt_image % mod)) % mod
 
-    def gauss_phase(self, c: int) -> tuple[FieldElement, Fraction]:
-        """(z, phi) for the Gauss sums of conductor p^c: z = (d pi^c)^-1,
-        d the different's generator, and phi = efin_phase(z).  The trace is
+    def gauss_phase(self, c: int) -> Fraction:
+        """phi = efin_phase(z) for the Gauss sums of conductor p^c, with
+        z = (d pi^c)^-1 and d the different's generator.  The trace is
         Q-linear, so efin(a x z) = e(a x phi) for all integers a and x."""
         got = self._gauss_phases.get(c)
         if got is None:
             z = (self.nf.different_gen * self.pi ** c).inverse()
-            got = self._gauss_phases[c] = (z, self.nf.efin_phase(z))
+            got = self._gauss_phases[c] = self.nf.efin_phase(z)
         return got
 
     def dlog_array(self, level: int) -> np.ndarray:

@@ -45,9 +45,6 @@ class RootOfUnity:
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.phase + other.phase)
 
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.phase * k)
-
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity(-self.phase)
 

@@ -7,6 +7,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import kv
 
+from lcentral.abelian import factorize
 from lcentral.kernels import VKernel
 from lcentral.ntt import reduce_mod
 
@@ -117,3 +118,29 @@ def kloosterman_dual_table(p, q):
     roots = [z for z in units.tolist() if pow(z, p - 1, q) == 1]
     total = sum(kloosterman[m * z % q] for z in roots)
     return p / ((p - 1) * q) * total
+
+
+def expand_from_primes_loop(prime_a, limit, k, theta):
+    """a(0..limit) from prime eigenvalues one n at a time, by factoring each
+    n: the per-index loop `newforms._expand_from_primes` replaced, raising
+    at the first n that lacks its prime or breaks
+    |a(n)| <= 2 d(n) n^((k-1)/2+theta), with the same messages."""
+    u, v = theta.numerator, theta.denominator
+    a, d = [0, 1], [0, 1]
+    for n in range(2, limit + 1):
+        (p, e), *rest = sorted(factorize(n).items())
+        pe = p ** e
+        if rest:
+            a.append(a[n // pe] * a[pe])
+            d.append(d[n // pe] * d[pe])
+        elif e == 1:
+            if p not in prime_a:
+                raise ValueError(f"missing eigenvalue at prime ideal ({p})")
+            a.append(prime_a[p])
+            d.append(2)
+        else:
+            a.append(a[p] * a[n // p] - p ** (k - 1) * a[n // (p * p)])
+            d.append(e + 1)
+        if a[n] ** (2 * v) > (2 * d[n]) ** (2 * v) * n ** ((k - 1) * v + 2 * u):
+            raise ValueError(f"coefficient at ideal ({n}) exceeds the Ramanujan bound")
+    return a

@@ -42,6 +42,11 @@ def order5_char(rcg):
     return [c for c in rcg.characters() if c.order == 5][0]
 
 
+def power(root, t):
+    """root^t, exactly."""
+    return RootOfUnity(root.phase * int(t))
+
+
 def gauss_sum_conjugation_defect(chi):
     """|conj(G(chi)) - chi(-1) G(conj chi)|, which should vanish."""
     g = gauss_sum(chi)
@@ -111,6 +116,8 @@ def test_shift_identity_exact():
 
 
 def test_shift_identity_exact_quadratic_field():
+    # a field element shifts by its class mod p^c, the integer
+    # PrimeContext.residue gives
     K, ctx = sqrt2_setup()
     chi = residue_characters(ctx, 2)[0]
     base = gauss_sum(chi, exact=True)
@@ -118,7 +125,8 @@ def test_shift_identity_exact_quadratic_field():
         a = K.element(coords)
         val = chi.value_on_ideal_of(a)
         assert val is not None
-        assert gauss_sum(chi, shift=a, exact=True) == base * CyclotomicNumber.from_root(val)
+        shift = ctx.residue(a, chi.conductor_exponent)
+        assert gauss_sum(chi, shift=shift, exact=True) == base * CyclotomicNumber.from_root(val)
 
 
 def _same_exact(x, y):
@@ -141,34 +149,36 @@ def _shift_route_cases():
             yield K, chi
 
 
-def test_integer_and_field_element_shifts_give_the_same_gauss_sum():
+def test_integer_shifts_take_the_field_phase():
     # an integer shift a takes the phase a * efin_phase(z) mod 1 held on the
-    # prime context, a field-element shift efin_phase(a * z); both are
-    # efin(a x z) at every term, so the sums agree exactly, at shifts prime
+    # prime context; it must be efin_phase(a z), the phase of the field
+    # element a z, and the sum must depend on a mod p^c alone, at shifts prime
     # to p, negative ones and ones = 0 mod p
     checked = 0
     for nf, chi in _shift_route_cases():
-        p, q = chi.p, chi.conductor_norm
+        p, q, c = chi.p, chi.conductor_norm, chi.conductor_exponent
+        ctx = chi.prime_ctx
+        z = (nf.different_gen * ctx.pi ** c).inverse()
         for a in (1, 2, -1, -q - 2, p, -p, 2 * p * q, 0, 10 ** 12 + 1):
-            elt = nf.element_from_int(a)
+            assert charsums._gauss_parts(chi, a)[0] == nf.efin_phase(nf.element_from_int(a) * z)
             assert _same_exact(gauss_sum(chi, shift=a, exact=True),
-                               gauss_sum(chi, shift=elt, exact=True)), (chi.label, a)
-            assert gauss_sum(chi, shift=a) == gauss_sum(chi, shift=elt)
+                               gauss_sum(chi, shift=a % q, exact=True)), (chi.label, a)
+            assert gauss_sum(chi, shift=a) == gauss_sum(chi, shift=a % q)
             checked += 1
     # 203 primitive rational characters, 5 + 36 primitive residue characters
     assert checked == 9 * (203 + 5 + 36)
 
 
-def test_gauss_sum_shift_is_an_integer_or_a_field_element():
+def test_gauss_sum_shift_is_an_integer():
     # an integer of any type is that integer; anything else raises instead
-    # of being truncated (2.7 once gave G(chi, 2))
+    # of being truncated (2.7 once gave G(chi, 2)), a field element too
     Q, ctx, rcg = q_setup()
     chi = rcg.character_by_index(2)
     want = gauss_sum(chi, shift=2, exact=True)
-    for two in (np.int64(2), np.int32(2), Q.element_from_int(2)):
+    for two in (np.int64(2), np.int32(2)):
         assert _same_exact(gauss_sum(chi, shift=two, exact=True), want)
         assert gauss_sum(chi, shift=two) == gauss_sum(chi, shift=2)
-    for bad in (2.7, 2.0, Fraction(5, 2)):
+    for bad in (2.7, 2.0, Fraction(5, 2), Q.element_from_int(2)):
         with pytest.raises(TypeError):
             gauss_sum(chi, shift=bad)
         with pytest.raises(TypeError):
@@ -339,6 +349,38 @@ def test_kloosterman_argmax_is_the_smallest_tied_residue():
     assert rep["argmax_residue"] == 17
 
 
+@pytest.mark.parametrize("p,level", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4), (7, 3)])
+def test_kloosterman_constant_over_sqrt_p_obeys_salie(p, level):
+    # at n0 = 0, |averaged iota| <= sqrt(p) p^(-n/2) (README, Salie's lemma)
+    rep = kloosterman_bound_report(_rational_seed(p, level), CoefficientFieldContext(p=p, n0=0))
+    assert rep["constant_over_sqrt_p"] == rep["constant"] / p ** 0.5
+    assert 0.5 < rep["constant_over_sqrt_p"] <= 1
+
+
+def _trivial_character():
+    _, _, rcg = q_setup()
+    chi = rcg.character_by_index(0)
+    assert chi.conductor_exponent == 0
+    return chi, CoefficientFieldContext(p=5, n0=0)
+
+
+def test_orbit_gauss_sums_refuse_the_trivial_character():
+    # no route reaches a trivial seed: one would give zeros, not G := 1
+    with pytest.raises(ValueError, match="rationals.p5.m2.chi0 is trivial"):
+        orbit_gauss_sums(*_trivial_character())
+
+
+def test_orbit_float_root_numbers_refuse_the_trivial_character():
+    with pytest.raises(ValueError, match="is trivial"):
+        orbit_float_root_numbers(*_trivial_character())
+
+
+def test_orbit_root_numbers_refuse_the_trivial_character():
+    # its empty Gauss sum squares to 0, not q times a root of unity
+    with pytest.raises(ArithmeticError, match="not a root of unity at rationals.p5.m2.chi0"):
+        orbit_root_numbers(*_trivial_character())
+
+
 def test_exact_gauss_sum_matches_float():
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
@@ -423,7 +465,7 @@ def _per_member_root_numbers(chi, ctx):
     for t, tw in zip(subs, galois_orbit(chi, ctx)):
         rho = tw.value_on_ideal_of(t)
         # sigma_t acts on a root of unity as its t-th power
-        sigma_eps = eps ** (t if t % 2 else t + level)
+        sigma_eps = power(eps, t if t % 2 else t + level)
         out.append(tw.value_on_ideal_of(-1).conjugate() * rho * rho * sigma_eps)
     return out
 
@@ -558,7 +600,7 @@ def test_orbit_values_are_seed_powers(n, n0):
         seed = chi.value_on_ideal_of(a)
         for t, tw in members:
             got = tw.value_on_ideal_of(a)
-            assert got == (None if seed is None else seed ** t)
+            assert got == (None if seed is None else power(seed, t))
 
 
 def _counting(monkeypatch, owner, name):
@@ -639,15 +681,16 @@ def test_residue_label_averages_take_values_on_classes():
                 subs = substitutions(chi, cfc)
                 roots = member_roots(chi, cfc)
                 for a in (2, 3, mod - 1):
-                    conj_powers = [chi.value_on_ideal_of(a).conjugate() ** t for t in subs]
+                    conj_powers = [power(chi.value_on_ideal_of(a).conjugate(), t)
+                                   for t in subs]
                     want = sum(v.to_complex() for v in conj_powers) / len(subs)
                     got = average_char(chi, cfc, a)
                     assert abs(got.value - want.conjugate()) < 1e-14
                     if n0 == 0:
                         assert abs(got.value - want) < 1e-14
                     inv = pow(a, -1, mod)
-                    with_conj = sum(w.to_complex() * (chi.value_on_ideal_of(inv) ** t)
-                                     .to_complex() for w, t in zip(roots, subs))
+                    with_conj = sum(w.to_complex() * power(chi.value_on_ideal_of(inv), t)
+                                    .to_complex() for w, t in zip(roots, subs))
                     assert abs(average_iota(chi, cfc, a) - with_conj / len(subs)) < 1e-12
 
 

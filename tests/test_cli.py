@@ -339,6 +339,26 @@ def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
     assert err == "error: form carries coefficients to 200 but the sums need 245"
 
 
+def test_a_short_full_table_is_verified_once_before_it_is_refused(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a full table loads whole, so the probe is not reloaded for the sums
+    import lcentral.newforms as newforms
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"label": "short", "weight_vector": [12],
+                                "atkin_lehner": -1, "coefficients": tau_exact(200)[1:]}))
+    verified = []
+    original = newforms._verify_full_table
+
+    def counted(table, k, theta):
+        verified.append(len(table) - 1)
+        return original(table, k, theta)
+    monkeypatch.setattr(newforms, "_verify_full_table", counted)
+    assert main(["lvalue", "--form", str(path), "--char", "rationals.p5.m2.chi3"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: form carries coefficients to 200 but the sums need 245"
+    assert verified == [200]
+
+
 def test_a_full_table_document_is_verified_once(tmp_path, capsys, monkeypatch):
     # the probe of a full table is the whole table, so it serves as the form
     import lcentral.newforms as newforms

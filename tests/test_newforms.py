@@ -1,12 +1,20 @@
+import ast
 import json
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lcentral.newforms import (_expand_from_primes, builtin_newform, newform_load,
-                               ramanujan_violations)
-from lcentral.tau import TAU_LIMIT_CAP, tau_exact, tau_table
+from lcentral import newforms
+from lcentral.newforms import (_DOCUMENT_KEYS, _expand_from_primes, builtin_newform,
+                               newform_load, ramanujan_violations)
+from lcentral.tau import TAU_LIMIT_CAP, primes_up_to, tau_exact, tau_table
+from oracles import expand_from_primes_loop
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 DELTA = builtin_newform("delta", 2000)
 EXACT = tau_exact(2000)
@@ -192,3 +200,109 @@ def test_theta_tightens_the_bound():
     # with theta = 0 the scan is the sharp Deligne bound; a fake table whose
     # a(2) sits just above it must be flagged
     assert 2 in ramanujan_violations([0, 1, 2 * 46 ** 1 + 2896, 0], 12, Fraction(0))
+
+
+def _corrupted_documents():
+    """(document, limit) pairs: Delta's primes and full tables, sound and
+    corrupted at random (a prime dropped or pushed past the bound, entries
+    nudged or overwritten), at several weights and theta."""
+    rng = random.Random(5)
+    for limit in (1, 2, 3, 4, 8, 9, 16, 30, 97, 128, 2000):
+        yield prime_doc(), limit
+        yield {"label": "t", "weight_vector": [12], "atkin_lehner": -1,
+               "coefficients": EXACT[1:limit + 1]}, limit
+    for _ in range(150):
+        limit = rng.choice([5, 12, 50, 200, 1000])
+        rows = {p: EXACT[p] for p in PRIMES if p <= limit}
+        kind = rng.randrange(4)
+        if kind == 0:
+            del rows[rng.choice(list(rows))]
+        if kind <= 1:
+            p = rng.choice(list(rows))
+            rows[p] = rng.choice([10 ** 40, 2 * 10 ** 5, -3 * p ** 6, 4 * int(p ** 5.5)])
+        if kind == 2:
+            for p in rng.sample(list(rows), min(3, len(rows))):
+                rows[p] += rng.randrange(-10 ** 6, 10 ** 6)
+        header = {"theta": rng.choice(["0", "1/4", "7/64"]),
+                  "weight_vector": [rng.choice([12, 12, 2, 4])]}
+        yield prime_doc(prime_eigenvalues={str(p): a for p, a in rows.items()},
+                        **header), limit
+        table = EXACT[:limit + 1]
+        for _ in range(rng.randrange(3)):
+            table[rng.randrange(1, limit + 1)] = rng.choice(
+                [1, 0, -1, 10 ** 40, rng.randrange(-10 ** 9, 10 ** 9)])
+        yield dict(prime_doc(**header), coefficients=table[1:]), limit
+
+
+def _load_or_refusal(doc, limit):
+    try:
+        return newform_load(doc, limit=limit).coefficient_array().tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_expansion_matches_the_per_index_loop(monkeypatch):
+    # the divisor-index walk gives the per-index loop's tables, and its
+    # refusals word for word: the first n that lacks its prime or breaks the
+    # bound, and for a full table the first identity it breaks
+    docs = list(_corrupted_documents())
+    got = [_load_or_refusal(doc, limit) for doc, limit in docs]
+    monkeypatch.setattr(newforms, "_expand_from_primes", expand_from_primes_loop)
+    assert got == [_load_or_refusal(doc, limit) for doc, limit in docs]
+    refusals = {re.sub(r"\d+", "N", g) for g in got if isinstance(g, str)}
+    assert refusals == {"missing eigenvalue at prime ideal (N)",
+                        "coefficient at ideal (N) exceeds the Ramanujan bound",
+                        "coefficients at primes [N] exceed the Ramanujan bound",
+                        "table breaks the Hecke recursion at ideal (N)",
+                        "table is not multiplicative at ideal (N)",
+                        "coefficient table must start with a(N) = N"}
+    ex = tau_exact(20001)
+    assert _expand_from_primes({p: ex[p] for p in primes_up_to(20001)}, 20001, 12,
+                               Fraction(0)) == ex
+
+
+@pytest.mark.parametrize("drop, blow, message", [
+    (37, 13, r"coefficient at ideal \(13\) exceeds the Ramanujan bound"),
+    (13, 37, r"missing eigenvalue at prime ideal \(13\)"),
+    (13, 13, r"missing eigenvalue at prime ideal \(13\)"),
+])
+def test_the_first_fault_is_named_whether_missing_or_out_of_bound(drop, blow, message):
+    rows = {str(p): EXACT[p] for p in PRIMES if p <= 100 and p != drop}
+    if blow != drop:
+        rows[str(blow)] = 10 ** 40
+    with pytest.raises(ValueError, match=message):
+        newform_load(prime_doc(prime_eigenvalues=rows), limit=100)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("field", "rationals"), ("weight", [12]), ("gamma_shifts", [0]), ("type_j", [0]),
+    ("eta", -1), ("comment", "a key the loader does not read"),
+])
+def test_a_key_the_loader_does_not_read_is_refused(key, value):
+    # one spelling per key: an old one is refused by name instead of falling
+    # back to the default of the key it stood for
+    with pytest.raises(ValueError) as exc:
+        newform_load(prime_doc(**{key: value}), limit=10)
+    assert str(exc.value) == f"document key {key!r} is not one the loader reads"
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("5", "int"), ('"delta"', "str")])
+def test_a_document_that_is_not_an_object_is_refused(tmp_path, text, kind):
+    path = tmp_path / "form.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        newform_load(str(path), limit=10)
+    assert str(exc.value) == f"a form document is a JSON object, not {kind}"
+
+
+def test_document_keys_are_the_readme_keys_and_the_loader_reads_each():
+    # the backticked keys of the README's --form paragraph are the keys a
+    # document may carry, and each is read by one _doc_get call
+    text = (_ROOT / "README.md").read_text()
+    paragraph = next(p for p in text.split("\n\n") if p.startswith("A `--form` argument"))
+    readme = {k for k in re.findall(r"`([^`]*)`", paragraph) if re.fullmatch(r"\w+", k)}
+    assert readme == set(_DOCUMENT_KEYS)
+    tree = ast.parse((_ROOT / "src" / "lcentral" / "newforms.py").read_text())
+    read = [node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_doc_get"]
+    assert sorted(read) == sorted(_DOCUMENT_KEYS)

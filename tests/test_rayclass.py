@@ -204,7 +204,7 @@ def test_residue_character_group_law():
     value = chi.value_on_ideal_of
     assert value(a * b % 49) == value(a) * value(b)
     assert chi.conjugate().value_on_ideal_of(a) == value(a).conjugate()
-    assert chi.power(3).value_on_ideal_of(a) == value(a) ** 3
+    assert chi.power(3).value_on_ideal_of(a) == value(a) * value(a) * value(a)
 
 
 def test_prime_context_rejections():
