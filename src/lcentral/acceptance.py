@@ -26,7 +26,7 @@ from .charsums import (CoefficientFieldContext, average_char, gauss_sum,
                        kloosterman_bound_report, root_number)
 from .cones import (count_progression, min_norm_coset, prime_above,
                     torsion_norm_bound, verify_count_bound)
-from .experiment import ExperimentConfig, run_lav_experiment
+from .experiment import NONVANISH_FLOOR, ExperimentConfig, run_lav_experiment
 from .fields import nf_load
 from .kernels import GammaFactor, VKernel
 from .newforms import builtin_newform, newform_load
@@ -342,8 +342,9 @@ def _c10_averaged_values():
     gap = max(r.route_gap for r in report.rows)
     devs = {r.n: r.deviation for r in report.rows}
     noted = "approach 1 only as the conductor grows" in report.note
-    ok = devs[3] < devs[1] and noted and elapsed < 600 and floor > 1e-3
-    return ok, (f"min |L| = {floor:.4f} > 1e-3 across every orbit; route gap "
+    ok = devs[3] < devs[1] and noted and elapsed < 600 and floor > NONVANISH_FLOOR
+    bar = np.format_float_scientific(NONVANISH_FLOOR, trim="-", exp_digits=1)
+    return ok, (f"min |L| = {floor:.4f} > {bar} across every orbit; route gap "
                 f"{gap:.1e}; |avg - 1|: n=1 {devs[1]:.4f} -> n=3 {devs[3]:.4f} "
                 f"(decreasing); limit-caveat noted")
 

@@ -20,11 +20,14 @@ gamma per term, with no interpolation.  The error estimate is the checked
 tail majorants plus EVAL_REL_ERR times the sum of |term| on each side, which
 covers the measured relative error of the incomplete gamma (a finite closed
 form when 2(s - m) is an integer, a power series or continued fraction for
-its fractional part otherwise) and the rounding of the sums.  Cutoffs default to the measured decay cutoff of V and are always
-re-checked against an explicit majorant for the dropped tail -- the
-elementary bound d(n) <= sqrt(3 n) turns Ramanujan-bounded coefficients
-into a closed-form remainder -- so a configuration that cannot meet the
-requested tolerance raises instead of silently under-resolving.
+its fractional part otherwise) and the rounding of the sums.  The cutoffs
+are the measured decay cutoffs of V, checked against an explicit majorant
+for the dropped tail -- the elementary bound d(n) <= sqrt(3 n) turns
+Ramanujan-bounded coefficients into a closed-form remainder -- so a
+configuration whose majorant exceeds TAIL_BUDGET raises instead of silently
+under-resolving.  No tower scan comes near it: on the towers checked (p = 3
+to 13, a = 1.15 to 2, each level up to the coefficient cap) the largest
+majorant is 3.2e-11, at conductor 11^6.
 
 Orbit averages take two independent routes.  Route one is per orbit and
 float: each prefab array folds into residue bins mod p^level, and one
@@ -69,6 +72,10 @@ from .roots import DOT_BLOCK, unit_circle_array
 # degree-2 tail summed from it is within 5.1e-15 of 30-digit values up to
 # its decay cutoff at s = 6 -- and the rounding of the terms and their sum.
 EVAL_REL_ERR = 2e-14
+
+# Largest tail majorant, relative to |Gamma_F(s)|, that V's decay cutoffs
+# may leave (`choose_cutoffs`); past it a configuration is refused.
+TAIL_BUDGET = 1e-9
 
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.
 # Small j wins for small scales, large j for conductor-sized balance points.
@@ -191,18 +198,18 @@ def _mod_index(lo: int, hi: int, mod: int) -> np.ndarray:
     return ns - ns // mod * mod
 
 
-def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
-            reflected: bool) -> np.ndarray:
+def _prefab(form: NewformData, kern: VKernel, scale: float, count: int) -> np.ndarray:
     """a(n) n^(-s) V(n/scale) for n = 1..count at the kernel's spectral
-    point s, with the reflected sign when asked; the character-independent
-    part of a half-sum, kept on the form.  One array serves every member of
-    a Galois orbit, which is what makes orbit scans cheap.
+    point s; the character-independent part of a half-sum, kept on the form.
+    One array serves every member of a Galois orbit, which is what makes
+    orbit scans cheap.  The dual side's sign eta = +-1 multiplies its sum,
+    which is exact.
 
     Built a block at a time in the buffer of its n: V(n/scale), n^(-s) in
-    place, times a(n), times V, so each term is (a(n) n^(-s)) V and eta = +-1
-    is exact wherever applied; each step is elementwise, so blocks change no bit.
+    place, times a(n), times V, so each term is (a(n) n^(-s)) V; each step
+    is elementwise, so blocks change no bit.
     """
-    key = ("prefab", kern, float(scale), count, reflected)
+    key = ("prefab", kern, float(scale), count)
     got = form._derived.get(key)
     if got is None:
         got = np.empty(count)
@@ -213,8 +220,6 @@ def _prefab(form: NewformData, kern: VKernel, scale: float, count: int,
             ns **= -kern.s.real
             ns *= form.coefficient_array(hi)[lo + 1:]
             ns *= v
-            if reflected:
-                ns *= form.eta
             got[lo:hi] = ns
         got.setflags(write=False)
         form._derived[key] = got
@@ -285,15 +290,12 @@ def _half_sum_tail(form: NewformData, kern: VKernel, sigma: float,
 
 @dataclass(frozen=True)
 class AFEConfig:
-    """Resolved evaluation parameters for one completed-value computation.
-
-    The two cutoffs are checked against the tail majorants before any sum
-    is trusted.
-    """
+    """The balance point and cutoffs of one completed-value computation.
+    Explicit cutoffs are summed as given; their tail majorants enter the
+    error estimate whatever their size."""
     y: float
     cutoff_main: int
     cutoff_dual: int
-    tol: float = 1e-9
 
 
 class LValueResult(NamedTuple):
@@ -320,30 +322,29 @@ def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VK
     return vkernel_for(nf, shifts, s), vkernel_for(nf, shifts, k - s)
 
 
-def _tails(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
-           med: float, y: float, m1: int, m2: int) -> tuple[float, float]:
-    """Majorants of the dropped tails past cutoffs (m1, m2) at balance point
-    y: the main side, and the dual side weighted as it enters the value."""
+def _tail_budget(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
+                 med: float, y: float, m1: int, m2: int) -> float:
+    """Majorant of the tails dropped past cutoffs (m1, m2) at balance point
+    y, the dual side weighted as it enters the value, relative to
+    |Gamma_F(s)|: a bound on their share of the normalized value."""
     k = form.weight
     t1 = _half_sum_tail(form, kern[0], s, y, m1)
     t2 = _half_sum_tail(form, kern[1], k - s, med / y, m2)
-    return t1, med ** (0.5 * (k - 2.0 * s)) * t2
+    gamma_s = gamma_factor_for(_field_of(form.field_label), form.gamma_shifts).value(s)
+    return (t1 + med ** (0.5 * (k - 2.0 * s)) * t2) / abs(gamma_s)
 
 
 def choose_cutoffs(form: NewformData, conductor_norm: int,
-                   s: float | None = None, y: float | None = None,
-                   tol: float = 1e-9) -> AFEConfig:
+                   s: float | None = None, y: float | None = None) -> AFEConfig:
     """The cutoffs every evaluation at this twist conductor norm uses when
-    none are given.
+    none are given: the measured decay cutoff of each V kernel at its
+    side's scale, and at least that scale.  Refused with ValueError when
+    their tail majorant exceeds TAIL_BUDGET.
 
-    Start from the measured decay cutoff of each V kernel (and at least the
-    side's own scale), then grow whichever side's tail majorant dominates
-    until the tail budget meets tol.  Reads the form's weight, gamma shifts,
-    level and theta only, never its coefficients, so a probe form is enough
-    to size the coefficient table ahead of the sums (`load_for_sums`).
+    Reads the form's weight, gamma shifts, level and theta only, never its
+    coefficients, so a probe form is enough to size the coefficient table
+    ahead of the sums (`load_for_sums`), and a refusal comes before it.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and above 0, got {tol!r}")
     nf = _field_of(form.field_label)
     k = form.weight
     s = 0.5 * k if s is None else float(s)
@@ -352,28 +353,23 @@ def choose_cutoffs(form: NewformData, conductor_norm: int,
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"the balance point y must be finite and above 0, got {y!r}")
     kern = _kernels(nf, form.gamma_shifts, k, s)
-    gamma_abs = abs(gamma_factor_for(nf, form.gamma_shifts).value(s))
     m1 = max(8, math.ceil(kern[0].decay_cutoff() * y), math.ceil(y))
     m2 = max(8, math.ceil(kern[1].decay_cutoff() * med / y), math.ceil(med / y))
-    for _ in range(400):
-        tail1, tail2 = _tails(form, kern, s, med, y, m1, m2)
-        if (tail1 + tail2) / gamma_abs <= tol:
-            break
-        if tail1 >= tail2:
-            m1 += m1 // 4 + 8
-        else:
-            m2 += m2 // 4 + 8
-    return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2, tol=tol)
+    budget = _tail_budget(form, kern, s, med, y, m1, m2)
+    if not budget <= TAIL_BUDGET:
+        raise ValueError(f"cutoffs ({m1}, {m2}) cannot meet tolerance {TAIL_BUDGET:g}: "
+                         f"tail bound {budget:.3g}")
+    return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2)
 
 
 def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
-                  tol: float = 1e-9, threads: int = 1) -> NewformData:
+                  threads: int = 1) -> NewformData:
     """`source` loaded to the longest cutoff `choose_cutoffs` picks from
     `probe` (the same form at a few coefficients) over `sums`, the (conductor
     norm, y) pairs summed at s.  A probe that covers the sums, or holds a full
     table (which loads whole, so a second load could not lengthen it), is the form."""
     need = max(max(c.cutoff_main, c.cutoff_dual) for c in (
-        choose_cutoffs(probe, cond, s=s, y=y, tol=tol) for cond, y in sums))
+        choose_cutoffs(probe, cond, s=s, y=y) for cond, y in sums))
     form = probe if probe.limit >= need or probe.full_table else newform_load(
         source, need, threads)
     if form.limit < need:
@@ -383,8 +379,8 @@ def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
 
 
 class _Engine(NamedTuple):
-    """Everything one completed-value evaluation needs: tails vetted,
-    C the archimedean constant."""
+    """Everything one completed-value evaluation needs: budget the tail
+    majorant relative to |Gamma_F(s)|, C the archimedean constant."""
     k: int
     s: float
     med: float
@@ -396,7 +392,7 @@ class _Engine(NamedTuple):
 
 
 def _engine(form: NewformData, chi: HeckeCharacter | None, s: float,
-            y: float | None, tol: float, cfg: AFEConfig | None = None) -> _Engine:
+            y: float | None, cfg: AFEConfig | None = None) -> _Engine:
     nf = _field_of(form.field_label)
     k = form.weight
     s = float(s)
@@ -405,7 +401,7 @@ def _engine(form: NewformData, chi: HeckeCharacter | None, s: float,
     kern = _kernels(nf, form.gamma_shifts, k, s)
     gamma_s = gamma_factor_for(nf, form.gamma_shifts).value(s)
     if cfg is None:
-        cfg = choose_cutoffs(form, cond, s, y, tol)
+        cfg = choose_cutoffs(form, cond, s, y)
     elif y is not None and float(y) != cfg.y:
         raise ValueError("y was given both directly and through the config")
 
@@ -413,35 +409,23 @@ def _engine(form: NewformData, chi: HeckeCharacter | None, s: float,
     if form.limit < max(m1, m2):
         raise ValueError(
             f"form carries coefficients to {form.limit} but the sums need {max(m1, m2)}")
-    tail1, tail2 = _tails(form, kern, s, med, cfg.y, m1, m2)
-    budget = (tail1 + tail2) / abs(gamma_s)
-    if not budget <= cfg.tol:
-        raise ValueError(
-            f"cutoffs ({m1}, {m2}) cannot meet tolerance {cfg.tol:g}: "
-            f"tail bound {budget:.3g}")
-    return _Engine(k, s, med, cfg, kern, complex(gamma_s), budget,
+    return _Engine(k, s, med, cfg, kern, complex(gamma_s),
+                   _tail_budget(form, kern, s, med, cfg.y, m1, m2),
                    archimedean_constant(nf, form.type_j, k))
 
 
-def _prefabs(form: NewformData, eng: _Engine,
-             reflected: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The main and dual prefab arrays of one evaluation.
-
-    reflected=True swaps the coefficient sign between the two sides, which
-    gives the reflected object of the reflection identity.
-    """
-    pre1 = _prefab(form, eng.kern[0], eng.cfg.y, eng.cfg.cutoff_main, reflected)
-    pre2 = _prefab(form, eng.kern[1], eng.med / eng.cfg.y, eng.cfg.cutoff_dual,
-                   not reflected)
-    return pre1, pre2
+def _prefabs(form: NewformData, eng: _Engine) -> tuple[np.ndarray, np.ndarray]:
+    """The main and dual prefab arrays of one evaluation."""
+    return (_prefab(form, eng.kern[0], eng.cfg.y, eng.cfg.cutoff_main),
+            _prefab(form, eng.kern[1], eng.med / eng.cfg.y, eng.cfg.cutoff_dual))
 
 
-def _two_sided(form: NewformData, eng: _Engine, main_table, dual_table,
-               reflected: bool = False) -> tuple[complex, complex, float]:
-    """The main and dual half-sums against per-residue weight tables (None:
-    untwisted), and the first main-side term a(1) V(1/y)."""
-    pre1, pre2 = _prefabs(form, eng, reflected)
-    return _dot(pre1, main_table), _dot(pre2, dual_table), pre1[0]
+def _two_sided(form: NewformData, eng: _Engine, main_table,
+               dual_table) -> tuple[complex, complex, float]:
+    """The main half-sum and the dual one of eta a(n) against per-residue
+    weight tables (None: untwisted), and the first main-side term a(1) V(1/y)."""
+    pre1, pre2 = _prefabs(form, eng)
+    return _dot(pre1, main_table), form.eta * _dot(pre2, dual_table), pre1[0]
 
 
 def _error_estimate(form: NewformData, eng: _Engine) -> float:
@@ -458,8 +442,7 @@ def _error_estimate(form: NewformData, eng: _Engine) -> float:
 # completed and normalized values
 
 def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
-               s: float | None = None, y: float | None = None,
-               tol: float = 1e-9) -> LValueResult:
+               s: float | None = None, y: float | None = None) -> LValueResult:
     """Normalized value L(s, form x chi) by the smoothed two-sided sum.
     chi = None (or trivial) gives the untwisted value; s defaults to the
     central point k/2.
@@ -470,7 +453,7 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
     k = form.weight
     s = 0.5 * k if s is None else float(s)
     chi = _normalize_twist(chi)
-    eng = _engine(form, chi, s, y, tol)
+    eng = _engine(form, chi, s, y)
     m1, m2 = eng.cfg.cutoff_main, eng.cfg.cutoff_dual
     lam_ratio = eng.med ** (0.5 * (k - 2.0 * s))
 
@@ -492,18 +475,15 @@ def afe_lvalue(form: NewformData, chi: HeckeCharacter | None = None,
 
 
 def _completed(form: NewformData, chi: HeckeCharacter | None, s: float,
-               y: float | None, reflected: bool) -> tuple[complex, _Engine]:
-    """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist at tol
-    1e-9, with the engine it used; reflected=True takes the reflected object
-    (eta * a, the conjugate twist) the reflection identity compares at k - s."""
-    eng = _engine(form, chi, s, y, 1e-9)
+               y: float | None) -> tuple[complex, _Engine]:
+    """Med^(s/2) Gamma_F(s) L(s, form x chi) for a normalized twist, with
+    the engine it used."""
+    eng = _engine(form, chi, s, y)
     k, s = eng.k, eng.s
-    # the reflected object swaps coefficient sign and conjugates the twist
     conj = None if chi is None else chi.conjugate()
-    chi1, chi2 = (conj, chi) if reflected else (chi, conj)
-    s1, s2, _ = _two_sided(form, eng, _table(chi1), _table(chi2), reflected)
+    s1, s2, _ = _two_sided(form, eng, _table(chi), _table(conj))
     lam = (eng.med ** (0.5 * s) * s1
-           + eng.c * _root_number(chi1) * eng.med ** (0.5 * (k - s)) * s2)
+           + eng.c * _root_number(chi) * eng.med ** (0.5 * (k - s)) * s2)
     return lam, eng
 
 
@@ -512,15 +492,18 @@ def functional_equation_residual(form: NewformData,
                                  s: float = 5.5, y: float | None = None) -> float:
     """Relative defect |Lam(s) - C W Lam_reflected(k-s)| / |Lam(s)|.
 
-    The reflected value is taken at the mirrored balance point Med/y, so
-    the identity is exact for the true transforms; the computed residual
-    measures the numeric consistency of the kernels at the two spectral
-    points together with the root-number normalization.
+    The reflected object has coefficients eta * a and the conjugate twist,
+    so its completed value is eta times that of the conjugate twist, taken
+    at k - s and the mirrored balance point Med/y.  The identity is then
+    exact for the true transforms; the computed residual measures the
+    numeric consistency of the kernels at the two spectral points together
+    with the root-number normalization.
     """
     chi = _normalize_twist(chi)
-    lam, eng = _completed(form, chi, s, y, False)
-    lam_ref, _ = _completed(form, chi, eng.k - eng.s, eng.med / eng.cfg.y, True)
-    return abs(lam - eng.c * _root_number(chi) * lam_ref) / abs(lam)
+    lam, eng = _completed(form, chi, s, y)
+    conj = None if chi is None else chi.conjugate()
+    lam_ref, _ = _completed(form, conj, eng.k - eng.s, eng.med / eng.cfg.y)
+    return abs(lam - eng.c * _root_number(chi) * form.eta * lam_ref) / abs(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +511,7 @@ def functional_equation_residual(form: NewformData,
 
 def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
                          ctx: CoefficientFieldContext,
-                         y: float | None = None, tol: float = 1e-9,
+                         y: float | None = None,
                          cfg: AFEConfig | None = None) -> tuple[complex, LValueResult]:
     """Route one: the plain mean of central values over the Galois orbit of
     the twist.  Returns (mean, res): one `LValueResult` for the whole orbit,
@@ -547,13 +530,13 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     """
     if not chi.is_primitive():
         raise ValueError("seed twist must be primitive at its level")
-    eng = _engine(form, chi, 0.5 * form.weight, y, tol, cfg)
+    eng = _engine(form, chi, 0.5 * form.weight, y, cfg)
     pctx, level = chi.prime_ctx, chi.level
     mod, h = pctx.modulus(level), pctx.unit_group_order(level)
     idx = orbit_index(chi, ctx)
     pre1, pre2 = _prefabs(form, eng)
     # at the central point Med^((k - 2s)/2) = 1
-    dual = (eng.c * orbit_float_root_numbers(chi, ctx)
+    dual = (eng.c * form.eta * orbit_float_root_numbers(chi, ctx)
             * character_sums(pctx, level, _fold(pre2, mod))[-idx % h] / eng.gamma_s)
     res = LValueResult(
         value=character_sums(pctx, level, _fold(pre1, mod))[idx] / eng.gamma_s + dual,
@@ -567,8 +550,7 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
 
 def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
                                 ctx: CoefficientFieldContext,
-                                y: float | None = None,
-                                tol: float = 1e-9) -> tuple[complex, dict]:
+                                y: float | None = None) -> tuple[complex, dict]:
     """Route two: average the twist first, then run a single two-sided sum
     against the averaged values.
 
@@ -583,7 +565,7 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     """
     if not chi.is_primitive():     # so never trivial: see afe_lvalue
         raise ValueError("seed twist must be primitive at its level")
-    eng = _engine(form, chi, 0.5 * form.weight, y, tol)
+    eng = _engine(form, chi, 0.5 * form.weight, y)
     # averaged twist per unit residue, and the averaged reflected weights
     # (root number times conjugate values)
     s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),

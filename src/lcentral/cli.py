@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -62,22 +61,7 @@ def parse_char_label(label: str):
     return group.character_by_index(index)
 
 
-def _round_floats(doc, digits: int):
-    if isinstance(doc, float):
-        if math.isfinite(doc):
-            return float(f"%.{digits}g" % doc)
-        return doc
-    if isinstance(doc, dict):
-        return {k: _round_floats(v, digits) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_round_floats(v, digits) for v in doc]
-    return doc
-
-
 def _emit(doc, args) -> None:
-    if args.precision_bits < 128:
-        digits = max(1, min(17, int(args.precision_bits * math.log10(2))))
-        doc = _round_floats(doc, digits)
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -107,8 +91,8 @@ def cmd_lvalue(args) -> int:
                 "twists need a ray class character (an 'm' label); residue "
                 "characters do not act on ideals")
     cond = 1 if chi is None else chi.conductor_norm
-    form = load_for_sums(args.form, probe, [(cond, args.y)], s=args.s, tol=args.tol)
-    res = afe_lvalue(form, chi, s=args.s, y=args.y, tol=args.tol)
+    form = load_for_sums(args.form, probe, [(cond, args.y)], s=args.s)
+    res = afe_lvalue(form, chi, s=args.s, y=args.y)
     _emit({
         "value_re": res.value.real,
         "value_im": res.value.imag,
@@ -126,8 +110,7 @@ def cmd_lav_scan(args) -> int:
     cfg = ExperimentConfig(
         field=args.field, form=args.form, p=args.p,
         pi_coords=_parse_alpha(args.pi), n_lo=args.n_lo, n_hi=args.n_hi,
-        a=args.a, eps=args.eps, tol=args.tol, route_tol=args.route_tol,
-        nonvanish_floor=args.floor, threads=args.threads, out=args.out)
+        a=args.a, eps=args.eps, threads=args.threads, out=args.out)
     report = run_lav_experiment(cfg)
     if not args.out:
         print(report_to_json(report))
@@ -218,26 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, holding only the options its command reads."""
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write output to this path instead of stdout")
-    output = argparse.ArgumentParser(add_help=False, parents=[out])
-    output.add_argument("--precision-bits", type=int, default=128,
-                        help="significant bits kept in reported numbers; "
-                             "values are computed in hardware doubles, this "
-                             "only rounds the output (default: keep all)")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default="rationals",
                        help="builtin field name or JSON path")
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument("--form", default="delta",
                       help="builtin newform name or JSON path")
-    form.add_argument("--tol", type=float, default=1e-9,
-                      help="truncation tolerance for the smoothed sums")
 
     top = argparse.ArgumentParser(
         prog="lcentral",
         description="central values of twisted L-series and their averages")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lvalue", parents=[form, output],
+    p = sub.add_parser("lvalue", parents=[form, out],
                        help="one smoothed two-sided evaluation")
     p.add_argument("--s", type=float, default=None,
                    help="spectral point (default: center of the strip)")
@@ -256,18 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=2.0,
                    help="balance exponent: y = N(P)^(a n)")
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--route-tol", type=float, default=1e-7,
-                   help="allowed gap between the two averaging routes")
-    p.add_argument("--floor", type=float, default=1e-3,
-                   help="nonvanishing threshold on |L|")
     p.set_defaults(func=cmd_lav_scan)
 
-    p = sub.add_parser("gauss-sum", parents=[output],
+    p = sub.add_parser("gauss-sum", parents=[out],
                        help="Gauss sum of one character, with modulus check")
     p.add_argument("--char", required=True)
     p.set_defaults(func=cmd_gauss_sum)
 
-    p = sub.add_parser("galois-average", parents=[output],
+    p = sub.add_parser("galois-average", parents=[out],
                        help="exact orbit-averaged character value at a residue")
     p.add_argument("--char", required=True)
     p.add_argument("--residue", type=int, required=True)
@@ -275,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth of p-power roots of unity in the Hecke field")
     p.set_defaults(func=cmd_galois_average)
 
-    p = sub.add_parser("kloosterman-report", parents=[output],
+    p = sub.add_parser("kloosterman-report", parents=[out],
                        help="sweep of averaged dual-side character sums")
     p.add_argument("--char", required=True)
     p.add_argument("--n0", type=int, default=0)
     p.set_defaults(func=cmd_kloosterman)
 
-    p = sub.add_parser("cone-count", parents=[field, output],
+    p = sub.add_parser("cone-count", parents=[field, out],
                        help="exact unit-orbit progression count")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -303,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not 8 <= getattr(args, "precision_bits", 128) <= 128:
-        print("--precision-bits must lie in [8, 128]", file=sys.stderr)
-        return 2
     if hasattr(args, "threads"):
         if args.threads < 1:
             print("--threads must be a positive integer", file=sys.stderr)
@@ -317,7 +286,7 @@ def main(argv=None) -> int:
         args.threads = min(args.threads, usable_cpus())
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError, NotImplementedError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,12 @@ TREND_NOTE = ("averaged values approach 1 only as the conductor grows without "
               "bound; at these desk-scale levels the report witnesses the "
               "decreasing deviation, not the limit itself")
 
+# The largest gap allowed between the two averaging routes, relative to
+# max(1, |mean|); the towers' gaps are at most 1.2e-15.
+ROUTE_TOL = 1e-7
+# |L| above which an orbit member counts as nonvanishing
+NONVANISH_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -58,9 +64,6 @@ class ExperimentConfig:
     n_hi: int = 3
     a: float = 2.0
     eps: float = 0.01
-    tol: float = 1e-9
-    route_tol: float = 1e-7
-    nonvanish_floor: float = 1e-3
     threads: int = 1
     out: str | None = None
 
@@ -125,10 +128,6 @@ class _Setup:
             raise ValueError(f"eps must be finite and above 0, got {cfg.eps!r}")
         if not math.isfinite(cfg.a):
             raise ValueError(f"a must be finite, got {cfg.a!r}")
-        for name, value in (("route_tol", cfg.route_tol),
-                            ("nonvanish_floor (--floor)", cfg.nonvanish_floor)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and at least 0, got {value!r}")
         require_odd_prime(cfg.p)
         form_probe = newform_load(cfg.form, limit=16)
         if nf_load(form_probe.field_label).label != self.nf.label:
@@ -167,7 +166,7 @@ class _Setup:
         # the rows sum at each level's seed conductor p^level
         self.form = load_for_sums(cfg.form, form_probe, [
             (cfg.p ** (n + self.n0 + 1), _balance_point(cfg, n))
-            for n in range(cfg.n_lo, cfg.n_hi + 1)], tol=cfg.tol, threads=cfg.threads)
+            for n in range(cfg.n_lo, cfg.n_hi + 1)], threads=cfg.threads)
 
     def seed_character(self, level: int):
         return seed_character(rcg_build(self.ctx, level))
@@ -199,12 +198,10 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
     t0 = time.perf_counter()
     try:
         seed = setup.seed_character(level)
-        mean_a, res = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                           y=y, tol=cfg.tol)
-        mean_b, info = averaged_coefficient_lvalue(setup.form, seed, setup.coef_ctx,
-                                                   y=y, tol=cfg.tol)
+        mean_a, res = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, y=y)
+        mean_b, info = averaged_coefficient_lvalue(setup.form, seed, setup.coef_ctx, y=y)
         gap = abs(mean_a - mean_b)
-        if gap > cfg.route_tol * max(1.0, abs(mean_a)):
+        if gap > ROUTE_TOL * max(1.0, abs(mean_a)):
             raise ArithmeticError(
                 f"independent averaging routes disagree at n={n}: gap {gap:.3g}")
         # np.abs can differ from the builtin abs by one ulp; np.hypot does not
@@ -225,7 +222,7 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
             dual_magnitude=abs(info["dual_part"]),
             route_gap=gap,
             min_abs_value=float(magnitudes.min()),
-            flags=tuple((magnitudes > cfg.nonvanish_floor).tolist()),
+            flags=tuple((magnitudes > NONVANISH_FLOOR).tolist()),
             error_estimate=res.error_estimate,
             seconds=time.perf_counter() - t0,
         )
@@ -261,17 +258,17 @@ def halved_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     Returns (gap, error_estimate): the largest change of any orbit member
     from the reported sums to the halved ones, and the halved sums' own error
     estimate, whose tail majorants must cover the terms they dropped.  The
-    halved configuration is accepted at any tail budget (tol = 1), so the
-    check sees an undersized majorant rather than a refusal.
+    halved cutoffs are explicit, so they are summed whatever their majorant,
+    and the check sees an undersized majorant rather than a refusal.
     """
     n = cfg.n_lo if n is None else n
     setup = _Setup(replace(cfg, n_lo=n, n_hi=n))
     seed = setup.seed_character(n + setup.n0 + 1)
 
     _, full = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                   y=_balance_point(cfg, n), tol=cfg.tol)
+                                   y=_balance_point(cfg, n))
     half = AFEConfig(y=full.y, cutoff_main=full.terms_main // 2,
-                     cutoff_dual=full.terms_dual // 2, tol=1.0)
+                     cutoff_dual=full.terms_dual // 2)
     _, short = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, cfg=half)
     return float(np.abs(full.value - short.value).max()), short.error_estimate
 

@@ -157,17 +157,34 @@ def builtin_newform(name: str, limit: int = 1000, threads: int = 1) -> NewformDa
     )
 
 
-# every key a form document may carry, each in its one spelling (README, `--form`)
-_DOCUMENT_KEYS = ("label", "field_label", "weight_vector", "m_vector", "type_J", "level_norm",
-                  "nebentypus", "n0", "theta", "atkin_lehner", "prime_eigenvalues", "coefficients")
+def _is_number(value) -> bool:
+    """A JSON number, or a string that int() or Fraction() parses."""
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+_JSON_TYPES = {"a string": lambda v: isinstance(v, str),
+               "a number": _is_number,
+               "an array": lambda v: isinstance(v, list),
+               "an array of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               "an object": lambda v: isinstance(v, dict)}
+# every key a form document may carry, each in its one spelling (README,
+# `--form`), with the JSON type of its value
+_DOCUMENT_KEYS = {"label": "a string", "field_label": "a string",
+                  "weight_vector": "an array of numbers", "m_vector": "an array of numbers",
+                  "type_J": "an array of numbers", "level_norm": "a number",
+                  "nebentypus": "a string", "n0": "a number", "theta": "a number",
+                  "atkin_lehner": "a number", "prime_eigenvalues": "an object",
+                  "coefficients": "an array"}
 
 
 def _doc_get(doc: dict, name: str, default=None, required=False):
-    if name in doc:
-        return doc[name]
-    if required:
-        raise ValueError(f"document is missing {name!r}")
-    return default
+    if name not in doc:
+        if required:
+            raise ValueError(f"document is missing {name!r}")
+        return default
+    if not _JSON_TYPES[_DOCUMENT_KEYS[name]](doc[name]):
+        raise ValueError(f"document key {name!r} must be {_DOCUMENT_KEYS[name]}")
+    return doc[name]
 
 
 def _parse_entry(value) -> int:
@@ -191,12 +208,13 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     entry instead of expanded.  `threads` is the number of workers that
     build a builtin form's table (`tau.tau_table`).
 
-    Refused with ValueError: a document that is not an object or carries a
-    key outside `_DOCUMENT_KEYS` (named, so a misspelt key never falls back
-    to a default), a level_norm other than 1, a nebentypus other than
-    "trivial", a non-integer eigenvalue or table entry (such as [re, im]),
-    a weight_vector that is not one equal weight per real place of the
-    field named by field_label, type_J indices outside those places, and a
+    Refused with ValueError: a document that is not an object, a key
+    outside `_DOCUMENT_KEYS` (named, so a misspelt key never falls back to a
+    default) or holding another JSON type than that key's, a level_norm
+    other than 1, a nebentypus other than "trivial", a non-integer
+    eigenvalue or table entry (such as [re, im]), a weight_vector that is
+    not one equal weight per real place of the field named by field_label,
+    type_J indices outside those places, and a
     limit below 1 or past the builtin table's cap (documents too).
     """
     if limit < 1:

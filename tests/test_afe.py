@@ -223,7 +223,7 @@ def test_a_field_read_from_a_path_is_loaded_once(delta, tmp_path):
 def test_completed_value_consistency(delta):
     # Lam(s) = Gamma_F(s) Med^(s/2) L(s) on the untwisted diagonal
     from lcentral.afe import gamma_factor_for
-    lam = afe._completed(delta, None, 6.0, None, False)[0]
+    lam = afe._completed(delta, None, 6.0, None)[0]
     res = afe_lvalue(delta, None, s=6.0)
     gam = gamma_factor_for(Q, delta.gamma_shifts)
     assert abs(lam - gam.value(6.0) * res.value) < 1e-12 * abs(lam)
@@ -439,12 +439,25 @@ def test_tail_majorant_past_the_float_range_of_scale_to_the_j(delta):
 
 # -- configuration guard rails -----------------------------------------------
 
-def test_insufficient_cutoffs_raise(delta, rcg25):
-    # given cutoffs are vetted against the tail bound before any sum
-    bad = AFEConfig(y=25.0, cutoff_main=40, cutoff_dual=40, tol=1e-9)
+def test_insufficient_cutoffs_raise(monkeypatch):
+    # V's decay cutoffs are vetted against the tail budget before any table
+    # is sized; a budget below their majorant refuses them
+    probe = builtin_newform("delta", limit=16)
+    monkeypatch.setattr(afe, "TAIL_BUDGET", 1e-30)
+    with pytest.raises(ValueError, match=r"cutoffs \(245, 245\) cannot meet tolerance 1e-30"):
+        choose_cutoffs(probe, 25)
+
+
+def test_explicit_undersized_cutoffs_report_their_tail_majorant(delta, rcg25):
+    # explicit cutoffs are summed as given, and the error estimate carries
+    # their tail majorant, however far past the budget it lies
+    bad = AFEConfig(y=25.0, cutoff_main=40, cutoff_dual=40)
     chi = order5_chars(rcg25)[0]
-    with pytest.raises(ValueError, match="cannot meet tolerance"):
-        orbit_average_lvalue(delta, chi, CTX5, cfg=bad)
+    _, res = orbit_average_lvalue(delta, chi, CTX5, cfg=bad)
+    eng = afe._engine(delta, chi, 6.0, None, bad)
+    majorant = afe._tail_budget(delta, eng.kern, 6.0, eng.med, 25.0, 40, 40)
+    assert res.terms_main == res.terms_dual == 40
+    assert afe.TAIL_BUDGET < majorant <= res.error_estimate
 
 
 def test_short_form_raises():
@@ -519,18 +532,20 @@ def test_reach_fits_under_the_coefficient_cap(p, n, a):
 @pytest.mark.parametrize("s", [5.5, 6.0, 6.5])
 @pytest.mark.parametrize("eta", [-1, 1])
 def test_prefab_in_place_keeps_the_expression(delta, s, eta):
-    # the array is built in the buffer of n; each side must equal the
-    # expression a(n) n^(-s) V(n/scale), with eta a(n) on the reflected side
+    # the array is built in the buffer of n and must equal the expression
+    # a(n) n^(-s) V(n/scale) whatever eta, which multiplies the dual sum
     form = dataclasses.replace(delta, eta=eta)
     kern = afe.vkernel_for(Q, (0,), s)
     count, scale = 30000, 37.5
     ns = np.arange(1, count + 1, dtype=np.float64)
-    coeffs = form.coefficient_array(count)[1:]
-    for reflected, sign in ((False, 1), (True, eta)):
-        got = afe._prefab(form, kern, scale, count, reflected)
-        want = (sign * coeffs) * ns ** (-s) * kern.value(ns / scale)
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
+    got = afe._prefab(form, kern, scale, count)
+    want = form.coefficient_array(count)[1:] * ns ** (-s) * kern.value(ns / scale)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
+    eng = afe._engine(form, None, s, scale)
+    pre1, pre2 = afe._prefabs(form, eng)
+    s1, s2, _ = afe._two_sided(form, eng, None, None)
+    assert s1 == complex(np.sum(pre1)) and s2 == complex(np.sum(eta * pre2))
 
 
 @pytest.mark.parametrize("count, mod", [(7, 25), (24, 25), (25, 25), (26, 25),
@@ -566,7 +581,7 @@ def test_row_half_sums_stay_within_a_few_blocks(tower):
     # 4.1 blocks of float64: a block's index, its gathered values and the
     # complex weights of their product), not a multiple of the count
     seed = tower.seed_character(4)
-    eng = afe._engine(tower.form, seed, 6.0, 5.0 ** 6, tower.cfg.tol)
+    eng = afe._engine(tower.form, seed, 6.0, 5.0 ** 6)
     pres = afe._prefabs(tower.form, eng)
     assert len(pres[0]) > 9 * afe._BLOCK   # the main side's 152588 terms
     tables = (charsums.averaged_char_table(seed, CTX5),

@@ -14,9 +14,9 @@ import pytest
 
 import lcentral
 from lcentral.afe import afe_lvalue, exponent_window, orbit_average_lvalue
-from lcentral.experiment import (ExperimentConfig, ExperimentReport, ExperimentRow,
-                                 _run_row, _Setup, envelope_terms, halved_cutoff_gap,
-                                 report_from_json, report_to_json,
+from lcentral.experiment import (NONVANISH_FLOOR, ExperimentConfig, ExperimentReport,
+                                 ExperimentRow, _run_row, _Setup, envelope_terms,
+                                 halved_cutoff_gap, report_from_json, report_to_json,
                                  run_lav_experiment)
 from oracles import BumpVKernel
 
@@ -125,8 +125,10 @@ def test_report_round_trip(scan12, tmp_path):
     assert [row["n"] for row in doc["rows"]] == [1, 2]
 
 
-def test_failed_row_is_reported_not_raised():
-    rep = run_lav_experiment(ExperimentConfig(n_lo=1, n_hi=1, route_tol=1e-18))
+def test_failed_row_is_reported_not_raised(monkeypatch):
+    import lcentral.experiment as experiment
+    monkeypatch.setattr(experiment, "ROUTE_TOL", 1e-18)
+    rep = run_lav_experiment(ExperimentConfig(n_lo=1, n_hi=1))
     row = rep.rows[0]
     assert row.error is not None and "routes disagree" in row.error
     assert math.isnan(row.lav_re)
@@ -168,7 +170,7 @@ def test_table_holds_exactly_the_longest_cutoff_of_the_scan():
     used = 0
     for n in (1, 2):
         seed = setup.seed_character(n + 1)
-        res = afe_lvalue(setup.form, seed, y=5.0 ** (2.0 * n), tol=cfg.tol)
+        res = afe_lvalue(setup.form, seed, y=5.0 ** (2.0 * n))
         used = max(used, res.terms_main, res.terms_dual)
     assert setup.form.limit == used
 
@@ -181,10 +183,10 @@ def test_row_magnitudes_are_the_builtin_abs_of_every_member():
     for n in (1, 2, 3):
         row = _run_row(setup, n)
         _, res = orbit_average_lvalue(setup.form, setup.seed_character(n + 1),
-                                      setup.coef_ctx, y=5.0 ** (2.0 * n), tol=cfg.tol)
+                                      setup.coef_ctx, y=5.0 ** (2.0 * n))
         mags = [abs(v) for v in res.value.tolist()]
         assert row.min_abs_value == min(mags)
-        assert row.flags == tuple(m > cfg.nonvanish_floor for m in mags)
+        assert row.flags == tuple(m > NONVANISH_FLOOR for m in mags)
         assert row.orbit_size == len(mags)
 
 

@@ -408,8 +408,8 @@ def test_prefab_stays_in_its_memory_budget():
     limit = 152588
     form = builtin_newform("delta", limit=limit)
     kern = afe.vkernel_for(nf_load("rationals"), (0,), 6.0)
-    arr, kept, peak = traced(lambda: afe._prefab(form, kern, 100.0, limit, False),
-                             lambda: afe._prefab(form, kern, 200.0, limit, True))
+    arr, kept, peak = traced(lambda: afe._prefab(form, kern, 100.0, limit),
+                             lambda: afe._prefab(form, kern, 200.0, limit))
     assert peak <= 8 * limit + 7 * 8 * afe._BLOCK
     assert kept - arr.nbytes < 4096
 
