@@ -89,20 +89,15 @@ def test_lvalue_outside_the_strip_names_the_strip(capsys, s):
     ["verify", "--precision-bits", "16"],
     ["lav-scan", "--precision-bits", "16"],
     ["lvalue", "--limit", "6104"],
-    ["lav-scan", "--tol", "1e-9"],
-    ["lav-scan", "--route-tol", "1e-7"],
-    ["lav-scan", "--floor", "1e-3"],
-    ["lvalue", "--tol", "1e-9"],
     ["gauss-sum", "--char", "rationals.p5.m2.chi3", "--precision-bits", "16"],
 ], ids=["gauss-sum-form", "galois-average-tol", "kloosterman-threads",
         "cone-count-form", "cone-count-threads", "lvalue-field", "lvalue-threads",
-        "verify-precision", "lav-scan-precision", "lvalue-limit", "lav-scan-tol",
-        "lav-scan-route-tol", "lav-scan-floor", "lvalue-tol", "gauss-sum-precision-bits"])
+        "verify-precision", "lav-scan-precision", "lvalue-limit",
+        "gauss-sum-precision-bits"])
 def test_options_a_command_does_not_read_exit_two(capsys, argv):
     # each subcommand parses only its own options, so one it would ignore is
-    # a usage error rather than silently dropped; the thresholds are constants
-    # (afe.TAIL_BUDGET, experiment.ROUTE_TOL and NONVANISH_FLOOR), and output
-    # is never rounded, so no command reads those options
+    # a usage error rather than silently dropped; output is never rounded, so
+    # no command reads --precision-bits
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -528,10 +523,22 @@ _BAD_SETTINGS = [
     (["lav-scan", "--a", "nan"], "a must be finite, got nan"),
     (["lav-scan", "--a", "inf"], "a must be finite, got inf"),
 ]
+# the thresholds are constants (afe.TAIL_BUDGET, experiment.ROUTE_TOL and
+# NONVANISH_FLOOR), so setting one, to any value, is a usage error
+_UNREAD_SETTINGS = [
+    ["lav-scan", "--tol", "0"], ["lav-scan", "--tol", "nan"],
+    ["lav-scan", "--tol", "inf"], ["lav-scan", "--route-tol", "-1"],
+    ["lav-scan", "--route-tol", "nan"], ["lav-scan", "--floor", "-1"],
+    ["lav-scan", "--floor", "nan"], ["lvalue", "--tol", "0"],
+    ["lvalue", "--tol", "nan"],
+]
 
 
-@pytest.mark.parametrize("argv, message", _BAD_SETTINGS,
-                         ids=[" ".join(argv) for argv, _ in _BAD_SETTINGS])
+@pytest.mark.parametrize(
+    "argv, message",
+    _BAD_SETTINGS + [(argv, None) for argv in _UNREAD_SETTINGS],
+    ids=[" ".join(argv) for argv, _ in _BAD_SETTINGS]
+    + [" ".join(argv) for argv in _UNREAD_SETTINGS])
 def test_bad_settings_refused_up_front(capsys, monkeypatch, argv, message):
     # refused as input, naming the option, before a coefficient table exists
     import lcentral.newforms as newforms
@@ -542,8 +549,16 @@ def test_bad_settings_refused_up_front(capsys, monkeypatch, argv, message):
         built.append(limit)
         return original(limit, threads)
     monkeypatch.setattr(newforms, "tau_table", counted)
-    assert main([*argv, "--n-hi", "1"] if argv[0] == "lav-scan" else argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    argv_run = [*argv, "--n-hi", "1"] if argv[0] == "lav-scan" else argv
+    if message is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv_run)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    else:
+        assert main(argv_run) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert all(limit <= 16 for limit in built)
 
 
