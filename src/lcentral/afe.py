@@ -21,13 +21,13 @@ tail majorants plus EVAL_REL_ERR times the sum of |term| on each side, which
 covers the measured relative error of the incomplete gamma (a finite closed
 form when 2(s - m) is an integer, a power series or continued fraction for
 its fractional part otherwise) and the rounding of the sums.  The cutoffs
-are the measured decay cutoffs of V, checked against an explicit majorant
+start at the measured decay cutoffs of V and grow until an explicit majorant
 for the dropped tail -- the elementary bound d(n) <= sqrt(3 n) turns
-Ramanujan-bounded coefficients into a closed-form remainder -- so a
-configuration whose majorant exceeds TAIL_BUDGET raises instead of silently
-under-resolving.  No tower scan comes near it: on the towers checked (p = 3
-to 13, a = 1.15 to 2, each level up to the coefficient cap) the largest
-majorant is 3.2e-11, at conductor 11^6.
+Ramanujan-bounded coefficients into a closed-form remainder -- is within
+TAIL_BUDGET; a configuration that would need a table past the coefficient
+cap raises instead of silently under-resolving.  No tower scan grows them:
+on the towers checked (p = 3 to 13, a = 1.15 to 2, each level up to the
+coefficient cap) the decay cutoffs leave at most 3.2e-11, at conductor 11^6.
 
 Orbit averages take two independent routes.  Route one is per orbit and
 float: each prefab array folds into residue bins mod p^level, and one
@@ -62,6 +62,7 @@ from .kernels import GammaFactor, VKernel
 from .newforms import NewformData, newform_load
 from .rayclass import HeckeCharacter
 from .roots import DOT_BLOCK, unit_circle_array
+from .tau import TAU_LIMIT_CAP
 
 # Relative error allowed each term of a half-sum, charged on the sum of
 # |term|, for arguments up to 2 pi times the decay cutoff.  It covers the
@@ -73,8 +74,8 @@ from .roots import DOT_BLOCK, unit_circle_array
 # its decay cutoff at s = 6 -- and the rounding of the terms and their sum.
 EVAL_REL_ERR = 2e-14
 
-# Largest tail majorant, relative to |Gamma_F(s)|, that V's decay cutoffs
-# may leave (`choose_cutoffs`); past it a configuration is refused.
+# Largest tail majorant, relative to |Gamma_F(s)|, that the cutoffs
+# `choose_cutoffs` picks may leave.
 TAIL_BUDGET = 1e-9
 
 # Decay orders j for the measured majorants |V(x)| <= K_j x^(-j), x >= 1.
@@ -322,29 +323,29 @@ def _kernels(nf: NumberFieldData, shifts, k: int, s: float) -> tuple[VKernel, VK
     return vkernel_for(nf, shifts, s), vkernel_for(nf, shifts, k - s)
 
 
-def _tail_budget(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
-                 med: float, y: float, m1: int, m2: int) -> float:
-    """Majorant of the tails dropped past cutoffs (m1, m2) at balance point
-    y, the dual side weighted as it enters the value, relative to
-    |Gamma_F(s)|: a bound on their share of the normalized value."""
+def _tail_majorants(form: NewformData, kern: tuple[VKernel, VKernel], s: float,
+                    med: float, y: float, m1: int, m2: int) -> tuple[float, float]:
+    """Majorants of the tails dropped past cutoffs (m1, m2) at balance point
+    y: the main side, and the dual side weighted as it enters the value."""
     k = form.weight
     t1 = _half_sum_tail(form, kern[0], s, y, m1)
     t2 = _half_sum_tail(form, kern[1], k - s, med / y, m2)
-    gamma_s = gamma_factor_for(_field_of(form.field_label), form.gamma_shifts).value(s)
-    return (t1 + med ** (0.5 * (k - 2.0 * s)) * t2) / abs(gamma_s)
+    return t1, med ** (0.5 * (k - 2.0 * s)) * t2
 
 
 def choose_cutoffs(form: NewformData, conductor_norm: int,
                    s: float | None = None, y: float | None = None) -> AFEConfig:
     """The cutoffs every evaluation at this twist conductor norm uses when
-    none are given: the measured decay cutoff of each V kernel at its
-    side's scale, and at least that scale.  Refused with ValueError when
-    their tail majorant exceeds TAIL_BUDGET.
+    none are given: from the measured decay cutoff of each V kernel (and at
+    least the side's scale), the side whose tail majorant dominates grows
+    until their sum, relative to |Gamma_F(s)|, is within TAIL_BUDGET.  Far
+    below the central point the coefficients outgrow V's decay (s = 1 at
+    conductor 25 grows the main side from 157 terms to 263).  Refused with
+    ValueError when the budget needs a table past the coefficient cap.
 
     Reads the form's weight, gamma shifts, level and theta only, never its
     coefficients, so a probe form is enough to size the coefficient table
-    ahead of the sums (`load_for_sums`), and a refusal comes before it.
-    """
+    ahead of the sums (`load_for_sums`), and a refusal comes before it."""
     nf = _field_of(form.field_label)
     k = form.weight
     s = 0.5 * k if s is None else float(s)
@@ -353,13 +354,20 @@ def choose_cutoffs(form: NewformData, conductor_norm: int,
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"the balance point y must be finite and above 0, got {y!r}")
     kern = _kernels(nf, form.gamma_shifts, k, s)
+    gamma_abs = abs(gamma_factor_for(nf, form.gamma_shifts).value(s))
     m1 = max(8, math.ceil(kern[0].decay_cutoff() * y), math.ceil(y))
     m2 = max(8, math.ceil(kern[1].decay_cutoff() * med / y), math.ceil(med / y))
-    budget = _tail_budget(form, kern, s, med, y, m1, m2)
-    if not budget <= TAIL_BUDGET:
-        raise ValueError(f"cutoffs ({m1}, {m2}) cannot meet tolerance {TAIL_BUDGET:g}: "
-                         f"tail bound {budget:.3g}")
-    return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2)
+    while True:
+        tail1, tail2 = _tail_majorants(form, kern, s, med, y, m1, m2)
+        if (tail1 + tail2) / gamma_abs <= TAIL_BUDGET:
+            return AFEConfig(y=y, cutoff_main=m1, cutoff_dual=m2)
+        if max(m1, m2) > TAU_LIMIT_CAP:
+            raise ValueError(f"cutoffs ({m1}, {m2}) cannot meet tolerance {TAIL_BUDGET:g}: "
+                             f"tail bound {(tail1 + tail2) / gamma_abs:.3g}")
+        if tail1 >= tail2:
+            m1 += m1 // 4 + 8
+        else:
+            m2 += m2 // 4 + 8
 
 
 def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
@@ -379,15 +387,15 @@ def load_for_sums(source, probe: NewformData, sums, s: float | None = None,
 
 
 class _Engine(NamedTuple):
-    """Everything one completed-value evaluation needs: budget the tail
-    majorant relative to |Gamma_F(s)|, C the archimedean constant."""
+    """Everything one completed-value evaluation needs: tail the summed tail
+    majorants relative to |Gamma_F(s)|, C the archimedean constant."""
     k: int
     s: float
     med: float
     cfg: AFEConfig
     kern: tuple[VKernel, VKernel]
     gamma_s: complex
-    budget: float
+    tail: float
     c: complex
 
 
@@ -409,8 +417,8 @@ def _engine(form: NewformData, chi: HeckeCharacter | None, s: float,
     if form.limit < max(m1, m2):
         raise ValueError(
             f"form carries coefficients to {form.limit} but the sums need {max(m1, m2)}")
-    return _Engine(k, s, med, cfg, kern, complex(gamma_s),
-                   _tail_budget(form, kern, s, med, cfg.y, m1, m2),
+    tail = sum(_tail_majorants(form, kern, s, med, cfg.y, m1, m2)) / abs(gamma_s)
+    return _Engine(k, s, med, cfg, kern, complex(gamma_s), tail,
                    archimedean_constant(nf, form.type_j, k))
 
 
@@ -435,7 +443,7 @@ def _error_estimate(form: NewformData, eng: _Engine) -> float:
     pre1, pre2 = _prefabs(form, eng)
     mass = (np.sum(np.abs(pre1))
             + eng.med ** (0.5 * (eng.k - 2.0 * eng.s)) * np.sum(np.abs(pre2)))
-    return float(eng.budget + EVAL_REL_ERR * mass / abs(eng.gamma_s))
+    return float(eng.tail + EVAL_REL_ERR * mass / abs(eng.gamma_s))
 
 
 # ---------------------------------------------------------------------------

@@ -33,28 +33,28 @@ from typing import Sequence
 
 
 def _q(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (Fraction, int, str)):
         return Fraction(v)
     raise ValueError(f"expected an exact integer/rational encoding, got {v!r}")
 
 
-def _rows(doc: dict, key: str, depth: int, default=None) -> list:
-    """doc[key], JSON arrays nested `depth` deep; any other shape, or a
-    missing key without a default, is refused with the key named."""
+def _exact(doc: dict, key: str, depth: int, default=None):
+    """doc[key] read by `_q`: exact numbers in JSON arrays nested `depth`
+    deep, or one at depth 0; any other shape, or a missing key without a
+    default, is refused with the key named."""
     if key not in doc and default is None:
         raise ValueError(f"field document is missing {key!r}")
-    value = doc.get(key, default)
 
-    def nested(v, d):
-        return isinstance(v, list) and (d == 1 or all(nested(x, d - 1) for x in v))
-    if not nested(value, depth):
-        shape = " of ".join(["an array"] + ["arrays"] * (depth - 1))
-        raise ValueError(f"field document key {key!r} must be {shape}")
-    return value
+    def read(v, d):
+        if d and not isinstance(v, list):
+            raise ValueError
+        return [read(x, d - 1) for x in v] if d else _q(v)
+    try:
+        return read(doc.get(key, default), depth)
+    except (ValueError, ZeroDivisionError):
+        shape = " of ".join(["an array"] + ["arrays"] * (depth - 1) + ["numbers"])
+        raise ValueError(f"field document key {key!r} must be "
+                         f"{shape if depth else 'a number'}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +164,8 @@ class NumberFieldData:
         if not isinstance(doc, dict):
             raise ValueError(f"a field document is a JSON object, not {type(doc).__name__}")
         self.label: str = doc.get("label", "unnamed-field")
-        min_poly = [_q(c) for c in _rows(doc, "min_poly", 1)]
-        if min_poly[-1] != 1:
+        min_poly = _exact(doc, "min_poly", 1)
+        if not min_poly or min_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         if any(c.denominator != 1 for c in min_poly):
             raise ValueError("defining polynomial must have integer coefficients")
@@ -193,7 +193,7 @@ class NumberFieldData:
                 raise ArithmeticError(f"sqrt({self.m}) is rational; bad field data")
 
         identity = [[int(i == j) for j in range(self.degree)] for i in range(self.degree)]
-        if [[_q(c) for c in row] for row in _rows(doc, "integral_basis", 2)] != identity:
+        if _exact(doc, "integral_basis", 2) != identity:
             raise ValueError("the integral basis must be (1) over Q or (1, sqrt(m))")
         square = next((q for q in range(2, math.isqrt(self.m) + 1) if self.m % (q * q) == 0), 0)
         if self.degree == 2 and (square or self.m % 4 == 1):
@@ -202,11 +202,8 @@ class NumberFieldData:
                              f"it spans the order Z[sqrt({self.m})], not the ring of integers")
         mult_table = ([[[1]]] if self.degree == 1
                       else [[[1, 0], [0, 1]], [[0, 1], [self.m, 0]]])
-        if doc.get("mult_table") is not None:
-            given = [[[_q(c) for c in cell] for cell in row]
-                     for row in _rows(doc, "mult_table", 3)]
-            if given != mult_table:
-                raise ValueError("stored mult_table disagrees with the closed form")
+        if doc.get("mult_table") is not None and _exact(doc, "mult_table", 3) != mult_table:
+            raise ValueError("stored mult_table disagrees with the closed form")
 
         self.basis_elements = [FieldElement(self, row) for row in identity]
         self.one = self.basis_elements[0]
@@ -215,16 +212,15 @@ class NumberFieldData:
         self.gen = self.basis_elements[1] if self.degree == 2 else self.element([-min_poly[0]])
 
         self.signature = (self.degree, 0)
-        if ("signature" in doc
-                and tuple(_q(x) for x in _rows(doc, "signature", 1)) != self.signature):
+        if "signature" in doc and tuple(_exact(doc, "signature", 1)) != self.signature:
             raise ValueError(f"stored signature disagrees with {self.signature}")
 
-        self.discriminant = int(_q(doc.get("discriminant")))
+        self.discriminant = int(_exact(doc, "discriminant", 0))
         if self.discriminant != (1 if self.degree == 1 else 4 * self.m):
             raise ValueError("trace form determinant disagrees with the stored discriminant")
 
-        self.class_number = int(_q(doc.get("class_number", 1)))
-        reps = _rows(doc, "class_reps", 3, default=[[["1"] + ["0"] * (self.degree - 1)]])
+        self.class_number = int(_exact(doc, "class_number", 0, default=1))
+        reps = _exact(doc, "class_reps", 3, default=[[["1"] + ["0"] * (self.degree - 1)]])
         for gen in (self.element(g) for rep in reps for g in rep):
             if gen.is_zero() or not gen.is_integral():
                 raise ValueError(f"class representative generator {gen!r} is not "
@@ -233,12 +229,12 @@ class NumberFieldData:
             raise ValueError("number of class representatives disagrees with class_number")
 
         self.unit_gens: list[FieldElement] = [
-            self.element(row) for row in _rows(doc, "unit_gens", 2)]
+            self.element(row) for row in _exact(doc, "unit_gens", 2)]
         for u in self.unit_gens:
             if not u.is_integral() or abs(u.norm()) != 1:
                 raise ValueError(f"unit generator {u!r} does not have norm +-1")
 
-        self.different_gen = self.element(_rows(doc, "different_gen", 1))
+        self.different_gen = self.element(_exact(doc, "different_gen", 1))
         if not self.different_gen.is_integral():
             raise ValueError("different generator must be integral")
         if abs(self.different_gen.norm()) != abs(self.discriminant):

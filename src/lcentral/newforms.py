@@ -157,23 +157,30 @@ def builtin_newform(name: str, limit: int = 1000, threads: int = 1) -> NewformDa
     )
 
 
-def _is_number(value) -> bool:
-    """A JSON number, or a string that int() or Fraction() parses."""
-    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+def _parses(read):
+    """A check that a value is a JSON number or string that `read` takes."""
+    def check(value) -> bool:
+        try:
+            return type(value) in (int, float, str) and read(value)
+        except (ValueError, OverflowError):
+            return False
+    return check
 
 
+_is_integer = _parses(lambda v: int(v) == Fraction(str(v)))
 _JSON_TYPES = {"a string": lambda v: isinstance(v, str),
-               "a number": _is_number,
+               "an integer": _is_integer,
+               "a fraction": _parses(lambda v: Fraction(str(v)) is not None),
+               "an array of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
                "an array": lambda v: isinstance(v, list),
-               "an array of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
                "an object": lambda v: isinstance(v, dict)}
 # every key a form document may carry, each in its one spelling (README,
 # `--form`), with the JSON type of its value
 _DOCUMENT_KEYS = {"label": "a string", "field_label": "a string",
-                  "weight_vector": "an array of numbers", "m_vector": "an array of numbers",
-                  "type_J": "an array of numbers", "level_norm": "a number",
-                  "nebentypus": "a string", "n0": "a number", "theta": "a number",
-                  "atkin_lehner": "a number", "prime_eigenvalues": "an object",
+                  "weight_vector": "an array of integers", "m_vector": "an array of integers",
+                  "type_J": "an array of integers", "level_norm": "an integer",
+                  "nebentypus": "a string", "n0": "an integer", "theta": "a fraction",
+                  "atkin_lehner": "an integer", "prime_eigenvalues": "an object",
                   "coefficients": "an array"}
 
 

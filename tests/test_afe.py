@@ -440,11 +440,14 @@ def test_tail_majorant_past_the_float_range_of_scale_to_the_j(delta):
 # -- configuration guard rails -----------------------------------------------
 
 def test_insufficient_cutoffs_raise(monkeypatch):
-    # V's decay cutoffs are vetted against the tail budget before any table
-    # is sized; a budget below their majorant refuses them
+    # choose_cutoffs grows V's decay cutoffs until their tail majorant meets
+    # TAIL_BUDGET, before any table is sized; a budget that no table under
+    # the coefficient cap meets refuses the configuration
     probe = builtin_newform("delta", limit=16)
-    monkeypatch.setattr(afe, "TAIL_BUDGET", 1e-30)
-    with pytest.raises(ValueError, match=r"cutoffs \(245, 245\) cannot meet tolerance 1e-30"):
+    assert choose_cutoffs(probe, 25) == AFEConfig(25.0, 245, 245)
+    assert choose_cutoffs(probe, 25, s=1.0) == AFEConfig(25.0, 263, 306)
+    monkeypatch.setattr(afe, "TAIL_BUDGET", 0.0)
+    with pytest.raises(ValueError, match=r"cannot meet tolerance 0: tail bound"):
         choose_cutoffs(probe, 25)
 
 
@@ -455,7 +458,8 @@ def test_explicit_undersized_cutoffs_report_their_tail_majorant(delta, rcg25):
     chi = order5_chars(rcg25)[0]
     _, res = orbit_average_lvalue(delta, chi, CTX5, cfg=bad)
     eng = afe._engine(delta, chi, 6.0, None, bad)
-    majorant = afe._tail_budget(delta, eng.kern, 6.0, eng.med, 25.0, 40, 40)
+    majorant = sum(afe._tail_majorants(delta, eng.kern, 6.0, eng.med, 25.0, 40, 40))
+    majorant /= abs(eng.gamma_s)
     assert res.terms_main == res.terms_dual == 40
     assert afe.TAIL_BUDGET < majorant <= res.error_estimate
 

@@ -356,11 +356,14 @@ _FIELD_DOC = json.loads((Path(__file__).resolve().parents[1] / "src" / "lcentral
 
 @pytest.mark.parametrize("key, value, kind", [
     ("prime_eigenvalues", 5, "an object"), ("coefficients", 5, "an array"),
-    ("weight_vector", 12, "an array of numbers"), ("type_J", 0, "an array of numbers"),
-    ("weight_vector", [None], "an array of numbers"), ("n0", None, "a number"),
-    ("atkin_lehner", None, "a number"),
+    ("weight_vector", 12, "an array of integers"), ("type_J", 0, "an array of integers"),
+    ("weight_vector", [None], "an array of integers"), ("n0", None, "an integer"),
+    ("atkin_lehner", None, "an integer"), ("n0", "abc", "an integer"),
+    ("level_norm", "1/2", "an integer"), ("theta", "abc", "a fraction"),
+    ("atkin_lehner", -1.5, "an integer"), ("weight_vector", [12.7], "an array of integers"),
 ], ids=["prime_eigenvalues", "coefficients", "weight_vector", "type_J",
-        "weight_vector-entry", "n0", "atkin_lehner"])
+        "weight_vector-entry", "n0", "atkin_lehner", "n0-string", "level_norm-fraction",
+        "theta-string", "atkin_lehner-fraction", "weight_vector-fraction"])
 def test_form_document_value_of_the_wrong_type_exits_two(tmp_path, capsys, key, value, kind):
     # refused as input with the key named, not a traceback
     path = tmp_path / "form.json"
@@ -369,19 +372,39 @@ def test_form_document_value_of_the_wrong_type_exits_two(tmp_path, capsys, key, 
     assert capsys.readouterr().err == f"error: document key {key!r} must be {kind}\n"
 
 
+def _cone_count_on(tmp_path, doc):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    return main(["cone-count", "--field", str(path), "--p", "5", "--n", "1", "--x", "10"])
+
+
 @pytest.mark.parametrize("key, value, shape", [
-    ("min_poly", 5, "an array"), ("integral_basis", 3, "an array of arrays"),
-    ("unit_gens", 5, "an array of arrays"), ("unit_gens", [5], "an array of arrays"),
-    ("different_gen", 7, "an array"), ("class_reps", 1, "an array of arrays of arrays"),
-], ids=["min_poly", "integral_basis", "unit_gens", "unit_gens-entry", "different_gen",
-        "class_reps"])
+    ("min_poly", 5, "an array of numbers"), ("min_poly", [None, 1], "an array of numbers"),
+    ("integral_basis", 3, "an array of arrays of numbers"),
+    ("unit_gens", 5, "an array of arrays of numbers"),
+    ("unit_gens", [5], "an array of arrays of numbers"),
+    ("different_gen", 7, "an array of numbers"),
+    ("class_reps", 1, "an array of arrays of arrays of numbers"),
+    ("discriminant", "abc", "a number"), ("class_number", None, "a number"),
+], ids=["min_poly", "min_poly-entry", "integral_basis", "unit_gens", "unit_gens-entry",
+        "different_gen", "class_reps", "discriminant", "class_number"])
 def test_field_document_value_of_the_wrong_shape_exits_two(tmp_path, capsys, key, value,
                                                            shape):
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps(dict(_FIELD_DOC, **{key: value})))
-    assert main(["cone-count", "--field", str(path), "--p", "5", "--n", "1",
-                 "--x", "10"]) == 2
+    assert _cone_count_on(tmp_path, dict(_FIELD_DOC, **{key: value})) == 2
     assert capsys.readouterr().err == f"error: field document key {key!r} must be {shape}\n"
+
+
+def test_field_document_with_an_empty_polynomial_exits_two(tmp_path, capsys):
+    assert _cone_count_on(tmp_path, dict(_FIELD_DOC, min_poly=[])) == 2
+    assert capsys.readouterr().err == "error: defining polynomial must be monic\n"
+
+
+@pytest.mark.parametrize("key", ["min_poly", "integral_basis", "discriminant", "unit_gens",
+                                 "different_gen"])
+def test_field_document_missing_key_exits_two(tmp_path, capsys, key):
+    doc = {k: v for k, v in _FIELD_DOC.items() if k != key}
+    assert _cone_count_on(tmp_path, doc) == 2
+    assert capsys.readouterr().err == f"error: field document is missing {key!r}\n"
 
 
 def test_short_full_table_lvalue_states_the_shortfall(tmp_path, capsys):
@@ -505,6 +528,23 @@ _SIZED_LVALUES = {
   "s": 6.3
 }
 """),
+    # at s = 1 the coefficients' growth outlasts V's decay: the main side
+    # grows past V's decay cutoff of 157 terms until its tail majorant is
+    # within TAIL_BUDGET
+    "m2-low-s": (["--char", "rationals.p5.m2.chi3", "--s", "1"], """{
+  "value_re": -3385901589122.223,
+  "value_im": 1301283438183.3574,
+  "error_est": 0.07316035082864217,
+  "terms_used": [
+    263,
+    306
+  ],
+  "y": 25.0,
+  "main_term_re": 0.7777676791717891,
+  "character": "rationals.p5.m2.chi3",
+  "s": 1.0
+}
+"""),
 }
 
 
@@ -515,6 +555,8 @@ def test_lvalue_sizes_its_table_from_its_cutoffs(capsys, case):
     assert capsys.readouterr().out == expected
 
 
+# the thresholds are constants (afe.TAIL_BUDGET, experiment.ROUTE_TOL and
+# NONVANISH_FLOOR), so setting one, to any value, is a usage error
 _BAD_SETTINGS = [
     (["lvalue", "--y", "nan"], "the balance point y must be finite and above 0, got nan"),
     (["lvalue", "--y", "0"], "the balance point y must be finite and above 0, got 0.0"),
@@ -522,25 +564,19 @@ _BAD_SETTINGS = [
     (["lav-scan", "--eps", "nan"], "eps must be finite and above 0, got nan"),
     (["lav-scan", "--a", "nan"], "a must be finite, got nan"),
     (["lav-scan", "--a", "inf"], "a must be finite, got inf"),
-]
-# the thresholds are constants (afe.TAIL_BUDGET, experiment.ROUTE_TOL and
-# NONVANISH_FLOOR), so setting one, to any value, is a usage error
-_UNREAD_SETTINGS = [
+] + [(argv, "unrecognized arguments: " + " ".join(argv[1:])) for argv in (
     ["lav-scan", "--tol", "0"], ["lav-scan", "--tol", "nan"],
     ["lav-scan", "--tol", "inf"], ["lav-scan", "--route-tol", "-1"],
     ["lav-scan", "--route-tol", "nan"], ["lav-scan", "--floor", "-1"],
     ["lav-scan", "--floor", "nan"], ["lvalue", "--tol", "0"],
-    ["lvalue", "--tol", "nan"],
-]
+    ["lvalue", "--tol", "nan"])]
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    _BAD_SETTINGS + [(argv, None) for argv in _UNREAD_SETTINGS],
-    ids=[" ".join(argv) for argv, _ in _BAD_SETTINGS]
-    + [" ".join(argv) for argv in _UNREAD_SETTINGS])
+@pytest.mark.parametrize("argv, message", _BAD_SETTINGS,
+                         ids=[" ".join(argv) for argv, _ in _BAD_SETTINGS])
 def test_bad_settings_refused_up_front(capsys, monkeypatch, argv, message):
-    # refused as input, naming the option, before a coefficient table exists
+    # refused with exit code 2, naming the option, before a coefficient
+    # table past the probe exists
     import lcentral.newforms as newforms
     built = []
     original = newforms.tau_table
@@ -549,16 +585,12 @@ def test_bad_settings_refused_up_front(capsys, monkeypatch, argv, message):
         built.append(limit)
         return original(limit, threads)
     monkeypatch.setattr(newforms, "tau_table", counted)
-    argv_run = [*argv, "--n-hi", "1"] if argv[0] == "lav-scan" else argv
-    if message is None:
-        with pytest.raises(SystemExit) as exc:
-            main(argv_run)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
-    else:
-        assert main(argv_run) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        code = main([*argv, "--n-hi", "1"] if argv[0] == "lav-scan" else argv)
+    except SystemExit as exc:   # argparse's usage error
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.partition("error: ")[2] == f"{message}\n"
     assert all(limit <= 16 for limit in built)
 
 
