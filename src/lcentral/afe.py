@@ -29,13 +29,15 @@ cap raises instead of silently under-resolving.  No tower scan grows them:
 on the towers checked (p = 3 to 13, a = 1.15 to 2, each level up to the
 coefficient cap) the decay cutoffs leave at most 3.2e-11, at conductor 11^6.
 
-Orbit averages take two independent routes.  Route one is per orbit and
-float: each prefab array folds into residue bins mod p^level, and one
-`charsums.character_sums` FFT over the level's discrete logs gives the
-half-sums and Gauss sums of every member at once, returned as arrays in
-orbit order.  Route two is per orbit and exact: the averaged twist tables
-of charsums, dotted with the unfolded prefab arrays.  `afe_lvalue` stays
-the per-character oracle behind both.
+Orbit averages take two independent routes over the Galois orbit of a
+seed twist.  The orbit is the seed and the coefficient field's depth n0,
+and both routes read n0 from the form (`NewformData.n0`).  Route one is
+per orbit and float: each prefab array folds into residue bins mod
+p^level, and one `charsums.character_sums` FFT over the level's discrete
+logs gives the half-sums and Gauss sums of every member at once, returned
+as arrays in orbit order.  Route two is per orbit and exact: the averaged
+twist tables of charsums, dotted with the unfolded prefab arrays.
+`afe_lvalue` stays the per-character oracle behind both.
 
 Memory: a half-sum pass runs in blocks of `_BLOCK` terms.  Only the prefabs,
 kept at 8 bytes per term, and the error estimate's transient |term| array
@@ -53,10 +55,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charsums import (CoefficientFieldContext, averaged_char_table,
-                       averaged_iota_table, character_sums,
-                       orbit_float_root_numbers, orbit_index, root_number,
-                       scatter, substitutions)
+from .charsums import (averaged_char_table, averaged_iota_table,
+                       character_sums, orbit_float_root_numbers, orbit_index,
+                       root_number, scatter)
 from .fields import NumberFieldData, nf_load
 from .kernels import GammaFactor, VKernel
 from .newforms import NewformData, newform_load
@@ -218,7 +219,7 @@ def _prefab(form: NewformData, kern: VKernel, scale: float, count: int) -> np.nd
             hi = min(lo + _BLOCK, count)
             ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
             v = kern.value(ns / scale)
-            ns **= -kern.s.real
+            ns **= -kern.s
             ns *= form.coefficient_array(hi)[lo + 1:]
             ns *= v
             got[lo:hi] = ns
@@ -505,10 +506,17 @@ def functional_equation_residual(form: NewformData,
     at k - s and the mirrored balance point Med/y.  The identity is then
     exact for the true transforms; the computed residual measures the
     numeric consistency of the kernels at the two spectral points together
-    with the root-number normalization.
+    with the root-number normalization.  Where Lam(s) vanishes, as it does
+    at the central point when the sign C W eta of the functional equation
+    is -1, the relative residual is undefined and the call raises
+    ValueError.
     """
     chi = _normalize_twist(chi)
     lam, eng = _completed(form, chi, s, y)
+    if lam == 0:
+        raise ValueError(f"Lam(s) vanishes at s = {eng.s:g} for the twist "
+                         f"{'trivial' if chi is None else chi.label}: the relative "
+                         "residual is undefined where the completed value vanishes")
     conj = None if chi is None else chi.conjugate()
     lam_ref, _ = _completed(form, conj, eng.k - eng.s, eng.med / eng.cfg.y)
     return abs(lam - eng.c * _root_number(chi) * form.eta * lam_ref) / abs(lam)
@@ -518,14 +526,14 @@ def functional_equation_residual(form: NewformData,
 # orbit averages: two independent routes
 
 def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
-                         ctx: CoefficientFieldContext,
                          y: float | None = None,
                          cfg: AFEConfig | None = None) -> tuple[complex, LValueResult]:
     """Route one: the plain mean of central values over the Galois orbit of
-    the twist.  Returns (mean, res): one `LValueResult` for the whole orbit,
-    whose `value` and `dual_term` are complex arrays in orbit order (the
-    order of `charsums.substitutions`), whose `character_label` is the
-    seed's, and whose other fields are the scalars every member shares.
+    the twist at the form's depth n0.  Returns (mean, res): one
+    `LValueResult` for the whole orbit, whose `value` and `dual_term` are
+    complex arrays in orbit order (the order of `charsums.substitutions`),
+    whose `character_label` is the seed's, and whose other fields are the
+    scalars every member shares.
     The seed must be primitive, so never trivial: `afe_lvalue` is the
     untwisted value.
 
@@ -541,10 +549,10 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
     eng = _engine(form, chi, 0.5 * form.weight, y, cfg)
     pctx, level = chi.prime_ctx, chi.level
     mod, h = pctx.modulus(level), pctx.unit_group_order(level)
-    idx = orbit_index(chi, ctx)
+    idx = orbit_index(chi, form.n0)
     pre1, pre2 = _prefabs(form, eng)
     # at the central point Med^((k - 2s)/2) = 1
-    dual = (eng.c * form.eta * orbit_float_root_numbers(chi, ctx)
+    dual = (eng.c * form.eta * orbit_float_root_numbers(chi, form.n0)
             * character_sums(pctx, level, _fold(pre2, mod))[-idx % h] / eng.gamma_s)
     res = LValueResult(
         value=character_sums(pctx, level, _fold(pre1, mod))[idx] / eng.gamma_s + dual,
@@ -557,10 +565,10 @@ def orbit_average_lvalue(form: NewformData, chi: HeckeCharacter,
 
 
 def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
-                                ctx: CoefficientFieldContext,
                                 y: float | None = None) -> tuple[complex, dict]:
-    """Route two: average the twist first, then run a single two-sided sum
-    against the averaged values.
+    """Route two: average the twist over its Galois orbit at the form's
+    depth n0 first, then run a single two-sided sum against the averaged
+    values.
 
     The direct side uses the exact orbit mean of the twist at each unit
     residue; the reflected side uses the averaged root-number-weighted
@@ -576,11 +584,10 @@ def averaged_coefficient_lvalue(form: NewformData, chi: HeckeCharacter,
     eng = _engine(form, chi, 0.5 * form.weight, y)
     # averaged twist per unit residue, and the averaged reflected weights
     # (root number times conjugate values)
-    s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, ctx),
-                              averaged_iota_table(chi, ctx))
+    s1, s2, lead = _two_sided(form, eng, averaged_char_table(chi, form.n0),
+                              averaged_iota_table(chi, form.n0))
     value = (s1 + eng.c * s2) / eng.gamma_s
     info = {
-        "orbit_size": len(substitutions(chi, ctx)),
         "main_term": complex(lead / eng.gamma_s),
         "dual_part": eng.c * s2 / eng.gamma_s,
         "terms": (eng.cfg.cutoff_main, eng.cfg.cutoff_dual),

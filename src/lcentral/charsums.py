@@ -21,6 +21,11 @@ trivial finite central character, the only forms `newforms.newform_load`
 admits: W(chi) = chi(-1) * G(conj chi)^2 / p^c, which has modulus one
 identically.
 
+A Galois orbit is its seed chi, which owns p, and the depth n0 of p-power
+roots of unity in the coefficient field, which the form owns
+(`NewformData.n0`): every orbit function takes (chi, n0), and the members
+are the chi^t over `substitutions`, built once per (p, order, n0).
+
 Every exact object here is a `roots.CyclotomicNumber` built straight from an
 integer histogram: the exact Gauss sum from the histogram of its term
 exponents, and an exact Galois mean from the histogram of k t mod ord over
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, pi, sqrt
@@ -75,35 +80,26 @@ EXACT_LEVEL_LIMIT = 20000
 ARGMAX_TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CoefficientFieldContext:
-    """Arithmetic of the coefficient field that steers Galois orbits.
+def substitutions(chi: HeckeCharacter, n0: int) -> np.ndarray:
+    """The exponent substitutions t of the orbit members chi^t, in orbit
+    order, as a read-only int64 array shared by every orbit of its order
+    and depth.
 
-    `n0` is the depth of p-power roots of unity in the field the character
-    values are adjoined to: orbits run over substitutions t = 1 mod p^min(e,n0).
-    The substitutions of each order p^e are built once and kept here, so
-    every orbit computation of a context shares them.
+    n0 is the depth of p-power roots of unity in the coefficient field the
+    character values are adjoined to.  For chi of order p^e the
+    substitutions are the units t mod p^e with t = 1 mod p^min(e, n0),
+    increasing ([1] at e = 0); being distinct mod the order, they give
+    distinct members.
     """
-
-    p: int
-    n0: int
-    _orbits: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError("n0 must be >= 0")
-
-    def substitutions(self, e: int) -> np.ndarray:
-        """The units t mod p^e with t = 1 mod p^min(e, n0), increasing, as a
-        read-only int64 array; [1] at e = 0."""
-        got = self._orbits.get(e)
-        if got is None:
-            got = _substitution_array(self.p, e, self.n0)
-            self._orbits[e] = got
-        return got
+    if n0 < 0:
+        raise ValueError("n0 must be >= 0")
+    a, e = p_adic_split(chi.order, chi.p)
+    if a != 1:
+        raise ValueError("Galois orbits are defined here for p-power-order characters")
+    return _substitution_array(chi.p, e, n0)
 
 
+@lru_cache(maxsize=None)
 def _substitution_array(p: int, e: int, n0: int) -> np.ndarray:
     if e == 0:
         got = np.ones(1, dtype=np.int64)
@@ -115,27 +111,11 @@ def _substitution_array(p: int, e: int, n0: int) -> np.ndarray:
     return got
 
 
-def substitutions(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
-    """The exponent substitutions t of the orbit members chi^t, in orbit
-    order, as the context's read-only int64 array.
-
-    For chi of order p^e they are the units t mod p^e with t = 1 mod
-    p^min(e, n0); being distinct mod the order, they give distinct members.
-    """
-    p = chi.p
-    if p != ctx.p:
-        raise ValueError("context prime differs from the character's prime")
-    a, e = p_adic_split(chi.order, p)
-    if a != 1:
-        raise ValueError("Galois orbits are defined here for p-power-order characters")
-    return ctx.substitutions(e)
-
-
-def galois_orbit(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> list[HeckeCharacter]:
+def galois_orbit(chi: HeckeCharacter, n0: int) -> list[HeckeCharacter]:
     """The conjugates chi^t of a p-power-order character, one character per
     member: the per-member view the tests check the orbit computations
     against, which themselves work on the substitutions alone."""
-    return [chi.power(t) for t in substitutions(chi, ctx).tolist()]
+    return [chi.power(t) for t in substitutions(chi, n0).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +202,11 @@ def character_sums(ctx: PrimeContext, level: int, values: np.ndarray) -> np.ndar
     return np.fft.ifft(by_log, norm="forward")
 
 
-def orbit_index(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+def orbit_index(chi: HeckeCharacter, n0: int) -> np.ndarray:
     """For each orbit member chi^t, in orbit order, the u with
     chi^t(r) = e(u dlog(r) / h): where `character_sums` holds its sum."""
     h = chi.prime_ctx.unit_group_order(chi.level)
-    return chi.unit_index * substitutions(chi, ctx) % h
+    return chi.unit_index * substitutions(chi, n0) % h
 
 
 def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
@@ -235,7 +215,7 @@ def _powers(root: RootOfUnity, ts: np.ndarray) -> np.ndarray:
     return np.exp(2j * pi * (num * ts % den) / den)
 
 
-def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+def orbit_gauss_sums(chi: HeckeCharacter, n0: int) -> np.ndarray:
     """G(conj chi^t) for the orbit members, in orbit order, as floats.
 
     The terms of G(conj chi^t) carry conj(conj chi^t((x))) = chi^t((x)),
@@ -245,21 +225,21 @@ def orbit_gauss_sums(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.nd
     """
     if chi.conductor_exponent == 0:
         raise ValueError(f"{chi.label} is trivial: its orbit has no Gauss sums")
-    subs = substitutions(chi, ctx)
+    subs = substitutions(chi, n0)
     add, pref = _gauss_parts(chi.conjugate(), 1)
     pctx = chi.prime_ctx
     xs = np.arange(chi.conductor_norm, dtype=np.int64)
     values = np.zeros(pctx.modulus(chi.level), dtype=np.complex128)
     values[:len(xs)] = np.exp(2j * pi * (add.numerator * xs % add.denominator) / add.denominator)
-    return character_sums(pctx, chi.level, values)[orbit_index(chi, ctx)] * _powers(pref, subs)
+    return character_sums(pctx, chi.level, values)[orbit_index(chi, n0)] * _powers(pref, subs)
 
 
-def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+def orbit_float_root_numbers(chi: HeckeCharacter, n0: int) -> np.ndarray:
     """W(chi^t) = chi^t(-1) G(conj chi^t)^2 / q for the orbit members, in
     orbit order, as floats from `orbit_gauss_sums`.  Each is held to the unit
     circle as `root_number` holds its one."""
-    g = orbit_gauss_sums(chi, ctx)
-    subs = substitutions(chi, ctx)
+    g = orbit_gauss_sums(chi, n0)
+    subs = substitutions(chi, n0)
     w = _powers(chi.value_on_ideal_of(-1).conjugate(), subs) * g * g / chi.conductor_norm
     drift = np.abs(np.abs(w) - 1)
     if not np.all(drift <= 1e-9):
@@ -268,7 +248,7 @@ def orbit_float_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     return w
 
 
-def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tuple[int, np.ndarray]:
+def orbit_root_numbers(chi: HeckeCharacter, n0: int) -> tuple[int, np.ndarray]:
     """(L, w) with W(chi^t) = e(w_t / L) exactly for the orbit members, in
     orbit order, from one exact Gauss sum.
 
@@ -282,7 +262,7 @@ def orbit_root_numbers(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> tup
     held as the integer histogram of its terms, so no cyclotomic level
     limit applies.
     """
-    subs = substitutions(chi, ctx)
+    subs = substitutions(chi, n0)
     den, exps, pref = _gauss_terms(chi.conjugate(), 1)
     eps = _unit_square(np.bincount(exps, minlength=den), chi.conductor_norm,
                        chi.label) * pref * pref
@@ -353,32 +333,31 @@ def _recognize(mean: CyclotomicNumber, seed: RootOfUnity) -> tuple[Fraction | No
     return None, None
 
 
-def average_char(chi: HeckeCharacter, ctx: CoefficientFieldContext, a) -> AverageResult:
+def average_char(chi: HeckeCharacter, n0: int, a) -> AverageResult:
     """Exact mean of chi^t(a) over the Galois orbit (value on ideal classes).
 
     The members' values are powers of the seed value: chi^t(a) = chi(a)^t.
     So the character is evaluated once, at the seed, and the exact mean and
     its closed form come from the per-value memo `_value_mean`.
     """
-    subs = substitutions(chi, ctx)
+    subs = substitutions(chi, n0)
     seed = chi.value_on_ideal_of(a)
     if seed is None:
         return AverageResult(cyclotomic=CyclotomicNumber(1), orbit_size=len(subs),
                              coeff=Fraction(0), root=RootOfUnity(0))
-    return _value_mean(seed, ctx, chi.order)
+    return _value_mean(seed, chi.p, n0, chi.order)
 
 
 @lru_cache(maxsize=1024)
-def _value_mean(value: RootOfUnity, ctx: CoefficientFieldContext,
-                order: int) -> AverageResult:
+def _value_mean(value: RootOfUnity, p: int, n0: int, order: int) -> AverageResult:
     """The exact mean of value^t over the substitutions t of the orbits of
-    characters of p-power order `order`, with its closed form.  Shared
-    between callers, which is why AverageResult is frozen.
+    characters of p-power order `order` at depth n0, with its closed form.
+    Shared between callers, which is why AverageResult is frozen.
 
     With value = e(k / ord) in lowest terms the exponents are k t mod ord at
     level ord, already the least level: t = 1 is among the substitutions.
     """
-    subs = ctx.substitutions(p_adic_split(order, ctx.p)[1])
+    subs = _substitution_array(p, p_adic_split(order, p)[1], n0)
     level = value.order
     hist = np.bincount(value.phase.numerator * subs % level, minlength=level)
     mean = CyclotomicNumber.from_array(level, hist, len(subs))
@@ -391,12 +370,12 @@ def _value_mean(value: RootOfUnity, ctx: CoefficientFieldContext,
 # so every orbit mean depends on r only through j.  The means for all j are
 # one DFT, spread over the residues by `scatter`.
 
-def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
+def _orbit_dft(chi: HeckeCharacter, n0: int,
                weights: np.ndarray | None = None) -> np.ndarray:
     """(1 / orbit) sum_t weights_t e(-t j / ord) for every j mod ord (weights
     1 when None): bin the weights by t mod ord, then one length-ord DFT."""
     order = chi.order
-    ts = substitutions(chi, ctx) % order
+    ts = substitutions(chi, n0) % order
     if weights is None:
         bins = np.bincount(ts, minlength=order)
     else:
@@ -405,20 +384,20 @@ def _orbit_dft(chi: HeckeCharacter, ctx: CoefficientFieldContext,
     return np.fft.fft(bins) / len(ts)
 
 
-def averaged_char_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
-    """average_char(chi, ctx, r).value at every residue r mod p^level, 0 off
+def averaged_char_table(chi: HeckeCharacter, n0: int) -> np.ndarray:
+    """average_char(chi, n0, r).value at every residue r mod p^level, 0 off
     the units: the mean at j is the conjugate of the unweighted DFT."""
-    return scatter(chi, np.conj(_orbit_dft(chi, ctx)))
+    return scatter(chi, np.conj(_orbit_dft(chi, n0)))
 
 
-def averaged_iota_table(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> np.ndarray:
+def averaged_iota_table(chi: HeckeCharacter, n0: int) -> np.ndarray:
     """The mean over the Galois orbit of W(chi^t) conj(chi^t)(r) at every
     residue r mod p^level, 0 off the units, with the exact roots W from
     `orbit_root_numbers`, each rendered as RootOfUnity.to_complex renders it."""
-    level, ws = orbit_root_numbers(chi, ctx)
+    level, ws = orbit_root_numbers(chi, n0)
     distinct, member = np.unique(ws, return_inverse=True)
     phases = np.array([cmath.exp(2j * pi * (w / level)) for w in distinct.tolist()])
-    return scatter(chi, _orbit_dft(chi, ctx, phases[member]))
+    return scatter(chi, _orbit_dft(chi, n0, phases[member]))
 
 
 def scatter(chi: HeckeCharacter, per_value) -> np.ndarray:
@@ -429,7 +408,7 @@ def scatter(chi: HeckeCharacter, per_value) -> np.ndarray:
     return np.where(js >= 0, np.asarray(per_value, dtype=np.complex128)[js], 0)
 
 
-def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) -> dict:
+def kloosterman_bound_report(chi: HeckeCharacter, n0: int) -> dict:
     """Sweep |averaged iota| over unit residues and compare to p^(-n/2).
 
     n is the experiment level attached to the conductor exponent c by
@@ -440,11 +419,11 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
     """
     c = chi.conductor_exponent
     p = chi.p
-    n = c - ctx.n0 - 1
+    n = c - n0 - 1
     if n < 0:
-        raise ValueError("conductor too small for the context depth")
+        raise ValueError(f"conductor too small for depth n0 = {n0}")
     # the table is 0 off the units, and |z| is hypot(re, im) bit for bit
-    table = averaged_iota_table(chi, ctx)[:chi.conductor_norm]
+    table = averaged_iota_table(chi, n0)[:chi.conductor_norm]
     moduli = np.hypot(table.real, table.imag)
     max_abs = float(moduli.max())
     # smallest residue at the maximum: when several residues share the
@@ -459,10 +438,10 @@ def kloosterman_bound_report(chi: HeckeCharacter, ctx: CoefficientFieldContext) 
         "level": n,
         "conductor_exponent": c,
         "conductor_norm": p ** c,
-        "orbit_size": len(substitutions(chi, ctx)),
+        "orbit_size": len(substitutions(chi, n0)),
         "max_abs": max_abs,
         "argmax_residue": argmax,
         "scale": scale,
-        "constant": max_abs / scale if scale else float("inf"),
+        "constant": max_abs / scale,
         "constant_over_sqrt_p": max_abs / scale / sqrt(p),
     }

@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from .afe import afe_lvalue, load_for_sums
-from .charsums import (CoefficientFieldContext, average_char, gauss_sum,
-                       kloosterman_bound_report)
+from .charsums import average_char, gauss_sum, kloosterman_bound_report
 from .cones import count_progression, min_norm_coset, prime_above
 from .experiment import ExperimentConfig, report_to_json, run_lav_experiment
 from .fields import nf_load
@@ -135,8 +134,7 @@ def cmd_gauss_sum(args) -> int:
 
 def cmd_galois_average(args) -> int:
     chi = parse_char_label(args.char)
-    ctx = CoefficientFieldContext(p=chi.p, n0=args.n0)
-    res = average_char(chi, ctx, args.residue)
+    res = average_char(chi, args.n0, args.residue)
     _emit({
         "character": chi.label,
         "residue": args.residue,
@@ -151,8 +149,7 @@ def cmd_galois_average(args) -> int:
 
 def cmd_kloosterman(args) -> int:
     chi = parse_char_label(args.char)
-    ctx = CoefficientFieldContext(p=chi.p, n0=args.n0)
-    _emit(kloosterman_bound_report(chi, ctx), args)
+    _emit(kloosterman_bound_report(chi, args.n0), args)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Averaged central values along a tower of p-power conductors.
 
 One experiment fixes a newform and a degree-one prime, then walks levels
-n = lo..hi: at each level it picks the canonical primitive seed twist,
-averages the central values over the twist's Galois orbit by two
-independent routes, and sizes the deviation of the average from 1 against
-the decay envelope that the averaging argument predicts.  Rows carry
+n = lo..hi: at each level it picks the canonical primitive seed twist, of
+conductor p^(n + n0 + 1), and averages the central values over the twist's
+Galois orbit by two independent routes.  The orbit is the seed and the
+form's coefficient-field depth n0, which both routes read from the form.
+The scan sizes the deviation of the average from 1 against the decay
+envelope that the averaging argument predicts.  Rows carry
 per-character nonvanishing flags and timings; reports serialize to JSON
 and round-trip losslessly.
 
@@ -26,7 +28,6 @@ import numpy as np
 
 from .afe import (AFEConfig, averaged_coefficient_lvalue, exponent_window,
                   load_for_sums, orbit_average_lvalue)
-from .charsums import CoefficientFieldContext
 from .cones import prime_above
 from .fields import nf_load
 from .newforms import newform_load
@@ -161,7 +162,6 @@ class _Setup:
                 f"a = {cfg.a} is outside the admissible window ({float(lo):.4f}, "
                 f"{float(hi):.4f}) for theta = {self.theta}, eps = {cfg.eps}, "
                 f"|Delta| = {self.delta_order}")
-        self.coef_ctx = CoefficientFieldContext(p=cfg.p, n0=self.n0)
 
         # the rows sum at each level's seed conductor p^level
         self.form = load_for_sums(cfg.form, form_probe, [
@@ -198,8 +198,8 @@ def _run_row(setup: _Setup, n: int) -> ExperimentRow:
     t0 = time.perf_counter()
     try:
         seed = setup.seed_character(level)
-        mean_a, res = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, y=y)
-        mean_b, info = averaged_coefficient_lvalue(setup.form, seed, setup.coef_ctx, y=y)
+        mean_a, res = orbit_average_lvalue(setup.form, seed, y=y)
+        mean_b, info = averaged_coefficient_lvalue(setup.form, seed, y=y)
         gap = abs(mean_a - mean_b)
         if gap > ROUTE_TOL * max(1.0, abs(mean_a)):
             raise ArithmeticError(
@@ -265,11 +265,10 @@ def halved_cutoff_gap(cfg: ExperimentConfig, n: int | None = None) -> tuple:
     setup = _Setup(replace(cfg, n_lo=n, n_hi=n))
     seed = setup.seed_character(n + setup.n0 + 1)
 
-    _, full = orbit_average_lvalue(setup.form, seed, setup.coef_ctx,
-                                   y=_balance_point(cfg, n))
+    _, full = orbit_average_lvalue(setup.form, seed, y=_balance_point(cfg, n))
     half = AFEConfig(y=full.y, cutoff_main=full.terms_main // 2,
                      cutoff_dual=full.terms_dual // 2)
-    _, short = orbit_average_lvalue(setup.form, seed, setup.coef_ctx, cfg=half)
+    _, short = orbit_average_lvalue(setup.form, seed, cfg=half)
     return float(np.abs(full.value - short.value).max()), short.error_estimate
 
 

@@ -203,9 +203,10 @@ def totally_positive_unit_index(nf) -> int:
 class GammaFactor:
     """Completed archimedean factor of a totally real field.
 
-    value(z) = const * |disc|^z * prod_j (2 pi)^-(z - m_j) Gamma(z - m_j)
-    with one shift m_j per real place and
-    const = 2^(real places) / [units : totally positive units].
+    value(x) = const * |disc|^x * prod_j (2 pi)^-(x - m_j) Gamma(x - m_j)
+    at a real point x, with one shift m_j per real place and
+    const = 2^(real places) / [units : totally positive units].  The
+    contour route reads its logarithm at complex points, `log_value`.
     """
 
     def __init__(self, nf, shifts):
@@ -227,9 +228,14 @@ class GammaFactor:
             out = out + _log_gamma(arr - m) - (arr - m) * _LOG_TWO_PI
         return out
 
-    def _real_value(self, x: float) -> float:
-        """value(x) on the real line, with math.gamma; where that overflows
-        or underflows, from math.lgamma and Gamma's sign."""
+    def value(self, x: float) -> float:
+        """value(x) at a real point x off the poles: with math.gamma, and
+        where that overflows or underflows, from math.lgamma and Gamma's
+        sign."""
+        x = float(x)
+        for m in self.shifts:
+            if x - m <= 0 and x - m == int(x - m):
+                raise ValueError(f"gamma factor has a pole at x = {x}")
         try:
             out = self.const * self.disc ** x
             for m in self.shifts:
@@ -241,19 +247,6 @@ class GammaFactor:
         negative = sum(_gamma_is_negative(x - m) for m in self.shifts) % 2
         return (-1.0) ** negative * float(np.exp(self.log_value(x).real))
 
-    def value(self, z):
-        arr = np.asarray(z, dtype=complex)
-        if not arr.shape:
-            z = complex(arr)
-            for m in self.shifts:
-                w = z - m
-                if w.imag == 0 and w.real <= 0 and w.real == int(w.real):
-                    raise ValueError(f"gamma factor has a pole at z = {z}")
-            if z.imag == 0:
-                return complex(self._real_value(z.real))
-            return complex(np.exp(self.log_value(arr)))
-        return np.exp(self.log_value(arr))
-
 
 class ContourEval(NamedTuple):
     value: complex
@@ -264,8 +257,8 @@ class ContourEval(NamedTuple):
 
 
 class VKernel:
-    """Cutoff V(x) for the side of the functional equation at spectral
-    point s, with the point mass as weight.
+    """Cutoff V(x) for the side of the functional equation at the real
+    spectral point s, with the point mass as weight.
 
     value()        -- production route: the tail route, what afe's sums
                       read.
@@ -278,20 +271,17 @@ class VKernel:
                       as a cross-check rather than the production path.
     """
 
-    def __init__(self, gamma: GammaFactor, s):
+    def __init__(self, gamma: GammaFactor, s: float):
         self.gamma = gamma
-        self.s = complex(s)
+        self.s = float(s)
         self._x_cut = None
 
     # -- stable tail route --------------------------------------------------
 
     def _require_real_s(self) -> float:
-        if self.s.imag != 0:
-            raise ValueError("the tail route needs a real spectral parameter")
-        sp = self.s.real
-        if sp <= max(self.gamma.shifts):
+        if self.s <= max(self.gamma.shifts):
             raise ValueError("spectral parameter must exceed every gamma shift")
-        return sp
+        return self.s
 
     def value_tail(self, x):
         """V(x) as one upper incomplete gamma (Bessel) tail, at any shape of x."""
@@ -307,7 +297,7 @@ class VKernel:
             arg = TWO_PI * xs
             arg /= self.gamma.disc
             out = _upper_gamma_regularized(a, arg)
-            out *= self.gamma.value(sp).real
+            out *= self.gamma.value(sp)
         else:
             a1 = sp - self.gamma.shifts[0]
             a2 = sp - self.gamma.shifts[1]

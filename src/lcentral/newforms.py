@@ -269,6 +269,8 @@ def newform_load(source, limit: int = 1000, threads: int = 1) -> NewformData:
     theta = Fraction(str(_doc_get(doc, "theta", default=0)))
     if eta not in (-1, 1):
         raise ValueError("atkin_lehner sign must be +1 or -1")
+    if n0 < 0:
+        raise ValueError("n0 must be >= 0")
     if not 0 <= theta < Fraction(1, 2):
         raise ValueError("theta must lie in [0, 1/2)")
     k = weights[0]

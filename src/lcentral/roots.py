@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .abelian import factorize, p_adic_split
+from .abelian import factorize
 
 
 class RootOfUnity:
@@ -51,10 +51,6 @@ class RootOfUnity:
     @property
     def order(self) -> int:
         return self.phase.denominator
-
-    def order_p_part(self, p: int) -> tuple[int, int]:
-        """Split order = a * p^m with p not dividing a; returns (a, m)."""
-        return p_adic_split(self.order, p)
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * pi * float(self.phase))

@@ -16,8 +16,9 @@ from lcentral import afe, charsums, tau
 from lcentral.afe import (AFEConfig, afe_lvalue, archimedean_constant,
                           averaged_coefficient_lvalue, character_value_table,
                           choose_cutoffs, direct_series, exponent_window,
-                          functional_equation_residual, orbit_average_lvalue)
-from lcentral.charsums import CoefficientFieldContext, galois_orbit
+                          functional_equation_residual, load_for_sums,
+                          orbit_average_lvalue)
+from lcentral.charsums import galois_orbit
 from lcentral.experiment import ExperimentConfig, _Setup
 from lcentral.fields import nf_load
 from lcentral.newforms import builtin_newform, newform_load
@@ -27,7 +28,6 @@ from oracles import traced
 
 Q = nf_load("rationals")
 K = nf_load("quadratic-sqrt2")
-CTX5 = CoefficientFieldContext(p=5, n0=0)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,17 @@ def test_reflection_residual_twisted(delta, rcg25):
         assert functional_equation_residual(delta, chi, s=s) < 1e-6
 
 
+def test_reflection_residual_refuses_a_vanishing_completed_value(delta):
+    # with eta = +1 the sign C W eta is -1, so at the central point and the
+    # balanced y the two half-sums cancel exactly: the relative residual is
+    # refused there, and off the balance point it is still a number
+    flipped = dataclasses.replace(delta, eta=1)
+    with pytest.raises(ValueError, match="vanishes at s = 6 for the twist trivial: "
+                                         "the relative residual is undefined"):
+        functional_equation_residual(flipped, None, s=6.0)
+    assert math.isfinite(functional_equation_residual(flipped, None, s=6.0, y=2.0))
+
+
 def test_a_field_read_from_a_path_is_loaded_once(delta, tmp_path):
     # the engine reads the field off the form; a field document at a path is
     # read once, so a second evaluation builds no kernel or prefab array
@@ -233,9 +244,8 @@ def test_completed_value_consistency(delta):
 
 def test_orbit_routes_agree(delta, rcg25):
     chi = order5_chars(rcg25)[0]
-    mean_a, res = orbit_average_lvalue(delta, chi, CTX5, y=25.0)
-    mean_b, info = averaged_coefficient_lvalue(delta, chi, CTX5, y=25.0)
-    assert info["orbit_size"] == 4
+    mean_a, res = orbit_average_lvalue(delta, chi, y=25.0)
+    mean_b, info = averaged_coefficient_lvalue(delta, chi, y=25.0)
     assert len(res.value) == len(res.dual_term) == 4
     assert abs(mean_a - mean_b) / abs(mean_a) < 1e-7
     # frozen level-one average (both routes land here)
@@ -246,9 +256,9 @@ def test_orbit_routes_agree(delta, rcg25):
 def test_orbit_seed_invariance(delta, rcg25):
     # any member of the orbit is an equally good seed
     chi = order5_chars(rcg25)[0]
-    base, _ = orbit_average_lvalue(delta, chi, CTX5, y=25.0)
-    for alt in galois_orbit(chi, CTX5)[1:]:
-        again, _ = orbit_average_lvalue(delta, alt, CTX5, y=25.0)
+    base, _ = orbit_average_lvalue(delta, chi, y=25.0)
+    for alt in galois_orbit(chi, 0)[1:]:
+        again, _ = orbit_average_lvalue(delta, alt, y=25.0)
         assert abs(again - base) < 1e-13  # same set, summation order aside
 
 
@@ -262,7 +272,33 @@ def test_orbit_routes_refuse_a_seed_that_is_not_primitive(delta, route, kind):
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.is_trivial() == (kind == "trivial") and not c.is_primitive())
     with pytest.raises(ValueError, match="seed twist must be primitive at its level"):
-        route(delta, seed, CTX5)
+        route(delta, seed)
+
+
+# (n0, n) rows at p = 5, y = 5^(1.15 n); n0 = 2 at n = 3 would need 9.2M
+# coefficients, and stays out of the suite
+DEEP_ROWS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+
+
+@pytest.fixture(scope="module")
+def deep_delta():
+    # Delta to the longest cutoff of DEEP_ROWS (2,353,798, at n0 = 2, n = 2)
+    return load_for_sums("delta", builtin_newform("delta", limit=16), [
+        (5 ** (n + n0 + 1), 5.0 ** (1.15 * n)) for n0, n in DEEP_ROWS])
+
+
+@pytest.mark.parametrize("n0, n", DEEP_ROWS)
+def test_orbit_routes_agree_at_depth(deep_delta, n0, n):
+    # a coefficient field with p-power roots of unity to depth n0: both
+    # routes read n0 from the form, and the seed of conductor 5^(n + n0 + 1)
+    # has an orbit of 5^n members, t = 1 mod 5^n0
+    form = dataclasses.replace(deep_delta, n0=n0)
+    seed = seed_character(rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), n + n0 + 1))
+    y = 5.0 ** (1.15 * n)
+    mean_a, res = orbit_average_lvalue(form, seed, y=y)
+    mean_b, _ = averaged_coefficient_lvalue(form, seed, y=y)
+    assert len(res.value) == 5 ** n
+    assert abs(mean_a - mean_b) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +315,8 @@ def test_orbit_members_match_per_character_values(tower, n, a, step):
     # per-character oracle, member by member
     seed = tower.seed_character(n + 1)
     y = 5.0 ** (a * n)
-    mean, res = orbit_average_lvalue(tower.form, seed, CTX5, y=y)
-    orbit = galois_orbit(seed, CTX5)
+    mean, res = orbit_average_lvalue(tower.form, seed, y=y)
+    orbit = galois_orbit(seed, 0)
     assert len(res.value) == len(res.dual_term) == len(orbit)
     assert res.character_label == seed.label
     for i in range(0, len(orbit), step):
@@ -309,8 +345,7 @@ def test_orbit_route_calls_no_per_character_path(tower, monkeypatch):
     counted(afe, "afe_lvalue")
     counted(afe, "character_value_table")
     counted(charsums, "gauss_sum")
-    _, res = orbit_average_lvalue(tower.form, tower.seed_character(4), CTX5,
-                                  y=5.0 ** 6)
+    _, res = orbit_average_lvalue(tower.form, tower.seed_character(4), y=5.0 ** 6)
     assert len(res.value) == 100
     assert calls == []
 
@@ -321,7 +356,7 @@ def test_orbit_route_builds_one_record_not_one_per_member(tower, monkeypatch):
     # Each call runs once first, so a warm cache does not tell them apart.
     seeds = {n: tower.seed_character(n + 1) for n in (2, 3)}
     for n, seed in seeds.items():
-        orbit_average_lvalue(tower.form, seed, CTX5, y=5.0 ** (2 * n))
+        orbit_average_lvalue(tower.form, seed, y=5.0 ** (2 * n))
     built = []
     init = HeckeCharacter.__init__
 
@@ -332,16 +367,16 @@ def test_orbit_route_builds_one_record_not_one_per_member(tower, monkeypatch):
     counts = []
     for n, seed in seeds.items():
         before = len(built)
-        orbit_average_lvalue(tower.form, seed, CTX5, y=5.0 ** (2 * n))
+        orbit_average_lvalue(tower.form, seed, y=5.0 ** (2 * n))
         counts.append(len(built) - before)
     assert counts[0] == counts[1]
 
 
-def test_route_two_builds_the_orbit_once(monkeypatch):
+def test_route_two_builds_the_orbit_once():
     # route two reads the substitutions of its orbit in its character table,
-    # its root numbers, its root-weighted table and its report: at conductor
-    # 5^7 (an orbit of 12,500) they are built once for the context.  The
-    # coefficients do not matter here, so a table of a(1) alone serves.
+    # its root numbers and its root-weighted table: at conductor 5^7 (an
+    # orbit of 12,500) they are built once.  The coefficients do not matter
+    # here, so a table of a(1) alone serves.
     seed = seed_character(rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 7))
     probe = builtin_newform("delta", limit=16)
     cfg = choose_cutoffs(probe, seed.conductor_norm)
@@ -349,16 +384,11 @@ def test_route_two_builds_the_orbit_once(monkeypatch):
     table = np.zeros(need + 1)
     table[1] = 1.0
     form = dataclasses.replace(probe, table=table)
-    builds = []
-    build = charsums._substitution_array
-
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
-    monkeypatch.setattr(charsums, "_substitution_array", counted)
-    _, info = averaged_coefficient_lvalue(form, seed, CoefficientFieldContext(p=5, n0=0))
-    assert info["orbit_size"] == 12500
-    assert builds == [(5, 6, 0)]
+    charsums._substitution_array.cache_clear()
+    averaged_coefficient_lvalue(form, seed)
+    builds = charsums._substitution_array.cache_info()
+    assert (builds.misses, builds.hits, builds.currsize) == (1, 2, 1)
+    assert len(charsums.substitutions(seed, form.n0)) == 12500
 
 
 def test_error_estimate_dominates_y_motion(delta, rcg25):
@@ -456,7 +486,7 @@ def test_explicit_undersized_cutoffs_report_their_tail_majorant(delta, rcg25):
     # their tail majorant, however far past the budget it lies
     bad = AFEConfig(y=25.0, cutoff_main=40, cutoff_dual=40)
     chi = order5_chars(rcg25)[0]
-    _, res = orbit_average_lvalue(delta, chi, CTX5, cfg=bad)
+    _, res = orbit_average_lvalue(delta, chi, cfg=bad)
     eng = afe._engine(delta, chi, 6.0, None, bad)
     majorant = sum(afe._tail_majorants(delta, eng.kern, 6.0, eng.med, 25.0, 40, 40))
     majorant /= abs(eng.gamma_s)
@@ -514,7 +544,7 @@ def test_afe_keeps_no_twist_or_form_alive():
     rcg = rcg_build(PrimeContext(Q, 5, Q.element_from_int(5)), 4)
     seed = next(c for c in map(rcg.character_by_index, range(rcg.order))
                 if c.order == 125 and c.is_primitive())
-    _, res = orbit_average_lvalue(form, seed, CTX5)
+    _, res = orbit_average_lvalue(form, seed)
     assert len(res.value) == 100 and res.terms_dual == 6104
     refs = [weakref.ref(form), weakref.ref(rcg)]
     del form, rcg, seed
@@ -588,8 +618,8 @@ def test_row_half_sums_stay_within_a_few_blocks(tower):
     eng = afe._engine(tower.form, seed, 6.0, 5.0 ** 6)
     pres = afe._prefabs(tower.form, eng)
     assert len(pres[0]) > 9 * afe._BLOCK   # the main side's 152588 terms
-    tables = (charsums.averaged_char_table(seed, CTX5),
-              charsums.averaged_iota_table(seed, CTX5))
+    tables = (charsums.averaged_char_table(seed, 0),
+              charsums.averaged_iota_table(seed, 0))
     pctx, level = seed.prime_ctx, seed.level
     mod = pctx.modulus(level)
 

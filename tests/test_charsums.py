@@ -11,9 +11,8 @@ import pytest
 
 from lcentral import acceptance, charsums
 from lcentral.abelian import p_adic_split
-from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult,
-                               CoefficientFieldContext, _gauss_terms, _recognize,
-                               _unit_square, average_char, averaged_char_table,
+from lcentral.charsums import (EXACT_LEVEL_LIMIT, AverageResult, _gauss_terms,
+                               _recognize, _unit_square, average_char, averaged_char_table,
                                averaged_iota_table, character_sums, galois_orbit,
                                gauss_sum, kloosterman_bound_report, orbit_float_root_numbers,
                                orbit_gauss_sums, orbit_root_numbers,
@@ -54,10 +53,10 @@ def gauss_sum_conjugation_defect(chi):
     return abs(g.conjugate() - chi.value_on_ideal_of(-1).to_complex() * gbar)
 
 
-def average_iota(chi, ctx, a):
+def average_iota(chi, n0, a):
     """Mean of W(chi^t) * conj(chi^t)(a) over the Galois orbit, one root
     number per member: the per-residue oracle of `averaged_iota_table`."""
-    orbit = galois_orbit(chi, ctx)
+    orbit = galois_orbit(chi, n0)
     total = 0j
     for tw in orbit:
         v = tw.conjugate().value_on_ideal_of(a)
@@ -67,9 +66,9 @@ def average_iota(chi, ctx, a):
     return total / len(orbit)
 
 
-def member_roots(chi, ctx):
+def member_roots(chi, n0):
     """orbit_root_numbers as one RootOfUnity per orbit member."""
-    level, phases = orbit_root_numbers(chi, ctx)
+    level, phases = orbit_root_numbers(chi, n0)
     return [RootOfUnity(Fraction(int(w), level)) for w in phases]
 
 
@@ -236,45 +235,45 @@ def test_root_number_unit_modulus_quadratic_field():
 def test_orbit_sizes():
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
-    assert len(galois_orbit(chi, CoefficientFieldContext(p=5, n0=0))) == 4
+    assert len(galois_orbit(chi, 0)) == 4
     # depth-1 coefficient field fixes mod-p phases: orbit of an order-25
     # character collapses to the classes of t = 1 mod 5
     rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
-    assert len(galois_orbit(chi25, CoefficientFieldContext(p=5, n0=1))) == 5
-    assert len(galois_orbit(chi25, CoefficientFieldContext(p=5, n0=0))) == 20
+    assert len(galois_orbit(chi25, 1)) == 5
+    assert len(galois_orbit(chi25, 0)) == 20
     with pytest.raises(ValueError, match="p-power"):
         quadish = [c for c in rcg.characters() if c.order == 2][0]
-        galois_orbit(quadish, CoefficientFieldContext(p=5, n0=0))
+        galois_orbit(quadish, 0)
 
 
 def test_average_char_frozen_values():
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
-    cfc = CoefficientFieldContext(p=5, n0=0)
+    n0 = 0
     # chi(6) is a primitive 5th root; the orbit mean is -1/(p-1)
-    res = average_char(chi, cfc, 6)
+    res = average_char(chi, n0, 6)
     assert res.coeff == Fraction(-1, 4)
     assert res.root == RootOfUnity(0)
     assert abs(res.value - (-0.25)) < 1e-14
     # the class of 24 = -1 is trivial, so the average is 1
-    assert average_char(chi, cfc, 24).coeff == Fraction(1)
+    assert average_char(chi, n0, 24).coeff == Fraction(1)
     # ideals meeting the modulus average to zero
-    assert average_char(chi, cfc, 5).is_zero()
+    assert average_char(chi, n0, 5).is_zero()
 
 
 def test_average_char_depth_one():
     Q, ctx, _ = q_setup()
     rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
-    cfc = CoefficientFieldContext(p=5, n0=1)
+    n0 = 1
     # value of exact order 25 averages to zero across t = 1 mod 5
     a_deep = next(a for a in (2, 3, 7) if chi25.value_on_ideal_of(a).order == 25)
-    assert average_char(chi25, cfc, a_deep).is_zero()
+    assert average_char(chi25, n0, a_deep).is_zero()
     # value of order dividing 5 is fixed by the whole orbit
     a_shallow = next(a for a in range(2, 125)
                      if a % 5 and chi25.value_on_ideal_of(a).order == 5)
-    res = average_char(chi25, cfc, a_shallow)
+    res = average_char(chi25, n0, a_shallow)
     assert res.coeff == Fraction(1)
     assert res.root == chi25.value_on_ideal_of(a_shallow)
 
@@ -283,12 +282,12 @@ def test_average_recognition_always_lands():
     # the exact mean must always match the closed form: 0, a rational, or the
     # seed value itself
     Q, ctx, rcg = q_setup()
-    cfc = CoefficientFieldContext(p=5, n0=0)
+    n0 = 0
     for chi in rcg.characters():
         if chi.is_trivial() or p_adic_split(chi.order, 5)[0] != 1:
             continue
         for a in (2, 3, 6, 7, 11, 24):
-            res = average_char(chi, cfc, a)
+            res = average_char(chi, n0, a)
             assert res.coeff is not None
 
 
@@ -298,13 +297,13 @@ def test_average_support_variants():
     # nonzero, so the stricter rule misses it and the relaxed one keeps it
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
-    cfc = CoefficientFieldContext(p=5, n0=0)
-    _, j = chi.value_on_ideal_of(6).order_p_part(5)
-    assert j == 1 and not j <= cfc.n0 and j <= cfc.n0 + 1
-    assert average_char(chi, cfc, 6).coeff == Fraction(-1, 4)
-    _, j = chi.value_on_ideal_of(24).order_p_part(5)
-    assert j == 0 and j <= cfc.n0
-    assert not average_char(chi, cfc, 24).is_zero()
+    n0 = 0
+    _, j = p_adic_split(chi.value_on_ideal_of(6).order, 5)
+    assert j == 1 and not j <= n0 and j <= n0 + 1
+    assert average_char(chi, n0, 6).coeff == Fraction(-1, 4)
+    _, j = p_adic_split(chi.value_on_ideal_of(24).order, 5)
+    assert j == 0 and j <= n0
+    assert not average_char(chi, n0, 24).is_zero()
 
 
 def test_average_support_depth_one_discrepancy():
@@ -313,19 +312,19 @@ def test_average_support_depth_one_discrepancy():
     Q, ctx, _ = q_setup()
     rcg3 = RayClassGroup(ctx, 3)
     chi25 = [c for c in rcg3.characters() if c.order == 25][0]
-    cfc = CoefficientFieldContext(p=5, n0=1)
+    n0 = 1
     a_deep = next(a for a in (2, 3, 7) if chi25.value_on_ideal_of(a).order == 25)
-    assert chi25.value_on_ideal_of(a_deep).order_p_part(5)[1] == cfc.n0 + 1
-    assert average_char(chi25, cfc, a_deep).is_zero()
+    assert p_adic_split(chi25.value_on_ideal_of(a_deep).order, 5)[1] == n0 + 1
+    assert average_char(chi25, n0, a_deep).is_zero()
 
 
 def test_average_iota_and_kloosterman_report():
     Q, ctx, rcg = q_setup()
     chi = order5_char(rcg)
-    cfc = CoefficientFieldContext(p=5, n0=0)
-    v = average_iota(chi, cfc, 6)
+    n0 = 0
+    v = average_iota(chi, n0, 6)
     assert abs(v) <= 1 + 1e-12
-    rep = kloosterman_bound_report(chi, cfc)
+    rep = kloosterman_bound_report(chi, n0)
     assert rep["level"] == 1
     assert rep["orbit_size"] == 4
     assert rep["conductor_norm"] == 25
@@ -341,18 +340,18 @@ def test_kloosterman_argmax_is_the_smallest_tied_residue():
     # smallest residue is reported, whatever the rounding of the table
     Q, ctx, _ = q_setup()
     chi = seed_character(RayClassGroup(ctx, 3))
-    rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=1))
+    rep = kloosterman_bound_report(chi, 1)
     assert rep["max_abs"] == pytest.approx(5 ** -0.5, rel=1e-12)
     assert rep["argmax_residue"] == 1
     # without a tie the argmax is the plain maximum
-    rep = kloosterman_bound_report(chi, CoefficientFieldContext(p=5, n0=0))
+    rep = kloosterman_bound_report(chi, 0)
     assert rep["argmax_residue"] == 17
 
 
 @pytest.mark.parametrize("p,level", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 4), (7, 3)])
 def test_kloosterman_constant_over_sqrt_p_obeys_salie(p, level):
     # at n0 = 0, |averaged iota| <= sqrt(p) p^(-n/2) (README, Salie's lemma)
-    rep = kloosterman_bound_report(_rational_seed(p, level), CoefficientFieldContext(p=p, n0=0))
+    rep = kloosterman_bound_report(_rational_seed(p, level), 0)
     assert rep["constant_over_sqrt_p"] == rep["constant"] / p ** 0.5
     assert 0.5 < rep["constant_over_sqrt_p"] <= 1
 
@@ -361,7 +360,7 @@ def _trivial_character():
     _, _, rcg = q_setup()
     chi = rcg.character_by_index(0)
     assert chi.conductor_exponent == 0
-    return chi, CoefficientFieldContext(p=5, n0=0)
+    return chi, 0
 
 
 def test_orbit_gauss_sums_refuse_the_trivial_character():
@@ -393,9 +392,8 @@ def test_galois_action_gauss_sums_match_per_character(n, n0):
     # sum, transported by the shift identity, against each member's own sum
     Q, ctx, _ = q_setup()
     chi = seed_character(RayClassGroup(ctx, n))
-    cfc = CoefficientFieldContext(p=5, n0=n0)
     g = gauss_sum(chi, exact=True)
-    pairs = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
+    pairs = list(zip(substitutions(chi, n0), galois_orbit(chi, n0)))
     if n == 4:
         pairs = pairs[::23]                     # a sample of the 100 members
     for t, tw in pairs:
@@ -411,10 +409,9 @@ def test_orbit_root_numbers_match_per_character(p, n, n0):
     Q = nf_load("rationals")
     ctx = PrimeContext(Q, p, Q.element_from_int(p))
     chi = seed_character(RayClassGroup(ctx, n))
-    cfc = CoefficientFieldContext(p=p, n0=n0)
     q = chi.conductor_norm
-    orbit = galois_orbit(chi, cfc)
-    roots = member_roots(chi, cfc)
+    orbit = galois_orbit(chi, n0)
+    roots = member_roots(chi, n0)
     assert len(roots) == len(orbit)
     for k, (w, tw) in enumerate(zip(roots, orbit)):
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
@@ -433,28 +430,28 @@ def test_orbit_root_numbers_past_the_exact_level_limit():
     assert chi.conductor_norm > EXACT_LEVEL_LIMIT
     with pytest.raises(ValueError, match="cyclotomic level"):
         gauss_sum(chi.conjugate(), exact=True)
-    cfc = CoefficientFieldContext(p=149, n0=0)
-    orbit = galois_orbit(chi, cfc)
-    roots = member_roots(chi, cfc)
+    n0 = 0
+    orbit = galois_orbit(chi, n0)
+    roots = member_roots(chi, n0)
     assert len(roots) == len(orbit) == 148
     for w, tw in list(zip(roots, orbit))[::21]:
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
-    assert abs(averaged_iota_table(chi, cfc)[2] - average_iota(chi, cfc, 2)) < 1e-14
+    assert abs(averaged_iota_table(chi, n0)[2] - average_iota(chi, n0, 2)) < 1e-14
 
 
 def test_orbit_root_numbers_quadratic_field():
     K, ctx = sqrt2_setup()
     chi = next(c for c in residue_characters(ctx, 2) if c.order == 7)
-    cfc = CoefficientFieldContext(p=7, n0=0)
-    for w, tw in zip(member_roots(chi, cfc), galois_orbit(chi, cfc)):
+    n0 = 0
+    for w, tw in zip(member_roots(chi, n0), galois_orbit(chi, n0)):
         assert abs(w.to_complex() - root_number(tw)) < 1e-12
 
 
-def _per_member_root_numbers(chi, ctx):
+def _per_member_root_numbers(chi, n0):
     """W(chi^t) the slow way: every member built as a character, and
     chi^t((-1)) chi^t((t))^2 sigma_t(eps) multiplied out in RootOfUnity
     arithmetic, from the same one exact square eps = G(conj chi)^2 / q."""
-    subs = substitutions(chi, ctx)
+    subs = substitutions(chi, n0)
     if chi.conductor_exponent == 0:
         return [RootOfUnity(0)] * len(subs)
     den, exps, pref = _gauss_terms(chi.conjugate(), 1)
@@ -462,7 +459,7 @@ def _per_member_root_numbers(chi, ctx):
                        chi.label) * pref * pref
     level = lcm(den, pref.order)
     out = []
-    for t, tw in zip(subs, galois_orbit(chi, ctx)):
+    for t, tw in zip(subs, galois_orbit(chi, n0)):
         rho = tw.value_on_ideal_of(t)
         # sigma_t acts on a root of unity as its t-th power
         sigma_eps = power(eps, t if t % 2 else t + level)
@@ -480,8 +477,7 @@ def _per_member_root_numbers(chi, ctx):
 @pytest.mark.parametrize("n0", [0, 1])
 def test_orbit_root_phases_equal_the_per_member_loop(label, n0):
     chi = parse_char_label(label)
-    cfc = CoefficientFieldContext(p=chi.p, n0=n0)
-    assert member_roots(chi, cfc) == _per_member_root_numbers(chi, cfc)
+    assert member_roots(chi, n0) == _per_member_root_numbers(chi, n0)
 
 
 @pytest.mark.parametrize("label", [
@@ -495,14 +491,13 @@ def test_orbit_gauss_sums_match_per_character(label, n0):
     # route one's one-FFT Gauss sums against each member's own sum
     chi = parse_char_label(label)
     assert chi.is_primitive()
-    cfc = CoefficientFieldContext(p=chi.p, n0=n0)
-    orbit = galois_orbit(chi, cfc)
-    got = orbit_gauss_sums(chi, cfc)
+    orbit = galois_orbit(chi, n0)
+    got = orbit_gauss_sums(chi, n0)
     assert len(got) == len(orbit)
     q = chi.conductor_norm
     for g, tw in zip(got, orbit):
         assert abs(g - gauss_sum(tw.conjugate())) < 1e-12 * q ** 0.5
-    roots = orbit_float_root_numbers(chi, cfc)
+    roots = orbit_float_root_numbers(chi, n0)
     for w, tw in list(zip(roots, orbit))[::7]:
         assert abs(w - root_number(tw)) < 1e-12
 
@@ -511,26 +506,25 @@ def test_orbit_gauss_sums_match_per_character(label, n0):
 def test_per_value_tables_match_per_residue_averages(n, n0):
     Q, ctx, _ = q_setup()
     chi = seed_character(RayClassGroup(ctx, n))
-    cfc = CoefficientFieldContext(p=5, n0=n0)
-    direct = averaged_char_table(chi, cfc)
-    reflect = averaged_iota_table(chi, cfc)
+    direct = averaged_char_table(chi, n0)
+    reflect = averaged_iota_table(chi, n0)
     mod = 5 ** n
     assert direct.shape == reflect.shape == (mod,)
     for r in range(mod):
         if r % 5 == 0:
             assert direct[r] == 0 and reflect[r] == 0
             continue
-        assert abs(direct[r] - average_char(chi, cfc, r).value) < 1e-14
-        assert abs(reflect[r] - average_iota(chi, cfc, r)) < 1e-14
+        assert abs(direct[r] - average_char(chi, n0, r).value) < 1e-14
+        assert abs(reflect[r] - average_iota(chi, n0, r)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
 # average_char from the seed value: the per-member evaluation is the oracle
 
-def _per_member_average_char(chi, ctx, a):
+def _per_member_average_char(chi, n0, a):
     """The orbit mean the slow way: every member chi^t built and evaluated
     at a, the mean taken at the least common level of the values."""
-    orbit = galois_orbit(chi, ctx)
+    orbit = galois_orbit(chi, n0)
     vals = [tw.value_on_ideal_of(a) for tw in orbit]
     n = len(orbit)
     if any(v is None for v in vals):
@@ -552,12 +546,12 @@ def test_average_char_takes_numpy_integers():
     # order-5 character rationals.p5.m2.chi4 over its full orbit is -1/4
     Q, ctx, rcg = q_setup()
     chi = rcg.character_by_index(4)
-    cfc = CoefficientFieldContext(p=5, n0=0)
+    n0 = 0
     for six in (6, np.int64(6), np.int32(6)):
-        res = average_char(chi, cfc, six)
+        res = average_char(chi, n0, six)
         assert res.coeff == Fraction(-1, 4) and abs(res.value + 0.25) < 1e-15
     with pytest.raises(TypeError):
-        average_char(chi, cfc, 6.0)
+        average_char(chi, n0, 6.0)
 
 
 def _rational_seed(p, n):
@@ -565,10 +559,10 @@ def _rational_seed(p, n):
     return seed_character(RayClassGroup(PrimeContext(Q, p, Q.element_from_int(p)), n))
 
 
-def _assert_matches_reference(chi, cfc, mod):
+def _assert_matches_reference(chi, n0, mod):
     for a in range(mod):
-        got = average_char(chi, cfc, a)
-        ref = _per_member_average_char(chi, cfc, a)
+        got = average_char(chi, n0, a)
+        ref = _per_member_average_char(chi, n0, a)
         assert got.cyclotomic == ref.cyclotomic
         assert repr(got.cyclotomic) == repr(ref.cyclotomic)
         assert (got.orbit_size, got.coeff, got.root) == (ref.orbit_size, ref.coeff, ref.root)
@@ -578,13 +572,13 @@ def _assert_matches_reference(chi, cfc, mod):
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
 @pytest.mark.parametrize("n0", [0, 1])
 def test_average_char_matches_per_member_reference(p, n, n0):
-    _assert_matches_reference(_rational_seed(p, n), CoefficientFieldContext(p=p, n0=n0), p ** n)
+    _assert_matches_reference(_rational_seed(p, n), n0, p ** n)
 
 
 def test_average_char_matches_per_member_reference_residue_characters():
     K, ctx = sqrt2_setup()
     chi = next(c for c in residue_characters(ctx, 2) if c.order == 7)
-    _assert_matches_reference(chi, CoefficientFieldContext(p=7, n0=0), 49)
+    _assert_matches_reference(chi, 0, 49)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -594,8 +588,7 @@ def test_orbit_values_are_seed_powers(n, n0):
     # the seeds criterion 3 sweeps, at units and non-units alike
     Q = nf_load("rationals")
     chi = seed_character(acceptance.rcg_build(acceptance.prime_above(Q, 5), n))
-    cfc = CoefficientFieldContext(p=5, n0=n0)
-    members = list(zip(substitutions(chi, cfc), galois_orbit(chi, cfc)))
+    members = list(zip(substitutions(chi, n0), galois_orbit(chi, n0)))
     for a in range(5 ** n):
         seed = chi.value_on_ideal_of(a)
         for t, tw in members:
@@ -621,7 +614,7 @@ def test_average_char_evaluates_the_seed_once(monkeypatch):
     assert chi.order == 125
     evaluations = _counting(monkeypatch, HeckeCharacter, "value_on_ideal_of")
     orbits = _counting(monkeypatch, charsums, "galois_orbit")
-    res = average_char(chi, CoefficientFieldContext(p=5, n0=0), 2)
+    res = average_char(chi, 0, 2)
     assert res.orbit_size == 100
     assert len(evaluations) == 1
     assert not orbits
@@ -637,11 +630,15 @@ def test_criterion_3_recognizes_once_per_value(monkeypatch):
             chi = seed_character(acceptance.rcg_build(ctx, n))
             triples |= {(n, n0, chi.value_on_ideal_of(a)) for a in range(1, 5 ** n) if a % 5}
     charsums._value_mean.cache_clear()
+    charsums._substitution_array.cache_clear()
     recognitions = _counting(monkeypatch, charsums, "_recognize")
     orbits = _counting(monkeypatch, charsums, "galois_orbit")
     acceptance._c03_average_support()
     assert 0 < len(recognitions) <= len(triples) < 1240
     assert not orbits
+    # the substitutions are built once per (p, e, n0): orders 5, 25 and 125
+    # at n0 = 0 and 1
+    assert charsums._substitution_array.cache_info().misses == 6
 
 
 def test_one_reduction_per_mean_and_none_for_the_tables(monkeypatch):
@@ -650,15 +647,14 @@ def test_one_reduction_per_mean_and_none_for_the_tables(monkeypatch):
     Q, ctx, _ = q_setup()
     chi = seed_character(RayClassGroup(ctx, 3))
     for n0 in (0, 1):
-        cfc = CoefficientFieldContext(p=5, n0=n0)
         charsums._value_mean.cache_clear()
         recognitions = _counting(monkeypatch, charsums, "_recognize")
         reductions = _counting(monkeypatch, CyclotomicNumber, "reduced")
-        averaged_char_table(chi, cfc)
+        averaged_char_table(chi, n0)
         assert not recognitions and not reductions
         values = {chi.value_on_ideal_of(a) for a in range(1, 125) if a % 5}
         for a in range(125):
-            average_char(chi, cfc, a)
+            average_char(chi, n0, a)
         assert len(recognitions) == len(reductions) == len(values)
         monkeypatch.undo()
 
@@ -677,21 +673,20 @@ def test_residue_label_averages_take_values_on_classes():
             if p_adic_split(chi.order, p)[0] != 1:
                 continue
             for n0 in (0, 1):
-                cfc = CoefficientFieldContext(p=p, n0=n0)
-                subs = substitutions(chi, cfc)
-                roots = member_roots(chi, cfc)
+                subs = substitutions(chi, n0)
+                roots = member_roots(chi, n0)
                 for a in (2, 3, mod - 1):
                     conj_powers = [power(chi.value_on_ideal_of(a).conjugate(), t)
                                    for t in subs]
                     want = sum(v.to_complex() for v in conj_powers) / len(subs)
-                    got = average_char(chi, cfc, a)
+                    got = average_char(chi, n0, a)
                     assert abs(got.value - want.conjugate()) < 1e-14
                     if n0 == 0:
                         assert abs(got.value - want) < 1e-14
                     inv = pow(a, -1, mod)
                     with_conj = sum(w.to_complex() * power(chi.value_on_ideal_of(inv), t)
                                     .to_complex() for w, t in zip(roots, subs))
-                    assert abs(average_iota(chi, cfc, a) - with_conj / len(subs)) < 1e-12
+                    assert abs(average_iota(chi, n0, a) - with_conj / len(subs)) < 1e-12
 
 
 def test_residue_label_outputs_pinned(capsys):
@@ -717,10 +712,10 @@ def test_averaged_tables_match_their_closed_forms(p, level):
     # the main side is a Ramanujan sum, the dual side a sum of Kloosterman
     # sums, and the lemma max |avg iota| <= p^((1 - n) / 2) follows by Salie
     chi = _rational_seed(p, level)
-    cfc = CoefficientFieldContext(p=p, n0=0)
+    n0 = 0
     q = p ** level
-    main_side = averaged_char_table(chi, cfc)
-    dual_side = averaged_iota_table(chi, cfc)
+    main_side = averaged_char_table(chi, n0)
+    dual_side = averaged_iota_table(chi, n0)
     assert np.abs(main_side - ramanujan_main_table(p, q)).max() <= 1e-14
     assert np.abs(dual_side - kloosterman_dual_table(p, q)).max() <= 1e-14
     assert np.abs(dual_side).max() <= p ** ((2 - level) / 2)

@@ -325,12 +325,17 @@ _GAUSSIAN_DOC = {"label": "gaussian-integers", "min_poly": [1, 0, 1],
     ["lav-scan", "--form", "{cx}", "--n-hi", "1"],
     ["lvalue", "--form", "{cx}"],
     ["lav-scan", "--form", "{short}", "--n-hi", "1"],
+    ["galois-average", "--char", "rationals.p5.m2.chi4", "--residue", "6", "--n0", "-1"],
+    ["kloosterman-report", "--char", "rationals.p5.m2.chi4", "--n0", "-1"],
+    ["lav-scan", "--form", "{deep}", "--n-hi", "1"],
 ], ids=["nebentypus-lvalue", "golden-cone-count",
         "golden-gauss-sum", "gaussian-lav-scan", "complex-lav-scan",
-        "complex-lvalue", "short-table-lav-scan"])
+        "complex-lvalue", "short-table-lav-scan", "galois-average-n0",
+        "kloosterman-report-n0", "negative-n0-lav-scan"])
 def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     # a zero-eigenvalue form with a nontrivial nebentypus; the same with one
-    # [re, im] eigenvalue; and a full table shorter than the scan's cutoffs
+    # [re, im] eigenvalue; a full table shorter than the scan's cutoffs; and
+    # a negative depth n0, given on the command line or by the form
     nb = {"label": "nb", "weight_vector": [12], "atkin_lehner": 1,
           "nebentypus": "chi5",
           "prime_eigenvalues": {str(p): 0 for p in primes_up_to(2000)}}
@@ -339,8 +344,8 @@ def test_unsupported_inputs_exit_two(tmp_path, capsys, argv):
     short = {"label": "short", "weight_vector": [12], "atkin_lehner": -1,
              "coefficients": tau_exact(200)[1:]}
     paths = {}
-    for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC),
-                      ("gaussian", _GAUSSIAN_DOC), ("cx", cx), ("short", short)):
+    for name, doc in (("nb", nb), ("golden", _GOLDEN_DOC), ("gaussian", _GAUSSIAN_DOC),
+                      ("cx", cx), ("short", short), ("deep", dict(short, n0=-1))):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     assert main([a.format(**paths) for a in argv]) == 2

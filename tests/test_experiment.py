@@ -183,7 +183,7 @@ def test_row_magnitudes_are_the_builtin_abs_of_every_member():
     for n in (1, 2, 3):
         row = _run_row(setup, n)
         _, res = orbit_average_lvalue(setup.form, setup.seed_character(n + 1),
-                                      setup.coef_ctx, y=5.0 ** (2.0 * n))
+                                      y=5.0 ** (2.0 * n))
         mags = [abs(v) for v in res.value.tolist()]
         assert row.min_abs_value == min(mags)
         assert row.flags == tuple(m > NONVANISH_FLOOR for m in mags)

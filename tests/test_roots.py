@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcentral.abelian import p_adic_split
 from lcentral.charsums import _gauss_terms
 from lcentral.fields import nf_load
 from lcentral.rayclass import PrimeContext, RayClassGroup, seed_character
@@ -40,10 +41,11 @@ def test_root_powers(a, k):
 
 
 def test_order_p_part():
+    # the p-part of a root's order is p_adic_split of the order
     x = RootOfUnity(Fraction(1, 75))  # order 75 = 3 * 5^2
     assert x.order == 75
-    assert x.order_p_part(5) == (3, 2)
-    assert x.order_p_part(3) == (25, 1)
+    assert p_adic_split(x.order, 5) == (3, 2)
+    assert p_adic_split(x.order, 3) == (25, 1)
 
 
 def test_cyclotomic_polynomial_frozen():
